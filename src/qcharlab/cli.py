@@ -240,15 +240,16 @@ def sweep_grid(cfg: SweepConfig):
                         yield spec, KRSpec(n, node, r, k)
 
 
-def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> str:
+def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
+    """One sweep point: its summary count key and its JSON line."""
     spec, kr = point
     base = {"spec": spec.to_json(), "kr": kr.to_json()}
     try:
         rep = classify_variant(spec, kr)
     except InvariantViolation as exc:
         base["violation"] = str(exc)
-        return _dumps(base)
-    return _dumps({**base, "report": rep.to_json()})
+        return "violations", _dumps(base)
+    return rep.tag.kind, _dumps({**base, "report": rep.to_json()})
 
 
 def cmd_sweep(args) -> int:
@@ -272,27 +273,22 @@ def cmd_sweep(args) -> int:
 
     points = list(sweep_grid(cfg))
     if parallelism == 1:
-        lines = [_sweep_point(pt) for pt in points]
+        results = [_sweep_point(pt) for pt in points]
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            lines = list(pool.map(_sweep_point, points, chunksize=16))
+            results = list(pool.map(_sweep_point, points, chunksize=16))
 
     counts = {"irreducible": 0, "case_i": 0, "case_ii": 0, "violations": 0}
     try:
         with open(cfg.output, "w", encoding="utf-8") as fh:
-            for line in lines:
+            for _, line in results:
                 fh.write(line + "\n")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    for line in lines:
-        rec = json.loads(line)
-        if "violation" in rec:
-            counts["violations"] += 1
-        else:
-            case = rec["report"]["case"]
-            counts["irreducible" if case == "irred" else f"case_{case}"] += 1
-    print(f"points: {len(lines)}")
+    for outcome, _ in results:
+        counts[outcome] += 1
+    print(f"points: {len(results)}")
     print(
         "irreducible: {irreducible}  case_i: {case_i}  case_ii: {case_ii}  "
         "violations: {violations}".format(**counts)

@@ -22,6 +22,8 @@ from math import comb
 from .errors import InvalidInput, InvariantViolation
 from .lweight import (
     LMonomial,
+    PackedLayout,
+    exponent_support,
     expand_lroot_path,
     is_dominant,
     monomial_sort_key,
@@ -141,9 +143,18 @@ class KRSpec:
 
 
 class QChar:
-    """A q-character: finite multiset of loop-weight monomials."""
+    """A q-character: finite multiset of loop-weight monomials.
 
-    __slots__ = ("n", "_terms")
+    A character is held either as a dict of monomials or, for product
+    characters, as a dict of bit-packed integers with its ``PackedLayout``
+    (see ``from_packed``).  A packed character answers ``len``,
+    ``dimension`` and ``dominant_terms`` from the integers, decoding only
+    the dominant terms; everything else decodes the whole dict once, on
+    first use.  A character used as a factor keeps its own packings, one
+    per field width (``packed_into``).
+    """
+
+    __slots__ = ("n", "_terms", "_packed", "_layout", "_support", "_packings")
 
     def __init__(self, n: int, terms: dict[LMonomial, int]):
         for m, mult in terms.items():
@@ -153,38 +164,94 @@ class QChar:
                 raise InvalidInput("multiplicities must be positive")
         self.n = n
         self._terms = dict(terms)
+        self._packed = None
+        self._layout = None
+        self._support = None
+        self._packings = {}
+
+    @classmethod
+    def from_packed(cls, layout: PackedLayout, packed: dict[int, int]) -> "QChar":
+        """A product character given as packed products with multiplicities.
+
+        Distinct integers decode to distinct monomials, so ``packed`` is
+        taken over as is; multiplicities must be positive.
+        """
+        qc = object.__new__(cls)
+        qc.n = layout.n
+        qc._terms = None
+        qc._packed = packed
+        qc._layout = layout
+        qc._support = None
+        qc._packings = {}
+        return qc
+
+    def _decoded(self) -> dict[LMonomial, int]:
+        if self._terms is None:
+            unpack = self._layout.unpack
+            self._terms = {unpack(x): c for x, c in self._packed.items()}
+        return self._terms
 
     def terms(self) -> dict[LMonomial, int]:
-        return dict(self._terms)
+        return dict(self._decoded())
+
+    def support(self) -> tuple[int, int, int]:
+        """``exponent_support`` of the terms, computed once."""
+        if self._support is None:
+            self._support = exponent_support(self._decoded())
+        return self._support
+
+    def packed_into(self, layout: PackedLayout) -> list[tuple[int, int]]:
+        """Terms with multiplicities, packed unbiased into ``layout``.
+
+        The layout's rows must cover ``support()``.  The terms are packed
+        once per field width, from the character's own lowest row, and
+        shifted into place.
+        """
+        lo, hi, _ = self.support()
+        own = self._packings.get(layout.width)
+        if own is None:
+            pack = PackedLayout(self.n, lo, hi, layout.width).pack
+            own = self._packings[layout.width] = [
+                (pack(m), c) for m, c in self._decoded().items()
+            ]
+        shift = layout.shift(lo)
+        return [(x << shift, c) for x, c in own]
 
     def multiplicity(self, m: LMonomial) -> int:
-        return self._terms.get(m, 0)
+        return self._decoded().get(m, 0)
 
     def __contains__(self, m: LMonomial) -> bool:
-        return m in self._terms
+        return m in self._decoded()
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._terms if self._packed is None else self._packed)
 
     @property
     def dimension(self) -> int:
-        return sum(self._terms.values())
+        return sum((self._terms if self._packed is None else self._packed).values())
 
     def dominant_terms(self) -> list[tuple[LMonomial, int]]:
-        out = [(m, c) for m, c in self._terms.items() if is_dominant(m)]
+        if self._packed is None:
+            out = [(m, c) for m, c in self._terms.items() if is_dominant(m)]
+        else:
+            layout = self._layout
+            top = layout.top
+            out = [(layout.unpack(x), c) for x, c in self._packed.items() if x & top == top]
         out.sort(key=lambda mc: monomial_sort_key(mc[0]))
         return out
 
     def sorted_terms(self) -> list[tuple[LMonomial, int]]:
-        return sorted(self._terms.items(), key=lambda mc: monomial_sort_key(mc[0]))
+        return sorted(self._decoded().items(), key=lambda mc: monomial_sort_key(mc[0]))
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, QChar) and self.n == other.n and self._terms == other._terms
+            isinstance(other, QChar)
+            and self.n == other.n
+            and self._decoded() == other._decoded()
         )
 
     def __repr__(self) -> str:
-        return f"QChar(n={self.n}, terms={len(self._terms)}, dim={self.dimension})"
+        return f"QChar(n={self.n}, terms={len(self)}, dim={self.dimension})"
 
     def to_json(self) -> list:
         return [{"monomial": m.to_json(), "mult": c} for m, c in self.sorted_terms()]
@@ -376,5 +443,6 @@ def weyl_dim(n: int, lam: tuple[int, ...]) -> int:
         for j in range(i, n + 1):
             num *= _seg(tuple(lam), i, j) + j - i + 1
             den *= j - i + 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolation(f"Weyl dimension {num}/{den} is not an integer")
     return num // den

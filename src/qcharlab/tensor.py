@@ -1,13 +1,15 @@
 """Tensor products of a minimal affinization with an extreme-node KR module.
 
-The product q-character is computed by brute-force convolution and its
-dominant spectrum D extracted and sorted along the loop-root order.  On top
-of that, the classifier evaluates the closed-form reducibility conditions,
-derives the extra simple factor's highest loop weight through several
-independent formulas, and cross-checks every prediction against D.  Brute
-force is always the arbiter: a disagreement raises TheoremViolation, which
-signals an implementation bug and is counted as a violation by the sweep
-harness.
+The product q-character is computed by brute-force convolution on
+bit-packed integers (``lweight.PackedLayout``).  Every pair of terms is
+visited, but monomials are decoded only on demand, so extracting the
+dominant spectrum D decodes just the dominant terms before sorting them
+along the loop-root order.  On top of that, the classifier evaluates the
+closed-form reducibility conditions, derives the extra simple factor's
+highest loop weight through several independent formulas, and cross-checks
+every prediction against D.  Brute force is always the arbiter: a
+disagreement raises TheoremViolation, which signals an implementation bug
+and is counted as a violation by the sweep harness.
 
 Normal form is an increasing minimal affinization tensored with a KR module
 at the last node.  The three other direction/node combinations are settled
@@ -21,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidInput, TheoremViolation
+from .errors import InvalidInput, InvariantViolation, TheoremViolation
 from .lweight import (
     LMonomial,
+    PackedLayout,
     expand_lroot_path,
     le,
     transform,
@@ -123,15 +126,25 @@ class TensorReport:
 
 
 def product_qchar(q1: QChar, q2: QChar) -> QChar:
-    """Convolution product of two q-characters (tensor product character)."""
+    """Convolution product of two q-characters (tensor product character).
+
+    Both factors are packed into one ``PackedLayout``, the first with the
+    field bias, so each pair costs one integer addition and one dict
+    update.  The result stays packed; see ``QChar``.
+    """
     if q1.n != q2.n:
         raise InvalidInput(f"rank mismatch: {q1.n} != {q2.n}")
-    terms: dict[LMonomial, int] = {}
-    for m1, c1 in q1.terms().items():
-        for m2, c2 in q2.terms().items():
-            m = m1 * m2
-            terms[m] = terms.get(m, 0) + c1 * c2
-    return QChar(q1.n, terms)
+    layout = PackedLayout.for_product(q1.n, q1.support(), q2.support())
+    top = layout.top
+    xs2 = q2.packed_into(layout)
+    terms: dict[int, int] = {}
+    get = terms.get
+    for x1, c1 in q1.packed_into(layout):
+        x1 += top
+        for x2, c2 in xs2:
+            x = x1 + x2
+            terms[x] = get(x, 0) + c1 * c2
+    return QChar.from_packed(layout, terms)
 
 
 def dominant_spectrum(qc: QChar) -> DominantSpectrum:
@@ -386,7 +399,8 @@ def _socle_head(
     """
     if not tag.reducible:
         return {"V": (lam, lam), "Vprime": (lam, lam)}
-    assert lam_prime is not None
+    if lam_prime is None:
+        raise InvariantViolation(f"reducible tag {tag} without an extra factor")
     v_hlw = tag.kind == "case_i"
     if variant in ("b", "c"):
         v_hlw = not v_hlw
@@ -401,7 +415,8 @@ def _lambda_prime_normal(
     """Extra factor's highest loop weight, computed two independent ways."""
     n = spec.n
     p, kp = tag.p, tag.kprime
-    assert p is not None and kp is not None
+    if p is None or kp is None:
+        raise InvariantViolation(f"reducible tag {tag} without a node or k'")
     omega = drinfeld_of_spec(spec)
     varpi = kr.drinfeld()
     if tag.kind == "case_i":
@@ -556,7 +571,8 @@ def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
 
     lam_prime: Optional[LMonomial] = None
     if tag_direct.reducible:
-        assert rep_t.lambda_prime is not None
+        if rep_t.lambda_prime is None:
+            raise InvariantViolation("transported reducible report has no extra factor")
         lam_prime = transform(rep_t.lambda_prime, fwd)
         if lam_prime not in D:
             raise TheoremViolation(

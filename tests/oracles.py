@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 string partitions are enumerated from the top row down (the package anchors
 at the bottom row), loop-root membership is decided by exhaustive search
-over placements, and monomial generators build random inputs from scratch.
+over placements, product characters are convolved monomial by monomial
+(the package packs them into integers), and monomial generators build
+random inputs from scratch.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from qcharlab import LMonomial, expand_simple_lroot, y_string
+from qcharlab import (
+    InvalidInput,
+    KRSpec,
+    LMonomial,
+    MinAffSpec,
+    QChar,
+    expand_simple_lroot,
+    y_string,
+)
 
 
 def run_partitions_topdown(counts: dict[int, int]) -> list[tuple[tuple[int, int], ...]]:
@@ -39,6 +49,19 @@ def run_partitions_topdown(counts: dict[int, int]) -> list[tuple[tuple[int, int]
             out.append(tuple(sorted(((top - 2 * (k - 1), k),) + tail)))
         k += 1
     return sorted(set(out))
+
+
+def product_qchar_reference(q1: QChar, q2: QChar) -> QChar:
+    """Convolution product built from ``LMonomial`` products, pair by pair."""
+    if q1.n != q2.n:
+        raise InvalidInput(f"rank mismatch: {q1.n} != {q2.n}")
+    terms2 = q2.terms()
+    terms: dict[LMonomial, int] = {}
+    for m1, c1 in q1.terms().items():
+        for m2, c2 in terms2.items():
+            m = m1 * m2
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return QChar(q1.n, terms)
 
 
 def in_lroot_cone_bruteforce(m: LMonomial, max_total: int = 5) -> bool:
@@ -146,3 +169,20 @@ def all_weights(n: int, total_max: int):
     for lam in product(range(total_max + 1), repeat=n):
         if 0 < sum(lam) <= total_max:
             yield lam
+
+
+@st.composite
+def minaff_kr_pairs(draw, max_n: int = 3, max_total: int = 3, max_k: int = 3):
+    """A minimal affinization of either direction and an extreme-node KR
+    module of the same rank, at independent spectral positions."""
+    n = draw(st.integers(1, max_n))
+    lam = draw(
+        st.lists(st.integers(0, max_total), min_size=n, max_size=n).filter(
+            lambda v: 0 < sum(v) <= max_total
+        )
+    )
+    spec = MinAffSpec(
+        n, tuple(lam), draw(st.sampled_from(("inc", "dec"))), draw(st.integers(-4, 4))
+    )
+    kr = KRSpec(n, draw(st.sampled_from((1, n))), draw(st.integers(-8, 8)), draw(st.integers(1, max_k)))
+    return spec, kr

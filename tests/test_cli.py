@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
+from qcharlab import InvariantViolation, cli
 from qcharlab.cli import main
 
 
@@ -171,6 +173,38 @@ class TestSweepCommand:
         monkeypatch.setenv("QCHARLAB_THREADS", "2")
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
         assert (tmp_path / "out.jsonl").read_bytes() == serial
+
+    def test_summary_counts_the_output(self, capsys, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)
+        code, serial, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0
+        lines = (tmp_path / "out.jsonl").read_text().splitlines()
+        cases = Counter(json.loads(line)["report"]["case"] for line in lines)
+        assert len(cases) == 3
+        assert f"points: {len(lines)}\n" in serial
+        assert (
+            f"irreducible: {cases['irred']}  case_i: {cases['i']}  case_ii: {cases['ii']}  "
+            "violations: 0\n"
+        ) in serial
+        monkeypatch.setenv("QCHARLAB_THREADS", "2")
+        assert run_cli(capsys, "sweep", "--config", str(cfg)) == (0, serial, "")
+
+    def test_violations_are_counted(self, capsys, tmp_path, monkeypatch):
+        classify = cli.classify_variant
+
+        def failing_at_rank_two(spec, kr):
+            if spec.n == 2:
+                raise InvariantViolation("injected")
+            return classify(spec, kr)
+
+        monkeypatch.setattr(cli, "classify_variant", failing_at_rank_two)
+        cfg = _write_config(tmp_path)
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        records = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text().splitlines()]
+        failed = sum("violation" in rec for rec in records)
+        assert 0 < failed < len(records)
+        assert code == cli.EXIT_VIOLATION
+        assert f"violations: {failed}\n" in out
 
     def test_empty_grid_rejected(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, n_max=0)

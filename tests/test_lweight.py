@@ -25,7 +25,7 @@ from qcharlab import (
     weight_of,
     y_string,
 )
-from qcharlab.lweight import root_height
+from qcharlab.lweight import monomial_sort_key, root_height
 
 
 def Y(n, i, r, e=1):
@@ -262,6 +262,13 @@ class TestPartialOrder:
         base = Y(n, 1, 0)
         higher = base * m
         assert root_height(higher) - root_height(base) == Fraction(sum(factors.values()))
+
+    @given(lmonomials(max_n=5, max_factors=8))
+    def test_sort_key_is_minus_twice_the_height(self, m):
+        key = monomial_sort_key(m)
+        assert isinstance(key[0], int)
+        assert Fraction(-key[0], 2) == root_height(m)
+        assert key[1] == m.items()
 
 
 class TestRestrict:

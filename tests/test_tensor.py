@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
 
-from oracles import all_weights
+from oracles import all_weights, lmonomials, minaff_kr_pairs, product_qchar_reference
 from qcharlab import (
     InvalidInput,
+    InvariantViolation,
     KRSpec,
     LMonomial,
     MinAffSpec,
@@ -16,6 +18,7 @@ from qcharlab import (
     family_S,
     family_T,
     highest_tableau,
+    is_dominant,
     kr_qchar_by_partitions,
     product_qchar,
     qchar,
@@ -27,6 +30,7 @@ from qcharlab import (
     transform,
     y_string,
 )
+from qcharlab.lweight import PackedLayout, exponent_support
 from qcharlab.minaff import _seg
 from qcharlab.tensor import Resonance, _resonance
 
@@ -44,6 +48,14 @@ def normal_grid(n_max=2, total_max=2, k_max=2, pad=2):
                     yield spec, KRSpec(n, n, r, k)
 
 
+def assert_same_character(packed: QChar, reference: QChar):
+    assert packed == reference
+    assert packed.terms() == reference.terms()
+    assert len(packed) == len(reference)
+    assert packed.dimension == reference.dimension
+    assert packed.dominant_terms() == reference.dominant_terms()
+
+
 class TestProductQChar:
     def test_rank_one_two_by_two(self):
         prod = product_qchar(
@@ -55,9 +67,10 @@ class TestProductQChar:
         assert dominants == {Y(1, 1, 0) * Y(1, 1, -2), LMonomial.identity(1)}
 
     def test_identity_character_is_neutral(self):
-        qc = qchar(MinAffSpec(2, (1, 0), "inc"))
         one = QChar(2, {LMonomial.identity(2): 1})
-        assert product_qchar(qc, one) == qc
+        for qc in (qchar(MinAffSpec(2, (1, 0), "inc")), qchar_kr(KRSpec(2, 1, 4, 2)), one):
+            assert_same_character(product_qchar(qc, one), qc)
+            assert_same_character(product_qchar(one, qc), qc)
 
     def test_dimension_multiplies(self):
         a = qchar(MinAffSpec(2, (1, 0), "inc"))
@@ -69,6 +82,74 @@ class TestProductQChar:
             product_qchar(
                 qchar(MinAffSpec(1, (1,), "inc")), qchar(MinAffSpec(2, (1, 0), "inc"))
             )
+        packed = product_qchar(qchar(MinAffSpec(1, (1,), "inc")), qchar_kr(KRSpec(1, 1, 0, 1)))
+        with pytest.raises(InvalidInput):
+            product_qchar(packed, qchar(MinAffSpec(2, (1, 0), "inc")))
+
+
+class TestPackedProduct:
+    """The packed convolution against the monomial-by-monomial reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(minaff_kr_pairs())
+    def test_matches_reference(self, pair):
+        spec, kr = pair
+        a, b = qchar(spec), qchar_kr(kr)
+        assert_same_character(product_qchar(a, b), product_qchar_reference(a, b))
+        assert_same_character(product_qchar(b, a), product_qchar_reference(b, a))
+
+    def test_packed_times_plain(self):
+        a = qchar(MinAffSpec(2, (1, 1), "dec"))
+        b = qchar_kr(KRSpec(2, 2, 1, 2))
+        c = qchar(MinAffSpec(2, (0, 1), "inc", 3))
+        ab = product_qchar(a, b)
+        ab_ref = product_qchar_reference(a, b)
+        assert_same_character(product_qchar(ab, c), product_qchar_reference(ab_ref, c))
+        assert_same_character(product_qchar(c, ab), product_qchar_reference(c, ab_ref))
+
+    def test_factor_reused_across_layouts(self):
+        # one factor's cached packings serve partners of other widths and rows
+        a = qchar_kr(KRSpec(2, 1, 0, 2))
+        for other in (
+            QChar(2, {Y(2, 1, -6, 5): 1, Y(2, 2, 0): 2}),
+            QChar(2, {Y(2, 2, 9): 2}),
+            qchar_kr(KRSpec(2, 2, 3, 3)),
+        ):
+            assert_same_character(product_qchar(a, other), product_qchar_reference(a, other))
+            assert_same_character(product_qchar(other, a), product_qchar_reference(other, a))
+
+    def test_large_exponents(self):
+        q1 = QChar(2, {Y(2, 1, 0, 1000) * Y(2, 2, 1, -1000): 1, Y(2, 1, 0, -999): 3})
+        q2 = QChar(2, {Y(2, 1, 0, -1000) * Y(2, 2, 1, 1000): 2, Y(2, 1, 0, 1000) * Y(2, 1, 5, 7): 1})
+        assert PackedLayout.for_product(2, q1.support(), q2.support()).width == 12
+        prod = product_qchar(q1, q2)
+        assert_same_character(prod, product_qchar_reference(q1, q2))
+        assert prod.dominant_terms() == [
+            (Y(2, 1, 0) * Y(2, 1, 5, 7), 3),
+            (LMonomial.identity(2), 2),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lmonomials(max_n=3, max_factors=5), lmonomials(max_n=3, max_factors=5))
+    def test_fields_hold_the_largest_exponents(self, a, b):
+        # scale the exponents to either side of a power of two
+        n = min(a.n, b.n)
+        for s1, s2 in ((1, 1), (7, 1), (8, 8), (1023, 1), (1024, 1023)):
+            m1 = LMonomial(n, (((min(i, n), r), e * s1) for (i, r), e in a.items()))
+            m2 = LMonomial(n, (((min(i, n), r), e * s2) for (i, r), e in b.items()))
+            layout = PackedLayout.for_product(n, exponent_support([m1]), exponent_support([m2]))
+            x = layout.pack(m1) + layout.top + layout.pack(m2)
+            assert layout.unpack(x) == m1 * m2
+            assert (x & layout.top == layout.top) == is_dominant(m1 * m2)
+
+    def test_bound_outside_the_fields_is_rejected(self):
+        with pytest.raises(InvariantViolation):
+            PackedLayout.for_product(2, (0, 0, -1), (0, 0, 0))
+
+    def test_overflowed_product_is_rejected(self):
+        layout = PackedLayout.for_product(2, (0, 0, 1), (0, 0, 1))
+        with pytest.raises(InvariantViolation):
+            layout.unpack(layout.pack(Y(2, 2, 0, -5)) + layout.top)
 
 
 class TestDominantSpectrum:
