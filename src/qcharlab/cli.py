@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 
 from .errors import InvalidInput, InvariantViolation
@@ -241,7 +242,12 @@ def sweep_grid(cfg: SweepConfig):
 
 
 def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
-    """One sweep point: its summary count key and its JSON line."""
+    """One sweep point: its summary count key and its JSON line.
+
+    A theorem violation is recorded as ``violation``, any other exception as
+    ``error`` (``"<Type>: <message>"``); both count as violations, and the
+    sweep goes on with the next point.
+    """
     spec, kr = point
     base = {"spec": spec.to_json(), "kr": kr.to_json()}
     try:
@@ -249,7 +255,33 @@ def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     except InvariantViolation as exc:
         base["violation"] = str(exc)
         return "violations", _dumps(base)
+    except Exception as exc:
+        base["error"] = f"{type(exc).__name__}: {exc}"
+        return "violations", _dumps(base)
     return rep.tag.kind, _dumps({**base, "report": rep.to_json()})
+
+
+def clamp_workers(requested: int, points: int) -> int:
+    """Worker processes for a sweep: at most one per CPU and one per point."""
+    return max(1, min(requested, os.cpu_count() or 1, points))
+
+
+@contextmanager
+def _replaced_on_success(path: str):
+    """Text file handle on a temporary file beside ``path``.
+
+    The temporary file replaces ``path`` when the block ends normally and is
+    removed when it raises, so ``path`` never holds partial output.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def cmd_sweep(args) -> int:
@@ -272,23 +304,23 @@ def cmd_sweep(args) -> int:
             raise InvalidInput("QCHARLAB_THREADS must be at least 1")
 
     points = list(sweep_grid(cfg))
-    if parallelism == 1:
-        results = [_sweep_point(pt) for pt in points]
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_sweep_point, points, chunksize=16))
-
+    workers = clamp_workers(parallelism, len(points))
     counts = {"irreducible": 0, "case_i": 0, "case_ii": 0, "violations": 0}
     try:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            for _, line in results:
+        with ExitStack() as stack:
+            fh = stack.enter_context(_replaced_on_success(cfg.output))
+            if workers == 1:
+                results = map(_sweep_point, points)
+            else:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                results = pool.map(_sweep_point, points, chunksize=16)
+            for outcome, line in results:
                 fh.write(line + "\n")
+                counts[outcome] += 1
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    for outcome, _ in results:
-        counts[outcome] += 1
-    print(f"points: {len(results)}")
+    print(f"points: {len(points)}")
     print(
         "irreducible: {irreducible}  case_i: {case_i}  case_ii: {case_ii}  "
         "violations: {violations}".format(**counts)

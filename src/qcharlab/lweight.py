@@ -60,6 +60,10 @@ class LMonomial:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("LMonomial is immutable")
 
+    def __reduce__(self):
+        # the default slot-state restore would go through __setattr__
+        return (LMonomial, (self.n, self._exps))
+
     @classmethod
     def identity(cls, n: int) -> "LMonomial":
         return cls(n)
@@ -370,17 +374,23 @@ def right_negativity(m: LMonomial) -> tuple[int, bool]:
     return r_max, rn
 
 
+def scaled_root_coords(w: Weight) -> tuple[int, ...]:
+    """``n + 1`` times the simple-root coordinates of ``w``, in integers.
+
+    Row ``i`` of ``n + 1`` times the inverse Cartan matrix is
+    ``min(i, j) * (n + 1 - max(i, j))``.
+    """
+    h = w.n + 1
+    return tuple(
+        sum(min(i, j) * (h - max(i, j)) * c for j, c in enumerate(w.coords, start=1))
+        for i in range(1, h)
+    )
+
+
 def simple_root_coords(w: Weight) -> tuple[Fraction, ...]:
     """Coordinates of a weight in the simple-root basis (inverse Cartan matrix)."""
-    n = w.n
-    h = n + 1
-    out = []
-    for i in range(1, n + 1):
-        t = Fraction(0)
-        for j in range(1, n + 1):
-            t += Fraction(min(i, j) * (h - max(i, j)), h) * w.coords[j - 1]
-        out.append(t)
-    return tuple(out)
+    h = w.n + 1
+    return tuple(Fraction(t, h) for t in scaled_root_coords(w))
 
 
 def root_height(m: LMonomial) -> Fraction:
@@ -390,23 +400,25 @@ def root_height(m: LMonomial) -> Fraction:
     ``root_height(m1) < root_height(m2)``, which makes it a valid sort key
     for chains of dominant monomials.
     """
-    return sum(simple_root_coords(weight_of(m)), Fraction(0))
+    return Fraction(sum(scaled_root_coords(weight_of(m))), m.n + 1)
 
 
 def lroot_decompose(m: LMonomial) -> Optional[LRootDecomposition]:
     """Write ``m`` as a product of nonnegative powers of simple loop roots.
 
     Returns ``None`` when no such decomposition exists.  The per-node factor
-    totals are forced by the weight (inverse Cartan matrix, exact rationals);
-    the spectral placement is then forced row by row from the bottom: at the
-    minimal occupied spectral exponent r0 only factors A[i,r0+1] can
-    contribute, with multiplicity equal to the stored exponent at (i,r0).
+    totals are forced by the weight (inverse Cartan matrix, in integers
+    scaled by ``n + 1``); the spectral placement is then forced row by row
+    from the bottom: at the minimal occupied spectral exponent r0 only
+    factors A[i,r0+1] can contribute, with multiplicity equal to the stored
+    exponent at (i,r0).
     """
     n = m.n
-    totals = simple_root_coords(weight_of(m))
-    if any(t.denominator != 1 or t < 0 for t in totals):
+    h = n + 1
+    scaled = scaled_root_coords(weight_of(m))
+    if any(t < 0 or t % h for t in scaled):
         return None
-    budget = int(sum(totals))
+    budget = sum(scaled) // h
     work: dict[Key, int] = dict(m.items())
     factors: dict[Key, int] = {}
     consumed = 0

@@ -9,11 +9,17 @@ tableau's monomial is the product over its boxes.
 Semi-standard means: columns strictly increase top to bottom, support starts
 weakly decrease left to right, and whenever a box (c, s) in one column has a
 neighbour (c', s-2) in the next column then c >= c'.
+
+``enumerate_semistandard`` keeps a running exponent vector while it places
+boxes, so every tableau it yields already carries its monomial;
+``monomial_of_tableau`` returns that, and computes (and remembers) the
+monomial in one pass over the boxes for a tableau built any other way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .errors import InvalidInput
@@ -68,11 +74,23 @@ class Tableau:
     Contents need not be increasing: intermediate results of single-box
     raises are representable.  Semi-standardness is a predicate, not a
     construction invariant.
+
+    ``_monomial`` memoizes ``monomial_of_tableau``.  It is a plain class
+    attribute, not a field, so it takes no part in ``==``, ``hash``,
+    ``repr`` or ``to_json``.
     """
 
     n: int
     shape: Shape
     cols: tuple[tuple[int, ...], ...]
+    _monomial = None
+
+    @classmethod
+    def _make(cls, n: int, shape: Shape, cols, monomial: LMonomial) -> "Tableau":
+        """Build from already valid contents with a known monomial, skipping the checks."""
+        t = object.__new__(cls)
+        t.__dict__.update(n=n, shape=shape, cols=cols, _monomial=monomial)
+        return t
 
     def __post_init__(self):
         cols = tuple(tuple(int(c) for c in col) for col in self.cols)
@@ -143,9 +161,25 @@ def monomial_of_box(n: int, content: int, s: int) -> LMonomial:
 
 
 def monomial_of_tableau(t: Tableau) -> LMonomial:
-    m = LMonomial.identity(t.n)
-    for content, s in t.boxes():
-        m = m * monomial_of_box(t.n, content, s)
+    """Product of the box monomials of ``t``.
+
+    Tableaux yielded by ``enumerate_semistandard`` carry their monomial
+    already.  For any other tableau the exponents are summed in one pass
+    over the boxes and the result is memoized on ``t``.
+    """
+    m = t._monomial
+    if m is None:
+        n = t.n
+        acc: dict[tuple[int, int], int] = {}
+        for c, s in t.boxes():
+            if c <= n:
+                key = (c, s + c - 1)
+                acc[key] = acc.get(key, 0) + 1
+            if c >= 2:
+                key = (c - 1, s + c)
+                acc[key] = acc.get(key, 0) - 1
+        m = LMonomial._make(n, tuple(sorted(kv for kv in acc.items() if kv[1])))
+        object.__setattr__(t, "_monomial", m)
     return m
 
 
@@ -169,47 +203,85 @@ def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
     Deterministic order: depth-first over columns left to right, within a
     column top to bottom, contents ascending (lexicographic in the
     concatenated content sequence).
+
+    The search runs over the boxes in that order without recursion and keeps
+    the exponents of the boxes placed so far in a vector indexed by the
+    ``(i, r)`` keys the shape can reach, sorted.  Each yielded tableau
+    carries its monomial, read off the nonzero entries of that vector.
     """
-    cols_meta = shape.columns
-    ncols = len(cols_meta)
-    if ncols == 0:
-        yield Tableau(n, shape, ())
+    # per box, in search order: its support, its largest content, and the
+    # index of the box at support + 2 in the previous column (or -1)
+    supports: list[int] = []
+    top_caps: list[int] = []
+    lefts: list[int] = []
+    columns: list[slice] = []
+    prev: dict[int, int] = {}
+    for k, s in shape:
+        here: dict[int, int] = {}
+        columns.append(slice(len(supports), len(supports) + k))
+        for row in range(1, k + 1):
+            supp = box_support(k, s, row)
+            here[supp] = len(supports)
+            supports.append(supp)
+            # leave room for the strictly increasing boxes below
+            top_caps.append(n + 1 - (k - row))
+            lefts.append(prev.get(supp + 2, -1))
+        prev = here
+    first_rows = {col.start for col in columns}
+    nboxes = len(supports)
+    if nboxes == 0:
+        yield Tableau._make(n, shape, (), LMonomial._make(n, ()))
         return
 
-    filled: list[list[int]] = [[] for _ in range(ncols)]
-    # support -> content of the previously completed column, for the
-    # diagonal constraint against column j we look up support s+2 in j-1
-    left_maps: list[dict[int, int]] = [{} for _ in range(ncols)]
+    # up[p][c] / down[p][c]: slot of the +1 / -1 factor of content c at box p;
+    # boundary factors go to a spare last slot that is never read back
+    keys = sorted(
+        {(c, s + c - 1) for s in supports for c in range(1, n + 1)}
+        | {(c - 1, s + c) for s in supports for c in range(2, n + 2)}
+    )
+    slot = {key: j for j, key in enumerate(keys)}
+    spare = len(keys)
+    up = [[spare] + [slot.get((c, s + c - 1), spare) for c in range(1, n + 2)] for s in supports]
+    down = [[spare] + [slot.get((c - 1, s + c), spare) for c in range(1, n + 2)] for s in supports]
+    exps = [0] * (spare + 1)
 
-    def fill_column(j: int) -> Iterator[Tableau]:
-        k, s = cols_meta[j]
-        left = left_maps[j]
-        col = filled[j]
-
-        def place(row: int) -> Iterator[Tableau]:
-            if row > k:
-                if j + 1 == ncols:
-                    yield Tableau(n, shape, tuple(tuple(c) for c in filled))
-                else:
-                    left_maps[j + 1] = {
-                        box_support(k, s, rr): col[rr - 1] for rr in range(1, k + 1)
-                    }
-                    yield from fill_column(j + 1)
+    contents = [0] * nboxes
+    caps = [0] * nboxes
+    last = nboxes - 1
+    p = 0
+    caps[0] = top_caps[0]
+    while True:
+        c = contents[p] + 1
+        if c > caps[p]:
+            if p == 0:
                 return
-            lo = col[row - 2] + 1 if row > 1 else 1
-            # leave room for the strictly increasing boxes below
-            hi = (n + 1) - (k - row)
-            cap = left.get(box_support(k, s, row) + 2)
-            if cap is not None:
-                hi = min(hi, cap)
-            for c in range(lo, hi + 1):
-                col.append(c)
-                yield from place(row + 1)
-                col.pop()
-
-        yield from place(1)
-
-    yield from fill_column(0)
+            p -= 1
+            c = contents[p]
+            exps[up[p][c]] -= 1
+            exps[down[p][c]] += 1
+            continue
+        contents[p] = c
+        u, d = up[p][c], down[p][c]
+        exps[u] += 1
+        exps[d] -= 1
+        if p == last:
+            values = exps[:spare]
+            yield Tableau._make(
+                n,
+                shape,
+                tuple(map(tuple, map(contents.__getitem__, columns))),
+                LMonomial._make(n, tuple(zip(compress(keys, values), filter(None, values)))),
+            )
+            exps[u] -= 1
+            exps[d] += 1
+        else:
+            p += 1
+            contents[p] = 0 if p in first_rows else contents[p - 1]
+            cap = top_caps[p]
+            left = lefts[p]
+            if left >= 0 and contents[left] < cap:
+                cap = contents[left]
+            caps[p] = cap
 
 
 def column_gaps(col: Sequence[int]) -> list[tuple[int, int]]:

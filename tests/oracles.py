@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths it is used to check:
 string partitions are enumerated from the top row down (the package anchors
 at the bottom row), loop-root membership is decided by exhaustive search
 over placements, product characters are convolved monomial by monomial
-(the package packs them into integers), and monomial generators build
-random inputs from scratch.
+(the package packs them into integers), tableau monomials are multiplied
+out box by box (the package sums exponents as it enumerates), and monomial
+generators build random inputs from scratch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from qcharlab import (
     LMonomial,
     MinAffSpec,
     QChar,
+    Tableau,
     expand_simple_lroot,
+    monomial_of_box,
     y_string,
 )
 
@@ -62,6 +65,14 @@ def product_qchar_reference(q1: QChar, q2: QChar) -> QChar:
             m = m1 * m2
             terms[m] = terms.get(m, 0) + c1 * c2
     return QChar(q1.n, terms)
+
+
+def monomial_of_tableau_reference(t: Tableau) -> LMonomial:
+    """Tableau monomial as the product of its box monomials, one box at a time."""
+    m = LMonomial.identity(t.n)
+    for content, s in t.boxes():
+        m = m * monomial_of_box(t.n, content, s)
+    return m
 
 
 def in_lroot_cone_bruteforce(m: LMonomial, max_total: int = 5) -> bool:

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
+
+import pytest
 
 from qcharlab import InvariantViolation, cli
 from qcharlab.cli import main
@@ -206,6 +209,70 @@ class TestSweepCommand:
         assert code == cli.EXIT_VIOLATION
         assert f"violations: {failed}\n" in out
 
+    def test_unexpected_error_is_recorded_against_its_point(self, capsys, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path)
+        code, healthy, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0
+        healthy_lines = (tmp_path / "out.jsonl").read_text().splitlines()
+        classify = cli.classify_variant
+        bad = json.loads(healthy_lines[3])
+
+        def failing_once(spec, kr):
+            if spec.to_json() == bad["spec"] and kr.to_json() == bad["kr"]:
+                raise ValueError("injected")
+            return classify(spec, kr)
+
+        monkeypatch.setattr(cli, "classify_variant", failing_once)
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == cli.EXIT_VIOLATION
+        assert "violations: 1\n" in out
+        lines = (tmp_path / "out.jsonl").read_text().splitlines()
+        assert len(lines) == len(healthy_lines)
+        assert json.loads(lines[3]) == {
+            "spec": bad["spec"], "kr": bad["kr"], "error": "ValueError: injected"
+        }
+        assert lines[:3] + lines[4:] == healthy_lines[:3] + healthy_lines[4:]
+        monkeypatch.setattr(cli, "classify_variant", classify)
+        assert run_cli(capsys, "sweep", "--config", str(cfg)) == (0, healthy, "")
+
+    def test_interrupted_sweep_keeps_the_earlier_output(self, capsys, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path)
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        before = (tmp_path / "out.jsonl").read_bytes()
+        point = cli._sweep_point
+        calls = []
+
+        def interrupted(pt):
+            calls.append(pt)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return point(pt)
+
+        monkeypatch.setattr(cli, "_sweep_point", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(cfg)])
+        assert (tmp_path / "out.jsonl").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
+
+    def test_failed_write_keeps_the_earlier_output(self, capsys, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path)
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        before = (tmp_path / "out.jsonl").read_bytes()
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", no_space)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == cli.EXIT_INVALID and "cannot write output" in err
+        assert (tmp_path / "out.jsonl").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
+
+    def test_unwritable_output_is_reported(self, capsys, tmp_path):
+        cfg = _write_config(tmp_path, output=str(tmp_path / "missing" / "out.jsonl"))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == cli.EXIT_INVALID and "cannot write output" in err
+
     def test_empty_grid_rejected(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, n_max=0)
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
@@ -219,6 +286,24 @@ class TestSweepCommand:
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2
+
+
+class TestClampWorkers:
+    def test_never_more_workers_than_cpus_or_points(self):
+        cpus = os.cpu_count() or 1
+        assert cli.clamp_workers(10**6, 10**9) == cpus
+        assert cli.clamp_workers(10**6, 3) == min(cpus, 3)
+        assert cli.clamp_workers(1, 10**9) == 1
+
+    def test_at_least_one_worker(self):
+        assert cli.clamp_workers(4, 0) == 1
+
+    def test_uses_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert cli.clamp_workers(10**6, 100) == 8
+        assert cli.clamp_workers(5, 100) == 5
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.clamp_workers(10**6, 100) == 1
 
 
 class TestEntryPoints:

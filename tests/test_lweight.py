@@ -1,7 +1,9 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dominant_monomials,
@@ -25,7 +27,12 @@ from qcharlab import (
     weight_of,
     y_string,
 )
-from qcharlab.lweight import monomial_sort_key, root_height
+from qcharlab.lweight import (
+    monomial_sort_key,
+    root_height,
+    scaled_root_coords,
+    simple_root_coords,
+)
 
 
 def Y(n, i, r, e=1):
@@ -33,6 +40,11 @@ def Y(n, i, r, e=1):
 
 
 class TestLMonomial:
+    def test_pickle_roundtrip(self):
+        m = Y(3, 1, 0) * Y(3, 3, -2, -2)
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and hash(back) == hash(m)
+
     def test_canonical_form_drops_zeros(self):
         m = LMonomial(2, (((1, 0), 1), ((1, 0), -1), ((2, 3), 2)))
         assert m.items() == (((2, 3), 2),)
@@ -262,6 +274,22 @@ class TestPartialOrder:
         base = Y(n, 1, 0)
         higher = base * m
         assert root_height(higher) - root_height(base) == Fraction(sum(factors.values()))
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+        )
+    )
+    def test_scaled_root_coords_solve_the_cartan_system(self, coords):
+        n, h = len(coords), len(coords) + 1
+        w = Weight(n, tuple(coords))
+        x = scaled_root_coords(w)
+        assert all(isinstance(t, int) for t in x)
+        assert x == tuple(h * t for t in simple_root_coords(w))
+        padded = (0, *x, 0)
+        assert [2 * padded[i] - padded[i - 1] - padded[i + 1] for i in range(1, h)] == [
+            h * c for c in coords
+        ]
 
     @given(lmonomials(max_n=5, max_factors=8))
     def test_sort_key_is_minus_twice_the_height(self, m):

@@ -1,6 +1,10 @@
-import pytest
+import pickle
 
-from oracles import all_weights
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import all_weights, monomial_of_tableau_reference
 from qcharlab import (
     InvalidInput,
     LMonomial,
@@ -90,6 +94,58 @@ class TestTableauMonomial:
     def test_str_mentions_all_supports(self):
         text = str(highest_tableau(MinAffSpec(2, (1, 1), "inc")))
         assert "s=1" in text and "s=-3" in text
+
+
+class TestMonomialMemo:
+    def test_hand_built_tableau_matches_reference(self):
+        t = Tableau(3, Shape(((3, 2), (2, 0), (1, -2))), ((1, 3, 4), (2, 4), (3,)))
+        assert t._monomial is None
+        assert monomial_of_tableau(t) == monomial_of_tableau_reference(t)
+        assert monomial_of_tableau(t) is monomial_of_tableau(t)
+
+    def test_raised_tableau_matches_reference(self):
+        t = highest_tableau(MinAffSpec(3, (1, 1, 1), "dec", 2))
+        t2, path = raise_box(t, 2, 1, 3)
+        assert monomial_of_tableau(t2) == monomial_of_tableau_reference(t2)
+        assert monomial_of_tableau(t2) == monomial_of_tableau(t) * path.inverse()
+
+    def test_memo_is_invisible(self):
+        spec = MinAffSpec(2, (1, 1), "inc", -1)
+        fresh = highest_tableau(spec)
+        memo = highest_tableau(spec)
+        monomial_of_tableau(memo)
+        assert memo._monomial is not None and fresh._monomial is None
+        assert memo == fresh and hash(memo) == hash(fresh)
+        assert repr(memo) == repr(fresh) and "_monomial" not in repr(memo)
+        assert memo.to_json() == fresh.to_json()
+        assert pickle.loads(pickle.dumps(memo)) == fresh
+
+
+@st.composite
+def minaff_specs(draw, max_n=4, max_total=4):
+    n = draw(st.integers(1, max_n))
+    lam = draw(
+        st.lists(st.integers(0, max_total), min_size=n, max_size=n).filter(
+            lambda v: 0 < sum(v) <= max_total
+        )
+    )
+    return MinAffSpec(
+        n, tuple(lam), draw(st.sampled_from(("inc", "dec"))), draw(st.integers(-6, 6))
+    )
+
+
+@given(minaff_specs())
+@settings(max_examples=40, deadline=None)
+def test_enumerated_monomials_match_the_box_product(spec):
+    shape = highest_tableau(spec).shape
+    count = 0
+    for t in enumerate_semistandard(spec.n, shape):
+        assert t._monomial is not None
+        assert monomial_of_tableau(t) == monomial_of_tableau_reference(t)
+        checked = Tableau(spec.n, shape, t.cols)
+        assert t == checked and hash(t) == hash(checked)
+        count += 1
+    assert count > 0
 
 
 class TestSemistandard:
