@@ -33,19 +33,12 @@ from .minaff import (
     qchar_kr,
 )
 from .sl2fact import q_factorize
-from .tensor import TensorReport, classify_variant, resonance_window
+from .tensor import VARIANTS, TensorReport, classify_variant, resonance_window
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
-
-_VARIANT_COMBOS = {
-    "normal": ("inc", "last"),
-    "a": ("dec", "first"),
-    "b": ("inc", "first"),
-    "c": ("dec", "last"),
-}
 
 
 class _UsageError(Exception):
@@ -190,9 +183,11 @@ class SweepConfig:
             raise InvalidInput("r_window_pad must be nonnegative")
         if self.parallelism < 1:
             raise InvalidInput("parallelism must be at least 1")
-        bad = [v for v in self.variants if v not in _VARIANT_COMBOS]
-        if bad or not self.variants:
-            raise InvalidInput(f"variants must be a nonempty subset of normal/a/b/c, got {self.variants}")
+        known = all(isinstance(v, str) and v in VARIANTS for v in self.variants)
+        if not known or not self.variants or len(set(self.variants)) != len(self.variants):
+            raise InvalidInput(
+                f"variants must be distinct names from {'/'.join(VARIANTS)}, got {self.variants!r}"
+            )
 
     @classmethod
     def from_json(cls, data: dict) -> "SweepConfig":
@@ -200,6 +195,9 @@ class SweepConfig:
         unknown = set(data) - known
         if unknown:
             raise InvalidInput(f"unknown sweep config keys: {sorted(unknown)}")
+        variants = data.get("variants", ["normal"])
+        if not isinstance(variants, list):
+            raise InvalidInput(f"variants must be a list of names, got {variants!r}")
         try:
             return cls(
                 n_max=int(data["n_max"]),
@@ -207,7 +205,7 @@ class SweepConfig:
                 k_max=int(data["k_max"]),
                 output=str(data["output"]),
                 r_window_pad=int(data.get("r_window_pad", 2)),
-                variants=tuple(data.get("variants", ["normal"])),
+                variants=tuple(variants),
                 parallelism=int(data.get("parallelism", 1)),
             )
         except KeyError as exc:
@@ -232,10 +230,10 @@ def sweep_grid(cfg: SweepConfig):
     """Deterministic enumeration of (spec, kr) pairs for the sweep."""
     for n in range(1, cfg.n_max + 1):
         for lam in _lambdas(n, cfg.lambda_sum_max):
-            for variant in cfg.variants:
-                direction, pos = _VARIANT_COMBOS[variant]
-                node = 1 if pos == "first" else n
-                spec = MinAffSpec(n, lam, direction, 0)
+            for name in cfg.variants:
+                variant = VARIANTS[name]
+                node = 1 if variant.first else n
+                spec = MinAffSpec(n, lam, variant.direction, 0)
                 for k in range(1, cfg.k_max + 1):
                     for r in resonance_window(spec, node, k, cfg.r_window_pad):
                         yield spec, KRSpec(n, node, r, k)

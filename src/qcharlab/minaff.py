@@ -257,6 +257,7 @@ class QChar:
         return [{"monomial": m.to_json(), "mult": c} for m, c in self.sorted_terms()]
 
 
+@cache
 def drinfeld_of_spec(spec: MinAffSpec) -> LMonomial:
     """Drinfeld polynomial of the spec: product of its node strings."""
     m = LMonomial.identity(spec.n)

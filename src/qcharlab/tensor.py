@@ -12,10 +12,10 @@ disagreement raises TheoremViolation, which signals an implementation bug
 and is counted as a violation by the sweep harness.
 
 Normal form is an increasing minimal affinization tensored with a KR module
-at the last node.  The three other direction/node combinations are settled
-by transporting the problem through a duality map (star for decreasing-at-1,
-kappa for increasing-at-1, minus for decreasing-at-n), classifying the
-transported normal-form problem, and carrying the answer back.
+at the last node.  The four direction/node combinations are the rows of
+the ``VARIANTS`` table (see ``Variant``).  The three rows other than normal
+are settled by transporting the problem through the row's duality map,
+classifying the transported normal-form problem, and carrying the answer back.
 """
 
 from __future__ import annotations
@@ -61,6 +61,47 @@ class Resonance:
     kind: str
     kprime: int
     p: Optional[int]
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One direction/node combination and its transport to normal form.
+
+    ``first`` puts the KR module at node 1, else at node n.  ``inverse`` and
+    ``forward`` name the ``transform`` kinds that carry the variant to
+    normal form and back (None for normal form itself); ``exact_D`` marks
+    the one that commutes with q-characters termwise, so that D must
+    transport exactly.  Everything else follows from ``first`` and
+    ``flipped``; see ``_equations`` and ``_socle_head``.
+    """
+
+    name: str
+    direction: str
+    first: bool
+    forward: Optional[str] = None
+    inverse: Optional[str] = None
+    exact_D: bool = False
+
+    @property
+    def flipped(self) -> bool:
+        return (self.direction == "inc") == self.first
+
+
+VARIANTS = {
+    v.name: v
+    for v in (
+        Variant("normal", "inc", False),
+        Variant("a", "dec", True, "star", "star_inv", exact_D=True),
+        Variant("b", "inc", True, "kappa", "kappa"),
+        Variant("c", "dec", False, "minus", "minus"),
+    )
+}
+
+
+def _variant_of(spec: MinAffSpec, kr: KRSpec) -> Variant:
+    # at n = 1 the node is both first and last; last wins
+    first = kr.node != spec.n
+    return next(v for v in VARIANTS.values() if (v.direction, v.first) == (spec.direction, first))
 
 
 @dataclass(frozen=True)
@@ -260,25 +301,42 @@ def family_T(kr: KRSpec, m: int, p: int) -> tuple[Tableau, LMonomial]:
 # ---------------------------------------------------------------------------
 
 
-def _even_quotient(num: int) -> Optional[int]:
-    return num // 2 if num % 2 == 0 else None
-
-
-def _suffix_argmax(lam: tuple[int, ...], kp: int) -> Optional[int]:
-    """max{i : lam_i + ... + lam_n >= kp}, None when kp exceeds the total."""
+def _kind_ii_node(lam: tuple[int, ...], kp: int, first: bool) -> Optional[int]:
+    """min{i : lam_1 + ... + lam_i >= kp} for a KR module at node 1, else
+    max{i : lam_i + ... + lam_n >= kp}; None when kp exceeds the total."""
+    n = len(lam)
     if kp > sum(lam):
         return None
-    return max(i for i in range(1, len(lam) + 1) if _seg(lam, i, len(lam)) >= kp)
+    if first:
+        return min(i for i in range(1, n + 1) if _seg(lam, 1, i) >= kp)
+    return max(i for i in range(1, n + 1) if _seg(lam, i, n) >= kp)
 
 
-def _prefix_argmin(lam: tuple[int, ...], kp: int) -> Optional[int]:
-    """min{i : lam_1 + ... + lam_i >= kp}, None when kp exceeds the total."""
-    if kp > sum(lam):
-        return None
-    return min(i for i in range(1, len(lam) + 1) if _seg(lam, 1, i) >= kp)
+def _equations(variant: Variant, spec: MinAffSpec, k: int):
+    """The variant's resonance equations ``s*r + c = 2k'``, 1 <= k' <= cap.
+
+    Yields ``(kind, p, s, c, cap)``: kind "i" at each supported node p (cap
+    lam_p), kind "ii" at i1 if the KR module sits at node 1, else at i0
+    (cap k).  The left side either rises, ``r + 2k + o(p) - r_p``, or falls,
+    ``r_p + 2 lam_p + o(p) - r``, with o(p) = p + 1 at node 1 and n + 2 - p
+    at node n; kind "i" rises and kind "ii" falls unless ``flipped``.
+    """
+    n, lam = spec.n, spec.lam
+    anchors = spec.anchors()
+
+    def equation(rising: bool, p: int) -> tuple[int, int]:
+        offset = p + 1 if variant.first else n + 2 - p
+        if rising:
+            return 1, 2 * k + offset - anchors[p]
+        return -1, anchors[p] + 2 * lam[p - 1] + offset
+
+    for p in spec.supp():
+        yield ("i", p, *equation(not variant.flipped, p), lam[p - 1])
+    q = spec.i1 if variant.first else spec.i0
+    yield ("ii", q, *equation(variant.flipped, q), k)
 
 
-def _resonance(variant: str, spec: MinAffSpec, kr: KRSpec) -> Optional[Resonance]:
+def _resonance(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> Optional[Resonance]:
     """Solve the variant's two resonance equations.
 
     Kind "i" requires 1 <= k' <= lam_p at a supported node p, kind "ii"
@@ -287,50 +345,17 @@ def _resonance(variant: str, spec: MinAffSpec, kr: KRSpec) -> Optional[Resonance
     which is decided by the caller; a resonance beyond the cap still grows
     the dominant spectrum.
     """
-    n, lam = spec.n, spec.lam
-    anchors = spec.anchors()
-    r, k = kr.r, kr.k
-    i0, i1 = spec.i0, spec.i1
-
-    cands_i: list[tuple[int, int]] = []
-    for p in spec.supp():
-        if variant == "normal":
-            num = r + 2 * k + n - p + 2 - anchors[p]
-        elif variant == "a":
-            num = r + 2 * k + p + 1 - anchors[p]
-        elif variant == "b":
-            num = anchors[p] + 2 * lam[p - 1] + p + 1 - r
-        else:  # "c"
-            num = anchors[p] + 2 * lam[p - 1] + n - p + 2 - r
-        kp = _even_quotient(num)
-        if kp is not None and 1 <= kp <= lam[p - 1]:
-            cands_i.append((p, kp))
-    if len(cands_i) > 1:
-        raise TheoremViolation(f"resonance pair not unique: {cands_i}")
-
-    if variant == "normal":
-        num = anchors[i0] + 2 * lam[i0 - 1] + n - i0 + 2 - r
-    elif variant == "a":
-        num = anchors[i1] + 2 * lam[i1 - 1] + i1 + 1 - r
-    elif variant == "b":
-        num = r + 2 * k + i1 + 1 - anchors[i1]
-    else:  # "c"
-        num = r + 2 * k + n - i0 + 2 - anchors[i0]
-    kp_ii = _even_quotient(num)
-    res_ii: Optional[Resonance] = None
-    if kp_ii is not None and 1 <= kp_ii <= k:
-        if variant in ("normal", "c"):
-            p_ii = _suffix_argmax(lam, kp_ii)
-        else:
-            p_ii = _prefix_argmin(lam, kp_ii)
-        res_ii = Resonance("ii", kp_ii, p_ii)
-
-    if cands_i and res_ii is not None:
-        raise TheoremViolation("resonance conditions (i) and (ii) hold simultaneously")
-    if cands_i:
-        p, kp = cands_i[0]
-        return Resonance("i", kp, p)
-    return res_ii
+    found: list[Resonance] = []
+    for kind, p, s, c, cap in _equations(variant, spec, kr.k):
+        kp, odd = divmod(s * kr.r + c, 2)
+        if odd or not 1 <= kp <= cap:
+            continue
+        if kind == "ii":
+            p = _kind_ii_node(spec.lam, kp, variant.first)
+        found.append(Resonance(kind, kp, p))
+    if len(found) > 1:
+        raise TheoremViolation(f"resonance conditions not unique: {found}")
+    return found[0] if found else None
 
 
 def _tag_of(spec: MinAffSpec, kr: KRSpec, res: Optional[Resonance]) -> CaseTag:
@@ -386,25 +411,23 @@ def expected_dominants(
 
 
 def _socle_head(
-    variant: str, tag: CaseTag, lam: LMonomial, lam_prime: Optional[LMonomial]
+    variant: Variant, tag: CaseTag, lam: LMonomial, lam_prime: Optional[LMonomial]
 ) -> dict[str, tuple[LMonomial, LMonomial]]:
     """Socle/head pairs for both tensor orders (V = affinization first).
 
-    For variants normal and a, condition (i) makes V highest-loop-weight
-    (socle the extra factor, head the top factor) and condition (ii) the
-    reverse; for b and c the roles of (i) and (ii) swap.  The rule for c is
-    forced by the rank-1 collapse onto the normal form: transporting the
-    exact sequences through dual-then-pullback composes two order swaps, so
-    c patterns with b, not with a.
+    For the unflipped variants (normal and a), condition (i) makes V
+    highest-loop-weight (socle the extra factor, head the top factor) and
+    condition (ii) the reverse; for the flipped ones (b and c) the roles of
+    (i) and (ii) swap.  The rule for c is forced by the rank-1 collapse onto
+    the normal form: transporting the exact sequences through
+    dual-then-pullback composes two order swaps, so c patterns with b, not
+    with a.
     """
     if not tag.reducible:
         return {"V": (lam, lam), "Vprime": (lam, lam)}
     if lam_prime is None:
         raise InvariantViolation(f"reducible tag {tag} without an extra factor")
-    v_hlw = tag.kind == "case_i"
-    if variant in ("b", "c"):
-        v_hlw = not v_hlw
-    if v_hlw:
+    if (tag.kind == "case_i") != variant.flipped:
         return {"V": (lam_prime, lam), "Vprime": (lam, lam_prime)}
     return {"V": (lam, lam_prime), "Vprime": (lam_prime, lam)}
 
@@ -470,7 +493,8 @@ def classify_normal(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
         raise TheoremViolation("dominant spectrum has a multiplicity above one")
     D = [m for m, _ in spectrum.entries]
 
-    res = _resonance("normal", spec, kr)
+    normal = VARIANTS["normal"]
+    res = _resonance(normal, spec, kr)
     expected = expected_dominants(spec, kr, res)
     if D != expected:
         raise TheoremViolation(
@@ -489,7 +513,7 @@ def classify_normal(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
             )
 
     return TensorReport(
-        variant="normal",
+        variant=normal.name,
         spec=spec,
         kr=kr,
         lam=lam,
@@ -498,33 +522,18 @@ def classify_normal(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
         tag=tag,
         resonance=res,
         lambda_prime=lam_prime,
-        socle_head=_socle_head("normal", tag, lam, lam_prime),
+        socle_head=_socle_head(normal, tag, lam, lam_prime),
     )
-
-
-_VARIANT_TRANSFORMS = {"a": ("star", "star_inv"), "b": ("kappa", "kappa"), "c": ("minus", "minus")}
-
-
-def _dispatch_variant(spec: MinAffSpec, kr: KRSpec) -> str:
-    if kr.node == spec.n:
-        return "normal" if spec.direction == "inc" else "c"
-    return "a" if spec.direction == "dec" else "b"
-
-
-def _map_resonance(variant: str, n: int, res: Optional[Resonance]) -> Optional[Resonance]:
-    """Carry a normal-form resonance back to the variant's node labels."""
-    if res is None or variant in ("normal", "c"):
-        return res
-    p = None if res.p is None else n + 1 - res.p
-    return Resonance(res.kind, res.kprime, p)
 
 
 def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     """Classify any direction/node combination.
 
-    Normal form is classified directly.  Otherwise the pair is transported
-    through the branch's duality map, classified in normal form, and the
-    answer carried back; the branch's own closed-form conditions are
+    The row of ``VARIANTS`` is picked by direction and KR node (at n = 1
+    the node counts as last).  Normal form is classified directly.
+    Otherwise the pair is transported through the row's ``inverse`` map,
+    classified in normal form, and the answer carried back (``forward``,
+    and p -> n + 1 - p at node 1); the row's own closed-form conditions are
     evaluated directly on the untransformed data and must agree with the
     transported classification.  D is always recomputed by brute force on
     the variant's own q-characters and must contain the transported extra
@@ -532,29 +541,31 @@ def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     """
     if kr.n != spec.n:
         raise InvalidInput("rank mismatch between spec and KR module")
-    variant = _dispatch_variant(spec, kr)
-    if variant == "normal":
+    variant = _variant_of(spec, kr)
+    if variant.inverse is None:
         return classify_normal(spec, kr)
-    fwd, inv = _VARIANT_TRANSFORMS[variant]
 
     omega = drinfeld_of_spec(spec)
     varpi = kr.drinfeld()
     lam = omega * varpi
 
-    rec = recognize_minaff(transform(omega, inv))
+    rec = recognize_minaff(transform(omega, variant.inverse))
     if rec is None or -1 not in rec.epsilons:
         raise TheoremViolation("transported affinization is not increasing")
     spec_t = rec.spec("inc")
-    kr_t = recognize_kr(transform(varpi, inv))
+    kr_t = recognize_kr(transform(varpi, variant.inverse))
     if kr_t is None or kr_t.node != spec.n:
         raise TheoremViolation("transported KR module is not at the last node")
     rep_t = classify_normal(spec_t, kr_t)
 
     res_direct = _resonance(variant, spec, kr)
-    if res_direct != _map_resonance(variant, spec.n, rep_t.resonance):
+    res_t = rep_t.resonance
+    if variant.first and res_t is not None and res_t.p is not None:
+        res_t = Resonance(res_t.kind, res_t.kprime, spec.n + 1 - res_t.p)
+    if res_direct != res_t:
         raise TheoremViolation(
             f"direct conditions {res_direct} disagree with transported "
-            f"{rep_t.resonance} on variant {variant}"
+            f"{rep_t.resonance} on variant {variant.name}"
         )
     tag_direct = _tag_of(spec, kr, res_direct)
     if tag_direct.reducible != rep_t.tag.reducible:
@@ -563,17 +574,18 @@ def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     spectrum = dominant_spectrum(product_qchar(qchar(spec), qchar_kr(kr)))
     D = [m for m, _ in spectrum.entries]
 
-    if variant == "a":
-        # star commutes with q-characters termwise, so D must transport exactly
-        expected = [transform(m, "star") for m, _ in rep_t.D]
+    if variant.exact_D:
+        expected = [transform(m, variant.forward) for m, _ in rep_t.D]
         if D != expected:
-            raise TheoremViolation("dominant spectrum does not transport under star")
+            raise TheoremViolation(
+                f"dominant spectrum does not transport under {variant.forward}"
+            )
 
     lam_prime: Optional[LMonomial] = None
     if tag_direct.reducible:
         if rep_t.lambda_prime is None:
             raise InvariantViolation("transported reducible report has no extra factor")
-        lam_prime = transform(rep_t.lambda_prime, fwd)
+        lam_prime = transform(rep_t.lambda_prime, variant.forward)
         if lam_prime not in D:
             raise TheoremViolation(
                 f"transported extra factor {lam_prime} missing from brute-force "
@@ -581,7 +593,7 @@ def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
             )
 
     return TensorReport(
-        variant=variant,
+        variant=variant.name,
         spec=spec,
         kr=kr,
         lam=lam,
@@ -597,34 +609,16 @@ def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
 def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range:
     """Inclusive range of KR anchors covering every resonance of (spec, k).
 
-    Solves both resonance equations for r over all admissible (p, k') and
-    pads by ``pad`` on each side so that nearby irreducible points are swept
-    as well.
+    Solves each resonance equation ``s*r + c = 2k'`` as ``r = s*(2k' - c)``
+    over all admissible k' and pads by ``pad`` on each side so that nearby
+    irreducible points are swept as well.
     """
     if pad < 0:
         raise InvalidInput("pad must be nonnegative")
-    variant = _dispatch_variant(spec, KRSpec(spec.n, node, 0, k))
-    n, lam = spec.n, spec.lam
-    anchors = spec.anchors()
-    i0, i1 = spec.i0, spec.i1
-    values: list[int] = []
-    for p in spec.supp():
-        for kp in range(1, lam[p - 1] + 1):
-            if variant == "normal":
-                values.append(anchors[p] + 2 * kp - 2 * k - n + p - 2)
-            elif variant == "a":
-                values.append(anchors[p] + 2 * kp - 2 * k - p - 1)
-            elif variant == "b":
-                values.append(anchors[p] + 2 * lam[p - 1] + p + 1 - 2 * kp)
-            else:
-                values.append(anchors[p] + 2 * lam[p - 1] + n - p + 2 - 2 * kp)
-    for kp in range(1, k + 1):
-        if variant == "normal":
-            values.append(anchors[i0] + 2 * lam[i0 - 1] + n - i0 + 2 - 2 * kp)
-        elif variant == "a":
-            values.append(anchors[i1] + 2 * lam[i1 - 1] + i1 + 1 - 2 * kp)
-        elif variant == "b":
-            values.append(anchors[i1] + 2 * kp - 2 * k - i1 - 1)
-        else:
-            values.append(anchors[i0] + 2 * kp - 2 * k - n + i0 - 2)
+    variant = _variant_of(spec, KRSpec(spec.n, node, 0, k))
+    values = [
+        s * (2 * kp - c)
+        for _, _, s, c, cap in _equations(variant, spec, k)
+        for kp in range(1, cap + 1)
+    ]
     return range(min(values) - pad, max(values) + pad + 1)

@@ -5,8 +5,9 @@ string partitions are enumerated from the top row down (the package anchors
 at the bottom row), loop-root membership is decided by exhaustive search
 over placements, product characters are convolved monomial by monomial
 (the package packs them into integers), tableau monomials are multiplied
-out box by box (the package sums exponents as it enumerates), and monomial
-generators build random inputs from scratch.
+out box by box (the package sums exponents as it enumerates), the resonance
+equations are written out once per variant (the package derives them from
+two flags), and monomial generators build random inputs from scratch.
 """
 
 from __future__ import annotations
@@ -73,6 +74,57 @@ def monomial_of_tableau_reference(t: Tableau) -> LMonomial:
     for content, s in t.boxes():
         m = m * monomial_of_box(t.n, content, s)
     return m
+
+
+def resonance_reference(variant: str, spec: MinAffSpec, kr: KRSpec):
+    """The variant's two resonance equations, each written out explicitly.
+
+    Returns ``(kind, kprime, p)`` or None, like ``tensor._resonance``.  Kind
+    "i" at a supported node p needs 1 <= k' <= lam_p, kind "ii" needs
+    1 <= k' <= k; kind "ii" takes p from the suffix (normal, c) or prefix
+    (a, b) sums of lam.  Raises ValueError when the solution is not unique.
+    """
+    n, lam = spec.n, spec.lam
+    anchors = spec.anchors()
+    r, k = kr.r, kr.k
+    i0, i1 = spec.i0, spec.i1
+
+    cands_i = []
+    for p in spec.supp():
+        if variant == "normal":
+            num = r + 2 * k + n - p + 2 - anchors[p]
+        elif variant == "a":
+            num = r + 2 * k + p + 1 - anchors[p]
+        elif variant == "b":
+            num = anchors[p] + 2 * lam[p - 1] + p + 1 - r
+        else:  # "c"
+            num = anchors[p] + 2 * lam[p - 1] + n - p + 2 - r
+        if num % 2 == 0 and 1 <= num // 2 <= lam[p - 1]:
+            cands_i.append(("i", num // 2, p))
+
+    if variant == "normal":
+        num = anchors[i0] + 2 * lam[i0 - 1] + n - i0 + 2 - r
+    elif variant == "a":
+        num = anchors[i1] + 2 * lam[i1 - 1] + i1 + 1 - r
+    elif variant == "b":
+        num = r + 2 * k + i1 + 1 - anchors[i1]
+    else:  # "c"
+        num = r + 2 * k + n - i0 + 2 - anchors[i0]
+    cands_ii = []
+    if num % 2 == 0 and 1 <= num // 2 <= k:
+        kp = num // 2
+        if kp > sum(lam):
+            p = None
+        elif variant in ("normal", "c"):
+            p = max(i for i in range(1, n + 1) if sum(lam[i - 1 :]) >= kp)
+        else:
+            p = min(i for i in range(1, n + 1) if sum(lam[:i]) >= kp)
+        cands_ii.append(("ii", kp, p))
+
+    cands = cands_i + cands_ii
+    if len(cands) > 1:
+        raise ValueError(f"resonance not unique: {cands}")
+    return cands[0] if cands else None
 
 
 def in_lroot_cone_bruteforce(m: LMonomial, max_total: int = 5) -> bool:

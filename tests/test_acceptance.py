@@ -31,8 +31,9 @@ from qcharlab import (
     weyl_dim,
     y_string,
 )
-from qcharlab.cli import _VARIANT_COMBOS, main
+from qcharlab.cli import main
 from qcharlab.sl2fact import in_general_position
+from qcharlab.tensor import VARIANTS
 
 
 def _report(num: int, label: str, t0: float, detail: str = ""):
@@ -41,11 +42,11 @@ def _report(num: int, label: str, t0: float, detail: str = ""):
 
 
 def _sweep_points(variant: str, n_max=3, total_max=3, k_max=3, pad=2):
-    direction, pos = _VARIANT_COMBOS[variant]
+    row = VARIANTS[variant]
     for n in range(1, n_max + 1):
         for lam in all_weights(n, total_max):
-            spec = MinAffSpec(n, lam, direction)
-            node = 1 if pos == "first" else n
+            spec = MinAffSpec(n, lam, row.direction)
+            node = 1 if row.first else n
             for k in range(1, k_max + 1):
                 for r in resonance_window(spec, node, k, pad):
                     yield spec, KRSpec(n, node, r, k)

@@ -283,6 +283,15 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "variants", ["ab", "normal", ["normal", "normal"], ["a", "b", "a"], [], ["d"], [1], [["a"]]]
+    )
+    def test_variants_must_be_a_list_of_distinct_names(self, capsys, tmp_path, variants):
+        cfg = _write_config(tmp_path, variants=variants)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and "variants" in err
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2

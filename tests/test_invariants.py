@@ -8,7 +8,7 @@ import pytest
 
 import qcharlab
 from qcharlab import InvariantViolation, LMonomial
-from qcharlab.tensor import CaseTag, _socle_head
+from qcharlab.tensor import VARIANTS, CaseTag, _socle_head
 
 SRC = Path(qcharlab.__file__).resolve().parent
 
@@ -28,4 +28,4 @@ def test_no_assert_statements_in_the_library():
 def test_reducible_tag_without_extra_factor_raises():
     lam = LMonomial.y(2, 1, 0)
     with pytest.raises(InvariantViolation):
-        _socle_head("normal", CaseTag("case_i", 2, 1), lam, None)
+        _socle_head(VARIANTS["normal"], CaseTag("case_i", 2, 1), lam, None)

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import all_weights, lmonomials, minaff_kr_pairs, product_qchar_reference
+from oracles import (
+    all_weights,
+    lmonomials,
+    minaff_kr_pairs,
+    product_qchar_reference,
+    resonance_reference,
+)
 from qcharlab import (
     InvalidInput,
     InvariantViolation,
@@ -32,7 +39,7 @@ from qcharlab import (
 )
 from qcharlab.lweight import PackedLayout, exponent_support
 from qcharlab.minaff import _seg
-from qcharlab.tensor import Resonance, _resonance
+from qcharlab.tensor import VARIANTS, Resonance, _resonance
 
 
 def Y(n, i, r, e=1):
@@ -445,14 +452,12 @@ class TestVariants:
             assert dec.socle_head == inc.socle_head
 
     def test_reducibility_equivalence_small_grid(self):
-        from qcharlab.cli import _VARIANT_COMBOS
-
         for variant in ("a", "b", "c"):
-            direction, pos = _VARIANT_COMBOS[variant]
+            row = VARIANTS[variant]
             for n in (2,):
                 for lam in all_weights(n, 2):
-                    spec = MinAffSpec(n, lam, direction)
-                    node = 1 if pos == "first" else n
+                    spec = MinAffSpec(n, lam, row.direction)
+                    node = 1 if row.first else n
                     for k in (1, 2):
                         for r in resonance_window(spec, node, k, 2):
                             rep = classify_variant(spec, KRSpec(n, node, r, k))
@@ -501,8 +506,58 @@ class TestVariants:
     def test_direct_conditions_match_corollary_statement(self):
         # branch (a), condition (ii): r_{i1} + 2 lam_{i1} + i1 + 1 = r + 2k'
         spec = MinAffSpec(2, (0, 1), "dec")
-        assert _resonance("a", spec, KRSpec(2, 1, 3, 1)) == Resonance("ii", 1, 2)
-        assert _resonance("a", spec, KRSpec(2, 1, 0, 1)) is None
+        assert _resonance(VARIANTS["a"], spec, KRSpec(2, 1, 3, 1)) == Resonance("ii", 1, 2)
+        assert _resonance(VARIANTS["a"], spec, KRSpec(2, 1, 0, 1)) is None
+
+
+class TestVariantTable:
+    def test_one_row_per_direction_and_extreme_node(self):
+        flags = sorted((v.direction, v.first) for v in VARIANTS.values())
+        assert flags == [("dec", False), ("dec", True), ("inc", False), ("inc", True)]
+        assert all(name == v.name for name, v in VARIANTS.items())
+
+    @pytest.mark.parametrize(
+        "spec, kr, name",
+        [
+            (MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 3, 1), "normal"),
+            (MinAffSpec(2, (0, 1), "dec"), KRSpec(2, 1, 3, 1), "a"),
+            (MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 1, -2, 1), "b"),
+            (MinAffSpec(2, (1, 1), "dec"), KRSpec(2, 2, 1, 2), "c"),
+            # at n = 1 node 1 is also the last node, and last wins
+            (MinAffSpec(1, (1,), "dec"), KRSpec(1, 1, 0, 1), "c"),
+            (MinAffSpec(1, (1,), "inc"), KRSpec(1, 1, 0, 1), "normal"),
+        ],
+    )
+    def test_classify_names_the_row(self, spec, kr, name):
+        row = VARIANTS[name]
+        assert classify_variant(spec, kr).variant == name
+        assert (row.direction, row.first) == (spec.direction, kr.node != spec.n)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_resonance_matches_the_explicit_equations(self, data):
+        n = data.draw(st.integers(1, 5))
+        lam = data.draw(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(
+                lambda v: 0 < sum(v) <= 4
+            )
+        )
+        direction = data.draw(st.sampled_from(("inc", "dec")))
+        spec = MinAffSpec(n, tuple(lam), direction, data.draw(st.integers(-3, 3)))
+        node = data.draw(st.sampled_from((1, n)))
+        k = data.draw(st.integers(1, 4))
+        window = resonance_window(spec, node, k, 0)
+        r = data.draw(st.integers(window.start - 6, window.stop + 5))
+        kr = KRSpec(n, node, r, k)
+        if node == n:
+            name = "normal" if direction == "inc" else "c"
+        else:
+            name = "a" if direction == "dec" else "b"
+        res = _resonance(VARIANTS[name], spec, kr)
+        expected = resonance_reference(name, spec, kr)
+        assert (None if res is None else (res.kind, res.kprime, res.p)) == expected
+        if res is not None:
+            assert r in window
 
 
 class TestReportJson:
