@@ -190,26 +190,26 @@ class SweepConfig:
             )
 
     @classmethod
-    def from_json(cls, data: dict) -> "SweepConfig":
+    def from_json(cls, data) -> "SweepConfig":
+        if not isinstance(data, dict):
+            raise InvalidInput(f"sweep config must be a JSON object, got {_dumps(data)}")
         known = {"n_max", "lambda_sum_max", "k_max", "output", "r_window_pad", "variants", "parallelism"}
         unknown = set(data) - known
         if unknown:
             raise InvalidInput(f"unknown sweep config keys: {sorted(unknown)}")
-        variants = data.get("variants", ["normal"])
-        if not isinstance(variants, list):
-            raise InvalidInput(f"variants must be a list of names, got {variants!r}")
-        try:
-            return cls(
-                n_max=int(data["n_max"]),
-                lambda_sum_max=int(data["lambda_sum_max"]),
-                k_max=int(data["k_max"]),
-                output=str(data["output"]),
-                r_window_pad=int(data.get("r_window_pad", 2)),
-                variants=tuple(variants),
-                parallelism=int(data.get("parallelism", 1)),
-            )
-        except KeyError as exc:
-            raise InvalidInput(f"sweep config is missing key {exc}") from exc
+        defaults = {"r_window_pad": 2, "variants": ["normal"], "parallelism": 1}
+        missing = sorted(known - set(data) - set(defaults))
+        if missing:
+            raise InvalidInput(f"sweep config is missing keys {missing}")
+        values = {**defaults, **data}
+        kinds = {"output": (str, "a string"), "variants": (list, "a list of names")}
+        for key, value in values.items():
+            # exact types: true is not 1, and 2.7 or "2" is not 2
+            wanted, what = kinds.get(key, (int, "an integer"))
+            if type(value) is not wanted:
+                raise InvalidInput(f"sweep config {key} must be {what}, got {_dumps(value)}")
+        values["variants"] = tuple(values["variants"])
+        return cls(**values)
 
 
 def _lambdas(n: int, sum_max: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import InvalidInput, InvariantViolation
+from .errors import InvalidInput
 
 Key = tuple[int, int]  # (node i, spectral exponent r)
 
@@ -177,94 +177,6 @@ class LMonomial:
     @classmethod
     def from_json(cls, data: dict) -> "LMonomial":
         return cls(int(data["n"]), (((int(i), int(r)), int(e)) for i, r, e in data["Y"]))
-
-
-class PackedLayout:
-    """Bit-field layout that stores monomials of rank ``n`` as integers.
-
-    The layout covers the spectral rows ``r_lo..r_hi``: ``Y[i,r]`` owns the
-    ``width``-bit field number ``(r - r_lo) * n + (i - 1)``, counted from
-    the least significant bits, and a monomial packs to the integer
-    ``sum(e << offset)``.  Packings made with a higher ``r_lo`` carry over
-    by a left shift (``shift``).
-
-    A *product* is packed as ``(pack(m1) + top) + pack(m2)``: ``top`` sets
-    the highest bit of every field, so each field of the sum holds ``e +
-    2**(width-1)``, negative exponents of ``m2`` borrowing from it.  While
-    every exponent of the product satisfies ``|e| < 2**(width-1)`` no field
-    carries into the next, monomial multiplication is integer addition, and
-    the top bit of a field is set exactly when its exponent is nonnegative:
-    ``x & top == top`` says that the product is dominant.
-    """
-
-    __slots__ = ("n", "r_lo", "r_hi", "width", "top")
-
-    def __init__(self, n: int, r_lo: int, r_hi: int, width: int):
-        self.n = n
-        self.r_lo = r_lo
-        self.r_hi = r_hi
-        self.width = width
-        fields = n * (r_hi - r_lo + 1)
-        # the bit 2**(width-1) in each field: a base-2**width repunit, shifted
-        self.top = ((1 << width * fields) - 1) // ((1 << width) - 1) << (width - 1)
-
-    @classmethod
-    def for_product(
-        cls, n: int, support1: tuple[int, int, int], support2: tuple[int, int, int]
-    ) -> "PackedLayout":
-        """Layout for products ``m1 * m2`` of two families of monomials.
-
-        Each family is given by its ``exponent_support``.  The rows cover
-        both families, and the width holds the sum of the two exponent
-        bounds, which bounds every product exponent.
-        """
-        lo1, hi1, bound1 = support1
-        lo2, hi2, bound2 = support2
-        bound = bound1 + bound2
-        width = bound.bit_length() + 1
-        if not 0 <= bound < 1 << (width - 1):
-            raise InvariantViolation(f"exponent bound {bound} does not fit {width}-bit fields")
-        return cls(n, min(lo1, lo2), max(hi1, hi2), width)
-
-    def pack(self, m: LMonomial) -> int:
-        """Unbiased packing; the rows of ``m`` must lie in ``r_lo..r_hi``."""
-        n, w, lo = self.n, self.width, self.r_lo
-        return sum(e << w * ((r - lo) * n + i - 1) for (i, r), e in m.items())
-
-    def shift(self, r_lo: int) -> int:
-        """Left shift that carries a packing with rows from ``r_lo`` into this layout."""
-        return self.width * self.n * (r_lo - self.r_lo)
-
-    def unpack(self, x: int) -> LMonomial:
-        """Decode a packed product (biased fields) back into a monomial."""
-        if x < 0:
-            raise InvariantViolation("packed product overflowed its fields")
-        n, w, lo = self.n, self.width, self.r_lo
-        mask = (1 << w) - 1
-        sign = 1 << (w - 1)
-        y = x ^ self.top  # every field now holds its exponent in two's complement
-        exps = []
-        j = 0
-        while y:
-            f = y & mask
-            if f:
-                r, i = divmod(j, n)
-                exps.append(((i + 1, lo + r), f - 2 * sign if f & sign else f))
-            y >>= w
-            j += 1
-        exps.sort()
-        return LMonomial._make(n, tuple(exps))
-
-
-def exponent_support(ms: Iterable[LMonomial]) -> tuple[int, int, int]:
-    """Lowest row, highest row and largest ``|exponent|`` over ``ms``.
-
-    Monomials without any ``Y`` (only the identity, or nothing) report rows
-    ``0..0``.
-    """
-    items = [item for m in ms for item in m.items()]
-    rows = [r for (_, r), _ in items] or [0]
-    return min(rows), max(rows), max((abs(e) for _, e in items), default=0)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,15 @@ independent partition-indexed formula provides the same set of terms.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from math import comb
 
 from .errors import InvalidInput, InvariantViolation
 from .lweight import (
+    Key,
     LMonomial,
-    PackedLayout,
-    exponent_support,
     expand_lroot_path,
     is_dominant,
     monomial_sort_key,
@@ -145,16 +145,14 @@ class KRSpec:
 class QChar:
     """A q-character: finite multiset of loop-weight monomials.
 
-    A character is held either as a dict of monomials or, for product
-    characters, as a dict of bit-packed integers with its ``PackedLayout``
-    (see ``from_packed``).  A packed character answers ``len``,
-    ``dimension`` and ``dominant_terms`` from the integers, decoding only
-    the dominant terms; everything else decodes the whole dict once, on
-    first use.  A character used as a factor keeps its own packings, one
-    per field width (``packed_into``).
+    A character is held either as a dict of monomials or, for a product
+    character, as its two factors (``product``).  A product answers
+    ``dominant_terms`` by a join over the factors' terms (see ``_JoinIndex``),
+    without forming the product; everything else on it convolves the
+    factors once, on first use.
     """
 
-    __slots__ = ("n", "_terms", "_packed", "_layout", "_support", "_packings")
+    __slots__ = ("n", "_terms", "_factors", "_index")
 
     def __init__(self, n: int, terms: dict[LMonomial, int]):
         for m, mult in terms.items():
@@ -164,90 +162,63 @@ class QChar:
                 raise InvalidInput("multiplicities must be positive")
         self.n = n
         self._terms = dict(terms)
-        self._packed = None
-        self._layout = None
-        self._support = None
-        self._packings = {}
+        self._factors = None
+        self._index = None
 
     @classmethod
-    def from_packed(cls, layout: PackedLayout, packed: dict[int, int]) -> "QChar":
-        """A product character given as packed products with multiplicities.
-
-        Distinct integers decode to distinct monomials, so ``packed`` is
-        taken over as is; multiplicities must be positive.
-        """
+    def product(cls, q1: "QChar", q2: "QChar") -> "QChar":
+        """The product character ``q1 * q2``, held as its two factors."""
+        if q1.n != q2.n:
+            raise InvalidInput(f"rank mismatch: {q1.n} != {q2.n}")
         qc = object.__new__(cls)
-        qc.n = layout.n
+        qc.n = q1.n
         qc._terms = None
-        qc._packed = packed
-        qc._layout = layout
-        qc._support = None
-        qc._packings = {}
+        qc._factors = (q1, q2)
+        qc._index = None
         return qc
 
-    def _decoded(self) -> dict[LMonomial, int]:
+    def _all_terms(self) -> dict[LMonomial, int]:
         if self._terms is None:
-            unpack = self._layout.unpack
-            self._terms = {unpack(x): c for x, c in self._packed.items()}
+            self._terms = _convolve(*self._factors)
         return self._terms
 
+    def _join_index(self) -> "_JoinIndex":
+        if self._index is None:
+            self._index = _JoinIndex(self._all_terms())
+        return self._index
+
     def terms(self) -> dict[LMonomial, int]:
-        return dict(self._decoded())
-
-    def support(self) -> tuple[int, int, int]:
-        """``exponent_support`` of the terms, computed once."""
-        if self._support is None:
-            self._support = exponent_support(self._decoded())
-        return self._support
-
-    def packed_into(self, layout: PackedLayout) -> list[tuple[int, int]]:
-        """Terms with multiplicities, packed unbiased into ``layout``.
-
-        The layout's rows must cover ``support()``.  The terms are packed
-        once per field width, from the character's own lowest row, and
-        shifted into place.
-        """
-        lo, hi, _ = self.support()
-        own = self._packings.get(layout.width)
-        if own is None:
-            pack = PackedLayout(self.n, lo, hi, layout.width).pack
-            own = self._packings[layout.width] = [
-                (pack(m), c) for m, c in self._decoded().items()
-            ]
-        shift = layout.shift(lo)
-        return [(x << shift, c) for x, c in own]
+        return dict(self._all_terms())
 
     def multiplicity(self, m: LMonomial) -> int:
-        return self._decoded().get(m, 0)
+        return self._all_terms().get(m, 0)
 
     def __contains__(self, m: LMonomial) -> bool:
-        return m in self._decoded()
+        return m in self._all_terms()
 
     def __len__(self) -> int:
-        return len(self._terms if self._packed is None else self._packed)
+        return len(self._all_terms())
 
     @property
     def dimension(self) -> int:
-        return sum((self._terms if self._packed is None else self._packed).values())
+        return sum(self._all_terms().values())
 
     def dominant_terms(self) -> list[tuple[LMonomial, int]]:
-        if self._packed is None:
+        if self._factors is None:
             out = [(m, c) for m, c in self._terms.items() if is_dominant(m)]
         else:
-            layout = self._layout
-            top = layout.top
-            out = [(layout.unpack(x), c) for x, c in self._packed.items() if x & top == top]
+            out = list(_dominant_join(*self._factors).items())
         out.sort(key=lambda mc: monomial_sort_key(mc[0]))
         return out
 
     def sorted_terms(self) -> list[tuple[LMonomial, int]]:
-        return sorted(self._decoded().items(), key=lambda mc: monomial_sort_key(mc[0]))
+        return sorted(self._all_terms().items(), key=lambda mc: monomial_sort_key(mc[0]))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QChar)
             and self.n == other.n
-            and self._decoded() == other._decoded()
+            and self._all_terms() == other._all_terms()
         )
 
     def __repr__(self) -> str:
@@ -257,7 +228,134 @@ class QChar:
         return [{"monomial": m.to_json(), "mult": c} for m, c in self.sorted_terms()]
 
 
-@cache
+def _convolve(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
+    """Every term of ``q1 * q2``: all pairs multiplied, multiplicities summed."""
+    terms2 = q2._all_terms().items()
+    terms: dict[LMonomial, int] = {}
+    for m1, c1 in q1._all_terms().items():
+        for m2, c2 in terms2:
+            m = m1 * m2
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return terms
+
+
+def _bitset(indices: list[int], size: int) -> int:
+    """The bitset of ``indices``, built in one pass over ``size`` bits."""
+    buf = bytearray((size + 7) // 8)
+    for j in indices:
+        buf[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(buf, "little")
+
+
+class _JoinIndex:
+    """Bitset index of one character's terms, for ``_dominant_join``.
+
+    The terms are ordered by their negative-key signature ``((key, -e),
+    ...)``, and term ``j`` is bit ``j``.  ``groups`` lists every signature
+    once with the range ``lo..hi-1`` of its terms; ``starts`` holds the
+    ``lo`` of each group.  ``cover[key]`` is a pair of tuples: the positive
+    exponents ``t`` that occur at ``key``, ascending, and for each the
+    bitset of the terms whose exponent at ``key`` is ``>= t``.
+    """
+
+    __slots__ = ("monos", "mults", "all", "groups", "starts", "cover")
+
+    def __init__(self, terms: dict[LMonomial, int]):
+        members: dict[tuple, list[LMonomial]] = {}
+        for m in terms:
+            members.setdefault(tuple((key, -e) for key, e in m.items() if e < 0), []).append(m)
+        self.monos = [m for ms in members.values() for m in ms]
+        self.mults = [terms[m] for m in self.monos]
+        size = len(self.monos)
+        self.all = (1 << size) - 1
+        self.groups, self.starts, lo = [], [], 0
+        for need, ms in members.items():
+            self.groups.append((need, lo, lo + len(ms)))
+            self.starts.append(lo)
+            lo += len(ms)
+        at: dict[Key, dict[int, list[int]]] = {}
+        for j, m in enumerate(self.monos):
+            for key, e in m.items():
+                if e > 0:
+                    at.setdefault(key, {}).setdefault(e, []).append(j)
+        self.cover = {}
+        for key, by_e in at.items():
+            ts = sorted(by_e)
+            acc, bitsets = 0, []
+            for t in reversed(ts):
+                acc |= _bitset(by_e[t], size)
+                bitsets.append(acc)
+            self.cover[key] = (tuple(ts), tuple(reversed(bitsets)))
+
+    def covering(self, need: tuple) -> int:
+        """Bitset of the terms whose exponent is ``>= e`` at every ``(key, e)`` of ``need``."""
+        bits = self.all
+        for key, e in need:
+            entry = self.cover.get(key)
+            if entry is None:
+                return 0
+            ts, bitsets = entry
+            at = bisect_left(ts, e)
+            if at == len(ts):
+                return 0
+            bits &= bitsets[at]
+            if not bits:
+                return 0
+        return bits
+
+
+def _bits(x: int):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _dominant_join(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
+    """The dominant terms of ``q1 * q2``, from the dominant pairs only.
+
+    ``m1 * m2`` is dominant iff ``m2`` covers every negative exponent of
+    ``m1`` with a positive one, and vice versa.  For each group of ``q1``
+    (one negative-key signature) the covering terms of ``q2`` are one AND
+    of bitsets; each ``q2`` group among them then keeps the terms of the
+    ``q1`` group that cover its own signature, from an AND computed once
+    per ``q2`` group.  Every pair that survives both is dominant.
+    """
+    x, y = q1._join_index(), q2._join_index()
+    xmonos, xmults = x.monos, x.mults
+    ymonos, ymults, ygroups, ystarts = y.monos, y.mults, y.groups, y.starts
+    reverse: dict[int, int] = {}
+    out: dict[LMonomial, int] = {}
+    for need, lo, hi in x.groups:
+        cand = y.covering(need)
+        while cand:
+            # the lowest candidate opens its group; the group ends at yhi
+            g = bisect_right(ystarts, (cand & -cand).bit_length() - 1) - 1
+            yneed, _, yhi = ygroups[g]
+            ys = cand & ((1 << yhi) - 1)
+            cand ^= ys
+            xs = reverse.get(g)
+            if xs is None:
+                xs = reverse[g] = x.covering(yneed)
+            xs = xs >> lo & ((1 << (hi - lo)) - 1)
+            if not xs:
+                continue
+            for j in _bits(ys):
+                m2, c2 = ymonos[j], ymults[j]
+                for i in _bits(xs):
+                    m = xmonos[lo + i] * m2
+                    out[m] = out.get(m, 0) + xmults[lo + i] * c2
+    return out
+
+
+# Bound on the q-characters (each with its join index, once built) and the
+# Drinfeld polynomials kept in memory.  The four-variant sweep with
+# n_max=lambda_sum_max=k_max=4 requests 1,196 distinct specs of each
+# (the 5,820-point sweep with n_max=3 requests 412), so it never evicts.
+CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def drinfeld_of_spec(spec: MinAffSpec) -> LMonomial:
     """Drinfeld polynomial of the spec: product of its node strings."""
     m = LMonomial.identity(spec.n)
@@ -290,7 +388,7 @@ def highest_tableau(spec: MinAffSpec) -> Tableau:
     return Tableau(spec.n, Shape(tuple(shape_cols)), tuple(cols))
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def qchar(spec: MinAffSpec) -> QChar:
     """q-character of a minimal affinization via tableau enumeration.
 

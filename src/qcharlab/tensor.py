@@ -1,15 +1,16 @@
 """Tensor products of a minimal affinization with an extreme-node KR module.
 
-The product q-character is computed by brute-force convolution on
-bit-packed integers (``lweight.PackedLayout``).  Every pair of terms is
-visited, but monomials are decoded only on demand, so extracting the
-dominant spectrum D decodes just the dominant terms before sorting them
-along the loop-root order.  On top of that, the classifier evaluates the
-closed-form reducibility conditions, derives the extra simple factor's
-highest loop weight through several independent formulas, and cross-checks
-every prediction against D.  Brute force is always the arbiter: a
-disagreement raises TheoremViolation, which signals an implementation bug
-and is counted as a violation by the sweep harness.
+The product q-character is held as its two factors.  Its dominant
+spectrum D is still exhaustive and exact: a bitset join over the factors'
+terms finds every pair whose product is dominant, and only those pairs
+are multiplied before D is sorted along the loop-root order.  The full
+product is convolved only when something asks for all of its terms.  On
+top of D, the classifier evaluates the closed-form reducibility
+conditions, derives the extra simple factor's highest loop weight through
+several independent formulas, and cross-checks every prediction against
+D.  Brute force is always the arbiter: a disagreement raises
+TheoremViolation, which signals an implementation bug and is counted as a
+violation by the sweep harness.
 
 Normal form is an increasing minimal affinization tensored with a KR module
 at the last node.  The four direction/node combinations are the rows of
@@ -26,7 +27,6 @@ from typing import Optional
 from .errors import InvalidInput, InvariantViolation, TheoremViolation
 from .lweight import (
     LMonomial,
-    PackedLayout,
     expand_lroot_path,
     le,
     transform,
@@ -167,25 +167,13 @@ class TensorReport:
 
 
 def product_qchar(q1: QChar, q2: QChar) -> QChar:
-    """Convolution product of two q-characters (tensor product character).
+    """Product of two q-characters (tensor product character).
 
-    Both factors are packed into one ``PackedLayout``, the first with the
-    field bias, so each pair costs one integer addition and one dict
-    update.  The result stays packed; see ``QChar``.
+    The product is held as its two factors (``QChar.product``): its
+    dominant terms come from a join that multiplies only the dominant
+    pairs, and all of its terms are convolved only when asked for.
     """
-    if q1.n != q2.n:
-        raise InvalidInput(f"rank mismatch: {q1.n} != {q2.n}")
-    layout = PackedLayout.for_product(q1.n, q1.support(), q2.support())
-    top = layout.top
-    xs2 = q2.packed_into(layout)
-    terms: dict[int, int] = {}
-    get = terms.get
-    for x1, c1 in q1.packed_into(layout):
-        x1 += top
-        for x2, c2 in xs2:
-            x = x1 + x2
-            terms[x] = get(x, 0) + c1 * c2
-    return QChar.from_packed(layout, terms)
+    return QChar.product(q1, q2)
 
 
 def dominant_spectrum(qc: QChar) -> DominantSpectrum:

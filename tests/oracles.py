@@ -4,7 +4,7 @@ Everything here deliberately avoids the code paths it is used to check:
 string partitions are enumerated from the top row down (the package anchors
 at the bottom row), loop-root membership is decided by exhaustive search
 over placements, product characters are convolved monomial by monomial
-(the package packs them into integers), tableau monomials are multiplied
+(the package joins the factors' terms on bitsets), tableau monomials are multiplied
 out box by box (the package sums exponents as it enumerates), the resonance
 equations are written out once per variant (the package derives them from
 two flags), and monomial generators build random inputs from scratch.
@@ -180,6 +180,21 @@ def lmonomials(draw, max_n: int = 4, max_factors: int = 6, row_span: int = 8):
         e = draw(st.sampled_from((-1, 1)))
         pairs.append(((i, r), e))
     return LMonomial(n, pairs)
+
+
+@st.composite
+def characters(draw, n: int, max_terms: int = 5, row_span: int = 3):
+    """Random characters of rank n: up to ``max_terms`` monomials with
+    exponents in -3..3 and multiplicities in 1..3."""
+    terms: dict[LMonomial, int] = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        pairs = [
+            ((draw(st.integers(1, n)), draw(st.integers(-row_span, row_span))), draw(st.integers(-3, 3)))
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        m = LMonomial(n, pairs)
+        terms[m] = terms.get(m, 0) + draw(st.integers(1, 3))
+    return QChar(n, terms)
 
 
 @st.composite

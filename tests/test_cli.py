@@ -292,6 +292,40 @@ class TestSweepCommand:
         assert code == 2 and "variants" in err
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_max", "x"),  # was a ValueError traceback, exit 1
+            ("k_max", True),  # was read as 1
+            ("lambda_sum_max", 2.7),  # was read as 2
+            ("r_window_pad", None),
+            ("parallelism", "2"),
+            ("output", None),  # was a file named None
+            ("output", 3),
+        ],
+    )
+    def test_values_of_the_wrong_type_rejected(self, capsys, tmp_path, monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_config(tmp_path, **{key: value})
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and key in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+    @pytest.mark.parametrize("data", [[1], "n_max", 3, None])
+    def test_config_that_is_not_an_object_rejected(self, capsys, tmp_path, data):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and "JSON object" in err
+
+    def test_missing_key_rejected(self, capsys, tmp_path):
+        cfg = _write_config(tmp_path)
+        data = json.loads(cfg.read_text(encoding="utf-8"))
+        del data["k_max"]
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and "k_max" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2

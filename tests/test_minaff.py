@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import all_weights, weyl_dim_oracle
+from qcharlab import minaff
 from qcharlab import (
     InvalidInput,
     KRSpec,
@@ -133,6 +134,16 @@ class TestQChar:
 
     def test_memoized(self):
         assert qchar(MinAffSpec(2, (1, 1), "inc")) is qchar(MinAffSpec(2, (1, 1), "inc"))
+
+    def test_caches_are_bounded(self):
+        # the n_max = 4 four-variant sweep requests 1,196 distinct specs
+        for fn in (qchar, drinfeld_of_spec):
+            assert fn.cache_info().maxsize == minaff.CACHE_SIZE >= 1196
+        spec = MinAffSpec(2, (1, 1), "inc")
+        qchar(spec)
+        qchar.cache_clear()
+        assert qchar.cache_info().currsize == 0
+        assert qchar(spec) == qchar(spec)
 
 
 class TestKRPartitionOracle:

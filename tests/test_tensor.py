@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_weights,
+    characters,
     lmonomials,
     minaff_kr_pairs,
     product_qchar_reference,
@@ -11,7 +12,6 @@ from oracles import (
 )
 from qcharlab import (
     InvalidInput,
-    InvariantViolation,
     KRSpec,
     LMonomial,
     MinAffSpec,
@@ -25,7 +25,6 @@ from qcharlab import (
     family_S,
     family_T,
     highest_tableau,
-    is_dominant,
     kr_qchar_by_partitions,
     product_qchar,
     qchar,
@@ -37,7 +36,7 @@ from qcharlab import (
     transform,
     y_string,
 )
-from qcharlab.lweight import PackedLayout, exponent_support
+from qcharlab import minaff
 from qcharlab.minaff import _seg
 from qcharlab.tensor import VARIANTS, Resonance, _resonance
 
@@ -55,12 +54,12 @@ def normal_grid(n_max=2, total_max=2, k_max=2, pad=2):
                     yield spec, KRSpec(n, n, r, k)
 
 
-def assert_same_character(packed: QChar, reference: QChar):
-    assert packed == reference
-    assert packed.terms() == reference.terms()
-    assert len(packed) == len(reference)
-    assert packed.dimension == reference.dimension
-    assert packed.dominant_terms() == reference.dominant_terms()
+def assert_same_character(prod: QChar, reference: QChar):
+    assert prod == reference
+    assert prod.terms() == reference.terms()
+    assert len(prod) == len(reference)
+    assert prod.dimension == reference.dimension
+    assert prod.dominant_terms() == reference.dominant_terms()
 
 
 class TestProductQChar:
@@ -89,13 +88,13 @@ class TestProductQChar:
             product_qchar(
                 qchar(MinAffSpec(1, (1,), "inc")), qchar(MinAffSpec(2, (1, 0), "inc"))
             )
-        packed = product_qchar(qchar(MinAffSpec(1, (1,), "inc")), qchar_kr(KRSpec(1, 1, 0, 1)))
+        prod = product_qchar(qchar(MinAffSpec(1, (1,), "inc")), qchar_kr(KRSpec(1, 1, 0, 1)))
         with pytest.raises(InvalidInput):
-            product_qchar(packed, qchar(MinAffSpec(2, (1, 0), "inc")))
+            product_qchar(prod, qchar(MinAffSpec(2, (1, 0), "inc")))
 
 
-class TestPackedProduct:
-    """The packed convolution against the monomial-by-monomial reference."""
+class TestFactoredProduct:
+    """The product held as its factors against the monomial-by-monomial reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(minaff_kr_pairs())
@@ -105,7 +104,26 @@ class TestPackedProduct:
         assert_same_character(product_qchar(a, b), product_qchar_reference(a, b))
         assert_same_character(product_qchar(b, a), product_qchar_reference(b, a))
 
-    def test_packed_times_plain(self):
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_join_matches_reference(self, data):
+        # random terms with exponents up to +-3 and multiplicities up to 3,
+        # the identity character, and products as factors
+        n = data.draw(st.integers(1, 3))
+
+        def factor():
+            kind = data.draw(st.sampled_from(("terms", "identity", "product")))
+            if kind == "identity":
+                return QChar(n, {LMonomial.identity(n): 1})
+            if kind == "product":
+                return product_qchar(data.draw(characters(n)), data.draw(characters(n)))
+            return data.draw(characters(n))
+
+        a, b = factor(), factor()
+        for x, y in ((a, b), (b, a)):
+            assert product_qchar(x, y).dominant_terms() == product_qchar_reference(x, y).dominant_terms()
+
+    def test_product_of_a_product(self):
         a = qchar(MinAffSpec(2, (1, 1), "dec"))
         b = qchar_kr(KRSpec(2, 2, 1, 2))
         c = qchar(MinAffSpec(2, (0, 1), "inc", 3))
@@ -114,8 +132,8 @@ class TestPackedProduct:
         assert_same_character(product_qchar(ab, c), product_qchar_reference(ab_ref, c))
         assert_same_character(product_qchar(c, ab), product_qchar_reference(c, ab_ref))
 
-    def test_factor_reused_across_layouts(self):
-        # one factor's cached packings serve partners of other widths and rows
+    def test_factor_reused_across_partners(self):
+        # one factor's index serves partners of other exponents and rows
         a = qchar_kr(KRSpec(2, 1, 0, 2))
         for other in (
             QChar(2, {Y(2, 1, -6, 5): 1, Y(2, 2, 0): 2}),
@@ -125,38 +143,25 @@ class TestPackedProduct:
             assert_same_character(product_qchar(a, other), product_qchar_reference(a, other))
             assert_same_character(product_qchar(other, a), product_qchar_reference(other, a))
 
+    def test_dominant_terms_leave_the_product_unformed(self):
+        # uncached characters, so that no other test has indexed them
+        a = qchar.__wrapped__(MinAffSpec(3, (1, 0, 2), "inc", 7))
+        b = qchar.__wrapped__(KRSpec(3, 3, 4, 2).as_minaff())
+        assert a._index is None and b._index is None  # qchar builds no index
+        prod = product_qchar(a, b)
+        assert prod.dominant_terms() == product_qchar_reference(a, b).dominant_terms()
+        assert prod._terms is None
+        assert a._index is not None and b._index is not None
+
     def test_large_exponents(self):
         q1 = QChar(2, {Y(2, 1, 0, 1000) * Y(2, 2, 1, -1000): 1, Y(2, 1, 0, -999): 3})
         q2 = QChar(2, {Y(2, 1, 0, -1000) * Y(2, 2, 1, 1000): 2, Y(2, 1, 0, 1000) * Y(2, 1, 5, 7): 1})
-        assert PackedLayout.for_product(2, q1.support(), q2.support()).width == 12
         prod = product_qchar(q1, q2)
         assert_same_character(prod, product_qchar_reference(q1, q2))
         assert prod.dominant_terms() == [
             (Y(2, 1, 0) * Y(2, 1, 5, 7), 3),
             (LMonomial.identity(2), 2),
         ]
-
-    @settings(max_examples=200, deadline=None)
-    @given(lmonomials(max_n=3, max_factors=5), lmonomials(max_n=3, max_factors=5))
-    def test_fields_hold_the_largest_exponents(self, a, b):
-        # scale the exponents to either side of a power of two
-        n = min(a.n, b.n)
-        for s1, s2 in ((1, 1), (7, 1), (8, 8), (1023, 1), (1024, 1023)):
-            m1 = LMonomial(n, (((min(i, n), r), e * s1) for (i, r), e in a.items()))
-            m2 = LMonomial(n, (((min(i, n), r), e * s2) for (i, r), e in b.items()))
-            layout = PackedLayout.for_product(n, exponent_support([m1]), exponent_support([m2]))
-            x = layout.pack(m1) + layout.top + layout.pack(m2)
-            assert layout.unpack(x) == m1 * m2
-            assert (x & layout.top == layout.top) == is_dominant(m1 * m2)
-
-    def test_bound_outside_the_fields_is_rejected(self):
-        with pytest.raises(InvariantViolation):
-            PackedLayout.for_product(2, (0, 0, -1), (0, 0, 0))
-
-    def test_overflowed_product_is_rejected(self):
-        layout = PackedLayout.for_product(2, (0, 0, 1), (0, 0, 1))
-        with pytest.raises(InvariantViolation):
-            layout.unpack(layout.pack(Y(2, 2, 0, -5)) + layout.top)
 
 
 class TestDominantSpectrum:
@@ -532,6 +537,26 @@ class TestVariantTable:
         row = VARIANTS[name]
         assert classify_variant(spec, kr).variant == name
         assert (row.direction, row.first) == (spec.direction, kr.node != spec.n)
+
+    @pytest.mark.parametrize(
+        "spec, kr, name",
+        [
+            (MinAffSpec(3, (1, 1, 0), "inc", 1), KRSpec(3, 3, 2, 2), "normal"),
+            (MinAffSpec(3, (1, 1, 0), "dec", 1), KRSpec(3, 1, 0, 2), "a"),
+            (MinAffSpec(3, (1, 1, 0), "inc", 1), KRSpec(3, 1, -4, 2), "b"),
+            (MinAffSpec(3, (1, 1, 0), "dec", 1), KRSpec(3, 3, -2, 2), "c"),
+        ],
+    )
+    def test_classify_never_forms_a_product(self, spec, kr, name, monkeypatch):
+        # reducible points, so the transported extra factor is checked too
+        def refuse(q1, q2):
+            raise AssertionError("a product character was convolved")
+
+        monkeypatch.setattr(minaff, "_convolve", refuse)
+        rep = classify_variant(spec, kr)
+        assert (rep.variant, rep.tag.reducible) == (name, True)
+        with pytest.raises(AssertionError):
+            len(product_qchar(qchar(spec), qchar_kr(kr)))
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
