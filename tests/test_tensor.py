@@ -93,8 +93,8 @@ class TestProductQChar:
             product_qchar(prod, qchar(MinAffSpec(2, (1, 0), "inc")))
 
 
-class TestFactoredProduct:
-    """The product held as its factors against the monomial-by-monomial reference."""
+class TestPackedProduct:
+    """The product, held as its two factors, against the monomial-by-monomial reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(minaff_kr_pairs())
@@ -123,7 +123,8 @@ class TestFactoredProduct:
         for x, y in ((a, b), (b, a)):
             assert product_qchar(x, y).dominant_terms() == product_qchar_reference(x, y).dominant_terms()
 
-    def test_product_of_a_product(self):
+    def test_packed_times_plain(self):
+        # a product as one factor of another product
         a = qchar(MinAffSpec(2, (1, 1), "dec"))
         b = qchar_kr(KRSpec(2, 2, 1, 2))
         c = qchar(MinAffSpec(2, (0, 1), "inc", 3))
@@ -132,7 +133,7 @@ class TestFactoredProduct:
         assert_same_character(product_qchar(ab, c), product_qchar_reference(ab_ref, c))
         assert_same_character(product_qchar(c, ab), product_qchar_reference(c, ab_ref))
 
-    def test_factor_reused_across_partners(self):
+    def test_factor_reused_across_layouts(self):
         # one factor's index serves partners of other exponents and rows
         a = qchar_kr(KRSpec(2, 1, 0, 2))
         for other in (
