@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +14,14 @@ from oracles import (
     resonance_reference,
 )
 from qcharlab import (
+    CaseTag,
     InvalidInput,
+    InvariantViolation,
     KRSpec,
     LMonomial,
     MinAffSpec,
     QChar,
+    TheoremViolation,
     classify_normal,
     classify_variant,
     dominant_spectrum,
@@ -36,9 +42,9 @@ from qcharlab import (
     transform,
     y_string,
 )
-from qcharlab import minaff
+from qcharlab import minaff, tensor
 from qcharlab.minaff import _seg
-from qcharlab.tensor import VARIANTS, Resonance, _resonance
+from qcharlab.tensor import VARIANTS, DominantSpectrum, Resonance, _resonance
 
 
 def Y(n, i, r, e=1):
@@ -601,3 +607,84 @@ class TestReportJson:
         rep = classify_normal(MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 0, 1))
         data = rep.to_json()
         assert data["case"] == "irred" and data["p"] is None and data["lambda_prime"] is None
+
+
+# reducible points: case (ii) in normal form, and its dual pair on row a
+NORMAL_POINT = (MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 3, 1))
+A_POINT = (MinAffSpec(2, (0, 1), "dec"), KRSpec(2, 1, 3, 1))
+
+
+def _multiplicity_two(spectrum):
+    return lambda qc: DominantSpectrum(
+        tuple((m, 2) for m, _ in spectrum(qc).entries), spectrum(qc).totally_ordered
+    )
+
+
+def _star_perturbed(transform):
+    def patched(m, kind, t=0):
+        out = transform(m, kind, t)
+        return out * Y(m.n, 1, 99) if kind == "star" else out
+
+    return patched
+
+
+def _lambda_prime_replaced(new):
+    def wrap(classify):
+        def patched(spec, kr):
+            rep = classify(spec, kr)
+            return replace(rep, lambda_prime=new(rep.lambda_prime))
+
+        return patched
+
+    return wrap
+
+
+class TestClassifierChecks:
+    """Every check of the classifier fires when the name it guards is broken."""
+
+    @pytest.mark.parametrize(
+        "point, name, patch, error, message",
+        [
+            (NORMAL_POINT, "le", lambda f: lambda a, b: False,
+             TheoremViolation, "dominant spectrum is not a chain"),
+            (NORMAL_POINT, "dominant_spectrum", _multiplicity_two,
+             TheoremViolation, "dominant spectrum has a multiplicity above one"),
+            (NORMAL_POINT, "expected_dominants", lambda f: lambda s, k, res: f(s, k, res)[:-1],
+             TheoremViolation, "brute-force dominant spectrum disagrees with the closed form"),
+            (NORMAL_POINT, "_lambda_prime_normal", lambda f: lambda s, k, tag, lam: lam,
+             TheoremViolation, "not at position"),
+            (A_POINT, "recognize_minaff", lambda f: lambda m: None,
+             TheoremViolation, "transported affinization is not increasing"),
+            (A_POINT, "recognize_kr", lambda f: lambda m: None,
+             TheoremViolation, "transported KR module is not at the last node"),
+            (A_POINT, "_resonance", lambda f: lambda v, s, k: f(v, s, k) if v.name == "normal" else None,
+             TheoremViolation, "disagree with transported"),
+            (A_POINT, "_tag_of",
+             lambda f: lambda s, k, res: CaseTag("irreducible") if s.direction == "dec" else f(s, k, res),
+             TheoremViolation, "reducibility verdicts disagree across the transport"),
+            (A_POINT, "transform", _star_perturbed,
+             TheoremViolation, "dominant spectrum does not transport under star"),
+            (A_POINT, "classify_normal", _lambda_prime_replaced(lambda m: m * Y(m.n, 1, 99)),
+             TheoremViolation, "missing from brute-force"),
+            (A_POINT, "classify_normal", _lambda_prime_replaced(lambda m: None),
+             InvariantViolation, "transported reducible report has no extra factor"),
+        ],
+        ids=[
+            "chain",
+            "multiplicity_one",
+            "closed_form_D",
+            "lambda_prime_position",
+            "transported_affinization",
+            "transported_kr",
+            "resonance_agreement",
+            "verdict_agreement",
+            "transport_D",
+            "transported_lambda_prime_in_D",
+            "transported_lambda_prime_present",
+        ],
+    )
+    def test_check_fires(self, point, name, patch, error, message, monkeypatch):
+        monkeypatch.setattr(tensor, name, patch(getattr(tensor, name)))
+        with pytest.raises(error, match=re.escape(message)) as info:
+            classify_variant(*point)
+        assert type(info.value) is error
