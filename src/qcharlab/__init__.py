@@ -40,12 +40,10 @@ from .sl2fact import StringList, q_factorize
 from .tableaux import (
     Shape,
     Tableau,
-    column_gaps,
     enumerate_semistandard,
     is_semistandard,
     monomial_of_box,
     monomial_of_tableau,
-    raise_box,
 )
 from .tensor import (
     CaseTag,
@@ -79,7 +77,6 @@ __all__ = [
     "Weight",
     "classify_normal",
     "classify_variant",
-    "column_gaps",
     "dominant_spectrum",
     "drinfeld_of_spec",
     "enumerate_semistandard",
@@ -100,7 +97,6 @@ __all__ = [
     "q_factorize",
     "qchar",
     "qchar_kr",
-    "raise_box",
     "recognize_kr",
     "recognize_minaff",
     "resonance_window",

@@ -20,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import InvalidInput, InvariantViolation
 from .lweight import LMonomial, transform
@@ -114,13 +115,11 @@ def _print_qchar(qc: QChar, header: list[str], full: bool, as_json: bool, extra:
 
 def cmd_qchar(args) -> int:
     spec = _spec_from_args(args)
+    partitions = args.oracle == "partitions"
+    if partitions and not (isinstance(spec, KRSpec) and spec.node == spec.n):
+        raise InvalidInput("the partition oracle applies to last-node KR modules")
     if isinstance(spec, KRSpec):
-        if args.oracle == "partitions":
-            if spec.node != spec.n:
-                raise InvalidInput("the partition oracle applies to last-node KR modules")
-            qc = kr_qchar_by_partitions(spec.n, spec.r, spec.k)
-        else:
-            qc = qchar_kr(spec)
+        qc = kr_qchar_by_partitions(spec.n, spec.r, spec.k) if partitions else qchar_kr(spec)
         header = [f"kr: {_dumps(spec.to_json())}", f"drinfeld: {spec.drinfeld()}"]
         extra = {"kr": spec.to_json()}
     else:
@@ -214,16 +213,7 @@ class SweepConfig:
 
 def _lambdas(n: int, sum_max: int):
     """All nonzero weight vectors of rank n with total at most sum_max, lex order."""
-
-    def rec(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == n:
-            if any(prefix):
-                yield prefix
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + (v,), remaining - v)
-
-    yield from rec((), sum_max)
+    return (lam for lam in product(range(sum_max + 1), repeat=n) if 0 < sum(lam) <= sum_max)
 
 
 def sweep_grid(cfg: SweepConfig):
@@ -351,27 +341,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qcharlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_args(p, kr_required: bool):
+    def add_spec_args(p, required: bool):
         p.add_argument("--n", type=int, required=True, help="rank of the diagram")
-        p.add_argument("--lambda", dest="lam", default=None, help="weight vector, e.g. 1,0,2")
+        p.add_argument(
+            "--lambda", dest="lam", required=required, help="weight vector, e.g. 1,0,2"
+        )
         p.add_argument("--dir", dest="direction", choices=("inc", "dec"), default="inc")
         p.add_argument("--shift", type=int, default=0, help="global spectral shift")
-        p.add_argument(
-            "--kr",
-            default=None,
-            required=kr_required,
-            help="KR triple node,r,k",
-        )
+        p.add_argument("--kr", required=required, help="KR triple node,r,k")
 
     p_qchar = sub.add_parser("qchar", help="compute a q-character")
-    add_spec_args(p_qchar, kr_required=False)
+    add_spec_args(p_qchar, required=False)
     p_qchar.add_argument("--oracle", choices=("tableaux", "partitions"), default="tableaux")
     p_qchar.add_argument("--full", action="store_true", help="list every term")
     p_qchar.add_argument("--json", action="store_true")
     p_qchar.set_defaults(func=cmd_qchar)
 
     p_tensor = sub.add_parser("tensor", help="classify a tensor product")
-    add_spec_args(p_tensor, kr_required=True)
+    add_spec_args(p_tensor, required=True)
     p_tensor.add_argument("--json", action="store_true")
     p_tensor.set_defaults(func=cmd_tensor)
 

@@ -190,11 +190,6 @@ class Weight:
         if len(self.coords) != self.n:
             raise InvalidInput("coordinate vector length must equal the rank")
 
-    def __add__(self, other: "Weight") -> "Weight":
-        if self.n != other.n:
-            raise InvalidInput("rank mismatch")
-        return Weight(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
 
 @dataclass(frozen=True)
 class LRootDecomposition:

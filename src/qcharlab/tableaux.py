@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import InvalidInput
 from .lweight import LMonomial
@@ -282,49 +282,3 @@ def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
             if left >= 0 and contents[left] < cap:
                 cap = contents[left]
             caps[p] = cap
-
-
-def column_gaps(col: Sequence[int]) -> list[tuple[int, int]]:
-    """Gap positions of a strictly increasing column.
-
-    A gap sits at row j when the content jumps by more than one from the row
-    above (the virtual row 0 has content 0, so content > 1 in row 1 is a
-    gap).  Returns (row, size) pairs with size = jump - 1.
-    """
-    if any(a >= b for a, b in zip(col, col[1:])):
-        raise InvalidInput("column contents must be strictly increasing")
-    gaps = []
-    prev = 0
-    for row, c in enumerate(col, start=1):
-        if c - prev > 1:
-            gaps.append((row, c - prev - 1))
-        prev = c
-    return gaps
-
-
-def raise_box(t: Tableau, col: int, row: int, target: int) -> tuple[Tableau, LMonomial]:
-    """Replace the content of one box by ``target + 1``.
-
-    Returns the modified tableau together with the expanded loop-root path
-    ``A[i, target, s + 2(k-row) + i - 1]`` (``i`` the old content) whose
-    inverse relates the two tableau monomials:
-    ``monomial_of_tableau(new) == monomial_of_tableau(t) * path.inverse()``.
-    """
-    from .lweight import expand_lroot_path
-
-    if not 1 <= col <= len(t.cols):
-        raise InvalidInput(f"column index {col} out of range")
-    k, s = t.shape.columns[col - 1]
-    if not 1 <= row <= k:
-        raise InvalidInput(f"row index {row} out of range")
-    i = t.cols[col - 1][row - 1]
-    if i > t.n:
-        raise InvalidInput(f"content {i} cannot be raised past {t.n + 1}")
-    if not i <= target <= t.n:
-        raise InvalidInput(f"target {target} must lie in {i}..{t.n}")
-    path = expand_lroot_path(t.n, i, target, s + 2 * (k - row) + i - 1)
-    new_cols = list(t.cols)
-    new_col = list(new_cols[col - 1])
-    new_col[row - 1] = target + 1
-    new_cols[col - 1] = tuple(new_col)
-    return Tableau(t.n, t.shape, tuple(new_cols)), path

@@ -14,9 +14,12 @@ violation by the sweep harness.
 
 Normal form is an increasing minimal affinization tensored with a KR module
 at the last node.  The four direction/node combinations are the rows of
-the ``VARIANTS`` table (see ``Variant``).  The three rows other than normal
-are settled by transporting the problem through the row's duality map,
-classifying the transported normal-form problem, and carrying the answer back.
+the ``VARIANTS`` table (see ``Variant``), and every row runs through one
+pipeline, ``_classify``: D by brute force, the row's resonance equations,
+the case tag, and the report.  Its one row-specific step checks normal form
+against the closed form; the three other rows are checked by transporting
+the problem through the row's duality map, classifying the transported
+normal-form problem, and carrying the answer back.
 """
 
 from __future__ import annotations
@@ -98,10 +101,9 @@ VARIANTS = {
 }
 
 
-def _variant_of(spec: MinAffSpec, kr: KRSpec) -> Variant:
-    # at n = 1 the node is both first and last; last wins
-    first = kr.node != spec.n
-    return next(v for v in VARIANTS.values() if (v.direction, v.first) == (spec.direction, first))
+def _variant_of(direction: str, first: bool) -> Variant:
+    # callers pass first = (node != n): at n = 1 the node is also last, and last wins
+    return next(v for v in VARIANTS.values() if (v.direction, v.first) == (direction, first))
 
 
 @dataclass(frozen=True)
@@ -458,127 +460,74 @@ def _lambda_prime_normal(
     return via_family
 
 
-def classify_normal(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
-    """Classify (increasing affinization) x (KR at the last node).
+def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
+    """The classifier pipeline shared by every row of ``VARIANTS``.
 
-    Computes D by brute force, solves the resonance equations, checks D
-    against the closed-form list, derives the extra factor independently and
-    verifies its position in D (condition (i): just below the top family;
-    condition (ii): the minimum of D).
+    D is brute-forced on the pair's own q-characters, and the row's
+    resonance equations are solved on the untransformed data.  The normal
+    row then checks the closed form: D is a chain of multiplicity-one
+    terms equal to ``expected_dominants``, and the extra factor, derived
+    independently, sits at its predicted position (condition (i): just
+    below the top family; condition (ii): the minimum of D).  Every other
+    row transports the pair through its ``inverse`` map, classifies it in
+    normal form, and checks that the resonance (with p -> n + 1 - p at node
+    1) and the verdict agree, that D transports exactly where the row says
+    so, and that D contains the transported extra factor.
     """
-    if spec.direction != "inc":
-        raise InvalidInput("normal form requires an increasing spec")
-    if kr.n != spec.n or kr.node != spec.n:
-        raise InvalidInput("normal form requires a KR module at the last node")
-    omega = drinfeld_of_spec(spec)
-    varpi = kr.drinfeld()
+    omega, varpi = drinfeld_of_spec(spec), kr.drinfeld()
     lam = omega * varpi
-
     spectrum = dominant_spectrum(product_qchar(qchar(spec), qchar_kr(kr)))
-    if not spectrum.totally_ordered:
-        raise TheoremViolation("dominant spectrum is not a chain")
-    if any(c != 1 for _, c in spectrum.entries):
-        raise TheoremViolation("dominant spectrum has a multiplicity above one")
     D = [m for m, _ in spectrum.entries]
-
-    normal = VARIANTS["normal"]
-    res = _resonance(normal, spec, kr)
-    expected = expected_dominants(spec, kr, res)
-    if D != expected:
-        raise TheoremViolation(
-            "brute-force dominant spectrum disagrees with the closed form: "
-            f"{[str(m) for m in D]} vs {[str(m) for m in expected]}"
-        )
+    res = _resonance(variant, spec, kr)
     tag = _tag_of(spec, kr, res)
-
     lam_prime: Optional[LMonomial] = None
-    if tag.reducible:
-        lam_prime = _lambda_prime_normal(spec, kr, tag, lam)
-        pos = tag.kprime if tag.kind == "case_i" else len(D) - 1
-        if pos >= len(D) or D[pos] != lam_prime:
-            raise TheoremViolation(
-                f"extra factor {lam_prime} not at position {pos} of D"
-            )
 
-    return TensorReport(
-        variant=normal.name,
-        spec=spec,
-        kr=kr,
-        lam=lam,
-        D=spectrum.entries,
-        totally_ordered=spectrum.totally_ordered,
-        tag=tag,
-        resonance=res,
-        lambda_prime=lam_prime,
-        socle_head=_socle_head(normal, tag, lam, lam_prime),
-    )
-
-
-def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
-    """Classify any direction/node combination.
-
-    The row of ``VARIANTS`` is picked by direction and KR node (at n = 1
-    the node counts as last).  Normal form is classified directly.
-    Otherwise the pair is transported through the row's ``inverse`` map,
-    classified in normal form, and the answer carried back (``forward``,
-    and p -> n + 1 - p at node 1); the row's own closed-form conditions are
-    evaluated directly on the untransformed data and must agree with the
-    transported classification.  D is always recomputed by brute force on
-    the variant's own q-characters and must contain the transported extra
-    factor.
-    """
-    if kr.n != spec.n:
-        raise InvalidInput("rank mismatch between spec and KR module")
-    variant = _variant_of(spec, kr)
     if variant.inverse is None:
-        return classify_normal(spec, kr)
-
-    omega = drinfeld_of_spec(spec)
-    varpi = kr.drinfeld()
-    lam = omega * varpi
-
-    rec = recognize_minaff(transform(omega, variant.inverse))
-    if rec is None or -1 not in rec.epsilons:
-        raise TheoremViolation("transported affinization is not increasing")
-    spec_t = rec.spec("inc")
-    kr_t = recognize_kr(transform(varpi, variant.inverse))
-    if kr_t is None or kr_t.node != spec.n:
-        raise TheoremViolation("transported KR module is not at the last node")
-    rep_t = classify_normal(spec_t, kr_t)
-
-    res_direct = _resonance(variant, spec, kr)
-    res_t = rep_t.resonance
-    if variant.first and res_t is not None and res_t.p is not None:
-        res_t = Resonance(res_t.kind, res_t.kprime, spec.n + 1 - res_t.p)
-    if res_direct != res_t:
-        raise TheoremViolation(
-            f"direct conditions {res_direct} disagree with transported "
-            f"{rep_t.resonance} on variant {variant.name}"
-        )
-    tag_direct = _tag_of(spec, kr, res_direct)
-    if tag_direct.reducible != rep_t.tag.reducible:
-        raise TheoremViolation("reducibility verdicts disagree across the transport")
-
-    spectrum = dominant_spectrum(product_qchar(qchar(spec), qchar_kr(kr)))
-    D = [m for m, _ in spectrum.entries]
-
-    if variant.exact_D:
-        expected = [transform(m, variant.forward) for m, _ in rep_t.D]
+        if not spectrum.totally_ordered:
+            raise TheoremViolation("dominant spectrum is not a chain")
+        if any(c != 1 for _, c in spectrum.entries):
+            raise TheoremViolation("dominant spectrum has a multiplicity above one")
+        expected = expected_dominants(spec, kr, res)
         if D != expected:
             raise TheoremViolation(
-                f"dominant spectrum does not transport under {variant.forward}"
+                "brute-force dominant spectrum disagrees with the closed form: "
+                f"{[str(m) for m in D]} vs {[str(m) for m in expected]}"
             )
+        if tag.reducible:
+            lam_prime = _lambda_prime_normal(spec, kr, tag, lam)
+            pos = tag.kprime if tag.kind == "case_i" else len(D) - 1
+            if pos >= len(D) or D[pos] != lam_prime:
+                raise TheoremViolation(f"extra factor {lam_prime} not at position {pos} of D")
+    else:
+        rec = recognize_minaff(transform(omega, variant.inverse))
+        if rec is None or -1 not in rec.epsilons:
+            raise TheoremViolation("transported affinization is not increasing")
+        kr_t = recognize_kr(transform(varpi, variant.inverse))
+        if kr_t is None or kr_t.node != spec.n:
+            raise TheoremViolation("transported KR module is not at the last node")
+        rep_t = classify_normal(rec.spec("inc"), kr_t)
 
-    lam_prime: Optional[LMonomial] = None
-    if tag_direct.reducible:
-        if rep_t.lambda_prime is None:
-            raise InvariantViolation("transported reducible report has no extra factor")
-        lam_prime = transform(rep_t.lambda_prime, variant.forward)
-        if lam_prime not in D:
+        res_t = rep_t.resonance
+        if variant.first and res_t is not None and res_t.p is not None:
+            res_t = Resonance(res_t.kind, res_t.kprime, spec.n + 1 - res_t.p)
+        if res != res_t:
             raise TheoremViolation(
-                f"transported extra factor {lam_prime} missing from brute-force "
-                f"D = {[str(m) for m in D]} (possible spectral-shift discrepancy)"
+                f"direct conditions {res} disagree with transported "
+                f"{rep_t.resonance} on variant {variant.name}"
             )
+        if tag.reducible != rep_t.tag.reducible:
+            raise TheoremViolation("reducibility verdicts disagree across the transport")
+        if variant.exact_D and D != [transform(m, variant.forward) for m, _ in rep_t.D]:
+            raise TheoremViolation(f"dominant spectrum does not transport under {variant.forward}")
+        if tag.reducible:
+            if rep_t.lambda_prime is None:
+                raise InvariantViolation("transported reducible report has no extra factor")
+            lam_prime = transform(rep_t.lambda_prime, variant.forward)
+            if lam_prime not in D:
+                raise TheoremViolation(
+                    f"transported extra factor {lam_prime} missing from brute-force "
+                    f"D = {[str(m) for m in D]} (possible spectral-shift discrepancy)"
+                )
 
     return TensorReport(
         variant=variant.name,
@@ -587,11 +536,37 @@ def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
         lam=lam,
         D=spectrum.entries,
         totally_ordered=spectrum.totally_ordered,
-        tag=tag_direct,
-        resonance=res_direct,
+        tag=tag,
+        resonance=res,
         lambda_prime=lam_prime,
-        socle_head=_socle_head(variant, tag_direct, lam, lam_prime),
+        socle_head=_socle_head(variant, tag, lam, lam_prime),
     )
+
+
+def classify_normal(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
+    """Classify (increasing affinization) x (KR at the last node).
+
+    The normal-form row of ``_classify``: D is checked against the closed
+    form, and the extra factor is derived two ways and placed in D.
+    """
+    if spec.direction != "inc":
+        raise InvalidInput("normal form requires an increasing spec")
+    if kr.n != spec.n or kr.node != spec.n:
+        raise InvalidInput("normal form requires a KR module at the last node")
+    return _classify(VARIANTS["normal"], spec, kr)
+
+
+def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
+    """Classify any direction/node combination.
+
+    The row of ``VARIANTS`` is picked by direction and KR node (at n = 1
+    the node counts as last) and classified by ``_classify``: normal form
+    against its closed form, every other row against the normal-form
+    classification of its transported pair (``classify_normal``).
+    """
+    if kr.n != spec.n:
+        raise InvalidInput("rank mismatch between spec and KR module")
+    return _classify(_variant_of(spec.direction, kr.node != spec.n), spec, kr)
 
 
 def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range:
@@ -603,7 +578,7 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
     """
     if pad < 0:
         raise InvalidInput("pad must be nonnegative")
-    variant = _variant_of(spec, KRSpec(spec.n, node, 0, k))
+    variant = _variant_of(spec.direction, node != spec.n)
     values = [
         s * (2 * kp - c)
         for _, _, s, c, cap in _equations(variant, spec, k)

@@ -8,6 +8,8 @@ over placements, product characters are convolved monomial by monomial
 out box by box (the package sums exponents as it enumerates), the resonance
 equations are written out once per variant (the package derives them from
 two flags), and monomial generators build random inputs from scratch.
+The column-gap, single-box-raise and weight-sum helpers serve only the
+tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from qcharlab import (
     MinAffSpec,
     QChar,
     Tableau,
+    Weight,
+    expand_lroot_path,
     expand_simple_lroot,
     monomial_of_box,
     y_string,
@@ -74,6 +78,57 @@ def monomial_of_tableau_reference(t: Tableau) -> LMonomial:
     for content, s in t.boxes():
         m = m * monomial_of_box(t.n, content, s)
     return m
+
+
+def column_gaps(col) -> list[tuple[int, int]]:
+    """Gap positions of a strictly increasing column.
+
+    A gap sits at row j when the content jumps by more than one from the row
+    above (the virtual row 0 has content 0, so content > 1 in row 1 is a
+    gap).  Returns (row, size) pairs with size = jump - 1.
+    """
+    if any(a >= b for a, b in zip(col, col[1:])):
+        raise InvalidInput("column contents must be strictly increasing")
+    gaps = []
+    prev = 0
+    for row, c in enumerate(col, start=1):
+        if c - prev > 1:
+            gaps.append((row, c - prev - 1))
+        prev = c
+    return gaps
+
+
+def raise_box(t: Tableau, col: int, row: int, target: int) -> tuple[Tableau, LMonomial]:
+    """Replace the content of one box by ``target + 1``.
+
+    Returns the modified tableau together with the expanded loop-root path
+    ``A[i, target, s + 2(k-row) + i - 1]`` (``i`` the old content) whose
+    inverse relates the two tableau monomials:
+    ``monomial_of_tableau(new) == monomial_of_tableau(t) * path.inverse()``.
+    """
+    if not 1 <= col <= len(t.cols):
+        raise InvalidInput(f"column index {col} out of range")
+    k, s = t.shape.columns[col - 1]
+    if not 1 <= row <= k:
+        raise InvalidInput(f"row index {row} out of range")
+    i = t.cols[col - 1][row - 1]
+    if i > t.n:
+        raise InvalidInput(f"content {i} cannot be raised past {t.n + 1}")
+    if not i <= target <= t.n:
+        raise InvalidInput(f"target {target} must lie in {i}..{t.n}")
+    path = expand_lroot_path(t.n, i, target, s + 2 * (k - row) + i - 1)
+    new_cols = list(t.cols)
+    new_col = list(new_cols[col - 1])
+    new_col[row - 1] = target + 1
+    new_cols[col - 1] = tuple(new_col)
+    return Tableau(t.n, t.shape, tuple(new_cols)), path
+
+
+def add_weights(a: Weight, b: Weight) -> Weight:
+    """Coordinatewise sum of two weights of the same rank."""
+    if a.n != b.n:
+        raise InvalidInput("rank mismatch")
+    return Weight(a.n, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
 
 def resonance_reference(variant: str, spec: MinAffSpec, kr: KRSpec):

@@ -46,6 +46,13 @@ class TestQcharCommand:
         )
         assert code == 2 and "error" in err
 
+    def test_partition_oracle_rejects_an_affinization(self, capsys):
+        code, out, err = run_cli(
+            capsys, "qchar", "--n", "2", "--lambda", "1,0", "--oracle", "partitions"
+        )
+        assert code == 2 and out == ""
+        assert "the partition oracle applies to last-node KR modules" in err
+
     def test_missing_spec_is_invalid(self, capsys):
         code, _, err = run_cli(capsys, "qchar", "--n", "2")
         assert code == 2
@@ -87,6 +94,10 @@ class TestTensorCommand:
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "tensor", "--n", "2", "--lambda", "1,0")
         assert code == 1 and "usage" in err
+
+    def test_missing_lambda_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "tensor", "--n", "2", "--kr", "2,3,1")
+        assert code == 1 and "usage" in err and "--lambda" in err
 
     def test_bad_kr_triple(self, capsys):
         code, _, _ = run_cli(

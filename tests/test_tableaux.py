@@ -4,21 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_weights, monomial_of_tableau_reference
+from oracles import all_weights, column_gaps, monomial_of_tableau_reference, raise_box
 from qcharlab import (
     InvalidInput,
     LMonomial,
     MinAffSpec,
     Shape,
     Tableau,
-    column_gaps,
     enumerate_semistandard,
     highest_tableau,
     is_dominant,
     is_semistandard,
     monomial_of_box,
     monomial_of_tableau,
-    raise_box,
     y_string,
 )
 
