@@ -34,7 +34,13 @@ from .minaff import (
     qchar_kr,
 )
 from .sl2fact import q_factorize
-from .tensor import VARIANTS, TensorReport, classify_variant, resonance_window
+from .tensor import (
+    VARIANTS,
+    TensorReport,
+    classify_variant,
+    clear_normal_memo,
+    resonance_window,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -328,8 +334,10 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    if args.t is not None and args.kind != "tau":
+        raise InvalidInput(f"--t shifts only --kind tau, not {args.kind}")
     m = _parse_monomial(args.monomial)
-    out = transform(m, args.kind, args.t)
+    out = transform(m, args.kind, args.t or 0)
     if args.json:
         print(_dumps(out.to_json()))
     else:
@@ -374,7 +382,7 @@ def _build_parser() -> _Parser:
     p_tr = sub.add_parser("transform", help="apply a duality map to a monomial")
     p_tr.add_argument("monomial", help="monomial JSON")
     p_tr.add_argument("--kind", required=True, choices=("star", "star_inv", "minus", "kappa", "tau"))
-    p_tr.add_argument("--t", type=int, default=0, help="shift amount for tau")
+    p_tr.add_argument("--t", type=int, help="shift amount for tau (default 0)")
     p_tr.add_argument("--json", action="store_true")
     p_tr.set_defaults(func=cmd_transform)
 
@@ -389,6 +397,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    # no command reads a normal-form record left by an earlier one in this process
+    clear_normal_memo()
     try:
         return args.func(args)
     except InvalidInput as exc:

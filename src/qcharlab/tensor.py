@@ -20,12 +20,21 @@ the case tag, and the report.  Its one row-specific step checks normal form
 against the closed form; the three other rows are checked by transporting
 the problem through the row's duality map, classifying the transported
 normal-form problem, and carrying the answer back.
+
+A global spectral shift tau_t changes no classification, so the transport
+step classifies each normal-form problem once up to shift: every normal-row
+classification leaves a slim record (resonance, verdict, D, extra factor)
+in a memo keyed on ``(n, lam, r - shift, k)``, and a transported problem
+found there is answered by shifting the record.  Each point still
+brute-forces its own D and runs every transport check.  The memo holds at
+most ``CACHE_SIZE`` records and lives for one command: ``cli.main`` empties
+it first (``clear_normal_memo``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidInput, InvariantViolation, TheoremViolation
 from .lweight import (
@@ -36,6 +45,7 @@ from .lweight import (
     y_string,
 )
 from .minaff import (
+    CACHE_SIZE,
     KRSpec,
     MinAffSpec,
     QChar,
@@ -460,6 +470,36 @@ def _lambda_prime_normal(
     return via_family
 
 
+class _NormalRecord(NamedTuple):
+    """What the transport step reads of one normal-form classification."""
+
+    shift: int
+    resonance: Optional[Resonance]
+    reducible: bool
+    D: tuple[LMonomial, ...]
+    lambda_prime: Optional[LMonomial]
+
+
+# Normal-form records by shift-normalized problem, oldest first, at most
+# CACHE_SIZE of them.  ``cli.main`` empties it before every command.
+_NORMAL_MEMO: dict[tuple, _NormalRecord] = {}
+
+
+def clear_normal_memo() -> None:
+    """Forget every normal-form record kept for the transport step."""
+    _NORMAL_MEMO.clear()
+
+
+def _normal_key(spec: MinAffSpec, kr: KRSpec) -> tuple:
+    # a global spectral shift changes no classification, so it is factored out
+    return (spec.n, spec.lam, kr.r - spec.shift, kr.k)
+
+
+def _record_of(rep: TensorReport) -> _NormalRecord:
+    D = tuple(m for m, _ in rep.D)
+    return _NormalRecord(rep.spec.shift, rep.resonance, rep.tag.reducible, D, rep.lambda_prime)
+
+
 def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     """The classifier pipeline shared by every row of ``VARIANTS``.
 
@@ -468,11 +508,15 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     row then checks the closed form: D is a chain of multiplicity-one
     terms equal to ``expected_dominants``, and the extra factor, derived
     independently, sits at its predicted position (condition (i): just
-    below the top family; condition (ii): the minimum of D).  Every other
-    row transports the pair through its ``inverse`` map, classifies it in
-    normal form, and checks that the resonance (with p -> n + 1 - p at node
-    1) and the verdict agree, that D transports exactly where the row says
-    so, and that D contains the transported extra factor.
+    below the top family; condition (ii): the minimum of D); its report is
+    then kept, slimmed to a ``_NormalRecord``, in ``_NORMAL_MEMO``.  Every
+    other row transports the pair through its ``inverse`` map and looks the
+    transported problem up there up to a global shift; on a miss it
+    classifies it with ``classify_normal``, on a hit it shifts the record's
+    D and extra factor by tau_t.  Either way it checks that the resonance
+    (with p -> n + 1 - p at node 1) and the verdict agree, that D
+    transports exactly where the row says so, and that D contains the
+    transported extra factor.
     """
     omega, varpi = drinfeld_of_spec(spec), kr.drinfeld()
     lam = omega * varpi
@@ -505,31 +549,38 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
         kr_t = recognize_kr(transform(varpi, variant.inverse))
         if kr_t is None or kr_t.node != spec.n:
             raise TheoremViolation("transported KR module is not at the last node")
-        rep_t = classify_normal(rec.spec("inc"), kr_t)
+        spec_t = rec.spec("inc")
+        record = _NORMAL_MEMO.get(_normal_key(spec_t, kr_t))
+        if record is None:
+            record = _record_of(classify_normal(spec_t, kr_t))
+        t = spec_t.shift - record.shift
 
-        res_t = rep_t.resonance
+        def back(m: LMonomial) -> LMonomial:
+            return transform(transform(m, "tau", t), variant.forward)
+
+        res_t = record.resonance
         if variant.first and res_t is not None and res_t.p is not None:
             res_t = Resonance(res_t.kind, res_t.kprime, spec.n + 1 - res_t.p)
         if res != res_t:
             raise TheoremViolation(
                 f"direct conditions {res} disagree with transported "
-                f"{rep_t.resonance} on variant {variant.name}"
+                f"{record.resonance} on variant {variant.name}"
             )
-        if tag.reducible != rep_t.tag.reducible:
+        if tag.reducible != record.reducible:
             raise TheoremViolation("reducibility verdicts disagree across the transport")
-        if variant.exact_D and D != [transform(m, variant.forward) for m, _ in rep_t.D]:
+        if variant.exact_D and D != [back(m) for m in record.D]:
             raise TheoremViolation(f"dominant spectrum does not transport under {variant.forward}")
         if tag.reducible:
-            if rep_t.lambda_prime is None:
+            if record.lambda_prime is None:
                 raise InvariantViolation("transported reducible report has no extra factor")
-            lam_prime = transform(rep_t.lambda_prime, variant.forward)
+            lam_prime = back(record.lambda_prime)
             if lam_prime not in D:
                 raise TheoremViolation(
                     f"transported extra factor {lam_prime} missing from brute-force "
                     f"D = {[str(m) for m in D]} (possible spectral-shift discrepancy)"
                 )
 
-    return TensorReport(
+    report = TensorReport(
         variant=variant.name,
         spec=spec,
         kr=kr,
@@ -541,6 +592,12 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
         lambda_prime=lam_prime,
         socle_head=_socle_head(variant, tag, lam, lam_prime),
     )
+    if variant.inverse is None:
+        key = _normal_key(spec, kr)
+        if key not in _NORMAL_MEMO and len(_NORMAL_MEMO) >= CACHE_SIZE:
+            del _NORMAL_MEMO[next(iter(_NORMAL_MEMO))]
+        _NORMAL_MEMO[key] = _record_of(report)
+    return report
 
 
 def classify_normal(spec: MinAffSpec, kr: KRSpec) -> TensorReport:

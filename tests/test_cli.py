@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from qcharlab import InvariantViolation, cli
+from qcharlab import InvariantViolation, cli, tensor
 from qcharlab.cli import main
 
 
@@ -99,6 +99,21 @@ class TestTensorCommand:
         code, _, err = run_cli(capsys, "tensor", "--n", "2", "--kr", "2,3,1")
         assert code == 1 and "usage" in err and "--lambda" in err
 
+    def test_each_command_starts_from_an_empty_memo(self, capsys, monkeypatch):
+        classify = tensor.classify_normal
+        calls = []
+
+        def counted(spec, kr):
+            calls.append((spec, kr))
+            return classify(spec, kr)
+
+        monkeypatch.setattr(tensor, "classify_normal", counted)
+        argv = ("tensor", "--n", "2", "--lambda", "0,1", "--dir", "dec", "--kr", "1,3,1", "--json")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and json.loads(first[1])["variant"] == "a"
+        assert run_cli(capsys, *argv) == first
+        assert len(calls) == 2
+
     def test_bad_kr_triple(self, capsys):
         code, _, _ = run_cli(
             capsys, "tensor", "--n", "2", "--lambda", "1,0", "--kr", "2,0"
@@ -140,6 +155,12 @@ class TestTransformCommand:
             capsys, "transform", mono, "--kind", "tau", "--t", "3", "--json"
         )
         assert code == 0 and json.loads(out) == {"n": 2, "Y": [[1, 3, 1]]}
+
+    def test_shift_with_another_kind_is_invalid(self, capsys):
+        mono = json.dumps({"n": 1, "Y": [[1, 0, 1]]})
+        code, out, err = run_cli(capsys, "transform", mono, "--kind", "star", "--t", "5")
+        assert code == 2 and out == ""
+        assert "--t shifts only --kind tau" in err
 
 
 def _write_config(path, **overrides):

@@ -1,8 +1,10 @@
+import json
 import re
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -42,9 +44,18 @@ from qcharlab import (
     transform,
     y_string,
 )
-from qcharlab import minaff, tensor
+from qcharlab import cli, minaff, tensor
 from qcharlab.minaff import _seg
 from qcharlab.tensor import VARIANTS, DominantSpectrum, Resonance, _resonance
+
+
+@pytest.fixture(autouse=True)
+def empty_normal_memo():
+    """Every test starts and ends with an empty normal-form memo, so each
+    classification takes the same path whatever ran before it."""
+    tensor.clear_normal_memo()
+    yield
+    tensor.clear_normal_memo()
 
 
 def Y(n, i, r, e=1):
@@ -649,6 +660,24 @@ NORMAL_POINT = (MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 3, 1))
 A_POINT = (MinAffSpec(2, (0, 1), "dec"), KRSpec(2, 1, 3, 1))
 
 
+def _transported(spec, kr):
+    """The normal-form pair that the transport step of a/b/c classifies."""
+    row = tensor._variant_of(spec.direction, kr.node != spec.n)
+    rec = recognize_minaff(transform(drinfeld_of_spec(spec), row.inverse))
+    return rec.spec("inc"), recognize_kr(transform(kr.drinfeld(), row.inverse))
+
+
+def _memo_filled_at_shift(spec, kr, t):
+    """Memoize the transported problem of (spec, kr) shifted by tau_t; its key."""
+    spec_t, kr_t = _transported(spec, kr)
+    classify_normal(replace(spec_t, shift=spec_t.shift + t), replace(kr_t, r=kr_t.r + t))
+    return tensor._normal_key(spec_t, kr_t)
+
+
+def _refuse_to_classify(spec, kr):
+    raise AssertionError("the transport step missed the memo")
+
+
 def _multiplicity_two(spectrum):
     def patched(qc):
         real = spectrum(qc)
@@ -725,3 +754,97 @@ class TestClassifierChecks:
         with pytest.raises(error, match=re.escape(message)) as info:
             classify_variant(*point)
         assert type(info.value) is error
+
+    @pytest.mark.parametrize(
+        "tamper, error, message",
+        [
+            (lambda rec: rec._replace(resonance=None),
+             TheoremViolation, "disagree with transported"),
+            (lambda rec: rec._replace(reducible=not rec.reducible),
+             TheoremViolation, "reducibility verdicts disagree across the transport"),
+            (lambda rec: rec._replace(D=rec.D[:-1]),
+             TheoremViolation, "dominant spectrum does not transport under star"),
+            (lambda rec: rec._replace(lambda_prime=rec.lambda_prime * Y(rec.lambda_prime.n, 1, 99)),
+             TheoremViolation, "missing from brute-force"),
+            (lambda rec: rec._replace(lambda_prime=None),
+             InvariantViolation, "transported reducible report has no extra factor"),
+        ],
+        ids=[
+            "resonance_agreement",
+            "verdict_agreement",
+            "transport_D",
+            "transported_lambda_prime_in_D",
+            "transported_lambda_prime_present",
+        ],
+    )
+    def test_transport_check_fires_on_a_memo_hit(self, tamper, error, message, monkeypatch):
+        key = _memo_filled_at_shift(*A_POINT, 7)
+        tensor._NORMAL_MEMO[key] = tamper(tensor._NORMAL_MEMO[key])
+        monkeypatch.setattr(tensor, "classify_normal", _refuse_to_classify)
+        with pytest.raises(error, match=re.escape(message)) as info:
+            classify_variant(*A_POINT)
+        assert type(info.value) is error
+
+
+class TestNormalMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_hit_matches_the_empty_memo(self, data):
+        """A point whose transported problem is memoized at another shift gets
+        the report of the slow path, which starts from an empty memo."""
+        n = data.draw(st.integers(1, 3))
+        lam = data.draw(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+                lambda v: 0 < sum(v) <= 3
+            )
+        )
+        spec = MinAffSpec(n, tuple(lam), data.draw(st.sampled_from(("inc", "dec"))))
+        node = data.draw(st.sampled_from((1, n)))
+        assume(tensor._variant_of(spec.direction, node != n).inverse is not None)
+        k = data.draw(st.integers(1, 3))
+        kr = KRSpec(n, node, data.draw(st.sampled_from(resonance_window(spec, node, k))), k)
+        t = data.draw(st.integers(-5, 5))
+
+        tensor.clear_normal_memo()
+        cold = classify_variant(spec, kr)
+        tensor.clear_normal_memo()
+        _memo_filled_at_shift(spec, kr, t)
+        with patch.object(tensor, "classify_normal", _refuse_to_classify):
+            assert classify_variant(spec, kr) == cold
+
+    def test_never_holds_more_than_the_cache_size(self, monkeypatch):
+        monkeypatch.setattr(tensor, "CACHE_SIZE", 3)
+        keys = []
+        for spec, kr in normal_grid():
+            classify_normal(spec, kr)
+            keys.append(tensor._normal_key(spec, kr))
+            assert len(tensor._NORMAL_MEMO) <= 3
+        assert list(tensor._NORMAL_MEMO) == keys[-3:]  # oldest evicted first
+
+    def test_one_product_per_point_and_first_seen_transport(self, capsys, tmp_path, monkeypatch):
+        config = {"n_max": 2, "lambda_sum_max": 2, "k_max": 2, "r_window_pad": 1,
+                  "variants": ["normal", "a", "b", "c"], "output": str(tmp_path / "out.jsonl")}
+        (tmp_path / "sweep.json").write_text(json.dumps(config), encoding="utf-8")
+        points = list(cli.sweep_grid(cli.SweepConfig.from_json(config)))
+        seen, transported, first_seen = set(), 0, 0
+        for spec, kr in points:
+            if tensor._variant_of(spec.direction, kr.node != spec.n).inverse is None:
+                seen.add(tensor._normal_key(spec, kr))
+                continue
+            key = tensor._normal_key(*_transported(spec, kr))
+            transported += 1
+            first_seen += key not in seen
+            seen.add(key)
+
+        products = []
+
+        def counted(q1, q2):
+            products.append(1)
+            return product_qchar(q1, q2)
+
+        monkeypatch.delenv("QCHARLAB_THREADS", raising=False)
+        monkeypatch.setattr(tensor, "product_qchar", counted)
+        assert cli.main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 0
+        assert "violations: 0" in capsys.readouterr().out
+        assert 0 < first_seen < transported
+        assert len(products) == len(points) + first_seen
