@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InvalidInput, InvariantViolation
-from .lweight import LMonomial, transform
+from .lweight import _TRANSFORM_KINDS, LMonomial, transform
 from .minaff import (
     KRSpec,
     MinAffSpec,
@@ -38,7 +38,7 @@ from .tensor import (
     VARIANTS,
     TensorReport,
     classify_variant,
-    clear_normal_memo,
+    clear_normal_cache,
     resonance_window,
 )
 
@@ -93,10 +93,12 @@ def _spec_from_args(args) -> MinAffSpec | KRSpec:
     if args.kr is not None and args.lam is not None:
         raise InvalidInput("give either --lambda or --kr, not both")
     if args.kr is not None:
+        if args.shift is not None:
+            raise InvalidInput("--shift applies to --lambda specs; shift a KR module through its anchor r")
         return _parse_kr(args.n, args.kr)
     if args.lam is None:
         raise InvalidInput("one of --lambda or --kr is required")
-    return MinAffSpec(args.n, _parse_lambda(args.lam), args.direction, args.shift)
+    return MinAffSpec(args.n, _parse_lambda(args.lam), args.direction, args.shift or 0)
 
 
 def _print_qchar(qc: QChar, header: list[str], full: bool, as_json: bool, extra: dict):
@@ -160,7 +162,7 @@ def _print_report(rep: TensorReport, as_json: bool):
 
 
 def cmd_tensor(args) -> int:
-    spec = MinAffSpec(args.n, _parse_lambda(args.lam), args.direction, args.shift)
+    spec = MinAffSpec(args.n, _parse_lambda(args.lam), args.direction, args.shift or 0)
     kr = _parse_kr(args.n, args.kr)
     rep = classify_variant(spec, kr)
     _print_report(rep, args.json)
@@ -355,7 +357,7 @@ def _build_parser() -> _Parser:
             "--lambda", dest="lam", required=required, help="weight vector, e.g. 1,0,2"
         )
         p.add_argument("--dir", dest="direction", choices=("inc", "dec"), default="inc")
-        p.add_argument("--shift", type=int, default=0, help="global spectral shift")
+        p.add_argument("--shift", type=int, help="global spectral shift of the --lambda spec (default 0)")
         p.add_argument("--kr", required=required, help="KR triple node,r,k")
 
     p_qchar = sub.add_parser("qchar", help="compute a q-character")
@@ -381,7 +383,7 @@ def _build_parser() -> _Parser:
 
     p_tr = sub.add_parser("transform", help="apply a duality map to a monomial")
     p_tr.add_argument("monomial", help="monomial JSON")
-    p_tr.add_argument("--kind", required=True, choices=("star", "star_inv", "minus", "kappa", "tau"))
+    p_tr.add_argument("--kind", required=True, choices=_TRANSFORM_KINDS)
     p_tr.add_argument("--t", type=int, help="shift amount for tau (default 0)")
     p_tr.add_argument("--json", action="store_true")
     p_tr.set_defaults(func=cmd_transform)
@@ -397,8 +399,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    # no command reads a normal-form record left by an earlier one in this process
-    clear_normal_memo()
+    # no command reads a normal-form report cached by an earlier one in this process
+    clear_normal_cache()
     try:
         return args.func(args)
     except InvalidInput as exc:

@@ -121,12 +121,7 @@ class LMonomial:
                 ib += 1
         out.extend(a[ia:])
         out.extend(b[ib:])
-        # _make inlined: tableau enumeration multiplies once per box
-        m = object.__new__(LMonomial)
-        object.__setattr__(m, "n", self.n)
-        object.__setattr__(m, "_exps", tuple(out))
-        object.__setattr__(m, "_hash", hash((self.n, m._exps)))
-        return m
+        return LMonomial._make(self.n, tuple(out))
 
     def inverse(self) -> "LMonomial":
         return LMonomial._make(self.n, tuple((k, -e) for k, e in self._exps))

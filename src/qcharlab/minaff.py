@@ -462,9 +462,7 @@ class MinAffRecognition:
     epsilons: tuple[int, ...]
     anchor: int
 
-    def spec(self, direction: Direction | None = None) -> MinAffSpec:
-        if direction is None:
-            direction = "inc" if -1 in self.epsilons else "dec"
+    def spec(self, direction: Direction) -> MinAffSpec:
         eps = -1 if direction == "inc" else 1
         if eps not in self.epsilons:
             raise InvalidInput(f"monomial does not admit direction {direction!r}")

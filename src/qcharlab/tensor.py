@@ -22,19 +22,20 @@ the problem through the row's duality map, classifying the transported
 normal-form problem, and carrying the answer back.
 
 A global spectral shift tau_t changes no classification, so the transport
-step classifies each normal-form problem once up to shift: every normal-row
-classification leaves a slim record (resonance, verdict, D, extra factor)
-in a memo keyed on ``(n, lam, r - shift, k)``, and a transported problem
-found there is answered by shifting the record.  Each point still
-brute-forces its own D and runs every transport check.  The memo holds at
-most ``CACHE_SIZE`` records and lives for one command: ``cli.main`` empties
-it first (``clear_normal_memo``).
+step asks ``classify_normal`` for the transported problem at shift 0 and
+shifts the answer back.  ``classify_normal`` is cached on its two frozen
+specs (at most ``CACHE_SIZE`` reports, like ``qchar``), so a normal-row
+point and every transport that lands on the same problem share one
+brute-force classification.  Each a/b/c point still brute-forces its own D
+and runs every transport check.  ``cli.main`` empties the cache before
+every command (``clear_normal_cache``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Optional
 
 from .errors import InvalidInput, InvariantViolation, TheoremViolation
 from .lweight import (
@@ -470,36 +471,6 @@ def _lambda_prime_normal(
     return via_family
 
 
-class _NormalRecord(NamedTuple):
-    """What the transport step reads of one normal-form classification."""
-
-    shift: int
-    resonance: Optional[Resonance]
-    reducible: bool
-    D: tuple[LMonomial, ...]
-    lambda_prime: Optional[LMonomial]
-
-
-# Normal-form records by shift-normalized problem, oldest first, at most
-# CACHE_SIZE of them.  ``cli.main`` empties it before every command.
-_NORMAL_MEMO: dict[tuple, _NormalRecord] = {}
-
-
-def clear_normal_memo() -> None:
-    """Forget every normal-form record kept for the transport step."""
-    _NORMAL_MEMO.clear()
-
-
-def _normal_key(spec: MinAffSpec, kr: KRSpec) -> tuple:
-    # a global spectral shift changes no classification, so it is factored out
-    return (spec.n, spec.lam, kr.r - spec.shift, kr.k)
-
-
-def _record_of(rep: TensorReport) -> _NormalRecord:
-    D = tuple(m for m, _ in rep.D)
-    return _NormalRecord(rep.spec.shift, rep.resonance, rep.tag.reducible, D, rep.lambda_prime)
-
-
 def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     """The classifier pipeline shared by every row of ``VARIANTS``.
 
@@ -508,15 +479,13 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     row then checks the closed form: D is a chain of multiplicity-one
     terms equal to ``expected_dominants``, and the extra factor, derived
     independently, sits at its predicted position (condition (i): just
-    below the top family; condition (ii): the minimum of D); its report is
-    then kept, slimmed to a ``_NormalRecord``, in ``_NORMAL_MEMO``.  Every
-    other row transports the pair through its ``inverse`` map and looks the
-    transported problem up there up to a global shift; on a miss it
-    classifies it with ``classify_normal``, on a hit it shifts the record's
-    D and extra factor by tau_t.  Either way it checks that the resonance
-    (with p -> n + 1 - p at node 1) and the verdict agree, that D
-    transports exactly where the row says so, and that D contains the
-    transported extra factor.
+    below the top family; condition (ii): the minimum of D).  Every other
+    row transports the pair through its ``inverse`` map, asks
+    ``classify_normal`` for the transported problem at shift 0, and carries
+    its D and extra factor back through tau_t and the row's ``forward`` map.
+    It checks that the resonance (with p -> n + 1 - p at node 1) and the
+    verdict agree, that D transports exactly where the row says so, and
+    that D contains the transported extra factor.
     """
     omega, varpi = drinfeld_of_spec(spec), kr.drinfeld()
     lam = omega * varpi
@@ -550,37 +519,37 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
         if kr_t is None or kr_t.node != spec.n:
             raise TheoremViolation("transported KR module is not at the last node")
         spec_t = rec.spec("inc")
-        record = _NORMAL_MEMO.get(_normal_key(spec_t, kr_t))
-        if record is None:
-            record = _record_of(classify_normal(spec_t, kr_t))
-        t = spec_t.shift - record.shift
+        # a global spectral shift changes no classification, so the cached
+        # shift-0 problem serves every shift of it
+        t = spec_t.shift
+        normal = classify_normal(replace(spec_t, shift=0), replace(kr_t, r=kr_t.r - t))
 
         def back(m: LMonomial) -> LMonomial:
             return transform(transform(m, "tau", t), variant.forward)
 
-        res_t = record.resonance
+        res_t = normal.resonance
         if variant.first and res_t is not None and res_t.p is not None:
             res_t = Resonance(res_t.kind, res_t.kprime, spec.n + 1 - res_t.p)
         if res != res_t:
             raise TheoremViolation(
                 f"direct conditions {res} disagree with transported "
-                f"{record.resonance} on variant {variant.name}"
+                f"{normal.resonance} on variant {variant.name}"
             )
-        if tag.reducible != record.reducible:
+        if tag.reducible != normal.tag.reducible:
             raise TheoremViolation("reducibility verdicts disagree across the transport")
-        if variant.exact_D and D != [back(m) for m in record.D]:
+        if variant.exact_D and D != [back(m) for m, _ in normal.D]:
             raise TheoremViolation(f"dominant spectrum does not transport under {variant.forward}")
         if tag.reducible:
-            if record.lambda_prime is None:
+            if normal.lambda_prime is None:
                 raise InvariantViolation("transported reducible report has no extra factor")
-            lam_prime = back(record.lambda_prime)
+            lam_prime = back(normal.lambda_prime)
             if lam_prime not in D:
                 raise TheoremViolation(
                     f"transported extra factor {lam_prime} missing from brute-force "
                     f"D = {[str(m) for m in D]} (possible spectral-shift discrepancy)"
                 )
 
-    report = TensorReport(
+    return TensorReport(
         variant=variant.name,
         spec=spec,
         kr=kr,
@@ -592,19 +561,16 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
         lambda_prime=lam_prime,
         socle_head=_socle_head(variant, tag, lam, lam_prime),
     )
-    if variant.inverse is None:
-        key = _normal_key(spec, kr)
-        if key not in _NORMAL_MEMO and len(_NORMAL_MEMO) >= CACHE_SIZE:
-            del _NORMAL_MEMO[next(iter(_NORMAL_MEMO))]
-        _NORMAL_MEMO[key] = _record_of(report)
-    return report
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def classify_normal(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     """Classify (increasing affinization) x (KR at the last node).
 
     The normal-form row of ``_classify``: D is checked against the closed
-    form, and the extra factor is derived two ways and placed in D.
+    form, and the extra factor is derived two ways and placed in D.  The
+    report is cached on ``(spec, kr)``, so the normal-row point and every
+    transport that lands on the same problem share one classification.
     """
     if spec.direction != "inc":
         raise InvalidInput("normal form requires an increasing spec")
@@ -613,17 +579,25 @@ def classify_normal(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     return _classify(VARIANTS["normal"], spec, kr)
 
 
+# Bound here so that a wrapper that replaces ``classify_normal`` (a tracer,
+# a test) leaves the cache reachable; ``cli.main`` calls it before every command.
+clear_normal_cache = classify_normal.cache_clear
+
+
 def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     """Classify any direction/node combination.
 
     The row of ``VARIANTS`` is picked by direction and KR node (at n = 1
-    the node counts as last) and classified by ``_classify``: normal form
-    against its closed form, every other row against the normal-form
-    classification of its transported pair (``classify_normal``).
+    the node counts as last).  The normal row is ``classify_normal``; every
+    other row is classified by ``_classify`` against the normal-form
+    classification of its transported pair.
     """
     if kr.n != spec.n:
         raise InvalidInput("rank mismatch between spec and KR module")
-    return _classify(_variant_of(spec.direction, kr.node != spec.n), spec, kr)
+    variant = _variant_of(spec.direction, kr.node != spec.n)
+    if variant.inverse is None:
+        return classify_normal(spec, kr)
+    return _classify(variant, spec, kr)
 
 
 def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range:

@@ -61,6 +61,15 @@ class TestQcharCommand:
         code, _, _ = run_cli(capsys, "qchar", "--n", "2", "--lambda", "0,0")
         assert code == 2
 
+    def test_shift_with_a_kr_module_is_invalid(self, capsys):
+        code, out, err = run_cli(capsys, "qchar", "--n", "2", "--kr", "2,0,2", "--shift", "5")
+        assert code == 2 and out == ""
+        assert "shift a KR module through its anchor r" in err
+
+    def test_shift_moves_an_affinization(self, capsys):
+        code, out, _ = run_cli(capsys, "qchar", "--n", "2", "--lambda", "1,0", "--shift", "5", "--json")
+        assert code == 0 and json.loads(out)["spec"]["shift"] == 5
+
 
 class TestTensorCommand:
     def test_sl2_case_i(self, capsys):
@@ -100,19 +109,20 @@ class TestTensorCommand:
         assert code == 1 and "usage" in err and "--lambda" in err
 
     def test_each_command_starts_from_an_empty_memo(self, capsys, monkeypatch):
-        classify = tensor.classify_normal
+        product = tensor.product_qchar
         calls = []
 
-        def counted(spec, kr):
-            calls.append((spec, kr))
-            return classify(spec, kr)
+        def counted(q1, q2):
+            calls.append(1)
+            return product(q1, q2)
 
-        monkeypatch.setattr(tensor, "classify_normal", counted)
+        monkeypatch.setattr(tensor, "product_qchar", counted)
         argv = ("tensor", "--n", "2", "--lambda", "0,1", "--dir", "dec", "--kr", "1,3,1", "--json")
         first = run_cli(capsys, *argv)
         assert first[0] == 0 and json.loads(first[1])["variant"] == "a"
         assert run_cli(capsys, *argv) == first
-        assert len(calls) == 2
+        # each command brute-forces the point and its transported normal-form problem
+        assert len(calls) == 4
 
     def test_bad_kr_triple(self, capsys):
         code, _, _ = run_cli(

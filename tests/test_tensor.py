@@ -49,15 +49,6 @@ from qcharlab.minaff import _seg
 from qcharlab.tensor import VARIANTS, DominantSpectrum, Resonance, _resonance
 
 
-@pytest.fixture(autouse=True)
-def empty_normal_memo():
-    """Every test starts and ends with an empty normal-form memo, so each
-    classification takes the same path whatever ran before it."""
-    tensor.clear_normal_memo()
-    yield
-    tensor.clear_normal_memo()
-
-
 def Y(n, i, r, e=1):
     return LMonomial.y(n, i, r, e)
 
@@ -661,21 +652,23 @@ A_POINT = (MinAffSpec(2, (0, 1), "dec"), KRSpec(2, 1, 3, 1))
 
 
 def _transported(spec, kr):
-    """The normal-form pair that the transport step of a/b/c classifies."""
+    """The shift-0 normal-form problem that the transport step of a/b/c
+    asks ``classify_normal`` for."""
     row = tensor._variant_of(spec.direction, kr.node != spec.n)
-    rec = recognize_minaff(transform(drinfeld_of_spec(spec), row.inverse))
-    return rec.spec("inc"), recognize_kr(transform(kr.drinfeld(), row.inverse))
+    spec_t = recognize_minaff(transform(drinfeld_of_spec(spec), row.inverse)).spec("inc")
+    kr_t = recognize_kr(transform(kr.drinfeld(), row.inverse))
+    return replace(spec_t, shift=0), replace(kr_t, r=kr_t.r - spec_t.shift)
 
 
-def _memo_filled_at_shift(spec, kr, t):
-    """Memoize the transported problem of (spec, kr) shifted by tau_t; its key."""
-    spec_t, kr_t = _transported(spec, kr)
-    classify_normal(replace(spec_t, shift=spec_t.shift + t), replace(kr_t, r=kr_t.r + t))
-    return tensor._normal_key(spec_t, kr_t)
+def _counting_products():
+    """A ``product_qchar`` stand-in and the list it appends one entry per call to."""
+    calls = []
 
+    def counted(q1, q2):
+        calls.append(1)
+        return product_qchar(q1, q2)
 
-def _refuse_to_classify(spec, kr):
-    raise AssertionError("the transport step missed the memo")
+    return counted, calls
 
 
 def _multiplicity_two(spectrum):
@@ -758,15 +751,15 @@ class TestClassifierChecks:
     @pytest.mark.parametrize(
         "tamper, error, message",
         [
-            (lambda rec: rec._replace(resonance=None),
+            (lambda rep: replace(rep, resonance=None),
              TheoremViolation, "disagree with transported"),
-            (lambda rec: rec._replace(reducible=not rec.reducible),
+            (lambda rep: replace(rep, tag=CaseTag("irreducible")),
              TheoremViolation, "reducibility verdicts disagree across the transport"),
-            (lambda rec: rec._replace(D=rec.D[:-1]),
+            (lambda rep: replace(rep, D=rep.D[:-1]),
              TheoremViolation, "dominant spectrum does not transport under star"),
-            (lambda rec: rec._replace(lambda_prime=rec.lambda_prime * Y(rec.lambda_prime.n, 1, 99)),
+            (lambda rep: replace(rep, lambda_prime=rep.lambda_prime * Y(rep.lambda_prime.n, 1, 99)),
              TheoremViolation, "missing from brute-force"),
-            (lambda rec: rec._replace(lambda_prime=None),
+            (lambda rep: replace(rep, lambda_prime=None),
              InvariantViolation, "transported reducible report has no extra factor"),
         ],
         ids=[
@@ -778,9 +771,19 @@ class TestClassifierChecks:
         ],
     )
     def test_transport_check_fires_on_a_memo_hit(self, tamper, error, message, monkeypatch):
-        key = _memo_filled_at_shift(*A_POINT, 7)
-        tensor._NORMAL_MEMO[key] = tamper(tensor._NORMAL_MEMO[key])
-        monkeypatch.setattr(tensor, "classify_normal", _refuse_to_classify)
+        """The transport step reads a cached shift-0 report; each check fires
+        when one field of that report is wrong.  A_POINT transports to shift
+        3, so the report is carried back through tau_3."""
+        problem = _transported(*A_POINT)
+        real = classify_normal(*problem)
+        assert real.tag.reducible
+        tampered = tamper(real)
+
+        def cached(spec, kr):
+            assert (spec, kr) == problem
+            return tampered
+
+        monkeypatch.setattr(tensor, "classify_normal", cached)
         with pytest.raises(error, match=re.escape(message)) as info:
             classify_variant(*A_POINT)
         assert type(info.value) is error
@@ -790,61 +793,59 @@ class TestNormalMemo:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_hit_matches_the_empty_memo(self, data):
-        """A point whose transported problem is memoized at another shift gets
-        the report of the slow path, which starts from an empty memo."""
+        """A point whose shift-0 transported problem is already cached gets the
+        report of an empty cache, and brute-forces only its own D."""
         n = data.draw(st.integers(1, 3))
         lam = data.draw(
             st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
                 lambda v: 0 < sum(v) <= 3
             )
         )
-        spec = MinAffSpec(n, tuple(lam), data.draw(st.sampled_from(("inc", "dec"))))
+        direction = data.draw(st.sampled_from(("inc", "dec")))
+        spec = MinAffSpec(n, tuple(lam), direction, data.draw(st.integers(-5, 5)))  # the window follows the shift
         node = data.draw(st.sampled_from((1, n)))
         assume(tensor._variant_of(spec.direction, node != n).inverse is not None)
         k = data.draw(st.integers(1, 3))
         kr = KRSpec(n, node, data.draw(st.sampled_from(resonance_window(spec, node, k))), k)
-        t = data.draw(st.integers(-5, 5))
 
-        tensor.clear_normal_memo()
+        tensor.clear_normal_cache()
         cold = classify_variant(spec, kr)
-        tensor.clear_normal_memo()
-        _memo_filled_at_shift(spec, kr, t)
-        with patch.object(tensor, "classify_normal", _refuse_to_classify):
+        tensor.clear_normal_cache()
+        classify_normal(*_transported(spec, kr))
+        counted, products = _counting_products()
+        with patch.object(tensor, "product_qchar", counted):
             assert classify_variant(spec, kr) == cold
+        assert len(products) == 1
 
-    def test_never_holds_more_than_the_cache_size(self, monkeypatch):
-        monkeypatch.setattr(tensor, "CACHE_SIZE", 3)
-        keys = []
-        for spec, kr in normal_grid():
+    def test_never_holds_more_than_the_cache_size(self):
+        assert classify_normal.cache_info().maxsize == minaff.CACHE_SIZE
+        points = list(normal_grid())
+        for spec, kr in points:
             classify_normal(spec, kr)
-            keys.append(tensor._normal_key(spec, kr))
-            assert len(tensor._NORMAL_MEMO) <= 3
-        assert list(tensor._NORMAL_MEMO) == keys[-3:]  # oldest evicted first
+            info = classify_normal.cache_info()
+            assert info.currsize <= info.maxsize
+        assert classify_normal.cache_info().currsize == len(set(points))
+        tensor.clear_normal_cache()
+        assert classify_normal.cache_info().currsize == 0
 
     def test_one_product_per_point_and_first_seen_transport(self, capsys, tmp_path, monkeypatch):
         config = {"n_max": 2, "lambda_sum_max": 2, "k_max": 2, "r_window_pad": 1,
                   "variants": ["normal", "a", "b", "c"], "output": str(tmp_path / "out.jsonl")}
         (tmp_path / "sweep.json").write_text(json.dumps(config), encoding="utf-8")
         points = list(cli.sweep_grid(cli.SweepConfig.from_json(config)))
-        seen, transported, first_seen = set(), 0, 0
+        normal_points, transported = set(), []
         for spec, kr in points:
             if tensor._variant_of(spec.direction, kr.node != spec.n).inverse is None:
-                seen.add(tensor._normal_key(spec, kr))
-                continue
-            key = tensor._normal_key(*_transported(spec, kr))
-            transported += 1
-            first_seen += key not in seen
-            seen.add(key)
+                normal_points.add((spec, kr))
+            else:
+                transported.append(_transported(spec, kr))
+        problems = normal_points | set(transported)
 
-        products = []
-
-        def counted(q1, q2):
-            products.append(1)
-            return product_qchar(q1, q2)
-
+        counted, products = _counting_products()
         monkeypatch.delenv("QCHARLAB_THREADS", raising=False)
         monkeypatch.setattr(tensor, "product_qchar", counted)
         assert cli.main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 0
         assert "violations: 0" in capsys.readouterr().out
-        assert 0 < first_seen < transported
-        assert len(products) == len(points) + first_seen
+        # transports share the normal-row points' classifications
+        assert len(problems) < len(normal_points) + len(transported)
+        assert len(products) == len(transported) + len(problems)
