@@ -95,10 +95,12 @@ def _spec_from_args(args) -> MinAffSpec | KRSpec:
     if args.kr is not None:
         if args.shift is not None:
             raise InvalidInput("--shift applies to --lambda specs; shift a KR module through its anchor r")
+        if args.direction is not None:
+            raise InvalidInput("--dir applies to --lambda specs; a KR module has no direction")
         return _parse_kr(args.n, args.kr)
     if args.lam is None:
         raise InvalidInput("one of --lambda or --kr is required")
-    return MinAffSpec(args.n, _parse_lambda(args.lam), args.direction, args.shift or 0)
+    return MinAffSpec(args.n, _parse_lambda(args.lam), args.direction or "inc", args.shift or 0)
 
 
 def _print_qchar(qc: QChar, header: list[str], full: bool, as_json: bool, extra: dict):
@@ -162,7 +164,7 @@ def _print_report(rep: TensorReport, as_json: bool):
 
 
 def cmd_tensor(args) -> int:
-    spec = MinAffSpec(args.n, _parse_lambda(args.lam), args.direction, args.shift or 0)
+    spec = MinAffSpec(args.n, _parse_lambda(args.lam), args.direction or "inc", args.shift or 0)
     kr = _parse_kr(args.n, args.kr)
     rep = classify_variant(spec, kr)
     _print_report(rep, args.json)
@@ -356,7 +358,9 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--lambda", dest="lam", required=required, help="weight vector, e.g. 1,0,2"
         )
-        p.add_argument("--dir", dest="direction", choices=("inc", "dec"), default="inc")
+        p.add_argument(
+            "--dir", dest="direction", choices=("inc", "dec"), help="direction of the --lambda spec (default inc)"
+        )
         p.add_argument("--shift", type=int, help="global spectral shift of the --lambda spec (default 0)")
         p.add_argument("--kr", required=required, help="KR triple node,r,k")
 

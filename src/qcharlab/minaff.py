@@ -15,7 +15,7 @@ independent partition-indexed formula provides the same set of terms.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -147,7 +147,8 @@ class QChar:
 
     A character is held either as a dict of monomials or, for a product
     character, as its two factors (``product``).  A product answers
-    ``dominant_terms`` by a join over the factors' terms (see ``_JoinIndex``),
+    ``dominant_terms`` by a join that walks the larger factor's terms
+    against cover bitsets of the smaller one (see ``_dominant_join``),
     without forming the product; everything else on it convolves the
     factors once, on first use.
     """
@@ -248,48 +249,45 @@ def _bitset(indices: list[int], size: int) -> int:
 
 
 class _JoinIndex:
-    """Bitset index of one character's terms, for ``_dominant_join``.
+    """One character's terms for ``_dominant_join``: term ``j`` is bit ``j``.
 
-    The terms are ordered by their negative-key signature ``((key, -e),
-    ...)``, and term ``j`` is bit ``j``.  ``groups`` lists every signature
-    once with the range ``lo..hi-1`` of its terms; ``starts`` holds the
-    ``lo`` of each group.  ``cover[key]`` is a pair of tuples: the positive
-    exponents ``t`` that occur at ``key``, ascending, and for each the
-    bitset of the terms whose exponent at ``key`` is ``>= t``.
+    ``needs[j]`` is the negative signature ``((key, -e), ...)`` of term
+    ``j``.  ``cover`` is built on the first ``covering`` call, so only for
+    the factor a join indexes: ``cover[key]`` pairs the positive exponents
+    ``t`` at ``key``, ascending, with the bitsets of the terms whose exponent
+    at ``key`` is ``>= t``.
     """
 
-    __slots__ = ("monos", "mults", "all", "groups", "starts", "cover")
+    __slots__ = ("monos", "mults", "needs", "cover")
 
     def __init__(self, terms: dict[LMonomial, int]):
-        members: dict[tuple, list[LMonomial]] = {}
-        for m in terms:
-            members.setdefault(tuple((key, -e) for key, e in m.items() if e < 0), []).append(m)
-        self.monos = [m for ms in members.values() for m in ms]
-        self.mults = [terms[m] for m in self.monos]
-        size = len(self.monos)
-        self.all = (1 << size) - 1
-        self.groups, self.starts, lo = [], [], 0
-        for need, ms in members.items():
-            self.groups.append((need, lo, lo + len(ms)))
-            self.starts.append(lo)
-            lo += len(ms)
+        self.monos = list(terms)
+        self.mults = list(terms.values())
+        self.needs = [tuple((key, -e) for key, e in m.items() if e < 0) for m in self.monos]
+        self.cover = None
+
+    def _build_cover(self) -> dict[Key, tuple[tuple[int, ...], tuple[int, ...]]]:
         at: dict[Key, dict[int, list[int]]] = {}
         for j, m in enumerate(self.monos):
             for key, e in m.items():
                 if e > 0:
                     at.setdefault(key, {}).setdefault(e, []).append(j)
-        self.cover = {}
+        size = len(self.monos)
+        cover = {}
         for key, by_e in at.items():
             ts = sorted(by_e)
             acc, bitsets = 0, []
             for t in reversed(ts):
                 acc |= _bitset(by_e[t], size)
                 bitsets.append(acc)
-            self.cover[key] = (tuple(ts), tuple(reversed(bitsets)))
+            cover[key] = (tuple(ts), tuple(reversed(bitsets)))
+        return cover
 
     def covering(self, need: tuple) -> int:
         """Bitset of the terms whose exponent is ``>= e`` at every ``(key, e)`` of ``need``."""
-        bits = self.all
+        if self.cover is None:
+            self.cover = self._build_cover()
+        bits = (1 << len(self.monos)) - 1
         for key, e in need:
             entry = self.cover.get(key)
             if entry is None:
@@ -314,41 +312,34 @@ def _bits(x: int):
 def _dominant_join(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
     """The dominant terms of ``q1 * q2``, from the dominant pairs only.
 
-    ``m1 * m2`` is dominant iff ``m2`` covers every negative exponent of
-    ``m1`` with a positive one, and vice versa.  For each group of ``q1``
-    (one negative-key signature) the covering terms of ``q2`` are one AND
-    of bitsets; each ``q2`` group among them then keeps the terms of the
-    ``q1`` group that cover its own signature, from an AND computed once
-    per ``q2`` group.  Every pair that survives both is dominant.
+    ``m1 * m2`` is dominant iff each term covers every negative exponent of
+    the other with a positive one.  The join indexes only the factor with
+    fewer terms: for each term of the other factor, one AND of bitsets gives
+    the indexed terms that cover its signature, and each of those is kept
+    if the walked term covers its own signature in turn.
     """
-    x, y = q1._join_index(), q2._join_index()
-    xmonos, xmults = x.monos, x.mults
-    ymonos, ymults, ygroups, ystarts = y.monos, y.mults, y.groups, y.starts
-    reverse: dict[int, int] = {}
+    small, large = q1._join_index(), q2._join_index()
+    if len(large.monos) < len(small.monos):
+        small, large = large, small
+    smonos, smults, sneeds = small.monos, small.mults, small.needs
     out: dict[LMonomial, int] = {}
-    for need, lo, hi in x.groups:
-        cand = y.covering(need)
-        while cand:
-            # the lowest candidate opens its group; the group ends at yhi
-            g = bisect_right(ystarts, (cand & -cand).bit_length() - 1) - 1
-            yneed, _, yhi = ygroups[g]
-            ys = cand & ((1 << yhi) - 1)
-            cand ^= ys
-            xs = reverse.get(g)
-            if xs is None:
-                xs = reverse[g] = x.covering(yneed)
-            xs = xs >> lo & ((1 << (hi - lo)) - 1)
-            if not xs:
-                continue
-            for j in _bits(ys):
-                m2, c2 = ymonos[j], ymults[j]
-                for i in _bits(xs):
-                    m = xmonos[lo + i] * m2
-                    out[m] = out.get(m, 0) + xmults[lo + i] * c2
+    for m, c, need in zip(large.monos, large.mults, large.needs):
+        cand = small.covering(need)
+        if not cand:
+            continue
+        exps = dict(m.items())
+        for j in _bits(cand):
+            for key, e in sneeds[j]:
+                if exps.get(key, 0) < e:
+                    break
+            else:
+                p = smonos[j] * m
+                out[p] = out.get(p, 0) + smults[j] * c
     return out
 
 
-# Bound on the q-characters (each with its join index, once built) and the
+# Bound on the q-characters (each with its join index once it joins, and the
+# index's cover bitsets once it is the smaller factor of a join) and the
 # Drinfeld polynomials kept in memory.  The four-variant sweep with
 # n_max=lambda_sum_max=k_max=4 requests 1,196 distinct specs of each
 # (the 5,820-point sweep with n_max=3 requests 412), so it never evicts.

@@ -1,16 +1,16 @@
 """Tensor products of a minimal affinization with an extreme-node KR module.
 
 The product q-character is held as its two factors.  Its dominant
-spectrum D is still exhaustive and exact: a bitset join over the factors'
-terms finds every pair whose product is dominant, and only those pairs
-are multiplied before D is sorted along the loop-root order.  The full
-product is convolved only when something asks for all of its terms.  On
-top of D, the classifier evaluates the closed-form reducibility
-conditions, derives the extra simple factor's highest loop weight through
-several independent formulas, and cross-checks every prediction against
-D.  Brute force is always the arbiter: a disagreement raises
-TheoremViolation, which signals an implementation bug and is counted as a
-violation by the sweep harness.
+spectrum D is still exhaustive and exact: a join walks the larger
+factor's terms against cover bitsets of the smaller factor's terms, finds
+every pair whose product is dominant, and multiplies only those pairs
+before D is sorted along the loop-root order.  The full product is
+convolved only when something asks for all of its terms.  On top of D,
+the classifier evaluates the closed-form reducibility conditions, derives
+the extra simple factor's highest loop weight through several independent
+formulas, and cross-checks every prediction against D.  Brute force is
+always the arbiter: a disagreement raises TheoremViolation, which signals
+an implementation bug and is counted as a violation by the sweep harness.
 
 Normal form is an increasing minimal affinization tensored with a KR module
 at the last node.  The four direction/node combinations are the rows of

@@ -66,12 +66,31 @@ class TestQcharCommand:
         assert code == 2 and out == ""
         assert "shift a KR module through its anchor r" in err
 
+    def test_dir_with_a_kr_module_is_invalid(self, capsys):
+        code, out, err = run_cli(capsys, "qchar", "--n", "2", "--kr", "2,0,1", "--dir", "dec")
+        assert code == 2 and out == ""
+        assert "a KR module has no direction" in err
+
+    def test_dir_defaults_to_increasing(self, capsys):
+        for extra, direction in (((), "inc"), (("--dir", "dec"), "dec")):
+            code, out, _ = run_cli(capsys, "qchar", "--n", "2", "--lambda", "1,1", "--json", *extra)
+            assert code == 0 and json.loads(out)["spec"]["dir"] == direction
+
     def test_shift_moves_an_affinization(self, capsys):
         code, out, _ = run_cli(capsys, "qchar", "--n", "2", "--lambda", "1,0", "--shift", "5", "--json")
         assert code == 0 and json.loads(out)["spec"]["shift"] == 5
 
 
 class TestTensorCommand:
+    def test_dir_defaults_to_increasing(self, capsys):
+        argv = ("tensor", "--n", "2", "--lambda", "1,1", "--kr", "2,3,1", "--json")
+        outs = {}
+        for extra in ((), ("--dir", "inc"), ("--dir", "dec")):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            outs[extra] = json.loads(out)["lambda"]
+        assert outs[()] == outs[("--dir", "inc")] != outs[("--dir", "dec")]
+
     def test_sl2_case_i(self, capsys):
         code, out, _ = run_cli(
             capsys, "tensor", "--n", "1", "--lambda", "1", "--kr", "1,-2,1"

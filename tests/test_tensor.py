@@ -153,14 +153,43 @@ class TestPackedProduct:
             assert_same_character(product_qchar(other, a), product_qchar_reference(other, a))
 
     def test_dominant_terms_leave_the_product_unformed(self):
-        # uncached characters, so that no other test has indexed them
-        a = qchar.__wrapped__(MinAffSpec(3, (1, 0, 2), "inc", 7))
-        b = qchar.__wrapped__(KRSpec(3, 3, 4, 2).as_minaff())
-        assert a._index is None and b._index is None  # qchar builds no index
-        prod = product_qchar(a, b)
-        assert prod.dominant_terms() == product_qchar_reference(a, b).dominant_terms()
-        assert prod._terms is None
-        assert a._index is not None and b._index is not None
+        # uncached characters, so that no other test has indexed them; the
+        # join builds cover bitsets for the smaller factor only, in either order
+        for first_is_larger in (True, False):
+            big = qchar.__wrapped__(MinAffSpec(3, (1, 0, 2), "inc", 7))
+            small = qchar.__wrapped__(KRSpec(3, 3, 4, 2).as_minaff())
+            assert len(big) > len(small)
+            assert big._index is None and small._index is None  # qchar builds no index
+            a, b = (big, small) if first_is_larger else (small, big)
+            prod = product_qchar(a, b)
+            assert prod.dominant_terms() == product_qchar_reference(a, b).dominant_terms()
+            assert prod._terms is None
+            assert big._index is not None and small._index is not None
+            assert small._index.cover is not None and big._index.cover is None
+
+    def test_factors_of_equal_size(self):
+        a, b = qchar_kr(KRSpec(2, 1, 0, 2)), qchar_kr(KRSpec(2, 2, -3, 2))
+        assert len(a) == len(b)
+        for x, y in ((a, b), (b, a)):
+            dominants = product_qchar(x, y).dominant_terms()
+            assert dominants == product_qchar_reference(x, y).dominant_terms()
+            assert len(dominants) == 3
+
+    def test_smaller_factor_first(self):
+        a, b = qchar_kr(KRSpec(3, 3, -3, 1)), qchar(MinAffSpec(3, (1, 1, 0), "inc"))
+        assert len(a) < len(b)
+        dominants = product_qchar(a, b).dominant_terms()
+        assert dominants == product_qchar_reference(a, b).dominant_terms()
+        assert len(dominants) == 3
+
+    def test_dominant_multiplicities_add_up(self):
+        # Y[1,0] Y[1,2] comes from two pairs: 1 * 3 + 2 * 1
+        q1 = QChar(1, {Y(1, 1, 0): 1, Y(1, 1, 2): 2})
+        q2 = QChar(1, {Y(1, 1, 2): 3, Y(1, 1, 0): 1, Y(1, 1, 4, -1): 1})
+        for x, y in ((q1, q2), (q2, q1)):
+            dominants = product_qchar(x, y).dominant_terms()
+            assert dominants == product_qchar_reference(x, y).dominant_terms()
+            assert (Y(1, 1, 0) * Y(1, 1, 2), 5) in dominants
 
     def test_large_exponents(self):
         q1 = QChar(2, {Y(2, 1, 0, 1000) * Y(2, 2, 1, -1000): 1, Y(2, 1, 0, -999): 3})
