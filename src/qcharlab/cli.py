@@ -5,10 +5,14 @@ Commands: ``qchar`` (q-characters of affinization/KR specs), ``tensor``
 JSON config, JSON-lines output), ``factorize`` (rank-1 q-factorization) and
 ``transform`` (duality maps on monomials).
 
-Exit codes: 0 success, 1 usage error, 2 invalid input, 3 theorem violation.
-All output is deterministic: terms are printed descending along the
-loop-root order with lexicographic tie-breaks, and JSON is emitted with
-sorted keys.
+Exit codes: 0 success (also when the reader closes stdout early, as
+``| head`` does), 1 usage error, 2 invalid input, 3 theorem violation, and
+143 when SIGTERM stops a sweep (its temporary file is removed).  All output
+is deterministic: terms are printed descending along the loop-root order
+with lexicographic tie-breaks, and JSON is emitted with sorted keys.  Sweep
+lines and ``tensor --json`` reports are assembled from text pieces in
+sorted-key order, byte-identical to ``json.dumps(sort_keys=True,
+separators=(",", ":"))``; every other JSON output goes through ``json``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
@@ -142,7 +148,7 @@ def cmd_qchar(args) -> int:
 
 def _print_report(rep: TensorReport, as_json: bool):
     if as_json:
-        print(_dumps(rep.to_json()))
+        print(rep.json_text())
         return
     print(f"variant: {rep.variant}")
     print(f"lambda: {rep.lam}")
@@ -247,21 +253,43 @@ def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     sweep goes on with the next point.
     """
     spec, kr = point
-    base = {"spec": spec.to_json(), "kr": kr.to_json()}
     try:
         rep = classify_variant(spec, kr)
     except InvariantViolation as exc:
-        base["violation"] = str(exc)
-        return "violations", _dumps(base)
+        failure = {"violation": str(exc)}
     except Exception as exc:
-        base["error"] = f"{type(exc).__name__}: {exc}"
-        return "violations", _dumps(base)
-    return rep.tag.kind, _dumps({**base, "report": rep.to_json()})
+        failure = {"error": f"{type(exc).__name__}: {exc}"}
+    else:
+        line = f'{{"kr":{kr.json_text()},"report":{rep.json_text()},"spec":{spec.json_text()}}}'
+        return rep.tag.kind, line
+    # a message is arbitrary text, so a failure record goes through the JSON encoder
+    return "violations", _dumps({"spec": spec.to_json(), "kr": kr.to_json(), **failure})
 
 
 def clamp_workers(requested: int, points: int) -> int:
     """Worker processes for a sweep: at most one per CPU and one per point."""
     return max(1, min(requested, os.cpu_count() or 1, points))
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextmanager
+def _sigterm_exits():
+    """SIGTERM raises ``SystemExit`` within the block, so that the cleanup
+    of enclosing ``finally`` blocks and context managers runs as on ^C.
+
+    Signal handlers belong to the main thread; elsewhere nothing changes.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 @contextmanager
@@ -306,11 +334,16 @@ def cmd_sweep(args) -> int:
     counts = {"irreducible": 0, "case_i": 0, "case_ii": 0, "violations": 0}
     try:
         with ExitStack() as stack:
+            stack.enter_context(_sigterm_exits())
             fh = stack.enter_context(_replaced_on_success(cfg.output))
             if workers == 1:
                 results = map(_sweep_point, points)
             else:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                # workers keep the default SIGTERM: they hold no file to clean up
+                default_sigterm = (signal.SIGTERM, signal.SIG_DFL)
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(workers, initializer=signal.signal, initargs=default_sigterm)
+                )
                 results = pool.map(_sweep_point, points, chunksize=16)
             for outcome, line in results:
                 fh.write(line + "\n")
@@ -406,7 +439,15 @@ def main(argv=None) -> int:
     # no command reads a normal-form report cached by an earlier one in this process
     clear_normal_cache()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here when the output fit in the buffer
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (say, ``| head``); what is still buffered
+        # goes to the null device, so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

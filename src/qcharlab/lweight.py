@@ -169,6 +169,11 @@ class LMonomial:
     def to_json(self) -> dict:
         return {"n": self.n, "Y": [[i, r, e] for (i, r), e in self._exps]}
 
+    def json_text(self) -> str:
+        """``to_json()`` as compact sorted-key JSON text, built directly."""
+        ys = ",".join([f"[{i},{r},{e}]" for (i, r), e in self._exps])
+        return f'{{"Y":[{ys}],"n":{self.n}}}'
+
     @classmethod
     def from_json(cls, data: dict) -> "LMonomial":
         return cls(int(data["n"]), (((int(i), int(r)), int(e)) for i, r, e in data["Y"]))

@@ -99,6 +99,11 @@ class MinAffSpec:
             "shift": self.shift,
         }
 
+    def json_text(self) -> str:
+        """``to_json()`` as compact sorted-key JSON text, built directly."""
+        lam = ",".join(map(str, self.lam))
+        return f'{{"dir":"{self.direction}","lambda":[{lam}],"n":{self.n},"shift":{self.shift}}}'
+
     @classmethod
     def from_json(cls, data: dict) -> "MinAffSpec":
         return cls(
@@ -136,6 +141,10 @@ class KRSpec:
 
     def to_json(self) -> dict:
         return {"n": self.n, "node": self.node, "r": self.r, "k": self.k}
+
+    def json_text(self) -> str:
+        """``to_json()`` as compact sorted-key JSON text, built directly."""
+        return f'{{"k":{self.k},"n":{self.n},"node":{self.node},"r":{self.r}}}'
 
     @classmethod
     def from_json(cls, data: dict) -> "KRSpec":

@@ -33,8 +33,10 @@ every command (``clear_normal_cache``).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from .errors import InvalidInput, InvariantViolation, TheoremViolation
@@ -139,7 +141,12 @@ class DominantSpectrum:
 
 @dataclass(frozen=True)
 class TensorReport:
-    """Classifier output for one (minimal affinization, KR module) pair."""
+    """Classifier output for one (minimal affinization, KR module) pair.
+
+    ``json_text`` writes the report's JSON object, the ``report`` of a
+    sweep line and the output of ``tensor --json``; ``to_json`` parses that
+    text back, so the schema is written once.
+    """
 
     variant: str
     spec: MinAffSpec
@@ -153,30 +160,50 @@ class TensorReport:
     socle_head: dict[str, tuple[LMonomial, LMonomial]]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.spec.n,
-            "variant": self.variant,
-            "spec": self.spec.to_json(),
-            "kr": self.kr.to_json(),
-            "lambda": self.lam.to_json(),
-            "D": [{"m": m.to_json(), "mult": c} for m, c in self.D],
-            "totally_ordered": self.totally_ordered,
-            "case": self.tag.case_json(),
-            "p": self.tag.p,
-            "kprime": self.tag.kprime,
-            "resonance": None
-            if self.resonance is None
-            else {
-                "kind": self.resonance.kind,
-                "kprime": self.resonance.kprime,
-                "p": self.resonance.p,
-            },
-            "lambda_prime": None if self.lambda_prime is None else self.lambda_prime.to_json(),
-            "socle_head": {
-                order: {"socle": s.to_json(), "head": h.to_json()}
-                for order, (s, h) in self.socle_head.items()
-            },
-        }
+        return json.loads(self.json_text())
+
+    def json_text(self) -> str:
+        """The report as compact JSON text with sorted keys.
+
+        The text is assembled from fixed-order pieces, byte-identical to
+        ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the
+        report dict.  Each distinct monomial is encoded once per report:
+        lambda, lambda' and the D entries recur in ``D`` and ``socle_head``.
+        """
+        texts: dict[LMonomial, str] = {}
+
+        def mono(m: Optional[LMonomial]) -> str:
+            if m is None:
+                return "null"
+            text = texts.get(m)
+            if text is None:
+                text = texts[m] = m.json_text()
+            return text
+
+        tag, res = self.tag, self.resonance
+        D = ",".join([f'{{"m":{mono(m)},"mult":{c}}}' for m, c in self.D])
+        socle_head = ",".join(
+            [
+                f'{_json_str(order)}:{{"head":{mono(h)},"socle":{mono(s)}}}'
+                for order, (s, h) in sorted(self.socle_head.items())
+            ]
+        )
+        resonance = "null"
+        if res is not None:
+            kind, kprime, p = _json_str(res.kind), _json_num(res.kprime), _json_num(res.p)
+            resonance = f'{{"kind":{kind},"kprime":{kprime},"p":{p}}}'
+        return (
+            f'{{"D":[{D}],"case":{_json_str(tag.case_json())},"kprime":{_json_num(tag.kprime)},'
+            f'"kr":{self.kr.json_text()},"lambda":{mono(self.lam)},'
+            f'"lambda_prime":{mono(self.lambda_prime)},"n":{self.spec.n},"p":{_json_num(tag.p)},'
+            f'"resonance":{resonance},"socle_head":{{{socle_head}}},"spec":{self.spec.json_text()},'
+            f'"totally_ordered":{"true" if self.totally_ordered else "false"},'
+            f'"variant":{_json_str(self.variant)}}}'
+        )
+
+
+def _json_num(v: Optional[int]) -> str:
+    return "null" if v is None else str(v)
 
 
 def product_qchar(q1: QChar, q2: QChar) -> QChar:

@@ -7,7 +7,9 @@ over placements, product characters are convolved monomial by monomial
 (the package joins the factors' terms on bitsets), tableau monomials are multiplied
 out box by box (the package sums exponents as it enumerates), the resonance
 equations are written out once per variant (the package derives them from
-two flags), and monomial generators build random inputs from scratch.
+two flags), tensor reports are written as dicts for ``json.dumps`` (the
+package assembles their JSON text from pieces), and monomial generators
+build random inputs from scratch.
 The column-gap, single-box-raise and weight-sum helpers serve only the
 tests, so they live here rather than in the package.
 """
@@ -25,12 +27,15 @@ from qcharlab import (
     MinAffSpec,
     QChar,
     Tableau,
+    TensorReport,
     Weight,
     expand_lroot_path,
     expand_simple_lroot,
     monomial_of_box,
+    resonance_window,
     y_string,
 )
+from qcharlab.tensor import VARIANTS
 
 
 def run_partitions_topdown(counts: dict[int, int]) -> list[tuple[tuple[int, int], ...]]:
@@ -122,6 +127,36 @@ def raise_box(t: Tableau, col: int, row: int, target: int) -> tuple[Tableau, LMo
     new_col[row - 1] = target + 1
     new_cols[col - 1] = tuple(new_col)
     return Tableau(t.n, t.shape, tuple(new_cols)), path
+
+
+def report_json_reference(rep: TensorReport) -> dict:
+    """A tensor report as a dict, field by field through each object's
+    ``to_json``; ``json.dumps`` of it with sorted keys is the report line
+    that ``TensorReport.json_text`` assembles from text pieces."""
+    return {
+        "n": rep.spec.n,
+        "variant": rep.variant,
+        "spec": rep.spec.to_json(),
+        "kr": rep.kr.to_json(),
+        "lambda": rep.lam.to_json(),
+        "D": [{"m": m.to_json(), "mult": c} for m, c in rep.D],
+        "totally_ordered": rep.totally_ordered,
+        "case": rep.tag.case_json(),
+        "p": rep.tag.p,
+        "kprime": rep.tag.kprime,
+        "resonance": None
+        if rep.resonance is None
+        else {
+            "kind": rep.resonance.kind,
+            "kprime": rep.resonance.kprime,
+            "p": rep.resonance.p,
+        },
+        "lambda_prime": None if rep.lambda_prime is None else rep.lambda_prime.to_json(),
+        "socle_head": {
+            order: {"socle": s.to_json(), "head": h.to_json()}
+            for order, (s, h) in rep.socle_head.items()
+        },
+    }
 
 
 def add_weights(a: Weight, b: Weight) -> Weight:
@@ -319,3 +354,21 @@ def minaff_kr_pairs(draw, max_n: int = 3, max_total: int = 3, max_k: int = 3):
     )
     kr = KRSpec(n, draw(st.sampled_from((1, n))), draw(st.integers(-8, 8)), draw(st.integers(1, max_k)))
     return spec, kr
+
+
+@st.composite
+def sweep_points(draw, max_n: int = 3, max_total: int = 3, max_k: int = 3, pad: int = 2):
+    """A point of a four-variant sweep grid at any spectral shift: a row of
+    ``VARIANTS``, a weight, a KR length, and a KR anchor anywhere in the
+    resonance window padded by ``pad``."""
+    row = VARIANTS[draw(st.sampled_from(sorted(VARIANTS)))]
+    n = draw(st.integers(1, max_n))
+    lam = draw(
+        st.lists(st.integers(0, max_total), min_size=n, max_size=n).filter(
+            lambda v: 0 < sum(v) <= max_total
+        )
+    )
+    spec = MinAffSpec(n, tuple(lam), row.direction, draw(st.integers(-3, 3)))
+    node = 1 if row.first else n
+    k = draw(st.integers(1, max_k))
+    return spec, KRSpec(n, node, draw(st.sampled_from(resonance_window(spec, node, k, pad))), k)

@@ -1,12 +1,15 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
 
-from qcharlab import InvariantViolation, cli, tensor
+from oracles import report_json_reference
+from qcharlab import InvariantViolation, KRSpec, MinAffSpec, cli, tensor
 from qcharlab.cli import main
 
 
@@ -14,6 +17,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def qcharlab_process(*argv):
+    """``python -m qcharlab *argv`` in a child process with piped output."""
+    env = dict(os.environ)
+    env.pop("QCHARLAB_THREADS", None)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.Popen(
+        [sys.executable, "-m", "qcharlab", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
 
 
 class TestQcharCommand:
@@ -118,6 +135,23 @@ class TestTensorCommand:
         data = json.loads(out)
         assert data["case"] == "ii" and data["kprime"] == 1
         assert data["lambda_prime"] == {"n": 2, "Y": []}
+
+    @pytest.mark.parametrize(
+        "spec, kr",
+        [
+            (MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 3, 1)),  # normal, case ii
+            (MinAffSpec(2, (0, 1), "dec"), KRSpec(2, 1, -3, 1)),  # a, case i
+            (MinAffSpec(2, (0, 1), "inc"), KRSpec(2, 1, 3, 1)),  # b, case i
+            (MinAffSpec(3, (1, 1, 1), "dec", 2), KRSpec(3, 3, 0, 3)),  # c, case ii, five D terms
+        ],
+    )
+    def test_json_is_the_reference_dump(self, capsys, spec, kr):
+        argv = ["--n", str(spec.n), "--lambda", ",".join(map(str, spec.lam)), "--dir", spec.direction]
+        argv += ["--shift", str(spec.shift), "--kr", f"{kr.node},{kr.r},{kr.k}", "--json"]
+        code, out, _ = run_cli(capsys, "tensor", *argv)
+        rep = tensor.classify_variant(spec, kr)
+        assert code == 0 and rep.tag.reducible
+        assert out == cli._dumps(report_json_reference(rep)) + "\n"
 
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "tensor", "--n", "2", "--lambda", "1,0")
@@ -329,6 +363,22 @@ class TestSweepCommand:
         assert (tmp_path / "out.jsonl").read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
 
+    def test_sigterm_removes_the_temporary_file(self, tmp_path):
+        output = tmp_path / "out.jsonl"
+        output.write_bytes(b"previous output\n")
+        cfg = _write_config(tmp_path, n_max=3, lambda_sum_max=3, k_max=3, r_window_pad=2,
+                            variants=["normal", "a", "b", "c"])
+        proc = qcharlab_process("sweep", "--config", str(cfg))
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("out.jsonl.*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 128 + signal.SIGTERM and out == err == b""
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
+        assert output.read_bytes() == b"previous output\n"
+
     def test_unwritable_output_is_reported(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, output=str(tmp_path / "missing" / "out.jsonl"))
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
@@ -418,6 +468,15 @@ class TestEntryPoints:
             text=True,
         )
         assert proc.returncode == 0 and "terms: 2" in proc.stdout
+
+    def test_closed_stdout_is_a_clean_exit(self):
+        # about 640 kB of terms, far more than a pipe holds, so the child
+        # is still writing when the reader closes its end
+        proc = qcharlab_process("qchar", "--n", "3", "--lambda", "3,3,3", "--full")
+        assert proc.stdout.readline().startswith(b"spec: ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b""
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,3 +1,4 @@
+import json
 import pickle
 from fractions import Fraction
 
@@ -78,6 +79,10 @@ class TestLMonomial:
         m = Y(3, 2, -1, 2) * Y(3, 3, 4, -1)
         assert LMonomial.from_json(m.to_json()) == m
         assert m.to_json() == {"n": 3, "Y": [[2, -1, 2], [3, 4, -1]]}
+
+    @given(lmonomials())
+    def test_json_text_is_the_sorted_compact_dump(self, m):
+        assert m.json_text() == json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 class TestYString:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from oracles import all_weights, weyl_dim_oracle
@@ -55,6 +57,12 @@ class TestSpecs:
         assert MinAffSpec.from_json(spec.to_json()) == spec
         kr = KRSpec(3, 1, 5, 2)
         assert KRSpec.from_json(kr.to_json()) == kr
+
+    @pytest.mark.parametrize(
+        "spec", [MinAffSpec(3, (1, 0, 12), "dec", -4), MinAffSpec(1, (2,)), KRSpec(3, 1, -5, 2), KRSpec(2, 2, 13, 1)]
+    )
+    def test_spec_json_text_is_the_sorted_compact_dump(self, spec):
+        assert spec.json_text() == json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":"))
 
     def test_kr_as_minaff_drinfeld(self):
         for node, r, k in ((1, -3, 2), (2, 4, 3)):

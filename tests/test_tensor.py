@@ -4,7 +4,7 @@ from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -13,7 +13,9 @@ from oracles import (
     lmonomials,
     minaff_kr_pairs,
     product_qchar_reference,
+    report_json_reference,
     resonance_reference,
+    sweep_points,
 )
 from qcharlab import (
     CaseTag,
@@ -658,7 +660,70 @@ class TestSpectralShift:
         )
 
 
+# one point of each report shape, spread over the four rows: irreducible
+# without resonance (normal); a kind-ii resonance with p None, which leaves
+# the product irreducible (a); case i (b); case ii with five D terms (c)
+REPORT_SHAPES = (
+    (MinAffSpec(1, (1,), "inc"), KRSpec(1, 1, -4, 1)),
+    (MinAffSpec(2, (0, 1), "dec"), KRSpec(2, 1, 1, 2)),
+    (MinAffSpec(2, (0, 1), "inc"), KRSpec(2, 1, 3, 1)),
+    (MinAffSpec(3, (1, 1, 1), "dec", 2), KRSpec(3, 3, 0, 3)),
+)
+
+
+def _shapes_of(rep):
+    res = rep.resonance
+    if rep.tag.reducible:
+        shapes = {rep.tag.kind}
+    else:
+        shapes = {"irreducible" if res is None else "irreducible with resonance"}
+    if res is not None and res.kind == "ii" and res.p is None:
+        shapes.add("kind ii with p None")
+    return shapes
+
+
 class TestReportJson:
+    def test_shapes_reach_every_report_shape(self):
+        shapes = set().union(*(_shapes_of(classify_variant(*point)) for point in REPORT_SHAPES))
+        assert shapes == {
+            "irreducible", "irreducible with resonance", "case_i", "case_ii", "kind ii with p None"
+        }
+        assert {classify_variant(*point).variant for point in REPORT_SHAPES} == set(VARIANTS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_points())
+    @example(REPORT_SHAPES[0])
+    @example(REPORT_SHAPES[1])
+    @example(REPORT_SHAPES[2])
+    @example(REPORT_SHAPES[3])
+    def test_text_matches_the_dict_reference(self, point):
+        spec, kr = point
+        rep = classify_variant(spec, kr)
+        reference = report_json_reference(rep)
+        assert rep.json_text() == cli._dumps(reference)
+        assert rep.to_json() == reference
+        line = cli._dumps({"spec": spec.to_json(), "kr": kr.to_json(), "report": reference})
+        assert cli._sweep_point(point) == (rep.tag.kind, line)
+
+    @pytest.mark.parametrize("point", REPORT_SHAPES)
+    def test_each_monomial_is_encoded_once_per_report(self, point, monkeypatch):
+        rep = classify_variant(*point)
+        encode = LMonomial.json_text
+        encoded = []
+
+        def counted(m):
+            encoded.append(m)
+            return encode(m)
+
+        monkeypatch.setattr(LMonomial, "json_text", counted)
+        monomials = {rep.lam, *(m for m, _ in rep.D), *(m for pair in rep.socle_head.values() for m in pair)}
+        if rep.lambda_prime is not None:
+            monomials.add(rep.lambda_prime)
+        for _ in range(2):  # the second report starts from an empty memo too
+            encoded.clear()
+            rep.json_text()
+            assert sorted(map(str, encoded)) == sorted(map(str, monomials))
+
     def test_documented_keys_present(self):
         rep = classify_normal(MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 3, 1))
         data = rep.to_json()
