@@ -9,10 +9,11 @@ Exit codes: 0 success (also when the reader closes stdout early, as
 ``| head`` does), 1 usage error, 2 invalid input, 3 theorem violation, and
 143 when SIGTERM stops a sweep (its temporary file is removed).  All output
 is deterministic: terms are printed descending along the loop-root order
-with lexicographic tie-breaks, and JSON is emitted with sorted keys.  Sweep
-lines and ``tensor --json`` reports are assembled from text pieces in
-sorted-key order, byte-identical to ``json.dumps(sort_keys=True,
-separators=(",", ":"))``; every other JSON output goes through ``json``.
+with lexicographic tie-breaks, and JSON is emitted with sorted keys.  Each
+JSON value is written by its type's ``json_text``, and every output is
+assembled from those pieces in sorted-key order, byte-identical to
+``json.dumps(sort_keys=True, separators=(",", ":"))``; free text is escaped
+as ``json.dumps`` escapes it.  Monomial input must use JSON integers.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InvalidInput, InvariantViolation
 from .lweight import _TRANSFORM_KINDS, LMonomial, transform
 from .minaff import (
     KRSpec,
     MinAffSpec,
-    QChar,
     drinfeld_of_spec,
     kr_qchar_by_partitions,
     qchar,
@@ -67,6 +68,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _object_text(fields: dict[str, str]) -> str:
+    """A JSON object of encoded values with its keys in ``_dumps`` order;
+    the keys are plain names that need no escaping."""
+    return "{" + ",".join([f'"{key}":{text}' for key, text in sorted(fields.items())]) + "}"
 
 
 def _parse_lambda(text: str) -> tuple[int, ...]:
@@ -109,26 +116,6 @@ def _spec_from_args(args) -> MinAffSpec | KRSpec:
     return MinAffSpec(args.n, _parse_lambda(args.lam), args.direction or "inc", args.shift or 0)
 
 
-def _print_qchar(qc: QChar, header: list[str], full: bool, as_json: bool, extra: dict):
-    if as_json:
-        payload = dict(extra)
-        payload["n"] = qc.n
-        payload["terms"] = qc.to_json()
-        print(_dumps(payload))
-        return
-    for line in header:
-        print(line)
-    print(f"terms: {qc.dimension}")
-    dominants = qc.dominant_terms()
-    print(f"dominant ({len(dominants)}):")
-    for m, c in dominants:
-        print(f"  {m}" + (f"  x{c}" if c != 1 else ""))
-    if full:
-        print("all terms:")
-        for m, c in qc.sorted_terms():
-            print(f"  {m}" + (f"  x{c}" if c != 1 else ""))
-
-
 def cmd_qchar(args) -> int:
     spec = _spec_from_args(args)
     partitions = args.oracle == "partitions"
@@ -136,13 +123,24 @@ def cmd_qchar(args) -> int:
         raise InvalidInput("the partition oracle applies to last-node KR modules")
     if isinstance(spec, KRSpec):
         qc = kr_qchar_by_partitions(spec.n, spec.r, spec.k) if partitions else qchar_kr(spec)
-        header = [f"kr: {_dumps(spec.to_json())}", f"drinfeld: {spec.drinfeld()}"]
-        extra = {"kr": spec.to_json()}
+        key, drinfeld = "kr", spec.drinfeld()
     else:
         qc = qchar(spec)
-        header = [f"spec: {_dumps(spec.to_json())}", f"drinfeld: {drinfeld_of_spec(spec)}"]
-        extra = {"spec": spec.to_json()}
-    _print_qchar(qc, header, args.full, args.json, extra)
+        key, drinfeld = "spec", drinfeld_of_spec(spec)
+    if args.json:
+        print(_object_text({key: spec.json_text(), "n": str(qc.n), "terms": qc.json_text()}))
+        return EXIT_OK
+    print(f"{key}: {spec.json_text()}")
+    print(f"drinfeld: {drinfeld}")
+    print(f"terms: {qc.dimension}")
+    dominants = qc.dominant_terms()
+    print(f"dominant ({len(dominants)}):")
+    for m, c in dominants:
+        print(f"  {m}" + (f"  x{c}" if c != 1 else ""))
+    if args.full:
+        print("all terms:")
+        for m, c in qc.sorted_terms():
+            print(f"  {m}" + (f"  x{c}" if c != 1 else ""))
     return EXIT_OK
 
 
@@ -153,8 +151,7 @@ def _print_report(rep: TensorReport, as_json: bool):
     print(f"variant: {rep.variant}")
     print(f"lambda: {rep.lam}")
     if rep.tag.reducible:
-        case = "i" if rep.tag.kind == "case_i" else "ii"
-        print(f"verdict: reducible (case {case}, p={rep.tag.p}, k'={rep.tag.kprime})")
+        print(f"verdict: reducible (case {rep.tag.case_json()}, p={rep.tag.p}, k'={rep.tag.kprime})")
         print(f"lambda_prime: {rep.lambda_prime}")
     else:
         print("verdict: irreducible")
@@ -256,14 +253,15 @@ def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     try:
         rep = classify_variant(spec, kr)
     except InvariantViolation as exc:
-        failure = {"violation": str(exc)}
+        key, message = "violation", str(exc)
     except Exception as exc:
-        failure = {"error": f"{type(exc).__name__}: {exc}"}
+        key, message = "error", f"{type(exc).__name__}: {exc}"
     else:
         line = f'{{"kr":{kr.json_text()},"report":{rep.json_text()},"spec":{spec.json_text()}}}'
         return rep.tag.kind, line
-    # a message is arbitrary text, so a failure record goes through the JSON encoder
-    return "violations", _dumps({"spec": spec.to_json(), "kr": kr.to_json(), **failure})
+    # a message is arbitrary text, escaped as json.dumps escapes it
+    fields = {"kr": kr.json_text(), "spec": spec.json_text(), key: _json_str(message)}
+    return "violations", _object_text(fields)
 
 
 def clamp_workers(requested: int, points: int) -> int:
@@ -364,7 +362,7 @@ def cmd_factorize(args) -> int:
     m = _parse_monomial(args.monomial)
     result = q_factorize(m)
     if args.json:
-        print(_dumps(result.to_json()))
+        print(result.json_text())
     else:
         print("strings: " + " ".join(f"({r},{k})" for r, k in result.strings))
     return EXIT_OK
@@ -376,7 +374,7 @@ def cmd_transform(args) -> int:
     m = _parse_monomial(args.monomial)
     out = transform(m, args.kind, args.t or 0)
     if args.json:
-        print(_dumps(out.to_json()))
+        print(out.json_text())
     else:
         print(str(out))
     return EXIT_OK

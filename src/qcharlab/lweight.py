@@ -166,17 +166,22 @@ class LMonomial:
             parts.append(f"Y[{i},{r}]" if e == 1 else f"Y[{i},{r}]^{e}")
         return " ".join(parts)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "Y": [[i, r, e] for (i, r), e in self._exps]}
-
     def json_text(self) -> str:
-        """``to_json()`` as compact sorted-key JSON text, built directly."""
+        """The monomial as compact sorted-key JSON, ``{"Y":[[i,r,e],...],"n":N}``."""
         ys = ",".join([f"[{i},{r},{e}]" for (i, r), e in self._exps])
         return f'{{"Y":[{ys}],"n":{self.n}}}'
 
     @classmethod
     def from_json(cls, data: dict) -> "LMonomial":
-        return cls(int(data["n"]), (((int(i), int(r)), int(e)) for i, r, e in data["Y"]))
+        """The monomial of parsed ``json_text``; every number must be a JSON
+        integer (exact types: true is not 1, and 1.5 or "1" is not 1)."""
+        n, ys = data["n"], data["Y"]
+        if type(n) is not int or type(ys) is not list:
+            raise InvalidInput("n must be an integer and Y a list")
+        for y in ys:
+            if type(y) is not list or len(y) != 3 or any(type(v) is not int for v in y):
+                raise InvalidInput(f"each Y entry must be three integers [i, r, e], got {y!r}")
+        return cls(n, (((i, r), e) for i, r, e in ys))
 
 
 @dataclass(frozen=True)

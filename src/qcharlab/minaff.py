@@ -91,27 +91,10 @@ class MinAffSpec:
             out[i] = r + self.shift
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "lambda": list(self.lam),
-            "dir": self.direction,
-            "shift": self.shift,
-        }
-
     def json_text(self) -> str:
-        """``to_json()`` as compact sorted-key JSON text, built directly."""
+        """The spec as compact sorted-key JSON, ``{"dir","lambda","n","shift"}``."""
         lam = ",".join(map(str, self.lam))
         return f'{{"dir":"{self.direction}","lambda":[{lam}],"n":{self.n},"shift":{self.shift}}}'
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MinAffSpec":
-        return cls(
-            int(data["n"]),
-            tuple(int(v) for v in data["lambda"]),
-            str(data.get("dir", "inc")),
-            int(data.get("shift", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -139,16 +122,9 @@ class KRSpec:
         # singleton support: direction is immaterial, anchor fixes the shift
         return MinAffSpec(self.n, lam, "inc", self.r - (1 - self.k))
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "node": self.node, "r": self.r, "k": self.k}
-
     def json_text(self) -> str:
-        """``to_json()`` as compact sorted-key JSON text, built directly."""
+        """The module as compact sorted-key JSON, ``{"k","n","node","r"}``."""
         return f'{{"k":{self.k},"n":{self.n},"node":{self.node},"r":{self.r}}}'
-
-    @classmethod
-    def from_json(cls, data: dict) -> "KRSpec":
-        return cls(int(data["n"]), int(data["node"]), int(data["r"]), int(data["k"]))
 
 
 class QChar:
@@ -200,12 +176,6 @@ class QChar:
     def terms(self) -> dict[LMonomial, int]:
         return dict(self._all_terms())
 
-    def multiplicity(self, m: LMonomial) -> int:
-        return self._all_terms().get(m, 0)
-
-    def __contains__(self, m: LMonomial) -> bool:
-        return m in self._all_terms()
-
     def __len__(self) -> int:
         return len(self._all_terms())
 
@@ -234,8 +204,11 @@ class QChar:
     def __repr__(self) -> str:
         return f"QChar(n={self.n}, terms={len(self)}, dim={self.dimension})"
 
-    def to_json(self) -> list:
-        return [{"monomial": m.to_json(), "mult": c} for m, c in self.sorted_terms()]
+    def json_text(self) -> str:
+        """The terms in ``sorted_terms`` order as compact JSON,
+        ``[{"monomial":...,"mult":c},...]``."""
+        terms = [f'{{"monomial":{m.json_text()},"mult":{c}}}' for m, c in self.sorted_terms()]
+        return f"[{','.join(terms)}]"
 
 
 def _convolve(q1: QChar, q2: QChar) -> dict[LMonomial, int]:

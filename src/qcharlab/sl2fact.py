@@ -28,8 +28,10 @@ class StringList:
             m = m * y_string(n, 1, r, k)
         return m
 
-    def to_json(self) -> dict:
-        return {"strings": [[r, k] for r, k in self.strings]}
+    def json_text(self) -> str:
+        """The strings as compact JSON, ``{"strings":[[r,k],...]}``."""
+        strings = ",".join([f"[{r},{k}]" for r, k in self.strings])
+        return f'{{"strings":[{strings}]}}'
 
 
 def in_general_position(s1: tuple[int, int], s2: tuple[int, int]) -> bool:

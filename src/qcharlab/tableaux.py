@@ -58,9 +58,6 @@ class Shape:
     def __iter__(self):
         return iter(self.columns)
 
-    def to_json(self) -> list:
-        return [[k, s] for k, s in self.columns]
-
 
 def box_support(length: int, start: int, row: int) -> int:
     """Support of the box in 1-based ``row`` of a column ``(length, start)``."""
@@ -76,8 +73,8 @@ class Tableau:
     construction invariant.
 
     ``_monomial`` memoizes ``monomial_of_tableau``.  It is a plain class
-    attribute, not a field, so it takes no part in ``==``, ``hash``,
-    ``repr`` or ``to_json``.
+    attribute, not a field, so it takes no part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     n: int
@@ -117,21 +114,6 @@ class Tableau:
             box_support(k, s, row): c
             for row, c in enumerate(self.cols[j - 1], start=1)
         }
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "shape": self.shape.to_json(),
-            "cols": [list(col) for col in self.cols],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Tableau":
-        return cls(
-            int(data["n"]),
-            Shape(tuple((k, s) for k, s in data["shape"])),
-            tuple(tuple(col) for col in data["cols"]),
-        )
 
     def __str__(self) -> str:
         if not self.cols:

@@ -7,9 +7,9 @@ over placements, product characters are convolved monomial by monomial
 (the package joins the factors' terms on bitsets), tableau monomials are multiplied
 out box by box (the package sums exponents as it enumerates), the resonance
 equations are written out once per variant (the package derives them from
-two flags), tensor reports are written as dicts for ``json.dumps`` (the
-package assembles their JSON text from pieces), and monomial generators
-build random inputs from scratch.
+two flags), every JSON value the CLI writes is a dict or list for
+``json.dumps`` (the package writes each type's JSON text directly, in
+``json_text``), and monomial generators build random inputs from scratch.
 The column-gap, single-box-raise and weight-sum helpers serve only the
 tests, so they live here rather than in the package.
 """
@@ -26,6 +26,7 @@ from qcharlab import (
     LMonomial,
     MinAffSpec,
     QChar,
+    StringList,
     Tableau,
     TensorReport,
     Weight,
@@ -129,17 +130,42 @@ def raise_box(t: Tableau, col: int, row: int, target: int) -> tuple[Tableau, LMo
     return Tableau(t.n, t.shape, tuple(new_cols)), path
 
 
+# The JSON schemas, one function per type: ``cli._dumps`` of each result is
+# the text that the type's ``json_text`` writes directly.
+
+
+def monomial_json_reference(m: LMonomial) -> dict:
+    return {"n": m.n, "Y": [[i, r, e] for (i, r), e in m.items()]}
+
+
+def spec_json_reference(spec: MinAffSpec) -> dict:
+    return {"n": spec.n, "lambda": list(spec.lam), "dir": spec.direction, "shift": spec.shift}
+
+
+def kr_json_reference(kr: KRSpec) -> dict:
+    return {"n": kr.n, "node": kr.node, "r": kr.r, "k": kr.k}
+
+
+def qchar_json_reference(qc: QChar) -> list:
+    return [{"monomial": monomial_json_reference(m), "mult": c} for m, c in qc.sorted_terms()]
+
+
+def strings_json_reference(strings: StringList) -> dict:
+    return {"strings": [[r, k] for r, k in strings.strings]}
+
+
 def report_json_reference(rep: TensorReport) -> dict:
-    """A tensor report as a dict, field by field through each object's
-    ``to_json``; ``json.dumps`` of it with sorted keys is the report line
-    that ``TensorReport.json_text`` assembles from text pieces."""
+    """A tensor report as a dict, field by field through the references
+    above; ``json.dumps`` of it with sorted keys is the report line that
+    ``TensorReport.json_text`` assembles from text pieces."""
+    mono = monomial_json_reference
     return {
         "n": rep.spec.n,
         "variant": rep.variant,
-        "spec": rep.spec.to_json(),
-        "kr": rep.kr.to_json(),
-        "lambda": rep.lam.to_json(),
-        "D": [{"m": m.to_json(), "mult": c} for m, c in rep.D],
+        "spec": spec_json_reference(rep.spec),
+        "kr": kr_json_reference(rep.kr),
+        "lambda": mono(rep.lam),
+        "D": [{"m": mono(m), "mult": c} for m, c in rep.D],
         "totally_ordered": rep.totally_ordered,
         "case": rep.tag.case_json(),
         "p": rep.tag.p,
@@ -151,9 +177,9 @@ def report_json_reference(rep: TensorReport) -> dict:
             "kprime": rep.resonance.kprime,
             "p": rep.resonance.p,
         },
-        "lambda_prime": None if rep.lambda_prime is None else rep.lambda_prime.to_json(),
+        "lambda_prime": None if rep.lambda_prime is None else mono(rep.lambda_prime),
         "socle_head": {
-            order: {"socle": s.to_json(), "head": h.to_json()}
+            order: {"socle": mono(s), "head": mono(h)}
             for order, (s, h) in rep.socle_head.items()
         },
     }

@@ -5,11 +5,14 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import report_json_reference
-from qcharlab import InvariantViolation, KRSpec, MinAffSpec, cli, tensor
+from oracles import kr_json_reference, qchar_json_reference, report_json_reference, spec_json_reference
+from qcharlab import InvariantViolation, KRSpec, MinAffSpec, cli, qchar, qchar_kr, tensor
 from qcharlab.cli import main
 
 
@@ -96,6 +99,26 @@ class TestQcharCommand:
     def test_shift_moves_an_affinization(self, capsys):
         code, out, _ = run_cli(capsys, "qchar", "--n", "2", "--lambda", "1,0", "--shift", "5", "--json")
         assert code == 0 and json.loads(out)["spec"]["shift"] == 5
+
+    @pytest.mark.parametrize(
+        "argv, key, spec",
+        [
+            (("--lambda", "1,0,1", "--dir", "dec", "--shift", "2"), "spec", MinAffSpec(3, (1, 0, 1), "dec", 2)),
+            (("--kr", "1,-3,2"), "kr", KRSpec(3, 1, -3, 2)),
+            (("--kr", "3,0,2", "--oracle", "partitions"), "kr", KRSpec(3, 3, 0, 2)),
+        ],
+        ids=["affinization", "kr", "partitions"],
+    )
+    def test_json_and_header_are_the_reference_dumps(self, capsys, argv, key, spec):
+        if key == "spec":
+            reference, qc = spec_json_reference(spec), qchar(spec)
+        else:
+            reference, qc = kr_json_reference(spec), qchar_kr(spec)
+        code, out, _ = run_cli(capsys, "qchar", "--n", "3", *argv, "--json")
+        assert code == 0
+        assert out == cli._dumps({key: reference, "n": 3, "terms": qchar_json_reference(qc)}) + "\n"
+        code, out, _ = run_cli(capsys, "qchar", "--n", "3", *argv)
+        assert code == 0 and out.startswith(f"{key}: {cli._dumps(reference)}\n")
 
 
 class TestTensorCommand:
@@ -189,7 +212,7 @@ class TestFactorizeCommand:
         mono = json.dumps({"n": 1, "Y": [[1, 0, 1], [1, 4, 1]]})
         code, out, _ = run_cli(capsys, "factorize", mono, "--json")
         assert code == 0
-        assert json.loads(out) == {"strings": [[0, 1], [4, 1]]}
+        assert out == cli._dumps({"strings": [[0, 1], [4, 1]]}) + "\n"
 
     def test_text_output(self, capsys):
         mono = json.dumps({"n": 1, "Y": [[1, 0, 1], [1, 2, 1]]})
@@ -217,13 +240,32 @@ class TestTransformCommand:
         code, out, _ = run_cli(
             capsys, "transform", mono, "--kind", "tau", "--t", "3", "--json"
         )
-        assert code == 0 and json.loads(out) == {"n": 2, "Y": [[1, 3, 1]]}
+        assert code == 0 and out == cli._dumps({"n": 2, "Y": [[1, 3, 1]]}) + "\n"
 
     def test_shift_with_another_kind_is_invalid(self, capsys):
         mono = json.dumps({"n": 1, "Y": [[1, 0, 1]]})
         code, out, err = run_cli(capsys, "transform", mono, "--kind", "star", "--t", "5")
         assert code == 2 and out == ""
         assert "--t shifts only --kind tau" in err
+
+
+class TestMonomialInput:
+    @pytest.mark.parametrize("argv", [("transform", "--kind", "tau", "--json"), ("factorize", "--json")])
+    @pytest.mark.parametrize(
+        "mono",
+        [
+            '{"n":1,"Y":[[1,0,1.5]]}',
+            '{"n":1,"Y":[[1,0,2.9]]}',
+            '{"n":1,"Y":[[1,0,true]]}',
+            '{"n":1,"Y":[["1","0","1"]]}',
+            '{"n":true,"Y":[[1,0,1]]}',
+            '{"n":1.0,"Y":[[1,0,1]]}',
+        ],
+    )
+    def test_numbers_must_be_json_integers(self, capsys, argv, mono):
+        code, out, err = run_cli(capsys, argv[0], mono, *argv[1:])
+        assert code == 2 and out == ""
+        assert "monomial JSON does not match the schema" in err
 
 
 def _write_config(path, **overrides):
@@ -313,7 +355,7 @@ class TestSweepCommand:
         bad = json.loads(healthy_lines[3])
 
         def failing_once(spec, kr):
-            if spec.to_json() == bad["spec"] and kr.to_json() == bad["kr"]:
+            if spec_json_reference(spec) == bad["spec"] and kr_json_reference(kr) == bad["kr"]:
                 raise ValueError("injected")
             return classify(spec, kr)
 
@@ -440,6 +482,24 @@ class TestSweepCommand:
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2
+
+
+class TestFailureRecords:
+    @settings(max_examples=100, deadline=None)
+    @given(message=st.text(), violation=st.booleans())
+    @example(message='quote " backslash \\ newline \n tab \t', violation=True)
+    @example(message="\u00e9\u2192\U0001d11e lone \ud800 nul \x00", violation=False)
+    def test_record_is_the_reference_dump(self, message, violation):
+        spec, kr = MinAffSpec(2, (1, 0), "dec", -3), KRSpec(2, 1, 4, 2)
+        if violation:
+            failure = InvariantViolation(message)
+            key, text = "violation", message
+        else:
+            failure = ValueError(message)
+            key, text = "error", f"ValueError: {message}"
+        reference = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), key: text}
+        with patch.object(cli, "classify_variant", side_effect=failure):
+            assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(reference))
 
 
 class TestClampWorkers:

@@ -12,6 +12,7 @@ from oracles import (
     in_lroot_cone_bruteforce,
     lmonomials,
     lroot_products,
+    monomial_json_reference,
     right_negative_monomials,
 )
 from qcharlab import (
@@ -29,6 +30,7 @@ from qcharlab import (
     weight_of,
     y_string,
 )
+from qcharlab import cli
 from qcharlab.lweight import (
     monomial_sort_key,
     root_height,
@@ -77,12 +79,13 @@ class TestLMonomial:
 
     def test_json_roundtrip(self):
         m = Y(3, 2, -1, 2) * Y(3, 3, 4, -1)
-        assert LMonomial.from_json(m.to_json()) == m
-        assert m.to_json() == {"n": 3, "Y": [[2, -1, 2], [3, 4, -1]]}
+        assert LMonomial.from_json(json.loads(m.json_text())) == m
+        assert monomial_json_reference(m) == {"n": 3, "Y": [[2, -1, 2], [3, 4, -1]]}
 
     @given(lmonomials())
     def test_json_text_is_the_sorted_compact_dump(self, m):
-        assert m.json_text() == json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
+        assert m.json_text() == cli._dumps(monomial_json_reference(m))
+        assert LMonomial.from_json(json.loads(m.json_text())) == m
 
 
 class TestYString:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rank1_monomial, run_partitions_topdown
-from qcharlab import InvalidInput, LMonomial, q_factorize, y_string
+from oracles import rank1_monomial, run_partitions_topdown, strings_json_reference
+from qcharlab import InvalidInput, LMonomial, StringList, cli, q_factorize, y_string
 from qcharlab.sl2fact import in_general_position
 
 
@@ -47,7 +47,14 @@ class TestQFactorize:
             q_factorize(Y(1, 1, 0, -1))
 
     def test_json(self):
-        assert q_factorize(Y(1, 1, 0) * Y(1, 1, 4)).to_json() == {"strings": [[0, 1], [4, 1]]}
+        strings = q_factorize(Y(1, 1, 0) * Y(1, 1, 4))
+        assert strings_json_reference(strings) == {"strings": [[0, 1], [4, 1]]}
+        assert strings.json_text() == cli._dumps(strings_json_reference(strings))
+
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 4)), max_size=4))
+    def test_json_text_is_the_sorted_compact_dump(self, strings):
+        strings = StringList(tuple(strings))
+        assert strings.json_text() == cli._dumps(strings_json_reference(strings))
 
     def test_worked_restriction_example(self):
         # two overlapping strings of different lengths, anchored together,

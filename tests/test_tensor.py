@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from oracles import (
     all_weights,
     characters,
+    kr_json_reference,
     lmonomials,
     minaff_kr_pairs,
+    monomial_json_reference,
     product_qchar_reference,
     report_json_reference,
     resonance_reference,
+    spec_json_reference,
     sweep_points,
 )
 from qcharlab import (
@@ -702,7 +705,7 @@ class TestReportJson:
         reference = report_json_reference(rep)
         assert rep.json_text() == cli._dumps(reference)
         assert rep.to_json() == reference
-        line = cli._dumps({"spec": spec.to_json(), "kr": kr.to_json(), "report": reference})
+        line = cli._dumps({"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "report": reference})
         assert cli._sweep_point(point) == (rep.tag.kind, line)
 
     @pytest.mark.parametrize("point", REPORT_SHAPES)
@@ -732,7 +735,7 @@ class TestReportJson:
         assert data["case"] == "ii"
         assert data["D"][0]["mult"] == 1
         assert LMonomial.from_json(data["lambda"]) == rep.lam
-        assert data["socle_head"]["V"]["socle"] == rep.lam.to_json()
+        assert data["socle_head"]["V"]["socle"] == monomial_json_reference(rep.lam)
 
     def test_irreducible_nulls(self):
         rep = classify_normal(MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 0, 1))
@@ -743,6 +746,8 @@ class TestReportJson:
 # reducible points: case (ii) in normal form, and its dual pair on row a
 NORMAL_POINT = (MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 3, 1))
 A_POINT = (MinAffSpec(2, (0, 1), "dec"), KRSpec(2, 1, 3, 1))
+# case (i) in normal form, which reaches the gap family
+CASE_I_POINT = (MinAffSpec(1, (1,), "inc"), KRSpec(1, 1, -2, 1))
 
 
 def _transported(spec, kr):
@@ -781,6 +786,23 @@ def _star_perturbed(transform):
     return patched
 
 
+def _monomial_perturbed(family):
+    def patched(*args):
+        t, m = family(*args)
+        return t, m * Y(m.n, 1, 99)
+
+    return patched
+
+
+def _brute_force_D(expected_dominants):
+    """The closed form replaced by the brute-force D, which it must equal."""
+
+    def patched(spec, kr, res):
+        return [m for m, _ in dominant_spectrum(product_qchar(qchar(spec), qchar_kr(kr))).entries]
+
+    return patched
+
+
 def _lambda_prime_replaced(new):
     def wrap(classify):
         def patched(spec, kr):
@@ -796,31 +818,44 @@ class TestClassifierChecks:
     """Every check of the classifier fires when the name it guards is broken."""
 
     @pytest.mark.parametrize(
-        "point, name, patch, error, message",
+        "point, patches, error, message",
         [
-            (NORMAL_POINT, "le", lambda f: lambda a, b: False,
+            (NORMAL_POINT, {"tensor.le": lambda f: lambda a, b: False},
              TheoremViolation, "dominant spectrum is not a chain"),
-            (NORMAL_POINT, "dominant_spectrum", _multiplicity_two,
+            (NORMAL_POINT, {"tensor.dominant_spectrum": _multiplicity_two},
              TheoremViolation, "dominant spectrum has a multiplicity above one"),
-            (NORMAL_POINT, "expected_dominants", lambda f: lambda s, k, res: f(s, k, res)[:-1],
+            (NORMAL_POINT, {"tensor.expected_dominants": lambda f: lambda s, k, res: f(s, k, res)[:-1]},
              TheoremViolation, "brute-force dominant spectrum disagrees with the closed form"),
-            (NORMAL_POINT, "_lambda_prime_normal", lambda f: lambda s, k, tag, lam: lam,
+            (NORMAL_POINT, {"tensor._lambda_prime_normal": lambda f: lambda s, k, tag, lam: lam},
              TheoremViolation, "not at position"),
-            (A_POINT, "recognize_minaff", lambda f: lambda m: None,
+            (A_POINT, {"tensor.recognize_minaff": lambda f: lambda m: None},
              TheoremViolation, "transported affinization is not increasing"),
-            (A_POINT, "recognize_kr", lambda f: lambda m: None,
+            (A_POINT, {"tensor.recognize_kr": lambda f: lambda m: None},
              TheoremViolation, "transported KR module is not at the last node"),
-            (A_POINT, "_resonance", lambda f: lambda v, s, k: f(v, s, k) if v.name == "normal" else None,
+            (A_POINT, {"tensor._resonance": lambda f: lambda v, s, k: f(v, s, k) if v.name == "normal" else None},
              TheoremViolation, "disagree with transported"),
-            (A_POINT, "_tag_of",
-             lambda f: lambda s, k, res: CaseTag("irreducible") if s.direction == "dec" else f(s, k, res),
+            (A_POINT, {"tensor._tag_of":
+                       lambda f: lambda s, k, res: CaseTag("irreducible") if s.direction == "dec" else f(s, k, res)},
              TheoremViolation, "reducibility verdicts disagree across the transport"),
-            (A_POINT, "transform", _star_perturbed,
+            (A_POINT, {"tensor.transform": _star_perturbed},
              TheoremViolation, "dominant spectrum does not transport under star"),
-            (A_POINT, "classify_normal", _lambda_prime_replaced(lambda m: m * Y(m.n, 1, 99)),
+            (A_POINT, {"tensor.classify_normal": _lambda_prime_replaced(lambda m: m * Y(m.n, 1, 99))},
              TheoremViolation, "missing from brute-force"),
-            (A_POINT, "classify_normal", _lambda_prime_replaced(lambda m: None),
+            (A_POINT, {"tensor.classify_normal": _lambda_prime_replaced(lambda m: None)},
              InvariantViolation, "transported reducible report has no extra factor"),
+            (NORMAL_POINT, {"tensor.monomial_of_tableau": lambda f: lambda t: f(t) * Y(t.n, 1, 99)},
+             TheoremViolation, "box product and loop-root product disagree"),
+            (CASE_I_POINT, {"tensor.y_string": lambda f: lambda n, i, r, k: f(n, i, r + 2, k)},
+             TheoremViolation, "gap-family formulas disagree"),
+            (NORMAL_POINT, {"tensor._equations": lambda f: lambda v, s, k: [*f(v, s, k), *f(v, s, k)]},
+             TheoremViolation, "resonance conditions not unique"),
+            # the extra factor is derived only once D matches the closed form
+            (NORMAL_POINT, {"tensor.family_S": _monomial_perturbed, "tensor.expected_dominants": _brute_force_D},
+             TheoremViolation, "extra-factor formulas disagree"),
+            (NORMAL_POINT, {"minaff.monomial_of_tableau": lambda f: lambda t: LMonomial.identity(t.n)},
+             InvariantViolation, "thinness violated"),
+            (NORMAL_POINT, {"minaff.is_dominant": lambda f: lambda m: True},
+             InvariantViolation, "expected a unique dominant term"),
         ],
         ids=[
             "chain",
@@ -834,12 +869,27 @@ class TestClassifierChecks:
             "transport_D",
             "transported_lambda_prime_in_D",
             "transported_lambda_prime_present",
+            "family_S_products",
+            "family_T_formulas",
+            "unique_resonance",
+            "lambda_prime_formulas",
+            "qchar_thin",
+            "qchar_unique_dominant",
         ],
     )
-    def test_check_fires(self, point, name, patch, error, message, monkeypatch):
-        monkeypatch.setattr(tensor, name, patch(getattr(tensor, name)))
-        with pytest.raises(error, match=re.escape(message)) as info:
-            classify_variant(*point)
+    def test_check_fires(self, point, patches, error, message, monkeypatch):
+        modules = {"tensor": tensor, "minaff": minaff}
+        for target, patch in patches.items():
+            module, name = target.split(".")
+            monkeypatch.setattr(modules[module], name, patch(getattr(modules[module], name)))
+        # qchar is cached, so a patched minaff name is reached only on a miss,
+        # and no character computed under a patch may outlive the test
+        qchar.cache_clear()
+        try:
+            with pytest.raises(error, match=re.escape(message)) as info:
+                classify_variant(*point)
+        finally:
+            qchar.cache_clear()
         assert type(info.value) is error
 
     @pytest.mark.parametrize(
