@@ -13,20 +13,20 @@ with lexicographic tie-breaks, and JSON is emitted with sorted keys.  Each
 JSON value is written by its type's ``json_text``, and every output is
 assembled from those pieces in sorted-key order, byte-identical to
 ``json.dumps(sort_keys=True, separators=(",", ":"))``; free text is escaped
-as ``json.dumps`` escapes it.  Monomial input must use JSON integers.
+as ``json.dumps`` escapes it.  Monomial input must use JSON integers and
+no keys but ``n`` and ``Y``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
 import sys
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass
 from itertools import product
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -163,7 +163,6 @@ def _print_report(rep: TensorReport, as_json: bool):
     for order in ("V", "Vprime"):
         socle, head = rep.socle_head[order]
         print(f"  {order}: socle={socle}  head={head}")
-    return
 
 
 def cmd_tensor(args) -> int:
@@ -174,10 +173,11 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepConfig:
     """Grid description for a verification sweep; identical configs produce
-    byte-identical JSON-lines output."""
+    byte-identical JSON-lines output.  The fields are the config's JSON keys,
+    and a field with a default may be left out."""
 
     n_max: int
     lambda_sum_max: int
@@ -205,20 +205,21 @@ class SweepConfig:
     def from_json(cls, data) -> "SweepConfig":
         if not isinstance(data, dict):
             raise InvalidInput(f"sweep config must be a JSON object, got {_dumps(data)}")
-        known = {"n_max", "lambda_sum_max", "k_max", "output", "r_window_pad", "variants", "parallelism"}
-        unknown = set(data) - known
+        fields = dataclasses.fields(cls)
+        names = {f.name for f in fields}
+        unknown = set(data) - names
         if unknown:
             raise InvalidInput(f"unknown sweep config keys: {sorted(unknown)}")
-        defaults = {"r_window_pad": 2, "variants": ["normal"], "parallelism": 1}
-        missing = sorted(known - set(data) - set(defaults))
+        defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+        missing = sorted(names - set(data) - set(defaults))
         if missing:
             raise InvalidInput(f"sweep config is missing keys {missing}")
         values = {**defaults, **data}
         kinds = {"output": (str, "a string"), "variants": (list, "a list of names")}
         for key, value in values.items():
-            # exact types: true is not 1, and 2.7 or "2" is not 2
+            # exact types of the given values: true is not 1, and 2.7 or "2" is not 2
             wanted, what = kinds.get(key, (int, "an integer"))
-            if type(value) is not wanted:
+            if key in data and type(value) is not wanted:
                 raise InvalidInput(f"sweep config {key} must be {what}, got {_dumps(value)}")
         values["variants"] = tuple(values["variants"])
         return cls(**values)
@@ -278,11 +279,8 @@ def _sigterm_exits():
     """SIGTERM raises ``SystemExit`` within the block, so that the cleanup
     of enclosing ``finally`` blocks and context managers runs as on ^C.
 
-    Signal handlers belong to the main thread; elsewhere nothing changes.
+    Signal handlers belong to the main thread, so the block must run there.
     """
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
     previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         yield
@@ -317,18 +315,8 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"config is not valid JSON: {exc}") from exc
     cfg = SweepConfig.from_json(data)
-    parallelism = cfg.parallelism
-    env = os.environ.get("QCHARLAB_THREADS")
-    if env is not None:
-        try:
-            parallelism = int(env)
-        except ValueError as exc:
-            raise InvalidInput(f"QCHARLAB_THREADS must be an integer, got {env!r}") from exc
-        if parallelism < 1:
-            raise InvalidInput("QCHARLAB_THREADS must be at least 1")
-
     points = list(sweep_grid(cfg))
-    workers = clamp_workers(parallelism, len(points))
+    workers = clamp_workers(cfg.parallelism, len(points))
     counts = {"irreducible": 0, "case_i": 0, "case_ii": 0, "violations": 0}
     try:
         with ExitStack() as stack:
@@ -337,10 +325,12 @@ def cmd_sweep(args) -> int:
             if workers == 1:
                 results = map(_sweep_point, points)
             else:
-                # workers keep the default SIGTERM: they hold no file to clean up
-                default_sigterm = (signal.SIGTERM, signal.SIG_DFL)
+                # workers ignore SIGTERM, also one sent to the whole process group:
+                # the parent's exit cancels the pending chunks and the pool's exit
+                # waits for the running ones, so only the parent ends the pool
+                ignore_sigterm = (signal.SIGTERM, signal.SIG_IGN)
                 pool = stack.enter_context(
-                    ProcessPoolExecutor(workers, initializer=signal.signal, initargs=default_sigterm)
+                    ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigterm)
                 )
                 results = pool.map(_sweep_point, points, chunksize=16)
             for outcome, line in results:

@@ -173,9 +173,13 @@ class LMonomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "LMonomial":
-        """The monomial of parsed ``json_text``; every number must be a JSON
-        integer (exact types: true is not 1, and 1.5 or "1" is not 1)."""
+        """The monomial of parsed ``json_text``; its keys are exactly ``n`` and
+        ``Y``, and every number must be a JSON integer (exact types: true is
+        not 1, and 1.5 or "1" is not 1)."""
         n, ys = data["n"], data["Y"]
+        unknown = set(data) - {"n", "Y"}
+        if unknown:
+            raise InvalidInput(f"unknown monomial keys: {sorted(unknown)}")
         if type(n) is not int or type(ys) is not list:
             raise InvalidInput("n must be an integer and Y a list")
         for y in ys:

@@ -22,10 +22,9 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def qcharlab_process(*argv):
+def qcharlab_process(*argv, **popen_args):
     """``python -m qcharlab *argv`` in a child process with piped output."""
     env = dict(os.environ)
-    env.pop("QCHARLAB_THREADS", None)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.Popen(
@@ -33,6 +32,7 @@ def qcharlab_process(*argv):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
+        **popen_args,
     )
 
 
@@ -267,6 +267,19 @@ class TestMonomialInput:
         assert code == 2 and out == ""
         assert "monomial JSON does not match the schema" in err
 
+    @pytest.mark.parametrize("argv", [("transform", "--kind", "tau", "--json"), ("factorize", "--json")])
+    @pytest.mark.parametrize(
+        "mono, key",
+        [
+            ('{"n":1,"Y":[[1,0,1]],"y":[[1,4,1]]}', "y"),  # a misspelt Y lost a factor
+            ('{"n":1,"Y":[[1,0,1]],"shift":5}', "shift"),  # was ignored
+        ],
+    )
+    def test_unknown_keys_rejected(self, capsys, argv, mono, key):
+        code, out, err = run_cli(capsys, argv[0], mono, *argv[1:])
+        assert code == 2 and out == ""
+        assert f"unknown monomial keys: [{key!r}]" in err
+
 
 def _write_config(path, **overrides):
     cfg = {
@@ -306,15 +319,15 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0 and "violations: 0" in out
 
-    def test_parallel_matches_serial(self, capsys, tmp_path, monkeypatch):
+    def test_parallel_matches_serial(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, lambda_sum_max=1)
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
         serial = (tmp_path / "out.jsonl").read_bytes()
-        monkeypatch.setenv("QCHARLAB_THREADS", "2")
+        cfg = _write_config(tmp_path, lambda_sum_max=1, parallelism=2)
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
         assert (tmp_path / "out.jsonl").read_bytes() == serial
 
-    def test_summary_counts_the_output(self, capsys, tmp_path, monkeypatch):
+    def test_summary_counts_the_output(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)
         code, serial, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0
@@ -326,7 +339,7 @@ class TestSweepCommand:
             f"irreducible: {cases['irred']}  case_i: {cases['i']}  case_ii: {cases['ii']}  "
             "violations: 0\n"
         ) in serial
-        monkeypatch.setenv("QCHARLAB_THREADS", "2")
+        cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2, parallelism=2)
         assert run_cli(capsys, "sweep", "--config", str(cfg)) == (0, serial, "")
 
     def test_violations_are_counted(self, capsys, tmp_path, monkeypatch):
@@ -421,6 +434,30 @@ class TestSweepCommand:
         assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
         assert output.read_bytes() == b"previous output\n"
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
+    def test_group_sigterm_on_two_workers_is_quiet(self, tmp_path):
+        # a SIGTERM to the whole process group also reaches the workers, which
+        # must ignore it: on Python < 3.12 a pool whose worker dies while the
+        # parent cancels its futures prints an InvalidStateError traceback
+        output = tmp_path / "out.jsonl"
+        output.write_bytes(b"previous output\n")
+        cfg = _write_config(tmp_path, n_max=3, lambda_sum_max=3, k_max=3, r_window_pad=2,
+                            variants=["normal", "a", "b", "c"], parallelism=2)
+        for _ in range(8):
+            proc = qcharlab_process("sweep", "--config", str(cfg), start_new_session=True)
+            deadline = time.monotonic() + 60
+            # the first lines reach the temporary file once the workers run
+            while not any(tmp.stat().st_size for tmp in tmp_path.glob("out.jsonl.*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            os.killpg(proc.pid, signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 128 + signal.SIGTERM and out == err == b""
+            with pytest.raises(ProcessLookupError):  # the parent waited for its workers
+                os.killpg(proc.pid, 0)
+            assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
+            assert output.read_bytes() == b"previous output\n"
+
     def test_unwritable_output_is_reported(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, output=str(tmp_path / "missing" / "out.jsonl"))
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
@@ -482,6 +519,13 @@ class TestSweepCommand:
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_defaults(self):
+        required = {"n_max": 2, "lambda_sum_max": 2, "k_max": 1, "output": "out.jsonl"}
+        written_out = {**required, "r_window_pad": 2, "variants": ["normal"], "parallelism": 1}
+        cfg = cli.SweepConfig.from_json(required)
+        assert cfg == cli.SweepConfig.from_json(written_out)
+        assert cfg == cli.SweepConfig(**required, r_window_pad=2, variants=("normal",), parallelism=1)
 
 
 class TestFailureRecords:

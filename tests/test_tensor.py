@@ -986,7 +986,6 @@ class TestNormalMemo:
         problems = normal_points | set(transported)
 
         counted, products = _counting_products()
-        monkeypatch.delenv("QCHARLAB_THREADS", raising=False)
         monkeypatch.setattr(tensor, "product_qchar", counted)
         assert cli.main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 0
         assert "violations: 0" in capsys.readouterr().out
