@@ -13,8 +13,8 @@ with lexicographic tie-breaks, and JSON is emitted with sorted keys.  Each
 JSON value is written by its type's ``json_text``, and every output is
 assembled from those pieces in sorted-key order, byte-identical to
 ``json.dumps(sort_keys=True, separators=(",", ":"))``; free text is escaped
-as ``json.dumps`` escapes it.  Monomial input must use JSON integers and
-no keys but ``n`` and ``Y``.
+as ``json.dumps`` escapes it.  Monomial input must be a JSON object with
+exactly the keys ``n`` and ``Y``, and must use JSON integers.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _parse_monomial(text: str) -> LMonomial:
         raise InvalidInput(f"monomial is not valid JSON: {exc}") from exc
     try:
         return LMonomial.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except InvalidInput as exc:
         raise InvalidInput(f"monomial JSON does not match the schema: {exc}") from exc
 
 

@@ -16,6 +16,7 @@ powers of the ``A[i,r]``; such a decomposition is unique when it exists.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -114,10 +115,10 @@ class LMonomial:
                 ia += 1
                 ib += 1
             elif ka < kb:
-                out.append((ka, ea))
+                out.append(a[ia])
                 ia += 1
             else:
-                out.append((kb, eb))
+                out.append(b[ib])
                 ib += 1
         out.extend(a[ia:])
         out.extend(b[ib:])
@@ -173,13 +174,19 @@ class LMonomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "LMonomial":
-        """The monomial of parsed ``json_text``; its keys are exactly ``n`` and
-        ``Y``, and every number must be a JSON integer (exact types: true is
-        not 1, and 1.5 or "1" is not 1)."""
-        n, ys = data["n"], data["Y"]
+        """The monomial of parsed ``json_text``; it must be an object whose
+        keys are exactly ``n`` and ``Y``, and every number must be a JSON
+        integer (exact types: true is not 1, and 1.5 or "1" is not 1)."""
+        if not isinstance(data, dict):
+            got = json.dumps(data, separators=(",", ":"))
+            raise InvalidInput(f"a monomial must be a JSON object, got {got}")
         unknown = set(data) - {"n", "Y"}
         if unknown:
             raise InvalidInput(f"unknown monomial keys: {sorted(unknown)}")
+        missing = sorted({"n", "Y"} - set(data))
+        if missing:
+            raise InvalidInput(f"monomial is missing keys {missing}")
+        n, ys = data["n"], data["Y"]
         if type(n) is not int or type(ys) is not list:
             raise InvalidInput("n must be an integer and Y a list")
         for y in ys:

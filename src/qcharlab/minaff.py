@@ -233,11 +233,12 @@ def _bitset(indices: list[int], size: int) -> int:
 class _JoinIndex:
     """One character's terms for ``_dominant_join``: term ``j`` is bit ``j``.
 
-    ``needs[j]`` is the negative signature ``((key, -e), ...)`` of term
-    ``j``.  ``cover`` is built on the first ``covering`` call, so only for
-    the factor a join indexes: ``cover[key]`` pairs the positive exponents
-    ``t`` at ``key``, ascending, with the bitsets of the terms whose exponent
-    at ``key`` is ``>= t``.
+    ``needs[j]`` holds term ``j``'s own pairs ``(key, e)`` with ``e < 0``
+    (shared with the term, not copied): a partner must have ``-e`` or more
+    at each such ``key``.  ``cover`` is built on the first ``covering``
+    call, so only for the factor a join indexes: ``cover[key]`` pairs the
+    positive exponents ``t`` at ``key``, ascending, with the bitsets of the
+    terms whose exponent at ``key`` is ``>= t``.
     """
 
     __slots__ = ("monos", "mults", "needs", "cover")
@@ -245,7 +246,7 @@ class _JoinIndex:
     def __init__(self, terms: dict[LMonomial, int]):
         self.monos = list(terms)
         self.mults = list(terms.values())
-        self.needs = [tuple((key, -e) for key, e in m.items() if e < 0) for m in self.monos]
+        self.needs = [tuple(kv for kv in m.items() if kv[1] < 0) for m in self.monos]
         self.cover = None
 
     def _build_cover(self) -> dict[Key, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -266,7 +267,7 @@ class _JoinIndex:
         return cover
 
     def covering(self, need: tuple) -> int:
-        """Bitset of the terms whose exponent is ``>= e`` at every ``(key, e)`` of ``need``."""
+        """Bitset of the terms whose exponent is ``>= -e`` at every ``(key, e)`` of ``need``."""
         if self.cover is None:
             self.cover = self._build_cover()
         bits = (1 << len(self.monos)) - 1
@@ -275,7 +276,7 @@ class _JoinIndex:
             if entry is None:
                 return 0
             ts, bitsets = entry
-            at = bisect_left(ts, e)
+            at = bisect_left(ts, -e)
             if at == len(ts):
                 return 0
             bits &= bitsets[at]
@@ -312,7 +313,7 @@ def _dominant_join(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
         exps = dict(m.items())
         for j in _bits(cand):
             for key, e in sneeds[j]:
-                if exps.get(key, 0) < e:
+                if exps.get(key, 0) < -e:
                     break
             else:
                 p = smonos[j] * m

@@ -11,15 +11,18 @@ weakly decrease left to right, and whenever a box (c, s) in one column has a
 neighbour (c', s-2) in the next column then c >= c'.
 
 ``enumerate_semistandard`` keeps a running exponent vector while it places
-boxes, so every tableau it yields already carries its monomial;
-``monomial_of_tableau`` returns that, and computes (and remembers) the
-monomial in one pass over the boxes for a tableau built any other way.
+boxes, so every tableau it yields already carries its monomial.  It builds
+each ``((i, r), e)`` pair once per search, in one table, so the terms of a
+character share their pairs instead of each holding copies.
+``monomial_of_tableau`` returns that monomial, and computes (and remembers)
+it in one pass over the boxes for a tableau built any other way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import getitem
 from typing import Iterator
 
 from .errors import InvalidInput
@@ -223,6 +226,11 @@ def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
     )
     slot = {key: j for j, key in enumerate(keys)}
     spare = len(keys)
+    # pairs[j][e] is the one (keys[j], e) every yielded monomial shares; each
+    # box moves one slot by +1 and another by -1, so |e| <= nboxes, and a
+    # negative e indexes from the end
+    exponents = [*range(nboxes + 1), *range(-nboxes, 0)]
+    pairs = [[(key, e) for e in exponents] for key in keys]
     up = [[spare] + [slot.get((c, s + c - 1), spare) for c in range(1, n + 2)] for s in supports]
     down = [[spare] + [slot.get((c - 1, s + c), spare) for c in range(1, n + 2)] for s in supports]
     exps = [0] * (spare + 1)
@@ -252,7 +260,7 @@ def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
                 n,
                 shape,
                 tuple(map(tuple, map(contents.__getitem__, columns))),
-                LMonomial._make(n, tuple(zip(compress(keys, values), filter(None, values)))),
+                LMonomial._make(n, tuple(map(getitem, compress(pairs, values), filter(None, values)))),
             )
             exps[u] -= 1
             exps[d] += 1

@@ -280,6 +280,19 @@ class TestMonomialInput:
         assert code == 2 and out == ""
         assert f"unknown monomial keys: [{key!r}]" in err
 
+    @pytest.mark.parametrize("argv", [("transform", "--kind", "tau", "--json"), ("factorize", "--json")])
+    @pytest.mark.parametrize(
+        "mono, message",
+        [
+            ("[1]", "a monomial must be a JSON object, got [1]"),
+            ('{"n":1}', "monomial is missing keys ['Y']"),
+        ],
+    )
+    def test_shape_errors_name_the_problem(self, capsys, argv, mono, message):
+        code, out, err = run_cli(capsys, argv[0], mono, *argv[1:])
+        assert code == 2 and out == ""
+        assert message in err
+
 
 def _write_config(path, **overrides):
     cfg = {

@@ -87,6 +87,25 @@ class TestLMonomial:
         assert m.json_text() == cli._dumps(monomial_json_reference(m))
         assert LMonomial.from_json(json.loads(m.json_text())) == m
 
+    @given(lmonomials(), lmonomials())
+    def test_product_reuses_the_pairs_of_one_operand(self, a, b):
+        # a key found in one operand only keeps that operand's (key, e) object
+        b = LMonomial(a.n, (kv for kv in b.items() if kv[0][0] <= a.n))
+        mine = {kv[0]: kv for kv in a.items()}
+        theirs = {kv[0]: kv for kv in b.items()}
+        for kv in (a * b).items():
+            key = kv[0]
+            if key not in theirs:
+                assert kv is mine[key]
+            elif key not in mine:
+                assert kv is theirs[key]
+
+    def test_product_pairs_example(self):
+        a = Y(2, 1, 0) * Y(2, 2, 3, -1)
+        b = Y(2, 1, 4, 2) * Y(2, 2, 3)
+        first, second = (a * b).items()
+        assert first is a.items()[0] and second is b.items()[0]
+
 
 class TestYString:
     def test_two_step_string(self):

@@ -160,6 +160,35 @@ class TestQChar:
         assert qchar(spec) == qchar(spec)
 
 
+def _pair_counts(qc):
+    """Distinct ``(key, e)`` objects and distinct values among the terms of ``qc``."""
+    pairs = [kv for m in qc.terms() for kv in m.items()]
+    return len({id(kv) for kv in pairs}), len(set(pairs))
+
+
+class TestSharedPairs:
+    """Each distinct ``((i, r), e)`` pair of a character is one object."""
+
+    def test_affinization_terms_share_their_pairs(self):
+        for spec in small_specs():
+            objects, values = _pair_counts(qchar(spec))
+            assert objects == values, spec
+
+    def test_last_node_kr_terms_share_their_pairs(self):
+        for n in range(1, 4):
+            for k in range(1, 4):
+                objects, values = _pair_counts(qchar_kr(KRSpec(n, n, 0, k)))
+                assert objects == values, (n, k)
+
+    def test_join_needs_are_the_terms_own_negative_pairs(self):
+        for spec in small_specs():
+            index = minaff._JoinIndex(qchar(spec).terms())
+            for m, need in zip(index.monos, index.needs):
+                negative = [kv for kv in m.items() if kv[1] < 0]
+                assert len(need) == len(negative)
+                assert all(a is b for a, b in zip(need, negative))
+
+
 class TestKRPartitionOracle:
     def test_rank_one_length_two(self):
         qc = kr_qchar_by_partitions(1, 0, 2)
