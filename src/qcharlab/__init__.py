@@ -44,6 +44,7 @@ from .tableaux import (
     is_semistandard,
     monomial_of_box,
     monomial_of_tableau,
+    semistandard_fillings,
 )
 from .tensor import (
     CaseTag,
@@ -102,6 +103,7 @@ __all__ = [
     "resonance_window",
     "restrict",
     "right_negativity",
+    "semistandard_fillings",
     "transform",
     "weight_of",
     "weyl_dim",

@@ -258,8 +258,10 @@ def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     except Exception as exc:
         key, message = "error", f"{type(exc).__name__}: {exc}"
     else:
-        line = f'{{"kr":{kr.json_text()},"report":{rep.json_text()},"spec":{spec.json_text()}}}'
-        return rep.tag.kind, line
+        # the report holds this very point, so its spec and KR texts are these
+        spec_text, kr_text = spec.json_text(), kr.json_text()
+        report = rep.json_text(spec_text=spec_text, kr_text=kr_text)
+        return rep.tag.kind, f'{{"kr":{kr_text},"report":{report},"spec":{spec_text}}}'
     # a message is arbitrary text, escaped as json.dumps escapes it
     fields = {"kr": kr.json_text(), "spec": spec.json_text(), key: _json_str(message)}
     return "violations", _object_text(fields)

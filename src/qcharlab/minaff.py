@@ -8,9 +8,10 @@ with ``i0`` the top supported node and base anchor ``r_{i0} = 1 - lam_{i0}``,
     increasing:  r_i = r_{i0} - 2 * sum(lam[i..i0-1]) + i - i0
     decreasing:  r_i = r_{i0} + 2 * sum(lam[i+1..i0]) + i0 - i
 
-The q-character is computed by enumerating the semi-standard tableaux with
-the shape of the highest tableau; for a KR module at the last node an
-independent partition-indexed formula provides the same set of terms.
+The q-character is the set of monomials of the semi-standard fillings of
+the highest tableau's shape, read off the search without building the
+tableaux; for a KR module at the last node an independent
+partition-indexed formula provides the same set of terms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ from .lweight import (
     monomial_sort_key,
     y_string,
 )
-from .tableaux import Shape, Tableau, enumerate_semistandard, monomial_of_tableau
+from .tableaux import Shape, Tableau, semistandard_fillings
+
+# not used here since ``qchar`` reads monomials only, but still looked up
+# in this module by the benchmark's tracer (``perfbench/spans.py``)
+from .tableaux import enumerate_semistandard, monomial_of_tableau  # noqa: F401
 
 Direction = str  # "inc" | "dec"
 
@@ -39,6 +44,12 @@ def _seg(lam: tuple[int, ...], a: int, b: int) -> int:
     if a > b:
         return 0
     return sum(lam[a - 1 : b])
+
+
+def _require_int(what: str, value) -> None:
+    """Reject anything but a plain ``int`` (a ``bool`` included) rather than coerce it."""
+    if type(value) is not int:
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +62,13 @@ class MinAffSpec:
     shift: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(int(v) for v in self.lam))
+        _require_int("rank", self.n)
+        if not isinstance(self.lam, (tuple, list)):
+            raise InvalidInput(f"weight must be a tuple or list of integers, got {self.lam!r}")
+        object.__setattr__(self, "lam", tuple(self.lam))
+        for v in self.lam:
+            _require_int("weight entry", v)
+        _require_int("spectral shift", self.shift)
         if self.n < 1:
             raise InvalidInput(f"rank must be positive, got {self.n}")
         if len(self.lam) != self.n:
@@ -107,6 +124,10 @@ class KRSpec:
     k: int
 
     def __post_init__(self):
+        _require_int("rank", self.n)
+        _require_int("KR node", self.node)
+        _require_int("KR anchor", self.r)
+        _require_int("string length", self.k)
         if self.n < 1:
             raise InvalidInput(f"rank must be positive, got {self.n}")
         if self.node not in (1, self.n):
@@ -339,8 +360,8 @@ def drinfeld_of_spec(spec: MinAffSpec) -> LMonomial:
     return m
 
 
-def highest_tableau(spec: MinAffSpec) -> Tableau:
-    """The semi-standard tableau whose monomial is the Drinfeld polynomial.
+def highest_shape(spec: MinAffSpec) -> Shape:
+    """The shape of the semi-standard tableau whose monomial is the Drinfeld polynomial.
 
     Columns are full increasing columns 1..i; block of node i has lam_i
     columns, the j-th starting at r_i + 2(lam_i - j) - i + 1.  Increasing
@@ -352,31 +373,41 @@ def highest_tableau(spec: MinAffSpec) -> Tableau:
     nodes = spec.supp()
     if spec.direction == "inc":
         nodes = nodes[::-1]
-    shape_cols = []
-    cols = []
-    for i in nodes:
-        r_i = anchors[i]
-        for j in range(1, spec.lam[i - 1] + 1):
-            shape_cols.append((i, r_i + 2 * (spec.lam[i - 1] - j) - i + 1))
-            cols.append(tuple(range(1, i + 1)))
-    return Tableau(spec.n, Shape(tuple(shape_cols)), tuple(cols))
+    return Shape(
+        tuple(
+            (i, anchors[i] + 2 * (spec.lam[i - 1] - j) - i + 1)
+            for i in nodes
+            for j in range(1, spec.lam[i - 1] + 1)
+        )
+    )
+
+
+def highest_tableau(spec: MinAffSpec) -> Tableau:
+    """The semi-standard tableau whose monomial is the Drinfeld polynomial:
+    ``highest_shape`` filled with the columns 1..i."""
+    shape = highest_shape(spec)
+    return Tableau(spec.n, shape, tuple(tuple(range(1, k + 1)) for k, _ in shape))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def qchar(spec: MinAffSpec) -> QChar:
     """q-character of a minimal affinization via tableau enumeration.
 
-    Checks as it goes that the character is thin (no monomial collision) and
-    that the unique dominant term is the Drinfeld polynomial; a failure
-    signals an implementation bug, never bad input.
+    The terms are the monomials of ``semistandard_fillings`` over the
+    highest shape; no tableau is built.  Two checks follow, and a failure
+    signals an implementation bug, never bad input: the character is thin
+    (no monomial repeats; only when the term count falls short is the first
+    repeated monomial looked for, to name it), and its unique dominant term
+    is the Drinfeld polynomial.
     """
-    top = highest_tableau(spec)
-    terms: dict[LMonomial, int] = {}
-    for t in enumerate_semistandard(spec.n, top.shape):
-        m = monomial_of_tableau(t)
-        if m in terms:
-            raise InvariantViolation(f"thinness violated: duplicate term {m}")
-        terms[m] = 1
+    monos = [m for _, m in semistandard_fillings(spec.n, highest_shape(spec))]
+    terms = dict.fromkeys(monos, 1)
+    if len(terms) != len(monos):
+        seen: set[LMonomial] = set()
+        for m in monos:
+            if m in seen:
+                raise InvariantViolation(f"thinness violated: duplicate term {m}")
+            seen.add(m)
     dominants = [m for m in terms if is_dominant(m)]
     if len(dominants) != 1 or dominants[0] != drinfeld_of_spec(spec):
         raise InvariantViolation(

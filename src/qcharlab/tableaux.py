@@ -10,12 +10,15 @@ Semi-standard means: columns strictly increase top to bottom, support starts
 weakly decrease left to right, and whenever a box (c, s) in one column has a
 neighbour (c', s-2) in the next column then c >= c'.
 
-``enumerate_semistandard`` keeps a running exponent vector while it places
-boxes, so every tableau it yields already carries its monomial.  It builds
-each ``((i, r), e)`` pair once per search, in one table, so the terms of a
-character share their pairs instead of each holding copies.
-``monomial_of_tableau`` returns that monomial, and computes (and remembers)
-it in one pass over the boxes for a tableau built any other way.
+``semistandard_fillings`` is the one search.  It keeps a running exponent
+vector while it places boxes and yields each filling's contents with its
+monomial, building no tableau; ``qchar`` reads only the monomials.  It
+builds each ``((i, r), e)`` pair once per search, in one table, so the
+terms of a character share their pairs instead of each holding copies.
+``enumerate_semistandard`` is a view of the same search that copies each
+filling into a ``Tableau`` carrying its monomial.  ``monomial_of_tableau``
+returns that monomial, and computes (and remembers) it in one pass over the
+boxes for a tableau built any other way.
 """
 
 from __future__ import annotations
@@ -182,8 +185,13 @@ def is_semistandard(t: Tableau) -> bool:
     return True
 
 
-def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
-    """Yield every semi-standard tableau of ``shape`` with contents in 1..n+1.
+def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMonomial]]:
+    """Yield ``(contents, monomial)`` for every semi-standard filling of ``shape``.
+
+    ``contents`` lists the box contents in search order (column by column,
+    top to bottom) and is the search's live buffer: it is overwritten as
+    the search goes on, so copy it before the next step.  ``monomial`` is
+    the filling's monomial.
 
     Deterministic order: depth-first over columns left to right, within a
     column top to bottom, contents ascending (lexicographic in the
@@ -191,19 +199,19 @@ def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
 
     The search runs over the boxes in that order without recursion and keeps
     the exponents of the boxes placed so far in a vector indexed by the
-    ``(i, r)`` keys the shape can reach, sorted.  Each yielded tableau
-    carries its monomial, read off the nonzero entries of that vector.
+    ``(i, r)`` keys the shape can reach, sorted.  Each monomial is read off
+    the nonzero entries of that vector.
     """
     # per box, in search order: its support, its largest content, and the
     # index of the box at support + 2 in the previous column (or -1)
     supports: list[int] = []
     top_caps: list[int] = []
     lefts: list[int] = []
-    columns: list[slice] = []
+    first_rows: set[int] = set()
     prev: dict[int, int] = {}
     for k, s in shape:
         here: dict[int, int] = {}
-        columns.append(slice(len(supports), len(supports) + k))
+        first_rows.add(len(supports))
         for row in range(1, k + 1):
             supp = box_support(k, s, row)
             here[supp] = len(supports)
@@ -212,10 +220,9 @@ def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
             top_caps.append(n + 1 - (k - row))
             lefts.append(prev.get(supp + 2, -1))
         prev = here
-    first_rows = {col.start for col in columns}
     nboxes = len(supports)
     if nboxes == 0:
-        yield Tableau._make(n, shape, (), LMonomial._make(n, ()))
+        yield [], LMonomial._make(n, ())
         return
 
     # up[p][c] / down[p][c]: slot of the +1 / -1 factor of content c at box p;
@@ -256,11 +263,8 @@ def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
         exps[d] -= 1
         if p == last:
             values = exps[:spare]
-            yield Tableau._make(
-                n,
-                shape,
-                tuple(map(tuple, map(contents.__getitem__, columns))),
-                LMonomial._make(n, tuple(map(getitem, compress(pairs, values), filter(None, values)))),
+            yield contents, LMonomial._make(
+                n, tuple(map(getitem, compress(pairs, values), filter(None, values)))
             )
             exps[u] -= 1
             exps[d] += 1
@@ -272,3 +276,18 @@ def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
             if left >= 0 and contents[left] < cap:
                 cap = contents[left]
             caps[p] = cap
+
+
+def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
+    """Yield every semi-standard tableau of ``shape`` with contents in 1..n+1.
+
+    A view of ``semistandard_fillings``: the same order, each filling copied
+    into column tuples, and each tableau carrying the filling's monomial.
+    """
+    columns: list[slice] = []
+    start = 0
+    for k, _ in shape:
+        columns.append(slice(start, start + k))
+        start += k
+    for contents, m in semistandard_fillings(n, shape):
+        yield Tableau._make(n, shape, tuple(map(tuple, map(contents.__getitem__, columns))), m)

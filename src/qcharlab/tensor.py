@@ -162,14 +162,20 @@ class TensorReport:
     def to_json(self) -> dict:
         return json.loads(self.json_text())
 
-    def json_text(self) -> str:
+    def json_text(self, *, spec_text: Optional[str] = None, kr_text: Optional[str] = None) -> str:
         """The report as compact JSON text with sorted keys.
 
         The text is assembled from fixed-order pieces, byte-identical to
         ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the
         report dict.  Each distinct monomial is encoded once per report:
         lambda, lambda' and the D entries recur in ``D`` and ``socle_head``.
+        A caller that has encoded ``spec`` or ``kr`` already passes that
+        text, so that it is not encoded again.
         """
+        if spec_text is None:
+            spec_text = self.spec.json_text()
+        if kr_text is None:
+            kr_text = self.kr.json_text()
         texts: dict[LMonomial, str] = {}
 
         def mono(m: Optional[LMonomial]) -> str:
@@ -194,9 +200,9 @@ class TensorReport:
             resonance = f'{{"kind":{kind},"kprime":{kprime},"p":{p}}}'
         return (
             f'{{"D":[{D}],"case":{_json_str(tag.case_json())},"kprime":{_json_num(tag.kprime)},'
-            f'"kr":{self.kr.json_text()},"lambda":{mono(self.lam)},'
+            f'"kr":{kr_text},"lambda":{mono(self.lam)},'
             f'"lambda_prime":{mono(self.lambda_prime)},"n":{self.spec.n},"p":{_json_num(tag.p)},'
-            f'"resonance":{resonance},"socle_head":{{{socle_head}}},"spec":{self.spec.json_text()},'
+            f'"resonance":{resonance},"socle_head":{{{socle_head}}},"spec":{spec_text},'
             f'"totally_ordered":{"true" if self.totally_ordered else "false"},'
             f'"variant":{_json_str(self.variant)}}}'
         )

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from oracles import (
 from qcharlab import cli, minaff
 from qcharlab import (
     InvalidInput,
+    InvariantViolation,
     KRSpec,
     LMonomial,
     MinAffSpec,
@@ -65,6 +68,35 @@ class TestSpecs:
     def test_spec_json_text_is_the_sorted_compact_dump(self, spec):
         reference = kr_json_reference(spec) if isinstance(spec, KRSpec) else spec_json_reference(spec)
         assert spec.json_text() == cli._dumps(reference)
+
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            (MinAffSpec, (2, (1.5, 1))),
+            (MinAffSpec, (2, ("1", 1))),
+            (MinAffSpec, (2, (True, 1))),
+            (MinAffSpec, (2.0, (1, 1))),
+            (MinAffSpec, (True, (1,))),
+            (MinAffSpec, (2, (1, 1), "inc", 0.5)),
+            (MinAffSpec, (2, (1, 1), "inc", False)),
+            (MinAffSpec, (2, "11")),
+            (MinAffSpec, (2, range(1, 3))),
+            (KRSpec, (2, 2, 0.5, 1)),
+            (KRSpec, (2, 2, "0", 1)),
+            (KRSpec, (2, 2, 0, 1.0)),
+            (KRSpec, (2, True, 0, 1)),
+            (KRSpec, (2.0, 2, 0, 1)),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+    )
+    def test_non_integers_rejected(self, cls, args):
+        with pytest.raises(InvalidInput, match="must be"):
+            cls(*args)
+
+    def test_list_weight_stored_as_tuple(self):
+        spec = MinAffSpec(2, [1, 1])
+        assert spec.lam == (1, 1) and spec == MinAffSpec(2, (1, 1))
+        assert hash(spec) == hash(MinAffSpec(2, (1, 1)))
 
     def test_kr_as_minaff_drinfeld(self):
         for node, r, k in ((1, -3, 2), (2, 4, 3)):
@@ -144,6 +176,25 @@ class TestQChar:
 
     def test_memoized(self):
         assert qchar(MinAffSpec(2, (1, 1), "inc")) is qchar(MinAffSpec(2, (1, 1), "inc"))
+
+    def test_thinness_error_names_the_repeated_term(self, monkeypatch):
+        spec = MinAffSpec(2, (1, 1), "inc", 3)
+        fillings = minaff.semistandard_fillings
+        monos = [m for _, m in fillings(spec.n, minaff.highest_shape(spec))]
+        # the fourth term comes again after the sixth; the first repeat is the fourth
+        order = [0, 1, 2, 3, 4, 5, 3, 6, 1, 7]
+
+        def repeating(n, shape):
+            return (([], monos[i]) for i in order)
+
+        monkeypatch.setattr(minaff, "semistandard_fillings", repeating)
+        qchar.cache_clear()
+        try:
+            message = f"thinness violated: duplicate term {monos[3]}"
+            with pytest.raises(InvariantViolation, match=re.escape(message) + "$"):
+                qchar(spec)
+        finally:
+            qchar.cache_clear()
 
     @given(st.integers(1, 3).flatmap(characters))
     def test_json_text_is_the_sorted_compact_dump(self, qc):

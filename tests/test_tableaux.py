@@ -17,6 +17,8 @@ from qcharlab import (
     is_semistandard,
     monomial_of_box,
     monomial_of_tableau,
+    qchar,
+    semistandard_fillings,
     y_string,
 )
 
@@ -139,6 +141,26 @@ def test_enumerated_monomials_match_the_box_product(spec):
         assert t == checked and hash(t) == hash(checked)
         count += 1
     assert count > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_both_views_of_the_search_agree(n):
+    """Over every spec with |lambda| <= 4 at rank n, both directions, shifted:
+    the fillings' monomials are the box products of the enumerated tableaux,
+    in order; they are the terms of ``qchar``, each once; and the listed
+    tableaux are distinct and semi-standard, so none aliases the search's
+    buffer."""
+    for lam in all_weights(n, 4):
+        for direction in ("inc", "dec"):
+            spec = MinAffSpec(n, lam, direction, 5)
+            shape = highest_tableau(spec).shape
+            monos = [m for _, m in semistandard_fillings(n, shape)]
+            tableaux = list(enumerate_semistandard(n, shape))
+            assert monos == [monomial_of_tableau_reference(t) for t in tableaux]
+            assert len(qchar(spec)) == len(monos)
+            assert qchar(spec).terms() == dict.fromkeys(monos, 1)
+            assert len(set(tableaux)) == len(tableaux)
+            assert all(map(is_semistandard, tableaux))
 
 
 class TestSemistandard:

@@ -727,6 +727,21 @@ class TestReportJson:
             rep.json_text()
             assert sorted(map(str, encoded)) == sorted(map(str, monomials))
 
+    @pytest.mark.parametrize("point", REPORT_SHAPES)
+    def test_sweep_line_encodes_spec_and_kr_once(self, point, monkeypatch):
+        classify_variant(*point)  # warm the caches, so that only the line is counted
+        encoded = []
+        for cls in (MinAffSpec, KRSpec):
+            encode = cls.json_text
+            monkeypatch.setattr(cls, "json_text", lambda x, encode=encode: encoded.append(x) or encode(x))
+        rep = classify_variant(*point)
+        line = cli._dumps(
+            {"spec": spec_json_reference(point[0]), "kr": kr_json_reference(point[1]), "report": report_json_reference(rep)}
+        )
+        encoded.clear()
+        assert cli._sweep_point(point) == (rep.tag.kind, line)
+        assert sorted(map(repr, encoded)) == sorted(map(repr, point))
+
     def test_documented_keys_present(self):
         rep = classify_normal(MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 3, 1))
         data = rep.to_json()
@@ -794,6 +809,15 @@ def _monomial_perturbed(family):
     return patched
 
 
+def _monomials_identity(fillings):
+    """Every filling's monomial replaced by the identity, so all terms collide."""
+
+    def patched(n, shape):
+        return ((contents, LMonomial.identity(n)) for contents, _ in fillings(n, shape))
+
+    return patched
+
+
 def _brute_force_D(expected_dominants):
     """The closed form replaced by the brute-force D, which it must equal."""
 
@@ -852,7 +876,7 @@ class TestClassifierChecks:
             # the extra factor is derived only once D matches the closed form
             (NORMAL_POINT, {"tensor.family_S": _monomial_perturbed, "tensor.expected_dominants": _brute_force_D},
              TheoremViolation, "extra-factor formulas disagree"),
-            (NORMAL_POINT, {"minaff.monomial_of_tableau": lambda f: lambda t: LMonomial.identity(t.n)},
+            (NORMAL_POINT, {"minaff.semistandard_fillings": _monomials_identity},
              InvariantViolation, "thinness violated"),
             (NORMAL_POINT, {"minaff.is_dominant": lambda f: lambda m: True},
              InvariantViolation, "expected a unique dominant term"),
