@@ -102,6 +102,10 @@ def _parse_monomial(text: str) -> LMonomial:
         raise InvalidInput(f"monomial JSON does not match the schema: {exc}") from exc
 
 
+def _minaff_from_args(args) -> MinAffSpec:
+    return MinAffSpec(args.n, _parse_lambda(args.lam), args.direction or "inc", args.shift or 0)
+
+
 def _spec_from_args(args) -> MinAffSpec | KRSpec:
     if args.kr is not None and args.lam is not None:
         raise InvalidInput("give either --lambda or --kr, not both")
@@ -113,7 +117,7 @@ def _spec_from_args(args) -> MinAffSpec | KRSpec:
         return _parse_kr(args.n, args.kr)
     if args.lam is None:
         raise InvalidInput("one of --lambda or --kr is required")
-    return MinAffSpec(args.n, _parse_lambda(args.lam), args.direction or "inc", args.shift or 0)
+    return _minaff_from_args(args)
 
 
 def cmd_qchar(args) -> int:
@@ -166,7 +170,7 @@ def _print_report(rep: TensorReport, as_json: bool):
 
 
 def cmd_tensor(args) -> int:
-    spec = MinAffSpec(args.n, _parse_lambda(args.lam), args.direction or "inc", args.shift or 0)
+    spec = _minaff_from_args(args)
     kr = _parse_kr(args.n, args.kr)
     rep = classify_variant(spec, kr)
     _print_report(rep, args.json)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the exact-integer input rule.
 
 The CLI maps these onto its exit-code contract: invalid input exits with 2,
 a theorem violation (a structural prediction contradicted by brute force,
@@ -16,3 +16,9 @@ class InvariantViolation(AssertionError):
 
 class TheoremViolation(InvariantViolation):
     """A closed-form prediction disagrees with the brute-force computation."""
+
+
+def require_int(what: str, value) -> None:
+    """Reject anything but a plain ``int`` (a ``bool`` included) rather than coerce it."""
+    if type(value) is not int:
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")

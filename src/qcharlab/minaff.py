@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import InvalidInput, InvariantViolation
+from .errors import InvalidInput, InvariantViolation, require_int
 from .lweight import (
     Key,
     LMonomial,
@@ -46,12 +46,6 @@ def _seg(lam: tuple[int, ...], a: int, b: int) -> int:
     return sum(lam[a - 1 : b])
 
 
-def _require_int(what: str, value) -> None:
-    """Reject anything but a plain ``int`` (a ``bool`` included) rather than coerce it."""
-    if type(value) is not int:
-        raise InvalidInput(f"{what} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MinAffSpec:
     """Symbolic minimal affinization: rank, weight, direction, spectral shift."""
@@ -62,13 +56,13 @@ class MinAffSpec:
     shift: int = 0
 
     def __post_init__(self):
-        _require_int("rank", self.n)
+        require_int("rank", self.n)
         if not isinstance(self.lam, (tuple, list)):
             raise InvalidInput(f"weight must be a tuple or list of integers, got {self.lam!r}")
         object.__setattr__(self, "lam", tuple(self.lam))
         for v in self.lam:
-            _require_int("weight entry", v)
-        _require_int("spectral shift", self.shift)
+            require_int("weight entry", v)
+        require_int("spectral shift", self.shift)
         if self.n < 1:
             raise InvalidInput(f"rank must be positive, got {self.n}")
         if len(self.lam) != self.n:
@@ -124,10 +118,10 @@ class KRSpec:
     k: int
 
     def __post_init__(self):
-        _require_int("rank", self.n)
-        _require_int("KR node", self.node)
-        _require_int("KR anchor", self.r)
-        _require_int("string length", self.k)
+        require_int("rank", self.n)
+        require_int("KR node", self.node)
+        require_int("KR anchor", self.r)
+        require_int("string length", self.k)
         if self.n < 1:
             raise InvalidInput(f"rank must be positive, got {self.n}")
         if self.node not in (1, self.n):
@@ -426,10 +420,10 @@ def kr_qchar_by_partitions(n: int, r: int, k: int) -> QChar:
     Terms are indexed by partitions (j_1 >= ... >= j_k, 0 <= j_l <= n): the
     term of a partition multiplies the highest term by the inverse loop-root
     paths from node n down to n+1-j_l at spectral parameter r+2(k-l), the
-    zero part contributing nothing.
+    zero part contributing nothing.  The arguments are checked as
+    ``KRSpec(n, n, r, k)`` checks them.
     """
-    if k < 1:
-        raise InvalidInput(f"string length must be positive, got {k}")
+    KRSpec(n, n, r, k)
     top = y_string(n, n, r, k)
     terms: dict[LMonomial, int] = {}
 

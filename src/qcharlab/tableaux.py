@@ -10,15 +10,18 @@ Semi-standard means: columns strictly increase top to bottom, support starts
 weakly decrease left to right, and whenever a box (c, s) in one column has a
 neighbour (c', s-2) in the next column then c >= c'.
 
+``Shape`` and ``Tableau`` are plain validated values: every column length,
+support start and content must be a plain ``int``, and a ``Tableau`` is
+built only through its constructor.
+
 ``semistandard_fillings`` is the one search.  It keeps a running exponent
 vector while it places boxes and yields each filling's contents with its
 monomial, building no tableau; ``qchar`` reads only the monomials.  It
 builds each ``((i, r), e)`` pair once per search, in one table, so the
 terms of a character share their pairs instead of each holding copies.
-``enumerate_semistandard`` is a view of the same search that copies each
-filling into a ``Tableau`` carrying its monomial.  ``monomial_of_tableau``
-returns that monomial, and computes (and remembers) it in one pass over the
-boxes for a tableau built any other way.
+``enumerate_semistandard`` is a view of the same search that builds a
+``Tableau`` from each filling's contents.  ``monomial_of_tableau`` sums a
+tableau's box exponents in one pass and keeps no state.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ from itertools import compress
 from operator import getitem
 from typing import Iterator
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_int
 from .lweight import LMonomial
 
 
 @dataclass(frozen=True)
 class Shape:
-    """Ordered columns given as (length, support-start) pairs.
+    """Ordered columns given as (length, support-start) pairs of plain ``int``s.
 
     Construction rejects shapes whose picture would be disconnected: supports
     must share one parity and consecutive columns must at least touch
@@ -45,9 +48,11 @@ class Shape:
     columns: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        cols = tuple((int(k), int(s)) for k, s in self.columns)
+        cols = tuple((k, s) for k, s in self.columns)
         object.__setattr__(self, "columns", cols)
-        for k, _ in cols:
+        for k, s in cols:
+            require_int("column length", k)
+            require_int("support start", s)
             if k < 1:
                 raise InvalidInput(f"column length must be positive, got {k}")
         for (k1, s1), (k2, s2) in zip(cols, cols[1:]):
@@ -74,29 +79,22 @@ def box_support(length: int, start: int, row: int) -> int:
 class Tableau:
     """A filling of a Shape with contents in 1..n+1.
 
-    Contents need not be increasing: intermediate results of single-box
-    raises are representable.  Semi-standardness is a predicate, not a
-    construction invariant.
-
-    ``_monomial`` memoizes ``monomial_of_tableau``.  It is a plain class
-    attribute, not a field, so it takes no part in ``==``, ``hash`` or
-    ``repr``.
+    The shape must be a ``Shape`` and every content a plain ``int``; the
+    columns may be given as lists and are stored as tuples.  Contents need
+    not be increasing: intermediate results of single-box raises are
+    representable.  Semi-standardness is a predicate, not a construction
+    invariant.
     """
 
     n: int
     shape: Shape
     cols: tuple[tuple[int, ...], ...]
-    _monomial = None
-
-    @classmethod
-    def _make(cls, n: int, shape: Shape, cols, monomial: LMonomial) -> "Tableau":
-        """Build from already valid contents with a known monomial, skipping the checks."""
-        t = object.__new__(cls)
-        t.__dict__.update(n=n, shape=shape, cols=cols, _monomial=monomial)
-        return t
 
     def __post_init__(self):
-        cols = tuple(tuple(int(c) for c in col) for col in self.cols)
+        require_int("rank", self.n)
+        if not isinstance(self.shape, Shape):
+            raise InvalidInput(f"tableau shape must be a Shape, got {self.shape!r}")
+        cols = tuple(map(tuple, self.cols))
         object.__setattr__(self, "cols", cols)
         if len(cols) != len(self.shape):
             raise InvalidInput("number of content columns must match the shape")
@@ -104,6 +102,7 @@ class Tableau:
             if len(col) != k:
                 raise InvalidInput("column entries must match the shape lengths")
             for c in col:
+                require_int("tableau content", c)
                 if not 1 <= c <= self.n + 1:
                     raise InvalidInput(f"content {c} out of range 1..{self.n + 1}")
 
@@ -149,26 +148,18 @@ def monomial_of_box(n: int, content: int, s: int) -> LMonomial:
 
 
 def monomial_of_tableau(t: Tableau) -> LMonomial:
-    """Product of the box monomials of ``t``.
-
-    Tableaux yielded by ``enumerate_semistandard`` carry their monomial
-    already.  For any other tableau the exponents are summed in one pass
-    over the boxes and the result is memoized on ``t``.
-    """
-    m = t._monomial
-    if m is None:
-        n = t.n
-        acc: dict[tuple[int, int], int] = {}
-        for c, s in t.boxes():
-            if c <= n:
-                key = (c, s + c - 1)
-                acc[key] = acc.get(key, 0) + 1
-            if c >= 2:
-                key = (c - 1, s + c)
-                acc[key] = acc.get(key, 0) - 1
-        m = LMonomial._make(n, tuple(sorted(kv for kv in acc.items() if kv[1])))
-        object.__setattr__(t, "_monomial", m)
-    return m
+    """Product of the box monomials of ``t``, its exponents summed in one
+    pass over the boxes."""
+    n = t.n
+    acc: dict[tuple[int, int], int] = {}
+    for c, s in t.boxes():
+        if c <= n:
+            key = (c, s + c - 1)
+            acc[key] = acc.get(key, 0) + 1
+        if c >= 2:
+            key = (c - 1, s + c)
+            acc[key] = acc.get(key, 0) - 1
+    return LMonomial._make(n, tuple(sorted(kv for kv in acc.items() if kv[1])))
 
 
 def is_semistandard(t: Tableau) -> bool:
@@ -281,13 +272,13 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
 def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
     """Yield every semi-standard tableau of ``shape`` with contents in 1..n+1.
 
-    A view of ``semistandard_fillings``: the same order, each filling copied
-    into column tuples, and each tableau carrying the filling's monomial.
+    A view of ``semistandard_fillings``: the same order, each filling's
+    contents cut into columns and passed to the ``Tableau`` constructor.
     """
     columns: list[slice] = []
     start = 0
     for k, _ in shape:
         columns.append(slice(start, start + k))
         start += k
-    for contents, m in semistandard_fillings(n, shape):
-        yield Tableau._make(n, shape, tuple(map(tuple, map(contents.__getitem__, columns))), m)
+    for contents, _ in semistandard_fillings(n, shape):
+        yield Tableau(n, shape, [contents[cut] for cut in columns])

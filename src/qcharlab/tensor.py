@@ -638,8 +638,10 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
 
     Solves each resonance equation ``s*r + c = 2k'`` as ``r = s*(2k' - c)``
     over all admissible k' and pads by ``pad`` on each side so that nearby
-    irreducible points are swept as well.
+    irreducible points are swept as well.  ``node`` and ``k`` are checked
+    as ``KRSpec`` checks them: an extreme node and a positive integer length.
     """
+    KRSpec(spec.n, node, 0, k)
     if pad < 0:
         raise InvalidInput("pad must be nonnegative")
     variant = _variant_of(spec.direction, node != spec.n)

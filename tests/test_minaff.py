@@ -258,6 +258,18 @@ class TestKRPartitionOracle:
             qc = kr_qchar_by_partitions(n, r, k)
             assert qc.dominant_terms() == [(y_string(n, n, r, k), 1)]
 
+    @pytest.mark.parametrize(
+        "args",
+        [(2, 0.5, 1), (2, True, 1), (2, 0, 2.0), (2, 0, True), (2.0, 0, 1), (2, 0, 0), (0, 0, 1)],
+        ids=repr,
+    )
+    def test_arguments_checked_as_by_krspec(self, args):
+        with pytest.raises(InvalidInput) as excinfo:
+            kr_qchar_by_partitions(*args)
+        with pytest.raises(InvalidInput) as expected:
+            KRSpec(args[0], args[0], *args[1:])
+        assert str(excinfo.value) == str(expected.value)
+
     def test_oracle_equivalence_small(self):
         for n in (1, 2, 3):
             for k in (1, 2, 3):

@@ -55,6 +55,44 @@ class TestShape:
         assert len(Shape(())) == 0
 
 
+class TestExactIntegers:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Shape(((2.7, 0.0),)),
+            lambda: Shape(((1, "0"),)),
+            lambda: Shape(((True, 0),)),
+            lambda: Shape(((1, 0), (1, 2.0 - 4))),
+            lambda: Tableau(1, Shape(((1, 0),)), (("1",),)),
+            lambda: Tableau(1, Shape(((1, 0),)), ((1.9,),)),
+            lambda: Tableau(1, Shape(((1, 0),)), ((True,),)),
+            lambda: Tableau(1.0, Shape(((1, 0),)), ((1,),)),
+            lambda: Tableau(1, ((1, 0),), ((1,),)),
+        ],
+        ids=[
+            "float-shape",
+            "str-support",
+            "bool-length",
+            "float-support",
+            "str-content",
+            "float-content",
+            "bool-content",
+            "float-rank",
+            "tuple-shape",
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(InvalidInput, match="must be"):
+            build()
+
+    def test_lists_are_stored_as_tuples(self):
+        t = Tableau(2, Shape([[2, 0], [1, -2]]), [[1, 2], [3]])
+        assert t.shape.columns == ((2, 0), (1, -2))
+        assert t.cols == ((1, 2), (3,))
+        assert t == Tableau(2, Shape(((2, 0), (1, -2))), ((1, 2), (3,)))
+        assert hash(t) == hash(Tableau(2, Shape(((2, 0), (1, -2))), ((1, 2), (3,))))
+
+
 class TestBoxMonomial:
     def test_first_content_has_no_inverse(self):
         assert monomial_of_box(2, 1, 0) == Y(2, 1, 0)
@@ -92,12 +130,10 @@ class TestTableauMonomial:
         assert "s=1" in text and "s=-3" in text
 
 
-class TestMonomialMemo:
+class TestBoxProduct:
     def test_hand_built_tableau_matches_reference(self):
         t = Tableau(3, Shape(((3, 2), (2, 0), (1, -2))), ((1, 3, 4), (2, 4), (3,)))
-        assert t._monomial is None
         assert monomial_of_tableau(t) == monomial_of_tableau_reference(t)
-        assert monomial_of_tableau(t) is monomial_of_tableau(t)
 
     def test_raised_tableau_matches_reference(self):
         t = highest_tableau(MinAffSpec(3, (1, 1, 1), "dec", 2))
@@ -105,15 +141,14 @@ class TestMonomialMemo:
         assert monomial_of_tableau(t2) == monomial_of_tableau_reference(t2)
         assert monomial_of_tableau(t2) == monomial_of_tableau(t) * path.inverse()
 
-    def test_memo_is_invisible(self):
+    def test_equal_tableaux_are_interchangeable(self):
         spec = MinAffSpec(2, (1, 1), "inc", -1)
         fresh = highest_tableau(spec)
-        memo = highest_tableau(spec)
-        monomial_of_tableau(memo)
-        assert memo._monomial is not None and fresh._monomial is None
-        assert memo == fresh and hash(memo) == hash(fresh)
-        assert repr(memo) == repr(fresh) and "_monomial" not in repr(memo)
-        assert pickle.loads(pickle.dumps(memo)) == fresh
+        used = highest_tableau(spec)
+        monomial_of_tableau(used)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.loads(pickle.dumps(used)) == fresh
 
 
 @st.composite
@@ -135,7 +170,6 @@ def test_enumerated_monomials_match_the_box_product(spec):
     shape = highest_tableau(spec).shape
     count = 0
     for t in enumerate_semistandard(spec.n, shape):
-        assert t._monomial is not None
         assert monomial_of_tableau(t) == monomial_of_tableau_reference(t)
         checked = Tableau(spec.n, shape, t.cols)
         assert t == checked and hash(t) == hash(checked)

@@ -628,6 +628,21 @@ class TestVariantTable:
             assert r in window
 
 
+class TestResonanceWindow:
+    @pytest.mark.parametrize(
+        "node, k",
+        [(2, 1), (0, 1), (4, 1), (1, 0), (3, -2), (1.0, 1), (True, 1), (3, 1.0), (3, True), (3, "1")],
+        ids=repr,
+    )
+    def test_rejects_what_krspec_rejects(self, node, k):
+        spec = MinAffSpec(3, (1, 0, 1))
+        with pytest.raises(InvalidInput) as excinfo:
+            resonance_window(spec, node, k)
+        with pytest.raises(InvalidInput) as expected:
+            KRSpec(3, node, 0, k)
+        assert str(excinfo.value) == str(expected.value)
+
+
 class TestSpectralShift:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
