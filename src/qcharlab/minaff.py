@@ -8,6 +8,11 @@ with ``i0`` the top supported node and base anchor ``r_{i0} = 1 - lam_{i0}``,
     increasing:  r_i = r_{i0} - 2 * sum(lam[i..i0-1]) + i - i0
     decreasing:  r_i = r_{i0} + 2 * sum(lam[i+1..i0]) + i0 - i
 
+The ladder is written only in ``MinAffSpec.anchors`` and the highest
+tableau's columns only in ``highest_shape``; recognition reads a monomial's
+weight and top anchor and accepts the one candidate spec iff its Drinfeld
+polynomial is that monomial.
+
 The q-character is the set of monomials of the semi-standard fillings of
 the highest tableau's shape, read off the search without building the
 tableaux; for a KR module at the last node an independent
@@ -338,9 +343,9 @@ def _dominant_join(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
 
 # Bound on the q-characters (each with its join index once it joins, and the
 # index's cover bitsets once it is the smaller factor of a join) and the
-# Drinfeld polynomials kept in memory.  The four-variant sweep with
-# n_max=lambda_sum_max=k_max=4 requests 1,196 distinct specs of each
-# (the 5,820-point sweep with n_max=3 requests 412), so it never evicts.
+# Drinfeld polynomials kept in memory.  Neither evicts: the golden sweep holds
+# 374 characters and 400 polynomials, the n_max=lambda_sum_max=k_max=4 sweep
+# 1,006 and 1,172 (recognition adds the transported specs at their shifts).
 CACHE_SIZE = 2048
 
 
@@ -348,9 +353,8 @@ CACHE_SIZE = 2048
 def drinfeld_of_spec(spec: MinAffSpec) -> LMonomial:
     """Drinfeld polynomial of the spec: product of its node strings."""
     m = LMonomial.identity(spec.n)
-    anchors = spec.anchors()
-    for i in spec.supp():
-        m = m * y_string(spec.n, i, anchors[i], spec.lam[i - 1])
+    for i, r in spec.anchors().items():
+        m = m * y_string(spec.n, i, r, spec.lam[i - 1])
     return m
 
 
@@ -447,88 +451,44 @@ def kr_qchar_by_partitions(n: int, r: int, k: int) -> QChar:
     return QChar(n, terms)
 
 
-@dataclass(frozen=True)
-class MinAffRecognition:
-    """Result of recognising a dominant monomial as a minimal affinization.
-
-    ``epsilons`` lists the admissible ladder signs: (-1,) increasing,
-    (+1,) decreasing, or both when the support is a single node.  ``anchor``
-    is the spectral anchor of the top supported node string.
-    """
-
-    n: int
-    lam: tuple[int, ...]
-    epsilons: tuple[int, ...]
-    anchor: int
-
-    def spec(self, direction: Direction) -> MinAffSpec:
-        eps = -1 if direction == "inc" else 1
-        if eps not in self.epsilons:
-            raise InvalidInput(f"monomial does not admit direction {direction!r}")
-        i0 = max(i for i in range(1, self.n + 1) if self.lam[i - 1])
-        return MinAffSpec(self.n, self.lam, direction, self.anchor - (1 - self.lam[i0 - 1]))
-
-
-def _p_ladder(lam: tuple[int, ...], i: int, j: int) -> int:
-    """The ladder step between nodes i < j used in the recognition test."""
-    return _seg(lam, i + 1, j) + _seg(lam, i, j - 1) + (j - i)
-
-
-def recognize_minaff(m: LMonomial) -> MinAffRecognition | None:
-    """Recognise a dominant monomial as the Drinfeld polynomial of a minimal
-    affinization.
-
-    Each supported node must carry a single multiplicity-one string of step
-    two, and consecutive string anchors must follow the ladder relation with
-    one sign for all pairs.  Returns None when the pattern does not match.
-    """
+def _unit_rows(m: LMonomial) -> dict[int, list[int]] | None:
+    """Node -> ascending parameters of ``m``'s variables; None unless each exponent is 1."""
     if not is_dominant(m):
         raise InvalidInput("recognition requires a dominant monomial")
-    n = m.n
     rows: dict[int, list[int]] = {}
     for (i, r), e in m.items():
         if e != 1:
             return None
         rows.setdefault(i, []).append(r)
-    if not rows:
+    return rows or None
+
+
+def recognize_minaff(m: LMonomial, direction: Direction) -> MinAffSpec | None:
+    """The minimal affinization of ``direction`` whose Drinfeld polynomial is
+    the dominant monomial ``m``, or None if there is none.
+
+    The weight counts the variables at each node, and the top node's lowest
+    spectral parameter is its anchor; together they fix the only candidate
+    spec, which is returned if its Drinfeld polynomial is ``m``.
+    """
+    rows = _unit_rows(m)
+    if rows is None:
         return None
-    lam = [0] * n
-    anchors: dict[int, int] = {}
-    for i, rs in rows.items():
-        rs.sort()
-        if any(b - a != 2 for a, b in zip(rs, rs[1:])):
-            return None
-        lam[i - 1] = len(rs)
-        anchors[i] = rs[0]
-    supp = sorted(anchors)
-    lam_t = tuple(lam)
-    if len(supp) == 1:
-        return MinAffRecognition(n, lam_t, (-1, 1), anchors[supp[0]])
-    # a_i = q^(r_i + lam_i - 1); compare consecutive supported nodes
-    eps_ok = []
-    for eps in (-1, 1):
-        ok = True
-        for i, j in zip(supp, supp[1:]):
-            lhs = (anchors[i] + lam[i - 1] - 1) - (anchors[j] + lam[j - 1] - 1)
-            if lhs != eps * _p_ladder(lam_t, i, j):
-                ok = False
-                break
-        if ok:
-            eps_ok.append(eps)
-    if not eps_ok:
-        return None
-    return MinAffRecognition(n, lam_t, tuple(eps_ok), anchors[supp[-1]])
+    lam = tuple(len(rows.get(i, ())) for i in range(1, m.n + 1))
+    i0 = max(rows)
+    spec = MinAffSpec(m.n, lam, direction, rows[i0][0] - (1 - lam[i0 - 1]))
+    return spec if drinfeld_of_spec(spec) == m else None
 
 
 def recognize_kr(m: LMonomial) -> KRSpec | None:
-    """Recognise a dominant monomial as a single extreme-node string."""
-    rec = recognize_minaff(m)
-    if rec is None:
+    """The KR module at node 1 or n whose Drinfeld polynomial is the dominant
+    monomial ``m`` (its lowest variable is the anchor), or None if there is none."""
+    rows = _unit_rows(m)
+    if rows is None or list(rows) not in ([1], [m.n]):
         return None
-    supp = [i for i in range(1, m.n + 1) if rec.lam[i - 1]]
-    if len(supp) != 1 or supp[0] not in (1, m.n):
-        return None
-    return KRSpec(m.n, supp[0], rec.anchor, rec.lam[supp[0] - 1])
+    ((node, rs),) = rows.items()
+    kr = KRSpec(m.n, node, rs[0], len(rs))
+    return kr if kr.drinfeld() == m else None
 
 
 def weyl_dim(n: int, lam: tuple[int, ...]) -> int:

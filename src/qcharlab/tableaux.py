@@ -11,8 +11,9 @@ weakly decrease left to right, and whenever a box (c, s) in one column has a
 neighbour (c', s-2) in the next column then c >= c'.
 
 ``Shape`` and ``Tableau`` are plain validated values: every column length,
-support start and content must be a plain ``int``, and a ``Tableau`` is
-built only through its constructor.
+support start and content must be a plain ``int``, a malformed structure
+is ``InvalidInput`` too, and a ``Tableau`` is built only through its
+constructor.
 
 ``semistandard_fillings`` is the one search.  It keeps a running exponent
 vector while it places boxes and yields each filling's contents with its
@@ -48,7 +49,12 @@ class Shape:
     columns: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        cols = tuple((k, s) for k, s in self.columns)
+        try:
+            cols = tuple((k, s) for k, s in self.columns)
+        except (TypeError, ValueError):
+            raise InvalidInput(
+                f"shape columns must be (length, start) pairs, got {self.columns!r}"
+            ) from None
         object.__setattr__(self, "columns", cols)
         for k, s in cols:
             require_int("column length", k)
@@ -94,7 +100,12 @@ class Tableau:
         require_int("rank", self.n)
         if not isinstance(self.shape, Shape):
             raise InvalidInput(f"tableau shape must be a Shape, got {self.shape!r}")
-        cols = tuple(map(tuple, self.cols))
+        try:
+            cols = tuple(map(tuple, self.cols))
+        except TypeError:
+            raise InvalidInput(
+                f"tableau columns must be sequences of contents, got {self.cols!r}"
+            ) from None
         object.__setattr__(self, "cols", cols)
         if len(cols) != len(self.shape):
             raise InvalidInput("number of content columns must match the shape")

@@ -39,7 +39,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
-from .errors import InvalidInput, InvariantViolation, TheoremViolation
+from .errors import InvalidInput, InvariantViolation, TheoremViolation, require_int
 from .lweight import (
     LMonomial,
     expand_lroot_path,
@@ -54,13 +54,14 @@ from .minaff import (
     QChar,
     _seg,
     drinfeld_of_spec,
+    highest_shape,
     highest_tableau,
     qchar,
     qchar_kr,
     recognize_kr,
     recognize_minaff,
 )
-from .tableaux import Shape, Tableau, monomial_of_tableau
+from .tableaux import Tableau, monomial_of_tableau
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,9 @@ def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomi
     rejected.
 
     The returned monomial is verified against the inverse loop-root product
-    over the modified columns before being handed back.
+    over the modified columns before being handed back: raising the column
+    ``(l, s)`` of ``highest_shape`` divides by the root path from node l to
+    node p - 1 at anchor ``s + l - 1``.
     """
     if spec.direction != "inc":
         raise InvalidInput("the raised-box family is built from increasing specs")
@@ -265,23 +268,17 @@ def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomi
     if p == 0 or c > total or f < c:
         return S, omega
     f = min(f, total)
-    lengths = [k for k, _ in S.shape]
-    if p <= lengths[c - 1]:
+    columns = S.shape.columns
+    if p <= columns[c - 1][0]:
         raise InvalidInput(
-            f"content bound {p} does not exceed the length {lengths[c - 1]} of column {c}"
+            f"content bound {p} does not exceed the length {columns[c - 1][0]} of column {c}"
         )
-    anchors = spec.anchors()
     new_cols = list(S.cols)
     roots = LMonomial.identity(spec.n)
     for j in range(c, f + 1):
-        lj = lengths[j - 1]
-        col = list(new_cols[j - 1])
-        col[-1] = p
-        new_cols[j - 1] = tuple(col)
-        dj = j - _seg(spec.lam, lj + 1, spec.n)
-        roots = roots * expand_lroot_path(
-            spec.n, lj, p - 1, anchors[lj] + 2 * (spec.lam[lj - 1] - dj)
-        )
+        l, s = columns[j - 1]
+        new_cols[j - 1] = new_cols[j - 1][:-1] + (p,)
+        roots = roots * expand_lroot_path(spec.n, l, p - 1, s + l - 1)
     t = Tableau(spec.n, S.shape, tuple(new_cols))
     mono = monomial_of_tableau(t)
     if mono != omega * roots.inverse():
@@ -294,6 +291,7 @@ def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomi
 def family_T(kr: KRSpec, m: int, p: int) -> tuple[Tableau, LMonomial]:
     """The KR tableau with a gap at the p-th box of each of the first m columns.
 
+    The columns are those of ``highest_shape(kr.as_minaff())``.
     Conventions: m is clamped to the number of columns, and m = 0 or
     p = n + 1 return the highest tableau.  The monomial is computed from the
     boxes and verified against both the inverse loop-root product and the
@@ -306,7 +304,7 @@ def family_T(kr: KRSpec, m: int, p: int) -> tuple[Tableau, LMonomial]:
         raise InvalidInput(f"gap position {p} out of range 1..{n + 1}")
     m = min(max(m, 0), kr.k)
     r, k = kr.r, kr.k
-    shape = Shape(tuple((n, r + 1 + 2 * (k - j) - n) for j in range(1, k + 1)))
+    shape = highest_shape(kr.as_minaff())
     plain = tuple(range(1, n + 1))
     gapped = tuple(range(1, p)) + tuple(range(p + 1, n + 2))
     varpi = kr.drinfeld()
@@ -545,13 +543,12 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
             if pos >= len(D) or D[pos] != lam_prime:
                 raise TheoremViolation(f"extra factor {lam_prime} not at position {pos} of D")
     else:
-        rec = recognize_minaff(transform(omega, variant.inverse))
-        if rec is None or -1 not in rec.epsilons:
+        spec_t = recognize_minaff(transform(omega, variant.inverse), "inc")
+        if spec_t is None:
             raise TheoremViolation("transported affinization is not increasing")
         kr_t = recognize_kr(transform(varpi, variant.inverse))
         if kr_t is None or kr_t.node != spec.n:
             raise TheoremViolation("transported KR module is not at the last node")
-        spec_t = rec.spec("inc")
         # a global spectral shift changes no classification, so the cached
         # shift-0 problem serves every shift of it
         t = spec_t.shift
@@ -639,9 +636,11 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
     Solves each resonance equation ``s*r + c = 2k'`` as ``r = s*(2k' - c)``
     over all admissible k' and pads by ``pad`` on each side so that nearby
     irreducible points are swept as well.  ``node`` and ``k`` are checked
-    as ``KRSpec`` checks them: an extreme node and a positive integer length.
+    as ``KRSpec`` checks them: an extreme node and a positive integer length;
+    ``pad`` must be a plain ``int``.
     """
     KRSpec(spec.n, node, 0, k)
+    require_int("pad", pad)
     if pad < 0:
         raise InvalidInput("pad must be nonnegative")
     variant = _variant_of(spec.direction, node != spec.n)

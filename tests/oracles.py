@@ -7,7 +7,8 @@ over placements, product characters are convolved monomial by monomial
 (the package joins the factors' terms on bitsets), tableau monomials are multiplied
 out box by box (the package sums exponents as it enumerates), the resonance
 equations are written out once per variant (the package derives them from
-two flags), every JSON value the CLI writes is a dict or list for
+two flags), a minimal affinization is recognised by its anchor ladder (the
+package rebuilds the candidate's Drinfeld polynomial), every JSON value the CLI writes is a dict or list for
 ``json.dumps`` (the package writes each type's JSON text directly, in
 ``json_text``), and monomial generators build random inputs from scratch.
 The column-gap, single-box-raise and weight-sum helpers serve only the
@@ -32,6 +33,7 @@ from qcharlab import (
     Weight,
     expand_lroot_path,
     expand_simple_lroot,
+    is_dominant,
     monomial_of_box,
     resonance_window,
     y_string,
@@ -241,6 +243,69 @@ def resonance_reference(variant: str, spec: MinAffSpec, kr: KRSpec):
     if len(cands) > 1:
         raise ValueError(f"resonance not unique: {cands}")
     return cands[0] if cands else None
+
+
+def _seg_reference(lam: tuple[int, ...], a: int, b: int) -> int:
+    """Sum lam[a..b] with 1-based inclusive bounds; empty when a > b."""
+    if a > b:
+        return 0
+    return sum(lam[a - 1 : b])
+
+
+def _p_ladder(lam: tuple[int, ...], i: int, j: int) -> int:
+    """The ladder step between nodes i < j used in the recognition test."""
+    return _seg_reference(lam, i + 1, j) + _seg_reference(lam, i, j - 1) + (j - i)
+
+
+def recognize_minaff_reference(m: LMonomial):
+    """Recognise a dominant monomial as the Drinfeld polynomial of a minimal
+    affinization by the anchor ladder, pair by pair.
+
+    Each supported node must carry a single multiplicity-one string of step
+    two, and consecutive string anchors must follow the ladder relation with
+    one sign for all pairs.  Returns ``(lam, epsilons, anchor)``, where
+    ``epsilons`` lists the admissible ladder signs, (-1,) increasing, (+1,)
+    decreasing, or both when the support is a single node, and ``anchor`` is
+    the spectral anchor of the top supported node string; None when the
+    pattern does not match.  (The package instead rebuilds the one candidate
+    spec's Drinfeld polynomial and compares.)
+    """
+    if not is_dominant(m):
+        raise InvalidInput("recognition requires a dominant monomial")
+    n = m.n
+    rows: dict[int, list[int]] = {}
+    for (i, r), e in m.items():
+        if e != 1:
+            return None
+        rows.setdefault(i, []).append(r)
+    if not rows:
+        return None
+    lam = [0] * n
+    anchors: dict[int, int] = {}
+    for i, rs in rows.items():
+        rs.sort()
+        if any(b - a != 2 for a, b in zip(rs, rs[1:])):
+            return None
+        lam[i - 1] = len(rs)
+        anchors[i] = rs[0]
+    supp = sorted(anchors)
+    lam_t = tuple(lam)
+    if len(supp) == 1:
+        return lam_t, (-1, 1), anchors[supp[0]]
+    # a_i = q^(r_i + lam_i - 1); compare consecutive supported nodes
+    eps_ok = []
+    for eps in (-1, 1):
+        ok = True
+        for i, j in zip(supp, supp[1:]):
+            lhs = (anchors[i] + lam[i - 1] - 1) - (anchors[j] + lam[j - 1] - 1)
+            if lhs != eps * _p_ladder(lam_t, i, j):
+                ok = False
+                break
+        if ok:
+            eps_ok.append(eps)
+    if not eps_ok:
+        return None
+    return lam_t, tuple(eps_ok), anchors[supp[-1]]
 
 
 def in_lroot_cone_bruteforce(m: LMonomial, max_total: int = 5) -> bool:

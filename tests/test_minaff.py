@@ -1,14 +1,17 @@
 import re
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     all_weights,
     characters,
+    dominant_monomials,
     kr_json_reference,
     qchar_json_reference,
+    recognize_minaff_reference,
     spec_json_reference,
     weyl_dim_oracle,
 )
@@ -318,38 +321,96 @@ class TestKRRightNegativity:
 
 class TestRecognition:
     def test_recognizes_increasing_pair(self):
-        rec = recognize_minaff(Y(2, 1, -3) * Y(2, 2, 0))
-        assert rec is not None
-        assert rec.lam == (1, 1) and rec.epsilons == (-1,) and rec.anchor == 0
+        m = Y(2, 1, -3) * Y(2, 2, 0)
+        assert recognize_minaff(m, "inc") == MinAffSpec(2, (1, 1), "inc", 0)
+        assert recognize_minaff(m, "dec") is None
 
     def test_two_strings_at_one_node_rejected(self):
-        assert recognize_minaff(Y(1, 1, 0) * Y(1, 1, 4)) is None
+        for direction in ("inc", "dec"):
+            assert recognize_minaff(Y(1, 1, 0) * Y(1, 1, 4), direction) is None
 
     def test_singleton_support_reports_both(self):
-        rec = recognize_minaff(y_string(3, 2, 5, 2))
-        assert rec is not None and rec.epsilons == (-1, 1)
+        for direction in ("inc", "dec"):
+            spec = recognize_minaff(y_string(3, 2, 5, 2), direction)
+            assert spec == MinAffSpec(3, (0, 2, 0), direction, 6)
 
     def test_non_dominant_rejected(self):
         with pytest.raises(InvalidInput):
-            recognize_minaff(Y(1, 1, 0, -1))
+            recognize_minaff(Y(1, 1, 0, -1), "inc")
+        with pytest.raises(InvalidInput):
+            recognize_kr(Y(1, 1, 0, -1))
 
     def test_roundtrip_over_specs(self):
         for spec in small_specs():
-            rec = recognize_minaff(drinfeld_of_spec(spec))
-            assert rec is not None
-            assert rec.lam == spec.lam
-            expected_eps = -1 if spec.direction == "inc" else 1
-            assert expected_eps in rec.epsilons
-            assert rec.spec(spec.direction) == spec
+            assert recognize_minaff(drinfeld_of_spec(spec), spec.direction) == spec
 
     def test_mismatched_ladder_rejected(self):
         # anchors off the ladder by one step at node 1
-        assert recognize_minaff(Y(2, 1, -2) * Y(2, 2, 0)) is None
+        for direction in ("inc", "dec"):
+            assert recognize_minaff(Y(2, 1, -2) * Y(2, 2, 0), direction) is None
 
     def test_recognize_kr(self):
         assert recognize_kr(y_string(3, 3, -1, 2)) == KRSpec(3, 3, -1, 2)
         assert recognize_kr(y_string(3, 2, -1, 2)) is None
         assert recognize_kr(Y(2, 1, 0) * Y(2, 2, 3)) is None
+
+
+def assert_recognizers_agree(m):
+    """``recognize_minaff`` in both directions and ``recognize_kr`` give what
+    the anchor-ladder recognizer of ``oracles`` gives."""
+    ref = recognize_minaff_reference(m)
+    for direction, eps in (("inc", -1), ("dec", 1)):
+        expected = None
+        if ref is not None and eps in ref[1]:
+            lam, _, anchor = ref
+            i0 = max(i for i in range(1, m.n + 1) if lam[i - 1])
+            expected = MinAffSpec(m.n, lam, direction, anchor - (1 - lam[i0 - 1]))
+        assert recognize_minaff(m, direction) == expected, (m, direction)
+    expected_kr = None
+    if ref is not None:
+        lam, _, anchor = ref
+        supp = [i for i in range(1, m.n + 1) if lam[i - 1]]
+        if len(supp) == 1 and supp[0] in (1, m.n):
+            expected_kr = KRSpec(m.n, supp[0], anchor, lam[supp[0] - 1])
+    assert recognize_kr(m) == expected_kr, m
+
+
+class TestRecognitionAgainstLadder:
+    """Rebuilding the candidate's Drinfeld polynomial accepts exactly what
+    the pairwise anchor ladder accepts."""
+
+    def test_every_small_unit_monomial(self):
+        seen = 0
+        for n in (1, 2, 3):
+            variables = [(i, r) for i in range(1, n + 1) for r in range(-4, 5)]
+            for size in range(5):
+                for chosen in combinations(variables, size):
+                    m = LMonomial(n, [(key, 1) for key in chosen])
+                    assert_recognizers_agree(m)
+                    seen += recognize_minaff(m, "inc") is not None
+        assert seen > 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(dominant_monomials(max_n=3, max_factors=6, row_span=4))
+    @example(Y(1, 1, 0, 2))
+    @example(Y(2, 1, -3, 2) * Y(2, 2, 0))
+    def test_random_monomials(self, m):
+        assert_recognizers_agree(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drinfeld_polynomials_with_one_factor_changed(self, data):
+        """Near misses: a Drinfeld polynomial with one variable multiplied
+        in (an exponent 2 where it is already present) or divided out."""
+        n = data.draw(st.integers(1, 3))
+        lam = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        direction = data.draw(st.sampled_from(("inc", "dec")))
+        m = drinfeld_of_spec(MinAffSpec(n, tuple(lam), direction, data.draw(st.integers(-4, 4))))
+        assert_recognizers_agree(m)
+        exps = dict(m.items())
+        key = data.draw(st.sampled_from(sorted(exps) + [(1, 0), (n, 1)]))
+        change = data.draw(st.sampled_from((1, -1) if key in exps else (1,)))
+        assert_recognizers_agree(m * Y(n, *key, change))
 
 
 class TestFundamentalAgainstClosedForm:

@@ -68,6 +68,11 @@ class TestExactIntegers:
             lambda: Tableau(1, Shape(((1, 0),)), ((True,),)),
             lambda: Tableau(1.0, Shape(((1, 0),)), ((1,),)),
             lambda: Tableau(1, ((1, 0),), ((1,),)),
+            lambda: Shape(((1,),)),
+            lambda: Shape(((1, 0, 2),)),
+            lambda: Shape(5),
+            lambda: Tableau(1, Shape(((1, 0),)), (1,)),
+            lambda: Tableau(1, Shape(((1, 0),)), 1),
         ],
         ids=[
             "float-shape",
@@ -79,6 +84,11 @@ class TestExactIntegers:
             "bool-content",
             "float-rank",
             "tuple-shape",
+            "short-column",
+            "long-column",
+            "int-columns",
+            "int-content-column",
+            "int-contents",
         ],
     )
     def test_rejected(self, build):

@@ -431,16 +431,14 @@ class TestSweepInvariants:
                 probe = y_string(n, p, anchors[p], spec.lam[p - 1]) * y_string(
                     n, n, r, k - kp + 1
                 )
-                rec = recognize_minaff(probe)
-                assert rec is not None and 1 in rec.epsilons
+                assert recognize_minaff(probe, "dec") is not None
                 seen_i += 1
             elif rep.tag.kind == "case_ii":
                 p, kp = rep.tag.p, rep.tag.kprime
                 probe = y_string(
                     n, p, anchors[p], _seg(spec.lam, p, n) - kp + 1
                 ) * y_string(n, n, r, k)
-                rec = recognize_minaff(probe)
-                assert rec is not None and -1 in rec.epsilons
+                assert recognize_minaff(probe, "inc") is not None
                 seen_ii += 1
         assert seen_i > 3 and seen_ii > 3
 
@@ -526,7 +524,7 @@ class TestVariants:
         for variant, spec, kr in points:
             inv = {"a": "star_inv", "b": "kappa", "c": "minus"}[variant]
             own = product_qchar(qchar(spec), qchar_kr(kr))
-            spec_t = recognize_minaff(transform(drinfeld_of_spec(spec), inv)).spec("inc")
+            spec_t = recognize_minaff(transform(drinfeld_of_spec(spec), inv), "inc")
             kr_t = recognize_kr(transform(kr.drinfeld(), inv))
             tilde = product_qchar(qchar(spec_t), qchar_kr(kr_t))
             if variant == "a":
@@ -641,6 +639,15 @@ class TestResonanceWindow:
         with pytest.raises(InvalidInput) as expected:
             KRSpec(3, node, 0, k)
         assert str(excinfo.value) == str(expected.value)
+
+    @pytest.mark.parametrize("pad", [0.5, 2.0, True, "2", None], ids=repr)
+    def test_pad_must_be_an_int(self, pad):
+        with pytest.raises(InvalidInput, match="pad must be an integer"):
+            resonance_window(MinAffSpec(3, (1, 0, 1)), 3, 1, pad)
+
+    def test_negative_pad_rejected(self):
+        with pytest.raises(InvalidInput, match="pad must be nonnegative"):
+            resonance_window(MinAffSpec(3, (1, 0, 1)), 3, 1, -1)
 
 
 class TestSpectralShift:
@@ -784,7 +791,7 @@ def _transported(spec, kr):
     """The shift-0 normal-form problem that the transport step of a/b/c
     asks ``classify_normal`` for."""
     row = tensor._variant_of(spec.direction, kr.node != spec.n)
-    spec_t = recognize_minaff(transform(drinfeld_of_spec(spec), row.inverse)).spec("inc")
+    spec_t = recognize_minaff(transform(drinfeld_of_spec(spec), row.inverse), "inc")
     kr_t = recognize_kr(transform(kr.drinfeld(), row.inverse))
     return replace(spec_t, shift=0), replace(kr_t, r=kr_t.r - spec_t.shift)
 
@@ -867,7 +874,7 @@ class TestClassifierChecks:
              TheoremViolation, "brute-force dominant spectrum disagrees with the closed form"),
             (NORMAL_POINT, {"tensor._lambda_prime_normal": lambda f: lambda s, k, tag, lam: lam},
              TheoremViolation, "not at position"),
-            (A_POINT, {"tensor.recognize_minaff": lambda f: lambda m: None},
+            (A_POINT, {"tensor.recognize_minaff": lambda f: lambda m, direction: None},
              TheoremViolation, "transported affinization is not increasing"),
             (A_POINT, {"tensor.recognize_kr": lambda f: lambda m: None},
              TheoremViolation, "transported KR module is not at the last node"),
