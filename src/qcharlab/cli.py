@@ -45,7 +45,7 @@ from .tensor import (
     VARIANTS,
     TensorReport,
     classify_variant,
-    clear_normal_cache,
+    clear_caches,
     resonance_window,
 )
 
@@ -256,7 +256,8 @@ def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     """
     spec, kr = point
     try:
-        rep = classify_variant(spec, kr)
+        # sweep_grid yields a group's anchors in a row, so classify them together
+        rep = classify_variant(spec, kr, whole_group=True)
     except InvariantViolation as exc:
         key, message = "violation", str(exc)
     except Exception as exc:
@@ -430,8 +431,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    # no command reads a normal-form report cached by an earlier one in this process
-    clear_normal_cache()
+    # no command reads a report, spectrum or recognition cached by an earlier one
+    clear_caches()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here when the output fit in the buffer

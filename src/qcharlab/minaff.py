@@ -24,7 +24,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import comb
+from operator import not_
+from typing import Optional
 
 from .errors import InvalidInput, InvariantViolation, require_int
 from .lweight import (
@@ -42,6 +45,11 @@ from .tableaux import Shape, Tableau, semistandard_fillings
 from .tableaux import enumerate_semistandard, monomial_of_tableau  # noqa: F401
 
 Direction = str  # "inc" | "dec"
+
+
+def _check_direction(direction) -> None:
+    if direction not in ("inc", "dec"):
+        raise InvalidInput(f"direction must be 'inc' or 'dec', got {direction!r}")
 
 
 def _seg(lam: tuple[int, ...], a: int, b: int) -> int:
@@ -76,8 +84,7 @@ class MinAffSpec:
             raise InvalidInput("weight entries must be nonnegative")
         if not any(self.lam):
             raise InvalidInput("weight must not be zero")
-        if self.direction not in ("inc", "dec"):
-            raise InvalidInput(f"direction must be 'inc' or 'dec', got {self.direction!r}")
+        _check_direction(self.direction)
 
     @property
     def total(self) -> int:
@@ -152,10 +159,10 @@ class QChar:
 
     A character is held either as a dict of monomials or, for a product
     character, as its two factors (``product``).  A product answers
-    ``dominant_terms`` by a join that walks the larger factor's terms
-    against cover bitsets of the smaller one (see ``_dominant_join``),
-    without forming the product; everything else on it convolves the
-    factors once, on first use.
+    ``dominant_terms`` by ``anchor_join`` at anchor 0, walking the larger
+    factor's terms against cover bitsets of the smaller one, without
+    forming the product; everything else on it convolves the factors once,
+    on first use.
     """
 
     __slots__ = ("n", "_terms", "_factors", "_index")
@@ -207,7 +214,7 @@ class QChar:
         if self._factors is None:
             out = [(m, c) for m, c in self._terms.items() if is_dominant(m)]
         else:
-            out = list(_dominant_join(*self._factors).items())
+            out = list(_dominant_product(*self._factors).items())
         out.sort(key=lambda mc: monomial_sort_key(mc[0]))
         return out
 
@@ -250,18 +257,32 @@ def _bitset(indices: list[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _at_least(masks: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The thresholds ``t`` of ``masks``, ascending, each paired with the OR
+    of the masks at ``t`` and above."""
+    ts = sorted(masks)
+    acc, out = 0, []
+    for t in reversed(ts):
+        acc |= masks[t]
+        out.append(acc)
+    return tuple(ts), tuple(reversed(out))
+
+
 class _JoinIndex:
-    """One character's terms for ``_dominant_join``: term ``j`` is bit ``j``.
+    """One character's terms for ``anchor_join``: term ``j`` is bit ``j``.
 
     ``needs[j]`` holds term ``j``'s own pairs ``(key, e)`` with ``e < 0``
     (shared with the term, not copied): a partner must have ``-e`` or more
-    at each such ``key``.  ``cover`` is built on the first ``covering``
-    call, so only for the factor a join indexes: ``cover[key]`` pairs the
-    positive exponents ``t`` at ``key``, ascending, with the bitsets of the
-    terms whose exponent at ``key`` is ``>= t``.
+    at each such ``key``.  The rest is built by the first join that indexes
+    the character (``_build_cover``).  ``cover[key]`` pairs the positive
+    exponents ``t`` at ``key``, ascending, with the bitsets of the terms
+    whose exponent at ``key`` is ``>= t``.  ``rows[i]`` pairs the positive
+    exponents ``t`` at node ``i`` with a mask of the rows ``s`` at which
+    some term reaches ``t``, as bit ``top - s`` (``top`` is the highest
+    such row).
     """
 
-    __slots__ = ("monos", "mults", "needs", "cover")
+    __slots__ = ("monos", "mults", "needs", "cover", "rows", "top")
 
     def __init__(self, terms: dict[LMonomial, int]):
         self.monos = list(terms)
@@ -269,27 +290,30 @@ class _JoinIndex:
         self.needs = [tuple(kv for kv in m.items() if kv[1] < 0) for m in self.monos]
         self.cover = None
 
-    def _build_cover(self) -> dict[Key, tuple[tuple[int, ...], tuple[int, ...]]]:
+    def _build_cover(self) -> None:
         at: dict[Key, dict[int, list[int]]] = {}
         for j, m in enumerate(self.monos):
             for key, e in m.items():
                 if e > 0:
                     at.setdefault(key, {}).setdefault(e, []).append(j)
         size = len(self.monos)
-        cover = {}
-        for key, by_e in at.items():
-            ts = sorted(by_e)
-            acc, bitsets = 0, []
-            for t in reversed(ts):
-                acc |= _bitset(by_e[t], size)
-                bitsets.append(acc)
-            cover[key] = (tuple(ts), tuple(reversed(bitsets)))
-        return cover
+        self.cover = {
+            key: _at_least({e: _bitset(js, size) for e, js in by_e.items()})
+            for key, by_e in at.items()
+        }
+        self.top = top = max((s for _, s in at), default=0)
+        reach: dict[int, dict[int, int]] = {}
+        for (i, s), (ts, _) in self.cover.items():
+            by_t = reach.setdefault(i, {})
+            by_t[ts[-1]] = by_t.get(ts[-1], 0) | 1 << (top - s)
+        self.rows = {i: _at_least(by_t) for i, by_t in reach.items()}
 
-    def covering(self, need: tuple) -> int:
-        """Bitset of the terms whose exponent is ``>= -e`` at every ``(key, e)`` of ``need``."""
-        if self.cover is None:
-            self.cover = self._build_cover()
+    def covering(self, need: tuple, shift: int = 0) -> int:
+        """Bitset of the terms whose exponent is ``>= -e`` at ``(i, s - shift)``
+        for every ``((i, s), e)`` of ``need``: the terms that cover ``need``
+        once ``tau_shift`` moves them."""
+        if shift:
+            need = [((i, s - shift), e) for (i, s), e in need]
         bits = (1 << len(self.monos)) - 1
         for key, e in need:
             entry = self.cover.get(key)
@@ -304,6 +328,24 @@ class _JoinIndex:
                 return 0
         return bits
 
+    def shifts(self, need: tuple, low: int) -> int:
+        """Mask of the shifts ``r`` (as bit ``r + top - low``) at which, for
+        each ``((i, s), e)`` of ``need`` on its own, some term has ``-e`` or
+        more at ``(i, s - r)``; ``low`` is at most every row of ``need``."""
+        mask = -1
+        for (i, s), e in need:
+            entry = self.rows.get(i)
+            if entry is None:
+                return 0
+            ts, masks = entry
+            at = bisect_left(ts, -e)
+            if at == len(ts):
+                return 0
+            mask &= masks[at] << (s - low)
+            if not mask:
+                return 0
+        return mask
+
 
 def _bits(x: int):
     while x:
@@ -312,40 +354,101 @@ def _bits(x: int):
         x ^= low
 
 
-def _dominant_join(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
-    """The dominant terms of ``q1 * q2``, from the dominant pairs only.
+def _tau(m: LMonomial, r: int) -> LMonomial:
+    """``m`` with every spectral parameter raised by ``r``; the key order is kept."""
+    if not r:
+        return m
+    return LMonomial._make(m.n, tuple([((i, s + r), e) for (i, s), e in m.items()]))
 
-    ``m1 * m2`` is dominant iff each term covers every negative exponent of
-    the other with a positive one.  The join indexes only the factor with
-    fewer terms: for each term of the other factor, one AND of bitsets gives
-    the indexed terms that cover its signature, and each of those is kept
-    if the walked term covers its own signature in turn.
+
+def anchor_join(
+    walked: QChar, indexed: QChar, anchor: Optional[int] = None
+) -> dict[int, dict[LMonomial, int]]:
+    """Dominant terms of ``walked * tau_r(indexed)`` by shift ``r``, from the
+    dominant pairs only; a pair of two dominant terms, dominant at every
+    ``r``, is left out.
+
+    ``m1 * tau_r(m2)`` is dominant iff each term covers every negative
+    exponent of the other with a positive one.  Only ``indexed`` gets cover
+    bitsets.  A term of ``walked`` with negative keys ``(i, s)`` takes its
+    candidate shifts ``r = s - s'`` from the rows ``s'`` at which indexed
+    terms cover those keys (one AND of shifted row masks), or is ``anchor``
+    alone when that is given.  At each candidate, one ``covering`` call gives
+    the indexed terms that cover it, and each is kept if the walked term
+    covers the shifted term's negative keys in turn.  A dominant walked term
+    meets each non-dominant indexed term at the shifts that carry that
+    term's first negative key onto one of its own keys.
+
+    Returns ``{r: {product: multiplicity}}`` for the shifts with a dominant
+    pair: all of them, or ``anchor`` only.
     """
-    small, large = q1._join_index(), q2._join_index()
-    if len(large.monos) < len(small.monos):
-        small, large = large, small
-    smonos, smults, sneeds = small.monos, small.mults, small.needs
-    out: dict[LMonomial, int] = {}
-    for m, c, need in zip(large.monos, large.mults, large.needs):
-        cand = small.covering(need)
-        if not cand:
-            continue
-        exps = dict(m.items())
+    if walked.n != indexed.n:
+        raise InvalidInput(f"rank mismatch: {walked.n} != {indexed.n}")
+    walk, index = walked._join_index(), indexed._join_index()
+    if index.cover is None:
+        index._build_cover()
+    imonos, imults, ineeds = index.monos, index.mults, index.needs
+    if anchor is None:
+        low = min((s for need in walk.needs for (_, s), _ in need), default=0)
+    out: dict[int, dict[LMonomial, int]] = {}
+
+    def join(m: LMonomial, c: int, r: int, cand: int) -> None:
+        # keep the candidates whose negative keys, moved by r, the walked term covers
+        exps = {(i, s - r): e for (i, s), e in m.items()} if r else dict(m.items())
         for j in _bits(cand):
-            for key, e in sneeds[j]:
+            for key, e in ineeds[j]:
                 if exps.get(key, 0) < -e:
                     break
             else:
-                p = smonos[j] * m
-                out[p] = out.get(p, 0) + smults[j] * c
+                p = m * _tau(imonos[j], r)
+                found = out.setdefault(r, {})
+                found[p] = found.get(p, 0) + c * imults[j]
+
+    for m, c, need in zip(walk.monos, walk.mults, walk.needs):
+        if not need:
+            # the shifts that carry a term's first negative key onto a key of m
+            for j, jneed in enumerate(ineeds):
+                if jneed:
+                    (i0, s0), e0 = jneed[0]
+                    for (i, s), e in m.items():
+                        if i == i0 and e >= -e0 and (anchor is None or anchor == s - s0):
+                            join(m, c, s - s0, 1 << j)
+            continue
+        if anchor is None:
+            shifts = [b + low - index.top for b in _bits(index.shifts(need, low))]
+        else:
+            shifts = (anchor,)
+        for r in shifts:
+            cand = index.covering(need, r)
+            if cand:
+                join(m, c, r, cand)
     return out
 
 
-# Bound on the q-characters (each with its join index once it joins, and the
-# index's cover bitsets once it is the smaller factor of a join) and the
-# Drinfeld polynomials kept in memory.  Neither evicts: the golden sweep holds
-# 374 characters and 400 polynomials, the n_max=lambda_sum_max=k_max=4 sweep
-# 1,006 and 1,172 (recognition adds the transported specs at their shifts).
+def _dominant_product(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
+    """The dominant terms of ``q1 * q2``: ``anchor_join`` at anchor 0,
+    walking the larger factor, and the products of two dominant terms."""
+    small, large = sorted((q1, q2), key=lambda q: len(q._all_terms()))
+    out = anchor_join(large, small, 0).get(0, {})
+    tops = [
+        list(compress(zip(ix.monos, ix.mults), map(not_, ix.needs)))
+        for ix in (large._join_index(), small._join_index())
+    ]
+    for m1, c1 in tops[0]:
+        for m2, c2 in tops[1]:
+            p = m1 * m2
+            out[p] = out.get(p, 0) + c1 * c2
+    return out
+
+
+# Bound on each cache: the q-characters (each with its join index once it
+# joins, and the index's cover bitsets once a join indexes it), the Drinfeld
+# polynomials, and in ``tensor`` the normal-form reports, the per-group spectra
+# of ``spectra_by_anchor`` with the group's transported affinization and
+# resonance equations.  KR characters are built at anchor 0 only.  The golden
+# sweep holds 72 characters, 122 polynomials, 1,455 reports and 354 groups (87
+# transported specs); the n_max=lambda_sum_max=k_max=4 sweep 263, 475 and 1,904
+# groups (355 transported specs), and only its 9,592 distinct reports evict.
 CACHE_SIZE = 2048
 
 
@@ -469,8 +572,10 @@ def recognize_minaff(m: LMonomial, direction: Direction) -> MinAffSpec | None:
 
     The weight counts the variables at each node, and the top node's lowest
     spectral parameter is its anchor; together they fix the only candidate
-    spec, which is returned if its Drinfeld polynomial is ``m``.
+    spec, which is returned if its Drinfeld polynomial is ``m``.  A
+    ``direction`` other than "inc" or "dec" is invalid input, whatever ``m`` is.
     """
+    _check_direction(direction)
     rows = _unit_rows(m)
     if rows is None:
         return None

@@ -21,14 +21,23 @@ against the closed form; the three other rows are checked by transporting
 the problem through the row's duality map, classifying the transported
 normal-form problem, and carrying the answer back.
 
+D does not depend on the KR anchor r through anything but tau_r, so
+``spectra_by_anchor`` finds D at every anchor of a group (spec, node, k) by
+one join against the anchor-0 KR character; a sweep reads each point's D
+from that map (``whole_group``), which also certifies the anchors it does
+not visit.  The transported affinization and the resonance equations do not
+depend on r either, and are computed once per group.  A single point (the
+``tensor`` command) joins its own product character at its one anchor,
+which is cheaper than every anchor of its group.
+
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
-shifts the answer back.  ``classify_normal`` is cached on its two frozen
-specs (at most ``CACHE_SIZE`` reports, like ``qchar``), so a normal-row
-point and every transport that lands on the same problem share one
-brute-force classification.  Each a/b/c point still brute-forces its own D
-and runs every transport check.  ``cli.main`` empties the cache before
-every command (``clear_normal_cache``).
+shifts the answer back.  ``classify_normal`` is cached on its arguments
+(at most ``CACHE_SIZE`` reports, like ``qchar``), so a normal-row point and
+every transport that lands on the same problem share one brute-force
+classification; every a/b/c point still runs every transport check.
+``cli.main`` empties every cache of this module before each command
+(``clear_caches``).
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .lweight import (
     LMonomial,
     expand_lroot_path,
     le,
+    monomial_sort_key,
     transform,
     y_string,
 )
@@ -53,6 +63,7 @@ from .minaff import (
     MinAffSpec,
     QChar,
     _seg,
+    anchor_join,
     drinfeld_of_spec,
     highest_shape,
     highest_tableau,
@@ -223,6 +234,15 @@ def product_qchar(q1: QChar, q2: QChar) -> QChar:
     return QChar.product(q1, q2)
 
 
+def _spectrum(entries) -> DominantSpectrum:
+    """Sorted dominant terms with the flag saying whether consecutive
+    entries are comparable, i.e. whether the spectrum is a chain."""
+    chain = all(
+        le(entries[j + 1][0], entries[j][0]) for j in range(len(entries) - 1)
+    )
+    return DominantSpectrum(tuple(entries), chain)
+
+
 def dominant_spectrum(qc: QChar) -> DominantSpectrum:
     """Dominant terms of a q-character, sorted descending along the order.
 
@@ -230,11 +250,40 @@ def dominant_spectrum(qc: QChar) -> DominantSpectrum:
     records whether consecutive entries are actually comparable, i.e.
     whether the spectrum is a chain.
     """
-    entries = qc.dominant_terms()
-    chain = all(
-        le(entries[j + 1][0], entries[j][0]) for j in range(len(entries) - 1)
-    )
-    return DominantSpectrum(tuple(entries), chain)
+    return _spectrum(qc.dominant_terms())
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def spectra_by_anchor(
+    spec: MinAffSpec, node: int, k: int
+) -> dict[int, tuple[tuple[LMonomial, int], ...]]:
+    """The dominant spectrum D of V (x) W(node, r, k) at every KR anchor r
+    where it is not {lambda}, sorted as ``dominant_spectrum`` sorts it; at
+    every other anchor D = {lambda}.
+
+    One ``anchor_join`` of ``qchar(spec)`` against the anchor-0 KR
+    character W0 finds every dominant pair at every r, since
+    ``W(node, r, k) = tau_r(W0)``; the pair of the two top terms is
+    dominant at every r and makes lambda.  So the map certifies the whole
+    group (spec, node, k), not only the anchors a sweep visits.  The
+    ``r_window`` check: an anchor with D != {lambda} outside
+    ``resonance_window(spec, node, k, pad=0)`` raises TheoremViolation.
+    Cached like ``qchar`` (at most ``CACHE_SIZE`` groups).
+    """
+    kr0 = KRSpec(spec.n, node, 0, k)
+    omega = drinfeld_of_spec(spec)
+    window = resonance_window(spec, node, k, 0)
+    out = {}
+    for r, terms in sorted(anchor_join(qchar(spec), qchar_kr(kr0)).items()):
+        if r not in window:
+            raise TheoremViolation(
+                f"dominant spectrum at KR anchor {r} is not {{lambda}}, outside the "
+                f"resonance window {window.start}..{window.stop - 1} of {spec} at node {node}, k = {k}"
+            )
+        lam = omega * replace(kr0, r=r).drinfeld()
+        terms[lam] = terms.get(lam, 0) + 1
+        out[r] = tuple(sorted(terms.items(), key=lambda mc: monomial_sort_key(mc[0])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +393,12 @@ def _kind_ii_node(lam: tuple[int, ...], kp: int, first: bool) -> Optional[int]:
     return max(i for i in range(1, n + 1) if _seg(lam, i, n) >= kp)
 
 
-def _equations(variant: Variant, spec: MinAffSpec, k: int):
+@lru_cache(maxsize=CACHE_SIZE)
+def _equations(variant: Variant, spec: MinAffSpec, k: int) -> tuple[tuple, ...]:
     """The variant's resonance equations ``s*r + c = 2k'``, 1 <= k' <= cap.
 
-    Yields ``(kind, p, s, c, cap)``: kind "i" at each supported node p (cap
+    Returns ``(kind, p, s, c, cap)`` rows, cached since they do not depend
+    on the KR anchor r: kind "i" at each supported node p (cap
     lam_p), kind "ii" at i1 if the KR module sits at node 1, else at i0
     (cap k).  The left side either rises, ``r + 2k + o(p) - r_p``, or falls,
     ``r_p + 2 lam_p + o(p) - r``, with o(p) = p + 1 at node 1 and n + 2 - p
@@ -362,10 +413,11 @@ def _equations(variant: Variant, spec: MinAffSpec, k: int):
             return 1, 2 * k + offset - anchors[p]
         return -1, anchors[p] + 2 * lam[p - 1] + offset
 
-    for p in spec.supp():
-        yield ("i", p, *equation(not variant.flipped, p), lam[p - 1])
     q = spec.i1 if variant.first else spec.i0
-    yield ("ii", q, *equation(variant.flipped, q), k)
+    return (
+        *[("i", p, *equation(not variant.flipped, p), lam[p - 1]) for p in spec.supp()],
+        ("ii", q, *equation(variant.flipped, q), k),
+    )
 
 
 def _resonance(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> Optional[Resonance]:
@@ -502,11 +554,19 @@ def _lambda_prime_normal(
     return via_family
 
 
-def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
+@lru_cache(maxsize=CACHE_SIZE)
+def _transported_spec(variant: Variant, spec: MinAffSpec) -> Optional[MinAffSpec]:
+    """The increasing affinization that ``variant.inverse`` carries ``spec``
+    to, or None; it does not depend on the KR module, so a group shares it."""
+    return recognize_minaff(transform(drinfeld_of_spec(spec), variant.inverse), "inc")
+
+
+def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
     """The classifier pipeline shared by every row of ``VARIANTS``.
 
-    D is brute-forced on the pair's own q-characters, and the row's
-    resonance equations are solved on the untransformed data.  The normal
+    D is brute-forced: from the pair's own product character, or, with
+    ``whole_group``, read from ``spectra_by_anchor`` for the point's group.
+    The row's resonance equations are solved on the untransformed data.  The normal
     row then checks the closed form: D is a chain of multiplicity-one
     terms equal to ``expected_dominants``, and the extra factor, derived
     independently, sits at its predicted position (condition (i): just
@@ -520,7 +580,11 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
     """
     omega, varpi = drinfeld_of_spec(spec), kr.drinfeld()
     lam = omega * varpi
-    spectrum = dominant_spectrum(product_qchar(qchar(spec), qchar_kr(kr)))
+    if whole_group:
+        found = spectra_by_anchor(spec, kr.node, kr.k).get(kr.r)
+        spectrum = _spectrum(found) if found else DominantSpectrum(((lam, 1),), True)
+    else:
+        spectrum = dominant_spectrum(product_qchar(qchar(spec), qchar_kr(kr)))
     D = [m for m, _ in spectrum.entries]
     res = _resonance(variant, spec, kr)
     tag = _tag_of(spec, kr, res)
@@ -543,7 +607,7 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
             if pos >= len(D) or D[pos] != lam_prime:
                 raise TheoremViolation(f"extra factor {lam_prime} not at position {pos} of D")
     else:
-        spec_t = recognize_minaff(transform(omega, variant.inverse), "inc")
+        spec_t = _transported_spec(variant, spec)
         if spec_t is None:
             raise TheoremViolation("transported affinization is not increasing")
         kr_t = recognize_kr(transform(varpi, variant.inverse))
@@ -552,7 +616,7 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
         # a global spectral shift changes no classification, so the cached
         # shift-0 problem serves every shift of it
         t = spec_t.shift
-        normal = classify_normal(replace(spec_t, shift=0), replace(kr_t, r=kr_t.r - t))
+        normal = _normal(replace(spec_t, shift=0), replace(kr_t, r=kr_t.r - t), whole_group)
 
         def back(m: LMonomial) -> LMonomial:
             return transform(transform(m, "tau", t), variant.forward)
@@ -594,40 +658,44 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> TensorReport:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def classify_normal(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
+def classify_normal(spec: MinAffSpec, kr: KRSpec, whole_group: bool = False) -> TensorReport:
     """Classify (increasing affinization) x (KR at the last node).
 
     The normal-form row of ``_classify``: D is checked against the closed
     form, and the extra factor is derived two ways and placed in D.  The
-    report is cached on ``(spec, kr)``, so the normal-row point and every
+    report is cached on the arguments, so the normal-row point and every
     transport that lands on the same problem share one classification.
     """
     if spec.direction != "inc":
         raise InvalidInput("normal form requires an increasing spec")
     if kr.n != spec.n or kr.node != spec.n:
         raise InvalidInput("normal form requires a KR module at the last node")
-    return _classify(VARIANTS["normal"], spec, kr)
+    return _classify(VARIANTS["normal"], spec, kr, whole_group)
 
 
-# Bound here so that a wrapper that replaces ``classify_normal`` (a tracer,
-# a test) leaves the cache reachable; ``cli.main`` calls it before every command.
-clear_normal_cache = classify_normal.cache_clear
-
-
-def classify_variant(spec: MinAffSpec, kr: KRSpec) -> TensorReport:
+def classify_variant(spec: MinAffSpec, kr: KRSpec, whole_group: bool = False) -> TensorReport:
     """Classify any direction/node combination.
 
     The row of ``VARIANTS`` is picked by direction and KR node (at n = 1
     the node counts as last).  The normal row is ``classify_normal``; every
     other row is classified by ``_classify`` against the normal-form
-    classification of its transported pair.
+    classification of its transported pair.  ``whole_group`` takes D from
+    ``spectra_by_anchor``, which classifies every anchor of (spec, node, k)
+    at once: the sweep's choice, as it visits a group's anchors in a row.
+    One point alone is cheaper from its own product character.
     """
     if kr.n != spec.n:
         raise InvalidInput("rank mismatch between spec and KR module")
     variant = _variant_of(spec.direction, kr.node != spec.n)
     if variant.inverse is None:
-        return classify_normal(spec, kr)
-    return _classify(variant, spec, kr)
+        return _normal(spec, kr, whole_group)
+    return _classify(variant, spec, kr, whole_group)
+
+
+def _normal(spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
+    # the cache is keyed on the arguments as passed: a one-anchor report is
+    # asked for as a direct caller asks, ``classify_normal(spec, kr)``
+    return classify_normal(spec, kr, True) if whole_group else classify_normal(spec, kr)
 
 
 def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range:
@@ -650,3 +718,15 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
         for kp in range(1, cap + 1)
     ]
     return range(min(values) - pad, max(values) + pad + 1)
+
+
+# The caches of this module, bound here so that a wrapper that replaces one
+# of them (a tracer, a test) leaves it reachable; ``cli.main`` empties them
+# before every command.
+_CACHES = (classify_normal, spectra_by_anchor, _transported_spec, _equations)
+
+
+def clear_caches() -> None:
+    """Empty every cache of this module."""
+    for cached in _CACHES:
+        cached.cache_clear()

@@ -4,10 +4,10 @@ from qcharlab import tensor
 
 
 @pytest.fixture(autouse=True)
-def empty_normal_cache():
-    """Every test starts and ends with an empty ``classify_normal`` cache, so
+def empty_tensor_caches():
+    """Every test starts and ends with empty ``qcharlab.tensor`` caches, so
     a test that patches a name in ``qcharlab.tensor`` classifies afresh and
-    leaves no report behind for the next one."""
-    tensor.clear_normal_cache()
+    leaves no report, spectrum or recognition behind for the next one."""
+    tensor.clear_caches()
     yield
-    tensor.clear_normal_cache()
+    tensor.clear_caches()

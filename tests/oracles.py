@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths it is used to check:
 string partitions are enumerated from the top row down (the package anchors
 at the bottom row), loop-root membership is decided by exhaustive search
 over placements, product characters are convolved monomial by monomial
-(the package joins the factors' terms on bitsets), tableau monomials are multiplied
-out box by box (the package sums exponents as it enumerates), the resonance
+(the package joins the factors' terms on bitsets), dominant spectra are
+joined one anchor at a time (the package joins every KR anchor of a group
+at once), tableau monomials are multiplied out box by box (the package
+sums exponents as it enumerates), the resonance
 equations are written out once per variant (the package derives them from
 two flags), a minimal affinization is recognised by its anchor ladder (the
 package rebuilds the candidate's Drinfeld polynomial), every JSON value the CLI writes is a dict or list for
@@ -78,6 +80,38 @@ def product_qchar_reference(q1: QChar, q2: QChar) -> QChar:
             m = m1 * m2
             terms[m] = terms.get(m, 0) + c1 * c2
     return QChar(q1.n, terms)
+
+
+def dominant_join_reference(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
+    """The dominant terms of ``q1 * q2`` by one join at one anchor, as the
+    package found D for each sweep point before it joined every anchor of a
+    group at once.
+
+    The smaller factor's positive exponents are indexed by key; each term of
+    the larger factor intersects the sets of indexed terms that cover its
+    negative exponents, and a candidate is kept if the walked term covers
+    the candidate's negative exponents in turn.
+    """
+    t1, t2 = list(q1.terms().items()), list(q2.terms().items())
+    small, large = (t1, t2) if len(t1) <= len(t2) else (t2, t1)
+    covers: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for j, (m, _) in enumerate(small):
+        for key, e in m.items():
+            if e > 0:
+                covers.setdefault(key, []).append((e, j))
+    out: dict[LMonomial, int] = {}
+    for m, c in large:
+        cand = set(range(len(small)))
+        for key, e in m.items():
+            if e < 0:
+                cand &= {j for t, j in covers.get(key, ()) if t >= -e}
+        exps = dict(m.items())
+        for j in cand:
+            partner, c2 = small[j]
+            if all(exps.get(key, 0) >= -e for key, e in partner.items() if e < 0):
+                p = partner * m
+                out[p] = out.get(p, 0) + c * c2
+    return out
 
 
 def monomial_of_tableau_reference(t: Tableau) -> LMonomial:

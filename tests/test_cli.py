@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import kr_json_reference, qchar_json_reference, report_json_reference, spec_json_reference
-from qcharlab import InvariantViolation, KRSpec, MinAffSpec, cli, qchar, qchar_kr, tensor
+from qcharlab import InvariantViolation, KRSpec, MinAffSpec, cli, minaff, qchar, qchar_kr, tensor
 from qcharlab.cli import main
 
 
@@ -20,6 +20,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _count_joins(monkeypatch) -> list:
+    """Count ``anchor_join`` calls, as the product path (``minaff``) and the
+    group path (``tensor``) look it up; the returned list grows by one per call."""
+    joins = []
+    join = minaff.anchor_join
+
+    def counted(*args):
+        joins.append(1)
+        return join(*args)
+
+    monkeypatch.setattr(minaff, "anchor_join", counted)
+    monkeypatch.setattr(tensor, "anchor_join", counted)
+    return joins
 
 
 def qcharlab_process(*argv, **popen_args):
@@ -185,20 +200,13 @@ class TestTensorCommand:
         assert code == 1 and "usage" in err and "--lambda" in err
 
     def test_each_command_starts_from_an_empty_memo(self, capsys, monkeypatch):
-        product = tensor.product_qchar
-        calls = []
-
-        def counted(q1, q2):
-            calls.append(1)
-            return product(q1, q2)
-
-        monkeypatch.setattr(tensor, "product_qchar", counted)
+        joins = _count_joins(monkeypatch)
         argv = ("tensor", "--n", "2", "--lambda", "0,1", "--dir", "dec", "--kr", "1,3,1", "--json")
         first = run_cli(capsys, *argv)
         assert first[0] == 0 and json.loads(first[1])["variant"] == "a"
         assert run_cli(capsys, *argv) == first
-        # each command brute-forces the point and its transported normal-form problem
-        assert len(calls) == 4
+        # each command joins at the point and at its transported normal-form problem
+        assert len(joins) == 4
 
     def test_bad_kr_triple(self, capsys):
         code, _, _ = run_cli(
@@ -319,6 +327,18 @@ class TestSweepCommand:
         lines = (tmp_path / "out.jsonl").read_text().splitlines()
         assert lines and all("report" in json.loads(line) for line in lines)
 
+    def test_each_sweep_joins_each_group_once(self, capsys, tmp_path, monkeypatch):
+        # which groups a sweep joins is tested in test_tensor.py; here, that a
+        # second sweep in the process joins every one of them again
+        cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)
+        points = list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(cfg.read_text()))))
+        joins = _count_joins(monkeypatch)
+        first = run_cli(capsys, "sweep", "--config", str(cfg))
+        groups = len(joins)
+        assert first[0] == 0 and 0 < groups < len(points)
+        assert run_cli(capsys, "sweep", "--config", str(cfg)) == first
+        assert len(joins) == 2 * groups
+
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         cfg = _write_config(tmp_path)
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
@@ -358,10 +378,10 @@ class TestSweepCommand:
     def test_violations_are_counted(self, capsys, tmp_path, monkeypatch):
         classify = cli.classify_variant
 
-        def failing_at_rank_two(spec, kr):
+        def failing_at_rank_two(spec, kr, **kwargs):
             if spec.n == 2:
                 raise InvariantViolation("injected")
-            return classify(spec, kr)
+            return classify(spec, kr, **kwargs)
 
         monkeypatch.setattr(cli, "classify_variant", failing_at_rank_two)
         cfg = _write_config(tmp_path)
@@ -380,10 +400,10 @@ class TestSweepCommand:
         classify = cli.classify_variant
         bad = json.loads(healthy_lines[3])
 
-        def failing_once(spec, kr):
+        def failing_once(spec, kr, **kwargs):
             if spec_json_reference(spec) == bad["spec"] and kr_json_reference(kr) == bad["kr"]:
                 raise ValueError("injected")
-            return classify(spec, kr)
+            return classify(spec, kr, **kwargs)
 
         monkeypatch.setattr(cli, "classify_variant", failing_once)
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))

@@ -340,6 +340,16 @@ class TestRecognition:
         with pytest.raises(InvalidInput):
             recognize_kr(Y(1, 1, 0, -1))
 
+    @pytest.mark.parametrize(
+        "m",
+        [Y(1, 1, 0, 2), LMonomial.identity(1), Y(1, 1, 0)],
+        ids=["no_candidate", "identity", "candidate"],
+    )
+    def test_direction_checked_before_anything_else(self, m):
+        # only the last monomial has a candidate spec, the only place the direction was checked
+        with pytest.raises(InvalidInput, match="direction must be 'inc' or 'dec', got 'up'"):
+            recognize_minaff(m, "up")
+
     def test_roundtrip_over_specs(self):
         for spec in small_specs():
             assert recognize_minaff(drinfeld_of_spec(spec), spec.direction) == spec

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_weights,
     characters,
+    dominant_join_reference,
     kr_json_reference,
     lmonomials,
     minaff_kr_pairs,
@@ -50,6 +51,7 @@ from qcharlab import (
     y_string,
 )
 from qcharlab import cli, minaff, tensor
+from qcharlab.lweight import monomial_sort_key
 from qcharlab.minaff import _seg
 from qcharlab.tensor import VARIANTS, DominantSpectrum, Resonance, _resonance
 
@@ -851,8 +853,8 @@ def _brute_force_D(expected_dominants):
 
 def _lambda_prime_replaced(new):
     def wrap(classify):
-        def patched(spec, kr):
-            rep = classify(spec, kr)
+        def patched(*args):
+            rep = classify(*args)
             return replace(rep, lambda_prime=new(rep.lambda_prime))
 
         return patched
@@ -860,83 +862,101 @@ def _lambda_prime_replaced(new):
     return wrap
 
 
+# (point, patches, error, message): each check of the classifier, and a patch
+# of the name it guards that makes it fire
+CHECKS = [
+    (NORMAL_POINT, {"tensor.le": lambda f: lambda a, b: False},
+     TheoremViolation, "dominant spectrum is not a chain"),
+    (NORMAL_POINT, {"tensor._spectrum": _multiplicity_two},
+     TheoremViolation, "dominant spectrum has a multiplicity above one"),
+    (NORMAL_POINT, {"tensor.expected_dominants": lambda f: lambda s, k, res: f(s, k, res)[:-1]},
+     TheoremViolation, "brute-force dominant spectrum disagrees with the closed form"),
+    (NORMAL_POINT, {"tensor._lambda_prime_normal": lambda f: lambda s, k, tag, lam: lam},
+     TheoremViolation, "not at position"),
+    (A_POINT, {"tensor.recognize_minaff": lambda f: lambda m, direction: None},
+     TheoremViolation, "transported affinization is not increasing"),
+    (A_POINT, {"tensor.recognize_kr": lambda f: lambda m: None},
+     TheoremViolation, "transported KR module is not at the last node"),
+    (A_POINT, {"tensor._resonance": lambda f: lambda v, s, k: f(v, s, k) if v.name == "normal" else None},
+     TheoremViolation, "disagree with transported"),
+    (A_POINT, {"tensor._tag_of":
+               lambda f: lambda s, k, res: CaseTag("irreducible") if s.direction == "dec" else f(s, k, res)},
+     TheoremViolation, "reducibility verdicts disagree across the transport"),
+    (A_POINT, {"tensor.transform": _star_perturbed},
+     TheoremViolation, "dominant spectrum does not transport under star"),
+    (A_POINT, {"tensor.classify_normal": _lambda_prime_replaced(lambda m: m * Y(m.n, 1, 99))},
+     TheoremViolation, "missing from brute-force"),
+    (A_POINT, {"tensor.classify_normal": _lambda_prime_replaced(lambda m: None)},
+     InvariantViolation, "transported reducible report has no extra factor"),
+    (NORMAL_POINT, {"tensor.monomial_of_tableau": lambda f: lambda t: f(t) * Y(t.n, 1, 99)},
+     TheoremViolation, "box product and loop-root product disagree"),
+    (CASE_I_POINT, {"tensor.y_string": lambda f: lambda n, i, r, k: f(n, i, r + 2, k)},
+     TheoremViolation, "gap-family formulas disagree"),
+    (NORMAL_POINT, {"tensor._equations": lambda f: lambda v, s, k: [*f(v, s, k), *f(v, s, k)]},
+     TheoremViolation, "resonance conditions not unique"),
+    # the extra factor is derived only once D matches the closed form
+    (NORMAL_POINT, {"tensor.family_S": _monomial_perturbed, "tensor.expected_dominants": _brute_force_D},
+     TheoremViolation, "extra-factor formulas disagree"),
+    (NORMAL_POINT, {"minaff.semistandard_fillings": _monomials_identity},
+     InvariantViolation, "thinness violated"),
+    (NORMAL_POINT, {"minaff.is_dominant": lambda f: lambda m: True},
+     InvariantViolation, "expected a unique dominant term"),
+]
+CHECK_IDS = [
+    "chain",
+    "multiplicity_one",
+    "closed_form_D",
+    "lambda_prime_position",
+    "transported_affinization",
+    "transported_kr",
+    "resonance_agreement",
+    "verdict_agreement",
+    "transport_D",
+    "transported_lambda_prime_in_D",
+    "transported_lambda_prime_present",
+    "family_S_products",
+    "family_T_formulas",
+    "unique_resonance",
+    "lambda_prime_formulas",
+    "qchar_thin",
+    "qchar_unique_dominant",
+]
+
+
+def _fires(point, patches, error, message, monkeypatch, **kwargs):
+    modules = {"tensor": tensor, "minaff": minaff}
+    for target, patch in patches.items():
+        module, name = target.split(".")
+        monkeypatch.setattr(modules[module], name, patch(getattr(modules[module], name)))
+    # qchar is cached, so a patched minaff name is reached only on a miss,
+    # and no character computed under a patch may outlive the test
+    qchar.cache_clear()
+    try:
+        with pytest.raises(error, match=re.escape(message)) as info:
+            classify_variant(*point, **kwargs)
+    finally:
+        qchar.cache_clear()
+    assert type(info.value) is error
+
+
 class TestClassifierChecks:
     """Every check of the classifier fires when the name it guards is broken."""
+
+    @pytest.mark.parametrize("point, patches, error, message", CHECKS, ids=CHECK_IDS)
+    def test_check_fires(self, point, patches, error, message, monkeypatch):
+        _fires(point, patches, error, message, monkeypatch)
 
     @pytest.mark.parametrize(
         "point, patches, error, message",
         [
-            (NORMAL_POINT, {"tensor.le": lambda f: lambda a, b: False},
-             TheoremViolation, "dominant spectrum is not a chain"),
-            (NORMAL_POINT, {"tensor.dominant_spectrum": _multiplicity_two},
-             TheoremViolation, "dominant spectrum has a multiplicity above one"),
-            (NORMAL_POINT, {"tensor.expected_dominants": lambda f: lambda s, k, res: f(s, k, res)[:-1]},
-             TheoremViolation, "brute-force dominant spectrum disagrees with the closed form"),
-            (NORMAL_POINT, {"tensor._lambda_prime_normal": lambda f: lambda s, k, tag, lam: lam},
-             TheoremViolation, "not at position"),
-            (A_POINT, {"tensor.recognize_minaff": lambda f: lambda m, direction: None},
-             TheoremViolation, "transported affinization is not increasing"),
-            (A_POINT, {"tensor.recognize_kr": lambda f: lambda m: None},
-             TheoremViolation, "transported KR module is not at the last node"),
-            (A_POINT, {"tensor._resonance": lambda f: lambda v, s, k: f(v, s, k) if v.name == "normal" else None},
-             TheoremViolation, "disagree with transported"),
-            (A_POINT, {"tensor._tag_of":
-                       lambda f: lambda s, k, res: CaseTag("irreducible") if s.direction == "dec" else f(s, k, res)},
-             TheoremViolation, "reducibility verdicts disagree across the transport"),
-            (A_POINT, {"tensor.transform": _star_perturbed},
-             TheoremViolation, "dominant spectrum does not transport under star"),
-            (A_POINT, {"tensor.classify_normal": _lambda_prime_replaced(lambda m: m * Y(m.n, 1, 99))},
-             TheoremViolation, "missing from brute-force"),
-            (A_POINT, {"tensor.classify_normal": _lambda_prime_replaced(lambda m: None)},
-             InvariantViolation, "transported reducible report has no extra factor"),
-            (NORMAL_POINT, {"tensor.monomial_of_tableau": lambda f: lambda t: f(t) * Y(t.n, 1, 99)},
-             TheoremViolation, "box product and loop-root product disagree"),
-            (CASE_I_POINT, {"tensor.y_string": lambda f: lambda n, i, r, k: f(n, i, r + 2, k)},
-             TheoremViolation, "gap-family formulas disagree"),
-            (NORMAL_POINT, {"tensor._equations": lambda f: lambda v, s, k: [*f(v, s, k), *f(v, s, k)]},
-             TheoremViolation, "resonance conditions not unique"),
-            # the extra factor is derived only once D matches the closed form
-            (NORMAL_POINT, {"tensor.family_S": _monomial_perturbed, "tensor.expected_dominants": _brute_force_D},
-             TheoremViolation, "extra-factor formulas disagree"),
-            (NORMAL_POINT, {"minaff.semistandard_fillings": _monomials_identity},
-             InvariantViolation, "thinness violated"),
-            (NORMAL_POINT, {"minaff.is_dominant": lambda f: lambda m: True},
-             InvariantViolation, "expected a unique dominant term"),
+            *CHECKS,
+            (NORMAL_POINT, {"tensor.resonance_window": lambda f: lambda s, node, k, pad=2: range(0)},
+             TheoremViolation, "outside the resonance window"),
         ],
-        ids=[
-            "chain",
-            "multiplicity_one",
-            "closed_form_D",
-            "lambda_prime_position",
-            "transported_affinization",
-            "transported_kr",
-            "resonance_agreement",
-            "verdict_agreement",
-            "transport_D",
-            "transported_lambda_prime_in_D",
-            "transported_lambda_prime_present",
-            "family_S_products",
-            "family_T_formulas",
-            "unique_resonance",
-            "lambda_prime_formulas",
-            "qchar_thin",
-            "qchar_unique_dominant",
-        ],
+        ids=[*CHECK_IDS, "r_window"],
     )
-    def test_check_fires(self, point, patches, error, message, monkeypatch):
-        modules = {"tensor": tensor, "minaff": minaff}
-        for target, patch in patches.items():
-            module, name = target.split(".")
-            monkeypatch.setattr(modules[module], name, patch(getattr(modules[module], name)))
-        # qchar is cached, so a patched minaff name is reached only on a miss,
-        # and no character computed under a patch may outlive the test
-        qchar.cache_clear()
-        try:
-            with pytest.raises(error, match=re.escape(message)) as info:
-                classify_variant(*point)
-        finally:
-            qchar.cache_clear()
-        assert type(info.value) is error
+    def test_check_fires_on_the_group_path(self, point, patches, error, message, monkeypatch):
+        _fires(point, patches, error, message, monkeypatch, whole_group=True)
 
     @pytest.mark.parametrize(
         "tamper, error, message",
@@ -998,9 +1018,9 @@ class TestNormalMemo:
         k = data.draw(st.integers(1, 3))
         kr = KRSpec(n, node, data.draw(st.sampled_from(resonance_window(spec, node, k))), k)
 
-        tensor.clear_normal_cache()
+        tensor.clear_caches()
         cold = classify_variant(spec, kr)
-        tensor.clear_normal_cache()
+        tensor.clear_caches()
         classify_normal(*_transported(spec, kr))
         counted, products = _counting_products()
         with patch.object(tensor, "product_qchar", counted):
@@ -1015,10 +1035,10 @@ class TestNormalMemo:
             info = classify_normal.cache_info()
             assert info.currsize <= info.maxsize
         assert classify_normal.cache_info().currsize == len(set(points))
-        tensor.clear_normal_cache()
+        tensor.clear_caches()
         assert classify_normal.cache_info().currsize == 0
 
-    def test_one_product_per_point_and_first_seen_transport(self, capsys, tmp_path, monkeypatch):
+    def test_one_join_per_group_and_first_seen_transport(self, capsys, tmp_path, monkeypatch):
         config = {"n_max": 2, "lambda_sum_max": 2, "k_max": 2, "r_window_pad": 1,
                   "variants": ["normal", "a", "b", "c"], "output": str(tmp_path / "out.jsonl")}
         (tmp_path / "sweep.json").write_text(json.dumps(config), encoding="utf-8")
@@ -1030,11 +1050,108 @@ class TestNormalMemo:
             else:
                 transported.append(_transported(spec, kr))
         problems = normal_points | set(transported)
+        groups = {(spec, kr.node, kr.k) for spec, kr in points + transported}
 
-        counted, products = _counting_products()
-        monkeypatch.setattr(tensor, "product_qchar", counted)
+        joins = []
+        join = tensor.anchor_join
+        monkeypatch.setattr(tensor, "anchor_join", lambda *args: joins.append(1) or join(*args))
         assert cli.main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 0
         assert "violations: 0" in capsys.readouterr().out
-        # transports share the normal-row points' classifications
+        # transports share the normal-row points' classifications and groups
         assert len(problems) < len(normal_points) + len(transported)
-        assert len(products) == len(transported) + len(problems)
+        assert classify_normal.cache_info().misses == len(problems)
+        assert len(joins) == len(groups) < len({(s, k.node, k.k) for s, k in points}) + len(
+            {(s, k.k) for s, k in transported}
+        )
+
+
+def _sweep_groups(n_max, total_max, k_max):
+    """The distinct (spec, node, k) groups of a four-row sweep, in sweep order."""
+    cfg = cli.SweepConfig.from_json(
+        {"n_max": n_max, "lambda_sum_max": total_max, "k_max": k_max,
+         "variants": ["normal", "a", "b", "c"], "output": "unused"}
+    )
+    return list(dict.fromkeys((spec, kr.node, kr.k) for spec, kr in cli.sweep_grid(cfg)))
+
+
+def _reference_D(spec, kr):
+    D = dominant_join_reference(qchar(spec), qchar_kr(kr))
+    return sorted(D.items(), key=lambda mc: monomial_sort_key(mc[0]))
+
+
+def _tau(qc, r):
+    return QChar(qc.n, {transform(m, "tau", r): c for m, c in qc.terms().items()})
+
+
+def _check_group(spec, node, k, pad):
+    """Every anchor of the group's pad window against the per-anchor join:
+    the map holds D exactly where D != {lambda}.  Returns the anchors checked."""
+    spectra = tensor.spectra_by_anchor(spec, node, k)
+    window = resonance_window(spec, node, k, pad)
+    assert set(spectra) <= set(resonance_window(spec, node, k, 0))
+    for r in window:
+        kr = KRSpec(spec.n, node, r, k)
+        lam = drinfeld_of_spec(spec) * kr.drinfeld()
+        assert list(spectra.get(r, ((lam, 1),))) == _reference_D(spec, kr), (spec, kr)
+        if r in spectra:
+            assert spectra[r] != ((lam, 1),)
+    return window
+
+
+class TestSpectraByAnchor:
+    """One join per (spec, node, k) gives D at every KR anchor; the per-anchor
+    join of ``oracles`` is its reference."""
+
+    def test_golden_grid_matches_the_per_anchor_join(self):
+        # pad 3 covers every golden point and, past them, anchors absent from the map
+        points = 0
+        for spec, node, k in _sweep_groups(3, 3, 3):
+            window = _check_group(spec, node, k, 3)
+            points += len(window) - 2
+        assert points == 5586  # the distinct points of the 5,820-point golden sweep
+
+    def test_sample_of_rank_four_groups_matches_the_per_anchor_join(self):
+        groups = [g for g in _sweep_groups(4, 4, 4) if g[0].n == 4]
+        for spec, node, k in groups[::97]:
+            _check_group(spec, node, k, 3)
+
+    def test_shifted_spec_matches_the_per_anchor_join(self):
+        for shift in (-5, 4):
+            for spec, node, k in _sweep_groups(2, 2, 2):
+                _check_group(replace(spec, shift=shift), node, k, 2)
+
+    def test_one_anchor_and_whole_group_reports_agree(self):
+        for spec, node, k in _sweep_groups(2, 2, 2):
+            for shift in (0, 3):
+                spec_s = replace(spec, shift=shift)
+                for r in resonance_window(spec_s, node, k, 3):
+                    kr = KRSpec(spec.n, node, r, k)
+                    assert classify_variant(spec_s, kr) == classify_variant(spec_s, kr, whole_group=True)
+
+    def test_cached_per_group(self):
+        spec = MinAffSpec(2, (1, 1), "inc")
+        assert tensor.spectra_by_anchor.cache_info().maxsize == minaff.CACHE_SIZE
+        first = tensor.spectra_by_anchor(spec, 2, 2)
+        for r in resonance_window(spec, 2, 2):
+            classify_variant(spec, KRSpec(2, 2, r, 2), whole_group=True)
+        assert tensor.spectra_by_anchor(spec, 2, 2) is first
+        tensor.clear_caches()
+        assert tensor.spectra_by_anchor.cache_info().currsize == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(characters(n), characters(n))))
+    def test_join_of_random_characters_at_every_shift(self, factors):
+        x, y = factors
+        every = minaff.anchor_join(x, y)
+        # rows lie in -3..3, so a dominant pair needs a shift in -6..6
+        assert set(every) <= set(range(-6, 7))
+        tops = [[(m, c) for m, c in q.terms().items() if all(e > 0 for _, e in m.items())] for q in (x, y)]
+        for r in range(-7, 8):
+            got = dict(every.get(r, {}))
+            assert got == minaff.anchor_join(x, y, r).get(r, {})
+            for m1, c1 in tops[0]:
+                for m2, c2 in tops[1]:
+                    p = m1 * transform(m2, "tau", r)
+                    got[p] = got.get(p, 0) + c1 * c2
+            reference = product_qchar_reference(x, _tau(y, r)).dominant_terms()
+            assert sorted(got.items(), key=lambda mc: monomial_sort_key(mc[0])) == reference
