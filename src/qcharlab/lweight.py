@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_int
 
 Key = tuple[int, int]  # (node i, spectral exponent r)
 
@@ -29,6 +29,9 @@ Key = tuple[int, int]  # (node i, spectral exponent r)
 def _canonical(pairs: Iterable[tuple[Key, int]], n: int) -> tuple[tuple[Key, int], ...]:
     acc: dict[Key, int] = {}
     for (i, r), e in pairs:
+        if not (type(i) is type(r) is type(e) is int):
+            for what, v in (("node", i), ("spectral parameter", r), ("exponent", e)):
+                require_int(what, v)
         if not 1 <= i <= n:
             raise InvalidInput(f"node {i} out of range 1..{n}")
         if e == 0:
@@ -46,12 +49,14 @@ class LMonomial:
     """Immutable Laurent monomial in the ``Y[i,r]`` over rank ``n``.
 
     Canonical form: zero exponents are never stored and keys are sorted by
-    ``(i, r)``, so equality and hashing are structural.
+    ``(i, r)``, so equality and hashing are structural.  The rank and every
+    node, parameter and exponent must be a plain ``int`` (``require_int``).
     """
 
     __slots__ = ("n", "_exps", "_hash")
 
     def __init__(self, n: int, pairs: Iterable[tuple[Key, int]] = ()):
+        require_int("rank", n)
         if n < 1:
             raise InvalidInput(f"rank must be positive, got {n}")
         object.__setattr__(self, "n", n)
@@ -407,10 +412,18 @@ def transform(m: LMonomial, kind: str, t: int = 0) -> LMonomial:
     * ``minus``:    Y[i,r] -> Y[i,-r]         (inverted spectral parameters)
     * ``kappa``:    Y[i,r] -> Y[n+1-i, -r-h]  (star of minus; an involution)
     * ``tau``:      Y[i,r] -> Y[i,r+t]        (global spectral shift by ``t``)
+
+    ``t`` must be a plain ``int``.  ``tau`` keeps the key order, so its
+    result is built as it stands; it is the one spectral shift of the package.
     """
     if kind not in _TRANSFORM_KINDS:
         raise InvalidInput(f"unknown transform kind {kind!r}")
+    require_int("shift", t)
     n = m.n
+    if kind == "tau":
+        if not t:
+            return m
+        return LMonomial._make(n, tuple([((i, r + t), e) for (i, r), e in m.items()]))
     h = n + 1
     if kind == "star":
         gen = lambda i, r: (n + 1 - i, r - h)
@@ -418,10 +431,8 @@ def transform(m: LMonomial, kind: str, t: int = 0) -> LMonomial:
         gen = lambda i, r: (n + 1 - i, r + h)
     elif kind == "minus":
         gen = lambda i, r: (i, -r)
-    elif kind == "kappa":
-        gen = lambda i, r: (n + 1 - i, -r - h)
     else:
-        gen = lambda i, r: (i, r + t)
+        gen = lambda i, r: (n + 1 - i, -r - h)
     return LMonomial(n, ((gen(i, r), e) for (i, r), e in m.items()))
 
 

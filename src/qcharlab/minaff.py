@@ -17,6 +17,11 @@ The q-character is the set of monomials of the semi-standard fillings of
 the highest tableau's shape, read off the search without building the
 tableaux; for a KR module at the last node an independent
 partition-indexed formula provides the same set of terms.
+
+``anchor_join`` is the one dominant-pair join: it gives the whole dominant
+part of ``walked * tau_r(indexed)``, the products of two dominant terms
+included, at one shift ``r`` or at every shift.  Only the indexed character
+gets a join index; the walked one is read term by term.
 """
 
 from __future__ import annotations
@@ -24,9 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from math import comb
-from operator import not_
 from typing import Optional
 
 from .errors import InvalidInput, InvariantViolation, require_int
@@ -36,6 +39,7 @@ from .lweight import (
     expand_lroot_path,
     is_dominant,
     monomial_sort_key,
+    transform,
     y_string,
 )
 from .tableaux import Shape, Tableau, semistandard_fillings
@@ -160,18 +164,20 @@ class QChar:
     A character is held either as a dict of monomials or, for a product
     character, as its two factors (``product``).  A product answers
     ``dominant_terms`` by ``anchor_join`` at anchor 0, walking the larger
-    factor's terms against cover bitsets of the smaller one, without
+    factor's terms against the join index of the smaller one, without
     forming the product; everything else on it convolves the factors once,
-    on first use.
+    on first use.  The rank and every multiplicity must be a plain ``int``.
     """
 
     __slots__ = ("n", "_terms", "_factors", "_index")
 
     def __init__(self, n: int, terms: dict[LMonomial, int]):
+        require_int("rank", n)
         for m, mult in terms.items():
             if m.n != n:
                 raise InvalidInput("term rank mismatch")
-            if mult <= 0:
+            if type(mult) is not int or mult <= 0:
+                require_int("multiplicity", mult)
                 raise InvalidInput("multiplicities must be positive")
         self.n = n
         self._terms = dict(terms)
@@ -214,7 +220,8 @@ class QChar:
         if self._factors is None:
             out = [(m, c) for m, c in self._terms.items() if is_dominant(m)]
         else:
-            out = list(_dominant_product(*self._factors).items())
+            small, large = sorted(self._factors, key=lambda q: len(q._all_terms()))
+            out = list(anchor_join(large, small, 0)[0].items())
         out.sort(key=lambda mc: monomial_sort_key(mc[0]))
         return out
 
@@ -269,17 +276,15 @@ def _at_least(masks: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class _JoinIndex:
-    """One character's terms for ``anchor_join``: term ``j`` is bit ``j``.
+    """The indexed character of ``anchor_join``: term ``j`` is bit ``j``.
 
     ``needs[j]`` holds term ``j``'s own pairs ``(key, e)`` with ``e < 0``
     (shared with the term, not copied): a partner must have ``-e`` or more
-    at each such ``key``.  The rest is built by the first join that indexes
-    the character (``_build_cover``).  ``cover[key]`` pairs the positive
-    exponents ``t`` at ``key``, ascending, with the bitsets of the terms
-    whose exponent at ``key`` is ``>= t``.  ``rows[i]`` pairs the positive
-    exponents ``t`` at node ``i`` with a mask of the rows ``s`` at which
-    some term reaches ``t``, as bit ``top - s`` (``top`` is the highest
-    such row).
+    at each such ``key``.  ``cover[key]`` pairs the positive exponents ``t``
+    at ``key``, ascending, with the bitsets of the terms whose exponent at
+    ``key`` is ``>= t``.  ``rows[i]`` pairs the positive exponents ``t`` at
+    node ``i`` with a mask of the rows ``s`` at which some term reaches
+    ``t``, as bit ``top - s`` (``top`` is the highest such row).
     """
 
     __slots__ = ("monos", "mults", "needs", "cover", "rows", "top")
@@ -288,9 +293,6 @@ class _JoinIndex:
         self.monos = list(terms)
         self.mults = list(terms.values())
         self.needs = [tuple(kv for kv in m.items() if kv[1] < 0) for m in self.monos]
-        self.cover = None
-
-    def _build_cover(self) -> None:
         at: dict[Key, dict[int, list[int]]] = {}
         for j, m in enumerate(self.monos):
             for key, e in m.items():
@@ -308,7 +310,7 @@ class _JoinIndex:
             by_t[ts[-1]] = by_t.get(ts[-1], 0) | 1 << (top - s)
         self.rows = {i: _at_least(by_t) for i, by_t in reach.items()}
 
-    def covering(self, need: tuple, shift: int = 0) -> int:
+    def covering(self, need: list, shift: int = 0) -> int:
         """Bitset of the terms whose exponent is ``>= -e`` at ``(i, s - shift)``
         for every ``((i, s), e)`` of ``need``: the terms that cover ``need``
         once ``tau_shift`` moves them."""
@@ -328,23 +330,26 @@ class _JoinIndex:
                 return 0
         return bits
 
-    def shifts(self, need: tuple, low: int) -> int:
-        """Mask of the shifts ``r`` (as bit ``r + top - low``) at which, for
-        each ``((i, s), e)`` of ``need`` on its own, some term has ``-e`` or
-        more at ``(i, s - r)``; ``low`` is at most every row of ``need``."""
+    def shifts(self, need: list) -> list[int]:
+        """The shifts ``r`` at which, for each ``((i, s), e)`` of ``need`` on
+        its own, some term has ``-e`` or more at ``(i, s - r)``: one AND of
+        row masks, each moved to bit ``r + top - s0`` (``s0`` the first
+        pair's row).  A shift below ``s0 - top`` is out of the first pair's
+        reach, so the bits a mask moved right loses are never needed."""
+        s0 = need[0][0][1]
         mask = -1
         for (i, s), e in need:
             entry = self.rows.get(i)
             if entry is None:
-                return 0
+                return []
             ts, masks = entry
             at = bisect_left(ts, -e)
             if at == len(ts):
-                return 0
-            mask &= masks[at] << (s - low)
+                return []
+            mask &= masks[at] << (s - s0) if s >= s0 else masks[at] >> (s0 - s)
             if not mask:
-                return 0
-        return mask
+                return []
+        return [b + s0 - self.top for b in _bits(mask)]
 
 
 def _bits(x: int):
@@ -354,43 +359,34 @@ def _bits(x: int):
         x ^= low
 
 
-def _tau(m: LMonomial, r: int) -> LMonomial:
-    """``m`` with every spectral parameter raised by ``r``; the key order is kept."""
-    if not r:
-        return m
-    return LMonomial._make(m.n, tuple([((i, s + r), e) for (i, s), e in m.items()]))
-
-
 def anchor_join(
     walked: QChar, indexed: QChar, anchor: Optional[int] = None
 ) -> dict[int, dict[LMonomial, int]]:
-    """Dominant terms of ``walked * tau_r(indexed)`` by shift ``r``, from the
-    dominant pairs only; a pair of two dominant terms, dominant at every
-    ``r``, is left out.
+    """The dominant part of ``walked * tau_r(indexed)``, by shift ``r``.
 
     ``m1 * tau_r(m2)`` is dominant iff each term covers every negative
-    exponent of the other with a positive one.  Only ``indexed`` gets cover
-    bitsets.  A term of ``walked`` with negative keys ``(i, s)`` takes its
-    candidate shifts ``r = s - s'`` from the rows ``s'`` at which indexed
-    terms cover those keys (one AND of shifted row masks), or is ``anchor``
-    alone when that is given.  At each candidate, one ``covering`` call gives
-    the indexed terms that cover it, and each is kept if the walked term
-    covers the shifted term's negative keys in turn.  A dominant walked term
-    meets each non-dominant indexed term at the shifts that carry that
-    term's first negative key onto one of its own keys.
+    exponent of the other with a positive one.  Only ``indexed`` is indexed
+    (``_JoinIndex``, kept on the character); each walked term's negative
+    pairs are taken as it is walked.  They give its candidate shifts
+    (``_JoinIndex.shifts``, or ``anchor`` alone), and at each candidate one
+    ``covering`` call gives the indexed terms that cover them; each is kept
+    if the walked term covers that term's shifted negative keys in turn.  A
+    dominant walked term meets each non-dominant indexed term at the shifts
+    that carry that term's first negative key onto one of its own keys, and
+    each dominant indexed term at every shift: the top products.
 
-    Returns ``{r: {product: multiplicity}}`` for the shifts with a dominant
-    pair: all of them, or ``anchor`` only.
+    Returns ``{r: {product: multiplicity}}``, each dict the whole dominant
+    part at ``r``, top products included.  With ``anchor``, ``anchor`` is
+    the one key.  Without it, the keys are the shifts at which a pair other
+    than two dominant terms is dominant; at every other shift the dominant
+    part is the top products alone.
     """
     if walked.n != indexed.n:
         raise InvalidInput(f"rank mismatch: {walked.n} != {indexed.n}")
-    walk, index = walked._join_index(), indexed._join_index()
-    if index.cover is None:
-        index._build_cover()
+    index = indexed._join_index()
     imonos, imults, ineeds = index.monos, index.mults, index.needs
-    if anchor is None:
-        low = min((s for need in walk.needs for (_, s), _ in need), default=0)
-    out: dict[int, dict[LMonomial, int]] = {}
+    out: dict[int, dict[LMonomial, int]] = {} if anchor is None else {anchor: {}}
+    tops: list[tuple[LMonomial, int]] = []
 
     def join(m: LMonomial, c: int, r: int, cand: int) -> None:
         # keep the candidates whose negative keys, moved by r, the walked term covers
@@ -400,12 +396,14 @@ def anchor_join(
                 if exps.get(key, 0) < -e:
                     break
             else:
-                p = m * _tau(imonos[j], r)
+                p = m * transform(imonos[j], "tau", r)
                 found = out.setdefault(r, {})
                 found[p] = found.get(p, 0) + c * imults[j]
 
-    for m, c, need in zip(walk.monos, walk.mults, walk.needs):
+    for m, c in walked._all_terms().items():
+        need = [kv for kv in m.items() if kv[1] < 0]
         if not need:
+            tops.append((m, c))
             # the shifts that carry a term's first negative key onto a key of m
             for j, jneed in enumerate(ineeds):
                 if jneed:
@@ -414,41 +412,28 @@ def anchor_join(
                         if i == i0 and e >= -e0 and (anchor is None or anchor == s - s0):
                             join(m, c, s - s0, 1 << j)
             continue
-        if anchor is None:
-            shifts = [b + low - index.top for b in _bits(index.shifts(need, low))]
-        else:
-            shifts = (anchor,)
-        for r in shifts:
+        for r in (index.shifts(need) if anchor is None else (anchor,)):
             cand = index.covering(need, r)
             if cand:
                 join(m, c, r, cand)
+    itops = [(m, c) for m, c, need in zip(imonos, imults, ineeds) if not need]
+    for r, found in out.items():
+        for m1, c1 in tops:
+            for m2, c2 in itops:
+                p = m1 * transform(m2, "tau", r)
+                found[p] = found.get(p, 0) + c1 * c2
     return out
 
 
-def _dominant_product(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
-    """The dominant terms of ``q1 * q2``: ``anchor_join`` at anchor 0,
-    walking the larger factor, and the products of two dominant terms."""
-    small, large = sorted((q1, q2), key=lambda q: len(q._all_terms()))
-    out = anchor_join(large, small, 0).get(0, {})
-    tops = [
-        list(compress(zip(ix.monos, ix.mults), map(not_, ix.needs)))
-        for ix in (large._join_index(), small._join_index())
-    ]
-    for m1, c1 in tops[0]:
-        for m2, c2 in tops[1]:
-            p = m1 * m2
-            out[p] = out.get(p, 0) + c1 * c2
-    return out
-
-
-# Bound on each cache: the q-characters (each with its join index once it
-# joins, and the index's cover bitsets once a join indexes it), the Drinfeld
-# polynomials, and in ``tensor`` the normal-form reports, the per-group spectra
-# of ``spectra_by_anchor`` with the group's transported affinization and
-# resonance equations.  KR characters are built at anchor 0 only.  The golden
-# sweep holds 72 characters, 122 polynomials, 1,455 reports and 354 groups (87
-# transported specs); the n_max=lambda_sum_max=k_max=4 sweep 263, 475 and 1,904
-# groups (355 transported specs), and only its 9,592 distinct reports evict.
+# Bound on each cache: the q-characters (each with its join index once a
+# join indexes it), the Drinfeld polynomials, and in ``tensor`` the
+# normal-form reports, the per-group spectra of ``spectra_by_anchor`` with the
+# group's transported affinization and resonance table.  A sweep builds KR
+# characters at anchor 0 only; the ``tensor`` command builds its point's KR
+# character at its own anchor.  The golden sweep holds 72 characters, 122
+# polynomials, 1,455 reports and 354 groups (87 transported specs); the
+# n_max=lambda_sum_max=k_max=4 sweep 263, 475 and 1,904 groups (355
+# transported specs), and only its 9,592 distinct reports evict.
 CACHE_SIZE = 2048
 
 

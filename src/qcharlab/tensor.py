@@ -1,34 +1,38 @@
 """Tensor products of a minimal affinization with an extreme-node KR module.
 
 The product q-character is held as its two factors.  Its dominant
-spectrum D is still exhaustive and exact: a join walks the larger
-factor's terms against cover bitsets of the smaller factor's terms, finds
-every pair whose product is dominant, and multiplies only those pairs
-before D is sorted along the loop-root order.  The full product is
-convolved only when something asks for all of its terms.  On top of D,
-the classifier evaluates the closed-form reducibility conditions, derives
-the extra simple factor's highest loop weight through several independent
-formulas, and cross-checks every prediction against D.  Brute force is
+spectrum D is still exhaustive and exact: ``minaff.anchor_join`` walks the
+larger factor's terms against a join index of the smaller factor's terms
+(the only one indexed), finds every pair whose product is dominant, the
+top pair included, and multiplies only those pairs before D is sorted
+along the loop-root order.  The full product is convolved only when
+something asks for all of its terms.  On top of D, the classifier
+evaluates the closed-form reducibility conditions, derives the extra
+simple factor's highest loop weight through several independent formulas,
+and cross-checks every prediction against D.  Brute force is
 always the arbiter: a disagreement raises TheoremViolation, which signals
 an implementation bug and is counted as a violation by the sweep harness.
 
 Normal form is an increasing minimal affinization tensored with a KR module
 at the last node.  The four direction/node combinations are the rows of
 the ``VARIANTS`` table (see ``Variant``), and every row runs through one
-pipeline, ``_classify``: D by brute force, the row's resonance equations,
-the case tag, and the report.  Its one row-specific step checks normal form
+pipeline, ``_classify``: D by brute force, the row's resonance, the case
+tag, and the report.  Its one row-specific step checks normal form
 against the closed form; the three other rows are checked by transporting
 the problem through the row's duality map, classifying the transported
 normal-form problem, and carrying the answer back.
 
 D does not depend on the KR anchor r through anything but tau_r, so
 ``spectra_by_anchor`` finds D at every anchor of a group (spec, node, k) by
-one join against the anchor-0 KR character; a sweep reads each point's D
-from that map (``whole_group``), which also certifies the anchors it does
-not visit.  The transported affinization and the resonance equations do not
-depend on r either, and are computed once per group.  A single point (the
-``tensor`` command) joins its own product character at its one anchor,
-which is cheaper than every anchor of its group.
+one join against the anchor-0 KR character, whose dicts are finished
+spectra; a sweep reads each point's D from that map (``whole_group``),
+which also certifies the anchors it does not visit.  The resonance
+equations are solved for r once per group too (``_resonances``, r -> the
+resonances there): each point looks its resonance up, and the sweep window
+is the hull of the table.  The transported affinization does not depend on
+r either and is computed once per group.  A single point (the ``tensor``
+command) joins its own product character at its one anchor, which is
+cheaper than every anchor of its group.
 
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
@@ -80,10 +84,13 @@ class Resonance:
     """A solution of one of the two spectral resonance equations.
 
     ``kind`` is "i" (KR string meets a node string) or "ii" (top node string
-    meets the KR string).  A resonance makes the dominant spectrum grow past
-    the top term; the tensor product is reducible only when ``kprime`` also
-    clears the tighter bound recorded in CaseTag.  ``p`` is None for kind
-    "ii" resonances whose kprime exceeds the weight total.
+    meets the KR string).  The tensor product is reducible only when
+    ``kprime`` also clears the tighter bound recorded in CaseTag.  On the
+    normal and a rows, D grows past the top term exactly at the resonant
+    anchors, beyond the bound too; on rows b and c it need not (D can be
+    {lambda} at a resonance and grow without one, irreducible either way).
+    ``p`` is None for kind "ii" resonances whose kprime exceeds the weight
+    total.
     """
 
     kind: str
@@ -100,7 +107,7 @@ class Variant:
     normal form and back (None for normal form itself); ``exact_D`` marks
     the one that commutes with q-characters termwise, so that D must
     transport exactly.  Everything else follows from ``first`` and
-    ``flipped``; see ``_equations`` and ``_socle_head``.
+    ``flipped``; see ``_resonances`` and ``_socle_head``.
     """
 
     name: str
@@ -262,26 +269,23 @@ def spectra_by_anchor(
     every other anchor D = {lambda}.
 
     One ``anchor_join`` of ``qchar(spec)`` against the anchor-0 KR
-    character W0 finds every dominant pair at every r, since
-    ``W(node, r, k) = tau_r(W0)``; the pair of the two top terms is
-    dominant at every r and makes lambda.  So the map certifies the whole
-    group (spec, node, k), not only the anchors a sweep visits.  The
-    ``r_window`` check: an anchor with D != {lambda} outside
-    ``resonance_window(spec, node, k, pad=0)`` raises TheoremViolation.
-    Cached like ``qchar`` (at most ``CACHE_SIZE`` groups).
+    character W0 gives D at every r, since ``W(node, r, k) = tau_r(W0)``:
+    its keys are the anchors where a pair other than the two top terms is
+    dominant, and at every other anchor the top pair alone makes lambda.
+    So the map certifies the whole group (spec, node, k), not only the
+    anchors a sweep visits.  The ``r_window`` check: an anchor with
+    D != {lambda} outside ``resonance_window(spec, node, k, pad=0)`` raises
+    TheoremViolation.  Cached like ``qchar`` (at most ``CACHE_SIZE`` groups).
     """
-    kr0 = KRSpec(spec.n, node, 0, k)
-    omega = drinfeld_of_spec(spec)
     window = resonance_window(spec, node, k, 0)
+    w0 = qchar_kr(KRSpec(spec.n, node, 0, k))
     out = {}
-    for r, terms in sorted(anchor_join(qchar(spec), qchar_kr(kr0)).items()):
+    for r, terms in sorted(anchor_join(qchar(spec), w0).items()):
         if r not in window:
             raise TheoremViolation(
                 f"dominant spectrum at KR anchor {r} is not {{lambda}}, outside the "
                 f"resonance window {window.start}..{window.stop - 1} of {spec} at node {node}, k = {k}"
             )
-        lam = omega * replace(kr0, r=r).drinfeld()
-        terms[lam] = terms.get(lam, 0) + 1
         out[r] = tuple(sorted(terms.items(), key=lambda mc: monomial_sort_key(mc[0])))
     return out
 
@@ -305,6 +309,8 @@ def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomi
     ``(l, s)`` of ``highest_shape`` divides by the root path from node l to
     node p - 1 at anchor ``s + l - 1``.
     """
+    for what, v in (("column index", c), ("last column", f), ("content bound", p)):
+        require_int(what, v)
     if spec.direction != "inc":
         raise InvalidInput("the raised-box family is built from increasing specs")
     if c < 1:
@@ -346,6 +352,8 @@ def family_T(kr: KRSpec, m: int, p: int) -> tuple[Tableau, LMonomial]:
     boxes and verified against both the inverse loop-root product and the
     closed three-string form before being returned.
     """
+    for what, v in (("gap count", m), ("gap position", p)):
+        require_int(what, v)
     n = kr.n
     if kr.node != n:
         raise InvalidInput("the gap family is built from KR modules at the last node")
@@ -394,15 +402,17 @@ def _kind_ii_node(lam: tuple[int, ...], kp: int, first: bool) -> Optional[int]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _equations(variant: Variant, spec: MinAffSpec, k: int) -> tuple[tuple, ...]:
-    """The variant's resonance equations ``s*r + c = 2k'``, 1 <= k' <= cap.
+def _resonances(variant: Variant, spec: MinAffSpec, k: int) -> dict[int, tuple[Resonance, ...]]:
+    """Every resonance of the variant's two equations ``s*r + c = 2k'``,
+    1 <= k' <= cap, by the KR anchor ``r = s*(2k' - c)`` that solves it.
 
-    Returns ``(kind, p, s, c, cap)`` rows, cached since they do not depend
-    on the KR anchor r: kind "i" at each supported node p (cap
-    lam_p), kind "ii" at i1 if the KR module sits at node 1, else at i0
-    (cap k).  The left side either rises, ``r + 2k + o(p) - r_p``, or falls,
-    ``r_p + 2 lam_p + o(p) - r``, with o(p) = p + 1 at node 1 and n + 2 - p
-    at node n; kind "i" rises and kind "ii" falls unless ``flipped``.
+    The equations do not depend on r, so the table is cached per group:
+    kind "i" at each supported node p (cap lam_p), kind "ii" at i1 if the
+    KR module sits at node 1, else at i0 (cap k), each anchor's entries in
+    that order.  The left side either rises, ``r + 2k + o(p) - r_p``, or
+    falls, ``r_p + 2 lam_p + o(p) - r``, with o(p) = p + 1 at node 1 and
+    n + 2 - p at node n; kind "i" rises and kind "ii" falls unless
+    ``flipped``.
     """
     n, lam = spec.n, spec.lam
     anchors = spec.anchors()
@@ -414,31 +424,24 @@ def _equations(variant: Variant, spec: MinAffSpec, k: int) -> tuple[tuple, ...]:
         return -1, anchors[p] + 2 * lam[p - 1] + offset
 
     q = spec.i1 if variant.first else spec.i0
-    return (
-        *[("i", p, *equation(not variant.flipped, p), lam[p - 1]) for p in spec.supp()],
-        ("ii", q, *equation(variant.flipped, q), k),
-    )
+    rows = [("i", p, *equation(not variant.flipped, p), lam[p - 1]) for p in spec.supp()]
+    rows.append(("ii", q, *equation(variant.flipped, q), k))
+    table: dict[int, tuple[Resonance, ...]] = {}
+    for kind, p, s, c, cap in rows:
+        for kp in range(1, cap + 1):
+            at = _kind_ii_node(lam, kp, variant.first) if kind == "ii" else p
+            r = s * (2 * kp - c)
+            table[r] = (*table.get(r, ()), Resonance(kind, kp, at))
+    return table
 
 
 def _resonance(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> Optional[Resonance]:
-    """Solve the variant's two resonance equations.
-
-    Kind "i" requires 1 <= k' <= lam_p at a supported node p, kind "ii"
-    requires 1 <= k' <= k; the solution is unique and the two kinds exclude
-    each other.  Reducibility needs the extra caps (k' <= k resp. k' <= |lam|),
-    which is decided by the caller; a resonance beyond the cap still grows
-    the dominant spectrum.
-    """
-    found: list[Resonance] = []
-    for kind, p, s, c, cap in _equations(variant, spec, kr.k):
-        kp, odd = divmod(s * kr.r + c, 2)
-        if odd or not 1 <= kp <= cap:
-            continue
-        if kind == "ii":
-            p = _kind_ii_node(spec.lam, kp, variant.first)
-        found.append(Resonance(kind, kp, p))
+    """The resonance at the point's anchor, looked up in ``_resonances``:
+    unique, as the two kinds exclude each other.  Reducibility needs the
+    extra caps (k' <= k resp. k' <= |lam|), which the caller decides."""
+    found = _resonances(variant, spec, kr.k).get(kr.r, ())
     if len(found) > 1:
-        raise TheoremViolation(f"resonance conditions not unique: {found}")
+        raise TheoremViolation(f"resonance conditions not unique: {list(found)}")
     return found[0] if found else None
 
 
@@ -566,7 +569,7 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
 
     D is brute-forced: from the pair's own product character, or, with
     ``whole_group``, read from ``spectra_by_anchor`` for the point's group.
-    The row's resonance equations are solved on the untransformed data.  The normal
+    The row's resonance is looked up on the untransformed data.  The normal
     row then checks the closed form: D is a chain of multiplicity-one
     terms equal to ``expected_dominants``, and the extra factor, derived
     independently, sits at its predicted position (condition (i): just
@@ -701,29 +704,23 @@ def _normal(spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
 def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range:
     """Inclusive range of KR anchors covering every resonance of (spec, k).
 
-    Solves each resonance equation ``s*r + c = 2k'`` as ``r = s*(2k' - c)``
-    over all admissible k' and pads by ``pad`` on each side so that nearby
-    irreducible points are swept as well.  ``node`` and ``k`` are checked
-    as ``KRSpec`` checks them: an extreme node and a positive integer length;
-    ``pad`` must be a plain ``int``.
+    The hull of the anchors of ``_resonances``, padded by ``pad`` on each
+    side so that nearby irreducible points are swept as well.  ``node`` and
+    ``k`` are checked as ``KRSpec`` checks them: an extreme node and a
+    positive integer length; ``pad`` must be a plain ``int``.
     """
     KRSpec(spec.n, node, 0, k)
     require_int("pad", pad)
     if pad < 0:
         raise InvalidInput("pad must be nonnegative")
-    variant = _variant_of(spec.direction, node != spec.n)
-    values = [
-        s * (2 * kp - c)
-        for _, _, s, c, cap in _equations(variant, spec, k)
-        for kp in range(1, cap + 1)
-    ]
-    return range(min(values) - pad, max(values) + pad + 1)
+    table = _resonances(_variant_of(spec.direction, node != spec.n), spec, k)
+    return range(min(table) - pad, max(table) + pad + 1)
 
 
 # The caches of this module, bound here so that a wrapper that replaces one
 # of them (a tracer, a test) leaves it reachable; ``cli.main`` empties them
 # before every command.
-_CACHES = (classify_normal, spectra_by_anchor, _transported_spec, _equations)
+_CACHES = (classify_normal, spectra_by_anchor, _transported_spec, _resonances)
 
 
 def clear_caches() -> None:

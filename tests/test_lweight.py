@@ -73,6 +73,17 @@ class TestLMonomial:
         with pytest.raises(InvalidInput):
             LMonomial(2, (((3, 0), 1),))
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
+    def test_rank_and_pairs_must_be_ints(self, value):
+        for n, pair in (
+            (value, ((1, 0), 1)),
+            (1, ((value, 0), 1)),
+            (1, ((1, value), 1)),
+            (1, ((1, 0), value)),
+        ):
+            with pytest.raises(InvalidInput, match="must be an integer"):
+                LMonomial(n, (pair,))
+
     def test_str(self):
         assert str(LMonomial.identity(2)) == "1"
         assert str(Y(2, 1, 0) * Y(2, 2, 3, -1)) == "Y[1,0] Y[2,3]^-1"
@@ -354,6 +365,11 @@ class TestTransform:
     def test_unknown_kind(self):
         with pytest.raises(InvalidInput):
             transform(Y(1, 1, 0), "sigma")
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
+    def test_shift_must_be_an_int(self, value):
+        with pytest.raises(InvalidInput, match="shift must be an integer"):
+            transform(Y(1, 1, 0), "tau", value)
 
     @given(lmonomials())
     def test_involutions_and_composites(self, m):

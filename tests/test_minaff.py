@@ -22,6 +22,7 @@ from qcharlab import (
     KRSpec,
     LMonomial,
     MinAffSpec,
+    QChar,
     drinfeld_of_spec,
     highest_tableau,
     is_dominant,
@@ -151,6 +152,13 @@ class TestHighestTableau:
 
 
 class TestQChar:
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
+    def test_rank_and_multiplicities_must_be_ints(self, value):
+        with pytest.raises(InvalidInput, match="multiplicity must be an integer"):
+            QChar(1, {Y(1, 1, 0): value})
+        with pytest.raises(InvalidInput, match="rank must be an integer"):
+            QChar(value, {})
+
     def test_fundamental_matches_box_sum(self):
         qc = qchar(MinAffSpec(2, (1, 0), "inc"))
         expected = {Y(2, 1, 0), Y(2, 1, 2, -1) * Y(2, 2, 1), Y(2, 2, 3, -1)}

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -161,7 +162,7 @@ class TestPackedProduct:
 
     def test_dominant_terms_leave_the_product_unformed(self):
         # uncached characters, so that no other test has indexed them; the
-        # join builds cover bitsets for the smaller factor only, in either order
+        # join indexes the smaller factor only, in either order
         for first_is_larger in (True, False):
             big = qchar.__wrapped__(MinAffSpec(3, (1, 0, 2), "inc", 7))
             small = qchar.__wrapped__(KRSpec(3, 3, 4, 2).as_minaff())
@@ -171,8 +172,7 @@ class TestPackedProduct:
             prod = product_qchar(a, b)
             assert prod.dominant_terms() == product_qchar_reference(a, b).dominant_terms()
             assert prod._terms is None
-            assert big._index is not None and small._index is not None
-            assert small._index.cover is not None and big._index.cover is None
+            assert small._index is not None and big._index is None
 
     def test_factors_of_equal_size(self):
         a, b = qchar_kr(KRSpec(2, 1, 0, 2)), qchar_kr(KRSpec(2, 2, -3, 2))
@@ -260,6 +260,13 @@ class TestFamilyS:
         spec = MinAffSpec(2, (1, 1), "inc")
         assert family_S(spec, 1, 9, 3)[1] == family_S(spec, 1, 2, 3)[1]
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
+    def test_arguments_must_be_ints(self, value):
+        spec = MinAffSpec(2, (1, 1), "inc")
+        for args in ((value, 2, 3), (1, value, 3), (1, 2, value)):
+            with pytest.raises(InvalidInput, match="must be an integer"):
+                family_S(spec, *args)
+
     def test_shallow_p_rejected(self):
         spec = MinAffSpec(2, (1, 1), "inc")
         with pytest.raises(InvalidInput):
@@ -321,6 +328,13 @@ class TestFamilyT:
     def test_interior_node_rejected(self):
         with pytest.raises(InvalidInput):
             family_T(KRSpec(2, 1, 0, 1), 1, 1)
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
+    def test_arguments_must_be_ints(self, value):
+        kr = KRSpec(2, 2, 0, 2)
+        for args in ((value, 2), (1, value)):
+            with pytest.raises(InvalidInput, match="must be an integer"):
+                family_T(kr, *args)
 
 
 class TestClassifyWorkedExamples:
@@ -558,6 +572,27 @@ class TestVariants:
         assert _resonance(VARIANTS["a"], spec, KRSpec(2, 1, 0, 1)) is None
 
 
+@st.composite
+def resonance_groups(draw):
+    """``(row name, spec, node, k)``: rank 1..5, |lam| <= 4, shift -3..3, k <= 4;
+    the row is named from direction and node here, not by ``_variant_of``."""
+    n = draw(st.integers(1, 5))
+    lam = draw(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(
+            lambda v: 0 < sum(v) <= 4
+        )
+    )
+    direction = draw(st.sampled_from(("inc", "dec")))
+    spec = MinAffSpec(n, tuple(lam), direction, draw(st.integers(-3, 3)))
+    node = draw(st.sampled_from((1, n)))
+    k = draw(st.integers(1, 4))
+    if node == n:
+        name = "normal" if direction == "inc" else "c"
+    else:
+        name = "a" if direction == "dec" else "b"
+    return name, spec, node, k
+
+
 class TestVariantTable:
     def test_one_row_per_direction_and_extreme_node(self):
         flags = sorted((v.direction, v.first) for v in VARIANTS.values())
@@ -602,25 +637,12 @@ class TestVariantTable:
             len(product_qchar(qchar(spec), qchar_kr(kr)))
 
     @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_resonance_matches_the_explicit_equations(self, data):
-        n = data.draw(st.integers(1, 5))
-        lam = data.draw(
-            st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(
-                lambda v: 0 < sum(v) <= 4
-            )
-        )
-        direction = data.draw(st.sampled_from(("inc", "dec")))
-        spec = MinAffSpec(n, tuple(lam), direction, data.draw(st.integers(-3, 3)))
-        node = data.draw(st.sampled_from((1, n)))
-        k = data.draw(st.integers(1, 4))
+    @given(resonance_groups(), st.data())
+    def test_resonance_matches_the_explicit_equations(self, group, data):
+        name, spec, node, k = group
         window = resonance_window(spec, node, k, 0)
         r = data.draw(st.integers(window.start - 6, window.stop + 5))
-        kr = KRSpec(n, node, r, k)
-        if node == n:
-            name = "normal" if direction == "inc" else "c"
-        else:
-            name = "a" if direction == "dec" else "b"
+        kr = KRSpec(spec.n, node, r, k)
         res = _resonance(VARIANTS[name], spec, kr)
         expected = resonance_reference(name, spec, kr)
         assert (None if res is None else (res.kind, res.kprime, res.p)) == expected
@@ -650,6 +672,15 @@ class TestResonanceWindow:
     def test_negative_pad_rejected(self):
         with pytest.raises(InvalidInput, match="pad must be nonnegative"):
             resonance_window(MinAffSpec(3, (1, 0, 1)), 3, 1, -1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(resonance_groups(), st.integers(0, 3))
+    def test_window_is_tight(self, group, pad):
+        """Both ends of the unpadded window are resonant anchors."""
+        name, spec, node, k = group
+        window = resonance_window(spec, node, k, pad)
+        for r in (window.start + pad, window.stop - 1 - pad):
+            assert resonance_reference(name, spec, KRSpec(spec.n, node, r, k)) is not None
 
 
 class TestSpectralShift:
@@ -892,7 +923,7 @@ CHECKS = [
      TheoremViolation, "box product and loop-root product disagree"),
     (CASE_I_POINT, {"tensor.y_string": lambda f: lambda n, i, r, k: f(n, i, r + 2, k)},
      TheoremViolation, "gap-family formulas disagree"),
-    (NORMAL_POINT, {"tensor._equations": lambda f: lambda v, s, k: [*f(v, s, k), *f(v, s, k)]},
+    (NORMAL_POINT, {"tensor._resonances": lambda f: lambda v, s, k: {r: (*res, *res) for r, res in f(v, s, k).items()}},
      TheoremViolation, "resonance conditions not unique"),
     # the extra factor is derived only once D matches the closed form
     (NORMAL_POINT, {"tensor.family_S": _monomial_perturbed, "tensor.expected_dominants": _brute_force_D},
@@ -1083,6 +1114,11 @@ def _tau(qc, r):
     return QChar(qc.n, {transform(m, "tau", r): c for m, c in qc.terms().items()})
 
 
+# a walked term whose second negative pair lies on a lower row than its
+# first, which one indexed term covers at shift 2
+LOWER_ROW_LATER = (QChar(2, {Y(2, 1, 3, -1) * Y(2, 2, 0, -1): 1}), QChar(2, {Y(2, 1, 1) * Y(2, 2, -2): 1}))
+
+
 def _check_group(spec, node, k, pad):
     """Every anchor of the group's pad window against the per-anchor join:
     the map holds D exactly where D != {lambda}.  Returns the anchors checked."""
@@ -1120,6 +1156,25 @@ class TestSpectraByAnchor:
             for spec, node, k in _sweep_groups(2, 2, 2):
                 _check_group(replace(spec, shift=shift), node, k, 2)
 
+    def test_D_grows_exactly_at_the_resonances_of_rows_normal_and_a(self):
+        """On rows normal and a, the anchors with D != {lambda} are the
+        resonant ones, a resonance beyond the reducibility cap included; on
+        rows b and c, D can be {lambda} at a resonance and grow without one."""
+        groups, resonant_top, grown_plain = Counter(), Counter(), Counter()
+        for spec, node, k in _sweep_groups(3, 3, 3):
+            variant = tensor._variant_of(spec.direction, node != spec.n)
+            grown = set(tensor.spectra_by_anchor(spec, node, k))
+            resonant = set(tensor._resonances(variant, spec, k))
+            if variant.name in ("normal", "a"):
+                assert grown == resonant, (spec, node, k)
+                groups[variant.name] += 1
+            else:
+                resonant_top[variant.name] += len(resonant - grown)
+                grown_plain[variant.name] += len(grown - resonant)
+        assert groups == {"normal": 93, "a": 84}
+        assert resonant_top == {"b": 42, "c": 48}
+        assert grown_plain == {"b": 106, "c": 112}
+
     def test_one_anchor_and_whole_group_reports_agree(self):
         for spec, node, k in _sweep_groups(2, 2, 2):
             for shift in (0, 3):
@@ -1138,8 +1193,29 @@ class TestSpectraByAnchor:
         tensor.clear_caches()
         assert tensor.spectra_by_anchor.cache_info().currsize == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(characters(n), characters(n))))
+    @example(LOWER_ROW_LATER)
+    def test_candidate_shifts_of_random_terms(self, factors):
+        """``_JoinIndex.shifts`` against every shift that carries each
+        negative pair, on its own, onto a key some indexed term covers."""
+        x, y = factors
+        index = minaff._JoinIndex(y.terms())
+        for m in x.terms():
+            need = [kv for kv in m.items() if kv[1] < 0]
+            if not need:
+                continue
+            (i0, s0), e0 = need[0]
+            reach = {s0 - s for m2 in y.terms() for (i, s), e in m2.items() if i == i0 and e >= -e0}
+            expected = {
+                r for r in reach
+                if all(any(m2.exponent(i, s - r) >= -e for m2 in y.terms()) for (i, s), e in need)
+            }
+            assert sorted(index.shifts(need)) == sorted(expected), m
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(characters(n), characters(n))))
+    @example(LOWER_ROW_LATER)
     def test_join_of_random_characters_at_every_shift(self, factors):
         x, y = factors
         every = minaff.anchor_join(x, y)
@@ -1147,11 +1223,15 @@ class TestSpectraByAnchor:
         assert set(every) <= set(range(-6, 7))
         tops = [[(m, c) for m, c in q.terms().items() if all(e > 0 for _, e in m.items())] for q in (x, y)]
         for r in range(-7, 8):
-            got = dict(every.get(r, {}))
-            assert got == minaff.anchor_join(x, y, r).get(r, {})
+            got = minaff.anchor_join(x, y, r)
+            assert list(got) == [r]
+            reference = product_qchar_reference(x, _tau(y, r)).dominant_terms()
+            assert sorted(got[r].items(), key=lambda mc: monomial_sort_key(mc[0])) == reference
+            top_products = {}
             for m1, c1 in tops[0]:
                 for m2, c2 in tops[1]:
                     p = m1 * transform(m2, "tau", r)
-                    got[p] = got.get(p, 0) + c1 * c2
-            reference = product_qchar_reference(x, _tau(y, r)).dominant_terms()
-            assert sorted(got.items(), key=lambda mc: monomial_sort_key(mc[0])) == reference
+                    top_products[p] = top_products.get(p, 0) + c1 * c2
+            # a key of the all-anchor map is a shift where some other pair is dominant
+            assert every.get(r, top_products) == got[r]
+            assert (r in every) == (got[r] != top_products)
