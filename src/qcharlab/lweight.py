@@ -237,6 +237,9 @@ class LRootDecomposition:
 
 def y_string(n: int, i: int, r: int, k: int) -> LMonomial:
     """Product Y[i,r] Y[i,r+2] ... Y[i,r+2(k-1)]; ``k = 0`` gives the identity."""
+    if not (type(n) is type(i) is type(r) is type(k) is int):
+        for what, v in (("rank", n), ("node", i), ("spectral parameter", r), ("string length", k)):
+            require_int(what, v)
     if not 1 <= i <= n:
         raise InvalidInput(f"node {i} out of range 1..{n}")
     if k < 0:
@@ -263,6 +266,9 @@ def expand_lroot_path(n: int, from_node: int, to_node: int, r: int) -> LMonomial
     Descending (``from_node > to_node``): prod_{k=to}^{from} A[from+to-k, r+k-to+1].
     Equal endpoints give the single factor A[from, r+1].
     """
+    if not (type(n) is type(from_node) is type(to_node) is type(r) is int):
+        for what, v in (("rank", n), ("node", from_node), ("node", to_node), ("spectral parameter", r)):
+            require_int(what, v)
     for node in (from_node, to_node):
         if not 1 <= node <= n:
             raise InvalidInput(f"node {node} out of range 1..{n}")
@@ -386,6 +392,9 @@ def le(m1: LMonomial, m2: LMonomial) -> bool:
 
 def restrict(m: LMonomial, nodes: Iterable[int]) -> LMonomial:
     """Project onto a subdiagram: keep nodes in ``nodes``, relabelled to 1..|J|."""
+    nodes = list(nodes)
+    for i in nodes:
+        require_int("node", i)
     J = sorted(set(nodes))
     if not J:
         raise InvalidInput("restriction to the empty subdiagram is not defined")

@@ -63,6 +63,24 @@ def _seg(lam: tuple[int, ...], a: int, b: int) -> int:
     return sum(lam[a - 1 : b])
 
 
+def _require_weight(n: int, lam) -> tuple[int, ...]:
+    """``lam`` as a tuple, checked to be a dominant weight of rank ``n``: a
+    positive integer rank, and one nonnegative plain ``int`` per node."""
+    require_int("rank", n)
+    if not isinstance(lam, (tuple, list)):
+        raise InvalidInput(f"weight must be a tuple or list of integers, got {lam!r}")
+    lam = tuple(lam)
+    for v in lam:
+        require_int("weight entry", v)
+    if n < 1:
+        raise InvalidInput(f"rank must be positive, got {n}")
+    if len(lam) != n:
+        raise InvalidInput("weight vector length must equal the rank")
+    if any(v < 0 for v in lam):
+        raise InvalidInput("weight entries must be nonnegative")
+    return lam
+
+
 @dataclass(frozen=True)
 class MinAffSpec:
     """Symbolic minimal affinization: rank, weight, direction, spectral shift."""
@@ -73,19 +91,8 @@ class MinAffSpec:
     shift: int = 0
 
     def __post_init__(self):
-        require_int("rank", self.n)
-        if not isinstance(self.lam, (tuple, list)):
-            raise InvalidInput(f"weight must be a tuple or list of integers, got {self.lam!r}")
-        object.__setattr__(self, "lam", tuple(self.lam))
-        for v in self.lam:
-            require_int("weight entry", v)
+        object.__setattr__(self, "lam", _require_weight(self.n, self.lam))
         require_int("spectral shift", self.shift)
-        if self.n < 1:
-            raise InvalidInput(f"rank must be positive, got {self.n}")
-        if len(self.lam) != self.n:
-            raise InvalidInput("weight vector length must equal the rank")
-        if any(v < 0 for v in self.lam):
-            raise InvalidInput("weight entries must be nonnegative")
         if not any(self.lam):
             raise InvalidInput("weight must not be zero")
         _check_direction(self.direction)
@@ -582,12 +589,14 @@ def recognize_kr(m: LMonomial) -> KRSpec | None:
 
 
 def weyl_dim(n: int, lam: tuple[int, ...]) -> int:
-    """Dimension of the sl_{n+1} irreducible with highest weight ``lam``."""
+    """Dimension of the sl_{n+1} irreducible with highest weight ``lam``,
+    which is checked as ``MinAffSpec`` checks its weight (zero allowed)."""
+    lam = _require_weight(n, lam)
     num = 1
     den = 1
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            num *= _seg(tuple(lam), i, j) + j - i + 1
+            num *= _seg(lam, i, j) + j - i + 1
             den *= j - i + 1
     if num % den:
         raise InvariantViolation(f"Weyl dimension {num}/{den} is not an integer")

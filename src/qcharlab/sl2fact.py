@@ -5,12 +5,16 @@ in general position when, writing each as a module parameter a = q^(r+k-1),
 the exponent difference of the two parameters avoids +-(k1+k2-2p) for every
 0 <= p < min(k1, k2).  Every dominant rank-1 monomial splits uniquely into
 pairwise general-position strings; strings in general position tensor
-irreducibly, so the factorization is the irreducibility criterion at rank 1.
+irreducibly, so the factorization is the irreducibility criterion at rank 1
+(Chari-Pressley).  ``q_factorize`` builds that splitting directly, in one
+pass over the rows; the exhaustive search over all step-2 run partitions
+survives only as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InvalidInput, InvariantViolation
 from .lweight import LMonomial, is_dominant, y_string
@@ -41,55 +45,32 @@ def in_general_position(s1: tuple[int, int], s2: tuple[int, int]) -> bool:
     return all(d != sign * (k1 + k2 - 2 * p) for p in range(min(k1, k2)) for sign in (1, -1))
 
 
-def _string_partitions(counts: dict[int, int]) -> set[tuple[tuple[int, int], ...]]:
-    """All ways to split a row multiset into step-2 runs, as sorted tuples.
-
-    Some run must start at the smallest remaining row, so the recursion
-    branches only on that run's length; repeated rows can reproduce the same
-    multiset of runs along different branches, hence the set.
-    """
-    if not counts:
-        return {()}
-    out = set()
-    r0 = min(counts)
-    k = 1
-    while True:
-        rows = [r0 + 2 * l for l in range(k)]
-        if any(counts.get(r, 0) < 1 for r in rows):
-            break
-        rest = dict(counts)
-        for r in rows:
-            rest[r] -= 1
-            if not rest[r]:
-                del rest[r]
-        for tail in _string_partitions(rest):
-            out.add(tuple(sorted(((r0, k),) + tail)))
-        k += 1
-    return out
-
-
 def q_factorize(m: LMonomial) -> StringList:
     """Unique splitting of a dominant rank-1 monomial into general-position strings.
 
-    Searches every partition of the Y-multiset into step-2 runs and keeps
-    those whose strings are pairwise in general position; exactly one must
-    survive.  The identity factorizes into the empty list.
+    Built in one pass over the rows, lowest first: take the longest step-2
+    run that starts at the lowest remaining row, remove it, and repeat.  The
+    row just past a taken run is absent, so every later run either lies
+    inside it or starts past the gap, and no two runs are linked; the
+    distinct strings are still checked pairwise.  The identity factorizes
+    into the empty list.
     """
     if m.n != 1:
         raise InvalidInput(f"q-factorization is defined at rank 1, got rank {m.n}")
     if not is_dominant(m):
         raise InvalidInput("q-factorization requires a dominant monomial")
     counts = {r: e for (_, r), e in m.items()}
-    valid = []
-    for part in sorted(_string_partitions(counts)):
-        if all(
-            in_general_position(part[a], part[b])
-            for a in range(len(part))
-            for b in range(a + 1, len(part))
-        ):
-            valid.append(part)
-    if len(valid) != 1:
-        raise InvariantViolation(
-            f"expected exactly one general-position splitting of {m}, found {len(valid)}"
-        )
-    return StringList(valid[0])
+    strings = []
+    for r0 in sorted(counts):
+        while counts[r0]:
+            k = 0
+            while counts.get(r0 + 2 * k):
+                counts[r0 + 2 * k] -= 1
+                k += 1
+            strings.append((r0, k))
+    strings.sort()
+    # equal strings are always in general position, so distinct pairs suffice
+    for s1, s2 in combinations(sorted(set(strings)), 2):
+        if not in_general_position(s1, s2):
+            raise InvariantViolation(f"strings {s1} and {s2} of {m} are not in general position")
+    return StringList(tuple(strings))

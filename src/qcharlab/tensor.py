@@ -7,9 +7,10 @@ larger factor's terms against a join index of the smaller factor's terms
 top pair included, and multiplies only those pairs before D is sorted
 along the loop-root order.  The full product is convolved only when
 something asks for all of its terms.  On top of D, the classifier
-evaluates the closed-form reducibility conditions, derives the extra
-simple factor's highest loop weight through several independent formulas,
-and cross-checks every prediction against D.  Brute force is
+evaluates the closed-form reducibility conditions, reads the extra simple
+factor's highest loop weight off its tableau family (each family checks
+its box products against loop-root products), and cross-checks every
+prediction against D.  Brute force is
 always the arbiter: a disagreement raises TheoremViolation, which signals
 an implementation bug and is counted as a violation by the sweep harness.
 
@@ -47,7 +48,7 @@ classification; every a/b/c point still runs every transport check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
@@ -519,49 +520,26 @@ def _socle_head(
     return {"V": (lam, lam_prime), "Vprime": (lam_prime, lam)}
 
 
-def _lambda_prime_normal(
-    spec: MinAffSpec, kr: KRSpec, tag: CaseTag, lam: LMonomial
-) -> LMonomial:
-    """Extra factor's highest loop weight, computed two independent ways."""
-    n = spec.n
-    p, kp = tag.p, tag.kprime
-    if p is None or kp is None:
+def _lambda_prime_normal(spec: MinAffSpec, kr: KRSpec, tag: CaseTag) -> LMonomial:
+    """Extra factor's highest loop weight: the family member, whose box
+    product the family checks against its loop-root product.  Condition (i)
+    gives ``omega * T(k', p)``, condition (ii) ``S(1, k', n + 1) * varpi``."""
+    if tag.p is None or tag.kprime is None:
         raise InvariantViolation(f"reducible tag {tag} without a node or k'")
-    omega = drinfeld_of_spec(spec)
-    varpi = kr.drinfeld()
     if tag.kind == "case_i":
-        via_family = omega * family_T(kr, kp, p)[1]
-        roots = LMonomial.identity(n)
-        for l in range(1, kp + 1):
-            roots = roots * expand_lroot_path(n, n, p, kr.r + 2 * (kr.k - l))
-        via_alpha = lam * roots.inverse()
-    else:
-        via_family = family_S(spec, 1, kp, n + 1)[1] * varpi
-        anchors = spec.anchors()
-        roots = LMonomial.identity(n)
-        for i in range(p + 1, spec.i0 + 1):
-            for mm in range(1, spec.lam[i - 1] + 1):
-                roots = roots * expand_lroot_path(
-                    n, i, n, anchors[i] + 2 * (spec.lam[i - 1] - mm)
-                )
-        d = kp - _seg(spec.lam, p + 1, n)
-        for mm in range(1, d + 1):
-            roots = roots * expand_lroot_path(
-                n, p, n, anchors[p] + 2 * (spec.lam[p - 1] - mm)
-            )
-        via_alpha = lam * roots.inverse()
-    if via_family != via_alpha:
-        raise TheoremViolation(
-            f"extra-factor formulas disagree: {via_family} vs {via_alpha}"
-        )
-    return via_family
+        return drinfeld_of_spec(spec) * family_T(kr, tag.kprime, tag.p)[1]
+    return family_S(spec, 1, tag.kprime, spec.n + 1)[1] * kr.drinfeld()
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _transported_spec(variant: Variant, spec: MinAffSpec) -> Optional[MinAffSpec]:
+def _transported_spec(variant: Variant, spec: MinAffSpec) -> Optional[tuple[MinAffSpec, int]]:
     """The increasing affinization that ``variant.inverse`` carries ``spec``
-    to, or None; it does not depend on the KR module, so a group shares it."""
-    return recognize_minaff(transform(drinfeld_of_spec(spec), variant.inverse), "inc")
+    to, at shift 0, and its shift t; or None.  It does not depend on the KR
+    module, so a group shares it."""
+    spec_t = recognize_minaff(transform(drinfeld_of_spec(spec), variant.inverse), "inc")
+    if spec_t is None:
+        return None
+    return MinAffSpec(spec_t.n, spec_t.lam), spec_t.shift
 
 
 def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
@@ -571,12 +549,14 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
     ``whole_group``, read from ``spectra_by_anchor`` for the point's group.
     The row's resonance is looked up on the untransformed data.  The normal
     row then checks the closed form: D is a chain of multiplicity-one
-    terms equal to ``expected_dominants``, and the extra factor, derived
-    independently, sits at its predicted position (condition (i): just
+    terms equal to ``expected_dominants``, and the extra factor, the
+    family member, sits at its predicted position (condition (i): just
     below the top family; condition (ii): the minimum of D).  Every other
     row transports the pair through its ``inverse`` map, asks
     ``classify_normal`` for the transported problem at shift 0, and carries
-    its D and extra factor back through tau_t and the row's ``forward`` map.
+    its D and extra factor back through tau_t and the row's ``forward`` map;
+    the transported affinization at shift 0 and its shift t are cached per
+    group, and the KR module is recognised at tau_{-t} of its transport.
     It checks that the resonance (with p -> n + 1 - p at node 1) and the
     verdict agree, that D transports exactly where the row says so, and
     that D contains the transported extra factor.
@@ -605,21 +585,21 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
                 f"{[str(m) for m in D]} vs {[str(m) for m in expected]}"
             )
         if tag.reducible:
-            lam_prime = _lambda_prime_normal(spec, kr, tag, lam)
+            lam_prime = _lambda_prime_normal(spec, kr, tag)
             pos = tag.kprime if tag.kind == "case_i" else len(D) - 1
             if pos >= len(D) or D[pos] != lam_prime:
                 raise TheoremViolation(f"extra factor {lam_prime} not at position {pos} of D")
     else:
-        spec_t = _transported_spec(variant, spec)
-        if spec_t is None:
+        transported = _transported_spec(variant, spec)
+        if transported is None:
             raise TheoremViolation("transported affinization is not increasing")
-        kr_t = recognize_kr(transform(varpi, variant.inverse))
-        if kr_t is None or kr_t.node != spec.n:
-            raise TheoremViolation("transported KR module is not at the last node")
         # a global spectral shift changes no classification, so the cached
         # shift-0 problem serves every shift of it
-        t = spec_t.shift
-        normal = _normal(replace(spec_t, shift=0), replace(kr_t, r=kr_t.r - t), whole_group)
+        spec_t, t = transported
+        kr_t = recognize_kr(transform(transform(varpi, variant.inverse), "tau", -t))
+        if kr_t is None or kr_t.node != spec.n:
+            raise TheoremViolation("transported KR module is not at the last node")
+        normal = _normal(spec_t, kr_t, whole_group)
 
         def back(m: LMonomial) -> LMonomial:
             return transform(transform(m, "tau", t), variant.forward)
@@ -665,7 +645,8 @@ def classify_normal(spec: MinAffSpec, kr: KRSpec, whole_group: bool = False) -> 
     """Classify (increasing affinization) x (KR at the last node).
 
     The normal-form row of ``_classify``: D is checked against the closed
-    form, and the extra factor is derived two ways and placed in D.  The
+    form, and the extra factor is the family member, whose box product the
+    family checks against its loop-root product, placed in D.  The
     report is cached on the arguments, so the normal-row point and every
     transport that lands on the same problem share one classification.
     """

@@ -132,6 +132,14 @@ class TestYString:
         with pytest.raises(InvalidInput):
             y_string(2, 3, 0, 1)
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
+    @pytest.mark.parametrize("slot", range(4))
+    def test_arguments_must_be_ints(self, slot, value):
+        args = [1, 1, 0, 2]
+        args[slot] = value
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            y_string(*args)
+
 
 class TestExpandSimpleLRoot:
     def test_interior_node(self):
@@ -165,6 +173,14 @@ class TestExpandLRootPath:
     def test_node_out_of_range(self):
         with pytest.raises(InvalidInput):
             expand_lroot_path(2, 0, 2, 0)
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
+    @pytest.mark.parametrize("slot", range(4))
+    def test_arguments_must_be_ints(self, slot, value):
+        args = [2, 1, 2, 0]
+        args[slot] = value
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            expand_lroot_path(*args)
 
 
 class TestWeight:
@@ -350,6 +366,11 @@ class TestRestrict:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             restrict(Y(2, 1, 0), set())
+
+    @pytest.mark.parametrize("value", [1.0, 2.0, True, "1"], ids=repr)
+    def test_nodes_must_be_ints(self, value):
+        with pytest.raises(InvalidInput, match="node must be an integer"):
+            restrict(Y(2, 1, 0) * Y(2, 2, 3), [value])
 
 
 class TestTransform:

@@ -185,6 +185,18 @@ class TestQChar:
             dim = qchar(spec).dimension
             assert dim == weyl_dim(spec.n, spec.lam) == weyl_dim_oracle(spec.n, spec.lam)
 
+    @pytest.mark.parametrize(
+        "n, lam",
+        [(2, (1,)), (1, (1, 1)), (2, (-1, 0)), (2, (0.5, 0)), (2, (True, 0)), (2.0, (1, 0)), (0, ()), (2, 3)],
+        ids=repr,
+    )
+    def test_weyl_dim_checks_the_weight(self, n, lam):
+        with pytest.raises(InvalidInput):
+            weyl_dim(n, lam)
+
+    def test_weyl_dim_of_the_zero_weight(self):
+        assert weyl_dim(3, (0, 0, 0)) == 1
+
     def test_memoized(self):
         assert qchar(MinAffSpec(2, (1, 1), "inc")) is qchar(MinAffSpec(2, (1, 1), "inc"))
 

@@ -1,11 +1,20 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import rank1_monomial, run_partitions_topdown, strings_json_reference
-from qcharlab import InvalidInput, LMonomial, StringList, cli, q_factorize, y_string
+from qcharlab import (
+    InvalidInput,
+    InvariantViolation,
+    LMonomial,
+    StringList,
+    cli,
+    q_factorize,
+    sl2fact,
+    y_string,
+)
 from qcharlab.sl2fact import in_general_position
 
 
@@ -55,6 +64,21 @@ class TestQFactorize:
     def test_json_text_is_the_sorted_compact_dump(self, strings):
         strings = StringList(tuple(strings))
         assert strings.json_text() == cli._dumps(strings_json_reference(strings))
+
+    def test_large_monomial_in_one_pass(self):
+        # 24 variables: four copies of the six-row run 0, 2, ..., 10
+        m = LMonomial(1, (((1, r), 4) for r in range(0, 12, 2)))
+        assert q_factorize(m).strings == ((0, 6),) * 4
+
+    def test_many_equal_strings(self):
+        # one row of multiplicity 2000: as many strings, all equal, so the
+        # pairwise check runs over distinct strings only
+        assert q_factorize(Y(1, 1, 0, 2000)).strings == ((0, 1),) * 2000
+
+    def test_general_position_is_checked_at_run_time(self, monkeypatch):
+        monkeypatch.setattr(sl2fact, "in_general_position", lambda s1, s2: False)
+        with pytest.raises(InvariantViolation, match="not in general position"):
+            q_factorize(Y(1, 1, 0) * Y(1, 1, 4))
 
     def test_worked_restriction_example(self):
         # two overlapping strings of different lengths, anchored together,
@@ -126,3 +150,18 @@ class TestAgainstBruteForce:
         m = rank1_monomial(counts)
         result = q_factorize(m)
         assert result.expand() == m
+
+    @given(st.lists(st.integers(-6, 6), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_construction_is_the_searched_splitting(self, rows):
+        """The one-pass splitting is the one general-position splitting that
+        the exhaustive search over step-2 run partitions finds."""
+        counts = {}
+        for r in rows:
+            counts[r] = counts.get(r, 0) + 1
+        valid = [
+            part
+            for part in run_partitions_topdown(counts)
+            if all(in_general_position(a, b) for a, b in combinations(part, 2))
+        ]
+        assert valid == [q_factorize(rank1_monomial(counts)).strings]

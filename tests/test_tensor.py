@@ -902,7 +902,7 @@ CHECKS = [
      TheoremViolation, "dominant spectrum has a multiplicity above one"),
     (NORMAL_POINT, {"tensor.expected_dominants": lambda f: lambda s, k, res: f(s, k, res)[:-1]},
      TheoremViolation, "brute-force dominant spectrum disagrees with the closed form"),
-    (NORMAL_POINT, {"tensor._lambda_prime_normal": lambda f: lambda s, k, tag, lam: lam},
+    (NORMAL_POINT, {"tensor._lambda_prime_normal": lambda f: lambda s, k, tag: drinfeld_of_spec(s) * k.drinfeld()},
      TheoremViolation, "not at position"),
     (A_POINT, {"tensor.recognize_minaff": lambda f: lambda m, direction: None},
      TheoremViolation, "transported affinization is not increasing"),
@@ -927,7 +927,7 @@ CHECKS = [
      TheoremViolation, "resonance conditions not unique"),
     # the extra factor is derived only once D matches the closed form
     (NORMAL_POINT, {"tensor.family_S": _monomial_perturbed, "tensor.expected_dominants": _brute_force_D},
-     TheoremViolation, "extra-factor formulas disagree"),
+     TheoremViolation, "not at position"),
     (NORMAL_POINT, {"minaff.semistandard_fillings": _monomials_identity},
      InvariantViolation, "thinness violated"),
     (NORMAL_POINT, {"minaff.is_dominant": lambda f: lambda m: True},
