@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the exact-integer input rule.
+"""Exception types shared across the package, and the exact-integer input rules.
 
 The CLI maps these onto its exit-code contract: invalid input exits with 2,
 a theorem violation (a structural prediction contradicted by brute force,
@@ -22,3 +22,10 @@ def require_int(what: str, value) -> None:
     """Reject anything but a plain ``int`` (a ``bool`` included) rather than coerce it."""
     if type(value) is not int:
         raise InvalidInput(f"{what} must be an integer, got {value!r}")
+
+
+def require_rank(n) -> None:
+    """Reject a rank that is not a positive plain ``int``."""
+    require_int("rank", n)
+    if n < 1:
+        raise InvalidInput(f"rank must be positive, got {n}")

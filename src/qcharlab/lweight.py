@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import InvalidInput, require_int
+from .errors import InvalidInput, require_int, require_rank
 
 Key = tuple[int, int]  # (node i, spectral exponent r)
 
@@ -56,9 +56,7 @@ class LMonomial:
     __slots__ = ("n", "_exps", "_hash")
 
     def __init__(self, n: int, pairs: Iterable[tuple[Key, int]] = ()):
-        require_int("rank", n)
-        if n < 1:
-            raise InvalidInput(f"rank must be positive, got {n}")
+        require_rank(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_exps", _canonical(pairs, n))
         object.__setattr__(self, "_hash", hash((n, self._exps)))
@@ -142,6 +140,7 @@ class LMonomial:
         return m
 
     def __pow__(self, c: int) -> "LMonomial":
+        require_int("exponent", c)
         if c == 0:
             return LMonomial.identity(self.n)
         return LMonomial(self.n, ((k, e * c) for k, e in self._exps))

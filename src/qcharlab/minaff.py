@@ -8,14 +8,15 @@ with ``i0`` the top supported node and base anchor ``r_{i0} = 1 - lam_{i0}``,
     increasing:  r_i = r_{i0} - 2 * sum(lam[i..i0-1]) + i - i0
     decreasing:  r_i = r_{i0} + 2 * sum(lam[i+1..i0]) + i0 - i
 
-The ladder is written only in ``MinAffSpec.anchors`` and the highest
-tableau's columns only in ``highest_shape``; recognition reads a monomial's
-weight and top anchor and accepts the one candidate spec iff its Drinfeld
-polynomial is that monomial.
+The ladder is written only in ``MinAffSpec.anchors``, and the columns of
+the highest tableau only in ``tableaux.snake_shape``, which reads them off
+the Drinfeld polynomial; recognition reads a monomial's weight and top
+anchor and accepts the one candidate spec iff its Drinfeld polynomial is
+that monomial.
 
 The q-character is the set of monomials of the semi-standard fillings of
-the highest tableau's shape, read off the search without building the
-tableaux; for a KR module at the last node an independent
+the Drinfeld polynomial's snake shape, read off the search without building
+the tableaux; for a KR module at the last node an independent
 partition-indexed formula provides the same set of terms.
 
 ``anchor_join`` is the one dominant-pair join: it gives the whole dominant
@@ -42,7 +43,7 @@ from .lweight import (
     transform,
     y_string,
 )
-from .tableaux import Shape, Tableau, semistandard_fillings
+from .tableaux import Tableau, semistandard_fillings, snake_shape
 
 # not used here since ``qchar`` reads monomials only, but still looked up
 # in this module by the benchmark's tracer (``perfbench/spans.py``)
@@ -453,32 +454,10 @@ def drinfeld_of_spec(spec: MinAffSpec) -> LMonomial:
     return m
 
 
-def highest_shape(spec: MinAffSpec) -> Shape:
-    """The shape of the semi-standard tableau whose monomial is the Drinfeld polynomial.
-
-    Columns are full increasing columns 1..i; block of node i has lam_i
-    columns, the j-th starting at r_i + 2(lam_i - j) - i + 1.  Increasing
-    specs order blocks from the top node down (longest columns first),
-    decreasing specs the other way around; consecutive support starts differ
-    by exactly 2 either way.
-    """
-    anchors = spec.anchors()
-    nodes = spec.supp()
-    if spec.direction == "inc":
-        nodes = nodes[::-1]
-    return Shape(
-        tuple(
-            (i, anchors[i] + 2 * (spec.lam[i - 1] - j) - i + 1)
-            for i in nodes
-            for j in range(1, spec.lam[i - 1] + 1)
-        )
-    )
-
-
 def highest_tableau(spec: MinAffSpec) -> Tableau:
     """The semi-standard tableau whose monomial is the Drinfeld polynomial:
-    ``highest_shape`` filled with the columns 1..i."""
-    shape = highest_shape(spec)
+    the polynomial's ``snake_shape`` filled with the columns 1..i."""
+    shape = snake_shape(drinfeld_of_spec(spec))
     return Tableau(spec.n, shape, tuple(tuple(range(1, k + 1)) for k, _ in shape))
 
 
@@ -487,13 +466,14 @@ def qchar(spec: MinAffSpec) -> QChar:
     """q-character of a minimal affinization via tableau enumeration.
 
     The terms are the monomials of ``semistandard_fillings`` over the
-    highest shape; no tableau is built.  Two checks follow, and a failure
-    signals an implementation bug, never bad input: the character is thin
-    (no monomial repeats; only when the term count falls short is the first
-    repeated monomial looked for, to name it), and its unique dominant term
-    is the Drinfeld polynomial.
+    Drinfeld polynomial's ``snake_shape``; no tableau is built.  Two checks
+    follow, and a failure signals an implementation bug, never bad input:
+    the character is thin (no monomial repeats; only when the term count
+    falls short is the first repeated monomial looked for, to name it), and
+    its unique dominant term is the Drinfeld polynomial.
     """
-    monos = [m for _, m in semistandard_fillings(spec.n, highest_shape(spec))]
+    omega = drinfeld_of_spec(spec)
+    monos = [m for _, m in semistandard_fillings(spec.n, snake_shape(omega))]
     terms = dict.fromkeys(monos, 1)
     if len(terms) != len(monos):
         seen: set[LMonomial] = set()
@@ -502,7 +482,7 @@ def qchar(spec: MinAffSpec) -> QChar:
                 raise InvariantViolation(f"thinness violated: duplicate term {m}")
             seen.add(m)
     dominants = [m for m in terms if is_dominant(m)]
-    if len(dominants) != 1 or dominants[0] != drinfeld_of_spec(spec):
+    if len(dominants) != 1 or dominants[0] != omega:
         raise InvariantViolation(
             f"expected a unique dominant term equal to the Drinfeld polynomial, got {dominants}"
         )

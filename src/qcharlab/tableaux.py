@@ -15,6 +15,10 @@ support start and content must be a plain ``int``, a malformed structure
 is ``InvalidInput`` too, and a ``Tableau`` is built only through its
 constructor.
 
+``snake_shape`` is the one column rule: a dominant snake monomial has one
+column ``(i, r - i + 1)`` per variable ``Y[i, r]``, and every highest
+tableau's shape is the snake shape of its Drinfeld polynomial.
+
 ``semistandard_fillings`` is the one search.  It keeps a running exponent
 vector while it places boxes and yields each filling's contents with its
 monomial, building no tableau; ``qchar`` reads only the monomials.  It
@@ -32,8 +36,8 @@ from itertools import compress
 from operator import getitem
 from typing import Iterator
 
-from .errors import InvalidInput, require_int
-from .lweight import LMonomial
+from .errors import InvalidInput, require_int, require_rank
+from .lweight import LMonomial, is_dominant
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,23 @@ class Shape:
         return iter(self.columns)
 
 
+def snake_shape(m: LMonomial) -> Shape:
+    """The shape of the snake ``m``: one column ``(i, r - i + 1)`` per
+    variable ``Y[i, r]``, counted with its exponent, support starts decreasing.
+
+    ``m`` must be dominant, and each two consecutive points ``(i, r)`` and
+    ``(i', r')``, sorted by ``r``, must satisfy ``r' - r >= |i' - i| + 2``;
+    ``Shape`` adds its own parity and touch rules.
+    """
+    if not is_dominant(m):
+        raise InvalidInput(f"a snake must be dominant, got {m}")
+    points = sorted(((i, r) for (i, r), e in m.items() for _ in range(e)), key=lambda p: p[1])
+    for (i, r), (j, s) in zip(points, points[1:]):
+        if s - r < abs(j - i) + 2:
+            raise InvalidInput(f"not a snake: Y[{j},{s}] is too close to Y[{i},{r}]")
+    return Shape(tuple((i, r - i + 1) for i, r in reversed(points)))
+
+
 def box_support(length: int, start: int, row: int) -> int:
     """Support of the box in 1-based ``row`` of a column ``(length, start)``."""
     return start + 2 * (length - row)
@@ -97,7 +118,7 @@ class Tableau:
     cols: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        require_int("rank", self.n)
+        require_rank(self.n)
         if not isinstance(self.shape, Shape):
             raise InvalidInput(f"tableau shape must be a Shape, got {self.shape!r}")
         try:
@@ -193,7 +214,8 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
     ``contents`` lists the box contents in search order (column by column,
     top to bottom) and is the search's live buffer: it is overwritten as
     the search goes on, so copy it before the next step.  ``monomial`` is
-    the filling's monomial.
+    the filling's monomial.  The rank must be a positive plain ``int`` and
+    the shape a ``Shape``; both are checked once, before the first filling.
 
     Deterministic order: depth-first over columns left to right, within a
     column top to bottom, contents ascending (lexicographic in the
@@ -204,6 +226,9 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
     ``(i, r)`` keys the shape can reach, sorted.  Each monomial is read off
     the nonzero entries of that vector.
     """
+    require_rank(n)
+    if not isinstance(shape, Shape):
+        raise InvalidInput(f"the search needs a Shape, got {shape!r}")
     # per box, in search order: its support, its largest content, and the
     # index of the box at support + 2 in the previous column (or -1)
     supports: list[int] = []

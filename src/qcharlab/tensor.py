@@ -70,14 +70,13 @@ from .minaff import (
     _seg,
     anchor_join,
     drinfeld_of_spec,
-    highest_shape,
     highest_tableau,
     qchar,
     qchar_kr,
     recognize_kr,
     recognize_minaff,
 )
-from .tableaux import Tableau, monomial_of_tableau
+from .tableaux import Tableau, monomial_of_tableau, snake_shape
 
 
 @dataclass(frozen=True)
@@ -306,9 +305,9 @@ def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomi
     rejected.
 
     The returned monomial is verified against the inverse loop-root product
-    over the modified columns before being handed back: raising the column
-    ``(l, s)`` of ``highest_shape`` divides by the root path from node l to
-    node p - 1 at anchor ``s + l - 1``.
+    over the modified columns before being handed back: the column
+    ``(l, s)`` is the variable ``Y[l, s + l - 1]``, and raising it divides
+    by the root path from node l to node p - 1 at that anchor.
     """
     for what, v in (("column index", c), ("last column", f), ("content bound", p)):
         require_int(what, v)
@@ -347,9 +346,9 @@ def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomi
 def family_T(kr: KRSpec, m: int, p: int) -> tuple[Tableau, LMonomial]:
     """The KR tableau with a gap at the p-th box of each of the first m columns.
 
-    The columns are those of ``highest_shape(kr.as_minaff())``.
-    Conventions: m is clamped to the number of columns, and m = 0 or
-    p = n + 1 return the highest tableau.  The monomial is computed from the
+    The column ``(n, s)`` is the variable ``Y[n, s + n - 1]`` of the
+    Drinfeld polynomial (``snake_shape``).  Conventions: m is clamped to the
+    number of columns, and m = 0 or p = n + 1 return the highest tableau.  The monomial is computed from the
     boxes and verified against both the inverse loop-root product and the
     closed three-string form before being returned.
     """
@@ -362,10 +361,10 @@ def family_T(kr: KRSpec, m: int, p: int) -> tuple[Tableau, LMonomial]:
         raise InvalidInput(f"gap position {p} out of range 1..{n + 1}")
     m = min(max(m, 0), kr.k)
     r, k = kr.r, kr.k
-    shape = highest_shape(kr.as_minaff())
+    varpi = kr.drinfeld()
+    shape = snake_shape(varpi)
     plain = tuple(range(1, n + 1))
     gapped = tuple(range(1, p)) + tuple(range(p + 1, n + 2))
-    varpi = kr.drinfeld()
     if p == n + 1 or m == 0:
         return Tableau(n, shape, (plain,) * k), varpi
     cols = (gapped,) * m + (plain,) * (k - m)

@@ -10,7 +10,11 @@ at once), tableau monomials are multiplied out box by box (the package
 sums exponents as it enumerates), the resonance
 equations are written out once per variant (the package derives them from
 two flags), a minimal affinization is recognised by its anchor ladder (the
-package rebuilds the candidate's Drinfeld polynomial), every JSON value the CLI writes is a dict or list for
+package rebuilds the candidate's Drinfeld polynomial), the highest
+tableau's columns are read off the anchor ladder (the package reads them
+off the Drinfeld polynomial, ``snake_shape``), q-characters are built by
+the strict Frenkel–Mukhin algorithm (the package fills tableaux), every
+JSON value the CLI writes is a dict or list for
 ``json.dumps`` (the package writes each type's JSON text directly, in
 ``json_text``), and monomial generators build random inputs from scratch.
 The column-gap, single-box-raise and weight-sum helpers serve only the
@@ -19,6 +23,7 @@ tests, so they live here rather than in the package.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 from hypothesis import strategies as st
@@ -29,6 +34,7 @@ from qcharlab import (
     LMonomial,
     MinAffSpec,
     QChar,
+    Shape,
     StringList,
     Tableau,
     TensorReport,
@@ -340,6 +346,125 @@ def recognize_minaff_reference(m: LMonomial):
     if not eps_ok:
         return None
     return lam_t, tuple(eps_ok), anchors[supp[-1]]
+
+
+def highest_shape_reference(spec: MinAffSpec) -> Shape:
+    """The highest tableau's shape read off the anchor ladder.
+
+    Columns are full increasing columns 1..i; the block of node i has lam_i
+    columns, the j-th starting at r_i + 2(lam_i - j) - i + 1.  Increasing
+    specs order the blocks from the top node down, decreasing specs the
+    other way around.
+    """
+    anchors = spec.anchors()
+    nodes = spec.supp()
+    if spec.direction == "inc":
+        nodes = nodes[::-1]
+    return Shape(
+        tuple(
+            (i, anchors[i] + 2 * (spec.lam[i - 1] - j) - i + 1)
+            for i in nodes
+            for j in range(1, spec.lam[i - 1] + 1)
+        )
+    )
+
+
+def _sl2_strings(points: list[int]) -> list[tuple[int, int]]:
+    """The q-strings ``(start, length)`` in general position whose product
+    is the rank-1 monomial with the parameters ``points`` (with repeats):
+    from the lowest point left, the longest step-2 run, one copy each."""
+    left = Counter(points)
+    out = []
+    while left:
+        a = min(left)
+        k = 0
+        while left[a + 2 * k]:
+            left[a + 2 * k] -= 1
+            k += 1
+        out.append((a, k))
+        left = +left
+    return out
+
+
+def _sl2_lowerings(points: list[int]) -> Counter:
+    """The rank-1 simple character of ``points``, as the multiset of
+    ``A[b]^-1`` parameters of each term below the top: the product of the
+    string characters, where a string (a, k) lowers its top j points."""
+    options = [
+        [tuple(a + 2 * (k - l) - 1 for l in range(j)) for j in range(k + 1)]
+        for a, k in _sl2_strings(points)
+    ]
+    out: Counter = Counter()
+    for choice in product(*options):
+        bs = tuple(sorted(b for part in choice for b in part))
+        if bs:
+            out[bs] += 1
+    return out
+
+
+def fm_reference(m: LMonomial) -> dict[LMonomial, int]:
+    """The q-character of L(m) by the strict Frenkel–Mukhin algorithm.
+
+    Each monomial carries a multiplicity and one colour per node.  The
+    monomials are taken level by level (the number of ``A^-1`` factors
+    below ``m``); at node i a monomial whose colour is below its
+    multiplicity must be i-dominant, and its rank-1 character at node i,
+    times the missing colour, is added to the i-colours of the monomials
+    below it.  A monomial's multiplicity is its largest colour.  A colour
+    break, or a dominant monomial reached below ``m``, raises
+    ``InvalidInput``: the result is exact when L(m) is special, as snake
+    modules are, and then neither happens.
+    """
+    if not is_dominant(m):
+        raise InvalidInput(f"the algorithm starts from a dominant monomial, got {m}")
+    n = m.n
+    mult = {m: 1}
+    colour = {m: [0] * (n + 1)}
+    levels: dict[int, list[LMonomial]] = {0: [m]}
+    level = 0
+    while level <= max(levels):
+        for cur in levels.get(level, ()):
+            for i in range(1, n + 1):
+                missing = mult[cur] - colour[cur][i]
+                if not missing:
+                    continue
+                points = []
+                for (j, r), e in cur.items():
+                    if j == i:
+                        if e < 0:
+                            raise InvalidInput(f"Frenkel–Mukhin fails: {cur} is not {i}-dominant")
+                        points += [r] * e
+                for bs, c in _sl2_lowerings(points).items():
+                    low = cur
+                    for b in bs:
+                        low = low / expand_simple_lroot(n, i, b)
+                    if low not in mult:
+                        if is_dominant(low):
+                            raise InvalidInput(f"Frenkel–Mukhin fails: {m} reaches the dominant {low}")
+                        mult[low] = 0
+                        colour[low] = [0] * (n + 1)
+                        levels.setdefault(level + len(bs), []).append(low)
+                    colour[low][i] += missing * c
+                    mult[low] = max(mult[low], colour[low][i])
+                colour[cur][i] = mult[cur]
+        level += 1
+    return mult
+
+
+@st.composite
+def snakes(draw, max_n: int = 4, max_points: int = 4):
+    """Random snakes whose tableau columns touch: points (i, r), (i', r')
+    consecutive in r with ``r' - r`` in ``[|i' - i| + 2, i + i']`` and of
+    the parity of ``i' - i``."""
+    n = draw(st.integers(1, max_n))
+    i, r = draw(st.integers(1, n)), draw(st.integers(-4, 4))
+    pairs = [((i, r), 1)]
+    for _ in range(draw(st.integers(0, max_points - 1))):
+        j = draw(st.integers(1, n))
+        gap = draw(st.sampled_from(range(abs(j - i) + 2, i + j + 1, 2)))
+        i, r = j, r + gap
+        pairs.append(((i, r), 1))
+    return LMonomial(n, pairs)
 
 
 def in_lroot_cone_bruteforce(m: LMonomial, max_total: int = 5) -> bool:

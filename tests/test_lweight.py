@@ -69,6 +69,11 @@ class TestLMonomial:
         with pytest.raises(InvalidInput):
             Y(1, 1, 0) * Y(2, 1, 0)
 
+    @pytest.mark.parametrize("c", [True, False, 0.0], ids=repr)
+    def test_power_must_be_an_int(self, c):
+        with pytest.raises(InvalidInput, match="exponent must be an integer"):
+            Y(2, 1, 0) ** c
+
     def test_node_range_checked(self):
         with pytest.raises(InvalidInput):
             LMonomial(2, (((3, 0), 1),))

@@ -9,6 +9,7 @@ from oracles import (
     all_weights,
     characters,
     dominant_monomials,
+    fm_reference,
     kr_json_reference,
     qchar_json_reference,
     recognize_minaff_reference,
@@ -203,7 +204,7 @@ class TestQChar:
     def test_thinness_error_names_the_repeated_term(self, monkeypatch):
         spec = MinAffSpec(2, (1, 1), "inc", 3)
         fillings = minaff.semistandard_fillings
-        monos = [m for _, m in fillings(spec.n, minaff.highest_shape(spec))]
+        monos = [m for _, m in fillings(spec.n, highest_tableau(spec).shape)]
         # the fourth term comes again after the sixth; the first repeat is the fourth
         order = [0, 1, 2, 3, 4, 5, 3, 6, 1, 7]
 
@@ -308,6 +309,32 @@ class TestKRPartitionOracle:
                 partner = kr_qchar_by_partitions(n, -r - (n + 1) - 2 * (k - 1), k)
                 pulled = {transform(m, "minus").inverse() for m in partner.terms()}
                 assert set(direct.terms()) == pulled
+
+
+class TestFrenkelMukhinOracle:
+    def test_minimal_affinizations(self):
+        for spec in small_specs():
+            assert fm_reference(drinfeld_of_spec(spec)) == qchar(spec).terms()
+
+    def test_extreme_node_kr_modules(self):
+        for n in (1, 2, 3):
+            for node in {1, n}:
+                for k in (1, 2, 3):
+                    kr = KRSpec(n, node, -1, k)
+                    assert fm_reference(kr.drinfeld()) == qchar_kr(kr).terms()
+
+    @pytest.mark.parametrize(
+        "m, reason",
+        [
+            (Y(1, 1, 0, 2) * Y(1, 1, 2), "reaches the dominant"),
+            (Y(2, 1, 0, 2) * Y(2, 2, 3), "is not 1-dominant"),
+            (Y(2, 1, 0, -1), "dominant monomial"),
+        ],
+        ids=["second-dominant", "colour-break", "not-dominant"],
+    )
+    def test_strict_failures_raise(self, m, reason):
+        with pytest.raises(InvalidInput, match=reason):
+            fm_reference(m)
 
 
 class TestKRRightNegativity:

@@ -4,13 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_weights, column_gaps, monomial_of_tableau_reference, raise_box
+from oracles import (
+    all_weights,
+    column_gaps,
+    fm_reference,
+    highest_shape_reference,
+    monomial_of_tableau_reference,
+    raise_box,
+    snakes,
+)
 from qcharlab import (
     InvalidInput,
+    KRSpec,
     LMonomial,
     MinAffSpec,
     Shape,
     Tableau,
+    drinfeld_of_spec,
     enumerate_semistandard,
     highest_tableau,
     is_dominant,
@@ -19,6 +29,7 @@ from qcharlab import (
     monomial_of_tableau,
     qchar,
     semistandard_fillings,
+    snake_shape,
     y_string,
 )
 
@@ -55,6 +66,64 @@ class TestShape:
         assert len(Shape(())) == 0
 
 
+class TestSnakeShape:
+    def test_one_column_per_variable(self):
+        m = Y(3, 1, 0) * Y(3, 3, 4) * Y(3, 2, 9)
+        assert snake_shape(m).columns == ((2, 8), (3, 2), (1, 0))
+
+    def test_kr_string(self):
+        assert snake_shape(y_string(2, 2, -1, 2)).columns == ((2, 0), (2, -2))
+        kr = KRSpec(3, 1, 4, 3)
+        assert snake_shape(kr.drinfeld()).columns == ((1, 8), (1, 6), (1, 4))
+
+    def test_identity_has_no_columns(self):
+        assert snake_shape(LMonomial.identity(2)) == Shape(())
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            Y(2, 1, 0, -1),
+            Y(2, 1, 0) * Y(2, 2, 3, -1),
+            Y(2, 1, 0, 2),
+            Y(2, 1, 0) * Y(2, 2, 0),
+            Y(2, 1, 0) * Y(2, 2, 2),
+            Y(2, 1, 0) * Y(2, 1, 1),
+        ],
+        ids=["inverse", "mixed", "square", "same-row", "too-close", "adjacent"],
+    )
+    def test_rejects_non_snakes(self, m):
+        with pytest.raises(InvalidInput, match="snake"):
+            snake_shape(m)
+
+    def test_shape_rules_still_apply(self):
+        with pytest.raises(InvalidInput, match="parity"):
+            snake_shape(Y(2, 1, 0) * Y(2, 1, 3))
+        with pytest.raises(InvalidInput, match="disconnected"):
+            snake_shape(Y(2, 1, 0) * Y(2, 1, 4))
+
+    def test_matches_the_anchor_ladder(self):
+        """Every spec with n <= 5 and |lambda| <= 4, both directions, at
+        shifts 0 and 3: the Drinfeld polynomial's snake shape is the shape
+        read off the anchor ladder."""
+        count = 0
+        for n in range(1, 6):
+            for lam in all_weights(n, 4):
+                for direction in ("inc", "dec"):
+                    for shift in (0, 3):
+                        spec = MinAffSpec(n, lam, direction, shift)
+                        assert snake_shape(drinfeld_of_spec(spec)) == highest_shape_reference(spec)
+                        count += 1
+        assert count == 984
+
+
+@given(snakes())
+@settings(max_examples=60, deadline=None)
+def test_snake_fillings_are_the_frenkel_mukhin_character(m):
+    monos = [mono for _, mono in semistandard_fillings(m.n, snake_shape(m))]
+    assert fm_reference(m) == dict.fromkeys(monos, 1)
+    assert len(monos) == len(set(monos))
+
+
 class TestExactIntegers:
     @pytest.mark.parametrize(
         "build",
@@ -73,6 +142,8 @@ class TestExactIntegers:
             lambda: Shape(5),
             lambda: Tableau(1, Shape(((1, 0),)), (1,)),
             lambda: Tableau(1, Shape(((1, 0),)), 1),
+            lambda: Tableau(0, Shape(((1, 0),)), ((1,),)),
+            lambda: Tableau(-1, Shape(()), ()),
         ],
         ids=[
             "float-shape",
@@ -89,11 +160,34 @@ class TestExactIntegers:
             "int-columns",
             "int-content-column",
             "int-contents",
+            "zero-rank",
+            "negative-rank",
         ],
     )
     def test_rejected(self, build):
         with pytest.raises(InvalidInput, match="must be"):
             build()
+
+    @pytest.mark.parametrize(
+        "search, n",
+        [
+            (semistandard_fillings, 0),
+            (semistandard_fillings, -2),
+            (semistandard_fillings, True),
+            (semistandard_fillings, 1.0),
+            (enumerate_semistandard, 0),
+            (enumerate_semistandard, -2),
+        ],
+        ids=["fillings-0", "fillings-neg", "fillings-bool", "fillings-float", "tableaux-0", "tableaux-neg"],
+    )
+    def test_search_rejects_the_rank(self, search, n):
+        with pytest.raises(InvalidInput, match="rank must be"):
+            list(search(n, Shape(((1, 0),))))
+
+    def test_search_rejects_a_plain_tuple(self):
+        # as a Shape this pair is disconnected; the search must not take it unchecked
+        with pytest.raises(InvalidInput, match="Shape"):
+            list(semistandard_fillings(2, ((1, 0), (1, -6))))
 
     def test_lists_are_stored_as_tuples(self):
         t = Tableau(2, Shape([[2, 0], [1, -2]]), [[1, 2], [3]])
