@@ -25,7 +25,6 @@ import json
 import os
 import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager, suppress
 from itertools import product
 from json.encoder import encode_basestring_ascii as _json_str
@@ -332,6 +331,10 @@ def cmd_sweep(args) -> int:
             if workers == 1:
                 results = map(_sweep_point, points)
             else:
+                # imported here: loading multiprocessing costs every start of
+                # the tool, and only a sweep on two or more workers needs it
+                from concurrent.futures import ProcessPoolExecutor
+
                 # workers ignore SIGTERM, also one sent to the whole process group:
                 # the parent's exit cancels the pending chunks and the pool's exit
                 # waits for the running ones, so only the parent ends the pool

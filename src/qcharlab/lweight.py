@@ -57,9 +57,10 @@ class LMonomial:
 
     def __init__(self, n: int, pairs: Iterable[tuple[Key, int]] = ()):
         require_rank(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_exps", _canonical(pairs, n))
-        object.__setattr__(self, "_hash", hash((n, self._exps)))
+        exps = _canonical(pairs, n)
+        _set_n(self, n)
+        _set_exps(self, exps)
+        _set_hash(self, hash((n, exps)))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("LMonomial is immutable")
@@ -132,11 +133,12 @@ class LMonomial:
 
     @staticmethod
     def _make(n: int, exps: tuple[tuple[Key, int], ...]) -> "LMonomial":
-        """Build from exponents already in canonical form, skipping the checks."""
-        m = object.__new__(LMonomial)
-        object.__setattr__(m, "n", n)
-        object.__setattr__(m, "_exps", exps)
-        object.__setattr__(m, "_hash", hash((n, exps)))
+        """Build from exponents already in canonical form (sorted keys, no
+        zero exponent), skipping the checks: the library's own results."""
+        m = _new(LMonomial)
+        _set_n(m, n)
+        _set_exps(m, exps)
+        _set_hash(m, hash((n, exps)))
         return m
 
     def __pow__(self, c: int) -> "LMonomial":
@@ -199,6 +201,13 @@ class LMonomial:
         return cls(n, (((i, r), e) for i, r, e in ys))
 
 
+# the slots' own setters, which bypass the immutable ``__setattr__``
+_new = object.__new__
+_set_n = LMonomial.n.__set__
+_set_exps = LMonomial._exps.__set__
+_set_hash = LMonomial._hash.__set__
+
+
 @dataclass(frozen=True)
 class Weight:
     """Integral weight of sl_{n+1} as its values on the coroots h_1..h_n."""
@@ -243,7 +252,7 @@ def y_string(n: int, i: int, r: int, k: int) -> LMonomial:
         raise InvalidInput(f"node {i} out of range 1..{n}")
     if k < 0:
         raise InvalidInput(f"string length must be nonnegative, got {k}")
-    return LMonomial(n, (((i, r + 2 * l), 1) for l in range(k)))
+    return LMonomial._make(n, tuple([((i, r + 2 * l), 1) for l in range(k)]))
 
 
 def expand_simple_lroot(n: int, i: int, r: int) -> LMonomial:
@@ -421,8 +430,10 @@ def transform(m: LMonomial, kind: str, t: int = 0) -> LMonomial:
     * ``kappa``:    Y[i,r] -> Y[n+1-i, -r-h]  (star of minus; an involution)
     * ``tau``:      Y[i,r] -> Y[i,r+t]        (global spectral shift by ``t``)
 
-    ``t`` must be a plain ``int``.  ``tau`` keeps the key order, so its
-    result is built as it stands; it is the one spectral shift of the package.
+    ``t`` must be a plain ``int``.  Each map is a bijection of keys, so
+    the result needs no merge: ``tau`` keeps the key order and is built as
+    it stands (it is the one spectral shift of the package), and the other
+    kinds sort their mapped pairs once.
     """
     if kind not in _TRANSFORM_KINDS:
         raise InvalidInput(f"unknown transform kind {kind!r}")
@@ -434,14 +445,15 @@ def transform(m: LMonomial, kind: str, t: int = 0) -> LMonomial:
         return LMonomial._make(n, tuple([((i, r + t), e) for (i, r), e in m.items()]))
     h = n + 1
     if kind == "star":
-        gen = lambda i, r: (n + 1 - i, r - h)
+        pairs = [((h - i, r - h), e) for (i, r), e in m.items()]
     elif kind == "star_inv":
-        gen = lambda i, r: (n + 1 - i, r + h)
+        pairs = [((h - i, r + h), e) for (i, r), e in m.items()]
     elif kind == "minus":
-        gen = lambda i, r: (i, -r)
+        pairs = [((i, -r), e) for (i, r), e in m.items()]
     else:
-        gen = lambda i, r: (n + 1 - i, -r - h)
-    return LMonomial(n, ((gen(i, r), e) for (i, r), e in m.items()))
+        pairs = [((h - i, -r - h), e) for (i, r), e in m.items()]
+    pairs.sort()
+    return LMonomial._make(n, tuple(pairs))
 
 
 def monomial_sort_key(m: LMonomial) -> tuple:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .errors import InvalidInput, InvariantViolation, require_int
+from .errors import InvalidInput, InvariantViolation, require_int, require_rank
 from .lweight import (
     Key,
     LMonomial,
@@ -67,14 +67,12 @@ def _seg(lam: tuple[int, ...], a: int, b: int) -> int:
 def _require_weight(n: int, lam) -> tuple[int, ...]:
     """``lam`` as a tuple, checked to be a dominant weight of rank ``n``: a
     positive integer rank, and one nonnegative plain ``int`` per node."""
-    require_int("rank", n)
+    require_rank(n)
     if not isinstance(lam, (tuple, list)):
         raise InvalidInput(f"weight must be a tuple or list of integers, got {lam!r}")
     lam = tuple(lam)
     for v in lam:
         require_int("weight entry", v)
-    if n < 1:
-        raise InvalidInput(f"rank must be positive, got {n}")
     if len(lam) != n:
         raise InvalidInput("weight vector length must equal the rank")
     if any(v < 0 for v in lam):
@@ -142,19 +140,18 @@ class KRSpec:
     k: int
 
     def __post_init__(self):
-        require_int("rank", self.n)
+        require_rank(self.n)
         require_int("KR node", self.node)
         require_int("KR anchor", self.r)
         require_int("string length", self.k)
-        if self.n < 1:
-            raise InvalidInput(f"rank must be positive, got {self.n}")
         if self.node not in (1, self.n):
             raise InvalidInput(f"node must be extreme (1 or {self.n}), got {self.node}")
         if self.k < 1:
             raise InvalidInput(f"string length must be positive, got {self.k}")
 
     def drinfeld(self) -> LMonomial:
-        return y_string(self.n, self.node, self.r, self.k)
+        """The string ``Y[node, r, k]``, cached by value (``_kr_drinfeld``)."""
+        return _kr_drinfeld(self.n, self.node, self.r, self.k)
 
     def as_minaff(self) -> MinAffSpec:
         lam = tuple(self.k if i == self.node else 0 for i in range(1, self.n + 1))
@@ -174,13 +171,14 @@ class QChar:
     ``dominant_terms`` by ``anchor_join`` at anchor 0, walking the larger
     factor's terms against the join index of the smaller one, without
     forming the product; everything else on it convolves the factors once,
-    on first use.  The rank and every multiplicity must be a plain ``int``.
+    on first use.  The rank must be a positive plain ``int``
+    (``require_rank``) and every multiplicity a positive one.
     """
 
     __slots__ = ("n", "_terms", "_factors", "_index")
 
     def __init__(self, n: int, terms: dict[LMonomial, int]):
-        require_int("rank", n)
+        require_rank(n)
         for m, mult in terms.items():
             if m.n != n:
                 raise InvalidInput("term rank mismatch")
@@ -434,14 +432,17 @@ def anchor_join(
 
 
 # Bound on each cache: the q-characters (each with its join index once a
-# join indexes it), the Drinfeld polynomials, and in ``tensor`` the
-# normal-form reports, the per-group spectra of ``spectra_by_anchor`` with the
-# group's transported affinization and resonance table.  A sweep builds KR
-# characters at anchor 0 only; the ``tensor`` command builds its point's KR
-# character at its own anchor.  The golden sweep holds 72 characters, 122
-# polynomials, 1,455 reports and 354 groups (87 transported specs); the
-# n_max=lambda_sum_max=k_max=4 sweep 263, 475 and 1,904 groups (355
-# transported specs), and only its 9,592 distinct reports evict.
+# join indexes it), the Drinfeld polynomials of affinizations and of KR
+# modules, and in ``tensor`` the normal-form reports, the per-group spectra
+# of ``spectra_by_anchor`` with the group's transported affinization and
+# resonance table, and the members of the two tableau families.  A sweep
+# builds KR characters at anchor 0 only; the ``tensor`` command builds its
+# point's KR character at its own anchor.  The golden sweep holds 72
+# characters, 122 affinization and 327 KR polynomials, 1,455 reports, 354
+# groups (87 transported specs), 152 raised-column and 302 gap members; the
+# n_max=lambda_sum_max=k_max=4 sweep 263, 475 and 792, 9,592 reports,
+# 1,904 groups (355 transported specs), 802 and 1,150 members.  Only its
+# reports evict.
 CACHE_SIZE = 2048
 
 
@@ -452,6 +453,13 @@ def drinfeld_of_spec(spec: MinAffSpec) -> LMonomial:
     for i, r in spec.anchors().items():
         m = m * y_string(spec.n, i, r, spec.lam[i - 1])
     return m
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _kr_drinfeld(n: int, node: int, r: int, k: int) -> LMonomial:
+    """Drinfeld polynomial of ``KRSpec(n, node, r, k)``, whose fields that
+    constructor has checked: the string ``Y[node, r, k]``."""
+    return y_string(n, node, r, k)
 
 
 def highest_tableau(spec: MinAffSpec) -> Tableau:

@@ -40,9 +40,13 @@ step asks ``classify_normal`` for the transported problem at shift 0 and
 shifts the answer back.  ``classify_normal`` is cached on its arguments
 (at most ``CACHE_SIZE`` reports, like ``qchar``), so a normal-row point and
 every transport that lands on the same problem share one brute-force
-classification; every a/b/c point still runs every transport check.
-``cli.main`` empties every cache of this module before each command
-(``clear_caches``).
+classification; every a/b/c point still runs every transport check.  The
+members of the two tableau families (``family_S``, ``family_T``) are cached
+on their arguments too, so each distinct member runs its checks once;
+these caches and ``spectra_by_anchor`` key on the argument types as well
+(``typed=True``), so that a float or bool index still meets the
+exact-integer rule.  ``cli.main`` empties every cache of this module before
+each command (``clear_caches``).
 """
 
 from __future__ import annotations
@@ -260,7 +264,7 @@ def dominant_spectrum(qc: QChar) -> DominantSpectrum:
     return _spectrum(qc.dominant_terms())
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def spectra_by_anchor(
     spec: MinAffSpec, node: int, k: int
 ) -> dict[int, tuple[tuple[LMonomial, int], ...]]:
@@ -295,6 +299,7 @@ def spectra_by_anchor(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomial]:
     """Raise the last boxes of columns c..f of the highest tableau to content p.
 
@@ -307,7 +312,10 @@ def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomi
     The returned monomial is verified against the inverse loop-root product
     over the modified columns before being handed back: the column
     ``(l, s)`` is the variable ``Y[l, s + l - 1]``, and raising it divides
-    by the root path from node l to node p - 1 at that anchor.
+    by the root path from node l to node p - 1 at that anchor.  The member
+    does not depend on a KR module, and it is cached on the arguments and
+    their types (at most ``CACHE_SIZE`` members), so each distinct member
+    is built and checked once.
     """
     for what, v in (("column index", c), ("last column", f), ("content bound", p)):
         require_int(what, v)
@@ -343,14 +351,17 @@ def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomi
     return t, mono
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def family_T(kr: KRSpec, m: int, p: int) -> tuple[Tableau, LMonomial]:
     """The KR tableau with a gap at the p-th box of each of the first m columns.
 
     The column ``(n, s)`` is the variable ``Y[n, s + n - 1]`` of the
     Drinfeld polynomial (``snake_shape``).  Conventions: m is clamped to the
-    number of columns, and m = 0 or p = n + 1 return the highest tableau.  The monomial is computed from the
-    boxes and verified against both the inverse loop-root product and the
-    closed three-string form before being returned.
+    number of columns, and m = 0 or p = n + 1 return the highest tableau.
+    The monomial is computed from the boxes and verified against both the
+    inverse loop-root product and the closed three-string form before being
+    returned.  Cached like ``family_S``: ``_lambda_prime_normal`` asks again
+    for the member that ``expected_dominants`` has just built.
     """
     for what, v in (("gap count", m), ("gap position", p)):
         require_int(what, v)
@@ -700,7 +711,9 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
 # The caches of this module, bound here so that a wrapper that replaces one
 # of them (a tracer, a test) leaves it reachable; ``cli.main`` empties them
 # before every command.
-_CACHES = (classify_normal, spectra_by_anchor, _transported_spec, _resonances)
+_CACHES = (
+    classify_normal, spectra_by_anchor, _transported_spec, _resonances, family_S, family_T
+)
 
 
 def clear_caches() -> None:

@@ -509,15 +509,15 @@ def weyl_dim_oracle(n: int, lam: tuple[int, ...]) -> int:
 
 
 @st.composite
-def lmonomials(draw, max_n: int = 4, max_factors: int = 6, row_span: int = 8):
-    """Random monomials as products of Y[i,r]^{+-1}."""
+def lmonomials(draw, max_n: int = 4, max_factors: int = 6, row_span: int = 8, exponents=(-1, 1)):
+    """Random monomials as products of Y[i,r]^e, e drawn from ``exponents``."""
     n = draw(st.integers(1, max_n))
     count = draw(st.integers(0, max_factors))
     pairs = []
     for _ in range(count):
         i = draw(st.integers(1, n))
         r = draw(st.integers(-row_span, row_span))
-        e = draw(st.sampled_from((-1, 1)))
+        e = draw(st.sampled_from(exponents))
         pairs.append(((i, r), e))
     return LMonomial(n, pairs)
 

@@ -37,16 +37,21 @@ def _count_joins(monkeypatch) -> list:
     return joins
 
 
-def qcharlab_process(*argv, **popen_args):
-    """``python -m qcharlab *argv`` in a child process with piped output."""
+def _child_env() -> dict:
+    """The environment of a child process that imports this ``qcharlab``."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def qcharlab_process(*argv, **popen_args):
+    """``python -m qcharlab *argv`` in a child process with piped output."""
     return subprocess.Popen(
         [sys.executable, "-m", "qcharlab", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
         **popen_args,
     )
 
@@ -614,6 +619,19 @@ class TestEntryPoints:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0 and err == b""
+
+    def test_import_loads_no_process_pool(self):
+        # only a sweep on two or more workers starts a pool, so the tool's
+        # start does not pay for loading multiprocessing
+        code = (
+            "import sys, qcharlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

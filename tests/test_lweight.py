@@ -417,3 +417,30 @@ class TestTransform:
             return
         for kind in ("star", "star_inv", "minus", "kappa"):
             assert transform(a * b, kind) == transform(a, kind) * transform(b, kind)
+
+
+def _assert_canonical(m):
+    """``m`` is what the validated constructor makes of its own pairs."""
+    ref = LMonomial(m.n, m.items())
+    assert m.items() == ref.items() and m == ref and hash(m) == hash(ref)
+
+
+class TestCanonicalByConstruction:
+    """``transform``, ``y_string`` and ``expand_lroot_path`` build their results
+    through ``LMonomial._make``, without the constructor's sort and merge."""
+
+    @settings(max_examples=150)
+    @given(lmonomials(exponents=tuple(range(-3, 4))), st.integers(-10, 10))
+    def test_every_transform_kind(self, m, t):
+        for kind in ("star", "star_inv", "minus", "kappa"):
+            _assert_canonical(transform(m, kind))
+        _assert_canonical(transform(m, "tau", t))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_strings_and_root_paths(self, data):
+        n = data.draw(st.integers(1, 4))
+        i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        r = data.draw(st.integers(-8, 8))
+        _assert_canonical(y_string(n, i, r, data.draw(st.integers(0, 6))))
+        _assert_canonical(expand_lroot_path(n, i, j, r))

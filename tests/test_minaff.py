@@ -55,6 +55,21 @@ def small_specs(n_max=3, total_max=3):
 
 
 class TestSpecs:
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: KRSpec(n, 1.5, 0, 1),
+            lambda n: MinAffSpec(n, None),
+            lambda n: weyl_dim(n, None),
+        ],
+        ids=["KRSpec", "MinAffSpec", "weyl_dim"],
+    )
+    def test_the_rank_is_checked_first(self, build, n):
+        # one rule (errors.require_rank), ahead of the fields that depend on the rank
+        with pytest.raises(InvalidInput, match="rank must be positive"):
+            build(n)
+
     def test_zero_weight_rejected(self):
         with pytest.raises(InvalidInput):
             MinAffSpec(2, (0, 0))
@@ -159,6 +174,11 @@ class TestQChar:
             QChar(1, {Y(1, 1, 0): value})
         with pytest.raises(InvalidInput, match="rank must be an integer"):
             QChar(value, {})
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rank_must_be_positive(self, n):
+        with pytest.raises(InvalidInput, match="rank must be positive"):
+            QChar(n, {})
 
     def test_fundamental_matches_box_sum(self):
         qc = qchar(MinAffSpec(2, (1, 0), "inc"))

@@ -1235,3 +1235,80 @@ class TestSpectraByAnchor:
             # a key of the all-anchor map is a shift where some other pair is dominant
             assert every.get(r, top_products) == got[r]
             assert (r in every) == (got[r] != top_products)
+
+
+def _family_arguments(n_max=2, total_max=3):
+    """Every ``family_S`` and ``family_T`` argument tuple of the n <= 2 grid,
+    the conventions' edge values and rejected ones included."""
+    s_args, t_args = [], []
+    for n in range(1, n_max + 1):
+        for lam in all_weights(n, total_max):
+            spec = MinAffSpec(n, lam, "inc")
+            for c in range(0, spec.total + 2):
+                for f in range(0, spec.total + 2):
+                    for p in range(0, n + 2):
+                        s_args.append((spec, c, f, p))
+        for r in (-3, 0, 2):
+            for k in range(1, 4):
+                for node in {1, n}:
+                    kr = KRSpec(n, node, r, k)
+                    t_args += [(kr, m, p) for m in range(-1, k + 2) for p in range(0, n + 3)]
+    return s_args, t_args
+
+
+def _call(fn, args):
+    try:
+        return fn(*args)
+    except InvalidInput as exc:
+        return type(exc), str(exc)
+
+
+class TestMemberCaches:
+    """The KR Drinfeld polynomials and the family members are cached by value;
+    a cached answer is the uncached one, and no cache outlives ``clear_caches``."""
+
+    def test_cached_equals_uncached_on_the_small_grid(self):
+        s_args, t_args = _family_arguments()
+        for fn, grid in ((family_S, s_args), (family_T, t_args)):
+            for args in grid * 2:  # the second pass reads the cache
+                assert _call(fn, args) == _call(fn.__wrapped__, args), args
+        krs = {kr for kr, _, _ in t_args} | {kr for _, kr in normal_grid()}
+        for kr in krs:
+            for _ in range(2):
+                assert kr.drinfeld() == y_string(kr.n, kr.node, kr.r, kr.k)
+
+    def test_each_member_is_built_once(self):
+        spec, kr = MinAffSpec(2, (1, 1), "inc"), KRSpec(2, 2, 0, 2)
+        assert family_S(spec, 1, 2, 3) is family_S(spec, 1, 2, 3)
+        assert family_T(kr, 1, 1) is family_T(kr, 1, 1)
+        assert family_S.cache_info().misses == family_T.cache_info().misses == 1
+
+    def test_registered_and_emptied(self):
+        for cached in (family_S, family_T):
+            assert cached in tensor._CACHES
+            assert cached.cache_info().maxsize == minaff.CACHE_SIZE
+        classify_variant(*CASE_I_POINT)
+        classify_variant(*NORMAL_POINT)
+        assert family_S.cache_info().currsize and family_T.cache_info().currsize
+        tensor.clear_caches()
+        assert family_S.cache_info().currsize == family_T.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("bad", [1.0, True, 2.0], ids=repr)
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (tensor.spectra_by_anchor, (MinAffSpec(2, (1, 1), "inc"), 2, 1)),
+            (family_S, (MinAffSpec(2, (1, 1), "inc"), 1, 2, 3)),
+            (family_T, (KRSpec(2, 2, 0, 2), 1, 2)),
+        ],
+        ids=["spectra_by_anchor", "family_S", "family_T"],
+    )
+    def test_a_warm_cache_keeps_the_exact_integer_rule(self, fn, args, bad):
+        # 1.0, True and 2.0 hash and compare equal to 1 and 2, so an untyped
+        # cache would hand back the good call's entry
+        fn(*args)
+        slots = [j for j, v in enumerate(args) if type(v) is int and v == bad]
+        assert slots
+        for j in slots:
+            with pytest.raises(InvalidInput, match="must be an integer"):
+                fn(*args[:j], bad, *args[j + 1 :])
