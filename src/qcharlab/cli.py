@@ -14,7 +14,9 @@ JSON value is written by its type's ``json_text``, and every output is
 assembled from those pieces in sorted-key order, byte-identical to
 ``json.dumps(sort_keys=True, separators=(",", ":"))``; free text is escaped
 as ``json.dumps`` escapes it.  Monomial input must be a JSON object with
-exactly the keys ``n`` and ``Y``, and must use JSON integers.
+exactly the keys ``n`` and ``Y``, and must use JSON integers.  Integer
+arguments (``--n``, ``--shift``, ``--t``, and each part of ``--lambda`` and
+``--kr``) are an optional minus sign and ASCII digits.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import signal
 import sys
 from contextlib import ExitStack, contextmanager, suppress
@@ -75,16 +78,35 @@ def _object_text(fields: dict[str, str]) -> str:
     return "{" + ",".join([f'"{key}":{text}' for key, text in sorted(fields.items())]) + "}"
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An optional minus sign and ASCII digits, nothing else: ``int()`` would
+    also take underscores, a plus sign, surrounding spaces and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _int_argument(text: str) -> int:
+    """``_integer`` for argparse, which reports a bad value as a usage error."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_lambda(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_integer(part) for part in text.split(","))
     except ValueError as exc:
         raise InvalidInput(f"cannot parse weight vector {text!r}") from exc
 
 
 def _parse_kr(n: int, text: str) -> KRSpec:
     try:
-        node, r, k = (int(part) for part in text.split(","))
+        node, r, k = (_integer(part) for part in text.split(","))
     except ValueError as exc:
         raise InvalidInput(f"cannot parse KR triple {text!r} (want node,r,k)") from exc
     return KRSpec(n, node, r, k)
@@ -385,14 +407,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_args(p, required: bool):
-        p.add_argument("--n", type=int, required=True, help="rank of the diagram")
+        p.add_argument("--n", type=_int_argument, required=True, help="rank of the diagram")
         p.add_argument(
             "--lambda", dest="lam", required=required, help="weight vector, e.g. 1,0,2"
         )
         p.add_argument(
             "--dir", dest="direction", choices=("inc", "dec"), help="direction of the --lambda spec (default inc)"
         )
-        p.add_argument("--shift", type=int, help="global spectral shift of the --lambda spec (default 0)")
+        p.add_argument("--shift", type=_int_argument, help="global spectral shift of the --lambda spec (default 0)")
         p.add_argument("--kr", required=required, help="KR triple node,r,k")
 
     p_qchar = sub.add_parser("qchar", help="compute a q-character")
@@ -419,7 +441,7 @@ def _build_parser() -> _Parser:
     p_tr = sub.add_parser("transform", help="apply a duality map to a monomial")
     p_tr.add_argument("monomial", help="monomial JSON")
     p_tr.add_argument("--kind", required=True, choices=_TRANSFORM_KINDS)
-    p_tr.add_argument("--t", type=int, help="shift amount for tau (default 0)")
+    p_tr.add_argument("--t", type=_int_argument, help="shift amount for tau (default 0)")
     p_tr.add_argument("--json", action="store_true")
     p_tr.set_defaults(func=cmd_transform)
 

@@ -299,8 +299,14 @@ def weight_of(m: LMonomial) -> Weight:
 
 
 def is_dominant(m: LMonomial) -> bool:
-    """True iff no inverted Y-variable appears (all stored exponents positive)."""
-    return all(e > 0 for _, e in m.items())
+    """True iff no inverted Y-variable appears (all stored exponents positive).
+
+    A plain loop that returns at the first negative exponent: stored
+    exponents are never zero, so that is the first one not positive."""
+    for _, e in m._exps:
+        if e < 0:
+            return False
+    return True
 
 
 def right_negativity(m: LMonomial) -> tuple[int, bool]:

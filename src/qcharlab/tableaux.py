@@ -19,21 +19,22 @@ constructor.
 column ``(i, r - i + 1)`` per variable ``Y[i, r]``, and every highest
 tableau's shape is the snake shape of its Drinfeld polynomial.
 
-``semistandard_fillings`` is the one search.  It keeps a running exponent
-vector while it places boxes and yields each filling's contents with its
-monomial, building no tableau; ``qchar`` reads only the monomials.  It
-builds each ``((i, r), e)`` pair once per search, in one table, so the
-terms of a character share their pairs instead of each holding copies.
-``enumerate_semistandard`` is a view of the same search that builds a
-``Tableau`` from each filling's contents.  ``monomial_of_tableau`` sums a
-tableau's box exponents in one pass and keeps no state.
+``semistandard_fillings`` is the one search.  It places boxes without
+recursion and yields each filling's contents with its monomial, building no
+tableau; ``qchar`` reads only the monomials.  Beside a running exponent
+vector it holds the live pairs: one ``((i, r), e)`` per nonzero slot, taken
+from a table built once per search, so the terms of a character share their
+pairs and a monomial is the held pairs in key order.  The last box runs in
+one inner loop at each complete prefix, so a filling costs little more than
+its tuple and ``LMonomial``.  ``enumerate_semistandard`` is a view of the
+same search that builds a ``Tableau`` from each filling's contents.
+``monomial_of_tableau`` sums a tableau's box exponents in one pass and keeps
+no state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import getitem
 from typing import Iterator
 
 from .errors import InvalidInput, require_int, require_rank
@@ -221,10 +222,15 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
     column top to bottom, contents ascending (lexicographic in the
     concatenated content sequence).
 
-    The search runs over the boxes in that order without recursion and keeps
-    the exponents of the boxes placed so far in a vector indexed by the
-    ``(i, r)`` keys the shape can reach, sorted.  Each monomial is read off
-    the nonzero entries of that vector.
+    The search runs over the boxes in that order without recursion.  Beside
+    the exponent vector of the boxes placed so far, indexed by the sorted
+    ``(i, r)`` keys the shape can reach, it keeps the live pairs: slot ``j``
+    holds ``(keys[j], e)`` for its exponent ``e``, or ``None`` at ``e = 0``,
+    and each placed or removed box updates the two slots it moves.  A
+    monomial is then the held pairs with the ``None`` entries dropped,
+    already in key order.  The last box is not a step of the search: at
+    each complete prefix one loop runs its contents and yields a filling
+    per content.
     """
     require_rank(n)
     if not isinstance(shape, Shape):
@@ -253,56 +259,68 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
         return
 
     # up[p][c] / down[p][c]: slot of the +1 / -1 factor of content c at box p;
-    # boundary factors go to a spare last slot that is never read back
+    # boundary factors go to a spare last slot whose pairs are all None
     keys = sorted(
         {(c, s + c - 1) for s in supports for c in range(1, n + 1)}
         | {(c - 1, s + c) for s in supports for c in range(2, n + 2)}
     )
     slot = {key: j for j, key in enumerate(keys)}
     spare = len(keys)
-    # pairs[j][e] is the one (keys[j], e) every yielded monomial shares; each
-    # box moves one slot by +1 and another by -1, so |e| <= nboxes, and a
-    # negative e indexes from the end
+    # pairs[j][e] is the one (keys[j], e) every yielded monomial shares, and
+    # None at e = 0; each box moves one slot by +1 and another by -1, so
+    # |e| <= nboxes, and a negative e indexes from the end
     exponents = [*range(nboxes + 1), *range(-nboxes, 0)]
-    pairs = [[(key, e) for e in exponents] for key in keys]
+    pairs = [[(key, e) if e else None for e in exponents] for key in keys]
+    pairs.append([None] * len(exponents))
     up = [[spare] + [slot.get((c, s + c - 1), spare) for c in range(1, n + 2)] for s in supports]
     down = [[spare] + [slot.get((c - 1, s + c), spare) for c in range(1, n + 2)] for s in supports]
     exps = [0] * (spare + 1)
+    held: list = [None] * (spare + 1)
+    make = LMonomial._make
 
     contents = [0] * nboxes
     caps = [0] * nboxes
     last = nboxes - 1
+    up_last, down_last = up[last], down[last]
     p = 0
     caps[0] = top_caps[0]
     while True:
+        if p == last:
+            # the prefix is complete: every content of the last box is a filling
+            for c in range(contents[p] + 1, caps[p] + 1):
+                u, d = up_last[c], down_last[c]
+                held_u, held_d = held[u], held[d]
+                held[u] = pairs[u][exps[u] + 1]
+                held[d] = pairs[d][exps[d] - 1]
+                contents[p] = c
+                yield contents, make(n, tuple(filter(None, held)))
+                held[u], held[d] = held_u, held_d
+            # contents[p] >= caps[p] now, so the search backs up
         c = contents[p] + 1
         if c > caps[p]:
             if p == 0:
                 return
             p -= 1
             c = contents[p]
-            exps[up[p][c]] -= 1
-            exps[down[p][c]] += 1
+            u, d = up[p][c], down[p][c]
+            exps[u] -= 1
+            held[u] = pairs[u][exps[u]]
+            exps[d] += 1
+            held[d] = pairs[d][exps[d]]
             continue
         contents[p] = c
         u, d = up[p][c], down[p][c]
         exps[u] += 1
+        held[u] = pairs[u][exps[u]]
         exps[d] -= 1
-        if p == last:
-            values = exps[:spare]
-            yield contents, LMonomial._make(
-                n, tuple(map(getitem, compress(pairs, values), filter(None, values)))
-            )
-            exps[u] -= 1
-            exps[d] += 1
-        else:
-            p += 1
-            contents[p] = 0 if p in first_rows else contents[p - 1]
-            cap = top_caps[p]
-            left = lefts[p]
-            if left >= 0 and contents[left] < cap:
-                cap = contents[left]
-            caps[p] = cap
+        held[d] = pairs[d][exps[d]]
+        p += 1
+        contents[p] = 0 if p in first_rows else contents[p - 1]
+        cap = top_caps[p]
+        left = lefts[p]
+        if left >= 0 and contents[left] < cap:
+            cap = contents[left]
+        caps[p] = cap
 
 
 def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:

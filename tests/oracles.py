@@ -7,9 +7,11 @@ over placements, product characters are convolved monomial by monomial
 (the package joins the factors' terms on bitsets), dominant spectra are
 joined one anchor at a time (the package joins every KR anchor of a group
 at once), tableau monomials are multiplied out box by box (the package
-sums exponents as it enumerates), the resonance
-equations are written out once per variant (the package derives them from
-two flags), a minimal affinization is recognised by its anchor ladder (the
+sums exponents as it enumerates), the tableau search reads each
+monomial off a slice of its exponent vector, one filling per loop step
+(the package holds the live pairs and loops the last box in place), the
+resonance equations are written out once per variant (the package derives
+them from two flags), a minimal affinization is recognised by its anchor ladder (the
 package rebuilds the candidate's Drinfeld polynomial), the highest
 tableau's columns are read off the anchor ladder (the package reads them
 off the Drinfeld polynomial, ``snake_shape``), q-characters are built by
@@ -24,7 +26,8 @@ tests, so they live here rather than in the package.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import compress, product
+from operator import getitem
 
 from hypothesis import strategies as st
 
@@ -46,6 +49,7 @@ from qcharlab import (
     resonance_window,
     y_string,
 )
+from qcharlab.tableaux import box_support
 from qcharlab.tensor import VARIANTS
 
 
@@ -126,6 +130,82 @@ def monomial_of_tableau_reference(t: Tableau) -> LMonomial:
     for content, s in t.boxes():
         m = m * monomial_of_box(t.n, content, s)
     return m
+
+
+def semistandard_fillings_reference(n: int, shape: Shape):
+    """The tableau search as it read each monomial off its exponent vector.
+
+    Every filling, complete or not, is a step of one backtracking loop, and
+    each complete one slices the exponent vector and keeps its nonzero
+    entries (the package keeps the live pairs and runs the last box in an
+    inner loop).  Same order, same live ``contents`` buffer.
+    """
+    supports: list[int] = []
+    top_caps: list[int] = []
+    lefts: list[int] = []
+    first_rows: set[int] = set()
+    prev: dict[int, int] = {}
+    for k, s in shape:
+        here: dict[int, int] = {}
+        first_rows.add(len(supports))
+        for row in range(1, k + 1):
+            supp = box_support(k, s, row)
+            here[supp] = len(supports)
+            supports.append(supp)
+            top_caps.append(n + 1 - (k - row))
+            lefts.append(prev.get(supp + 2, -1))
+        prev = here
+    nboxes = len(supports)
+    if nboxes == 0:
+        yield [], LMonomial.identity(n)
+        return
+
+    keys = sorted(
+        {(c, s + c - 1) for s in supports for c in range(1, n + 1)}
+        | {(c - 1, s + c) for s in supports for c in range(2, n + 2)}
+    )
+    slot = {key: j for j, key in enumerate(keys)}
+    spare = len(keys)
+    exponents = [*range(nboxes + 1), *range(-nboxes, 0)]
+    pairs = [[(key, e) for e in exponents] for key in keys]
+    up = [[spare] + [slot.get((c, s + c - 1), spare) for c in range(1, n + 2)] for s in supports]
+    down = [[spare] + [slot.get((c - 1, s + c), spare) for c in range(1, n + 2)] for s in supports]
+    exps = [0] * (spare + 1)
+
+    contents = [0] * nboxes
+    caps = [0] * nboxes
+    last = nboxes - 1
+    p = 0
+    caps[0] = top_caps[0]
+    while True:
+        c = contents[p] + 1
+        if c > caps[p]:
+            if p == 0:
+                return
+            p -= 1
+            c = contents[p]
+            exps[up[p][c]] -= 1
+            exps[down[p][c]] += 1
+            continue
+        contents[p] = c
+        u, d = up[p][c], down[p][c]
+        exps[u] += 1
+        exps[d] -= 1
+        if p == last:
+            values = exps[:spare]
+            yield contents, LMonomial(
+                n, tuple(map(getitem, compress(pairs, values), filter(None, values)))
+            )
+            exps[u] -= 1
+            exps[d] += 1
+        else:
+            p += 1
+            contents[p] = 0 if p in first_rows else contents[p - 1]
+            cap = top_caps[p]
+            left = lefts[p]
+            if left >= 0 and contents[left] < cap:
+                cap = contents[left]
+            caps[p] = cap
 
 
 def column_gaps(col) -> list[tuple[int, int]]:

@@ -307,6 +307,52 @@ class TestMonomialInput:
         assert message in err
 
 
+# what ``int()`` takes beyond an optional minus sign and ASCII digits
+LOOSE_INTEGERS = ["1_0", "+1", " 1", "1 ", "３", "١"]
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("loose", LOOSE_INTEGERS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qchar", "--n", "2", "--lambda", "{},1"),
+            ("qchar", "--n", "2", "--lambda", "1,{}"),
+            ("qchar", "--n", "2", "--kr", "2,0,{}"),
+            ("qchar", "--n", "2", "--kr", "{},0,1"),
+            ("tensor", "--n", "2", "--lambda", "1,{}", "--kr", "2,3,1"),
+            ("tensor", "--n", "2", "--lambda", "1,0", "--kr", "2,{},1"),
+        ],
+    )
+    def test_loose_parts_are_invalid_input(self, capsys, argv, loose):
+        code, out, err = run_cli(capsys, *(part.replace("{}", loose) for part in argv))
+        assert code == 2 and out == "" and "cannot parse" in err
+
+    @pytest.mark.parametrize("loose", LOOSE_INTEGERS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qchar", "--n", "{}", "--lambda", "1"),
+            ("qchar", "--n", "1", "--lambda", "1", "--shift", "{}"),
+            ("tensor", "--n", "{}", "--lambda", "1", "--kr", "1,3,1"),
+            ("tensor", "--n", "1", "--lambda", "1", "--shift", "{}", "--kr", "1,3,1"),
+            ("transform", '{"n":1,"Y":[[1,0,1]]}', "--kind", "tau", "--t", "{}"),
+        ],
+    )
+    def test_loose_flags_are_usage_errors(self, capsys, argv, loose):
+        code, out, err = run_cli(capsys, *(part.replace("{}", loose) for part in argv))
+        assert code == 1 and out == ""
+        assert f"invalid int value: {loose!r}" in err
+
+    def test_negative_values_still_parse(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "transform", '{"n":1,"Y":[[1,0,1]]}', "--kind", "tau", "--t", "-3", "--json"
+        )
+        assert code == 0 and out == '{"Y":[[1,-3,1]],"n":1}\n'
+        code, _, err = run_cli(capsys, "qchar", "--n", "2", "--lambda", "1,-1")
+        assert code == 2 and "nonnegative" in err
+
+
 def _write_config(path, **overrides):
     cfg = {
         "n_max": 2,

@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -217,6 +217,13 @@ class TestDominance:
         assert is_dominant(Y(2, 1, 0) * Y(2, 2, 3))
         assert not is_dominant(Y(2, 1, 2, -1) * Y(2, 2, 1))
         assert is_dominant(LMonomial.identity(2))
+
+    @given(lmonomials(exponents=(-3, -2, -1, 1, 2, 3)))
+    @example(LMonomial.identity(1))
+    @example(LMonomial.identity(4))
+    @settings(max_examples=200)
+    def test_early_exit_agrees_with_every_exponent_positive(self, m):
+        assert is_dominant(m) == all(e > 0 for _, e in m.items())
 
 
 class TestRightNegativity:

@@ -11,6 +11,7 @@ from oracles import (
     highest_shape_reference,
     monomial_of_tableau_reference,
     raise_box,
+    semistandard_fillings_reference,
     snakes,
 )
 from qcharlab import (
@@ -299,6 +300,40 @@ def test_both_views_of_the_search_agree(n):
             assert qchar(spec).terms() == dict.fromkeys(monos, 1)
             assert len(set(tableaux)) == len(tableaux)
             assert all(map(is_semistandard, tableaux))
+
+
+def assert_same_search(n, shape):
+    """The search and its reference yield the same fillings and monomials, in order."""
+    fast = [(list(contents), m) for contents, m in semistandard_fillings(n, shape)]
+    slow = [(list(contents), m) for contents, m in semistandard_fillings_reference(n, shape)]
+    assert fast == slow
+    return fast
+
+
+class TestSearchAgainstReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_spec_shape(self, n):
+        for lam in all_weights(n, 4):
+            for direction in ("inc", "dec"):
+                shape = snake_shape(drinfeld_of_spec(MinAffSpec(n, lam, direction)))
+                assert assert_same_search(n, shape)
+
+    @given(snakes())
+    @settings(max_examples=60, deadline=None)
+    def test_touching_snakes(self, m):
+        assert assert_same_search(m.n, snake_shape(m))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_edge_shapes(self, n):
+        identity = LMonomial.identity(n)
+        assert assert_same_search(n, Shape(())) == [([], identity)]
+        one_box = assert_same_search(n, Shape(((1, 0),)))
+        assert [contents for contents, _ in one_box] == [[c] for c in range(1, n + 2)]
+        column = assert_same_search(n, Shape(((n, 1),)))
+        assert len(column) == n + 1
+        # a column of length n + 1 has its contents forced, and a longer one none
+        assert assert_same_search(n, Shape(((n + 1, 0),))) == [(list(range(1, n + 2)), identity)]
+        assert assert_same_search(n, Shape(((n + 2, 0),))) == []
 
 
 class TestSemistandard:
