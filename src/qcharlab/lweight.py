@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InvalidInput, require_int, require_rank
@@ -256,15 +255,19 @@ def y_string(n: int, i: int, r: int, k: int) -> LMonomial:
 
 
 def expand_simple_lroot(n: int, i: int, r: int) -> LMonomial:
-    """The simple loop root A[i,r] expanded into Y-variables."""
+    """The simple loop root A[i,r] expanded into Y-variables; ``n``, ``i``
+    and ``r`` must be plain ``int``, with ``i`` in ``1..n``."""
+    if not (type(n) is type(i) is type(r) is int):
+        for what, v in (("rank", n), ("node", i), ("spectral parameter", r)):
+            require_int(what, v)
     if not 1 <= i <= n:
         raise InvalidInput(f"node {i} out of range 1..{n}")
     pairs = [((i, r - 1), 1), ((i, r + 1), 1)]
-    if i - 1 >= 1:
-        pairs.append(((i - 1, r), -1))
-    if i + 1 <= n:
+    if i > 1:
+        pairs.insert(0, ((i - 1, r), -1))
+    if i < n:
         pairs.append(((i + 1, r), -1))
-    return LMonomial(n, pairs)
+    return LMonomial._make(n, tuple(pairs))
 
 
 def expand_lroot_path(n: int, from_node: int, to_node: int, r: int) -> LMonomial:
@@ -322,86 +325,89 @@ def right_negativity(m: LMonomial) -> tuple[int, bool]:
     return r_max, rn
 
 
-def scaled_root_coords(w: Weight) -> tuple[int, ...]:
-    """``n + 1`` times the simple-root coordinates of ``w``, in integers.
+def _peel(n: int, pairs: Iterable[tuple[Key, int]], factors: Optional[dict[Key, int]]) -> bool:
+    """Whether the monomial of the distinct ``pairs`` is a product of simple
+    loop roots; each factor A[i,r] found is stored in ``factors`` if given.
 
-    Row ``i`` of ``n + 1`` times the inverse Cartan matrix is
-    ``min(i, j) * (n + 1 - max(i, j))``.
+    Weight test: ``t_a = sum_b min(a, b) * (h - max(a, b)) * w_b`` (h = n + 1,
+    summed in two running halves b <= a and b > a) must be a nonnegative
+    multiple of h for every a; the sum over h is the budget of factors.  The
+    rows ``{r: {i: e}}`` are then visited once, ascending: at the lowest row
+    only A[i,r+1]^e cancels Y[i,r]^e, and dividing it out touches rows r+1
+    and r+2 only.  False at a negative exponent on the bottom row or once
+    the factors pass the budget; True when every row is cleared.
     """
-    h = w.n + 1
-    return tuple(
-        sum(min(i, j) * (h - max(i, j)) * c for j, c in enumerate(w.coords, start=1))
-        for i in range(1, h)
-    )
-
-
-def simple_root_coords(w: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of a weight in the simple-root basis (inverse Cartan matrix)."""
-    h = w.n + 1
-    return tuple(Fraction(t, h) for t in scaled_root_coords(w))
-
-
-def root_height(m: LMonomial) -> Fraction:
-    """Sum of the simple-root coordinates of ``weight_of(m)``.
-
-    Strictly monotone along the loop-root order: ``m1 < m2`` implies
-    ``root_height(m1) < root_height(m2)``, which makes it a valid sort key
-    for chains of dominant monomials.
-    """
-    return Fraction(sum(scaled_root_coords(weight_of(m))), m.n + 1)
+    h = n + 1
+    weight = [0] * h
+    rows: dict[int, dict[int, int]] = {}
+    for (i, r), e in pairs:
+        weight[i] += e
+        row = rows.get(r)
+        if row is None:
+            rows[r] = {i: e}
+        else:
+            row[i] = e
+    low = budget = 0
+    high = sum((h - b) * weight[b] for b in range(1, h))
+    for a in range(1, h):
+        low += a * weight[a]
+        high -= (h - a) * weight[a]
+        t = (h - a) * low + a * high
+        if t < 0 or t % h:
+            return False
+        budget += t
+    budget //= h
+    while rows:
+        r = min(rows)
+        up = None
+        for i, e in rows.pop(r).items():
+            if e <= 0:
+                if e:
+                    return False
+                continue
+            budget -= e
+            if budget < 0:
+                return False
+            if up is None:
+                up = rows.setdefault(r + 1, {})
+                top = rows.setdefault(r + 2, {})
+            top[i] = top.get(i, 0) - e
+            if i > 1:
+                up[i - 1] = up.get(i - 1, 0) + e
+            if i < n:
+                up[i + 1] = up.get(i + 1, 0) + e
+            if factors is not None:
+                factors[(i, r + 1)] = e
+    return True
 
 
 def lroot_decompose(m: LMonomial) -> Optional[LRootDecomposition]:
     """Write ``m`` as a product of nonnegative powers of simple loop roots.
 
-    Returns ``None`` when no such decomposition exists.  The per-node factor
-    totals are forced by the weight (inverse Cartan matrix, in integers
-    scaled by ``n + 1``); the spectral placement is then forced row by row
-    from the bottom: at the minimal occupied spectral exponent r0 only
-    factors A[i,r0+1] can contribute, with multiplicity equal to the stored
-    exponent at (i,r0).
+    Returns ``None`` when no such decomposition exists.  One bottom-up peel
+    of ``m``'s rows (``_peel``) decides it and collects the factors; each
+    row forces its factors, so the decomposition is unique.
     """
-    n = m.n
-    h = n + 1
-    scaled = scaled_root_coords(weight_of(m))
-    if any(t < 0 or t % h for t in scaled):
-        return None
-    budget = sum(scaled) // h
-    work: dict[Key, int] = dict(m.items())
     factors: dict[Key, int] = {}
-    consumed = 0
-    while work:
-        r0 = min(r for (_, r) in work)
-        bottom = [(i, e) for (i, r), e in work.items() if r == r0]
-        if any(e < 0 for _, e in bottom):
-            return None
-        consumed += sum(e for _, e in bottom)
-        if consumed > budget:
-            return None
-        for i, e in bottom:
-            factors[(i, r0 + 1)] = factors.get((i, r0 + 1), 0) + e
-            # divide out A[i, r0+1]^e
-            for key, de in (
-                ((i, r0), -e),
-                ((i, r0 + 2), -e),
-                ((i - 1, r0 + 1), e),
-                ((i + 1, r0 + 1), e),
-            ):
-                if not 1 <= key[0] <= n:
-                    continue
-                new = work.get(key, 0) + de
-                if new:
-                    work[key] = new
-                else:
-                    work.pop(key, None)
-    return LRootDecomposition(n, tuple(sorted(factors.items())))
+    if not _peel(m.n, m._exps, factors):
+        return None
+    return LRootDecomposition(m.n, tuple(sorted(factors.items())))
 
 
 def le(m1: LMonomial, m2: LMonomial) -> bool:
-    """Partial order: ``m1 <= m2`` iff ``m2 / m1`` lies in the positive root cone."""
+    """Partial order: ``m1 <= m2`` iff ``m2 / m1`` lies in the positive root
+    cone.  The quotient's pairs come straight from the two exponent tuples,
+    and the peel of ``lroot_decompose`` decides them without keeping factors."""
     if m1.n != m2.n:
         raise InvalidInput(f"rank mismatch: {m1.n} != {m2.n}")
-    return lroot_decompose(m2 / m1) is not None
+    quotient = dict(m2._exps)
+    for key, e in m1._exps:
+        e = quotient.get(key, 0) - e
+        if e:
+            quotient[key] = e
+        else:
+            del quotient[key]
+    return _peel(m1.n, quotient.items(), None)
 
 
 def restrict(m: LMonomial, nodes: Iterable[int]) -> LMonomial:
@@ -465,8 +471,9 @@ def transform(m: LMonomial, kind: str, t: int = 0) -> LMonomial:
 def monomial_sort_key(m: LMonomial) -> tuple:
     """Deterministic total order refining the loop-root order downwards.
 
-    The first entry is ``-2 * root_height(m)``, computed in integers: node
-    ``i`` has height ``i * (n + 1 - i) / 2`` times its weight coordinate.
+    The first entry is minus twice the root height of ``m`` (the sum of its
+    weight's simple-root coordinates), computed in integers: node ``i`` has
+    height ``i * (n + 1 - i) / 2`` times its weight coordinate.
     """
     h = m.n + 1
     return (-sum(e * i * (h - i) for (i, _), e in m.items()), m.items())

@@ -567,12 +567,16 @@ def recognize_minaff(m: LMonomial, direction: Direction) -> MinAffSpec | None:
 
 def recognize_kr(m: LMonomial) -> KRSpec | None:
     """The KR module at node 1 or n whose Drinfeld polynomial is the dominant
-    monomial ``m`` (its lowest variable is the anchor), or None if there is none."""
-    rows = _unit_rows(m)
-    if rows is None or list(rows) not in ([1], [m.n]):
+    monomial ``m``, or None: the one candidate has the node and parameter of
+    ``m``'s first variable and one string step per variable."""
+    if not is_dominant(m):
+        raise InvalidInput("recognition requires a dominant monomial")
+    if m.is_identity:
         return None
-    ((node, rs),) = rows.items()
-    kr = KRSpec(m.n, node, rs[0], len(rs))
+    (node, r), _ = m.items()[0]
+    if node not in (1, m.n):
+        return None
+    kr = KRSpec(m.n, node, r, len(m.items()))
     return kr if kr.drinfeld() == m else None
 
 

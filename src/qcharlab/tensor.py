@@ -102,7 +102,7 @@ class Resonance:
     p: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Variant:
     """One direction/node combination and its transport to normal form.
 
@@ -111,7 +111,8 @@ class Variant:
     normal form and back (None for normal form itself); ``exact_D`` marks
     the one that commutes with q-characters termwise, so that D must
     transport exactly.  Everything else follows from ``first`` and
-    ``flipped``; see ``_resonances`` and ``_socle_head``.
+    ``flipped``; see ``_resonances`` and ``_socle_head``.  The rows of
+    ``VARIANTS`` are the only instances, compared and hashed by identity.
     """
 
     name: str
@@ -135,11 +136,12 @@ VARIANTS = {
         Variant("c", "dec", False, "minus", "minus"),
     )
 }
+_VARIANT_OF_ROW = {(v.direction, v.first): v for v in VARIANTS.values()}
 
 
 def _variant_of(direction: str, first: bool) -> Variant:
     # callers pass first = (node != n): at n = 1 the node is also last, and last wins
-    return next(v for v in VARIANTS.values() if (v.direction, v.first) == (direction, first))
+    return _VARIANT_OF_ROW[direction, first]
 
 
 @dataclass(frozen=True)

@@ -12,20 +12,25 @@ monomial off a slice of its exponent vector, one filling per loop step
 (the package holds the live pairs and loops the last box in place), the
 resonance equations are written out once per variant (the package derives
 them from two flags), a minimal affinization is recognised by its anchor ladder (the
-package rebuilds the candidate's Drinfeld polynomial), the highest
+package rebuilds the candidate's Drinfeld polynomial), a KR module by
+its per-node rows of unit exponents (the package builds the one candidate
+at the first variable), a monomial is decomposed into loop roots by its
+weight's root coordinates and a rescan of a work dict per row (the
+package peels a row map once, bottom-up), the highest
 tableau's columns are read off the anchor ladder (the package reads them
 off the Drinfeld polynomial, ``snake_shape``), q-characters are built by
 the strict Frenkel–Mukhin algorithm (the package fills tableaux), every
 JSON value the CLI writes is a dict or list for
 ``json.dumps`` (the package writes each type's JSON text directly, in
 ``json_text``), and monomial generators build random inputs from scratch.
-The column-gap, single-box-raise and weight-sum helpers serve only the
-tests, so they live here rather than in the package.
+The column-gap, single-box-raise, weight-sum and root-coordinate helpers
+serve only the tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import compress, product
 from operator import getitem
 
@@ -35,6 +40,7 @@ from qcharlab import (
     InvalidInput,
     KRSpec,
     LMonomial,
+    LRootDecomposition,
     MinAffSpec,
     QChar,
     Shape,
@@ -47,6 +53,7 @@ from qcharlab import (
     is_dominant,
     monomial_of_box,
     resonance_window,
+    weight_of,
     y_string,
 )
 from qcharlab.tableaux import box_support
@@ -428,6 +435,90 @@ def recognize_minaff_reference(m: LMonomial):
     return lam_t, tuple(eps_ok), anchors[supp[-1]]
 
 
+def recognize_kr_reference(m: LMonomial):
+    """The KR module at node 1 or n whose Drinfeld polynomial is the dominant
+    monomial ``m``, read off its rows: every exponent must be 1 and every
+    variable sit at one extreme node, whose lowest parameter is the anchor."""
+    if not is_dominant(m):
+        raise InvalidInput("recognition requires a dominant monomial")
+    rows: dict[int, list[int]] = {}
+    for (i, r), e in m.items():
+        if e != 1:
+            return None
+        rows.setdefault(i, []).append(r)
+    if list(rows) not in ([1], [m.n]):
+        return None
+    ((node, rs),) = rows.items()
+    kr = KRSpec(m.n, node, rs[0], len(rs))
+    return kr if kr.drinfeld() == m else None
+
+
+def scaled_root_coords(w: Weight) -> tuple[int, ...]:
+    """``n + 1`` times the simple-root coordinates of ``w``, in integers.
+
+    Row ``i`` of ``n + 1`` times the inverse Cartan matrix is
+    ``min(i, j) * (n + 1 - max(i, j))``.
+    """
+    h = w.n + 1
+    return tuple(
+        sum(min(i, j) * (h - max(i, j)) * c for j, c in enumerate(w.coords, start=1))
+        for i in range(1, h)
+    )
+
+
+def simple_root_coords(w: Weight) -> tuple[Fraction, ...]:
+    """Coordinates of a weight in the simple-root basis (inverse Cartan matrix)."""
+    h = w.n + 1
+    return tuple(Fraction(t, h) for t in scaled_root_coords(w))
+
+
+def root_height(m: LMonomial) -> Fraction:
+    """Sum of the simple-root coordinates of ``weight_of(m)``; strictly
+    monotone along the loop-root order."""
+    return Fraction(sum(scaled_root_coords(weight_of(m))), m.n + 1)
+
+
+def lroot_decompose_reference(m: LMonomial):
+    """Write ``m`` as a product of nonnegative powers of simple loop roots,
+    or None.  The per-node factor totals are forced by the weight (inverse
+    Cartan matrix, scaled by ``n + 1``); the factors are then forced row by
+    row from the bottom, each row found by a ``min`` over the whole work dict."""
+    n = m.n
+    h = n + 1
+    scaled = scaled_root_coords(weight_of(m))
+    if any(t < 0 or t % h for t in scaled):
+        return None
+    budget = sum(scaled) // h
+    work: dict[tuple[int, int], int] = dict(m.items())
+    factors: dict[tuple[int, int], int] = {}
+    consumed = 0
+    while work:
+        r0 = min(r for (_, r) in work)
+        bottom = [(i, e) for (i, r), e in work.items() if r == r0]
+        if any(e < 0 for _, e in bottom):
+            return None
+        consumed += sum(e for _, e in bottom)
+        if consumed > budget:
+            return None
+        for i, e in bottom:
+            factors[(i, r0 + 1)] = factors.get((i, r0 + 1), 0) + e
+            # divide out A[i, r0+1]^e
+            for key, de in (
+                ((i, r0), -e),
+                ((i, r0 + 2), -e),
+                ((i - 1, r0 + 1), e),
+                ((i + 1, r0 + 1), e),
+            ):
+                if not 1 <= key[0] <= n:
+                    continue
+                new = work.get(key, 0) + de
+                if new:
+                    work[key] = new
+                else:
+                    work.pop(key, None)
+    return LRootDecomposition(n, tuple(sorted(factors.items())))
+
+
 def highest_shape_reference(spec: MinAffSpec) -> Shape:
     """The highest tableau's shape read off the anchor ladder.
 
@@ -589,9 +680,12 @@ def weyl_dim_oracle(n: int, lam: tuple[int, ...]) -> int:
 
 
 @st.composite
-def lmonomials(draw, max_n: int = 4, max_factors: int = 6, row_span: int = 8, exponents=(-1, 1)):
-    """Random monomials as products of Y[i,r]^e, e drawn from ``exponents``."""
-    n = draw(st.integers(1, max_n))
+def lmonomials(
+    draw, max_n: int = 4, max_factors: int = 6, row_span: int = 8, exponents=(-1, 1), min_n: int = 1
+):
+    """Random monomials as products of Y[i,r]^e, e drawn from ``exponents``,
+    of a rank in ``min_n..max_n``."""
+    n = draw(st.integers(min_n, max_n))
     count = draw(st.integers(0, max_factors))
     pairs = []
     for _ in range(count):
@@ -630,6 +724,16 @@ def lroot_products(draw, max_n: int = 3, max_factors: int = 4, row_span: int = 4
         factors[(i, r)] = factors.get((i, r), 0) + 1
         m = m * expand_simple_lroot(n, i, r)
     return n, m, factors
+
+
+@st.composite
+def lroot_quotients(draw, max_n: int = 4):
+    """A random element of the positive loop-root cone times random noise
+    of the same rank (exponents -2..2), so that quotients inside the cone,
+    weight-test failures and peels that fail on a high row all occur."""
+    n, m, _ = draw(lroot_products(max_n=max_n, max_factors=6))
+    noise = draw(lmonomials(min_n=n, max_n=n, max_factors=3, row_span=4, exponents=(-2, -1, 1, 2)))
+    return m * noise
 
 
 @st.composite

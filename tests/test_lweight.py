@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,23 @@ from hypothesis import strategies as st
 
 from oracles import (
     add_weights,
+    all_weights,
     dominant_monomials,
     in_lroot_cone_bruteforce,
     lmonomials,
+    lroot_decompose_reference,
     lroot_products,
+    lroot_quotients,
     monomial_json_reference,
     right_negative_monomials,
+    root_height,
+    scaled_root_coords,
+    simple_root_coords,
 )
 from qcharlab import (
     InvalidInput,
     LMonomial,
+    MinAffSpec,
     Weight,
     expand_lroot_path,
     expand_simple_lroot,
@@ -31,12 +39,8 @@ from qcharlab import (
     y_string,
 )
 from qcharlab import cli
-from qcharlab.lweight import (
-    monomial_sort_key,
-    root_height,
-    scaled_root_coords,
-    simple_root_coords,
-)
+from qcharlab.lweight import monomial_sort_key
+from qcharlab.tensor import spectra_by_anchor
 
 
 def Y(n, i, r, e=1):
@@ -157,6 +161,29 @@ class TestExpandSimpleLRoot:
     def test_top_node_boundary(self):
         expected = Y(2, 2, 1) * Y(2, 2, 3) * Y(2, 1, 2, -1)
         assert expand_simple_lroot(2, 2, 2) == expected
+
+    def test_every_node_matches_generator_product(self):
+        for n in range(1, 6):
+            for i in range(1, n + 1):
+                expected = Y(n, i, -1) * Y(n, i, 1)
+                for j in (i - 1, i + 1):
+                    if 1 <= j <= n:
+                        expected = expected * Y(n, j, 0, -1)
+                assert expand_simple_lroot(n, i, 0) == expected
+
+    def test_node_out_of_range(self):
+        for i in (0, 3):
+            with pytest.raises(InvalidInput, match=f"node {i} out of range 1..2"):
+                expand_simple_lroot(2, i, 0)
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
+    @pytest.mark.parametrize("slot", range(3))
+    def test_arguments_must_be_ints(self, slot, value):
+        args = [2, 1, 0]
+        args[slot] = value
+        what = ("rank", "node", "spectral parameter")[slot]
+        with pytest.raises(InvalidInput, match=f"^{what} must be an integer, got {re.escape(repr(value))}$"):
+            expand_simple_lroot(*args)
 
 
 class TestExpandLRootPath:
@@ -291,6 +318,66 @@ class TestLRootDecompose:
         assert (got is not None) == expected
         if got is not None:
             assert got.expand() == probe
+
+
+def assert_peel_agrees(a, b):
+    """``lroot_decompose(b / a)`` is the reference decomposition (or None
+    with it), and ``le(a, b)`` says whether there is one."""
+    q = b / a
+    ref = lroot_decompose_reference(q)
+    assert lroot_decompose(q) == ref, q
+    assert le(a, b) == (ref is not None), (a, b)
+
+
+class TestPeelAgainstReference:
+    """The one bottom-up peel behind ``le`` and ``lroot_decompose`` gives
+    the answers of the weight-test-and-rescan reference."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_quotients(self, data):
+        q = data.draw(lroot_quotients())
+        a = data.draw(lmonomials(min_n=q.n, max_n=q.n, exponents=(-2, -1, 1, 2)))
+        assert_peel_agrees(a, a * q)
+        assert_peel_agrees(a * q, a)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            LMonomial.identity(3),
+            Y(1, 1, 0),  # the weight test fails
+            Y(3, 2, 0),  # root coordinates not multiples of n + 1
+            Y(1, 1, 0, 2),  # over the budget on the bottom row
+            Y(4, 3, 3, 5),  # over the budget on the third row
+            expand_simple_lroot(2, 1, 0) * Y(2, 1, 5, -1) * Y(2, 1, 7),  # fails on a high row
+            expand_lroot_path(4, 1, 4, 0) ** 3,  # a cascade through every node
+            expand_lroot_path(4, 4, 1, 2) ** 2 * expand_lroot_path(4, 1, 4, 0),
+            expand_lroot_path(4, 1, 4, 0) / expand_simple_lroot(4, 4, 4),
+        ],
+        ids=str,
+    )
+    def test_examples(self, q):
+        one = LMonomial.identity(q.n)
+        assert_peel_agrees(one, q)
+        assert_peel_agrees(q, one)
+        base = Y(q.n, 1, 3) * Y(q.n, q.n, -2, -1)
+        assert_peel_agrees(base, base * q)
+
+    def test_consecutive_golden_spectra(self):
+        """Every consecutive pair of D over the golden grid, both ways round."""
+        outcomes = set()
+        for n in range(1, 4):
+            for lam in all_weights(n, 3):
+                for direction in ("inc", "dec"):
+                    spec = MinAffSpec(n, lam, direction, 0)
+                    for node in {1, n}:
+                        for k in range(1, 4):
+                            for terms in spectra_by_anchor(spec, node, k).values():
+                                for (hi, _), (lo, _) in zip(terms, terms[1:]):
+                                    assert_peel_agrees(lo, hi)
+                                    assert_peel_agrees(hi, lo)
+                                    outcomes.update((le(lo, hi), le(hi, lo)))
+        assert outcomes == {True, False}
 
 
 class TestPartialOrder:

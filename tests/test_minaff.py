@@ -12,6 +12,7 @@ from oracles import (
     fm_reference,
     kr_json_reference,
     qchar_json_reference,
+    recognize_kr_reference,
     recognize_minaff_reference,
     spec_json_reference,
     weyl_dim_oracle,
@@ -488,6 +489,45 @@ class TestRecognitionAgainstLadder:
         key = data.draw(st.sampled_from(sorted(exps) + [(1, 0), (n, 1)]))
         change = data.draw(st.sampled_from((1, -1) if key in exps else (1,)))
         assert_recognizers_agree(m * Y(n, *key, change))
+
+
+class TestRecognizeKrOneCandidate:
+    """``recognize_kr`` builds its one candidate at the first variable and
+    answers as the row-by-row reference does."""
+
+    def test_every_kr_string(self):
+        for n in range(1, 5):
+            for node in sorted({1, n}):
+                for k in range(1, 5):
+                    for r in (-3, 0, 2):
+                        kr = KRSpec(n, node, r, k)
+                        assert recognize_kr(kr.drinfeld()) == recognize_kr_reference(kr.drinfeld()) == kr
+
+    def test_identity(self):
+        assert recognize_kr(LMonomial.identity(3)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_strings_with_one_change(self, data):
+        """A string at any node (interior ones too) with a repeated
+        exponent, a variable at a second node, or a gap."""
+        n = data.draw(st.integers(1, 4))
+        node = data.draw(st.integers(1, n))
+        m = y_string(n, node, data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 4)))
+        keys = [key for key, _ in m.items()]
+        change = data.draw(st.sampled_from(("none", "repeat", "second_node", "gap")))
+        if change == "repeat":
+            m = m * Y(n, *data.draw(st.sampled_from(keys)))
+        elif change == "second_node":
+            m = m * Y(n, data.draw(st.integers(1, n)), data.draw(st.integers(-6, 10)))
+        elif change == "gap" and len(keys) > 2:
+            m = m / Y(n, *data.draw(st.sampled_from(keys[1:-1])))
+        assert recognize_kr(m) == recognize_kr_reference(m), m
+
+    @settings(max_examples=300, deadline=None)
+    @given(dominant_monomials(max_n=4, max_factors=5, row_span=4))
+    def test_random_dominant_monomials(self, m):
+        assert recognize_kr(m) == recognize_kr_reference(m), m
 
 
 class TestFundamentalAgainstClosedForm:
