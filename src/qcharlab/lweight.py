@@ -209,14 +209,20 @@ _set_hash = LMonomial._hash.__set__
 
 @dataclass(frozen=True)
 class Weight:
-    """Integral weight of sl_{n+1} as its values on the coroots h_1..h_n."""
+    """Integral weight of sl_{n+1} as its values on the coroots h_1..h_n:
+    a positive plain ``int`` rank and one plain ``int`` per node, given as a
+    tuple or list and stored as a tuple."""
 
     n: int
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coords) != self.n:
-            raise InvalidInput("coordinate vector length must equal the rank")
+        require_rank(self.n)
+        if not isinstance(self.coords, (tuple, list)) or len(self.coords) != self.n:
+            raise InvalidInput(f"weight of rank {self.n} needs {self.n} coordinates, got {self.coords!r}")
+        object.__setattr__(self, "coords", tuple(self.coords))
+        for v in self.coords:
+            require_int("weight coordinate", v)
 
 
 @dataclass(frozen=True)
@@ -225,11 +231,27 @@ class LRootDecomposition:
 
     ``factors`` maps ``(i, r)`` to the (positive) exponent of ``A[i,r]``.
     Uniqueness follows from the multiplicative independence of the loop
-    roots, so two decompositions of the same monomial are identical.
+    roots, so two decompositions of the same monomial are identical.  The
+    rank, nodes, parameters and exponents must be plain ``int``s, with nodes
+    in ``1..n`` and exponents positive; a malformed structure is
+    ``InvalidInput`` too.
     """
 
     n: int
     factors: tuple[tuple[Key, int], ...]
+
+    def __post_init__(self):
+        require_rank(self.n)
+        try:
+            factors = tuple(((i, r), c) for (i, r), c in self.factors)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"factors must be ((i, r), c) pairs, got {self.factors!r}") from None
+        object.__setattr__(self, "factors", factors)
+        for (i, r), c in factors:
+            for what, v in (("node", i), ("spectral parameter", r), ("exponent", c)):
+                require_int(what, v)
+            if not 1 <= i <= self.n or c < 1:
+                raise InvalidInput(f"A[{i},{r}]^{c} needs a node in 1..{self.n} and a positive exponent")
 
     @property
     def total(self) -> int:
@@ -302,11 +324,16 @@ def weight_of(m: LMonomial) -> Weight:
 
 
 def is_dominant(m: LMonomial) -> bool:
-    """True iff no inverted Y-variable appears (all stored exponents positive).
+    """True iff no inverted Y-variable appears (all stored exponents positive)."""
+    return dominant_exps(m._exps)
+
+
+def dominant_exps(exps: tuple[tuple[Key, int], ...]) -> bool:
+    """``is_dominant`` of the monomial whose canonical exponent tuple is ``exps``.
 
     A plain loop that returns at the first negative exponent: stored
     exponents are never zero, so that is the first one not positive."""
-    for _, e in m._exps:
+    for _, e in exps:
         if e < 0:
             return False
     return True

@@ -17,7 +17,9 @@ that monomial.
 The q-character is the set of monomials of the semi-standard fillings of
 the Drinfeld polynomial's snake shape, read off the search without building
 the tableaux; for a KR module at the last node an independent
-partition-indexed formula provides the same set of terms.
+partition-indexed formula provides the same set of terms.  A ``QChar``
+holds its terms as the search's canonical exponent tuples and builds
+``LMonomial`` objects only where a caller reads monomials.
 
 ``anchor_join`` is the one dominant-pair join: it gives the whole dominant
 part of ``walked * tau_r(indexed)``, the products of two dominant terms
@@ -37,15 +39,16 @@ from .errors import InvalidInput, InvariantViolation, require_int, require_rank
 from .lweight import (
     Key,
     LMonomial,
+    dominant_exps,
     expand_lroot_path,
     is_dominant,
     monomial_sort_key,
     transform,
     y_string,
 )
-from .tableaux import Tableau, semistandard_fillings, snake_shape
+from .tableaux import Tableau, filling_pairs, snake_shape
 
-# not used here since ``qchar`` reads monomials only, but still looked up
+# not used here since ``qchar`` reads exponent tuples only, but still looked up
 # in this module by the benchmark's tracer (``perfbench/spans.py``)
 from .tableaux import enumerate_semistandard, monomial_of_tableau  # noqa: F401
 
@@ -166,8 +169,12 @@ class KRSpec:
 class QChar:
     """A q-character: finite multiset of loop-weight monomials.
 
-    A character is held either as a dict of monomials or, for a product
-    character, as its two factors (``product``).  A product answers
+    The terms are a dict from each monomial's canonical exponent tuple
+    (``LMonomial.items()``) to its multiplicity; ``QChar(n, {LMonomial: c})``
+    converts its keys once.  ``len``, ``dimension`` and ``==`` read the
+    tuples; ``terms``, ``sorted_terms``, ``dominant_terms`` and
+    ``json_text`` build ``LMonomial``s on each call.  A product character
+    (``product``) holds its two factors instead; it answers
     ``dominant_terms`` by ``anchor_join`` at anchor 0, walking the larger
     factor's terms against the join index of the smaller one, without
     forming the product; everything else on it convolves the factors once,
@@ -186,34 +193,40 @@ class QChar:
                 require_int("multiplicity", mult)
                 raise InvalidInput("multiplicities must be positive")
         self.n = n
-        self._terms = dict(terms)
+        self._terms = {m.items(): mult for m, mult in terms.items()}
         self._factors = None
         self._index = None
+
+    @classmethod
+    def _of(cls, n: int, terms: dict[tuple, int] | None, factors=None) -> "QChar":
+        """An unchecked character: exponent-tuple ``terms``, or two ``factors``."""
+        qc = object.__new__(cls)
+        qc.n = n
+        qc._terms = terms
+        qc._factors = factors
+        qc._index = None
+        return qc
 
     @classmethod
     def product(cls, q1: "QChar", q2: "QChar") -> "QChar":
         """The product character ``q1 * q2``, held as its two factors."""
         if q1.n != q2.n:
             raise InvalidInput(f"rank mismatch: {q1.n} != {q2.n}")
-        qc = object.__new__(cls)
-        qc.n = q1.n
-        qc._terms = None
-        qc._factors = (q1, q2)
-        qc._index = None
-        return qc
+        return cls._of(q1.n, None, (q1, q2))
 
-    def _all_terms(self) -> dict[LMonomial, int]:
+    def _all_terms(self) -> dict[tuple, int]:
         if self._terms is None:
             self._terms = _convolve(*self._factors)
         return self._terms
 
     def _join_index(self) -> "_JoinIndex":
         if self._index is None:
-            self._index = _JoinIndex(self._all_terms())
+            self._index = _JoinIndex(self.terms())
         return self._index
 
     def terms(self) -> dict[LMonomial, int]:
-        return dict(self._all_terms())
+        n, make = self.n, LMonomial._make
+        return {make(n, t): c for t, c in self._all_terms().items()}
 
     def __len__(self) -> int:
         return len(self._all_terms())
@@ -224,15 +237,16 @@ class QChar:
 
     def dominant_terms(self) -> list[tuple[LMonomial, int]]:
         if self._factors is None:
-            out = [(m, c) for m, c in self._terms.items() if is_dominant(m)]
+            n, make = self.n, LMonomial._make
+            out = [(make(n, t), c) for t, c in self._terms.items() if dominant_exps(t)]
         else:
-            small, large = sorted(self._factors, key=lambda q: len(q._all_terms()))
+            small, large = sorted(self._factors, key=len)
             out = list(anchor_join(large, small, 0)[0].items())
         out.sort(key=lambda mc: monomial_sort_key(mc[0]))
         return out
 
     def sorted_terms(self) -> list[tuple[LMonomial, int]]:
-        return sorted(self._all_terms().items(), key=lambda mc: monomial_sort_key(mc[0]))
+        return sorted(self.terms().items(), key=lambda mc: monomial_sort_key(mc[0]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -251,13 +265,13 @@ class QChar:
         return f"[{','.join(terms)}]"
 
 
-def _convolve(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
+def _convolve(q1: QChar, q2: QChar) -> dict[tuple, int]:
     """Every term of ``q1 * q2``: all pairs multiplied, multiplicities summed."""
-    terms2 = q2._all_terms().items()
-    terms: dict[LMonomial, int] = {}
-    for m1, c1 in q1._all_terms().items():
+    terms2 = q2.terms().items()
+    terms: dict[tuple, int] = {}
+    for m1, c1 in q1.terms().items():
         for m2, c2 in terms2:
-            m = m1 * m2
+            m = (m1 * m2).items()
             terms[m] = terms.get(m, 0) + c1 * c2
     return terms
 
@@ -391,37 +405,41 @@ def anchor_join(
         raise InvalidInput(f"rank mismatch: {walked.n} != {indexed.n}")
     index = indexed._join_index()
     imonos, imults, ineeds = index.monos, index.mults, index.needs
+    n, make = walked.n, LMonomial._make
     out: dict[int, dict[LMonomial, int]] = {} if anchor is None else {anchor: {}}
     tops: list[tuple[LMonomial, int]] = []
 
-    def join(m: LMonomial, c: int, r: int, cand: int) -> None:
+    def join(t: tuple, c: int, r: int, cand: int) -> None:
         # keep the candidates whose negative keys, moved by r, the walked term covers
-        exps = {(i, s - r): e for (i, s), e in m.items()} if r else dict(m.items())
+        exps = {(i, s - r): e for (i, s), e in t} if r else dict(t)
+        m = None
         for j in _bits(cand):
             for key, e in ineeds[j]:
                 if exps.get(key, 0) < -e:
                     break
             else:
+                if m is None:
+                    m = make(n, t)
                 p = m * transform(imonos[j], "tau", r)
                 found = out.setdefault(r, {})
                 found[p] = found.get(p, 0) + c * imults[j]
 
-    for m, c in walked._all_terms().items():
-        need = [kv for kv in m.items() if kv[1] < 0]
+    for t, c in walked._all_terms().items():
+        need = [kv for kv in t if kv[1] < 0]
         if not need:
-            tops.append((m, c))
-            # the shifts that carry a term's first negative key onto a key of m
+            tops.append((make(n, t), c))
+            # the shifts that carry a term's first negative key onto a key of t
             for j, jneed in enumerate(ineeds):
                 if jneed:
                     (i0, s0), e0 = jneed[0]
-                    for (i, s), e in m.items():
+                    for (i, s), e in t:
                         if i == i0 and e >= -e0 and (anchor is None or anchor == s - s0):
-                            join(m, c, s - s0, 1 << j)
+                            join(t, c, s - s0, 1 << j)
             continue
         for r in (index.shifts(need) if anchor is None else (anchor,)):
             cand = index.covering(need, r)
             if cand:
-                join(m, c, r, cand)
+                join(t, c, r, cand)
     itops = [(m, c) for m, c, need in zip(imonos, imults, ineeds) if not need]
     for r, found in out.items():
         for m1, c1 in tops:
@@ -473,28 +491,31 @@ def highest_tableau(spec: MinAffSpec) -> Tableau:
 def qchar(spec: MinAffSpec) -> QChar:
     """q-character of a minimal affinization via tableau enumeration.
 
-    The terms are the monomials of ``semistandard_fillings`` over the
-    Drinfeld polynomial's ``snake_shape``; no tableau is built.  Two checks
-    follow, and a failure signals an implementation bug, never bad input:
-    the character is thin (no monomial repeats; only when the term count
-    falls short is the first repeated monomial looked for, to name it), and
-    its unique dominant term is the Drinfeld polynomial.
+    The terms are the exponent tuples of ``filling_pairs`` over the
+    Drinfeld polynomial's ``snake_shape``; no tableau or ``LMonomial`` is
+    built.  Two checks on the tuples follow, and a failure signals an
+    implementation bug, never bad input: the character is thin (no term
+    repeats; only when the term count falls short is the first repeated
+    term looked for, to name it), and its unique dominant term is the
+    Drinfeld polynomial.
     """
+    n, make = spec.n, LMonomial._make
     omega = drinfeld_of_spec(spec)
-    monos = [m for _, m in semistandard_fillings(spec.n, snake_shape(omega))]
-    terms = dict.fromkeys(monos, 1)
-    if len(terms) != len(monos):
-        seen: set[LMonomial] = set()
-        for m in monos:
-            if m in seen:
-                raise InvariantViolation(f"thinness violated: duplicate term {m}")
-            seen.add(m)
-    dominants = [m for m in terms if is_dominant(m)]
-    if len(dominants) != 1 or dominants[0] != omega:
+    found = [t for _, t in filling_pairs(n, snake_shape(omega))]
+    terms = dict.fromkeys(found, 1)
+    if len(terms) != len(found):
+        seen: set[tuple] = set()
+        for t in found:
+            if t in seen:
+                raise InvariantViolation(f"thinness violated: duplicate term {make(n, t)}")
+            seen.add(t)
+    dominants = [t for t in terms if dominant_exps(t)]
+    if dominants != [omega.items()]:
         raise InvariantViolation(
-            f"expected a unique dominant term equal to the Drinfeld polynomial, got {dominants}"
+            "expected a unique dominant term equal to the Drinfeld polynomial, "
+            f"got {[make(n, t) for t in dominants]}"
         )
-    return QChar(spec.n, terms)
+    return QChar._of(n, terms)
 
 
 def qchar_kr(kr: KRSpec) -> QChar:

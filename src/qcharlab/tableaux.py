@@ -19,17 +19,18 @@ constructor.
 column ``(i, r - i + 1)`` per variable ``Y[i, r]``, and every highest
 tableau's shape is the snake shape of its Drinfeld polynomial.
 
-``semistandard_fillings`` is the one search.  It places boxes without
-recursion and yields each filling's contents with its monomial, building no
-tableau; ``qchar`` reads only the monomials.  Beside a running exponent
-vector it holds the live pairs: one ``((i, r), e)`` per nonzero slot, taken
-from a table built once per search, so the terms of a character share their
-pairs and a monomial is the held pairs in key order.  The last box runs in
-one inner loop at each complete prefix, so a filling costs little more than
-its tuple and ``LMonomial``.  ``enumerate_semistandard`` is a view of the
-same search that builds a ``Tableau`` from each filling's contents.
-``monomial_of_tableau`` sums a tableau's box exponents in one pass and keeps
-no state.
+``filling_pairs`` is the one search.  It places boxes without recursion
+and yields each filling's contents with its monomial's canonical exponent
+tuple, building no tableau and no ``LMonomial``; ``qchar`` keeps only the
+tuples.  Beside a running exponent vector it holds the live pairs: one
+``((i, r), e)`` per nonzero slot, taken from a table built once per search,
+so the terms of a character share their pairs and a term is the held pairs
+in key order.  The last box runs in one inner loop at each complete prefix,
+so a filling costs little more than its tuple.  Two views of the same
+search, in the same order: ``semistandard_fillings`` wraps each tuple in an
+``LMonomial``, and ``enumerate_semistandard`` builds a ``Tableau`` from each
+filling's contents.  ``monomial_of_tableau`` sums a tableau's box exponents
+in one pass and keeps no state.
 """
 
 from __future__ import annotations
@@ -215,8 +216,18 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
     ``contents`` lists the box contents in search order (column by column,
     top to bottom) and is the search's live buffer: it is overwritten as
     the search goes on, so copy it before the next step.  ``monomial`` is
-    the filling's monomial.  The rank must be a positive plain ``int`` and
-    the shape a ``Shape``; both are checked once, before the first filling.
+    the ``LMonomial`` of the exponent tuple ``filling_pairs`` yields.  The
+    rank must be a positive plain ``int`` and the shape a ``Shape``; both
+    are checked once, before the first filling.
+    """
+    make = LMonomial._make
+    for contents, exps in filling_pairs(n, shape):
+        yield contents, make(n, exps)
+
+
+def filling_pairs(n: int, shape: Shape) -> Iterator[tuple[list[int], tuple]]:
+    """The one search: ``semistandard_fillings`` with each monomial given
+    as its canonical exponent tuple.
 
     Deterministic order: depth-first over columns left to right, within a
     column top to bottom, contents ascending (lexicographic in the
@@ -227,10 +238,10 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
     ``(i, r)`` keys the shape can reach, it keeps the live pairs: slot ``j``
     holds ``(keys[j], e)`` for its exponent ``e``, or ``None`` at ``e = 0``,
     and each placed or removed box updates the two slots it moves.  A
-    monomial is then the held pairs with the ``None`` entries dropped,
-    already in key order.  The last box is not a step of the search: at
-    each complete prefix one loop runs its contents and yields a filling
-    per content.
+    filling's exponent tuple is then the held pairs with the ``None``
+    entries dropped, already in key order.  The last box is not a step of
+    the search: at each complete prefix one loop runs its contents and
+    yields a filling per content.
     """
     require_rank(n)
     if not isinstance(shape, Shape):
@@ -255,7 +266,7 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
         prev = here
     nboxes = len(supports)
     if nboxes == 0:
-        yield [], LMonomial._make(n, ())
+        yield [], ()
         return
 
     # up[p][c] / down[p][c]: slot of the +1 / -1 factor of content c at box p;
@@ -276,7 +287,6 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
     down = [[spare] + [slot.get((c - 1, s + c), spare) for c in range(1, n + 2)] for s in supports]
     exps = [0] * (spare + 1)
     held: list = [None] * (spare + 1)
-    make = LMonomial._make
 
     contents = [0] * nboxes
     caps = [0] * nboxes
@@ -293,7 +303,7 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
                 held[u] = pairs[u][exps[u] + 1]
                 held[d] = pairs[d][exps[d] - 1]
                 contents[p] = c
-                yield contents, make(n, tuple(filter(None, held)))
+                yield contents, tuple(filter(None, held))
                 held[u], held[d] = held_u, held_d
             # contents[p] >= caps[p] now, so the search backs up
         c = contents[p] + 1
@@ -326,13 +336,14 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
 def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
     """Yield every semi-standard tableau of ``shape`` with contents in 1..n+1.
 
-    A view of ``semistandard_fillings``: the same order, each filling's
-    contents cut into columns and passed to the ``Tableau`` constructor.
+    A view of the one search (``filling_pairs``): the same order, each
+    filling's contents cut into columns and passed to the ``Tableau``
+    constructor.
     """
     columns: list[slice] = []
     start = 0
     for k, _ in shape:
         columns.append(slice(start, start + k))
         start += k
-    for contents, _ in semistandard_fillings(n, shape):
+    for contents, _ in filling_pairs(n, shape):
         yield Tableau(n, shape, [contents[cut] for cut in columns])

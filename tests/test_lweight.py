@@ -25,6 +25,7 @@ from oracles import (
 from qcharlab import (
     InvalidInput,
     LMonomial,
+    LRootDecomposition,
     MinAffSpec,
     Weight,
     expand_lroot_path,
@@ -232,6 +233,19 @@ class TestWeight:
     def test_weight_of_identity(self):
         assert weight_of(LMonomial.identity(3)) == Weight(3, (0, 0, 0))
 
+    @pytest.mark.parametrize(
+        "n, coords",
+        [(2, (0.5, True)), (2, (1, 2.0)), (2, (1, "1")), (0, ()), (-1, ()), (True, (1,)), (2.0, (1, 1)),
+         (2, (1,)), (2, 3), (2, "12")],
+        ids=repr,
+    )
+    def test_rank_and_coordinates_are_checked(self, n, coords):
+        with pytest.raises(InvalidInput):
+            Weight(n, coords)
+
+    def test_coordinates_are_stored_as_a_tuple(self):
+        assert Weight(2, [1, -2]) == Weight(2, (1, -2))
+
     @given(lmonomials(), lmonomials())
     def test_weight_additive(self, a, b):
         if a.n != b.n:
@@ -294,6 +308,36 @@ class TestLRootDecompose:
     def test_identity_has_empty_decomposition(self):
         d = lroot_decompose(LMonomial.identity(2))
         assert d is not None and d.factors == ()
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (2, (((1, 0.5), 1.5),)),
+            (2, (((1, 0), 1.5),)),
+            (2, (((1, 0), True),)),
+            (2, (((True, 0), 1),)),
+            (2, (((1, "0"), 1),)),
+            (2, (((3, 0), 1),)),
+            (2, (((0, 0), 1),)),
+            (2, (((1, 0), 0),)),
+            (2, (((1, 0), -1),)),
+            (0, ()),
+            (2.0, ()),
+            (True, ()),
+            (2, 5),
+            (2, ((1, 2),)),
+            (2, (((1, 0, 1), 1),)),
+        ],
+        ids=repr,
+    )
+    def test_decomposition_fields_are_checked(self, n, factors):
+        with pytest.raises(InvalidInput):
+            LRootDecomposition(n, factors)
+
+    def test_decomposition_of_plain_ints(self):
+        d = LRootDecomposition(2, [((1, 1), 2), ((2, 2), 1)])
+        assert d.factors == (((1, 1), 2), ((2, 2), 1)) and d.total == 3
+        assert d.expand() == expand_simple_lroot(2, 1, 1) ** 2 * expand_simple_lroot(2, 2, 2)
 
     @given(lroot_products())
     def test_roundtrip_and_uniqueness(self, data):

@@ -11,6 +11,7 @@ from oracles import (
     dominant_monomials,
     fm_reference,
     kr_json_reference,
+    product_qchar_reference,
     qchar_json_reference,
     recognize_kr_reference,
     recognize_minaff_reference,
@@ -32,6 +33,7 @@ from qcharlab import (
     kr_qchar_by_partitions,
     monomial_of_box,
     monomial_of_tableau,
+    product_qchar,
     qchar,
     qchar_kr,
     recognize_kr,
@@ -168,6 +170,35 @@ class TestHighestTableau:
             assert all(a - b == 2 for a, b in zip(edge, edge[1:]))
 
 
+def any_character(n: int):
+    """A random character of rank ``n``: built by ``QChar`` from monomials
+    (``characters``), or by ``qchar`` from the search's exponent tuples."""
+    lam = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda v: 0 < sum(v) <= 3)
+    spec = st.builds(MinAffSpec, st.just(n), lam.map(tuple), st.sampled_from(("inc", "dec")), st.integers(-3, 3))
+    return st.one_of(characters(n), spec.map(qchar))
+
+
+class TestTermStorage:
+    """A character holds exponent tuples however it was built, and rebuilding
+    it from its monomials changes nothing a caller can read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[any_character(n)] * 2, st.booleans(), st.booleans())))
+    def test_rebuilt_characters_agree(self, data):
+        a, b, rebuild_a, rebuild_b = data
+        for qc in (a, b):
+            copy = QChar(qc.n, qc.terms())
+            assert qc == copy and copy == qc
+            assert len(copy) == len(qc) and copy.dimension == qc.dimension
+            assert list(copy.terms().items()) == list(qc.terms().items())
+            assert copy.sorted_terms() == qc.sorted_terms()
+            assert copy.dominant_terms() == qc.dominant_terms()
+            assert copy.json_text() == qc.json_text()
+        x = QChar(a.n, a.terms()) if rebuild_a else a
+        y = QChar(b.n, b.terms()) if rebuild_b else b
+        assert product_qchar(x, y).dominant_terms() == product_qchar_reference(x, y).dominant_terms()
+
+
 class TestQChar:
     @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
     def test_rank_and_multiplicities_must_be_ints(self, value):
@@ -224,18 +255,19 @@ class TestQChar:
 
     def test_thinness_error_names_the_repeated_term(self, monkeypatch):
         spec = MinAffSpec(2, (1, 1), "inc", 3)
-        fillings = minaff.semistandard_fillings
-        monos = [m for _, m in fillings(spec.n, highest_tableau(spec).shape)]
+        fillings = minaff.filling_pairs
+        found = [t for _, t in fillings(spec.n, highest_tableau(spec).shape)]
         # the fourth term comes again after the sixth; the first repeat is the fourth
         order = [0, 1, 2, 3, 4, 5, 3, 6, 1, 7]
 
         def repeating(n, shape):
-            return (([], monos[i]) for i in order)
+            return (([], found[i]) for i in order)
 
-        monkeypatch.setattr(minaff, "semistandard_fillings", repeating)
+        monkeypatch.setattr(minaff, "filling_pairs", repeating)
         qchar.cache_clear()
         try:
-            message = f"thinness violated: duplicate term {monos[3]}"
+            # the duplicate is named as a monomial, Y[...], not as its tuple
+            message = f"thinness violated: duplicate term {LMonomial(spec.n, found[3])}"
             with pytest.raises(InvariantViolation, match=re.escape(message) + "$"):
                 qchar(spec)
         finally:

@@ -865,10 +865,10 @@ def _monomial_perturbed(family):
 
 
 def _monomials_identity(fillings):
-    """Every filling's monomial replaced by the identity, so all terms collide."""
+    """Every filling's exponent tuple replaced by the identity's, so all terms collide."""
 
     def patched(n, shape):
-        return ((contents, LMonomial.identity(n)) for contents, _ in fillings(n, shape))
+        return ((contents, ()) for contents, _ in fillings(n, shape))
 
     return patched
 
@@ -928,9 +928,9 @@ CHECKS = [
     # the extra factor is derived only once D matches the closed form
     (NORMAL_POINT, {"tensor.family_S": _monomial_perturbed, "tensor.expected_dominants": _brute_force_D},
      TheoremViolation, "not at position"),
-    (NORMAL_POINT, {"minaff.semistandard_fillings": _monomials_identity},
+    (NORMAL_POINT, {"minaff.filling_pairs": _monomials_identity},
      InvariantViolation, "thinness violated"),
-    (NORMAL_POINT, {"minaff.is_dominant": lambda f: lambda m: True},
+    (NORMAL_POINT, {"minaff.dominant_exps": lambda f: lambda exps: True},
      InvariantViolation, "expected a unique dominant term"),
 ]
 CHECK_IDS = [
