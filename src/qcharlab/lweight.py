@@ -27,20 +27,25 @@ Key = tuple[int, int]  # (node i, spectral exponent r)
 
 def _canonical(pairs: Iterable[tuple[Key, int]], n: int) -> tuple[tuple[Key, int], ...]:
     acc: dict[Key, int] = {}
-    for (i, r), e in pairs:
-        if not (type(i) is type(r) is type(e) is int):
-            for what, v in (("node", i), ("spectral parameter", r), ("exponent", e)):
-                require_int(what, v)
-        if not 1 <= i <= n:
-            raise InvalidInput(f"node {i} out of range 1..{n}")
-        if e == 0:
-            continue
-        key = (i, r)
-        new = acc.get(key, 0) + e
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
+    try:
+        for (i, r), e in pairs:
+            if not (type(i) is type(r) is type(e) is int):
+                for what, v in (("node", i), ("spectral parameter", r), ("exponent", e)):
+                    require_int(what, v)
+            if not 1 <= i <= n:
+                raise InvalidInput(f"node {i} out of range 1..{n}")
+            if e == 0:
+                continue
+            key = (i, r)
+            new = acc.get(key, 0) + e
+            if new:
+                acc[key] = new
+            else:
+                acc.pop(key, None)
+    except InvalidInput:
+        raise
+    except (TypeError, ValueError):
+        raise InvalidInput(f"pairs must be ((i, r), e) pairs, got {pairs!r}") from None
     return tuple(sorted(acc.items()))
 
 
@@ -49,7 +54,9 @@ class LMonomial:
 
     Canonical form: zero exponents are never stored and keys are sorted by
     ``(i, r)``, so equality and hashing are structural.  The rank and every
-    node, parameter and exponent must be a plain ``int`` (``require_int``).
+    node, parameter and exponent must be a plain ``int`` (``require_int``),
+    and ``pairs`` an iterable of ``((i, r), e)``; a malformed structure is
+    ``InvalidInput`` too.
     """
 
     __slots__ = ("n", "_exps", "_hash")
@@ -356,34 +363,27 @@ def _peel(n: int, pairs: Iterable[tuple[Key, int]], factors: Optional[dict[Key, 
     """Whether the monomial of the distinct ``pairs`` is a product of simple
     loop roots; each factor A[i,r] found is stored in ``factors`` if given.
 
-    Weight test: ``t_a = sum_b min(a, b) * (h - max(a, b)) * w_b`` (h = n + 1,
-    summed in two running halves b <= a and b > a) must be a nonnegative
-    multiple of h for every a; the sum over h is the budget of factors.  The
-    rows ``{r: {i: e}}`` are then visited once, ascending: at the lowest row
+    The rows ``{r: {i: e}}`` are visited once, ascending: at the lowest row
     only A[i,r+1]^e cancels Y[i,r]^e, and dividing it out touches rows r+1
-    and r+2 only.  False at a negative exponent on the bottom row or once
-    the factors pass the budget; True when every row is cleared.
+    and r+2 only.  False at a negative exponent on the bottom row; True when
+    every row is cleared.
+
+    The peel ends by row R + n + 1, R the top row.  Past R the vectors y_r of
+    factors peeled at row r obey y_{r+1} = Adj y_r - y_{r-1} (Adj the A_n
+    adjacency matrix; the recurrence of the inverse quantum Cartan matrix,
+    Hernandez-Leclerc, arXiv 1109.0862), whose solutions have the Coxeter
+    periodicity y_{r+h} = -w(y_r), h = n + 1 and w(i) = h - i the diagram
+    flip.  Peeled rows are nonnegative, so row R + n turns negative if
+    y_{R-1} != 0, row R + n + 1 if y_{R-1} = 0 != y_R, and nothing is left
+    above R if both are zero.
     """
-    h = n + 1
-    weight = [0] * h
     rows: dict[int, dict[int, int]] = {}
     for (i, r), e in pairs:
-        weight[i] += e
         row = rows.get(r)
         if row is None:
             rows[r] = {i: e}
         else:
             row[i] = e
-    low = budget = 0
-    high = sum((h - b) * weight[b] for b in range(1, h))
-    for a in range(1, h):
-        low += a * weight[a]
-        high -= (h - a) * weight[a]
-        t = (h - a) * low + a * high
-        if t < 0 or t % h:
-            return False
-        budget += t
-    budget //= h
     while rows:
         r = min(rows)
         up = None
@@ -392,9 +392,6 @@ def _peel(n: int, pairs: Iterable[tuple[Key, int]], factors: Optional[dict[Key, 
                 if e:
                     return False
                 continue
-            budget -= e
-            if budget < 0:
-                return False
             if up is None:
                 up = rows.setdefault(r + 1, {})
                 top = rows.setdefault(r + 2, {})

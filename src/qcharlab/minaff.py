@@ -179,14 +179,19 @@ class QChar:
     factor's terms against the join index of the smaller one, without
     forming the product; everything else on it convolves the factors once,
     on first use.  The rank must be a positive plain ``int``
-    (``require_rank``) and every multiplicity a positive one.
+    (``require_rank``), the terms a dict keyed by ``LMonomial``s of that
+    rank and every multiplicity a positive plain ``int``.
     """
 
     __slots__ = ("n", "_terms", "_factors", "_index")
 
     def __init__(self, n: int, terms: dict[LMonomial, int]):
         require_rank(n)
+        if not isinstance(terms, dict):
+            raise InvalidInput(f"terms must be a dict from LMonomial to multiplicity, got {terms!r}")
         for m, mult in terms.items():
+            if not isinstance(m, LMonomial):
+                raise InvalidInput(f"a term must be an LMonomial, got {m!r}")
             if m.n != n:
                 raise InvalidInput("term rank mismatch")
             if type(mult) is not int or mult <= 0:

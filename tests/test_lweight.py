@@ -94,6 +94,15 @@ class TestLMonomial:
             with pytest.raises(InvalidInput, match="must be an integer"):
                 LMonomial(n, (pair,))
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(1, 2)], "ab", 5, None, [((1, 0, 1), 1)], [((1,), 1)], [((1, 0), 1, 2)], [((1, 0),)]],
+        ids=repr,
+    )
+    def test_malformed_pairs_rejected(self, pairs):
+        with pytest.raises(InvalidInput, match=r"pairs must be \(\(i, r\), e\) pairs"):
+            LMonomial(2, pairs)
+
     def test_str(self):
         assert str(LMonomial.identity(2)) == "1"
         assert str(Y(2, 1, 0) * Y(2, 2, 3, -1)) == "Y[1,0] Y[2,3]^-1"
@@ -389,14 +398,18 @@ class TestPeelAgainstReference:
         "q",
         [
             LMonomial.identity(3),
-            Y(1, 1, 0),  # the weight test fails
+            Y(1, 1, 0),  # row 0 + n + 1 = 2 is left at Y[1,2]^-1
             Y(3, 2, 0),  # root coordinates not multiples of n + 1
-            Y(1, 1, 0, 2),  # over the budget on the bottom row
-            Y(4, 3, 3, 5),  # over the budget on the third row
+            Y(1, 1, 0, 2),  # row 2 is left at Y[1,2]^-2
+            Y(4, 3, 3, 5),  # row 3 + n + 1 = 8 is left at Y[2,8]^-5, node 3 flipped
             expand_simple_lroot(2, 1, 0) * Y(2, 1, 5, -1) * Y(2, 1, 7),  # fails on a high row
             expand_lroot_path(4, 1, 4, 0) ** 3,  # a cascade through every node
             expand_lroot_path(4, 4, 1, 2) ** 2 * expand_lroot_path(4, 1, 4, 0),
             expand_lroot_path(4, 1, 4, 0) / expand_simple_lroot(4, 4, 4),
+            # rank 8, named apart from the rank-1 Y[1,0] above
+            pytest.param(Y(8, 1, 0), id="n=8 Y[1,0]"),  # decided only at row 0 + n + 1 = 9, the bound
+            pytest.param(Y(8, 5, 0), id="n=8 Y[5,0]"),  # likewise, left at Y[4,9]^-1
+            pytest.param(expand_lroot_path(8, 1, 8, 0), id="n=8 path 1..8"),  # in the cone, a cascade through all eight nodes
         ],
         ids=str,
     )

@@ -207,6 +207,16 @@ class TestQChar:
         with pytest.raises(InvalidInput, match="rank must be an integer"):
             QChar(value, {})
 
+    @pytest.mark.parametrize("terms", [[1], None, (), "ab"], ids=repr)
+    def test_terms_must_be_a_dict(self, terms):
+        with pytest.raises(InvalidInput, match="terms must be a dict"):
+            QChar(2, terms)
+
+    @pytest.mark.parametrize("key", [(1, 2), "Y[1,0]", (((1, 0), 1),)], ids=repr)
+    def test_keys_must_be_monomials(self, key):
+        with pytest.raises(InvalidInput, match="a term must be an LMonomial"):
+            QChar(2, {key: 1})
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_rank_must_be_positive(self, n):
         with pytest.raises(InvalidInput, match="rank must be positive"):
