@@ -29,7 +29,6 @@ import re
 import signal
 import sys
 from contextlib import ExitStack, contextmanager, suppress
-from itertools import product
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InvalidInput, InvariantViolation
@@ -250,13 +249,28 @@ class SweepConfig:
         return cls(**values)
 
 
+def _weights(n: int, sum_max: int):
+    """Every weight vector of rank n with total at most sum_max, zero
+    included, in lex order: each first entry in turn, then the rest."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(sum_max + 1):
+        for rest in _weights(n - 1, sum_max - first):
+            yield (first, *rest)
+
+
 def _lambdas(n: int, sum_max: int):
-    """All nonzero weight vectors of rank n with total at most sum_max, lex order."""
-    return (lam for lam in product(range(sum_max + 1), repeat=n) if 0 < sum(lam) <= sum_max)
+    """All nonzero weight vectors of rank n with total at most sum_max, lex
+    order; only these are generated, not all (sum_max + 1)^n vectors."""
+    weights = _weights(n, sum_max)
+    next(weights)  # the zero vector, which comes first
+    return weights
 
 
-def sweep_grid(cfg: SweepConfig):
-    """Deterministic enumeration of (spec, kr) pairs for the sweep."""
+def _sweep_groups(cfg: SweepConfig):
+    """The groups (spec, node, k) of the sweep grid in grid order, each with
+    its window of KR anchors."""
     for n in range(1, cfg.n_max + 1):
         for lam in _lambdas(n, cfg.lambda_sum_max):
             for name in cfg.variants:
@@ -264,8 +278,35 @@ def sweep_grid(cfg: SweepConfig):
                 node = 1 if variant.first else n
                 spec = MinAffSpec(n, lam, variant.direction, 0)
                 for k in range(1, cfg.k_max + 1):
-                    for r in resonance_window(spec, node, k, cfg.r_window_pad):
-                        yield spec, KRSpec(n, node, r, k)
+                    yield spec, node, k, resonance_window(spec, node, k, cfg.r_window_pad)
+
+
+def sweep_grid(cfg: SweepConfig):
+    """Deterministic enumeration of (spec, kr) pairs for the sweep."""
+    for spec, node, k, window in _sweep_groups(cfg):
+        for r in window:
+            yield spec, KRSpec(spec.n, node, r, k)
+
+
+# The most points one sweep may hold: ``cmd_sweep`` lists every point before
+# the first is classified.  The full n = 5 grid has 222,040.
+SWEEP_POINT_BUDGET = 1_000_000
+
+
+def sweep_size(cfg: SweepConfig, limit: int) -> int:
+    """The number of points of ``sweep_grid(cfg)``, summed over the groups'
+    anchor windows without building a point.
+
+    Every group has at least one anchor, so the count stops at the first
+    group that takes it past ``limit``: then it is a lower bound, and the
+    count visits at most ``limit + 1`` groups however large the grid.
+    """
+    count = 0
+    for *_, window in _sweep_groups(cfg):
+        count += len(window)
+        if count > limit:
+            break
+    return count
 
 
 def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
@@ -335,6 +376,12 @@ def _replaced_on_success(path: str):
 
 
 def cmd_sweep(args) -> int:
+    """Classify every point of the config's grid, one JSON line per point.
+
+    A grid of more than ``SWEEP_POINT_BUDGET`` points (``sweep_size``) is
+    refused as invalid input before any point is built or any file is
+    written, since the points are all listed before the first is classified.
+    """
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -343,6 +390,13 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"config is not valid JSON: {exc}") from exc
     cfg = SweepConfig.from_json(data)
+    size = sweep_size(cfg, SWEEP_POINT_BUDGET)
+    if size > SWEEP_POINT_BUDGET:
+        raise InvalidInput(
+            f"the sweep grid has at least {size:,} points, over the budget of "
+            f"{SWEEP_POINT_BUDGET:,} points per sweep; lower n_max, lambda_sum_max, "
+            "k_max or r_window_pad"
+        )
     points = list(sweep_grid(cfg))
     workers = clamp_workers(cfg.parallelism, len(points))
     counts = {"irreducible": 0, "case_i": 0, "case_ii": 0, "violations": 0}

@@ -456,7 +456,8 @@ _TRANSFORM_KINDS = ("star", "star_inv", "minus", "kappa", "tau")
 
 
 def transform(m: LMonomial, kind: str, t: int = 0) -> LMonomial:
-    """Apply one of the duality maps to a monomial, generator by generator.
+    """Apply one of the duality maps to a monomial, generator by generator,
+    then the global spectral shift tau_t.
 
     With h = n+1:
 
@@ -464,12 +465,15 @@ def transform(m: LMonomial, kind: str, t: int = 0) -> LMonomial:
     * ``star_inv``: Y[i,r] -> Y[n+1-i, r+h]
     * ``minus``:    Y[i,r] -> Y[i,-r]         (inverted spectral parameters)
     * ``kappa``:    Y[i,r] -> Y[n+1-i, -r-h]  (star of minus; an involution)
-    * ``tau``:      Y[i,r] -> Y[i,r+t]        (global spectral shift by ``t``)
+    * ``tau``:      no map, the shift alone
 
-    ``t`` must be a plain ``int``.  Each map is a bijection of keys, so
-    the result needs no merge: ``tau`` keeps the key order and is built as
-    it stands (it is the one spectral shift of the package), and the other
-    kinds sort their mapped pairs once.
+    After the map, every kind applies tau_t: Y[i,r] -> Y[i,r+t] (``t = 0``
+    is no shift).  So ``transform(m, kind, t)`` equals
+    ``transform(transform(m, kind), "tau", t)``, and a map followed by a
+    shift costs one pass over the monomial.  ``t`` must be a plain ``int``.
+    Each map is a bijection of keys, so the result needs no merge: ``tau``
+    keeps the key order and is built as it stands, and the other kinds sort
+    their mapped pairs once.
     """
     if kind not in _TRANSFORM_KINDS:
         raise InvalidInput(f"unknown transform kind {kind!r}")
@@ -481,13 +485,13 @@ def transform(m: LMonomial, kind: str, t: int = 0) -> LMonomial:
         return LMonomial._make(n, tuple([((i, r + t), e) for (i, r), e in m.items()]))
     h = n + 1
     if kind == "star":
-        pairs = [((h - i, r - h), e) for (i, r), e in m.items()]
+        pairs = [((h - i, r - h + t), e) for (i, r), e in m.items()]
     elif kind == "star_inv":
-        pairs = [((h - i, r + h), e) for (i, r), e in m.items()]
+        pairs = [((h - i, r + h + t), e) for (i, r), e in m.items()]
     elif kind == "minus":
-        pairs = [((i, -r), e) for (i, r), e in m.items()]
+        pairs = [((i, t - r), e) for (i, r), e in m.items()]
     else:
-        pairs = [((h - i, -r - h), e) for (i, r), e in m.items()]
+        pairs = [((h - i, t - r - h), e) for (i, r), e in m.items()]
     pairs.sort()
     return LMonomial._make(n, tuple(pairs))
 

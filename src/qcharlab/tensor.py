@@ -37,8 +37,11 @@ cheaper than every anchor of its group.
 
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
-shifts the answer back.  ``classify_normal`` is cached on its arguments
-(at most ``CACHE_SIZE`` reports, like ``qchar``), so a normal-row point and
+shifts the answer back.  ``transform`` applies the shift after its map, so
+the transport costs one ``transform`` pass per monomial: one for the KR
+module on the way there, one for each monomial carried back.
+``classify_normal`` is cached on its arguments (at most ``CACHE_SIZE``
+reports, like ``qchar``), so a normal-row point and
 every transport that lands on the same problem share one brute-force
 classification; every a/b/c point still runs every transport check.  The
 members of the two tableau families (``family_S``, ``family_T``) are cached
@@ -193,7 +196,8 @@ class TensorReport:
         The text is assembled from fixed-order pieces, byte-identical to
         ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the
         report dict.  Each distinct monomial is encoded once per report:
-        lambda, lambda' and the D entries recur in ``D`` and ``socle_head``.
+        lambda and lambda' first, since they recur in ``D`` and make up
+        ``socle_head``, and any other monomial where it first appears.
         A caller that has encoded ``spec`` or ``kr`` already passes that
         text, so that it is not encoded again.
         """
@@ -201,21 +205,23 @@ class TensorReport:
             spec_text = self.spec.json_text()
         if kr_text is None:
             kr_text = self.kr.json_text()
-        texts: dict[LMonomial, str] = {}
-
-        def mono(m: Optional[LMonomial]) -> str:
-            if m is None:
-                return "null"
-            text = texts.get(m)
-            if text is None:
-                text = texts[m] = m.json_text()
-            return text
-
+        lam, prime = self.lam, self.lambda_prime
+        lam_text = lam.json_text()
+        texts = {lam: lam_text}
+        prime_text = "null"
+        if prime is not None:
+            prime_text = texts.get(prime) or texts.setdefault(prime, prime.json_text())
         tag, res = self.tag, self.resonance
-        D = ",".join([f'{{"m":{mono(m)},"mult":{c}}}' for m, c in self.D])
+        D = ",".join(
+            [
+                f'{{"m":{texts.get(m) or texts.setdefault(m, m.json_text())},"mult":{c}}}'
+                for m, c in self.D
+            ]
+        )
         socle_head = ",".join(
             [
-                f'{_json_str(order)}:{{"head":{mono(h)},"socle":{mono(s)}}}'
+                f'{_json_str(order)}:{{"head":{texts.get(h) or texts.setdefault(h, h.json_text())},'
+                f'"socle":{texts.get(s) or texts.setdefault(s, s.json_text())}}}'
                 for order, (s, h) in sorted(self.socle_head.items())
             ]
         )
@@ -225,8 +231,8 @@ class TensorReport:
             resonance = f'{{"kind":{kind},"kprime":{kprime},"p":{p}}}'
         return (
             f'{{"D":[{D}],"case":{_json_str(tag.case_json())},"kprime":{_json_num(tag.kprime)},'
-            f'"kr":{kr_text},"lambda":{mono(self.lam)},'
-            f'"lambda_prime":{mono(self.lambda_prime)},"n":{self.spec.n},"p":{_json_num(tag.p)},'
+            f'"kr":{kr_text},"lambda":{lam_text},'
+            f'"lambda_prime":{prime_text},"n":{self.spec.n},"p":{_json_num(tag.p)},'
             f'"resonance":{resonance},"socle_head":{{{socle_head}}},"spec":{spec_text},'
             f'"totally_ordered":{"true" if self.totally_ordered else "false"},'
             f'"variant":{_json_str(self.variant)}}}'
@@ -458,16 +464,19 @@ def _resonance(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> Optional[Reson
     return found[0] if found else None
 
 
+_IRREDUCIBLE = CaseTag("irreducible")
+
+
 def _tag_of(spec: MinAffSpec, kr: KRSpec, res: Optional[Resonance]) -> CaseTag:
     if res is None:
-        return CaseTag("irreducible")
+        return _IRREDUCIBLE
     if res.kind == "i":
         if res.kprime <= kr.k:
             return CaseTag("case_i", res.p, res.kprime)
     else:
         if res.kprime <= spec.total:
             return CaseTag("case_ii", res.p, res.kprime)
-    return CaseTag("irreducible")
+    return _IRREDUCIBLE
 
 
 def expected_dominants(
@@ -566,9 +575,10 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
     below the top family; condition (ii): the minimum of D).  Every other
     row transports the pair through its ``inverse`` map, asks
     ``classify_normal`` for the transported problem at shift 0, and carries
-    its D and extra factor back through tau_t and the row's ``forward`` map;
-    the transported affinization at shift 0 and its shift t are cached per
-    group, and the KR module is recognised at tau_{-t} of its transport.
+    its D and extra factor back through tau_t and the row's ``forward`` map,
+    one ``transform`` call per monomial; the transported affinization at
+    shift 0 and its shift t are cached per group, and the KR module is
+    recognised at tau_{-t} of its transport, again in one call.
     It checks that the resonance (with p -> n + 1 - p at node 1) and the
     verdict agree, that D transports exactly where the row says so, and
     that D contains the transported extra factor.
@@ -608,13 +618,13 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
         # a global spectral shift changes no classification, so the cached
         # shift-0 problem serves every shift of it
         spec_t, t = transported
-        kr_t = recognize_kr(transform(transform(varpi, variant.inverse), "tau", -t))
+        kr_t = recognize_kr(transform(varpi, variant.inverse, -t))
         if kr_t is None or kr_t.node != spec.n:
             raise TheoremViolation("transported KR module is not at the last node")
         normal = _normal(spec_t, kr_t, whole_group)
-
-        def back(m: LMonomial) -> LMonomial:
-            return transform(transform(m, "tau", t), variant.forward)
+        # forward after tau_t is forward then tau_{+-t}: the maps of the
+        # flipped rows negate r, and with it the sign of the shift
+        back_t = -t if variant.flipped else t
 
         res_t = normal.resonance
         if variant.first and res_t is not None and res_t.p is not None:
@@ -626,12 +636,12 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
             )
         if tag.reducible != normal.tag.reducible:
             raise TheoremViolation("reducibility verdicts disagree across the transport")
-        if variant.exact_D and D != [back(m) for m, _ in normal.D]:
+        if variant.exact_D and D != [transform(m, variant.forward, back_t) for m, _ in normal.D]:
             raise TheoremViolation(f"dominant spectrum does not transport under {variant.forward}")
         if tag.reducible:
             if normal.lambda_prime is None:
                 raise InvariantViolation("transported reducible report has no extra factor")
-            lam_prime = back(normal.lambda_prime)
+            lam_prime = transform(normal.lambda_prime, variant.forward, back_t)
             if lam_prime not in D:
                 raise TheoremViolation(
                     f"transported extra factor {lam_prime} missing from brute-force "

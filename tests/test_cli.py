@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import signal
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import kr_json_reference, qchar_json_reference, report_json_reference, spec_json_reference
+from oracles import all_weights, kr_json_reference, qchar_json_reference, report_json_reference, spec_json_reference
 from qcharlab import InvariantViolation, KRSpec, MinAffSpec, cli, minaff, qchar, qchar_kr, tensor
 from qcharlab.cli import main
 
@@ -610,6 +611,65 @@ class TestSweepCommand:
         cfg = cli.SweepConfig.from_json(required)
         assert cfg == cli.SweepConfig.from_json(written_out)
         assert cfg == cli.SweepConfig(**required, r_window_pad=2, variants=("normal",), parallelism=1)
+
+
+class TestSweepBudget:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"variants": ["normal", "a", "b", "c"], "k_max": 2}, {"n_max": 3, "lambda_sum_max": 3, "r_window_pad": 0}],
+    )
+    def test_size_counts_the_grid(self, tmp_path, overrides):
+        cfg = cli.SweepConfig.from_json(json.loads(_write_config(tmp_path, **overrides).read_text()))
+        points = len(list(cli.sweep_grid(cfg)))
+        assert cli.sweep_size(cfg, points) == points
+        assert cli.sweep_size(cfg, points - 1) == points  # the last group passes the limit
+
+    def test_n5_grid_is_within_the_budget(self):
+        cfg = cli.SweepConfig(5, 5, 5, "unused", 2, ("normal", "a", "b", "c"))
+        assert cli.sweep_size(cfg, cli.SWEEP_POINT_BUDGET) == 222_040 <= cli.SWEEP_POINT_BUDGET
+
+    def test_count_stops_past_the_limit(self):
+        # every group has an anchor, so at most limit + 1 groups are counted,
+        # however many the grid has
+        cfg = cli.SweepConfig(40, 40, 40, "unused", 2, ("normal", "a", "b", "c"))
+        started = time.perf_counter()
+        assert 1000 < cli.sweep_size(cfg, 1000) < 2000
+        assert time.perf_counter() - started < 1.0
+
+    def test_oversized_grid_is_refused(self, capsys, tmp_path):
+        # the golden ranges at a huge pad: listing the points exhausted memory
+        cfg = _write_config(tmp_path, n_max=3, lambda_sum_max=3, k_max=3, r_window_pad=1_000_000)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == cli.EXIT_INVALID and out == ""
+        assert "at least 2,000,005 points" in err and f"{cli.SWEEP_POINT_BUDGET:,} points" in err
+        assert sorted(os.listdir(tmp_path)) == ["sweep.json"]
+
+    def test_grid_at_the_budget_runs_and_one_over_is_refused(self, capsys, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path)
+        points = len(list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(cfg.read_text())))))
+        monkeypatch.setattr(cli, "SWEEP_POINT_BUDGET", points - 1)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == cli.EXIT_INVALID and out == ""
+        assert f"at least {points} points, over the budget of {points - 1} points" in err
+        assert sorted(os.listdir(tmp_path)) == ["sweep.json"]
+        monkeypatch.setattr(cli, "SWEEP_POINT_BUDGET", points)
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0 and f"points: {points}\n" in out
+
+
+class TestLambdas:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_to_the_product_filter(self, n):
+        for sum_max in range(5):
+            assert list(cli._lambdas(n, sum_max)) == list(all_weights(n, sum_max))
+
+    def test_high_rank_is_fast(self):
+        started = time.perf_counter()
+        lams = list(cli._lambdas(20, 3))
+        assert time.perf_counter() - started < 1.0
+        assert len(lams) == math.comb(23, 3) - 1 == 1770
+        assert len(set(lams)) == len(lams) and lams == sorted(lams)
+        assert all(len(lam) == 20 and 0 < sum(lam) <= 3 for lam in lams)
 
 
 class TestFailureRecords:

@@ -41,7 +41,7 @@ from qcharlab import (
 )
 from qcharlab import cli
 from qcharlab.lweight import monomial_sort_key
-from qcharlab.tensor import spectra_by_anchor
+from qcharlab.tensor import VARIANTS, spectra_by_anchor
 
 
 def Y(n, i, r, e=1):
@@ -568,6 +568,39 @@ class TestTransform:
             return
         for kind in ("star", "star_inv", "minus", "kappa"):
             assert transform(a * b, kind) == transform(a, kind) * transform(b, kind)
+
+
+_MAP_KINDS = ("star", "star_inv", "minus", "kappa")
+
+
+class TestShiftAfterEveryMap:
+    """``transform(m, kind, t)`` is the map and then tau_t, in one pass."""
+
+    @settings(max_examples=150)
+    @given(lmonomials(exponents=tuple(range(-3, 4))), st.integers(-6, 6))
+    def test_shift_follows_the_map(self, m, t):
+        for kind in (*_MAP_KINDS, "tau"):
+            assert transform(m, kind, t) == transform(transform(m, kind), "tau", t)
+            _assert_canonical(transform(m, kind, t))
+
+    @given(lmonomials(exponents=tuple(range(-3, 4))))
+    def test_zero_shift_is_the_map_alone(self, m):
+        for kind in (*_MAP_KINDS, "tau"):
+            assert transform(m, kind, 0) == transform(m, kind)
+        assert transform(m, "tau", 0) is m
+
+    @settings(max_examples=150)
+    @given(lmonomials(exponents=tuple(range(-3, 4))), st.integers(-6, 6))
+    def test_back_map_of_each_variant_row(self, m, t):
+        # tensor._classify carries a monomial back by forward(tau_t(m)) in one
+        # call: the shift keeps its sign on the unflipped rows and flips it on
+        # rows b and c, whose maps negate r
+        for row in VARIANTS.values():
+            if row.forward is None:
+                continue
+            back_t = -t if row.flipped else t
+            assert transform(m, row.forward, back_t) == transform(transform(m, "tau", t), row.forward)
+        assert {row.name for row in VARIANTS.values() if row.flipped} == {"b", "c"}
 
 
 def _assert_canonical(m):

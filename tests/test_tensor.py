@@ -797,6 +797,42 @@ class TestReportJson:
         assert cli._sweep_point(point) == (rep.tag.kind, line)
         assert sorted(map(repr, encoded)) == sorted(map(repr, point))
 
+    def test_every_small_grid_line_is_the_dict_reference(self):
+        cfg = cli.SweepConfig(2, 2, 2, "unused", 2, tuple(VARIANTS))
+        kinds = set()
+        for spec, kr in cli.sweep_grid(cfg):
+            rep = classify_variant(spec, kr, whole_group=True)
+            reference = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "report": report_json_reference(rep)}
+            assert cli._sweep_point((spec, kr)) == (rep.tag.kind, cli._dumps(reference))
+            kinds.add(rep.tag.kind)
+        assert kinds == {"irreducible", "case_i", "case_ii"}
+
+    @pytest.mark.parametrize("point", REPORT_SHAPES)
+    def test_hand_built_report_is_the_dict_reference(self, point, monkeypatch):
+        # socle/head entries are lambda or lambda' in a classified report; a
+        # hand-built one may name any monomial, under any order key
+        rep = classify_variant(*point)
+        outside, inside = Y(rep.spec.n, 1, 99), rep.D[-1][0]
+        assert outside not in dict(rep.D)
+        socle_head = {**rep.socle_head, "V": (outside, rep.lam), "W": (inside, outside), "A": (rep.lam, inside)}
+        built = [replace(rep, socle_head=socle_head), replace(rep, socle_head=socle_head, lambda_prime=inside)]
+        built.append(replace(rep, socle_head=socle_head, lambda_prime=None, lam=outside))
+        encode = LMonomial.json_text
+        encoded = []
+        monkeypatch.setattr(LMonomial, "json_text", lambda m: encoded.append(m) or encode(m))
+        for hand in built:
+            encoded.clear()
+            assert hand.json_text() == cli._dumps(report_json_reference(hand))
+            monomials = {hand.lam, *(m for m, _ in hand.D), *(m for pair in socle_head.values() for m in pair)}
+            if hand.lambda_prime is not None:
+                monomials.add(hand.lambda_prime)
+            assert sorted(map(str, encoded)) == sorted(map(str, monomials))
+
+    def test_irreducible_tag_is_shared(self):
+        reps = [classify_variant(spec, kr) for spec, kr in normal_grid(2, 1, 1)]
+        irreducible = [rep.tag for rep in reps if not rep.tag.reducible]
+        assert irreducible and all(tag is irreducible[0] for tag in irreducible)
+
     def test_documented_keys_present(self):
         rep = classify_normal(MinAffSpec(2, (1, 0), "inc"), KRSpec(2, 2, 3, 1))
         data = rep.to_json()
