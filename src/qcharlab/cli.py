@@ -288,8 +288,8 @@ def sweep_grid(cfg: SweepConfig):
             yield spec, KRSpec(spec.n, node, r, k)
 
 
-# The most points one sweep may hold: ``cmd_sweep`` lists every point before
-# the first is classified.  The full n = 5 grid has 222,040.
+# The most points one sweep may visit, counted by ``sweep_size`` before the
+# first is built.  The full n = 5 grid has 222,040.
 SWEEP_POINT_BUDGET = 1_000_000
 
 
@@ -380,7 +380,9 @@ def cmd_sweep(args) -> int:
 
     A grid of more than ``SWEEP_POINT_BUDGET`` points (``sweep_size``) is
     refused as invalid input before any point is built or any file is
-    written, since the points are all listed before the first is classified.
+    written.  Under the budget that count is exact, and the points go
+    straight from ``sweep_grid`` to ``map``, never listed (a pool's ``map``
+    still submits every chunk at once).
     """
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -397,15 +399,14 @@ def cmd_sweep(args) -> int:
             f"{SWEEP_POINT_BUDGET:,} points per sweep; lower n_max, lambda_sum_max, "
             "k_max or r_window_pad"
         )
-    points = list(sweep_grid(cfg))
-    workers = clamp_workers(cfg.parallelism, len(points))
+    workers = clamp_workers(cfg.parallelism, size)
     counts = {"irreducible": 0, "case_i": 0, "case_ii": 0, "violations": 0}
     try:
         with ExitStack() as stack:
             stack.enter_context(_sigterm_exits())
             fh = stack.enter_context(_replaced_on_success(cfg.output))
             if workers == 1:
-                results = map(_sweep_point, points)
+                results = map(_sweep_point, sweep_grid(cfg))
             else:
                 # imported here: loading multiprocessing costs every start of
                 # the tool, and only a sweep on two or more workers needs it
@@ -418,14 +419,14 @@ def cmd_sweep(args) -> int:
                 pool = stack.enter_context(
                     ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigterm)
                 )
-                results = pool.map(_sweep_point, points, chunksize=16)
+                results = pool.map(_sweep_point, sweep_grid(cfg), chunksize=16)
             for outcome, line in results:
                 fh.write(line + "\n")
                 counts[outcome] += 1
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    print(f"points: {len(points)}")
+    print(f"points: {size}")
     print(
         "irreducible: {irreducible}  case_i: {case_i}  case_ii: {case_ii}  "
         "violations: {violations}".format(**counts)

@@ -19,7 +19,9 @@ the Drinfeld polynomial's snake shape, read off the search without building
 the tableaux; for a KR module at the last node an independent
 partition-indexed formula provides the same set of terms.  A ``QChar``
 holds its terms as the search's canonical exponent tuples and builds
-``LMonomial`` objects only where a caller reads monomials.
+``LMonomial`` objects only where a caller reads monomials; a held one
+(``held_qchar``) runs the search only when read, and in a product only for
+the terms its partner can cover.
 
 ``anchor_join`` is the one dominant-pair join: it gives the whole dominant
 part of ``walked * tau_r(indexed)``, the products of two dominant terms
@@ -173,17 +175,26 @@ class QChar:
     (``LMonomial.items()``) to its multiplicity; ``QChar(n, {LMonomial: c})``
     converts its keys once.  ``len``, ``dimension`` and ``==`` read the
     tuples; ``terms``, ``sorted_terms``, ``dominant_terms`` and
-    ``json_text`` build ``LMonomial``s on each call.  A product character
-    (``product``) holds its two factors instead; it answers
-    ``dominant_terms`` by ``anchor_join`` at anchor 0, walking the larger
-    factor's terms against the join index of the smaller one, without
-    forming the product; everything else on it convolves the factors once,
-    on first use.  The rank must be a positive plain ``int``
-    (``require_rank``), the terms a dict keyed by ``LMonomial``s of that
-    rank and every multiplicity a positive plain ``int``.
+    ``json_text`` build ``LMonomial``s on each call.
+
+    Two other forms hold no terms until something reads them all.  A held
+    character (``held_qchar``) keeps its Drinfeld polynomial and runs the
+    tableau search with ``qchar``'s checks on the first full read (``len``,
+    ``terms``, ``dimension``, ``==``, the join index); ``qchar`` is that form
+    searched at once.  A product character (``product``) holds its two
+    factors and answers ``dominant_terms`` by ``anchor_join`` at anchor 0
+    without forming the product.  With an unsearched held factor it walks
+    that factor, searched only for the terms the other factor can cover
+    (``filling_pairs`` under the other's top exponent at each key), against
+    the other's join index, and leaves the held factor unsearched; else it
+    walks the larger factor against the smaller one's index.  Everything
+    else on a product convolves the factors once, on first use.  The rank
+    must be a positive plain ``int`` (``require_rank``), the terms a dict
+    keyed by ``LMonomial``s of that rank and every multiplicity a positive
+    plain ``int``.
     """
 
-    __slots__ = ("n", "_terms", "_factors", "_index")
+    __slots__ = ("n", "_terms", "_factors", "_index", "_drinfeld")
 
     def __init__(self, n: int, terms: dict[LMonomial, int]):
         require_rank(n)
@@ -201,15 +212,20 @@ class QChar:
         self._terms = {m.items(): mult for m, mult in terms.items()}
         self._factors = None
         self._index = None
+        self._drinfeld = None
 
     @classmethod
-    def _of(cls, n: int, terms: dict[tuple, int] | None, factors=None) -> "QChar":
-        """An unchecked character: exponent-tuple ``terms``, or two ``factors``."""
+    def _of(
+        cls, n: int, terms: dict[tuple, int] | None, factors=None, drinfeld=None
+    ) -> "QChar":
+        """An unchecked character: exponent-tuple ``terms``, two ``factors``,
+        or the ``drinfeld`` polynomial whose search gives the terms."""
         qc = object.__new__(cls)
         qc.n = n
         qc._terms = terms
         qc._factors = factors
         qc._index = None
+        qc._drinfeld = drinfeld
         return qc
 
     @classmethod
@@ -221,8 +237,15 @@ class QChar:
 
     def _all_terms(self) -> dict[tuple, int]:
         if self._terms is None:
-            self._terms = _convolve(*self._factors)
+            if self._factors is None:
+                self._terms = _searched_terms(self._drinfeld)
+            else:
+                self._terms = _convolve(*self._factors)
         return self._terms
+
+    def _unsearched(self) -> bool:
+        """Held by its Drinfeld polynomial, with no full search run yet."""
+        return self._terms is None and self._factors is None
 
     def _join_index(self) -> "_JoinIndex":
         if self._index is None:
@@ -241,12 +264,22 @@ class QChar:
         return sum(self._all_terms().values())
 
     def dominant_terms(self) -> list[tuple[LMonomial, int]]:
+        n = self.n
         if self._factors is None:
-            n, make = self.n, LMonomial._make
-            out = [(make(n, t), c) for t, c in self._terms.items() if dominant_exps(t)]
+            make = LMonomial._make
+            out = [(make(n, t), c) for t, c in self._all_terms().items() if dominant_exps(t)]
         else:
-            small, large = sorted(self._factors, key=len)
-            out = list(anchor_join(large, small, 0)[0].items())
+            held, other = self._factors
+            if not held._unsearched():
+                held, other = other, held
+            if held._unsearched():
+                # a term of ``held`` meets a dominant product only if ``other``
+                # covers each of its negative exponents: search only those
+                top = {key: ts[-1] for key, (ts, _) in other._join_index().cover.items()}
+                walked, indexed = QChar._of(n, _searched_terms(held._drinfeld, top)), other
+            else:
+                indexed, walked = sorted(self._factors, key=len)
+            out = list(anchor_join(walked, indexed, 0)[0].items())
         out.sort(key=lambda mc: monomial_sort_key(mc[0]))
         return out
 
@@ -492,21 +525,18 @@ def highest_tableau(spec: MinAffSpec) -> Tableau:
     return Tableau(spec.n, shape, tuple(tuple(range(1, k + 1)) for k, _ in shape))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def qchar(spec: MinAffSpec) -> QChar:
-    """q-character of a minimal affinization via tableau enumeration.
+def _searched_terms(omega: LMonomial, bound: Optional[dict] = None) -> dict[tuple, int]:
+    """The terms of the snake ``omega``'s character: the exponent tuples of
+    ``filling_pairs`` over its ``snake_shape``, under ``bound`` if given.
 
-    The terms are the exponent tuples of ``filling_pairs`` over the
-    Drinfeld polynomial's ``snake_shape``; no tableau or ``LMonomial`` is
-    built.  Two checks on the tuples follow, and a failure signals an
-    implementation bug, never bad input: the character is thin (no term
-    repeats; only when the term count falls short is the first repeated
-    term looked for, to name it), and its unique dominant term is the
-    Drinfeld polynomial.
+    No tableau or ``LMonomial`` is built.  Two checks on the tuples follow,
+    and a failure signals an implementation bug, never bad input: no term
+    repeats (only when the term count falls short is the first repeated
+    term looked for, to name it), and the one dominant term is ``omega``,
+    which no bound removes, having no negative exponent.
     """
-    n, make = spec.n, LMonomial._make
-    omega = drinfeld_of_spec(spec)
-    found = [t for _, t in filling_pairs(n, snake_shape(omega))]
+    n, make = omega.n, LMonomial._make
+    found = [t for _, t in filling_pairs(n, snake_shape(omega), bound)]
     terms = dict.fromkeys(found, 1)
     if len(terms) != len(found):
         seen: set[tuple] = set()
@@ -520,7 +550,24 @@ def qchar(spec: MinAffSpec) -> QChar:
             "expected a unique dominant term equal to the Drinfeld polynomial, "
             f"got {[make(n, t) for t in dominants]}"
         )
-    return QChar._of(n, terms)
+    return terms
+
+
+def held_qchar(spec: MinAffSpec) -> QChar:
+    """q-character of a minimal affinization held by its Drinfeld
+    polynomial: the tableau search runs on the first full read, and a
+    product's ``dominant_terms`` searches only the terms the other factor
+    can cover."""
+    return QChar._of(spec.n, None, drinfeld=drinfeld_of_spec(spec))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def qchar(spec: MinAffSpec) -> QChar:
+    """q-character of a minimal affinization via tableau enumeration: the
+    ``held_qchar`` of ``spec``, searched at once (``_searched_terms``)."""
+    qc = held_qchar(spec)
+    qc._all_terms()
+    return qc
 
 
 def qchar_kr(kr: KRSpec) -> QChar:

@@ -31,6 +31,18 @@ search, in the same order: ``semistandard_fillings`` wraps each tuple in an
 ``LMonomial``, and ``enumerate_semistandard`` builds a ``Tableau`` from each
 filling's contents.  ``monomial_of_tableau`` sums a tableau's box exponents
 in one pass and keeps no state.
+
+``filling_pairs`` also takes a ``bound``: for each key ``(i, r)`` the
+largest positive exponent a partner character has there.  A term can make
+a dominant product with some partner term only if each of its negative
+exponents is covered, so under the bound the search yields only the
+fillings whose exponent at every key is at least ``-bound.get(key, 0)``,
+the same ones in the same order as the full search filtered afterwards.
+A key is checked once it is settled: every box that can move it has been
+placed.  The last such box is always one that can lower it, since below a
+box that can raise ``(i, r)`` sits, in its own column, a box that can lower
+it whenever an earlier column can; so the check is made right after that
+box, and a subtree below the floor is skipped whole.
 """
 
 from __future__ import annotations
@@ -225,7 +237,9 @@ def semistandard_fillings(n: int, shape: Shape) -> Iterator[tuple[list[int], LMo
         yield contents, make(n, exps)
 
 
-def filling_pairs(n: int, shape: Shape) -> Iterator[tuple[list[int], tuple]]:
+def filling_pairs(
+    n: int, shape: Shape, bound: dict | None = None
+) -> Iterator[tuple[list[int], tuple]]:
     """The one search: ``semistandard_fillings`` with each monomial given
     as its canonical exponent tuple.
 
@@ -242,14 +256,38 @@ def filling_pairs(n: int, shape: Shape) -> Iterator[tuple[list[int], tuple]]:
     entries dropped, already in key order.  The last box is not a step of
     the search: at each complete prefix one loop runs its contents and
     yields a filling per content.
+
+    ``bound`` maps keys ``(i, r)`` to nonnegative ``int``s; with it the
+    search yields only the fillings whose exponent at every key is at least
+    its floor, ``-bound.get(key, 0)``, in the same order.  The exponent at
+    ``(i, r)`` moves only when a box lands at support ``r - i + 1`` with
+    content ``i`` (+1) or at support ``r - i - 1`` with content ``i + 1``
+    (-1).  If any box can lower it, the last box in search order that can
+    move it is one that lowers it: a lowering box in an earlier column than
+    a raising one starts at ``r - i - 1`` or below, so the raising box's
+    column, starting no higher, has a box at ``r - i - 1`` right below it,
+    which can take content ``i + 1``.  Once that last lowering box is placed
+    the exponent is final, so the search checks it there and skips the
+    subtree when it is below its floor.  A key that cannot fall below its
+    floor is never checked, and without a bound none is.
     """
     require_rank(n)
     if not isinstance(shape, Shape):
         raise InvalidInput(f"the search needs a Shape, got {shape!r}")
-    # per box, in search order: its support, its largest content, and the
-    # index of the box at support + 2 in the previous column (or -1)
+    bounded = bound is not None
+    if bounded:
+        if not isinstance(bound, dict):
+            raise InvalidInput(f"a search bound must be a dict, got {bound!r}")
+        for key, b in bound.items():
+            require_int("search bound", b)
+            if b < 0:
+                raise InvalidInput(f"a search bound must be nonnegative, got {b} at {key}")
+    # per box, in search order: its support, its largest and smallest
+    # contents, and the index of the box at support + 2 in the previous
+    # column (or -1)
     supports: list[int] = []
     top_caps: list[int] = []
+    lows: list[int] = []
     lefts: list[int] = []
     first_rows: set[int] = set()
     prev: dict[int, int] = {}
@@ -262,6 +300,7 @@ def filling_pairs(n: int, shape: Shape) -> Iterator[tuple[list[int], tuple]]:
             supports.append(supp)
             # leave room for the strictly increasing boxes below
             top_caps.append(n + 1 - (k - row))
+            lows.append(row)
             lefts.append(prev.get(supp + 2, -1))
         prev = here
     nboxes = len(supports)
@@ -288,21 +327,42 @@ def filling_pairs(n: int, shape: Shape) -> Iterator[tuple[list[int], tuple]]:
     exps = [0] * (spare + 1)
     held: list = [None] * (spare + 1)
 
+    # floors[p]: (slot, floor) for each key that box p is the last to lower,
+    # when the boxes that can lower it can take it below its floor; the
+    # search reads them only under a bound
+    floors: list[list] = [[] for _ in range(nboxes)]
+    if bounded:
+        last_lower: dict = {}
+        lowers: dict = {}
+        for p, s in enumerate(supports):
+            for c in range(max(lows[p], 2), top_caps[p] + 1):
+                key = (c - 1, s + c)
+                last_lower[key] = p
+                lowers[key] = lowers.get(key, 0) + 1
+        for key, p in last_lower.items():
+            b = bound.get(key, 0)
+            if b < lowers[key]:
+                floors[p].append((slot[key], -b))
+
     contents = [0] * nboxes
     caps = [0] * nboxes
     last = nboxes - 1
-    up_last, down_last = up[last], down[last]
+    up_last, down_last, last_floors = up[last], down[last], floors[last]
     p = 0
     caps[0] = top_caps[0]
     while True:
         if p == last:
-            # the prefix is complete: every content of the last box is a filling
+            # the prefix is complete: every content of the last box that
+            # leaves each key it last lowers at its floor or above is a
+            # filling (a box never raises a key it can lower)
             for c in range(contents[p] + 1, caps[p] + 1):
+                contents[p] = c
                 u, d = up_last[c], down_last[c]
+                if last_floors and not all(exps[k] - (k == d) >= f for k, f in last_floors):
+                    continue
                 held_u, held_d = held[u], held[d]
                 held[u] = pairs[u][exps[u] + 1]
                 held[d] = pairs[d][exps[d] - 1]
-                contents[p] = c
                 yield contents, tuple(filter(None, held))
                 held[u], held[d] = held_u, held_d
             # contents[p] >= caps[p] now, so the search backs up
@@ -331,6 +391,11 @@ def filling_pairs(n: int, shape: Shape) -> Iterator[tuple[list[int], tuple]]:
         if left >= 0 and contents[left] < cap:
             cap = contents[left]
         caps[p] = cap
+        if bounded:
+            for k, f in floors[p - 1]:
+                if exps[k] < f:
+                    caps[p] = 0  # box p - 1 left a key below its floor: back up at once
+                    break
 
 
 def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:

@@ -1,11 +1,11 @@
 """Tensor products of a minimal affinization with an extreme-node KR module.
 
 The product q-character is held as its two factors.  Its dominant
-spectrum D is still exhaustive and exact: ``minaff.anchor_join`` walks the
-larger factor's terms against a join index of the smaller factor's terms
-(the only one indexed), finds every pair whose product is dominant, the
-top pair included, and multiplies only those pairs before D is sorted
-along the loop-root order.  The full product is convolved only when
+spectrum D is still exhaustive and exact: ``minaff.anchor_join`` walks one
+factor's terms against a join index of the other factor's terms (the only
+one indexed), finds every pair whose product is dominant, the top pair
+included, and multiplies only those pairs before D is sorted along the
+loop-root order.  The full product is convolved only when
 something asks for all of its terms.  On top of D, the classifier
 evaluates the closed-form reducibility conditions, reads the extra simple
 factor's highest loop weight off its tableau family (each family checks
@@ -32,8 +32,13 @@ equations are solved for r once per group too (``_resonances``, r -> the
 resonances there): each point looks its resonance up, and the sweep window
 is the hull of the table.  The transported affinization does not depend on
 r either and is computed once per group.  A single point (the ``tensor``
-command) joins its own product character at its one anchor, which is
-cheaper than every anchor of its group.
+command, and the transports of its rows a, b and c) joins the held
+affinization (``held_qchar``) with its KR character at its one anchor: the
+tableau search yields only the affinization terms whose negative exponents
+the KR character can cover, and only those are walked.  The sweep keeps
+the full character, because its join certifies every anchor of the group
+(the ``r_window`` check), and a bound over every shift would prune almost
+nothing.
 
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
@@ -77,6 +82,7 @@ from .minaff import (
     _seg,
     anchor_join,
     drinfeld_of_spec,
+    held_qchar,
     highest_tableau,
     qchar,
     qchar_kr,
@@ -147,6 +153,10 @@ def _variant_of(direction: str, first: bool) -> Variant:
     return _VARIANT_OF_ROW[direction, first]
 
 
+# CaseTag.kind -> the report's "case" field
+_CASE_JSON = {"irreducible": "irred", "case_i": "i", "case_ii": "ii"}
+
+
 @dataclass(frozen=True)
 class CaseTag:
     kind: str  # "irreducible" | "case_i" | "case_ii"
@@ -158,7 +168,7 @@ class CaseTag:
         return self.kind != "irreducible"
 
     def case_json(self) -> Optional[str]:
-        return {"irreducible": "irred", "case_i": "i", "case_ii": "ii"}[self.kind]
+        return _CASE_JSON[self.kind]
 
 
 @dataclass(frozen=True)
@@ -566,8 +576,10 @@ def _transported_spec(variant: Variant, spec: MinAffSpec) -> Optional[tuple[MinA
 def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
     """The classifier pipeline shared by every row of ``VARIANTS``.
 
-    D is brute-forced: from the pair's own product character, or, with
-    ``whole_group``, read from ``spectra_by_anchor`` for the point's group.
+    D is brute-forced: from the pair's own product character, whose held
+    affinization is searched only for the terms the KR character can
+    cover, or, with ``whole_group``, read from ``spectra_by_anchor`` for the
+    point's group.
     The row's resonance is looked up on the untransformed data.  The normal
     row then checks the closed form: D is a chain of multiplicity-one
     terms equal to ``expected_dominants``, and the extra factor, the
@@ -589,7 +601,7 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
         found = spectra_by_anchor(spec, kr.node, kr.k).get(kr.r)
         spectrum = _spectrum(found) if found else DominantSpectrum(((lam, 1),), True)
     else:
-        spectrum = dominant_spectrum(product_qchar(qchar(spec), qchar_kr(kr)))
+        spectrum = dominant_spectrum(product_qchar(held_qchar(spec), qchar_kr(kr)))
     D = [m for m, _ in spectrum.entries]
     res = _resonance(variant, spec, kr)
     tag = _tag_of(spec, kr, res)

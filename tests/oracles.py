@@ -9,7 +9,9 @@ joined one anchor at a time (the package joins every KR anchor of a group
 at once), tableau monomials are multiplied out box by box (the package
 sums exponents as it enumerates), the tableau search reads each
 monomial off a slice of its exponent vector, one filling per loop step
-(the package holds the live pairs and loops the last box in place), the
+(the package holds the live pairs and loops the last box in place), a
+bounded search is the full search filtered term by term (the package
+checks each key once its last box is placed and skips the subtree), the
 resonance equations are written out once per variant (the package derives
 them from two flags), a minimal affinization is recognised by its anchor ladder (the
 package rebuilds the candidate's Drinfeld polynomial), a KR module by
@@ -137,6 +139,25 @@ def monomial_of_tableau_reference(t: Tableau) -> LMonomial:
     for content, s in t.boxes():
         m = m * monomial_of_box(t.n, content, s)
     return m
+
+
+def within_bound_reference(fillings, bound: dict) -> list:
+    """The ``(contents, exponent tuple)`` pairs of ``fillings`` whose
+    exponent at every key is at least ``-bound.get(key, 0)``: the search
+    under ``bound``, as a filter on the full search's list."""
+    return [(c, t) for c, t in fillings if all(e >= -bound.get(key, 0) for key, e in t)]
+
+
+def cover_bound_reference(qc: QChar) -> dict:
+    """Each key's largest positive exponent over the terms of ``qc``: the
+    bound a partner in a product puts on the other factor's search (the
+    package reads it off the partner's join index)."""
+    top: dict = {}
+    for m in qc.terms():
+        for key, e in m.items():
+            if e > top.get(key, 0):
+                top[key] = e
+    return top
 
 
 def semistandard_fillings_reference(n: int, shape: Shape):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,7 @@ from qcharlab import (
     MinAffSpec,
     QChar,
     drinfeld_of_spec,
+    held_qchar,
     highest_tableau,
     is_dominant,
     is_semistandard,
@@ -199,6 +201,36 @@ class TestTermStorage:
         assert product_qchar(x, y).dominant_terms() == product_qchar_reference(x, y).dominant_terms()
 
 
+class TestHeldQChar:
+    """``held_qchar`` runs the search on its first full read and then
+    answers as ``qchar`` does; ``qchar`` is that form searched at once."""
+
+    SPECS = [MinAffSpec(n, lam, d, 2) for n in (1, 2, 3) for lam in all_weights(n, 3) for d in ("inc", "dec")]
+
+    @pytest.mark.parametrize(
+        "read",
+        [len, lambda qc: qc.dimension, lambda qc: qc.terms(), lambda qc: qc.dominant_terms(),
+         lambda qc: qc.sorted_terms(), lambda qc: qc._join_index().monos],
+        ids=["len", "dimension", "terms", "dominant_terms", "sorted_terms", "join_index"],
+    )
+    def test_each_first_read_equals_qchar(self, read):
+        for spec in self.SPECS:
+            held = held_qchar(spec)
+            assert held._terms is None
+            assert read(held) == read(qchar(spec)), spec
+            assert held._terms is not None
+
+    def test_equal_both_ways(self):
+        for spec in self.SPECS:
+            assert held_qchar(spec) == qchar(spec) and qchar(spec) == held_qchar(spec)
+            other = held_qchar(replace(spec, shift=spec.shift + 2))
+            assert held_qchar(spec) != other and other != qchar(spec)
+
+    def test_qchar_is_searched_at_once(self):
+        spec = MinAffSpec(2, (1, 1), "dec", 1)
+        assert qchar.__wrapped__(spec)._terms is not None
+
+
 class TestQChar:
     @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
     def test_rank_and_multiplicities_must_be_ints(self, value):
@@ -270,7 +302,7 @@ class TestQChar:
         # the fourth term comes again after the sixth; the first repeat is the fourth
         order = [0, 1, 2, 3, 4, 5, 3, 6, 1, 7]
 
-        def repeating(n, shape):
+        def repeating(n, shape, bound=None):
             return (([], found[i]) for i in order)
 
         monkeypatch.setattr(minaff, "filling_pairs", repeating)
@@ -282,6 +314,22 @@ class TestQChar:
                 qchar(spec)
         finally:
             qchar.cache_clear()
+
+    @pytest.mark.parametrize("fault", ["thinness violated", "expected a unique dominant term"])
+    def test_a_bounded_search_runs_the_same_checks(self, fault, monkeypatch):
+        # the held factor of a product is searched under its partner's bound
+        spec, kr = MinAffSpec(2, (1, 1), "inc", 3), KRSpec(2, 2, 5, 1)
+        partner = qchar_kr(kr)
+        if fault == "thinness violated":
+            fillings = minaff.filling_pairs
+            monkeypatch.setattr(
+                minaff, "filling_pairs",
+                lambda n, shape, bound=None: [f for f in fillings(n, shape, bound) for _ in (0, 1)],
+            )
+        else:
+            monkeypatch.setattr(minaff, "dominant_exps", lambda exps: True)
+        with pytest.raises(InvariantViolation, match=fault):
+            product_qchar(held_qchar(spec), partner).dominant_terms()
 
     @given(st.integers(1, 3).flatmap(characters))
     def test_json_text_is_the_sorted_compact_dump(self, qc):

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from oracles import (
     all_weights,
     column_gaps,
+    cover_bound_reference,
     fm_reference,
     highest_shape_reference,
     monomial_of_tableau_reference,
     raise_box,
     semistandard_fillings_reference,
     snakes,
+    within_bound_reference,
 )
 from qcharlab import (
     InvalidInput,
@@ -29,10 +31,12 @@ from qcharlab import (
     monomial_of_box,
     monomial_of_tableau,
     qchar,
+    qchar_kr,
     semistandard_fillings,
     snake_shape,
     y_string,
 )
+from qcharlab.tableaux import filling_pairs
 
 
 def Y(n, i, r, e=1):
@@ -334,6 +338,64 @@ class TestSearchAgainstReference:
         # a column of length n + 1 has its contents forced, and a longer one none
         assert assert_same_search(n, Shape(((n + 1, 0),))) == [(list(range(1, n + 2)), identity)]
         assert assert_same_search(n, Shape(((n + 2, 0),))) == []
+
+
+def bounded_search(n, shape, bound):
+    return [(list(contents), t) for contents, t in filling_pairs(n, shape, bound)]
+
+
+def full_search_reference(n, shape):
+    return [(list(contents), m.items()) for contents, m in semistandard_fillings_reference(n, shape)]
+
+
+class TestBoundedSearch:
+    """``filling_pairs`` under a bound yields exactly the full search's
+    fillings that clear it, in the same order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kr_bounds_at_several_anchors(self, n):
+        bounds = [
+            cover_bound_reference(qchar_kr(KRSpec(n, node, r, k)))
+            for node in sorted({1, n})
+            for k in (1, 2, 3)
+            for r in (-6, -3, -1, 0, 2, 5)
+        ]
+        kept = total = 0
+        for lam in all_weights(n, 3):
+            for direction in ("inc", "dec"):
+                shape = snake_shape(drinfeld_of_spec(MinAffSpec(n, lam, direction)))
+                full = full_search_reference(n, shape)
+                for bound in bounds:
+                    found = bounded_search(n, shape, bound)
+                    assert found == within_bound_reference(full, bound), (lam, direction, bound)
+                    kept += len(found)
+                    total += len(full)
+        assert 0 < kept < total
+
+    @given(snakes(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_bounds(self, m, data):
+        shape = snake_shape(m)
+        full = full_search_reference(m.n, shape)
+        keys = sorted({key for _, t in full for key, _ in t})
+        bound = data.draw(st.dictionaries(st.sampled_from(keys), st.integers(0, 3)))
+        assert bounded_search(m.n, shape, bound) == within_bound_reference(full, bound)
+
+    def test_an_empty_bound_keeps_the_dominant_fillings(self):
+        shape = snake_shape(drinfeld_of_spec(MinAffSpec(3, (1, 0, 2), "dec")))
+        found = bounded_search(3, shape, {})
+        assert [t for _, t in found] == [drinfeld_of_spec(MinAffSpec(3, (1, 0, 2), "dec")).items()]
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        # the one box at support 0 moves the keys (1, 0) and (1, 2)
+        [([((1, 2), 1)], "must be a dict"), ({(1, 2): 1.0}, "must be an integer"),
+         ({(1, 2): True}, "must be an integer"), ({(1, 2): -1}, "must be nonnegative")],
+        ids=["list", "float", "bool", "negative"],
+    )
+    def test_rejects_a_malformed_bound(self, bound, message):
+        with pytest.raises(InvalidInput, match=message):
+            list(filling_pairs(1, Shape(((1, 0),)), bound))
 
 
 class TestSemistandard:

@@ -39,6 +39,7 @@ from qcharlab import (
     expected_dominants,
     family_S,
     family_T,
+    held_qchar,
     highest_tableau,
     kr_qchar_by_partitions,
     product_qchar,
@@ -173,6 +174,29 @@ class TestPackedProduct:
             assert prod.dominant_terms() == product_qchar_reference(a, b).dominant_terms()
             assert prod._terms is None
             assert small._index is not None and big._index is None
+
+    def test_a_held_factor_is_walked_unsearched(self):
+        """A held affinization is searched only for the terms its partner can
+        cover, and those are walked: the product's dominant terms are the
+        full product's at both extreme nodes, in either order, and the held
+        factor is left unsearched and unindexed."""
+        for spec in (MinAffSpec(3, (1, 0, 2), "inc", 7), MinAffSpec(3, (2, 1, 0), "dec", -1),
+                     MinAffSpec(2, (1, 2), "inc")):
+            full = qchar(spec)
+            for node in sorted({1, spec.n}):
+                for r in resonance_window(spec, node, 2, 2):
+                    kr = KRSpec(spec.n, node, r, 2)
+                    partner = qchar_kr(kr)
+                    expected = product_qchar_reference(full, partner).dominant_terms()
+                    for held_first in (True, False):
+                        held = held_qchar(spec)
+                        prod = product_qchar(held, partner) if held_first else product_qchar(partner, held)
+                        assert prod.dominant_terms() == expected
+                        assert held._terms is None and held._index is None and prod._terms is None
+                    # of two held factors, the first is walked
+                    held, other = held_qchar(spec), held_qchar(kr.as_minaff())
+                    assert product_qchar(held, other).dominant_terms() == expected
+                    assert held._terms is None and other._terms is not None
 
     def test_factors_of_equal_size(self):
         a, b = qchar_kr(KRSpec(2, 1, 0, 2)), qchar_kr(KRSpec(2, 2, -3, 2))
@@ -903,8 +927,8 @@ def _monomial_perturbed(family):
 def _monomials_identity(fillings):
     """Every filling's exponent tuple replaced by the identity's, so all terms collide."""
 
-    def patched(n, shape):
-        return ((contents, ()) for contents, _ in fillings(n, shape))
+    def patched(n, shape, bound=None):
+        return ((contents, ()) for contents, _ in fillings(n, shape, bound))
 
     return patched
 
@@ -1212,7 +1236,9 @@ class TestSpectraByAnchor:
         assert grown_plain == {"b": 106, "c": 112}
 
     def test_one_anchor_and_whole_group_reports_agree(self):
-        for spec, node, k in _sweep_groups(2, 2, 2):
+        # the golden grid's n <= 2 groups, shifted too: the one-anchor report
+        # walks only the affinization terms its KR module can cover
+        for spec, node, k in _sweep_groups(2, 3, 3):
             for shift in (0, 3):
                 spec_s = replace(spec, shift=shift)
                 for r in resonance_window(spec_s, node, k, 3):
