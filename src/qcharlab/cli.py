@@ -28,7 +28,9 @@ import os
 import re
 import signal
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from collections import deque
+from contextlib import ExitStack, closing, contextmanager, suppress
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InvalidInput, InvariantViolation
@@ -334,6 +336,37 @@ def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     return "violations", _object_text(fields)
 
 
+# Points per task of a sweep on two or more workers, and the tasks each
+# worker may have submitted and not yet read.
+SWEEP_CHUNK = 16
+CHUNKS_PER_WORKER = 2
+
+
+def _sweep_chunk(points: list[tuple[MinAffSpec, KRSpec]]) -> list[tuple[str, str]]:
+    return [_sweep_point(point) for point in points]
+
+
+def _pooled_results(pool, points, workers: int):
+    """``_sweep_point`` of each of ``points``, in order, computed on ``pool``
+    in chunks of ``SWEEP_CHUNK``, with at most ``CHUNKS_PER_WORKER *
+    workers`` chunks submitted and not yet read, so a sweep holds a few
+    chunks of points and lines however large its grid.  Closing the
+    generator cancels the chunks not yet started."""
+    points = iter(points)
+    window = CHUNKS_PER_WORKER * workers
+    pending: deque = deque()
+    try:
+        for chunk in iter(lambda: list(islice(points, SWEEP_CHUNK)), []):
+            if len(pending) == window:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_sweep_chunk, chunk))
+        while pending:
+            yield from pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def clamp_workers(requested: int, points: int) -> int:
     """Worker processes for a sweep: at most one per CPU and one per point."""
     return max(1, min(requested, os.cpu_count() or 1, points))
@@ -381,8 +414,8 @@ def cmd_sweep(args) -> int:
     A grid of more than ``SWEEP_POINT_BUDGET`` points (``sweep_size``) is
     refused as invalid input before any point is built or any file is
     written.  Under the budget that count is exact, and the points go
-    straight from ``sweep_grid`` to ``map``, never listed (a pool's ``map``
-    still submits every chunk at once).
+    straight from ``sweep_grid`` to the workers, never listed: on two or
+    more workers ``_pooled_results`` submits a few chunks at a time.
     """
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -413,13 +446,14 @@ def cmd_sweep(args) -> int:
                 from concurrent.futures import ProcessPoolExecutor
 
                 # workers ignore SIGTERM, also one sent to the whole process group:
-                # the parent's exit cancels the pending chunks and the pool's exit
-                # waits for the running ones, so only the parent ends the pool
+                # the parent's exit closes the results, which cancels the pending
+                # chunks, and the pool's exit then waits for the running ones, so
+                # only the parent ends the pool
                 ignore_sigterm = (signal.SIGTERM, signal.SIG_IGN)
                 pool = stack.enter_context(
                     ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigterm)
                 )
-                results = pool.map(_sweep_point, sweep_grid(cfg), chunksize=16)
+                results = stack.enter_context(closing(_pooled_results(pool, sweep_grid(cfg), workers)))
             for outcome, line in results:
                 fh.write(line + "\n")
                 counts[outcome] += 1

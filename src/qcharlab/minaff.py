@@ -21,7 +21,9 @@ partition-indexed formula provides the same set of terms.  A ``QChar``
 holds its terms as the search's canonical exponent tuples and builds
 ``LMonomial`` objects only where a caller reads monomials; a held one
 (``held_qchar``) runs the search only when read, and in a product only for
-the terms its partner can cover.
+the terms its partner can cover; of two held factors, the second is
+searched under the first's raise bound, and the first under the terms
+found, so neither is searched whole.
 
 ``anchor_join`` is the one dominant-pair join: it gives the whole dominant
 part of ``walked * tau_r(indexed)``, the products of two dominant terms
@@ -48,7 +50,7 @@ from .lweight import (
     transform,
     y_string,
 )
-from .tableaux import Tableau, filling_pairs, snake_shape
+from .tableaux import Tableau, filling_pairs, raise_bound, snake_shape
 
 # not used here since ``qchar`` reads exponent tuples only, but still looked up
 # in this module by the benchmark's tracer (``perfbench/spans.py``)
@@ -186,7 +188,11 @@ class QChar:
     without forming the product.  With an unsearched held factor it walks
     that factor, searched only for the terms the other factor can cover
     (``filling_pairs`` under the other's top exponent at each key), against
-    the other's join index, and leaves the held factor unsearched; else it
+    the other's join index, and leaves the held factor unsearched.  If the
+    other factor is held and unsearched too, it is first searched only for
+    the terms the held factor can cover (under the held factor's
+    ``raise_bound``), and the walk runs against the index of those terms
+    alone, so both factors stay unsearched.  With no held factor it
     walks the larger factor against the smaller one's index.  Everything
     else on a product convolves the factors once, on first use.  The rank
     must be a positive plain ``int`` (``require_rank``), the terms a dict
@@ -273,6 +279,12 @@ class QChar:
             if not held._unsearched():
                 held, other = other, held
             if held._unsearched():
+                if other._unsearched():
+                    # no exponent of ``held`` exceeds its raise bound, so only the
+                    # terms of ``other`` whose negative exponents it clears can
+                    # meet a dominant product: search those, and index them alone
+                    bound = raise_bound(n, snake_shape(held._drinfeld))
+                    other = QChar._of(n, _searched_terms(other._drinfeld, bound))
                 # a term of ``held`` meets a dominant product only if ``other``
                 # covers each of its negative exponents: search only those
                 top = {key: ts[-1] for key, (ts, _) in other._join_index().cover.items()}
@@ -492,8 +504,8 @@ def anchor_join(
 # modules, and in ``tensor`` the normal-form reports, the per-group spectra
 # of ``spectra_by_anchor`` with the group's transported affinization and
 # resonance table, and the members of the two tableau families.  A sweep
-# builds KR characters at anchor 0 only; the ``tensor`` command builds its
-# point's KR character at its own anchor.  The golden sweep holds 72
+# builds KR characters at anchor 0 only; the ``tensor`` command caches no
+# character, holding both of its point's modules.  The golden sweep holds 72
 # characters, 122 affinization and 327 KR polynomials, 1,455 reports, 354
 # groups (87 transported specs), 152 raised-column and 302 gap members; the
 # n_max=lambda_sum_max=k_max=4 sweep 263, 475 and 792, 9,592 reports,

@@ -43,6 +43,11 @@ placed.  The last such box is always one that can lower it, since below a
 box that can raise ``(i, r)`` sits, in its own column, a box that can lower
 it whenever an earlier column can; so the check is made right after that
 box, and a subtree below the floor is skipped whole.
+
+``raise_bound`` is the other side of that bound: for each key ``(i, r)``
+the number of boxes of a shape that can raise it, which no filling's
+exponent there exceeds.  A product of two held characters searches one
+factor under the other's raise bound, so neither is searched whole.
 """
 
 from __future__ import annotations
@@ -396,6 +401,28 @@ def filling_pairs(
                 if exps[k] < f:
                     caps[p] = 0  # box p - 1 left a key below its floor: back up at once
                     break
+
+
+def raise_bound(n: int, shape: Shape) -> dict[tuple[int, int], int]:
+    """For each key ``(i, r)`` some box of ``shape`` can raise, the number of
+    boxes that can: an upper bound on every filling's exponent there.
+
+    A box raises ``(i, r)`` only at support ``r - i + 1`` with content
+    ``i``, and the box in ``row`` of a column of length ``k`` takes the
+    contents ``row .. n + 1 - (k - row)``, the ranges ``filling_pairs``
+    searches; content ``n + 1`` raises nothing.
+    """
+    require_rank(n)
+    if not isinstance(shape, Shape):
+        raise InvalidInput(f"the bound needs a Shape, got {shape!r}")
+    bound: dict[tuple[int, int], int] = {}
+    for k, s in shape:
+        for row in range(1, k + 1):
+            supp = box_support(k, s, row)
+            for c in range(row, min(n + 1 - (k - row), n) + 1):
+                key = (c, supp + c - 1)
+                bound[key] = bound.get(key, 0) + 1
+    return bound
 
 
 def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:

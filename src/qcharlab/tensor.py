@@ -33,12 +33,14 @@ resonances there): each point looks its resonance up, and the sweep window
 is the hull of the table.  The transported affinization does not depend on
 r either and is computed once per group.  A single point (the ``tensor``
 command, and the transports of its rows a, b and c) joins the held
-affinization (``held_qchar``) with its KR character at its one anchor: the
-tableau search yields only the affinization terms whose negative exponents
-the KR character can cover, and only those are walked.  The sweep keeps
-the full character, because its join certifies every anchor of the group
-(the ``r_window`` check), and a bound over every shift would prune almost
-nothing.
+affinization with the held KR module (``held_qchar`` of each) at its one
+anchor, and neither character is searched whole: the KR search yields
+only the terms whose negative exponents the affinization's
+``raise_bound`` clears, the affinization search only the terms whose
+negative exponents those KR terms can cover, and only those are walked.
+The sweep keeps the full characters, because its join certifies every
+anchor of the group (the ``r_window`` check), and a bound over every
+shift would prune almost nothing.
 
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
@@ -576,10 +578,9 @@ def _transported_spec(variant: Variant, spec: MinAffSpec) -> Optional[tuple[MinA
 def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
     """The classifier pipeline shared by every row of ``VARIANTS``.
 
-    D is brute-forced: from the pair's own product character, whose held
-    affinization is searched only for the terms the KR character can
-    cover, or, with ``whole_group``, read from ``spectra_by_anchor`` for the
-    point's group.
+    D is brute-forced: from the pair's own product of two held characters,
+    each searched only for the terms the other can cover, or, with
+    ``whole_group``, read from ``spectra_by_anchor`` for the point's group.
     The row's resonance is looked up on the untransformed data.  The normal
     row then checks the closed form: D is a chain of multiplicity-one
     terms equal to ``expected_dominants``, and the extra factor, the
@@ -601,7 +602,7 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
         found = spectra_by_anchor(spec, kr.node, kr.k).get(kr.r)
         spectrum = _spectrum(found) if found else DominantSpectrum(((lam, 1),), True)
     else:
-        spectrum = dominant_spectrum(product_qchar(held_qchar(spec), qchar_kr(kr)))
+        spectrum = dominant_spectrum(product_qchar(held_qchar(spec), held_qchar(kr.as_minaff())))
     D = [m for m, _ in spectrum.entries]
     res = _resonance(variant, spec, kr)
     tag = _tag_of(spec, kr, res)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -411,6 +412,56 @@ class TestSweepCommand:
         cfg = _write_config(tmp_path, lambda_sum_max=1, parallelism=2)
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
         assert (tmp_path / "out.jsonl").read_bytes() == serial
+
+    def test_pool_holds_a_few_chunks(self, capsys, tmp_path, monkeypatch):
+        """A sweep on several workers keeps at most two chunks per worker
+        submitted and unread, and writes the serial sweep's bytes."""
+
+        class Future:
+            def __init__(self, pool, value):
+                self.pool, self.value = pool, value
+
+            def result(self):
+                self.pool.pending -= 1
+                return self.value
+
+            def cancel(self):
+                return False
+
+        class CountingPool:
+            # runs each chunk at once in this process, counting the chunks
+            # submitted and not yet read
+            def __init__(self, workers, initializer=None, initargs=()):
+                self.workers, self.submitted, self.pending, self.peak = workers, 0, 0, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                self.pending += 1
+                self.peak = max(self.peak, self.pending)
+                return Future(self, fn(*args))
+
+        pools = []
+        cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], lambda_sum_max=1, k_max=2)
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        serial = (tmp_path / "out.jsonl").read_bytes()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], lambda_sum_max=1, k_max=2,
+                            parallelism=3)
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        assert (tmp_path / "out.jsonl").read_bytes() == serial
+        (pool,) = pools
+        lines = serial.count(b"\n")
+        assert pool.workers == 3 and pool.pending == 0
+        assert pool.submitted == math.ceil(lines / cli.SWEEP_CHUNK) > 2 * 3
+        assert pool.peak == cli.CHUNKS_PER_WORKER * 3 == 6
 
     def test_summary_counts_the_output(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)

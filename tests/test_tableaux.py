@@ -36,7 +36,7 @@ from qcharlab import (
     snake_shape,
     y_string,
 )
-from qcharlab.tableaux import filling_pairs
+from qcharlab.tableaux import filling_pairs, raise_bound
 
 
 def Y(n, i, r, e=1):
@@ -396,6 +396,45 @@ class TestBoundedSearch:
     def test_rejects_a_malformed_bound(self, bound, message):
         with pytest.raises(InvalidInput, match=message):
             list(filling_pairs(1, Shape(((1, 0),)), bound))
+
+
+class TestRaiseBound:
+    """``raise_bound`` counts the boxes that can raise each key, which bounds
+    every filling's exponent there."""
+
+    def test_bounds_every_character(self):
+        specs = [
+            MinAffSpec(n, lam, direction)
+            for n in range(1, 5)
+            for lam in all_weights(n, 4)
+            for direction in ("inc", "dec")
+        ]
+        specs += [
+            KRSpec(n, node, 0, k).as_minaff()
+            for n in range(1, 5)
+            for node in sorted({1, n})
+            for k in range(1, 5)
+        ]
+        for spec in specs:
+            bound = raise_bound(spec.n, snake_shape(drinfeld_of_spec(spec)))
+            top = cover_bound_reference(qchar(spec))
+            assert all(bound.get(key, 0) >= e for key, e in top.items()), spec
+
+    def test_counts_the_boxes(self):
+        # one box at support 0 takes every content and raises (c, c - 1) for c <= n
+        assert raise_bound(2, Shape(((1, 0),))) == {(1, 0): 1, (2, 1): 1}
+        # a column of length n + 1 is forced to 1..n+1, and each box raises its own key
+        assert raise_bound(2, Shape(((3, 0),))) == {(1, 4): 1, (2, 3): 1}
+        # two boxes at support 0: the second column's, in row 2, takes contents
+        # 2 and 3 only, so both raise (2, 1) and only the first raises (1, 0)
+        assert raise_bound(2, Shape(((1, 0), (2, 0)))) == {(1, 0): 1, (2, 1): 2, (1, 2): 1, (2, 3): 1}
+        assert raise_bound(3, Shape(())) == {}
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InvalidInput, match="needs a Shape"):
+            raise_bound(2, ((1, 0),))
+        with pytest.raises(InvalidInput):
+            raise_bound(0, Shape(((1, 0),)))
 
 
 class TestSemistandard:

@@ -179,7 +179,8 @@ class TestPackedProduct:
         """A held affinization is searched only for the terms its partner can
         cover, and those are walked: the product's dominant terms are the
         full product's at both extreme nodes, in either order, and the held
-        factor is left unsearched and unindexed."""
+        factor is left unsearched and unindexed.  Of two held factors,
+        neither is searched whole, and both are left unsearched."""
         for spec in (MinAffSpec(3, (1, 0, 2), "inc", 7), MinAffSpec(3, (2, 1, 0), "dec", -1),
                      MinAffSpec(2, (1, 2), "inc")):
             full = qchar(spec)
@@ -193,10 +194,39 @@ class TestPackedProduct:
                         prod = product_qchar(held, partner) if held_first else product_qchar(partner, held)
                         assert prod.dominant_terms() == expected
                         assert held._terms is None and held._index is None and prod._terms is None
-                    # of two held factors, the first is walked
                     held, other = held_qchar(spec), held_qchar(kr.as_minaff())
                     assert product_qchar(held, other).dominant_terms() == expected
-                    assert held._terms is None and other._terms is not None
+                    assert held._unsearched() and other._unsearched()
+                    assert held._index is None and other._index is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_points(), st.data())
+    def test_two_held_factors_are_searched_only_for_what_meets(self, point, data):
+        """Of two held factors, the second is searched under the first's raise
+        bound and the first under the terms found: in both orders, with
+        shifts, the dominant terms are the reference product's, every search
+        runs under a bound, and both factors are left unsearched."""
+        spec, kr = point
+        n = spec.n
+        lam = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+        partner = data.draw(st.sampled_from((
+            kr.as_minaff(),
+            MinAffSpec(n, tuple(lam), data.draw(st.sampled_from(("inc", "dec"))), data.draw(st.integers(-6, 6))),
+        )))
+        bounds = []
+        searched = minaff._searched_terms
+
+        def recorded(omega, bound=None):
+            bounds.append(bound)
+            return searched(omega, bound)
+
+        for a, b in ((spec, partner), (partner, spec)):
+            expected = product_qchar_reference(qchar(a), qchar(b)).dominant_terms()
+            x, y = held_qchar(a), held_qchar(b)
+            with patch.object(minaff, "_searched_terms", recorded):
+                assert product_qchar(x, y).dominant_terms() == expected
+            assert x._unsearched() and y._unsearched()
+        assert len(bounds) == 4 and None not in bounds
 
     def test_factors_of_equal_size(self):
         a, b = qchar_kr(KRSpec(2, 1, 0, 2)), qchar_kr(KRSpec(2, 2, -3, 2))
@@ -955,6 +985,7 @@ def _lambda_prime_replaced(new):
 
 # (point, patches, error, message): each check of the classifier, and a patch
 # of the name it guards that makes it fire
+THIN_CHECK = ({"minaff.filling_pairs": _monomials_identity}, InvariantViolation, "thinness violated")
 CHECKS = [
     (NORMAL_POINT, {"tensor.le": lambda f: lambda a, b: False},
      TheoremViolation, "dominant spectrum is not a chain"),
@@ -988,8 +1019,9 @@ CHECKS = [
     # the extra factor is derived only once D matches the closed form
     (NORMAL_POINT, {"tensor.family_S": _monomial_perturbed, "tensor.expected_dominants": _brute_force_D},
      TheoremViolation, "not at position"),
-    (NORMAL_POINT, {"minaff.filling_pairs": _monomials_identity},
-     InvariantViolation, "thinness violated"),
+    # a repeated term needs two fillings: at NORMAL_POINT each bounded search of
+    # the one-anchor path keeps one, at CASE_I_POINT the KR search keeps two
+    (CASE_I_POINT, *THIN_CHECK),
     (NORMAL_POINT, {"minaff.dominant_exps": lambda f: lambda exps: True},
      InvariantViolation, "expected a unique dominant term"),
 ]
@@ -1040,7 +1072,9 @@ class TestClassifierChecks:
     @pytest.mark.parametrize(
         "point, patches, error, message",
         [
-            *CHECKS,
+            # the group path searches the whole character, so NORMAL_POINT repeats terms
+            *((NORMAL_POINT, *THIN_CHECK) if check_id == "qchar_thin" else row
+              for row, check_id in zip(CHECKS, CHECK_IDS)),
             (NORMAL_POINT, {"tensor.resonance_window": lambda f: lambda s, node, k, pad=2: range(0)},
              TheoremViolation, "outside the resonance window"),
         ],
