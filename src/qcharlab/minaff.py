@@ -50,7 +50,7 @@ from .lweight import (
     transform,
     y_string,
 )
-from .tableaux import Tableau, filling_pairs, raise_bound, snake_shape
+from .tableaux import Shape, Tableau, filling_pairs, raise_bound, snake_shape
 
 # not used here since ``qchar`` reads exponent tuples only, but still looked up
 # in this module by the benchmark's tracer (``perfbench/spans.py``)
@@ -279,16 +279,17 @@ class QChar:
             if not held._unsearched():
                 held, other = other, held
             if held._unsearched():
+                shape = snake_shape(held._drinfeld)
                 if other._unsearched():
                     # no exponent of ``held`` exceeds its raise bound, so only the
                     # terms of ``other`` whose negative exponents it clears can
                     # meet a dominant product: search those, and index them alone
-                    bound = raise_bound(n, snake_shape(held._drinfeld))
+                    bound = raise_bound(n, shape)
                     other = QChar._of(n, _searched_terms(other._drinfeld, bound))
                 # a term of ``held`` meets a dominant product only if ``other``
                 # covers each of its negative exponents: search only those
                 top = {key: ts[-1] for key, (ts, _) in other._join_index().cover.items()}
-                walked, indexed = QChar._of(n, _searched_terms(held._drinfeld, top)), other
+                walked, indexed = QChar._of(n, _searched_terms(held._drinfeld, top, shape)), other
             else:
                 indexed, walked = sorted(self._factors, key=len)
             out = list(anchor_join(walked, indexed, 0)[0].items())
@@ -502,10 +503,11 @@ def anchor_join(
 # Bound on each cache: the q-characters (each with its join index once a
 # join indexes it), the Drinfeld polynomials of affinizations and of KR
 # modules, and in ``tensor`` the normal-form reports, the per-group spectra
-# of ``spectra_by_anchor`` with the group's transported affinization and
-# resonance table, and the members of the two tableau families.  A sweep
-# builds KR characters at anchor 0 only; the ``tensor`` command caches no
-# character, holding both of its point's modules.  The golden sweep holds 72
+# of ``spectra_by_anchor`` with the group's loud anchors, transported
+# affinization and resonance table, and the members of the two tableau
+# families.  A sweep builds KR characters at anchor 0 only; the ``tensor``
+# command caches no character, holding both of its point's modules.  The
+# golden sweep holds 72
 # characters, 122 affinization and 327 KR polynomials, 1,455 reports, 354
 # groups (87 transported specs), 152 raised-column and 302 gap members; the
 # n_max=lambda_sum_max=k_max=4 sweep 263, 475 and 792, 9,592 reports,
@@ -537,9 +539,12 @@ def highest_tableau(spec: MinAffSpec) -> Tableau:
     return Tableau(spec.n, shape, tuple(tuple(range(1, k + 1)) for k, _ in shape))
 
 
-def _searched_terms(omega: LMonomial, bound: Optional[dict] = None) -> dict[tuple, int]:
+def _searched_terms(
+    omega: LMonomial, bound: Optional[dict] = None, shape: Optional[Shape] = None
+) -> dict[tuple, int]:
     """The terms of the snake ``omega``'s character: the exponent tuples of
     ``filling_pairs`` over its ``snake_shape``, under ``bound`` if given.
+    A caller that holds that shape already passes it as ``shape``.
 
     No tableau or ``LMonomial`` is built.  Two checks on the tuples follow,
     and a failure signals an implementation bug, never bad input: no term
@@ -548,7 +553,9 @@ def _searched_terms(omega: LMonomial, bound: Optional[dict] = None) -> dict[tupl
     which no bound removes, having no negative exponent.
     """
     n, make = omega.n, LMonomial._make
-    found = [t for _, t in filling_pairs(n, snake_shape(omega), bound)]
+    if shape is None:
+        shape = snake_shape(omega)
+    found = [t for _, t in filling_pairs(n, shape, bound)]
     terms = dict.fromkeys(found, 1)
     if len(terms) != len(found):
         seen: set[tuple] = set()

@@ -42,6 +42,15 @@ The sweep keeps the full characters, because its join certifies every
 anchor of the group (the ``r_window`` check), and a bound over every
 shift would prune almost nothing.
 
+Most anchors of a group are quiet, and a sweep classifies those from group
+data alone.  An anchor is loud (``_loud_anchors``, once per group) when the
+group's resonance table or its ``spectra_by_anchor`` map has an entry
+there, or, on rows a, b and c, when its transported anchor is loud in the
+transported normal-form group.  At a quiet anchor D = {lambda} with no
+resonance, and the transported point is the same, so every check of
+``_classify`` holds vacuously and the report is the irreducible one of
+lambda.  A single point never takes this path.
+
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
 shifts the answer back.  ``transform`` applies the shift after its map, so
@@ -50,13 +59,13 @@ module on the way there, one for each monomial carried back.
 ``classify_normal`` is cached on its arguments (at most ``CACHE_SIZE``
 reports, like ``qchar``), so a normal-row point and
 every transport that lands on the same problem share one brute-force
-classification; every a/b/c point still runs every transport check.  The
+classification; every loud a/b/c point still runs every transport check.  The
 members of the two tableau families (``family_S``, ``family_T``) are cached
 on their arguments too, so each distinct member runs its checks once;
-these caches and ``spectra_by_anchor`` key on the argument types as well
-(``typed=True``), so that a float or bool index still meets the
-exact-integer rule.  ``cli.main`` empties every cache of this module before
-each command (``clear_caches``).
+these caches, ``spectra_by_anchor`` and ``_loud_anchors`` key on the
+argument types as well (``typed=True``), so that a float or bool index
+still meets the exact-integer rule.  ``cli.main`` empties every cache of
+this module before each command (``clear_caches``).
 """
 
 from __future__ import annotations
@@ -575,6 +584,38 @@ def _transported_spec(variant: Variant, spec: MinAffSpec) -> Optional[tuple[MinA
     return MinAffSpec(spec_t.n, spec_t.lam), spec_t.shift
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> Optional[frozenset[int]]:
+    """The anchors r of the group (spec, node, k) where ``_classify`` runs
+    its checks, or None when it runs them at every anchor.
+
+    An anchor is loud if ``_resonances`` or ``spectra_by_anchor`` has an
+    entry there, or, on rows a, b and c, if its transported anchor r_t is
+    loud in the transported normal-form group.  The transported KR module
+    is recognised once, at anchor 0: ``transform`` carries tau_r to
+    tau_{sigma r}, with sigma = -1 on the flipped rows (their maps negate
+    r) and +1 on row a, so r_t = r_t(0) + sigma * r.  Every anchor is loud
+    when the transported affinization or KR module is not recognised.
+    Keyed and cached like ``spectra_by_anchor``.
+    """
+    variant = _variant_of(spec.direction, node != spec.n)
+    loud = {*spectra_by_anchor(spec, node, k), *_resonances(variant, spec, k)}
+    if variant.inverse is not None:
+        transported = _transported_spec(variant, spec)
+        if transported is None:
+            return None
+        spec_t, t = transported
+        kr_t = recognize_kr(transform(KRSpec(spec.n, node, 0, k).drinfeld(), variant.inverse, -t))
+        if kr_t is None or kr_t.node != spec.n:
+            return None
+        loud_t = _loud_anchors(spec_t, kr_t.node, kr_t.k)
+        if loud_t is None:
+            return None
+        sigma = -1 if variant.flipped else 1
+        loud.update(sigma * (r_t - kr_t.r) for r_t in loud_t)
+    return frozenset(loud)
+
+
 def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
     """The classifier pipeline shared by every row of ``VARIANTS``.
 
@@ -595,10 +636,31 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
     It checks that the resonance (with p -> n + 1 - p at node 1) and the
     verdict agree, that D transports exactly where the row says so, and
     that D contains the transported extra factor.
+
+    With ``whole_group``, a quiet anchor (one outside ``_loud_anchors``)
+    gets the irreducible report of lambda = omega * varpi at once, since
+    every check holds there by group data alone.  D = {lambda} with no
+    resonance equals ``expected_dominants``; the chain and multiplicity
+    checks are trivial; the tag is irreducible and there is no lambda'.  On
+    rows a, b and c the transported anchor is r_t = r_t(0) + sigma * r
+    (sigma = -1 on the flipped rows, whose maps negate r, else +1), quiet
+    in its own group, so both sides are irreducible with no resonance, and
+    the transported D = {lambda_t} carries back to {lambda}, since
+    ``transform`` is multiplicative and carries omega_t * varpi_t back to
+    omega * varpi.  A disagreement in the group data makes the anchor loud,
+    and the checks below raise it as before.
     """
     omega, varpi = drinfeld_of_spec(spec), kr.drinfeld()
     lam = omega * varpi
     if whole_group:
+        loud = _loud_anchors(spec, kr.node, kr.k)
+        if loud is not None and kr.r not in loud:
+            # a quiet anchor: every check below holds by group data alone
+            return TensorReport(
+                variant=variant.name, spec=spec, kr=kr, lam=lam, D=((lam, 1),),
+                totally_ordered=True, tag=_IRREDUCIBLE, resonance=None, lambda_prime=None,
+                socle_head=_socle_head(variant, _IRREDUCIBLE, lam, None),
+            )
         found = spectra_by_anchor(spec, kr.node, kr.k).get(kr.r)
         spectrum = _spectrum(found) if found else DominantSpectrum(((lam, 1),), True)
     else:
@@ -737,7 +799,8 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
 # of them (a tracer, a test) leaves it reachable; ``cli.main`` empties them
 # before every command.
 _CACHES = (
-    classify_normal, spectra_by_anchor, _transported_spec, _resonances, family_S, family_T
+    classify_normal, spectra_by_anchor, _loud_anchors, _transported_spec, _resonances, family_S,
+    family_T,
 )
 
 

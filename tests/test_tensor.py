@@ -213,20 +213,27 @@ class TestPackedProduct:
             kr.as_minaff(),
             MinAffSpec(n, tuple(lam), data.draw(st.sampled_from(("inc", "dec"))), data.draw(st.integers(-6, 6))),
         )))
-        bounds = []
-        searched = minaff._searched_terms
+        bounds, shapes = [], []
+        searched, shape_of = minaff._searched_terms, minaff.snake_shape
 
-        def recorded(omega, bound=None):
+        def recorded(omega, bound=None, shape=None):
             bounds.append(bound)
-            return searched(omega, bound)
+            return searched(omega, bound, shape)
+
+        def counted(m):
+            shapes.append(m)
+            return shape_of(m)
 
         for a, b in ((spec, partner), (partner, spec)):
             expected = product_qchar_reference(qchar(a), qchar(b)).dominant_terms()
             x, y = held_qchar(a), held_qchar(b)
-            with patch.object(minaff, "_searched_terms", recorded):
+            with patch.object(minaff, "_searched_terms", recorded), patch.object(minaff, "snake_shape", counted):
                 assert product_qchar(x, y).dominant_terms() == expected
             assert x._unsearched() and y._unsearched()
         assert len(bounds) == 4 and None not in bounds
+        # each factor's shape is read off its Drinfeld polynomial once per product
+        omegas = [drinfeld_of_spec(spec), drinfeld_of_spec(partner)]
+        assert shapes == omegas + omegas[::-1]
 
     def test_factors_of_equal_size(self):
         a, b = qchar_kr(KRSpec(2, 1, 0, 2)), qchar_kr(KRSpec(2, 2, -3, 2))
@@ -1333,6 +1340,131 @@ class TestSpectraByAnchor:
             assert (r in every) == (got[r] != top_products)
 
 
+# quiet anchors of the groups of NORMAL_POINT and A_POINT: no resonance, D = {lambda},
+# and on row a the transported anchor is quiet too
+QUIET_NORMAL_POINT = (NORMAL_POINT[0], replace(NORMAL_POINT[1], r=0))
+QUIET_A_POINT = (A_POINT[0], replace(A_POINT[1], r=0))
+
+
+def _is_quiet(spec, kr):
+    loud = tensor._loud_anchors(spec, kr.node, kr.k)
+    return loud is not None and kr.r not in loud
+
+
+def _grown_at_0(spectra):
+    """``spectra_by_anchor`` with an entry at anchor 0: the D of the group's
+    resonant anchor 3 carried down to anchor 0's lambda, a chain of
+    multiplicity-one terms as D is where it grows."""
+
+    def patched(spec, node, k):
+        real = spectra(spec, node, k)
+        lam0 = drinfeld_of_spec(spec) * KRSpec(spec.n, node, 0, k).drinfeld()
+        to_0 = real[3][0][0].inverse() * lam0
+        return {**real, 0: tuple((m * to_0, c) for m, c in real[3])}
+
+    return patched
+
+
+def _with_transported_resonance(resonances):
+    """``_resonances`` with an entry on the normal row at the anchor that
+    QUIET_A_POINT transports to: kind "i" at node n + 1 with k' past the KR
+    length, so the normal-form point stays irreducible with D = {lambda}
+    and only the transport's resonance check can see it."""
+    spec_t, kr_t = _transported(*QUIET_A_POINT)
+
+    def patched(variant, spec, k):
+        table = resonances(variant, spec, k)
+        if variant.name == "normal" and (spec, k) == (spec_t, kr_t.k):
+            table = {**table, kr_t.r: (Resonance("i", kr_t.k + 1, spec.n + 1),)}
+        return table
+
+    return patched
+
+
+class TestQuietAnchors:
+    """At an anchor that no group table marks, a whole-group report is read
+    off the group data alone; any disagreement there makes the anchor loud."""
+
+    def test_quiet_reports_equal_the_full_path(self, monkeypatch):
+        # the golden grid's n <= 2 groups, shifted too, every row
+        points = [
+            (replace(spec, shift=shift), KRSpec(spec.n, node, r, k))
+            for spec, node, k in _sweep_groups(2, 3, 3)
+            for shift in (0, 3)
+            for r in resonance_window(replace(spec, shift=shift), node, k)
+        ]
+        quiet = [_is_quiet(*point) for point in points]
+        fast = [classify_variant(*point, whole_group=True) for point in points]
+        tensor.clear_caches()
+        monkeypatch.setattr(tensor, "_loud_anchors", lambda spec, node, k: None)  # every anchor loud
+        for point, report in zip(points, fast):
+            full = classify_variant(*point, whole_group=True)
+            assert report == full and report.json_text() == full.json_text(), point
+        assert (sum(quiet), len(points)) == (2480, 3660)
+        assert {rep.variant for rep, q in zip(fast, quiet) if q} == set(VARIANTS)
+
+    def test_quiet_share_of_the_golden_grid(self):
+        cfg = cli.SweepConfig.from_json(
+            {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
+             "variants": ["normal", "a", "b", "c"], "output": "unused"}
+        )
+        quiet = [_is_quiet(spec, kr) for spec, kr in cli.sweep_grid(cfg)]
+        assert (sum(quiet), len(quiet)) == (4000, 5820)
+
+    @pytest.mark.parametrize(
+        "point, patches, error, message",
+        [
+            (QUIET_NORMAL_POINT, {"tensor.spectra_by_anchor": _grown_at_0},
+             TheoremViolation, "brute-force dominant spectrum disagrees with the closed form"),
+            (QUIET_A_POINT, {"tensor._resonances": _with_transported_resonance},
+             TheoremViolation, "disagree with transported"),
+            (QUIET_A_POINT, {"tensor.recognize_kr": lambda f: lambda m: None},
+             TheoremViolation, "transported KR module is not at the last node"),
+            (QUIET_A_POINT, {"tensor.recognize_minaff": lambda f: lambda m, direction: None},
+             TheoremViolation, "transported affinization is not increasing"),
+        ],
+        ids=["closed_form_D", "resonance_agreement", "transported_kr", "transported_affinization"],
+    )
+    def test_check_fires_at_a_quiet_anchor(self, point, patches, error, message, monkeypatch):
+        assert _is_quiet(*point)
+        tensor.clear_caches()
+        _fires(point, patches, error, message, monkeypatch, whole_group=True)
+
+    def test_transported_anchor_is_affine_in_r(self):
+        """r_t = r_t(0) + sigma * r on every row-a/b/c group with n, k <= 3,
+        sigma = -1 exactly on the flipped rows b and c: the one recognition
+        at anchor 0 that ``_loud_anchors`` runs is every anchor's."""
+        rows = Counter()
+        for spec, node, k in _sweep_groups(3, 3, 3):
+            variant = tensor._variant_of(spec.direction, node != spec.n)
+            if variant.inverse is None:
+                continue
+            sigma = -1 if variant.name in ("b", "c") else 1
+            assert variant.flipped == (sigma == -1)
+            _, t = tensor._transported_spec(variant, spec)
+
+            def transported(r):
+                return recognize_kr(transform(KRSpec(spec.n, node, r, k).drinfeld(), variant.inverse, -t))
+
+            at_0 = transported(0)
+            assert at_0.node == spec.n
+            for r in resonance_window(spec, node, k):
+                assert transported(r) == replace(at_0, r=at_0.r + sigma * r), (spec, node, k, r)
+            rows[variant.name] += 1
+        assert set(rows) == {"a", "b", "c"}
+
+    def test_cached_per_group_and_emptied(self):
+        assert tensor._loud_anchors in tensor._CACHES
+        assert tensor._loud_anchors.cache_info().maxsize == minaff.CACHE_SIZE
+        spec, node, k = A_POINT[0], A_POINT[1].node, A_POINT[1].k
+        for r in resonance_window(spec, node, k):
+            classify_variant(spec, KRSpec(spec.n, node, r, k), whole_group=True)
+        # the row-a group and the normal-form group it transports to
+        assert tensor._loud_anchors.cache_info().currsize == 2
+        tensor.clear_caches()
+        assert tensor._loud_anchors.cache_info().currsize == 0
+
+
 def _family_arguments(n_max=2, total_max=3):
     """Every ``family_S`` and ``family_T`` argument tuple of the n <= 2 grid,
     the conventions' edge values and rejected ones included."""
@@ -1394,10 +1526,11 @@ class TestMemberCaches:
         "fn, args",
         [
             (tensor.spectra_by_anchor, (MinAffSpec(2, (1, 1), "inc"), 2, 1)),
+            (tensor._loud_anchors, (MinAffSpec(2, (1, 1), "dec"), 2, 1)),
             (family_S, (MinAffSpec(2, (1, 1), "inc"), 1, 2, 3)),
             (family_T, (KRSpec(2, 2, 0, 2), 1, 2)),
         ],
-        ids=["spectra_by_anchor", "family_S", "family_T"],
+        ids=["spectra_by_anchor", "_loud_anchors", "family_S", "family_T"],
     )
     def test_a_warm_cache_keeps_the_exact_integer_rule(self, fn, args, bad):
         # 1.0, True and 2.0 hash and compare equal to 1 and 2, so an untyped
