@@ -50,6 +50,7 @@ from .tensor import (
     classify_variant,
     clear_caches,
     resonance_window,
+    sweep_report_text,
 )
 
 EXIT_OK = 0
@@ -314,25 +315,26 @@ def sweep_size(cfg: SweepConfig, limit: int) -> int:
 def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     """One sweep point: its summary count key and its JSON line.
 
-    A theorem violation is recorded as ``violation``, any other exception as
-    ``error`` (``"<Type>: <message>"``); both count as violations, and the
-    sweep goes on with the next point.
+    The spec and the KR module are encoded once, for the line and for the
+    report, which ``sweep_report_text`` writes from its row's template at a
+    quiet anchor and from the whole-group report elsewhere.  A theorem
+    violation is recorded as ``violation``, any other exception as
+    ``error`` (``"<Type>: <message>"``), a quiet point's too; both count
+    as violations, and the sweep goes on with the next point.
     """
     spec, kr = point
+    spec_text, kr_text = spec.json_text(), kr.json_text()
     try:
         # sweep_grid yields a group's anchors in a row, so classify them together
-        rep = classify_variant(spec, kr, whole_group=True)
+        kind, report = sweep_report_text(spec, kr, spec_text, kr_text)
     except InvariantViolation as exc:
         key, message = "violation", str(exc)
     except Exception as exc:
         key, message = "error", f"{type(exc).__name__}: {exc}"
     else:
-        # the report holds this very point, so its spec and KR texts are these
-        spec_text, kr_text = spec.json_text(), kr.json_text()
-        report = rep.json_text(spec_text=spec_text, kr_text=kr_text)
-        return rep.tag.kind, f'{{"kr":{kr_text},"report":{report},"spec":{spec_text}}}'
+        return kind, f'{{"kr":{kr_text},"report":{report},"spec":{spec_text}}}'
     # a message is arbitrary text, escaped as json.dumps escapes it
-    fields = {"kr": kr.json_text(), "spec": spec.json_text(), key: _json_str(message)}
+    fields = {"kr": kr_text, "spec": spec_text, key: _json_str(message)}
     return "violations", _object_text(fields)
 
 

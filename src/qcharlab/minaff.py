@@ -504,15 +504,16 @@ def anchor_join(
 # join indexes it), the Drinfeld polynomials of affinizations and of KR
 # modules, and in ``tensor`` the normal-form reports, the per-group spectra
 # of ``spectra_by_anchor`` with the group's loud anchors, transported
-# affinization and resonance table, and the members of the two tableau
-# families.  A sweep builds KR characters at anchor 0 only; the ``tensor``
-# command caches no character, holding both of its point's modules.  The
-# golden sweep holds 72
-# characters, 122 affinization and 327 KR polynomials, 1,455 reports, 354
-# groups (87 transported specs), 152 raised-column and 302 gap members; the
-# n_max=lambda_sum_max=k_max=4 sweep 263, 475 and 792, 9,592 reports,
-# 1,904 groups (355 transported specs), 802 and 1,150 members.  Only its
-# reports evict.
+# affinization and resonance table, the quiet report templates, and the
+# members of the two tableau families.  A sweep builds KR characters at
+# anchor 0 only, and its quiet lines add no report; the ``tensor`` command
+# caches no character, holding both of its point's modules.  The golden
+# sweep holds 72 characters, 122 affinization and 327 KR polynomials, 511
+# reports, 354 groups (87 transported specs), 10 templates, 152
+# raised-column and 302 gap members; the n_max=lambda_sum_max=k_max=4
+# sweep 263, 475 and 792, asks for 3,631 distinct reports in 3,911
+# misses, 1,904 groups (355 transported specs), 14 templates, 802 and
+# 1,150 members.  Only its reports evict.
 CACHE_SIZE = 2048
 
 

@@ -313,22 +313,43 @@ def filling_pairs(
         yield [], ()
         return
 
-    # up[p][c] / down[p][c]: slot of the +1 / -1 factor of content c at box p;
-    # boundary factors go to a spare last slot whose pairs are all None
-    keys = sorted(
-        {(c, s + c - 1) for s in supports for c in range(1, n + 1)}
-        | {(c - 1, s + c) for s in supports for c in range(2, n + 2)}
-    )
-    slot = {key: j for j, key in enumerate(keys)}
-    spare = len(keys)
+    # one pass over the contents each box can take: content c at support s
+    # raises (c, s + c - 1) if c <= n and lowers (c - 1, s + c) if c >= 2;
+    # raises / lowers count the boxes that can move each key so
+    up_keys: list[list] = []
+    down_keys: list[list] = []
+    raises: dict = {}
+    lowers: dict = {}
+    for s, low, top in zip(supports, lows, top_caps):
+        ups: list = [None] * (n + 2)
+        downs: list = [None] * (n + 2)
+        for c in range(low, top + 1):
+            if c <= n:
+                ups[c] = key = (c, s + c - 1)
+                raises[key] = raises.get(key, 0) + 1
+            if c >= 2:
+                downs[c] = key = (c - 1, s + c)
+                lowers[key] = lowers.get(key, 0) + 1
+        up_keys.append(ups)
+        down_keys.append(downs)
+    # up[p][c] / down[p][c]: slot of the +1 / -1 factor of content c at box
+    # p; boundary factors, and contents the box cannot take, go to a spare
+    # last slot whose pairs are all None
+    keys = sorted(raises.keys() | lowers.keys())
+    slot: dict = {key: j for j, key in enumerate(keys)}
+    spare = slot[None] = len(keys)
+    up = [[slot[key] for key in ups] for ups in up_keys]
+    down = [[slot[key] for key in downs] for downs in down_keys]
     # pairs[j][e] is the one (keys[j], e) every yielded monomial shares, and
-    # None at e = 0; each box moves one slot by +1 and another by -1, so
-    # |e| <= nboxes, and a negative e indexes from the end
-    exponents = [*range(nboxes + 1), *range(-nboxes, 0)]
-    pairs = [[(key, e) if e else None for e in exponents] for key in keys]
-    pairs.append([None] * len(exponents))
-    up = [[spare] + [slot.get((c, s + c - 1), spare) for c in range(1, n + 2)] for s in supports]
-    down = [[spare] + [slot.get((c - 1, s + c), spare) for c in range(1, n + 2)] for s in supports]
+    # None at e = 0; e lies between minus the boxes that can lower the key
+    # and the boxes that can raise it, and a negative e indexes from the
+    # end.  The spare slot takes every boundary factor, so its row spans
+    # -nboxes..nboxes.
+    pairs = [
+        [(key, e) if e else None for e in (*range(raises.get(key, 0) + 1), *range(-lowers.get(key, 0), 0))]
+        for key in keys
+    ]
+    pairs.append([None] * (2 * nboxes + 1))
     exps = [0] * (spare + 1)
     held: list = [None] * (spare + 1)
 
@@ -337,13 +358,7 @@ def filling_pairs(
     # search reads them only under a bound
     floors: list[list] = [[] for _ in range(nboxes)]
     if bounded:
-        last_lower: dict = {}
-        lowers: dict = {}
-        for p, s in enumerate(supports):
-            for c in range(max(lows[p], 2), top_caps[p] + 1):
-                key = (c - 1, s + c)
-                last_lower[key] = p
-                lowers[key] = lowers.get(key, 0) + 1
+        last_lower = {key: p for p, downs in enumerate(down_keys) for key in downs if key}
         for key, p in last_lower.items():
             b = bound.get(key, 0)
             if b < lowers[key]:

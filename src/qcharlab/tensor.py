@@ -49,7 +49,12 @@ there, or, on rows a, b and c, when its transported anchor is loud in the
 transported normal-form group.  At a quiet anchor D = {lambda} with no
 resonance, and the transported point is the same, so every check of
 ``_classify`` holds vacuously and the report is the irreducible one of
-lambda.  A single point never takes this path.
+lambda.  A sweep line needs only that report's text, which differs from
+its row's other quiet reports only in the texts of lambda, the KR module
+and the spec: ``sweep_report_text`` fills those into the row's template,
+cut once per (row, n) from ``TensorReport.json_text`` itself, and builds
+no report and asks ``classify_normal`` nothing.  A single point never
+takes this path.
 
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
@@ -71,9 +76,11 @@ this module before each command (``clear_caches``).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InvalidInput, InvariantViolation, TheoremViolation, require_int
@@ -616,6 +623,21 @@ def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> Optional[frozenset[int
     return frozenset(loud)
 
 
+def _quiet(spec: MinAffSpec, kr: KRSpec) -> bool:
+    """Whether the point's anchor is quiet: outside ``_loud_anchors``."""
+    loud = _loud_anchors(spec, kr.node, kr.k)
+    return loud is not None and kr.r not in loud
+
+
+def _quiet_report(variant: Variant, spec: MinAffSpec, kr: KRSpec, lam: LMonomial) -> TensorReport:
+    """The report at a quiet anchor: irreducible, D = {lambda}, no resonance."""
+    return TensorReport(
+        variant=variant.name, spec=spec, kr=kr, lam=lam, D=((lam, 1),),
+        totally_ordered=True, tag=_IRREDUCIBLE, resonance=None, lambda_prime=None,
+        socle_head=_socle_head(variant, _IRREDUCIBLE, lam, None),
+    )
+
+
 def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
     """The classifier pipeline shared by every row of ``VARIANTS``.
 
@@ -653,14 +675,9 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
     omega, varpi = drinfeld_of_spec(spec), kr.drinfeld()
     lam = omega * varpi
     if whole_group:
-        loud = _loud_anchors(spec, kr.node, kr.k)
-        if loud is not None and kr.r not in loud:
-            # a quiet anchor: every check below holds by group data alone
-            return TensorReport(
-                variant=variant.name, spec=spec, kr=kr, lam=lam, D=((lam, 1),),
-                totally_ordered=True, tag=_IRREDUCIBLE, resonance=None, lambda_prime=None,
-                socle_head=_socle_head(variant, _IRREDUCIBLE, lam, None),
-            )
+        if _quiet(spec, kr):
+            # every check below holds by group data alone
+            return _quiet_report(variant, spec, kr, lam)
         found = spectra_by_anchor(spec, kr.node, kr.k).get(kr.r)
         spectrum = _spectrum(found) if found else DominantSpectrum(((lam, 1),), True)
     else:
@@ -779,6 +796,47 @@ def _normal(spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
     return classify_normal(spec, kr, True) if whole_group else classify_normal(spec, kr)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _quiet_template(variant: Variant, n: int) -> tuple[tuple[str, ...], itemgetter]:
+    """The row's quiet report text at rank n, cut at the texts of the spec,
+    the KR module and lambda: its literal pieces, and the getter that
+    interleaves them with those three texts.  The report text is
+    ``"".join(getter((spec_text, kr_text, lam_text) + pieces))``.
+
+    ``TensorReport.json_text`` renders one quiet report of the row, with
+    control characters, which JSON text never holds raw, in place of the
+    three texts (the identity monomial's text stands for lambda's), so the
+    schema stays written once.
+    """
+    lam = LMonomial.identity(n)
+    spec = MinAffSpec(n, (1,) + (0,) * (n - 1), variant.direction)
+    kr = KRSpec(n, 1 if variant.first else n, 0, 1)
+    text = _quiet_report(variant, spec, kr, lam).json_text(spec_text="\x00", kr_text="\x01")
+    parts = re.split("([\x00-\x02])", text.replace(lam.json_text(), "\x02"))
+    # a marker's code is its text's index; the pieces follow the three texts
+    fields = [3]
+    for j, marker in enumerate(parts[1::2], start=4):
+        fields += (ord(marker), j)
+    return tuple(parts[::2]), itemgetter(*fields)
+
+
+def sweep_report_text(spec: MinAffSpec, kr: KRSpec, spec_text: str, kr_text: str) -> tuple[str, str]:
+    """A sweep point's outcome, the ``CaseTag.kind`` of its report, and the
+    report's JSON text, given the point's ``spec_text`` and ``kr_text``.
+
+    At a quiet anchor the report is the irreducible one of lambda that
+    ``classify_variant(spec, kr, whole_group=True)`` returns there, and
+    its text is the row's ``_quiet_template`` filled in: no report is
+    built.  At every other point it is that report's ``json_text``.
+    """
+    if kr.n == spec.n and _quiet(spec, kr):
+        lam = drinfeld_of_spec(spec) * kr.drinfeld()
+        pieces, interleave = _quiet_template(_variant_of(spec.direction, kr.node != spec.n), spec.n)
+        return "irreducible", "".join(interleave((spec_text, kr_text, lam.json_text()) + pieces))
+    rep = classify_variant(spec, kr, whole_group=True)
+    return rep.tag.kind, rep.json_text(spec_text=spec_text, kr_text=kr_text)
+
+
 def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range:
     """Inclusive range of KR anchors covering every resonance of (spec, k).
 
@@ -800,7 +858,7 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
 # before every command.
 _CACHES = (
     classify_normal, spectra_by_anchor, _loud_anchors, _transported_spec, _resonances, family_S,
-    family_T,
+    family_T, _quiet_template,
 )
 
 

@@ -479,19 +479,23 @@ class TestSweepCommand:
         assert run_cli(capsys, "sweep", "--config", str(cfg)) == (0, serial, "")
 
     def test_violations_are_counted(self, capsys, tmp_path, monkeypatch):
-        classify = cli.classify_variant
+        # a quiet point builds no report: the failure is injected where its text is written
+        write = cli.sweep_report_text
+        injected = []
 
-        def failing_at_rank_two(spec, kr, **kwargs):
-            if spec.n == 2:
+        def failing_at_quiet_rank_two(spec, kr, spec_text, kr_text):
+            if spec.n == 2 and tensor._quiet(spec, kr):
+                injected.append((spec, kr))
                 raise InvariantViolation("injected")
-            return classify(spec, kr, **kwargs)
+            return write(spec, kr, spec_text, kr_text)
 
-        monkeypatch.setattr(cli, "classify_variant", failing_at_rank_two)
+        monkeypatch.setattr(cli, "sweep_report_text", failing_at_quiet_rank_two)
         cfg = _write_config(tmp_path)
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         records = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text().splitlines()]
         failed = sum("violation" in rec for rec in records)
-        assert 0 < failed < len(records)
+        rank_two = sum(rec["spec"]["n"] == 2 for rec in records)
+        assert 0 < failed == len(injected) < rank_two < len(records)
         assert code == cli.EXIT_VIOLATION
         assert f"violations: {failed}\n" in out
 
@@ -500,15 +504,17 @@ class TestSweepCommand:
         code, healthy, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0
         healthy_lines = (tmp_path / "out.jsonl").read_text().splitlines()
-        classify = cli.classify_variant
+        write = cli.sweep_report_text
         bad = json.loads(healthy_lines[3])
+        s, k = bad["spec"], bad["kr"]
+        assert tensor._quiet(MinAffSpec(s["n"], tuple(s["lambda"]), s["dir"], s["shift"]), KRSpec(**k))
 
-        def failing_once(spec, kr, **kwargs):
+        def failing_once(spec, kr, spec_text, kr_text):
             if spec_json_reference(spec) == bad["spec"] and kr_json_reference(kr) == bad["kr"]:
                 raise ValueError("injected")
-            return classify(spec, kr, **kwargs)
+            return write(spec, kr, spec_text, kr_text)
 
-        monkeypatch.setattr(cli, "classify_variant", failing_once)
+        monkeypatch.setattr(cli, "sweep_report_text", failing_once)
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == cli.EXIT_VIOLATION
         assert "violations: 1\n" in out
@@ -518,7 +524,7 @@ class TestSweepCommand:
             "spec": bad["spec"], "kr": bad["kr"], "error": "ValueError: injected"
         }
         assert lines[:3] + lines[4:] == healthy_lines[:3] + healthy_lines[4:]
-        monkeypatch.setattr(cli, "classify_variant", classify)
+        monkeypatch.setattr(cli, "sweep_report_text", write)
         assert run_cli(capsys, "sweep", "--config", str(cfg)) == (0, healthy, "")
 
     def test_interrupted_sweep_keeps_the_earlier_output(self, capsys, tmp_path, monkeypatch):
@@ -737,7 +743,8 @@ class TestFailureRecords:
             failure = ValueError(message)
             key, text = "error", f"ValueError: {message}"
         reference = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), key: text}
-        with patch.object(cli, "classify_variant", side_effect=failure):
+        assert tensor._quiet(spec, kr)
+        with patch.object(cli, "sweep_report_text", side_effect=failure):
             assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(reference))
 
 

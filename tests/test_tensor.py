@@ -1175,12 +1175,16 @@ class TestNormalMemo:
                   "variants": ["normal", "a", "b", "c"], "output": str(tmp_path / "out.jsonl")}
         (tmp_path / "sweep.json").write_text(json.dumps(config), encoding="utf-8")
         points = list(cli.sweep_grid(cli.SweepConfig.from_json(config)))
-        normal_points, transported = set(), []
+        normal_points, transported, loud_problems = set(), [], set()
         for spec, kr in points:
             if tensor._variant_of(spec.direction, kr.node != spec.n).inverse is None:
                 normal_points.add((spec, kr))
+                problem = (spec, kr)
             else:
-                transported.append(_transported(spec, kr))
+                transported.append(problem := _transported(spec, kr))
+            # a quiet point's line is written without asking classify_normal
+            if not _is_quiet(spec, kr):
+                loud_problems.add(problem)
         problems = normal_points | set(transported)
         groups = {(spec, kr.node, kr.k) for spec, kr in points + transported}
 
@@ -1191,7 +1195,7 @@ class TestNormalMemo:
         assert "violations: 0" in capsys.readouterr().out
         # transports share the normal-row points' classifications and groups
         assert len(problems) < len(normal_points) + len(transported)
-        assert classify_normal.cache_info().misses == len(problems)
+        assert classify_normal.cache_info().misses == len(loud_problems) == 52
         assert len(joins) == len(groups) < len({(s, k.node, k.k) for s, k in points}) + len(
             {(s, k.k) for s, k in transported}
         )
@@ -1463,6 +1467,55 @@ class TestQuietAnchors:
         assert tensor._loud_anchors.cache_info().currsize == 2
         tensor.clear_caches()
         assert tensor._loud_anchors.cache_info().currsize == 0
+
+
+class TestQuietLines:
+    """At a quiet anchor a sweep writes the report text from its row's
+    template and builds no report; everywhere else it writes the report's."""
+
+    def test_template_text_is_the_report_text(self, monkeypatch):
+        cfg = cli.SweepConfig.from_json(
+            {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
+             "variants": ["normal", "a", "b", "c"], "output": "unused"}
+        )
+        golden = list(cli.sweep_grid(cfg))
+        shifted = [
+            (replace(spec, shift=3), KRSpec(spec.n, node, r, k))
+            for spec, node, k in _sweep_groups(2, 3, 3)
+            for r in resonance_window(replace(spec, shift=3), node, k)
+        ]
+        classify = tensor.classify_variant
+        reports = []
+        monkeypatch.setattr(
+            tensor, "classify_variant", lambda *args, **kwargs: reports.append(1) or classify(*args, **kwargs)
+        )
+        quiet = Counter()
+        for points, name in ((golden, "golden"), (shifted, "shifted")):
+            for spec, kr in points:
+                texts = spec.json_text(), kr.json_text()
+                reports.clear()
+                got = tensor.sweep_report_text(spec, kr, *texts)
+                rep = classify(spec, kr, whole_group=True)
+                assert got == (rep.tag.kind, rep.json_text(spec_text=texts[0], kr_text=texts[1])), (spec, kr)
+                if _is_quiet(spec, kr):
+                    assert got[0] == "irreducible" and reports == [], (spec, kr)
+                    quiet[name] += 1
+                else:
+                    assert reports == [1], (spec, kr)
+        assert quiet == {"golden": 4000, "shifted": 1240}
+        assert tensor._quiet_template in tensor._CACHES
+
+    def test_failure_at_a_quiet_point_is_its_line(self, monkeypatch):
+        spec, kr = QUIET_A_POINT
+        assert _is_quiet(spec, kr)
+        tensor.clear_caches()
+
+        def failing(*args):
+            raise TheoremViolation("injected")
+
+        monkeypatch.setattr(tensor, "spectra_by_anchor", failing)
+        line = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "violation": "injected"}
+        assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(line))
 
 
 def _family_arguments(n_max=2, total_max=3):
