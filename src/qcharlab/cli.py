@@ -17,12 +17,18 @@ as ``json.dumps`` escapes it.  Monomial input must be a JSON object with
 exactly the keys ``n`` and ``Y``, and must use JSON integers.  Integer
 arguments (``--n``, ``--shift``, ``--t``, and each part of ``--lambda`` and
 ``--kr``) are an optional minus sign and ASCII digits.
+
+``main`` may be called repeatedly in one process.  The parser is built once.
+Every call first empties the library caches, so no command reads results of
+an earlier one.  Each command is looked up by name when it is called, so a
+wrapper set on ``cli.cmd_*`` applies.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -460,7 +466,8 @@ def cmd_sweep(args) -> int:
                 fh.write(line + "\n")
                 counts[outcome] += 1
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # the OS names the private temporary file; the user gave ``output``
+        print(f"error: cannot write output {cfg.output!r}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID
     print(f"points: {size}")
     print(
@@ -493,6 +500,7 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qcharlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -513,28 +521,23 @@ def _build_parser() -> _Parser:
     p_qchar.add_argument("--oracle", choices=("tableaux", "partitions"), default="tableaux")
     p_qchar.add_argument("--full", action="store_true", help="list every term")
     p_qchar.add_argument("--json", action="store_true")
-    p_qchar.set_defaults(func=cmd_qchar)
 
     p_tensor = sub.add_parser("tensor", help="classify a tensor product")
     add_spec_args(p_tensor, required=True)
     p_tensor.add_argument("--json", action="store_true")
-    p_tensor.set_defaults(func=cmd_tensor)
 
     p_sweep = sub.add_parser("sweep", help="run a verification sweep from a JSON config")
     p_sweep.add_argument("--config", required=True, help="path to the sweep config JSON")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_fact = sub.add_parser("factorize", help="q-factorize a rank-1 dominant monomial")
     p_fact.add_argument("monomial", help='monomial JSON, e.g. {"n":1,"Y":[[1,0,1]]}')
     p_fact.add_argument("--json", action="store_true")
-    p_fact.set_defaults(func=cmd_factorize)
 
     p_tr = sub.add_parser("transform", help="apply a duality map to a monomial")
     p_tr.add_argument("monomial", help="monomial JSON")
     p_tr.add_argument("--kind", required=True, choices=_TRANSFORM_KINDS)
     p_tr.add_argument("--t", type=_int_argument, help="shift amount for tau (default 0)")
     p_tr.add_argument("--json", action="store_true")
-    p_tr.set_defaults(func=cmd_transform)
 
     return parser
 
@@ -550,7 +553,8 @@ def main(argv=None) -> int:
     # no command reads a report, spectrum or recognition cached by an earlier one
     clear_caches()
     try:
-        code = args.func(args)
+        # looked up by name at each call, so a wrapper set on ``cmd_*`` applies
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe shows here when the output fit in the buffer
         return code
     except BrokenPipeError:

@@ -556,7 +556,9 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli.os, "replace", no_space)
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == cli.EXIT_INVALID and "cannot write output" in err
+        assert code == cli.EXIT_INVALID
+        assert err == f"error: cannot write output {str(tmp_path / 'out.jsonl')!r}: No space left on device\n"
+        assert ".tmp" not in err
         assert (tmp_path / "out.jsonl").read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
 
@@ -601,9 +603,13 @@ class TestSweepCommand:
             assert output.read_bytes() == b"previous output\n"
 
     def test_unwritable_output_is_reported(self, capsys, tmp_path):
-        cfg = _write_config(tmp_path, output=str(tmp_path / "missing" / "out.jsonl"))
+        output = str(tmp_path / "missing" / "out.jsonl")
+        cfg = _write_config(tmp_path, output=output)
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == cli.EXIT_INVALID and "cannot write output" in err
+        assert code == cli.EXIT_INVALID
+        # the path the config gave and the OS reason, not the private temporary file
+        assert err == f"error: cannot write output {output!r}: No such file or directory\n"
+        assert ".tmp" not in err
 
     def test_empty_grid_rejected(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, n_max=0)
@@ -800,3 +806,59 @@ class TestEntryPoints:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+# one point of each variant, as in CI's "Tensor report bytes": normal, a, b, c
+_TENSOR_POINTS = (
+    ("--n", "3", "--lambda", "0,1,1", "--kr", "3,-2,1"),
+    ("--n", "3", "--lambda", "0,1,1", "--dir", "dec", "--kr", "1,4,2"),
+    ("--n", "3", "--lambda", "0,1,2", "--kr", "1,3,2"),
+    ("--n", "3", "--lambda", "0,1,1", "--dir", "dec", "--kr", "3,-2,2"),
+)
+
+
+class TestRepeatedMain:
+    """``main`` called many times in one process gives what a fresh process gives."""
+
+    def test_commands_match_fresh_processes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the width of --help and usage text
+        cfg = _write_config(tmp_path)
+        commands = [
+            ("qchar", "--n", "2", "--lambda", "1,1", "--dir", "dec", "--full"),
+            ("qchar", "--n", "3", "--lambda", "1,0,1", "--dir", "dec", "--shift", "2", "--json"),
+            *(("tensor", *point) for point in _TENSOR_POINTS),
+            *(("tensor", *point, "--json") for point in _TENSOR_POINTS),
+            ("transform", '{"n":2,"Y":[[1,0,1],[2,3,-1]]}', "--kind", "kappa", "--json"),
+            ("factorize", '{"n":1,"Y":[[1,0,1],[1,4,1]]}', "--json"),
+            ("sweep", "--config", str(cfg)),
+            ("tensor", "--n", "3", "--lambda", "0,1,1"),  # usage error: --kr is missing
+            ("--help",),
+            ("tensor", "--n", "2", "--lambda", "1,x", "--kr", "2,0,1"),  # invalid input
+        ]
+        cli._build_parser.cache_clear()
+        here = [run_cli(capsys, *argv) for argv in commands]
+        assert cli._build_parser.cache_info().misses == 1
+        assert sorted({code for code, _, _ in here}) == [0, 1, 2]
+        env = {**_child_env(), "COLUMNS": "80"}
+        for argv, result in zip(commands, here):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qcharlab", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == result, argv
+
+    def test_commands_are_looked_up_when_called(self, capsys, tmp_path, monkeypatch):
+        # the benchmark's tracer wraps ``cli.cmd_sweep`` after other code may
+        # have called ``main``: the cached parser must not hold the old function
+        assert run_cli(capsys, "tensor", *_TENSOR_POINTS[0])[0] == 0
+        calls = []
+
+        def spy(args):
+            calls.append(args.command)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_tensor", spy)
+        monkeypatch.setattr(cli, "cmd_sweep", spy)
+        assert run_cli(capsys, "tensor", *_TENSOR_POINTS[0])[0] == 7
+        assert run_cli(capsys, "sweep", "--config", str(_write_config(tmp_path)))[0] == 7
+        assert calls == ["tensor", "sweep"]
+        assert not (tmp_path / "out.jsonl").exists()
