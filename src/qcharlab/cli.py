@@ -56,6 +56,7 @@ from .tensor import (
     classify_variant,
     clear_caches,
     resonance_window,
+    sweep_group,
     sweep_report_text,
 )
 
@@ -321,17 +322,20 @@ def sweep_size(cfg: SweepConfig, limit: int) -> int:
 def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     """One sweep point: its summary count key and its JSON line.
 
-    The spec and the KR module are encoded once, for the line and for the
-    report, which ``sweep_report_text`` writes from its row's template at a
-    quiet anchor and from the whole-group report elsewhere.  A theorem
+    The spec and KR texts come from the point's ``sweep_group`` record,
+    which every point of a group shares; they go into the line and into
+    the report, which ``sweep_report_text`` writes from the same record at
+    a quiet anchor and from the whole-group report elsewhere.  A theorem
     violation is recorded as ``violation``, any other exception as
-    ``error`` (``"<Type>: <message>"``), a quiet point's too; both count
-    as violations, and the sweep goes on with the next point.
+    ``error`` (``"<Type>: <message>"``), one raised while the record is
+    built too, with the spec and KR texts then encoded by ``json_text``;
+    both count as violations, and the sweep goes on with the next point.
     """
     spec, kr = point
-    spec_text, kr_text = spec.json_text(), kr.json_text()
     try:
-        # sweep_grid yields a group's anchors in a row, so classify them together
+        # sweep_grid yields a group's anchors in a row, so they share one record
+        group = sweep_group(spec, kr)
+        spec_text, kr_text = group.spec_text, group.kr_text(kr.r)
         kind, report = sweep_report_text(spec, kr, spec_text, kr_text)
     except InvariantViolation as exc:
         key, message = "violation", str(exc)
@@ -340,7 +344,7 @@ def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     else:
         return kind, f'{{"kr":{kr_text},"report":{report},"spec":{spec_text}}}'
     # a message is arbitrary text, escaped as json.dumps escapes it
-    fields = {"kr": kr_text, "spec": spec_text, key: _json_str(message)}
+    fields = {"kr": kr.json_text(), "spec": spec.json_text(), key: _json_str(message)}
     return "violations", _object_text(fields)
 
 
@@ -359,17 +363,25 @@ def _pooled_results(pool, points, workers: int):
     in chunks of ``SWEEP_CHUNK``, with at most ``CHUNKS_PER_WORKER *
     workers`` chunks submitted and not yet read, so a sweep holds a few
     chunks of points and lines however large its grid.  Closing the
-    generator cancels the chunks not yet started."""
+    generator cancels the chunks not yet started.  It runs within
+    ``_sigterm_held``, and a held SIGTERM is handled after each chunk is
+    read, outside the pool's code."""
     points = iter(points)
     window = CHUNKS_PER_WORKER * workers
     pending: deque = deque()
+
+    def read_chunk():
+        lines = pending.popleft().result()
+        _handle_held_sigterm()
+        return lines
+
     try:
         for chunk in iter(lambda: list(islice(points, SWEEP_CHUNK)), []):
             if len(pending) == window:
-                yield from pending.popleft().result()
+                yield from read_chunk()
             pending.append(pool.submit(_sweep_chunk, chunk))
         while pending:
-            yield from pending.popleft().result()
+            yield from read_chunk()
     finally:
         for future in pending:
             future.cancel()
@@ -396,6 +408,31 @@ def _sigterm_exits():
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
+
+
+@contextmanager
+def _sigterm_held():
+    """SIGTERM is blocked within the block, in this thread and in every
+    thread and process started from it, and a held SIGTERM is handled when
+    the block ends or at ``_handle_held_sigterm``.
+
+    A process pool needs this: a handler that raises inside the executor's
+    own code (a ``submit`` half done, one of its locks taken and never
+    released) can leave the pool's shutdown waiting forever.
+    """
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def _handle_held_sigterm():
+    """Within ``_sigterm_held``: run the handler of a held SIGTERM here."""
+    try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+    finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
 
 
 @contextmanager
@@ -456,7 +493,9 @@ def cmd_sweep(args) -> int:
                 # workers ignore SIGTERM, also one sent to the whole process group:
                 # the parent's exit closes the results, which cancels the pending
                 # chunks, and the pool's exit then waits for the running ones, so
-                # only the parent ends the pool
+                # only the parent ends the pool; the parent handles a SIGTERM
+                # only between chunks, and after the pool's exit
+                stack.enter_context(_sigterm_held())
                 ignore_sigterm = (signal.SIGTERM, signal.SIG_IGN)
                 pool = stack.enter_context(
                     ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigterm)
@@ -500,9 +539,19 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
+# the help text's description; the module docstring is for library readers
+_DESCRIPTION = (
+    "Compute q-characters of type-A minimal affinizations and extreme-node "
+    "Kirillov-Reshetikhin modules, classify the tensor product of one of each, "
+    "and verify the classification over a grid of such products. Exit codes: "
+    "0 success, 1 usage error, 2 invalid input, 3 theorem violation, 143 when "
+    "SIGTERM stops a sweep."
+)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qcharlab", description=__doc__)
+    parser = _Parser(prog="qcharlab", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_args(p, required: bool):

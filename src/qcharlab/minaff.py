@@ -506,12 +506,15 @@ def anchor_join(
 # of ``spectra_by_anchor`` with the group's loud anchors, transported
 # affinization and resonance table, the quiet report templates, and the
 # members of the two tableau families.  A sweep builds KR characters at
-# anchor 0 only, and its quiet lines add no report; the ``tensor`` command
+# anchor 0 only, and its quiet lines add no report; the texts its points
+# share (``tensor.SweepGroup``: the loud anchors, the template, the spec
+# and KR texts and omega's JSON entries) live in one record at a time,
+# the current group's, outside this bound.  The ``tensor`` command
 # caches no character, holding both of its point's modules.  The golden
-# sweep holds 72 characters, 122 affinization and 327 KR polynomials, 511
+# sweep holds 72 characters, 122 affinization and 266 KR polynomials, 511
 # reports, 354 groups (87 transported specs), 10 templates, 152
 # raised-column and 302 gap members; the n_max=lambda_sum_max=k_max=4
-# sweep 263, 475 and 792, asks for 3,631 distinct reports in 3,911
+# sweep 263, 475 and 680, asks for 3,631 distinct reports in 3,911
 # misses, 1,904 groups (355 transported specs), 14 templates, 802 and
 # 1,150 members.  Only its reports evict.
 CACHE_SIZE = 2048

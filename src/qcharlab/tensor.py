@@ -53,8 +53,13 @@ lambda.  A sweep line needs only that report's text, which differs from
 its row's other quiet reports only in the texts of lambda, the KR module
 and the spec: ``sweep_report_text`` fills those into the row's template,
 cut once per (row, n) from ``TensorReport.json_text`` itself, and builds
-no report and asks ``classify_normal`` nothing.  A single point never
-takes this path.
+no report and asks ``classify_normal`` nothing.  What a point writes that
+does not depend on r is kept once per group in a ``SweepGroup`` record
+(``sweep_group``; only the group last asked for is held): the loud
+anchors, the template, the spec's text, the KR text up to its anchor, and
+omega's JSON entries around and on the KR node's row.  Lambda's text at r
+is written from those entries and varpi's k keys, with no monomial built.
+A single point never takes this path.
 
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
@@ -70,7 +75,8 @@ on their arguments too, so each distinct member runs its checks once;
 these caches, ``spectra_by_anchor`` and ``_loud_anchors`` key on the
 argument types as well (``typed=True``), so that a float or bool index
 still meets the exact-integer rule.  ``cli.main`` empties every cache of
-this module before each command (``clear_caches``).
+this module, and drops the sweep group record, before each command
+(``clear_caches``).
 """
 
 from __future__ import annotations
@@ -820,19 +826,128 @@ def _quiet_template(variant: Variant, n: int) -> tuple[tuple[str, ...], itemgett
     return tuple(parts[::2]), itemgetter(*fields)
 
 
+@dataclass(frozen=True, eq=False)
+class SweepGroup:
+    """What every point of a sweep group (spec, node, k) writes that does
+    not depend on its KR anchor r, built once per group (``sweep_group``).
+
+    ``key`` is (spec, node, k), ``loud`` its ``_loud_anchors``, and
+    ``pieces`` and ``interleave`` are the row's ``_quiet_template``.
+    ``spec_text`` is the spec's ``json_text`` and ``kr_head`` the KR
+    module's up to ``"r":``.  Lambda = omega * varpi is written from
+    omega's JSON entries: those on the rows below the KR node, each
+    followed by a comma, end ``lam_head``; those above it, each after a
+    comma, start ``lam_tail``; those on the KR node's row are ``row``,
+    its ``(r, e)`` pairs, and ``row_text``, joined.  ``y_head`` is the
+    ``"[node,"`` that opens an entry on that row.
+    """
+
+    key: tuple[MinAffSpec, int, int]
+    loud: Optional[frozenset[int]]
+    pieces: tuple[str, ...]
+    interleave: itemgetter
+    spec_text: str
+    kr_head: str
+    lam_head: str
+    y_head: str
+    row: tuple[tuple[int, int], ...]
+    row_text: str
+    lam_tail: str
+
+    def quiet(self, r: int) -> bool:
+        """Whether anchor r is quiet: outside ``_loud_anchors``."""
+        return self.loud is not None and r not in self.loud
+
+    def kr_text(self, r: int) -> str:
+        """The ``json_text`` of the group's KR module at anchor r."""
+        return f"{self.kr_head}{r}}}"
+
+    def lam_text(self, r: int) -> str:
+        """The ``json_text`` of lambda = omega * varpi at anchor r, with no
+        monomial built.  varpi = Y[node, r] Y[node, r + 2] ... Y[node, last]
+        and omega are both dominant, so no exponent cancels, and only
+        omega's row at the KR node takes varpi's keys."""
+        last = r + 2 * self.key[2] - 2
+        row, y_head = self.row, self.y_head
+        if row and row[0][0] <= last and r <= row[-1][0]:
+            # the strings' spans overlap: merge them key by key
+            exps = dict(row)
+            for s in range(r, last + 1, 2):
+                exps[s] = exps.get(s, 0) + 1
+            ys = ",".join([f"{y_head}{s},{e}]" for s, e in sorted(exps.items())])
+        else:
+            # varpi lies on one side of omega's row, all its exponents 1
+            ys = f"{y_head}{f',1],{y_head}'.join(map(str, range(r, last + 1, 2)))},1]"
+            if row:
+                ys = f"{ys},{self.row_text}" if last < row[0][0] else f"{self.row_text},{ys}"
+        return f"{self.lam_head}{ys}{self.lam_tail}"
+
+    def quiet_text(self, spec_text: str, kr_text: str, r: int) -> str:
+        """The report text at quiet anchor r: the row's template filled in
+        with ``spec_text``, ``kr_text`` and lambda's text."""
+        return "".join(self.interleave((spec_text, kr_text, self.lam_text(r)) + self.pieces))
+
+
+def _sweep_group(spec: MinAffSpec, node: int, k: int) -> SweepGroup:
+    loud = _loud_anchors(spec, node, k)
+    pieces, interleave = _quiet_template(_variant_of(spec.direction, node != spec.n), spec.n)
+    entries = drinfeld_of_spec(spec).items()
+    row = tuple((s, e) for (i, s), e in entries if i == node)
+    below = "".join([f"[{i},{s},{e}]," for (i, s), e in entries if i < node])
+    above = "".join([f",[{i},{s},{e}]" for (i, s), e in entries if i > node])
+    return SweepGroup(
+        key=(spec, node, k),
+        loud=loud,
+        pieces=pieces,
+        interleave=interleave,
+        spec_text=spec.json_text(),
+        kr_head=f'{{"k":{k},"n":{spec.n},"node":{node},"r":',
+        lam_head=f'{{"Y":[{below}',
+        y_head=f"[{node},",
+        row=row,
+        row_text=",".join([f"[{node},{s},{e}]" for s, e in row]),
+        lam_tail=f'{above}],"n":{spec.n}}}',
+    )
+
+
+# The record of the group last asked for, the only one held: a sweep visits
+# a group's anchors in a row, and a worker's chunk holds consecutive points.
+# Its key is compared, not hashed, since hashing the spec would cost a
+# quiet point more than the rest of its lookup.
+_current_group: Optional[SweepGroup] = None
+
+
+def sweep_group(spec: MinAffSpec, kr: KRSpec) -> SweepGroup:
+    """The ``SweepGroup`` of the point (spec, kr): of (spec, kr.node, kr.k).
+
+    It is built when the group differs from the one last asked for (the
+    spec compared by identity first, then by value), and raises what
+    ``_loud_anchors`` raises for the group, the ``r_window`` check of
+    ``spectra_by_anchor`` included.
+    """
+    global _current_group
+    if kr.n != spec.n:
+        raise InvalidInput("rank mismatch between spec and KR module")
+    key = (spec, kr.node, kr.k)
+    group = _current_group
+    if group is None or group.key != key:
+        group = _current_group = _sweep_group(*key)
+    return group
+
+
 def sweep_report_text(spec: MinAffSpec, kr: KRSpec, spec_text: str, kr_text: str) -> tuple[str, str]:
     """A sweep point's outcome, the ``CaseTag.kind`` of its report, and the
     report's JSON text, given the point's ``spec_text`` and ``kr_text``.
 
     At a quiet anchor the report is the irreducible one of lambda that
     ``classify_variant(spec, kr, whole_group=True)`` returns there, and
-    its text is the row's ``_quiet_template`` filled in: no report is
-    built.  At every other point it is that report's ``json_text``.
+    its text is the row's template filled in from the group's
+    ``sweep_group`` record: no report and no monomial is built.  At every
+    other point it is that report's ``json_text``.
     """
-    if kr.n == spec.n and _quiet(spec, kr):
-        lam = drinfeld_of_spec(spec) * kr.drinfeld()
-        pieces, interleave = _quiet_template(_variant_of(spec.direction, kr.node != spec.n), spec.n)
-        return "irreducible", "".join(interleave((spec_text, kr_text, lam.json_text()) + pieces))
+    group = sweep_group(spec, kr)
+    if group.quiet(kr.r):
+        return "irreducible", group.quiet_text(spec_text, kr_text, kr.r)
     rep = classify_variant(spec, kr, whole_group=True)
     return rep.tag.kind, rep.json_text(spec_text=spec_text, kr_text=kr_text)
 
@@ -863,6 +978,8 @@ _CACHES = (
 
 
 def clear_caches() -> None:
-    """Empty every cache of this module."""
+    """Empty every cache of this module and drop the current sweep group."""
+    global _current_group
     for cached in _CACHES:
         cached.cache_clear()
+    _current_group = None

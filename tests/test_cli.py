@@ -578,6 +578,20 @@ class TestSweepCommand:
         assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
         assert output.read_bytes() == b"previous output\n"
 
+    def test_held_sigterm_is_handled_between_chunks(self):
+        # on the pooled path SIGTERM waits while the pool's own code runs: a
+        # SystemExit raised inside it can leave the pool's shutdown hanging
+        with cli._sigterm_exits():
+            with cli._sigterm_held():
+                signal.raise_signal(signal.SIGTERM)  # held, so nothing happens here
+                assert signal.SIGTERM in signal.sigpending()
+                with pytest.raises(SystemExit) as stopped:
+                    cli._handle_held_sigterm()
+                assert stopped.value.code == 128 + signal.SIGTERM
+                assert signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+                cli._handle_held_sigterm()  # none held: a no-op
+            assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
     def test_group_sigterm_on_two_workers_is_quiet(self, tmp_path):
         # a SIGTERM to the whole process group also reaches the workers, which
@@ -595,7 +609,12 @@ class TestSweepCommand:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.005)
             os.killpg(proc.pid, signal.SIGTERM)
-            out, err = proc.communicate(timeout=60)
+            try:
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)  # a hung sweep must not outlive the test
+                proc.communicate()
+                raise
             assert proc.returncode == 128 + signal.SIGTERM and out == err == b""
             with pytest.raises(ProcessLookupError):  # the parent waited for its workers
                 os.killpg(proc.pid, 0)
@@ -806,6 +825,14 @@ class TestEntryPoints:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_help_is_user_text(self, capsys, monkeypatch):
+        # the module docstring, with its reST markup and library notes, is not the help
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert "``" not in out and "called repeatedly" not in out
+        assert out.startswith("usage: qcharlab") and "Exit codes: 0 success" in out
 
 
 # one point of each variant, as in CI's "Tensor report bytes": normal, a, b, c

@@ -845,18 +845,22 @@ class TestReportJson:
 
     @pytest.mark.parametrize("point", REPORT_SHAPES)
     def test_sweep_line_encodes_spec_and_kr_once(self, point, monkeypatch):
-        classify_variant(*point)  # warm the caches, so that only the line is counted
+        classify_variant(*point)  # warm the caches, so that only the lines are counted
         encoded = []
         for cls in (MinAffSpec, KRSpec):
             encode = cls.json_text
             monkeypatch.setattr(cls, "json_text", lambda x, encode=encode: encoded.append(x) or encode(x))
-        rep = classify_variant(*point)
-        line = cli._dumps(
-            {"spec": spec_json_reference(point[0]), "kr": kr_json_reference(point[1]), "report": report_json_reference(rep)}
-        )
-        encoded.clear()
-        assert cli._sweep_point(point) == (rep.tag.kind, line)
-        assert sorted(map(repr, encoded)) == sorted(map(repr, point))
+        spec, kr = point
+        for r in (kr.r, kr.r + 1):
+            rep = classify_variant(spec, replace(kr, r=r))
+            line = cli._dumps(
+                {"spec": spec_json_reference(spec), "kr": kr_json_reference(rep.kr), "report": report_json_reference(rep)}
+            )
+            encoded.clear()
+            assert cli._sweep_point((spec, rep.kr)) == (rep.tag.kind, line)
+            # the group's record encodes the spec for its first point, and
+            # writes every KR text from its head
+            assert encoded == ([spec] if r == kr.r else [])
 
     def test_every_small_grid_line_is_the_dict_reference(self):
         cfg = cli.SweepConfig(2, 2, 2, "unused", 2, tuple(VARIANTS))
@@ -1516,6 +1520,101 @@ class TestQuietLines:
         monkeypatch.setattr(tensor, "spectra_by_anchor", failing)
         line = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "violation": "injected"}
         assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(line))
+
+
+class TestSweepGroup:
+    """A sweep group's record writes every text of a point that does not
+    depend on its anchor, and lambda's text from omega's entries."""
+
+    def test_texts_equal_the_product_oracle(self):
+        cfg = cli.SweepConfig.from_json(
+            {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
+             "variants": ["normal", "a", "b", "c"], "output": "unused"}
+        )
+        golden = list(cli.sweep_grid(cfg))
+        # the n <= 2 groups at shift 3, over anchors wide enough that varpi
+        # falls below, above, between and onto omega's row at its node
+        wide = [
+            (replace(spec, shift=3), KRSpec(spec.n, node, r, k))
+            for spec, node, k in _sweep_groups(2, 3, 3)
+            for r in range(-12, 13)
+        ]
+        quiet = Counter()
+        exponents = set()
+        for name, points in (("golden", golden), ("wide", wide)):
+            for spec, kr in points:
+                group = tensor.sweep_group(spec, kr)
+                lam = drinfeld_of_spec(spec) * kr.drinfeld()
+                assert group.lam_text(kr.r) == lam.json_text(), (spec, kr)
+                assert (group.spec_text, group.kr_text(kr.r)) == (spec.json_text(), kr.json_text())
+                quiet[name, spec.n == 1, group.quiet(kr.r)] += 1
+                exponents.update(e for (i, _), e in lam.items() if i == kr.node)
+        assert quiet["golden", False, True] + quiet["golden", True, True] == 4000
+        # n = 1, where node 1 is also node n, at quiet and loud anchors
+        assert quiet["golden", True, True] and quiet["golden", True, False]
+        assert exponents == {1, 2}  # varpi lands on omega's row keys too
+
+    def test_one_record_held_per_process(self):
+        spec, kr = QUIET_A_POINT
+        group = tensor.sweep_group(spec, kr)
+        assert group.key == (spec, kr.node, kr.k) and group.loud == tensor._loud_anchors(spec, kr.node, kr.k)
+        # another anchor of the group, by an equal spec too, shares the record
+        assert tensor.sweep_group(replace(spec), replace(kr, r=kr.r + 1)) is group
+        other = tensor.sweep_group(spec, replace(kr, k=kr.k + 1))
+        assert other is not group and tensor._current_group is other
+        assert tensor.sweep_group(spec, kr) is not group  # rebuilt: only the last group is held
+        tensor.clear_caches()
+        assert tensor._current_group is None
+
+    def test_rank_mismatch_is_rejected(self):
+        spec = MinAffSpec(2, (1, 1), "inc")
+        tensor.sweep_group(spec, KRSpec(2, 1, 0, 1))  # the held group has the same key
+        with pytest.raises(InvalidInput, match="rank mismatch"):
+            tensor.sweep_group(spec, KRSpec(3, 1, 0, 1))
+        assert cli._sweep_point((spec, KRSpec(3, 1, 0, 1))) == ("violations", cli._dumps({
+            "spec": spec_json_reference(spec), "kr": kr_json_reference(KRSpec(3, 1, 0, 1)),
+            "error": "InvalidInput: rank mismatch between spec and KR module",
+        }))
+
+    @pytest.mark.parametrize(
+        "failure, field, message",
+        [(TheoremViolation, "violation", "injected"), (RuntimeError, "error", "RuntimeError: injected")],
+        ids=["theorem_violation", "runtime_error"],
+    )
+    def test_failing_group_is_recorded_at_each_point(self, failure, field, message, capsys, tmp_path, monkeypatch):
+        output = tmp_path / "out.jsonl"
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(
+            {"n_max": 2, "lambda_sum_max": 2, "k_max": 2, "r_window_pad": 2,
+             "variants": ["normal", "a"], "output": str(output)}
+        ))
+        assert cli.main(["sweep", "--config", str(config)]) == cli.EXIT_OK
+        healthy = output.read_text().splitlines()
+        points = list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(config.read_text()))))
+        groups = list(dict.fromkeys((spec, kr.node, kr.k) for spec, kr in points))
+        # a row-a group of rank 2: no other group's classification reads its spectra
+        failing = next(g for g in groups if g[0].n == 2 and g[0].direction == "dec")
+        spectra = tensor.spectra_by_anchor
+
+        def failing_for_one_group(spec, node, k):
+            if (spec, node, k) == failing:
+                raise failure("injected")
+            return spectra(spec, node, k)
+
+        monkeypatch.setattr(tensor, "spectra_by_anchor", failing_for_one_group)
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(config)]) == cli.EXIT_VIOLATION
+        lines = output.read_text().splitlines()
+        assert len(lines) == len(healthy) == len(points)
+        in_group = [(spec, kr.node, kr.k) == failing for spec, kr in points]
+        assert 0 < sum(in_group) and not in_group[-1]  # later groups follow it
+        assert f"violations: {sum(in_group)}\n" in capsys.readouterr().out
+        for (spec, kr), line, before, failed in zip(points, lines, healthy, in_group):
+            if failed:
+                record = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), field: message}
+                assert line == cli._dumps(record), (spec, kr)
+            else:
+                assert line == before, (spec, kr)
 
 
 def _family_arguments(n_max=2, total_max=3):
