@@ -107,32 +107,11 @@ class LMonomial:
     def __mul__(self, other: "LMonomial") -> "LMonomial":
         if self.n != other.n:
             raise InvalidInput(f"rank mismatch: {self.n} != {other.n}")
-        a, b = self._exps, other._exps
-        if not a:
+        if not self._exps:
             return other
-        if not b:
+        if not other._exps:
             return self
-        out = []
-        ia = ib = 0
-        la, lb = len(a), len(b)
-        while ia < la and ib < lb:
-            ka, ea = a[ia]
-            kb, eb = b[ib]
-            if ka == kb:
-                e = ea + eb
-                if e:
-                    out.append((ka, e))
-                ia += 1
-                ib += 1
-            elif ka < kb:
-                out.append(a[ia])
-                ia += 1
-            else:
-                out.append(b[ib])
-                ib += 1
-        out.extend(a[ia:])
-        out.extend(b[ib:])
-        return LMonomial._make(self.n, tuple(out))
+        return LMonomial._make(self.n, product_exps(self._exps, other._exps))
 
     def inverse(self) -> "LMonomial":
         return LMonomial._make(self.n, tuple((k, -e) for k, e in self._exps))
@@ -333,6 +312,36 @@ def weight_of(m: LMonomial) -> Weight:
 def is_dominant(m: LMonomial) -> bool:
     """True iff no inverted Y-variable appears (all stored exponents positive)."""
     return dominant_exps(m._exps)
+
+
+def product_exps(
+    a: tuple[tuple[Key, int], ...], b: tuple[tuple[Key, int], ...]
+) -> tuple[tuple[Key, int], ...]:
+    """The canonical exponent tuple of the product of the monomials whose
+    canonical exponent tuples are ``a`` and ``b``: one merge of the two
+    sorted tuples, exponents summed on a shared key and a zero sum dropped.
+    ``LMonomial.__mul__`` and ``minaff.anchor_join`` both multiply here."""
+    out = []
+    ia = ib = 0
+    la, lb = len(a), len(b)
+    while ia < la and ib < lb:
+        ka, ea = a[ia]
+        kb, eb = b[ib]
+        if ka == kb:
+            e = ea + eb
+            if e:
+                out.append((ka, e))
+            ia += 1
+            ib += 1
+        elif ka < kb:
+            out.append(a[ia])
+            ia += 1
+        else:
+            out.append(b[ib])
+            ib += 1
+    out.extend(a[ia:])
+    out.extend(b[ib:])
+    return tuple(out)
 
 
 def dominant_exps(exps: tuple[tuple[Key, int], ...]) -> bool:

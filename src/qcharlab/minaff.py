@@ -28,7 +28,9 @@ found, so neither is searched whole.
 ``anchor_join`` is the one dominant-pair join: it gives the whole dominant
 part of ``walked * tau_r(indexed)``, the products of two dominant terms
 included, at one shift ``r`` or at every shift.  Only the indexed character
-gets a join index; the walked one is read term by term.
+gets a join index, built on its exponent tuples; the walked one is read
+tuple by tuple, in one pass per term, and the products are merged as
+exponent tuples, with one ``LMonomial`` per distinct product.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .lweight import (
     expand_lroot_path,
     is_dominant,
     monomial_sort_key,
-    transform,
+    product_exps,
     y_string,
 )
 from .tableaux import Shape, Tableau, filling_pairs, raise_bound, snake_shape
@@ -255,7 +257,7 @@ class QChar:
 
     def _join_index(self) -> "_JoinIndex":
         if self._index is None:
-            self._index = _JoinIndex(self.terms())
+            self._index = _JoinIndex(self._all_terms())
         return self._index
 
     def terms(self) -> dict[LMonomial, int]:
@@ -349,27 +351,29 @@ def _at_least(masks: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class _JoinIndex:
     """The indexed character of ``anchor_join``: term ``j`` is bit ``j``.
 
-    ``needs[j]`` holds term ``j``'s own pairs ``(key, e)`` with ``e < 0``
-    (shared with the term, not copied): a partner must have ``-e`` or more
-    at each such ``key``.  ``cover[key]`` pairs the positive exponents ``t``
-    at ``key``, ascending, with the bitsets of the terms whose exponent at
-    ``key`` is ``>= t``.  ``rows[i]`` pairs the positive exponents ``t`` at
-    node ``i`` with a mask of the rows ``s`` at which some term reaches
-    ``t``, as bit ``top - s`` (``top`` is the highest such row).
+    ``exps[j]`` and ``mults[j]`` are term ``j``'s canonical exponent tuple
+    and multiplicity.  ``needs[j]`` holds the tuple's own pairs ``(key, e)``
+    with ``e < 0`` (shared with the tuple, not copied): a partner must have
+    ``-e`` or more at each such ``key``.  ``cover[key]`` pairs the positive
+    exponents ``t`` at ``key``, ascending, with the bitsets of the terms
+    whose exponent at ``key`` is ``>= t``.  ``rows[i]`` pairs the positive
+    exponents ``t`` at node ``i`` with a mask of the rows ``s`` at which
+    some term reaches ``t``, as bit ``top - s`` (``top`` is the highest
+    such row).  No ``LMonomial`` is built.
     """
 
-    __slots__ = ("monos", "mults", "needs", "cover", "rows", "top")
+    __slots__ = ("exps", "mults", "needs", "cover", "rows", "top")
 
-    def __init__(self, terms: dict[LMonomial, int]):
-        self.monos = list(terms)
+    def __init__(self, terms: dict[tuple, int]):
+        self.exps = list(terms)
         self.mults = list(terms.values())
-        self.needs = [tuple(kv for kv in m.items() if kv[1] < 0) for m in self.monos]
+        self.needs = [tuple(kv for kv in t if kv[1] < 0) for t in self.exps]
         at: dict[Key, dict[int, list[int]]] = {}
-        for j, m in enumerate(self.monos):
-            for key, e in m.items():
+        for j, t in enumerate(self.exps):
+            for key, e in t:
                 if e > 0:
                     at.setdefault(key, {}).setdefault(e, []).append(j)
-        size = len(self.monos)
+        size = len(self.exps)
         self.cover = {
             key: _at_least({e: _bitset(js, size) for e, js in by_e.items()})
             for key, by_e in at.items()
@@ -381,53 +385,36 @@ class _JoinIndex:
             by_t[ts[-1]] = by_t.get(ts[-1], 0) | 1 << (top - s)
         self.rows = {i: _at_least(by_t) for i, by_t in reach.items()}
 
-    def covering(self, need: list, shift: int = 0) -> int:
-        """Bitset of the terms whose exponent is ``>= -e`` at ``(i, s - shift)``
-        for every ``((i, s), e)`` of ``need``: the terms that cover ``need``
-        once ``tau_shift`` moves them."""
-        if shift:
-            need = [((i, s - shift), e) for (i, s), e in need]
-        bits = (1 << len(self.monos)) - 1
-        for key, e in need:
-            entry = self.cover.get(key)
-            if entry is None:
-                return 0
-            ts, bitsets = entry
-            at = bisect_left(ts, -e)
-            if at == len(ts):
-                return 0
-            bits &= bitsets[at]
-            if not bits:
-                return 0
-        return bits
-
-    def shifts(self, need: list) -> list[int]:
+    def shifts(self, need: list) -> int:
         """The shifts ``r`` at which, for each ``((i, s), e)`` of ``need`` on
-        its own, some term has ``-e`` or more at ``(i, s - r)``: one AND of
-        row masks, each moved to bit ``r + top - s0`` (``s0`` the first
-        pair's row).  A shift below ``s0 - top`` is out of the first pair's
+        its own, some term has ``-e`` or more at ``(i, s - r)``, as a mask:
+        bit ``b`` is the shift ``b + s0 - top`` (``s0`` the first pair's
+        row).  One AND of row masks, each moved by its pair's row less
+        ``s0``.  A shift below ``s0 - top`` is out of the first pair's
         reach, so the bits a mask moved right loses are never needed."""
         s0 = need[0][0][1]
         mask = -1
         for (i, s), e in need:
             entry = self.rows.get(i)
             if entry is None:
-                return []
+                return 0
             ts, masks = entry
             at = bisect_left(ts, -e)
             if at == len(ts):
-                return []
+                return 0
             mask &= masks[at] << (s - s0) if s >= s0 else masks[at] >> (s0 - s)
             if not mask:
-                return []
-        return [b + s0 - self.top for b in _bits(mask)]
+                return 0
+        return mask
 
 
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _add_product(products: dict, t: tuple, x: tuple, r: int, c: int) -> None:
+    """Add ``c`` to ``products`` at the exponent tuple of ``t * tau_r(x)``:
+    ``x`` moved by ``r`` (which keeps its key order), merged with ``t``."""
+    if r:
+        x = tuple([((i, s + r), e) for (i, s), e in x])
+    p = product_exps(t, x)
+    products[p] = products.get(p, 0) + c
 
 
 def anchor_join(
@@ -437,14 +424,23 @@ def anchor_join(
 
     ``m1 * tau_r(m2)`` is dominant iff each term covers every negative
     exponent of the other with a positive one.  Only ``indexed`` is indexed
-    (``_JoinIndex``, kept on the character); each walked term's negative
-    pairs are taken as it is walked.  They give its candidate shifts
-    (``_JoinIndex.shifts``, or ``anchor`` alone), and at each candidate one
-    ``covering`` call gives the indexed terms that cover them; each is kept
-    if the walked term covers that term's shifted negative keys in turn.  A
-    dominant walked term meets each non-dominant indexed term at the shifts
-    that carry that term's first negative key onto one of its own keys, and
-    each dominant indexed term at every shift: the top products.
+    (``_JoinIndex``, kept on the character); the walked terms are read as
+    exponent tuples in one pass each.  A walked term's negative pairs give
+    its candidate shifts as one mask (``_JoinIndex.shifts``, or ``anchor``
+    alone), read bit by bit; at each candidate the AND of the ``cover``
+    bitsets at the pairs moved by ``-r`` gives the indexed terms that cover
+    them, and each is kept if the walked term has ``-e`` or more at
+    ``(i, s + r)`` for each of that term's negative pairs ``((i, s), e)``,
+    read off one exponent dict per walked term, built only once the term
+    has a candidate.  A dominant walked term meets each non-dominant
+    indexed term at the shifts that carry that term's first negative key
+    onto one of its own keys, and each dominant indexed term at every
+    shift: the top products.
+
+    Each product is the merge (``product_exps``) of the walked tuple with
+    the partner's tuple moved by ``r``; multiplicities are summed on those
+    tuples, and one ``LMonomial`` is built for each distinct product at the
+    end.  Nothing of the walk is kept on either character.
 
     Returns ``{r: {product: multiplicity}}``, each dict the whole dominant
     part at ``r``, top products included.  With ``anchor``, ``anchor`` is
@@ -455,49 +451,72 @@ def anchor_join(
     if walked.n != indexed.n:
         raise InvalidInput(f"rank mismatch: {walked.n} != {indexed.n}")
     index = indexed._join_index()
-    imonos, imults, ineeds = index.monos, index.mults, index.needs
-    n, make = walked.n, LMonomial._make
-    out: dict[int, dict[LMonomial, int]] = {} if anchor is None else {anchor: {}}
-    tops: list[tuple[LMonomial, int]] = []
-
-    def join(t: tuple, c: int, r: int, cand: int) -> None:
-        # keep the candidates whose negative keys, moved by r, the walked term covers
-        exps = {(i, s - r): e for (i, s), e in t} if r else dict(t)
-        m = None
-        for j in _bits(cand):
-            for key, e in ineeds[j]:
-                if exps.get(key, 0) < -e:
-                    break
-            else:
-                if m is None:
-                    m = make(n, t)
-                p = m * transform(imonos[j], "tau", r)
-                found = out.setdefault(r, {})
-                found[p] = found.get(p, 0) + c * imults[j]
+    iexps, imults, ineeds, cover = index.exps, index.mults, index.needs, index.cover
+    everyone = (1 << len(iexps)) - 1
+    found: dict[int, dict[tuple, int]] = {} if anchor is None else {anchor: {}}
+    tops: list[tuple[tuple, int]] = []
 
     for t, c in walked._all_terms().items():
         need = [kv for kv in t if kv[1] < 0]
         if not need:
-            tops.append((make(n, t), c))
+            tops.append((t, c))
             # the shifts that carry a term's first negative key onto a key of t
+            exps = dict(t)
             for j, jneed in enumerate(ineeds):
                 if jneed:
                     (i0, s0), e0 = jneed[0]
                     for (i, s), e in t:
-                        if i == i0 and e >= -e0 and (anchor is None or anchor == s - s0):
-                            join(t, c, s - s0, 1 << j)
+                        r = s - s0
+                        if i == i0 and e >= -e0 and (anchor is None or anchor == r):
+                            for (i1, s1), e1 in jneed:
+                                if exps.get((i1, s1 + r), 0) < -e1:
+                                    break
+                            else:
+                                _add_product(found.setdefault(r, {}), t, iexps[j], r, c * imults[j])
             continue
-        for r in (index.shifts(need) if anchor is None else (anchor,)):
-            cand = index.covering(need, r)
-            if cand:
-                join(t, c, r, cand)
-    itops = [(m, c) for m, c, need in zip(imonos, imults, ineeds) if not need]
-    for r, found in out.items():
-        for m1, c1 in tops:
-            for m2, c2 in itops:
-                p = m1 * transform(m2, "tau", r)
-                found[p] = found.get(p, 0) + c1 * c2
-    return out
+        if anchor is None:
+            mask = index.shifts(need)
+            base = need[0][0][1] - index.top
+        else:
+            mask, base = 1, anchor
+        exps = None
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            r = base + low.bit_length() - 1
+            # the indexed terms that, moved by r, cover every negative pair of t
+            cand = everyone
+            for (i, s), e in need:
+                entry = cover.get((i, s - r))
+                if entry is None:
+                    break
+                ts, bitsets = entry
+                at = bisect_left(ts, -e)
+                if at == len(ts):
+                    break
+                cand &= bitsets[at]
+                if not cand:
+                    break
+            else:
+                if exps is None:
+                    exps = dict(t)
+                # keep the candidates whose negative pairs, moved by r, t covers
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    j = low.bit_length() - 1
+                    for (i, s), e in ineeds[j]:
+                        if exps.get((i, s + r), 0) < -e:
+                            break
+                    else:
+                        _add_product(found.setdefault(r, {}), t, iexps[j], r, c * imults[j])
+    itops = [(x, c) for x, c, need in zip(iexps, imults, ineeds) if not need]
+    for r, products in found.items():
+        for t1, c1 in tops:
+            for t2, c2 in itops:
+                _add_product(products, t1, t2, r, c1 * c2)
+    n, make = walked.n, LMonomial._make
+    return {r: {make(n, p): c for p, c in products.items()} for r, products in found.items()}
 
 
 # Bound on each cache: the q-characters (each with its join index once a

@@ -2,9 +2,10 @@
 
 The product q-character is held as its two factors.  Its dominant
 spectrum D is still exhaustive and exact: ``minaff.anchor_join`` walks one
-factor's terms against a join index of the other factor's terms (the only
-one indexed), finds every pair whose product is dominant, the top pair
-included, and multiplies only those pairs before D is sorted along the
+factor's exponent tuples against a join index of the other factor's (the
+only one indexed), finds every pair whose product is dominant, the top
+pair included, and merges only those pairs' tuples, building one
+``LMonomial`` per distinct product, before D is sorted along the
 loop-root order.  The full product is convolved only when
 something asks for all of its terms.  On top of D, the classifier
 evaluates the closed-form reducibility conditions, reads the extra simple

@@ -6,7 +6,9 @@ at the bottom row), loop-root membership is decided by exhaustive search
 over placements, product characters are convolved monomial by monomial
 (the package joins the factors' terms on bitsets), dominant spectra are
 joined one anchor at a time (the package joins every KR anchor of a group
-at once), tableau monomials are multiplied out box by box (the package
+at once), the all-anchor join lists each walked term's candidate shifts and
+multiplies ``LMonomial``s pair by pair (the package reads a shift mask bit
+by bit and merges exponent tuples, one ``LMonomial`` per product), tableau monomials are multiplied out box by box (the package
 sums exponents as it enumerates), the tableau search reads each
 monomial off a slice of its exponent vector, one filling per loop step
 (the package holds the live pairs and loops the last box in place), a
@@ -31,6 +33,7 @@ serve only the tests, so they live here rather than in the package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, product
@@ -55,6 +58,7 @@ from qcharlab import (
     is_dominant,
     monomial_of_box,
     resonance_window,
+    transform,
     weight_of,
     y_string,
 )
@@ -132,6 +136,143 @@ def dominant_join_reference(q1: QChar, q2: QChar) -> dict[LMonomial, int]:
                 out[p] = out.get(p, 0) + c * c2
     return out
 
+
+
+def _bitset_reference(indices: list[int], size: int) -> int:
+    buf = bytearray((size + 7) // 8)
+    for j in indices:
+        buf[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _at_least_reference(masks: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    ts = sorted(masks)
+    acc, out = 0, []
+    for t in reversed(ts):
+        acc |= masks[t]
+        out.append(acc)
+    return tuple(ts), tuple(reversed(out))
+
+
+def _bits_reference(x: int):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class _JoinIndexReference:
+    """The join index as ``anchor_join_reference`` reads it: term ``j`` is
+    bit ``j``, with its ``LMonomial`` in ``monos``, its negative pairs in
+    ``needs``, and ``cover`` / ``rows`` as in ``minaff._JoinIndex``."""
+
+    def __init__(self, terms: dict[LMonomial, int]):
+        self.monos = list(terms)
+        self.mults = list(terms.values())
+        self.needs = [tuple(kv for kv in m.items() if kv[1] < 0) for m in self.monos]
+        at: dict[tuple[int, int], dict[int, list[int]]] = {}
+        for j, m in enumerate(self.monos):
+            for key, e in m.items():
+                if e > 0:
+                    at.setdefault(key, {}).setdefault(e, []).append(j)
+        size = len(self.monos)
+        self.cover = {
+            key: _at_least_reference({e: _bitset_reference(js, size) for e, js in by_e.items()})
+            for key, by_e in at.items()
+        }
+        self.top = top = max((s for _, s in at), default=0)
+        reach: dict[int, dict[int, int]] = {}
+        for (i, s), (ts, _) in self.cover.items():
+            by_t = reach.setdefault(i, {})
+            by_t[ts[-1]] = by_t.get(ts[-1], 0) | 1 << (top - s)
+        self.rows = {i: _at_least_reference(by_t) for i, by_t in reach.items()}
+
+    def covering(self, need: list, shift: int = 0) -> int:
+        """Bitset of the terms that cover ``need`` once ``tau_shift`` moves them."""
+        if shift:
+            need = [((i, s - shift), e) for (i, s), e in need]
+        bits = (1 << len(self.monos)) - 1
+        for key, e in need:
+            entry = self.cover.get(key)
+            if entry is None:
+                return 0
+            ts, bitsets = entry
+            at = bisect_left(ts, -e)
+            if at == len(ts):
+                return 0
+            bits &= bitsets[at]
+            if not bits:
+                return 0
+        return bits
+
+    def shifts(self, need: list) -> list[int]:
+        """The shifts at which each pair of ``need``, on its own, meets a term
+        with ``-e`` or more: one AND of row masks, as a list."""
+        s0 = need[0][0][1]
+        mask = -1
+        for (i, s), e in need:
+            entry = self.rows.get(i)
+            if entry is None:
+                return []
+            ts, masks = entry
+            at = bisect_left(ts, -e)
+            if at == len(ts):
+                return []
+            mask &= masks[at] << (s - s0) if s >= s0 else masks[at] >> (s0 - s)
+            if not mask:
+                return []
+        return [b + s0 - self.top for b in _bits_reference(mask)]
+
+
+def anchor_join_reference(
+    walked: QChar, indexed: QChar, anchor: int | None = None
+) -> dict[int, dict[LMonomial, int]]:
+    """``minaff.anchor_join`` as the package ran it before it joined on
+    exponent tuples in one pass per walked term: a list of candidate shifts
+    per walked term, a ``covering`` call with a shifted copy of the need
+    list at each, a shifted exponent dict per (term, shift) and an
+    ``LMonomial`` product (``transform`` then ``*``) per dominant pair."""
+    if walked.n != indexed.n:
+        raise InvalidInput(f"rank mismatch: {walked.n} != {indexed.n}")
+    index = _JoinIndexReference(indexed.terms())
+    imonos, imults, ineeds = index.monos, index.mults, index.needs
+    n = walked.n
+    out: dict[int, dict[LMonomial, int]] = {} if anchor is None else {anchor: {}}
+    tops: list[tuple[LMonomial, int]] = []
+
+    def join(m: LMonomial, c: int, r: int, cand: int) -> None:
+        exps = {(i, s - r): e for (i, s), e in m.items()}
+        for j in _bits_reference(cand):
+            for key, e in ineeds[j]:
+                if exps.get(key, 0) < -e:
+                    break
+            else:
+                p = m * transform(imonos[j], "tau", r)
+                found = out.setdefault(r, {})
+                found[p] = found.get(p, 0) + c * imults[j]
+
+    for m, c in walked.terms().items():
+        need = [kv for kv in m.items() if kv[1] < 0]
+        if not need:
+            tops.append((m, c))
+            for j, jneed in enumerate(ineeds):
+                if jneed:
+                    (i0, s0), e0 = jneed[0]
+                    for (i, s), e in m.items():
+                        if i == i0 and e >= -e0 and (anchor is None or anchor == s - s0):
+                            join(m, c, s - s0, 1 << j)
+            continue
+        for r in (index.shifts(need) if anchor is None else (anchor,)):
+            cand = index.covering(need, r)
+            if cand:
+                join(m, c, r, cand)
+    itops = [(m, c) for m, c, need in zip(imonos, imults, ineeds) if not need]
+    for r, found in out.items():
+        for m1, c1 in tops:
+            for m2, c2 in itops:
+                p = m1 * transform(m2, "tau", r)
+                found[p] = found.get(p, 0) + c1 * c2
+    return out
 
 def monomial_of_tableau_reference(t: Tableau) -> LMonomial:
     """Tableau monomial as the product of its box monomials, one box at a time."""

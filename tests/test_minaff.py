@@ -210,7 +210,7 @@ class TestHeldQChar:
     @pytest.mark.parametrize(
         "read",
         [len, lambda qc: qc.dimension, lambda qc: qc.terms(), lambda qc: qc.dominant_terms(),
-         lambda qc: qc.sorted_terms(), lambda qc: qc._join_index().monos],
+         lambda qc: qc.sorted_terms(), lambda qc: qc._join_index().exps],
         ids=["len", "dimension", "terms", "dominant_terms", "sorted_terms", "join_index"],
     )
     def test_each_first_read_equals_qchar(self, read):
@@ -368,9 +368,9 @@ class TestSharedPairs:
 
     def test_join_needs_are_the_terms_own_negative_pairs(self):
         for spec in small_specs():
-            index = minaff._JoinIndex(qchar(spec).terms())
-            for m, need in zip(index.monos, index.needs):
-                negative = [kv for kv in m.items() if kv[1] < 0]
+            index = minaff._JoinIndex(qchar(spec)._all_terms())
+            for t, need in zip(index.exps, index.needs):
+                negative = [kv for kv in t if kv[1] < 0]
                 assert len(need) == len(negative)
                 assert all(a is b for a, b in zip(need, negative))
 

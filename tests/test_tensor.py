@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_weights,
+    anchor_join_reference,
     characters,
     dominant_join_reference,
     kr_json_reference,
@@ -1229,8 +1230,12 @@ LOWER_ROW_LATER = (QChar(2, {Y(2, 1, 3, -1) * Y(2, 2, 0, -1): 1}), QChar(2, {Y(2
 
 
 def _check_group(spec, node, k, pad):
-    """Every anchor of the group's pad window against the per-anchor join:
-    the map holds D exactly where D != {lambda}.  Returns the anchors checked."""
+    """The group's all-anchor join against its reference, with
+    multiplicities, and every anchor of the group's pad window against the
+    per-anchor join: the map holds D exactly where D != {lambda}.  Returns
+    the anchors checked."""
+    w0 = qchar_kr(KRSpec(spec.n, node, 0, k))
+    assert minaff.anchor_join(qchar(spec), w0) == anchor_join_reference(qchar(spec), w0), (spec, node, k)
     spectra = tensor.spectra_by_anchor(spec, node, k)
     window = resonance_window(spec, node, k, pad)
     assert set(spectra) <= set(resonance_window(spec, node, k, 0))
@@ -1264,6 +1269,20 @@ class TestSpectraByAnchor:
         for shift in (-5, 4):
             for spec, node, k in _sweep_groups(2, 2, 2):
                 _check_group(replace(spec, shift=shift), node, k, 2)
+
+    def test_join_builds_one_monomial_per_distinct_product(self, monkeypatch):
+        """The join sums multiplicities on exponent tuples and builds an
+        ``LMonomial`` only for each (anchor, product) entry it returns."""
+        spec = MinAffSpec(2, (1, 1), "inc")
+        walked, indexed = qchar(spec), qchar_kr(KRSpec(2, 2, 0, 2))
+        made = []
+        make = LMonomial._make
+        monkeypatch.setattr(LMonomial, "_make", staticmethod(lambda n, exps: made.append(1) or make(n, exps)))
+        joined = minaff.anchor_join(walked, indexed)
+        entries = sum(len(products) for products in joined.values())
+        assert max(len(products) for products in joined.values()) > 1
+        assert entries == 11
+        assert len(made) == entries
 
     def test_D_grows_exactly_at_the_resonances_of_rows_normal_and_a(self):
         """On rows normal and a, the anchors with D != {lambda} are the
@@ -1311,7 +1330,7 @@ class TestSpectraByAnchor:
         """``_JoinIndex.shifts`` against every shift that carries each
         negative pair, on its own, onto a key some indexed term covers."""
         x, y = factors
-        index = minaff._JoinIndex(y.terms())
+        index = minaff._JoinIndex(y._all_terms())
         for m in x.terms():
             need = [kv for kv in m.items() if kv[1] < 0]
             if not need:
@@ -1322,7 +1341,11 @@ class TestSpectraByAnchor:
                 r for r in reach
                 if all(any(m2.exponent(i, s - r) >= -e for m2 in y.terms()) for (i, s), e in need)
             }
-            assert sorted(index.shifts(need)) == sorted(expected), m
+            # bit b of the mask is the shift b + s0 - top
+            mask = index.shifts(need)
+            assert mask >= 0
+            got = {b + s0 - index.top for b in range(mask.bit_length()) if mask >> b & 1}
+            assert got == expected, m
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(characters(n), characters(n))))
@@ -1330,12 +1353,14 @@ class TestSpectraByAnchor:
     def test_join_of_random_characters_at_every_shift(self, factors):
         x, y = factors
         every = minaff.anchor_join(x, y)
+        assert every == anchor_join_reference(x, y)
         # rows lie in -3..3, so a dominant pair needs a shift in -6..6
         assert set(every) <= set(range(-6, 7))
         tops = [[(m, c) for m, c in q.terms().items() if all(e > 0 for _, e in m.items())] for q in (x, y)]
         for r in range(-7, 8):
             got = minaff.anchor_join(x, y, r)
             assert list(got) == [r]
+            assert got == anchor_join_reference(x, y, r)
             reference = product_qchar_reference(x, _tau(y, r)).dominant_terms()
             assert sorted(got[r].items(), key=lambda mc: monomial_sort_key(mc[0])) == reference
             top_products = {}
