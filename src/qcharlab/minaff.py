@@ -16,14 +16,14 @@ that monomial.
 
 The q-character is the set of monomials of the semi-standard fillings of
 the Drinfeld polynomial's snake shape, read off the search without building
-the tableaux; for a KR module at the last node an independent
-partition-indexed formula provides the same set of terms.  A ``QChar``
-holds its terms as the search's canonical exponent tuples and builds
-``LMonomial`` objects only where a caller reads monomials; a held one
-(``held_qchar``) runs the search only when read, and in a product only for
-the terms its partner can cover; of two held factors, the second is
-searched under the first's raise bound, and the first under the terms
-found, so neither is searched whole.
+the tableaux; a whole search runs from the longer end of the shape.  For a
+KR module at the last node an independent partition-indexed formula
+provides the same set of terms.  A ``QChar`` holds its terms as the
+search's canonical exponent tuples and builds ``LMonomial`` objects only
+where a caller reads monomials; a held one (``held_qchar``) runs the
+search only when read, and in a product only for the terms its partner can
+cover; of two held factors, the second is searched under the first's raise
+bound, and the first under the terms found, so neither is searched whole.
 
 ``anchor_join`` is the one dominant-pair join: it gives the whole dominant
 part of ``walked * tau_r(indexed)``, the products of two dominant terms
@@ -52,7 +52,15 @@ from .lweight import (
     product_exps,
     y_string,
 )
-from .tableaux import Shape, Tableau, filling_pairs, raise_bound, snake_shape
+from .tableaux import (
+    Shape,
+    Tableau,
+    filling_pairs,
+    longer_at_end,
+    mirrored_terms,
+    raise_bound,
+    snake_shape,
+)
 
 # not used here since ``qchar`` reads exponent tuples only, but still looked up
 # in this module by the benchmark's tracer (``perfbench/spans.py``)
@@ -238,7 +246,11 @@ class QChar:
 
     @classmethod
     def product(cls, q1: "QChar", q2: "QChar") -> "QChar":
-        """The product character ``q1 * q2``, held as its two factors."""
+        """The product character ``q1 * q2``, held as its two factors; each
+        factor must be a ``QChar``."""
+        for q in (q1, q2):
+            if not isinstance(q, QChar):
+                raise InvalidInput(f"a product factor must be a QChar, got {q!r}")
         if q1.n != q2.n:
             raise InvalidInput(f"rank mismatch: {q1.n} != {q2.n}")
         return cls._of(q1.n, None, (q1, q2))
@@ -443,11 +455,17 @@ def anchor_join(
     end.  Nothing of the walk is kept on either character.
 
     Returns ``{r: {product: multiplicity}}``, each dict the whole dominant
-    part at ``r``, top products included.  With ``anchor``, ``anchor`` is
-    the one key.  Without it, the keys are the shifts at which a pair other
-    than two dominant terms is dominant; at every other shift the dominant
-    part is the top products alone.
+    part at ``r``, top products included.  Both characters must be
+    ``QChar``s.  With ``anchor``, which must be a plain ``int``, ``anchor``
+    is the one key.  Without it, the keys are the
+    shifts at which a pair other than two dominant terms is dominant; at
+    every other shift the dominant part is the top products alone.
     """
+    for q in (walked, indexed):
+        if not isinstance(q, QChar):
+            raise InvalidInput(f"a joined character must be a QChar, got {q!r}")
+    if anchor is not None:
+        require_int("join anchor", anchor)
     if walked.n != indexed.n:
         raise InvalidInput(f"rank mismatch: {walked.n} != {indexed.n}")
     index = indexed._join_index()
@@ -567,7 +585,10 @@ def _searched_terms(
 ) -> dict[tuple, int]:
     """The terms of the snake ``omega``'s character: the exponent tuples of
     ``filling_pairs`` over its ``snake_shape``, under ``bound`` if given.
-    A caller that holds that shape already passes it as ``shape``.
+    A caller that holds that shape already passes it as ``shape``.  An
+    unbounded search of a shape whose last column is longer than its first
+    runs from that end (``mirrored_terms``): the same terms, in another
+    order, from fewer box placements.
 
     No tableau or ``LMonomial`` is built.  Two checks on the tuples follow,
     and a failure signals an implementation bug, never bad input: no term
@@ -578,7 +599,10 @@ def _searched_terms(
     n, make = omega.n, LMonomial._make
     if shape is None:
         shape = snake_shape(omega)
-    found = [t for _, t in filling_pairs(n, shape, bound)]
+    if bound is None and longer_at_end(shape):
+        found = mirrored_terms(n, shape)
+    else:
+        found = [t for _, t in filling_pairs(n, shape, bound)]
     terms = dict.fromkeys(found, 1)
     if len(terms) != len(found):
         seen: set[tuple] = set()
@@ -606,7 +630,10 @@ def held_qchar(spec: MinAffSpec) -> QChar:
 @lru_cache(maxsize=CACHE_SIZE)
 def qchar(spec: MinAffSpec) -> QChar:
     """q-character of a minimal affinization via tableau enumeration: the
-    ``held_qchar`` of ``spec``, searched at once (``_searched_terms``)."""
+    ``held_qchar`` of ``spec``, searched at once (``_searched_terms``), from
+    the longer end of its shape.  The terms are those of ``filling_pairs``;
+    their order is that search's only when the first column is at least as
+    long as the last."""
     qc = held_qchar(spec)
     qc._all_terms()
     return qc

@@ -32,6 +32,21 @@ search, in the same order: ``semistandard_fillings`` wraps each tuple in an
 filling's contents.  ``monomial_of_tableau`` sums a tableau's box exponents
 in one pass and keeps no state.
 
+``mirrored_terms`` runs the same search loop over the mirror of a shape:
+columns right to left, each bottom to top, content ``c`` placed as
+``n + 2 - c``.  The mirror is a bijection on semi-standard fillings.  A
+column's contents increase strictly top to bottom exactly when its placed
+contents increase strictly bottom to top.  A box ``(c, s)`` and its
+neighbour ``(c', s - 2)`` in the next column satisfy ``c >= c'`` exactly
+when ``n + 2 - c <= n + 2 - c'``, so each box is still capped by its
+neighbour in the column placed just before it.  Each box and content still
+moves the keys of its own ``(i, r)``, so a filling gives the same canonical
+tuple in either order.  Only the size of the search tree depends on the
+order: the search places fewer boxes per term from the longer end of a
+shape.  The order rule is that an unbounded search (``qchar``) runs mirrored
+exactly when the last column is longer than the first (``longer_at_end``),
+as on a decreasing snake, and a bounded search always runs left to right.
+
 ``filling_pairs`` also takes a ``bound``: for each key ``(i, r)`` the
 largest positive exponent a partner character has there.  A term can make
 a dominant product with some partner term only if each of its negative
@@ -276,6 +291,37 @@ def filling_pairs(
     subtree when it is below its floor.  A key that cannot fall below its
     floor is never checked, and without a bound none is.
     """
+    return _search(n, shape, bound, False)
+
+
+def longer_at_end(shape: Shape) -> bool:
+    """Whether the last column of ``shape`` is longer than its first: then
+    the mirrored search (``mirrored_terms``) places fewer boxes per term."""
+    if not isinstance(shape, Shape):
+        raise InvalidInput(f"the search needs a Shape, got {shape!r}")
+    cols = shape.columns
+    return bool(cols) and cols[-1][0] > cols[0][0]
+
+
+def mirrored_terms(n: int, shape: Shape) -> list[tuple]:
+    """The exponent tuples of every semi-standard filling of ``shape``, the
+    ones ``filling_pairs`` yields, from the mirrored search: columns right
+    to left, each bottom to top, content ``c`` placed as ``n + 2 - c``.
+
+    Each box and content still moves the keys of its own ``(i, r)``, so
+    every filling gives its own canonical tuple, once; only the order of
+    the list differs.  The rank and shape are checked as ``filling_pairs``
+    checks them.
+    """
+    return [t for _, t in _search(n, shape, None, True)]
+
+
+def _search(
+    n: int, shape: Shape, bound: dict | None, mirror: bool
+) -> Iterator[tuple[list[int], tuple]]:
+    """The one search loop: ``filling_pairs`` under ``bound``, or, with
+    ``mirror`` and no bound, the search of ``mirrored_terms``, whose
+    yielded contents are the placed ones, in its own box order."""
     require_rank(n)
     if not isinstance(shape, Shape):
         raise InvalidInput(f"the search needs a Shape, got {shape!r}")
@@ -287,26 +333,30 @@ def filling_pairs(
             require_int("search bound", b)
             if b < 0:
                 raise InvalidInput(f"a search bound must be nonnegative, got {b} at {key}")
+    # mirrored, the column placed just before a box's own is the one to its
+    # right, where its neighbour sits at support - 2
+    cols, step = (shape.columns[::-1], -2) if mirror else (shape.columns, 2)
     # per box, in search order: its support, its largest and smallest
-    # contents, and the index of the box at support + 2 in the previous
-    # column (or -1)
+    # placed contents, and the index of its neighbour, the box at support
+    # + step in the previous column (or -1)
     supports: list[int] = []
     top_caps: list[int] = []
     lows: list[int] = []
     lefts: list[int] = []
     first_rows: set[int] = set()
     prev: dict[int, int] = {}
-    for k, s in shape:
+    for k, s in cols:
         here: dict[int, int] = {}
         first_rows.add(len(supports))
-        for row in range(1, k + 1):
-            supp = box_support(k, s, row)
+        for pos in range(1, k + 1):
+            # the pos-th box placed in the column: row pos, or row k + 1 - pos mirrored
+            supp = box_support(k, s, k + 1 - pos if mirror else pos)
             here[supp] = len(supports)
             supports.append(supp)
-            # leave room for the strictly increasing boxes below
-            top_caps.append(n + 1 - (k - row))
-            lows.append(row)
-            lefts.append(prev.get(supp + 2, -1))
+            # leave room for the strictly increasing boxes placed after it
+            top_caps.append(n + 1 - (k - pos))
+            lows.append(pos)
+            lefts.append(prev.get(supp + step, -1))
         prev = here
     nboxes = len(supports)
     if nboxes == 0:
@@ -315,6 +365,7 @@ def filling_pairs(
 
     # one pass over the contents each box can take: content c at support s
     # raises (c, s + c - 1) if c <= n and lowers (c - 1, s + c) if c >= 2;
+    # the tables are indexed by the placed content, n + 2 - c mirrored;
     # raises / lowers count the boxes that can move each key so
     up_keys: list[list] = []
     down_keys: list[list] = []
@@ -323,18 +374,19 @@ def filling_pairs(
     for s, low, top in zip(supports, lows, top_caps):
         ups: list = [None] * (n + 2)
         downs: list = [None] * (n + 2)
-        for c in range(low, top + 1):
+        for placed in range(low, top + 1):
+            c = n + 2 - placed if mirror else placed
             if c <= n:
-                ups[c] = key = (c, s + c - 1)
+                ups[placed] = key = (c, s + c - 1)
                 raises[key] = raises.get(key, 0) + 1
             if c >= 2:
-                downs[c] = key = (c - 1, s + c)
+                downs[placed] = key = (c - 1, s + c)
                 lowers[key] = lowers.get(key, 0) + 1
         up_keys.append(ups)
         down_keys.append(downs)
-    # up[p][c] / down[p][c]: slot of the +1 / -1 factor of content c at box
-    # p; boundary factors, and contents the box cannot take, go to a spare
-    # last slot whose pairs are all None
+    # up[p][c] / down[p][c]: slot of the +1 / -1 factor of placed content c
+    # at box p; boundary factors, and contents the box cannot take, go to a
+    # spare last slot whose pairs are all None
     keys = sorted(raises.keys() | lowers.keys())
     slot: dict = {key: j for j, key in enumerate(keys)}
     spare = slot[None] = len(keys)

@@ -331,6 +331,56 @@ class TestQChar:
         with pytest.raises(InvariantViolation, match=fault):
             product_qchar(held_qchar(spec), partner).dominant_terms()
 
+    @pytest.mark.parametrize("fault", ["thinness violated", "expected a unique dominant term"])
+    @pytest.mark.parametrize("read", ["qchar", "held"])
+    def test_a_mirrored_search_runs_the_same_checks(self, fault, read, monkeypatch):
+        # a whole dec character whose last column is the longer one is
+        # searched from that end: a repeated term, or a second dominant term,
+        # pushed through that search must still be caught
+        spec = MinAffSpec(2, (1, 1), "dec", 3)
+        shape = highest_tableau(spec).shape
+        assert shape.columns[-1][0] > shape.columns[0][0]
+        mirrored = minaff.mirrored_terms
+        if fault == "thinness violated":
+            def faulty(n, shape):
+                found = mirrored(n, shape)
+                return [*found, found[len(found) // 2]]
+        else:
+            def faulty(n, shape):
+                return [*mirrored(n, shape), Y(n, 1, 99).items()]
+        monkeypatch.setattr(minaff, "mirrored_terms", faulty)
+        qchar.cache_clear()
+        try:
+            with pytest.raises(InvariantViolation, match=fault):
+                qchar(spec) if read == "qchar" else len(held_qchar(spec))
+        finally:
+            qchar.cache_clear()
+
+    @pytest.mark.parametrize("other", [5, None, "x", [1]], ids=repr)
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_a_product_factor_must_be_a_character(self, other, first):
+        qc = qchar(MinAffSpec(2, (1, 1), "inc"))
+        factors = (other, qc) if first else (qc, other)
+        for build in (product_qchar, QChar.product):
+            with pytest.raises(InvalidInput, match="must be a QChar"):
+                build(*factors)
+
+    @pytest.mark.parametrize("anchor", [1.0, "x", True, [0]], ids=repr)
+    def test_the_join_anchor_must_be_an_integer(self, anchor):
+        walked, indexed = qchar(MinAffSpec(2, (1, 1), "inc")), qchar_kr(KRSpec(2, 2, 0, 1))
+        with pytest.raises(InvalidInput, match="join anchor must be an integer"):
+            minaff.anchor_join(walked, indexed, anchor)
+        assert list(minaff.anchor_join(walked, indexed, 1)) == [1]
+
+    @pytest.mark.parametrize("other", [5, None, "x", [1]], ids=repr)
+    @pytest.mark.parametrize("first", [True, False], ids=["walked", "indexed"])
+    def test_joined_characters_must_be_characters(self, other, first):
+        qc = qchar(MinAffSpec(2, (1, 1), "inc"))
+        factors = (other, qc) if first else (qc, other)
+        for anchor in (None, 0):
+            with pytest.raises(InvalidInput, match="must be a QChar"):
+                minaff.anchor_join(*factors, anchor)
+
     @given(st.integers(1, 3).flatmap(characters))
     def test_json_text_is_the_sorted_compact_dump(self, qc):
         assert qc.json_text() == cli._dumps(qchar_json_reference(qc))

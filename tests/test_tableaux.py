@@ -36,7 +36,7 @@ from qcharlab import (
     snake_shape,
     y_string,
 )
-from qcharlab.tableaux import filling_pairs, raise_bound
+from qcharlab.tableaux import filling_pairs, longer_at_end, mirrored_terms, raise_bound
 
 
 def Y(n, i, r, e=1):
@@ -338,6 +338,83 @@ class TestSearchAgainstReference:
         # a column of length n + 1 has its contents forced, and a longer one none
         assert assert_same_search(n, Shape(((n + 1, 0),))) == [(list(range(1, n + 2)), identity)]
         assert assert_same_search(n, Shape(((n + 2, 0),))) == []
+
+
+def assert_same_mirrored_search(n, shape):
+    """The mirrored search yields each filling's tuple once: the tuples of
+    ``filling_pairs`` and of the reference search, as many and as a set."""
+    found = mirrored_terms(n, shape)
+    ordered = [t for _, t in filling_pairs(n, shape)]
+    reference = [m.items() for _, m in semistandard_fillings_reference(n, shape)]
+    assert len(found) == len(set(found)) == len(ordered) == len(reference)
+    assert set(found) == set(ordered) == set(reference)
+    return found, ordered
+
+
+class TestMirroredSearch:
+    """``mirrored_terms``, the search from the other end of a shape, and the
+    rule by which ``qchar`` takes it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_spec_shape(self, n):
+        """Every spec with |lambda| <= 4, both directions, at shifts 0 and
+        5: the mirror finds the left-to-right terms, and ``qchar``, which
+        mirrors exactly the shapes whose last column is longer, is the
+        character of the left-to-right search."""
+        mirrored = reordered = 0
+        for lam in all_weights(n, 4):
+            for direction in ("inc", "dec"):
+                for shift in (0, 5):
+                    spec = MinAffSpec(n, lam, direction, shift)
+                    shape = snake_shape(drinfeld_of_spec(spec))
+                    found, ordered = assert_same_mirrored_search(n, shape)
+                    monos = [m for _, m in semistandard_fillings(n, shape)]
+                    assert qchar(spec).terms() == dict.fromkeys(monos, 1)
+                    columns = shape.columns
+                    assert longer_at_end(shape) == (columns[-1][0] > columns[0][0])
+                    if longer_at_end(shape):
+                        assert direction == "dec"
+                        assert list(qchar(spec)._all_terms()) == found
+                        mirrored += 1
+                        reordered += found != ordered
+                    else:
+                        assert list(qchar(spec)._all_terms()) == ordered
+        if n > 1:
+            assert reordered == mirrored > 0
+
+    @given(snakes())
+    @settings(max_examples=60, deadline=None)
+    def test_touching_snakes(self, m):
+        found, _ = assert_same_mirrored_search(m.n, snake_shape(m))
+        assert found
+
+    def test_a_mirrored_search_starts_from_the_lowest_term(self):
+        # placed contents 1, 2, ... from the bottom are n + 1, n, ... : every
+        # box at its largest content, the term with no positive exponent,
+        # where the left-to-right search ends
+        spec = MinAffSpec(3, (1, 0, 2), "dec")
+        shape = snake_shape(drinfeld_of_spec(spec))
+        assert longer_at_end(shape)
+        found, ordered = assert_same_mirrored_search(3, shape)
+        assert ordered[0] == drinfeld_of_spec(spec).items()
+        assert found[0] == ordered[-1] and all(e < 0 for _, e in found[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_edge_shapes(self, n):
+        assert mirrored_terms(n, Shape(())) == [()]
+        assert not longer_at_end(Shape(()))
+        assert not longer_at_end(Shape(((n, 1),)))
+        assert len(assert_same_mirrored_search(n, Shape(((1, 0),)))[0]) == n + 1
+        assert mirrored_terms(n, Shape(((n + 1, 0),))) == [()]
+        assert mirrored_terms(n, Shape(((n + 2, 0),))) == []
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InvalidInput, match="rank must be"):
+            mirrored_terms(0, Shape(((1, 0),)))
+        with pytest.raises(InvalidInput, match="Shape"):
+            mirrored_terms(2, ((1, 0), (2, -2)))
+        with pytest.raises(InvalidInput, match="Shape"):
+            longer_at_end(((1, 0), (2, -2)))
 
 
 def bounded_search(n, shape, bound):

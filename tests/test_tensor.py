@@ -997,7 +997,29 @@ def _lambda_prime_replaced(new):
 
 # (point, patches, error, message): each check of the classifier, and a patch
 # of the name it guards that makes it fire
+def _term_repeated(search):
+    """The searched list with its middle term listed twice."""
+
+    def patched(n, shape):
+        found = search(n, shape)
+        return [*found, found[len(found) // 2]]
+
+    return patched
+
+
+def _second_dominant(search):
+    """The searched list with a dominant term that is not the Drinfeld polynomial."""
+
+    def patched(n, shape):
+        return [*search(n, shape), Y(n, 1, 99).items()]
+
+    return patched
+
+
 THIN_CHECK = ({"minaff.filling_pairs": _monomials_identity}, InvariantViolation, "thinness violated")
+# a dec affinization whose last tableau column is its longer one: the group
+# path searches it whole, mirrored
+MIRRORED_POINT = (MinAffSpec(2, (1, 1), "dec"), KRSpec(2, 1, 3, 1))
 CHECKS = [
     (NORMAL_POINT, {"tensor.le": lambda f: lambda a, b: False},
      TheoremViolation, "dominant spectrum is not a chain"),
@@ -1094,6 +1116,17 @@ class TestClassifierChecks:
     )
     def test_check_fires_on_the_group_path(self, point, patches, error, message, monkeypatch):
         _fires(point, patches, error, message, monkeypatch, whole_group=True)
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [(_term_repeated, "thinness violated"), (_second_dominant, "expected a unique dominant term")],
+        ids=["qchar_thin", "qchar_unique_dominant"],
+    )
+    def test_check_fires_on_a_mirrored_search(self, patch, message, monkeypatch):
+        shape = highest_tableau(MIRRORED_POINT[0]).shape
+        assert shape.columns[-1][0] > shape.columns[0][0]
+        patches = {"minaff.mirrored_terms": patch}
+        _fires(MIRRORED_POINT, patches, InvariantViolation, message, monkeypatch, whole_group=True)
 
     @pytest.mark.parametrize(
         "tamper, error, message",
