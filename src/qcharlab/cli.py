@@ -19,9 +19,13 @@ arguments (``--n``, ``--shift``, ``--t``, and each part of ``--lambda`` and
 ``--kr``) are an optional minus sign and ASCII digits.
 
 ``main`` may be called repeatedly in one process.  The parser is built once.
-Every call first empties the library caches, so no command reads results of
-an earlier one.  Each command is looked up by name when it is called, so a
-wrapper set on ``cli.cmd_*`` applies.
+Every call first empties the caches of ``tensor`` (``tensor.clear_caches``:
+its reports, spectra, loud anchors, transports, resonance tables, report
+templates, family members and sweep group record), so no command reads a
+classification of an earlier one.  The q-characters and Drinfeld
+polynomials cached in ``minaff`` persist, but they are pure functions of
+their arguments and change no output.  Each command is looked up by name
+when it is called, so a wrapper set on ``cli.cmd_*`` applies.
 """
 
 from __future__ import annotations

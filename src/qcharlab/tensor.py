@@ -32,35 +32,35 @@ which also certifies the anchors it does not visit.  The resonance
 equations are solved for r once per group too (``_resonances``, r -> the
 resonances there): each point looks its resonance up, and the sweep window
 is the hull of the table.  The transported affinization does not depend on
-r either and is computed once per group.  A single point (the ``tensor``
-command, and the transports of its rows a, b and c) joins the held
-affinization with the held KR module (``held_qchar`` of each) at its one
-anchor, and neither character is searched whole: the KR search yields
-only the terms whose negative exponents the affinization's
-``raise_bound`` clears, the affinization search only the terms whose
-negative exponents those KR terms can cover, and only those are walked.
+r either and is recognised once per group (``_transported_spec``, which
+``_transported`` calls).  A single point (the ``tensor`` command, and the
+transports of its rows a, b and c) joins the held affinization with the
+held KR module (``held_qchar`` of each) at its one anchor, and neither
+character is searched whole: the KR search yields only the terms whose
+negative exponents the affinization's ``raise_bound`` clears, the
+affinization search only the terms whose negative exponents those KR
+terms can cover, and only those are walked.
 The sweep keeps the full characters, because its join certifies every
 anchor of the group (the ``r_window`` check), and a bound over every
 shift would prune almost nothing.
 
-Most anchors of a group are quiet, and a sweep classifies those from group
-data alone.  An anchor is loud (``_loud_anchors``, once per group) when the
+Most anchors of a group are quiet, and a sweep writes their lines from
+group data alone; nowhere else does an anchor skip the checks, so
+``classify_variant`` and ``classify_normal`` run every check at every
+anchor.  An anchor is loud (``_loud_anchors``, once per group) when the
 group's resonance table or its ``spectra_by_anchor`` map has an entry
 there, or, on rows a, b and c, when its transported anchor is loud in the
-transported normal-form group.  At a quiet anchor D = {lambda} with no
-resonance, and the transported point is the same, so every check of
-``_classify`` holds vacuously and the report is the irreducible one of
-lambda.  A sweep line needs only that report's text, which differs from
-its row's other quiet reports only in the texts of lambda, the KR module
-and the spec: ``sweep_report_text`` fills those into the row's template,
-cut once per (row, n) from ``TensorReport.json_text`` itself, and builds
-no report and asks ``classify_normal`` nothing.  What a point writes that
-does not depend on r is kept once per group in a ``SweepGroup`` record
-(``sweep_group``; only the group last asked for is held): the loud
-anchors, the template, the spec's text, the KR text up to its anchor, and
-omega's JSON entries around and on the KR node's row.  Lambda's text at r
-is written from those entries and varpi's k keys, with no monomial built.
-A single point never takes this path.
+transported normal-form group.  At a quiet anchor every check holds
+vacuously and the report is the irreducible one of lambda, whose text
+differs from its row's other quiet reports only in the texts of lambda,
+the KR module and the spec: ``sweep_report_text`` fills those into the
+row's template, cut once per (row, n) from ``TensorReport.json_text``
+itself, and builds no report.  What a point writes that does not depend
+on r is kept once per group in a ``SweepGroup`` record (``sweep_group``;
+only the group last asked for is held): the loud anchors, the template,
+the spec's text, the KR text up to its anchor, and omega's JSON entries
+around and on the KR node's row.  Lambda's text at r is written from
+those entries and varpi's k keys, with no monomial built.
 
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
@@ -70,7 +70,7 @@ module on the way there, one for each monomial carried back.
 ``classify_normal`` is cached on its arguments (at most ``CACHE_SIZE``
 reports, like ``qchar``), so a normal-row point and
 every transport that lands on the same problem share one brute-force
-classification; every loud a/b/c point still runs every transport check.  The
+classification; every a/b/c report still runs every transport check.  The
 members of the two tableau families (``family_S``, ``family_T``) are cached
 on their arguments too, so each distinct member runs its checks once;
 these caches, ``spectra_by_anchor`` and ``_loud_anchors`` key on the
@@ -588,65 +588,57 @@ def _lambda_prime_normal(spec: MinAffSpec, kr: KRSpec, tag: CaseTag) -> LMonomia
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _transported_spec(variant: Variant, spec: MinAffSpec) -> Optional[tuple[MinAffSpec, int]]:
+def _transported_spec(variant: Variant, spec: MinAffSpec) -> tuple[MinAffSpec, int]:
     """The increasing affinization that ``variant.inverse`` carries ``spec``
-    to, at shift 0, and its shift t; or None.  It does not depend on the KR
-    module, so a group shares it."""
+    to, at shift 0, and its shift t.  It does not depend on the KR module,
+    so a group shares it."""
     spec_t = recognize_minaff(transform(drinfeld_of_spec(spec), variant.inverse), "inc")
     if spec_t is None:
-        return None
+        raise TheoremViolation("transported affinization is not increasing")
     return MinAffSpec(spec_t.n, spec_t.lam), spec_t.shift
 
 
+def _transported(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> tuple[MinAffSpec, int, KRSpec]:
+    """The normal-form problem (spec_t, kr_t) at shift 0 that the row's
+    ``inverse`` map carries (spec, kr) to, and the shift t: spec_t is
+    cached per group, and kr_t is recognised at tau_{-t} of the KR
+    module's transport, in one ``transform`` call.  Raises
+    TheoremViolation when either is not recognised."""
+    spec_t, t = _transported_spec(variant, spec)
+    kr_t = recognize_kr(transform(kr.drinfeld(), variant.inverse, -t))
+    if kr_t is None or kr_t.node != spec.n:
+        raise TheoremViolation("transported KR module is not at the last node")
+    return spec_t, t, kr_t
+
+
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> Optional[frozenset[int]]:
-    """The anchors r of the group (spec, node, k) where ``_classify`` runs
-    its checks, or None when it runs them at every anchor.
+def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> frozenset[int]:
+    """The anchors r of the group (spec, node, k) where a sweep runs the
+    checks of ``_classify``; at every other anchor it writes the irreducible
+    report of lambda from group data (``sweep_report_text``).
 
     An anchor is loud if ``_resonances`` or ``spectra_by_anchor`` has an
     entry there, or, on rows a, b and c, if its transported anchor r_t is
-    loud in the transported normal-form group.  The transported KR module
-    is recognised once, at anchor 0: ``transform`` carries tau_r to
-    tau_{sigma r}, with sigma = -1 on the flipped rows (their maps negate
-    r) and +1 on row a, so r_t = r_t(0) + sigma * r.  Every anchor is loud
-    when the transported affinization or KR module is not recognised.
+    loud in the transported normal-form group.  So a quiet anchor has
+    D = {lambda} and no resonance, on both sides of the transport, and
+    every check holds there vacuously.  The problem is transported once,
+    at anchor 0: ``transform`` carries tau_r to tau_{sigma r}, with
+    sigma = -1 on the flipped rows (their maps negate r) and +1 on row a,
+    so r_t = r_t(0) + sigma * r.  Raises what ``_transported`` raises.
     Keyed and cached like ``spectra_by_anchor``.
     """
     variant = _variant_of(spec.direction, node != spec.n)
     loud = {*spectra_by_anchor(spec, node, k), *_resonances(variant, spec, k)}
     if variant.inverse is not None:
-        transported = _transported_spec(variant, spec)
-        if transported is None:
-            return None
-        spec_t, t = transported
-        kr_t = recognize_kr(transform(KRSpec(spec.n, node, 0, k).drinfeld(), variant.inverse, -t))
-        if kr_t is None or kr_t.node != spec.n:
-            return None
-        loud_t = _loud_anchors(spec_t, kr_t.node, kr_t.k)
-        if loud_t is None:
-            return None
+        spec_t, _, kr_t = _transported(variant, spec, KRSpec(spec.n, node, 0, k))
         sigma = -1 if variant.flipped else 1
-        loud.update(sigma * (r_t - kr_t.r) for r_t in loud_t)
+        loud.update(sigma * (r_t - kr_t.r) for r_t in _loud_anchors(spec_t, kr_t.node, kr_t.k))
     return frozenset(loud)
 
 
-def _quiet(spec: MinAffSpec, kr: KRSpec) -> bool:
-    """Whether the point's anchor is quiet: outside ``_loud_anchors``."""
-    loud = _loud_anchors(spec, kr.node, kr.k)
-    return loud is not None and kr.r not in loud
-
-
-def _quiet_report(variant: Variant, spec: MinAffSpec, kr: KRSpec, lam: LMonomial) -> TensorReport:
-    """The report at a quiet anchor: irreducible, D = {lambda}, no resonance."""
-    return TensorReport(
-        variant=variant.name, spec=spec, kr=kr, lam=lam, D=((lam, 1),),
-        totally_ordered=True, tag=_IRREDUCIBLE, resonance=None, lambda_prime=None,
-        socle_head=_socle_head(variant, _IRREDUCIBLE, lam, None),
-    )
-
-
 def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
-    """The classifier pipeline shared by every row of ``VARIANTS``.
+    """The classifier pipeline shared by every row of ``VARIANTS``, which
+    runs every check at every anchor.
 
     D is brute-forced: from the pair's own product of two held characters,
     each searched only for the terms the other can cover, or, with
@@ -656,35 +648,15 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
     terms equal to ``expected_dominants``, and the extra factor, the
     family member, sits at its predicted position (condition (i): just
     below the top family; condition (ii): the minimum of D).  Every other
-    row transports the pair through its ``inverse`` map, asks
-    ``classify_normal`` for the transported problem at shift 0, and carries
-    its D and extra factor back through tau_t and the row's ``forward`` map,
-    one ``transform`` call per monomial; the transported affinization at
-    shift 0 and its shift t are cached per group, and the KR module is
-    recognised at tau_{-t} of its transport, again in one call.
-    It checks that the resonance (with p -> n + 1 - p at node 1) and the
-    verdict agree, that D transports exactly where the row says so, and
-    that D contains the transported extra factor.
-
-    With ``whole_group``, a quiet anchor (one outside ``_loud_anchors``)
-    gets the irreducible report of lambda = omega * varpi at once, since
-    every check holds there by group data alone.  D = {lambda} with no
-    resonance equals ``expected_dominants``; the chain and multiplicity
-    checks are trivial; the tag is irreducible and there is no lambda'.  On
-    rows a, b and c the transported anchor is r_t = r_t(0) + sigma * r
-    (sigma = -1 on the flipped rows, whose maps negate r, else +1), quiet
-    in its own group, so both sides are irreducible with no resonance, and
-    the transported D = {lambda_t} carries back to {lambda}, since
-    ``transform`` is multiplicative and carries omega_t * varpi_t back to
-    omega * varpi.  A disagreement in the group data makes the anchor loud,
-    and the checks below raise it as before.
+    row asks ``classify_normal`` for its ``_transported`` problem at shift
+    0 and carries its D and extra factor back through tau_t and the row's
+    ``forward`` map, one ``transform`` call per monomial.  It checks that
+    the resonance (with p -> n + 1 - p at node 1) and the verdict agree,
+    that D transports exactly where the row says so, and that D contains
+    the transported extra factor.
     """
-    omega, varpi = drinfeld_of_spec(spec), kr.drinfeld()
-    lam = omega * varpi
+    lam = drinfeld_of_spec(spec) * kr.drinfeld()
     if whole_group:
-        if _quiet(spec, kr):
-            # every check below holds by group data alone
-            return _quiet_report(variant, spec, kr, lam)
         found = spectra_by_anchor(spec, kr.node, kr.k).get(kr.r)
         spectrum = _spectrum(found) if found else DominantSpectrum(((lam, 1),), True)
     else:
@@ -711,15 +683,9 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
             if pos >= len(D) or D[pos] != lam_prime:
                 raise TheoremViolation(f"extra factor {lam_prime} not at position {pos} of D")
     else:
-        transported = _transported_spec(variant, spec)
-        if transported is None:
-            raise TheoremViolation("transported affinization is not increasing")
         # a global spectral shift changes no classification, so the cached
         # shift-0 problem serves every shift of it
-        spec_t, t = transported
-        kr_t = recognize_kr(transform(varpi, variant.inverse, -t))
-        if kr_t is None or kr_t.node != spec.n:
-            raise TheoremViolation("transported KR module is not at the last node")
+        spec_t, t, kr_t = _transported(variant, spec, kr)
         normal = _normal(spec_t, kr_t, whole_group)
         # forward after tau_t is forward then tau_{+-t}: the maps of the
         # flipped rows negate r, and with it the sign of the shift
@@ -818,7 +784,12 @@ def _quiet_template(variant: Variant, n: int) -> tuple[tuple[str, ...], itemgett
     lam = LMonomial.identity(n)
     spec = MinAffSpec(n, (1,) + (0,) * (n - 1), variant.direction)
     kr = KRSpec(n, 1 if variant.first else n, 0, 1)
-    text = _quiet_report(variant, spec, kr, lam).json_text(spec_text="\x00", kr_text="\x01")
+    report = TensorReport(
+        variant=variant.name, spec=spec, kr=kr, lam=lam, D=((lam, 1),), totally_ordered=True,
+        tag=_IRREDUCIBLE, resonance=None, lambda_prime=None,
+        socle_head=_socle_head(variant, _IRREDUCIBLE, lam, None),
+    )
+    text = report.json_text(spec_text="\x00", kr_text="\x01")
     parts = re.split("([\x00-\x02])", text.replace(lam.json_text(), "\x02"))
     # a marker's code is its text's index; the pieces follow the three texts
     fields = [3]
@@ -844,7 +815,7 @@ class SweepGroup:
     """
 
     key: tuple[MinAffSpec, int, int]
-    loud: Optional[frozenset[int]]
+    loud: frozenset[int]
     pieces: tuple[str, ...]
     interleave: itemgetter
     spec_text: str
@@ -857,7 +828,7 @@ class SweepGroup:
 
     def quiet(self, r: int) -> bool:
         """Whether anchor r is quiet: outside ``_loud_anchors``."""
-        return self.loud is not None and r not in self.loud
+        return r not in self.loud
 
     def kr_text(self, r: int) -> str:
         """The ``json_text`` of the group's KR module at anchor r."""
@@ -924,7 +895,8 @@ def sweep_group(spec: MinAffSpec, kr: KRSpec) -> SweepGroup:
     It is built when the group differs from the one last asked for (the
     spec compared by identity first, then by value), and raises what
     ``_loud_anchors`` raises for the group, the ``r_window`` check of
-    ``spectra_by_anchor`` included.
+    ``spectra_by_anchor`` and the recognition of the transported problem
+    included.
     """
     global _current_group
     if kr.n != spec.n:
@@ -940,11 +912,12 @@ def sweep_report_text(spec: MinAffSpec, kr: KRSpec, spec_text: str, kr_text: str
     """A sweep point's outcome, the ``CaseTag.kind`` of its report, and the
     report's JSON text, given the point's ``spec_text`` and ``kr_text``.
 
-    At a quiet anchor the report is the irreducible one of lambda that
-    ``classify_variant(spec, kr, whole_group=True)`` returns there, and
-    its text is the row's template filled in from the group's
-    ``sweep_group`` record: no report and no monomial is built.  At every
-    other point it is that report's ``json_text``.
+    At a quiet anchor, and only here, the checks are skipped: the report
+    is the irreducible one of lambda that ``classify_variant(spec, kr,
+    whole_group=True)`` returns there, and its text is the row's template
+    filled in from the group's ``sweep_group`` record, with no report and
+    no monomial built.  At every other point it is that report's
+    ``json_text``.
     """
     group = sweep_group(spec, kr)
     if group.quiet(kr.r):

@@ -484,7 +484,7 @@ class TestSweepCommand:
         injected = []
 
         def failing_at_quiet_rank_two(spec, kr, spec_text, kr_text):
-            if spec.n == 2 and tensor._quiet(spec, kr):
+            if spec.n == 2 and tensor.sweep_group(spec, kr).quiet(kr.r):
                 injected.append((spec, kr))
                 raise InvariantViolation("injected")
             return write(spec, kr, spec_text, kr_text)
@@ -507,7 +507,8 @@ class TestSweepCommand:
         write = cli.sweep_report_text
         bad = json.loads(healthy_lines[3])
         s, k = bad["spec"], bad["kr"]
-        assert tensor._quiet(MinAffSpec(s["n"], tuple(s["lambda"]), s["dir"], s["shift"]), KRSpec(**k))
+        spec, kr = MinAffSpec(s["n"], tuple(s["lambda"]), s["dir"], s["shift"]), KRSpec(**k)
+        assert tensor.sweep_group(spec, kr).quiet(kr.r)
 
         def failing_once(spec, kr, spec_text, kr_text):
             if spec_json_reference(spec) == bad["spec"] and kr_json_reference(kr) == bad["kr"]:
@@ -768,7 +769,7 @@ class TestFailureRecords:
             failure = ValueError(message)
             key, text = "error", f"ValueError: {message}"
         reference = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), key: text}
-        assert tensor._quiet(spec, kr)
+        assert tensor.sweep_group(spec, kr).quiet(kr.r)
         with patch.object(cli, "sweep_report_text", side_effect=failure):
             assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(reference))
 

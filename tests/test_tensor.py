@@ -1094,6 +1094,7 @@ def _fires(point, patches, error, message, monkeypatch, **kwargs):
     finally:
         qchar.cache_clear()
     assert type(info.value) is error
+    return info.value
 
 
 class TestClassifierChecks:
@@ -1413,8 +1414,7 @@ QUIET_A_POINT = (A_POINT[0], replace(A_POINT[1], r=0))
 
 
 def _is_quiet(spec, kr):
-    loud = tensor._loud_anchors(spec, kr.node, kr.k)
-    return loud is not None and kr.r not in loud
+    return tensor.sweep_group(spec, kr).quiet(kr.r)
 
 
 def _grown_at_0(spectra):
@@ -1448,26 +1448,9 @@ def _with_transported_resonance(resonances):
 
 
 class TestQuietAnchors:
-    """At an anchor that no group table marks, a whole-group report is read
-    off the group data alone; any disagreement there makes the anchor loud."""
-
-    def test_quiet_reports_equal_the_full_path(self, monkeypatch):
-        # the golden grid's n <= 2 groups, shifted too, every row
-        points = [
-            (replace(spec, shift=shift), KRSpec(spec.n, node, r, k))
-            for spec, node, k in _sweep_groups(2, 3, 3)
-            for shift in (0, 3)
-            for r in resonance_window(replace(spec, shift=shift), node, k)
-        ]
-        quiet = [_is_quiet(*point) for point in points]
-        fast = [classify_variant(*point, whole_group=True) for point in points]
-        tensor.clear_caches()
-        monkeypatch.setattr(tensor, "_loud_anchors", lambda spec, node, k: None)  # every anchor loud
-        for point, report in zip(points, fast):
-            full = classify_variant(*point, whole_group=True)
-            assert report == full and report.json_text() == full.json_text(), point
-        assert (sum(quiet), len(points)) == (2480, 3660)
-        assert {rep.variant for rep, q in zip(fast, quiet) if q} == set(VARIANTS)
+    """A sweep answers an anchor that no group table marks from the group
+    data alone; any disagreement there makes the anchor loud, and a group
+    whose transport is not recognised fails at every anchor."""
 
     def test_quiet_share_of_the_golden_grid(self):
         cfg = cli.SweepConfig.from_json(
@@ -1494,37 +1477,63 @@ class TestQuietAnchors:
     def test_check_fires_at_a_quiet_anchor(self, point, patches, error, message, monkeypatch):
         assert _is_quiet(*point)
         tensor.clear_caches()
-        _fires(point, patches, error, message, monkeypatch, whole_group=True)
+        violation = _fires(point, patches, error, message, monkeypatch, whole_group=True)
+        # the sweep meets the same failure there, as the broken group data make the anchor loud
+        spec, kr = point
+        line = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "violation": str(violation)}
+        assert cli._sweep_point(point) == ("violations", cli._dumps(line))
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("recognize_kr", "transported KR module is not at the last node"),
+         ("recognize_minaff", "transported affinization is not increasing")],
+        ids=["transported_kr", "transported_affinization"],
+    )
+    def test_unrecognised_transport_fails_at_every_anchor(self, name, message, monkeypatch):
+        groups = {}
+        for spec, node, k in _sweep_groups(2, 2, 2):
+            variant = tensor._variant_of(spec.direction, node != spec.n)
+            if variant.inverse is not None:
+                groups.setdefault(variant.name, (spec, node, k))
+        points = [
+            (spec, KRSpec(spec.n, node, r, k))
+            for spec, node, k in groups.values()
+            for r in resonance_window(spec, node, k)
+        ]
+        quiet = Counter(_is_quiet(*point) for point in points)
+        assert set(groups) == {"a", "b", "c"} and quiet[True] and quiet[False]
+        tensor.clear_caches()
+        monkeypatch.setattr(tensor, name, lambda *args: None)
+        for spec, kr in points:
+            line = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "violation": message}
+            assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(line)), (spec, kr)
 
     def test_transported_anchor_is_affine_in_r(self):
-        """r_t = r_t(0) + sigma * r on every row-a/b/c group with n, k <= 3,
-        sigma = -1 exactly on the flipped rows b and c: the one recognition
-        at anchor 0 that ``_loud_anchors`` runs is every anchor's."""
-        rows = Counter()
-        for spec, node, k in _sweep_groups(3, 3, 3):
+        """r_t = r_t(0) + sigma * r at every row-a/b/c anchor of the n <= 4
+        grid, sigma = -1 exactly on the flipped rows b and c: the one
+        transport at anchor 0 that ``_loud_anchors`` runs is every anchor's."""
+        rows, anchors = Counter(), 0
+        for spec, node, k in _sweep_groups(4, 4, 4):
             variant = tensor._variant_of(spec.direction, node != spec.n)
             if variant.inverse is None:
                 continue
             sigma = -1 if variant.name in ("b", "c") else 1
             assert variant.flipped == (sigma == -1)
-            _, t = tensor._transported_spec(variant, spec)
-
-            def transported(r):
-                return recognize_kr(transform(KRSpec(spec.n, node, r, k).drinfeld(), variant.inverse, -t))
-
-            at_0 = transported(0)
+            spec_t, t, at_0 = tensor._transported(variant, spec, KRSpec(spec.n, node, 0, k))
             assert at_0.node == spec.n
             for r in resonance_window(spec, node, k):
-                assert transported(r) == replace(at_0, r=at_0.r + sigma * r), (spec, node, k, r)
+                transported = tensor._transported(variant, spec, KRSpec(spec.n, node, r, k))
+                assert transported == (spec_t, t, replace(at_0, r=at_0.r + sigma * r)), (spec, node, k, r)
+                anchors += 1
             rows[variant.name] += 1
-        assert set(rows) == {"a", "b", "c"}
+        assert set(rows) == {"a", "b", "c"} and anchors == 28296
 
     def test_cached_per_group_and_emptied(self):
         assert tensor._loud_anchors in tensor._CACHES
         assert tensor._loud_anchors.cache_info().maxsize == minaff.CACHE_SIZE
         spec, node, k = A_POINT[0], A_POINT[1].node, A_POINT[1].k
         for r in resonance_window(spec, node, k):
-            classify_variant(spec, KRSpec(spec.n, node, r, k), whole_group=True)
+            tensor.sweep_group(spec, KRSpec(spec.n, node, r, k))
         # the row-a group and the normal-form group it transports to
         assert tensor._loud_anchors.cache_info().currsize == 2
         tensor.clear_caches()
@@ -1534,6 +1543,31 @@ class TestQuietAnchors:
 class TestQuietLines:
     """At a quiet anchor a sweep writes the report text from its row's
     template and builds no report; everywhere else it writes the report's."""
+
+    def test_quiet_reports_equal_the_full_path(self):
+        # the golden grid's n <= 2 groups, shifted too, every row: where the
+        # sweep skips the checks, running them gives the irreducible report
+        # of lambda whose text the sweep writes
+        points = [
+            (replace(spec, shift=shift), KRSpec(spec.n, node, r, k))
+            for spec, node, k in _sweep_groups(2, 3, 3)
+            for shift in (0, 3)
+            for r in resonance_window(replace(spec, shift=shift), node, k)
+        ]
+        quiet = Counter()
+        for spec, kr in points:
+            texts = spec.json_text(), kr.json_text()
+            full = classify_variant(spec, kr, whole_group=True)
+            got = tensor.sweep_report_text(spec, kr, *texts)
+            assert got == (full.tag.kind, full.json_text(spec_text=texts[0], kr_text=texts[1])), (spec, kr)
+            if _is_quiet(spec, kr):
+                lam = drinfeld_of_spec(spec) * kr.drinfeld()
+                assert (full.tag.kind, full.resonance, full.D, full.lambda_prime) == (
+                    "irreducible", None, ((lam, 1),), None
+                ), (spec, kr)
+                quiet[full.variant] += 1
+        assert (sum(quiet.values()), len(points)) == (2480, 3660)
+        assert set(quiet) == set(VARIANTS)
 
     def test_template_text_is_the_report_text(self, monkeypatch):
         cfg = cli.SweepConfig.from_json(
