@@ -20,8 +20,8 @@ arguments (``--n``, ``--shift``, ``--t``, and each part of ``--lambda`` and
 
 ``main`` may be called repeatedly in one process.  The parser is built once.
 Every call first empties the caches of ``tensor`` (``tensor.clear_caches``:
-its reports, spectra, loud anchors, transports, resonance tables, report
-templates, family members and sweep group record), so no command reads a
+its reports, spectra, transports, resonance tables, report templates,
+family members and sweep group record), so no command reads a
 classification of an earlier one.  The q-characters and Drinfeld
 polynomials cached in ``minaff`` persist, but they are pure functions of
 their arguments and change no output.  Each command is looked up by name
@@ -60,8 +60,7 @@ from .tensor import (
     classify_variant,
     clear_caches,
     resonance_window,
-    sweep_group,
-    sweep_report_text,
+    sweep_line,
 )
 
 EXIT_OK = 0
@@ -324,29 +323,20 @@ def sweep_size(cfg: SweepConfig, limit: int) -> int:
 
 
 def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
-    """One sweep point: its summary count key and its JSON line.
-
-    The spec and KR texts come from the point's ``sweep_group`` record,
-    which every point of a group shares; they go into the line and into
-    the report, which ``sweep_report_text`` writes from the same record at
-    a quiet anchor and from the whole-group report elsewhere.  A theorem
-    violation is recorded as ``violation``, any other exception as
-    ``error`` (``"<Type>: <message>"``), one raised while the record is
-    built too, with the spec and KR texts then encoded by ``json_text``;
-    both count as violations, and the sweep goes on with the next point.
+    """One sweep point: its summary count key and its JSON line, written by
+    ``sweep_line``.  A theorem violation is recorded as ``violation``, any
+    other exception as ``error`` (``"<Type>: <message>"``), one raised
+    while the point's group record is built too, with the spec and KR
+    texts encoded by ``json_text``; both count as violations, and the
+    sweep goes on with the next point.
     """
     spec, kr = point
     try:
-        # sweep_grid yields a group's anchors in a row, so they share one record
-        group = sweep_group(spec, kr)
-        spec_text, kr_text = group.spec_text, group.kr_text(kr.r)
-        kind, report = sweep_report_text(spec, kr, spec_text, kr_text)
+        return sweep_line(spec, kr)
     except InvariantViolation as exc:
         key, message = "violation", str(exc)
     except Exception as exc:
         key, message = "error", f"{type(exc).__name__}: {exc}"
-    else:
-        return kind, f'{{"kr":{kr_text},"report":{report},"spec":{spec_text}}}'
     # a message is arbitrary text, escaped as json.dumps escapes it
     fields = {"kr": kr.json_text(), "spec": spec.json_text(), key: _json_str(message)}
     return "violations", _object_text(fields)

@@ -540,13 +540,13 @@ def anchor_join(
 # Bound on each cache: the q-characters (each with its join index once a
 # join indexes it), the Drinfeld polynomials of affinizations and of KR
 # modules, and in ``tensor`` the normal-form reports, the per-group spectra
-# of ``spectra_by_anchor`` with the group's loud anchors, transported
-# affinization and resonance table, the quiet report templates, and the
-# members of the two tableau families.  A sweep builds KR characters at
-# anchor 0 only, and its quiet lines add no report; the texts its points
-# share (``tensor.SweepGroup``: the loud anchors, the template, the spec
-# and KR texts and omega's JSON entries) live in one record at a time,
-# the current group's, outside this bound.  The ``tensor`` command
+# of ``spectra_by_anchor`` with the group's transported affinization and
+# resonance table, the quiet report templates, and the members of the two
+# tableau families.  A sweep builds KR characters at anchor 0 only, and
+# its quiet lines add no report; the texts its points share
+# (``tensor.SweepGroup``: the loud anchors, the template, the spec and KR
+# texts and omega's JSON entries) live in one record at a time, the
+# current group's, outside this bound.  The ``tensor`` command
 # caches no character, holding both of its point's modules.  The golden
 # sweep holds 72 characters, 122 affinization and 266 KR polynomials, 511
 # reports, 354 groups (87 transported specs), 10 templates, 152
@@ -653,24 +653,26 @@ def kr_qchar_by_partitions(n: int, r: int, k: int) -> QChar:
     ``KRSpec(n, n, r, k)`` checks them.
     """
     KRSpec(n, n, r, k)
-    top = y_string(n, n, r, k)
+    # factors[l][j - 1]: the path of part j at the (l + 1)-th string step
+    factors = [
+        [expand_lroot_path(n, n, n + 1 - j, r + 2 * (k - l - 1)).inverse() for j in range(1, n + 1)]
+        for l in range(k)
+    ]
     terms: dict[LMonomial, int] = {}
-
-    def emit(prefix: list[int], m: LMonomial, l: int):
-        if l > k:
-            if m in terms:
-                raise InvariantViolation(f"partition terms collide at {m}")
-            terms[m] = 1
-            return
-        hi = prefix[-1] if prefix else n
-        for j in range(hi, -1, -1):
-            if j == 0:
-                factor = LMonomial.identity(n)
-            else:
-                factor = expand_lroot_path(n, n, n + 1 - j, r + 2 * (k - l)).inverse()
-            emit(prefix + [j], m * factor, l + 1)
-
-    emit([], top, 1)
+    # a depth-first walk over the positive parts, from n down, with no
+    # recursion: an entry is a term, its l positive parts so far and its
+    # largest next part; hi = 0 marks a term whose extensions are done, as
+    # the zero parts contribute nothing
+    stack = [(y_string(n, n, r, k), 0, n)]
+    while stack:
+        m, l, hi = stack.pop()
+        if hi and l < k:
+            stack.append((m, l, 0))
+            stack.extend([(m * factors[l][j - 1], l + 1, j) for j in range(1, hi + 1)])
+            continue
+        if m in terms:
+            raise InvariantViolation(f"partition terms collide at {m}")
+        terms[m] = 1
     if len(terms) != comb(n + k, k):
         raise InvariantViolation("partition count mismatch")
     return QChar(n, terms)

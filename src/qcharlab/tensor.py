@@ -44,23 +44,12 @@ The sweep keeps the full characters, because its join certifies every
 anchor of the group (the ``r_window`` check), and a bound over every
 shift would prune almost nothing.
 
-Most anchors of a group are quiet, and a sweep writes their lines from
-group data alone; nowhere else does an anchor skip the checks, so
-``classify_variant`` and ``classify_normal`` run every check at every
-anchor.  An anchor is loud (``_loud_anchors``, once per group) when the
-group's resonance table or its ``spectra_by_anchor`` map has an entry
-there, or, on rows a, b and c, when its transported anchor is loud in the
-transported normal-form group.  At a quiet anchor every check holds
-vacuously and the report is the irreducible one of lambda, whose text
-differs from its row's other quiet reports only in the texts of lambda,
-the KR module and the spec: ``sweep_report_text`` fills those into the
-row's template, cut once per (row, n) from ``TensorReport.json_text``
-itself, and builds no report.  What a point writes that does not depend
-on r is kept once per group in a ``SweepGroup`` record (``sweep_group``;
-only the group last asked for is held): the loud anchors, the template,
-the spec's text, the KR text up to its anchor, and omega's JSON entries
-around and on the KR node's row.  Lambda's text at r is written from
-those entries and varpi's k keys, with no monomial built.
+Most anchors of a group are quiet (``_loud_anchors`` names the others),
+and a sweep writes their lines from group data alone: ``sweep_line``
+writes a point's whole JSON line from its group's ``SweepGroup`` record
+(``sweep_group``), filling its row's report template at a quiet anchor,
+the only place where an anchor skips the checks.  ``classify_variant``
+and ``classify_normal`` run every check at every anchor.
 
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
@@ -73,9 +62,9 @@ every transport that lands on the same problem share one brute-force
 classification; every a/b/c report still runs every transport check.  The
 members of the two tableau families (``family_S``, ``family_T``) are cached
 on their arguments too, so each distinct member runs its checks once;
-these caches, ``spectra_by_anchor`` and ``_loud_anchors`` key on the
-argument types as well (``typed=True``), so that a float or bool index
-still meets the exact-integer rule.  ``cli.main`` empties every cache of
+these caches and ``spectra_by_anchor`` key on the argument types as well
+(``typed=True``), so that a float or bool index still meets the
+exact-integer rule.  ``cli.main`` empties every cache of
 this module, and drops the sweep group record, before each command
 (``clear_caches``).
 """
@@ -611,11 +600,10 @@ def _transported(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> tuple[MinAff
     return spec_t, t, kr_t
 
 
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> frozenset[int]:
     """The anchors r of the group (spec, node, k) where a sweep runs the
-    checks of ``_classify``; at every other anchor it writes the irreducible
-    report of lambda from group data (``sweep_report_text``).
+    checks of ``_classify``; at every other anchor ``sweep_line`` writes
+    the irreducible report of lambda from group data.
 
     An anchor is loud if ``_resonances`` or ``spectra_by_anchor`` has an
     entry there, or, on rows a, b and c, if its transported anchor r_t is
@@ -625,7 +613,7 @@ def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> frozenset[int]:
     at anchor 0: ``transform`` carries tau_r to tau_{sigma r}, with
     sigma = -1 on the flipped rows (their maps negate r) and +1 on row a,
     so r_t = r_t(0) + sigma * r.  Raises what ``_transported`` raises.
-    Keyed and cached like ``spectra_by_anchor``.
+    Found once per group record, so it is not cached.
     """
     variant = _variant_of(spec.direction, node != spec.n)
     loud = {*spectra_by_anchor(spec, node, k), *_resonances(variant, spec, k)}
@@ -727,6 +715,23 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
     )
 
 
+def _require_spec(spec) -> None:
+    if not isinstance(spec, MinAffSpec):
+        raise InvalidInput(f"a spec must be a MinAffSpec, got {spec!r}")
+
+
+def _check_point(spec, kr, whole_group: bool = False) -> None:
+    """Reject, as InvalidInput, a point that is not a ``MinAffSpec`` and a
+    ``KRSpec`` of the same rank, or a ``whole_group`` that is not a bool."""
+    _require_spec(spec)
+    if not isinstance(kr, KRSpec):
+        raise InvalidInput(f"a KR module must be a KRSpec, got {kr!r}")
+    if kr.n != spec.n:
+        raise InvalidInput("rank mismatch between spec and KR module")
+    if type(whole_group) is not bool:
+        raise InvalidInput(f"whole_group must be a bool, got {whole_group!r}")
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def classify_normal(spec: MinAffSpec, kr: KRSpec, whole_group: bool = False) -> TensorReport:
     """Classify (increasing affinization) x (KR at the last node).
@@ -737,9 +742,10 @@ def classify_normal(spec: MinAffSpec, kr: KRSpec, whole_group: bool = False) -> 
     report is cached on the arguments, so the normal-row point and every
     transport that lands on the same problem share one classification.
     """
+    _check_point(spec, kr, whole_group)
     if spec.direction != "inc":
         raise InvalidInput("normal form requires an increasing spec")
-    if kr.n != spec.n or kr.node != spec.n:
+    if kr.node != spec.n:
         raise InvalidInput("normal form requires a KR module at the last node")
     return _classify(VARIANTS["normal"], spec, kr, whole_group)
 
@@ -755,8 +761,7 @@ def classify_variant(spec: MinAffSpec, kr: KRSpec, whole_group: bool = False) ->
     at once: the sweep's choice, as it visits a group's anchors in a row.
     One point alone is cheaper from its own product character.
     """
-    if kr.n != spec.n:
-        raise InvalidInput("rank mismatch between spec and KR module")
+    _check_point(spec, kr, whole_group)
     variant = _variant_of(spec.direction, kr.node != spec.n)
     if variant.inverse is None:
         return _normal(spec, kr, whole_group)
@@ -826,14 +831,6 @@ class SweepGroup:
     row_text: str
     lam_tail: str
 
-    def quiet(self, r: int) -> bool:
-        """Whether anchor r is quiet: outside ``_loud_anchors``."""
-        return r not in self.loud
-
-    def kr_text(self, r: int) -> str:
-        """The ``json_text`` of the group's KR module at anchor r."""
-        return f"{self.kr_head}{r}}}"
-
     def lam_text(self, r: int) -> str:
         """The ``json_text`` of lambda = omega * varpi at anchor r, with no
         monomial built.  varpi = Y[node, r] Y[node, r + 2] ... Y[node, last]
@@ -854,33 +851,6 @@ class SweepGroup:
                 ys = f"{ys},{self.row_text}" if last < row[0][0] else f"{self.row_text},{ys}"
         return f"{self.lam_head}{ys}{self.lam_tail}"
 
-    def quiet_text(self, spec_text: str, kr_text: str, r: int) -> str:
-        """The report text at quiet anchor r: the row's template filled in
-        with ``spec_text``, ``kr_text`` and lambda's text."""
-        return "".join(self.interleave((spec_text, kr_text, self.lam_text(r)) + self.pieces))
-
-
-def _sweep_group(spec: MinAffSpec, node: int, k: int) -> SweepGroup:
-    loud = _loud_anchors(spec, node, k)
-    pieces, interleave = _quiet_template(_variant_of(spec.direction, node != spec.n), spec.n)
-    entries = drinfeld_of_spec(spec).items()
-    row = tuple((s, e) for (i, s), e in entries if i == node)
-    below = "".join([f"[{i},{s},{e}]," for (i, s), e in entries if i < node])
-    above = "".join([f",[{i},{s},{e}]" for (i, s), e in entries if i > node])
-    return SweepGroup(
-        key=(spec, node, k),
-        loud=loud,
-        pieces=pieces,
-        interleave=interleave,
-        spec_text=spec.json_text(),
-        kr_head=f'{{"k":{k},"n":{spec.n},"node":{node},"r":',
-        lam_head=f'{{"Y":[{below}',
-        y_head=f"[{node},",
-        row=row,
-        row_text=",".join([f"[{node},{s},{e}]" for s, e in row]),
-        lam_tail=f'{above}],"n":{spec.n}}}',
-    )
-
 
 # The record of the group last asked for, the only one held: a sweep visits
 # a group's anchors in a row, and a worker's chunk holds consecutive points.
@@ -893,47 +863,72 @@ def sweep_group(spec: MinAffSpec, kr: KRSpec) -> SweepGroup:
     """The ``SweepGroup`` of the point (spec, kr): of (spec, kr.node, kr.k).
 
     It is built when the group differs from the one last asked for (the
-    spec compared by identity first, then by value), and raises what
-    ``_loud_anchors`` raises for the group, the ``r_window`` check of
-    ``spectra_by_anchor`` and the recognition of the transported problem
-    included.
+    spec compared by identity first, then by value).  It raises what
+    ``_check_point`` raises for the point, and what ``_loud_anchors``
+    raises for the group, the ``r_window`` check of ``spectra_by_anchor``
+    and the recognition of the transported problem included.
     """
     global _current_group
-    if kr.n != spec.n:
-        raise InvalidInput("rank mismatch between spec and KR module")
-    key = (spec, kr.node, kr.k)
+    _check_point(spec, kr)
+    node, k = kr.node, kr.k
+    key = (spec, node, k)
     group = _current_group
     if group is None or group.key != key:
-        group = _current_group = _sweep_group(*key)
+        pieces, interleave = _quiet_template(_variant_of(spec.direction, node != spec.n), spec.n)
+        entries = drinfeld_of_spec(spec).items()
+        row = tuple((s, e) for (i, s), e in entries if i == node)
+        below = "".join([f"[{i},{s},{e}]," for (i, s), e in entries if i < node])
+        above = "".join([f",[{i},{s},{e}]" for (i, s), e in entries if i > node])
+        group = _current_group = SweepGroup(
+            key=key,
+            loud=_loud_anchors(*key),
+            pieces=pieces,
+            interleave=interleave,
+            spec_text=spec.json_text(),
+            kr_head=f'{{"k":{k},"n":{spec.n},"node":{node},"r":',
+            lam_head=f'{{"Y":[{below}',
+            y_head=f"[{node},",
+            row=row,
+            row_text=",".join([f"[{node},{s},{e}]" for s, e in row]),
+            lam_tail=f'{above}],"n":{spec.n}}}',
+        )
     return group
 
 
-def sweep_report_text(spec: MinAffSpec, kr: KRSpec, spec_text: str, kr_text: str) -> tuple[str, str]:
-    """A sweep point's outcome, the ``CaseTag.kind`` of its report, and the
-    report's JSON text, given the point's ``spec_text`` and ``kr_text``.
+def sweep_line(spec: MinAffSpec, kr: KRSpec) -> tuple[str, str]:
+    """A sweep point's outcome, the ``CaseTag.kind`` of its report, and its
+    JSON line ``{"kr", "report", "spec"}``, every text of which that does
+    not depend on r comes from the point's ``sweep_group`` record.
 
-    At a quiet anchor, and only here, the checks are skipped: the report
-    is the irreducible one of lambda that ``classify_variant(spec, kr,
-    whole_group=True)`` returns there, and its text is the row's template
-    filled in from the group's ``sweep_group`` record, with no report and
-    no monomial built.  At every other point it is that report's
-    ``json_text``.
+    At a quiet anchor, one outside the record's ``loud`` set, and only
+    here, the checks are skipped: the report is the irreducible one of
+    lambda that ``classify_variant(spec, kr, whole_group=True)`` returns
+    there, and its text is the row's template filled in with the texts of
+    the spec, the KR module and lambda, with no report and no monomial
+    built.  At every other anchor it is that report's ``json_text``.
     """
     group = sweep_group(spec, kr)
-    if group.quiet(kr.r):
-        return "irreducible", group.quiet_text(spec_text, kr_text, kr.r)
-    rep = classify_variant(spec, kr, whole_group=True)
-    return rep.tag.kind, rep.json_text(spec_text=spec_text, kr_text=kr_text)
+    r, spec_text = kr.r, group.spec_text
+    kr_text = f"{group.kr_head}{r}}}"
+    if r in group.loud:
+        rep = classify_variant(spec, kr, whole_group=True)
+        kind, report = rep.tag.kind, rep.json_text(spec_text=spec_text, kr_text=kr_text)
+    else:
+        kind = "irreducible"
+        report = "".join(group.interleave((spec_text, kr_text, group.lam_text(r)) + group.pieces))
+    return kind, f'{{"kr":{kr_text},"report":{report},"spec":{spec_text}}}'
 
 
 def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range:
     """Inclusive range of KR anchors covering every resonance of (spec, k).
 
     The hull of the anchors of ``_resonances``, padded by ``pad`` on each
-    side so that nearby irreducible points are swept as well.  ``node`` and
-    ``k`` are checked as ``KRSpec`` checks them: an extreme node and a
-    positive integer length; ``pad`` must be a plain ``int``.
+    side so that nearby irreducible points are swept as well.  ``spec``
+    must be a ``MinAffSpec``, and ``node`` and ``k`` are checked as
+    ``KRSpec`` checks them: an extreme node and a positive integer length;
+    ``pad`` must be a plain ``int``.
     """
+    _require_spec(spec)
     KRSpec(spec.n, node, 0, k)
     require_int("pad", pad)
     if pad < 0:
@@ -946,8 +941,8 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
 # of them (a tracer, a test) leaves it reachable; ``cli.main`` empties them
 # before every command.
 _CACHES = (
-    classify_normal, spectra_by_anchor, _loud_anchors, _transported_spec, _resonances, family_S,
-    family_T, _quiet_template,
+    classify_normal, spectra_by_anchor, _transported_spec, _resonances, family_S, family_T,
+    _quiet_template,
 )
 
 

@@ -82,6 +82,11 @@ class TestQcharCommand:
         assert code == 0
         assert json.loads(tab_out)["terms"] == json.loads(part_out)["terms"]
 
+    def test_partition_oracle_takes_a_long_string(self, capsys):
+        # one string step per part: more steps than a recursive walk could nest
+        code, out, err = run_cli(capsys, "qchar", "--n", "1", "--kr", "1,0,990", "--oracle", "partitions")
+        assert (code, err) == (0, "") and "terms: 991\n" in out
+
     def test_partition_oracle_rejects_first_node(self, capsys):
         code, _, err = run_cli(
             capsys, "qchar", "--n", "2", "--kr", "1,0,2", "--oracle", "partitions"
@@ -479,17 +484,18 @@ class TestSweepCommand:
         assert run_cli(capsys, "sweep", "--config", str(cfg)) == (0, serial, "")
 
     def test_violations_are_counted(self, capsys, tmp_path, monkeypatch):
-        # a quiet point builds no report: the failure is injected where its text is written
-        write = cli.sweep_report_text
+        # a quiet point builds no report: the failure is injected where its group record is read
+        group_of = tensor.sweep_group
         injected = []
 
-        def failing_at_quiet_rank_two(spec, kr, spec_text, kr_text):
-            if spec.n == 2 and tensor.sweep_group(spec, kr).quiet(kr.r):
+        def failing_at_quiet_rank_two(spec, kr):
+            group = group_of(spec, kr)
+            if spec.n == 2 and kr.r not in group.loud:
                 injected.append((spec, kr))
                 raise InvariantViolation("injected")
-            return write(spec, kr, spec_text, kr_text)
+            return group
 
-        monkeypatch.setattr(cli, "sweep_report_text", failing_at_quiet_rank_two)
+        monkeypatch.setattr(tensor, "sweep_group", failing_at_quiet_rank_two)
         cfg = _write_config(tmp_path)
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         records = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text().splitlines()]
@@ -504,18 +510,18 @@ class TestSweepCommand:
         code, healthy, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0
         healthy_lines = (tmp_path / "out.jsonl").read_text().splitlines()
-        write = cli.sweep_report_text
+        group_of = tensor.sweep_group
         bad = json.loads(healthy_lines[3])
         s, k = bad["spec"], bad["kr"]
         spec, kr = MinAffSpec(s["n"], tuple(s["lambda"]), s["dir"], s["shift"]), KRSpec(**k)
-        assert tensor.sweep_group(spec, kr).quiet(kr.r)
+        assert kr.r not in tensor.sweep_group(spec, kr).loud
 
-        def failing_once(spec, kr, spec_text, kr_text):
+        def failing_once(spec, kr):
             if spec_json_reference(spec) == bad["spec"] and kr_json_reference(kr) == bad["kr"]:
                 raise ValueError("injected")
-            return write(spec, kr, spec_text, kr_text)
+            return group_of(spec, kr)
 
-        monkeypatch.setattr(cli, "sweep_report_text", failing_once)
+        monkeypatch.setattr(tensor, "sweep_group", failing_once)
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == cli.EXIT_VIOLATION
         assert "violations: 1\n" in out
@@ -525,8 +531,23 @@ class TestSweepCommand:
             "spec": bad["spec"], "kr": bad["kr"], "error": "ValueError: injected"
         }
         assert lines[:3] + lines[4:] == healthy_lines[:3] + healthy_lines[4:]
-        monkeypatch.setattr(cli, "sweep_report_text", write)
+        monkeypatch.setattr(tensor, "sweep_group", group_of)
         assert run_cli(capsys, "sweep", "--config", str(cfg)) == (0, healthy, "")
+
+    def test_each_point_reads_its_group_record_once(self, monkeypatch):
+        cfg = cli.SweepConfig.from_json(
+            {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
+             "variants": ["normal", "a", "b", "c"], "output": "unused"}
+        )
+        lines, records = [], []
+        sweep_line, group_of = cli.sweep_line, tensor.sweep_group
+        monkeypatch.setattr(cli, "sweep_line", lambda *point: lines.append(point) or sweep_line(*point))
+        monkeypatch.setattr(tensor, "sweep_group", lambda *point: records.append(point) or group_of(*point))
+        points = list(cli.sweep_grid(cfg))
+        for point in points:
+            cli._sweep_point(point)
+        assert len(points) == 5820
+        assert lines == records == points
 
     def test_interrupted_sweep_keeps_the_earlier_output(self, capsys, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path)
@@ -769,8 +790,8 @@ class TestFailureRecords:
             failure = ValueError(message)
             key, text = "error", f"ValueError: {message}"
         reference = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), key: text}
-        assert tensor.sweep_group(spec, kr).quiet(kr.r)
-        with patch.object(cli, "sweep_report_text", side_effect=failure):
+        assert kr.r not in tensor.sweep_group(spec, kr).loud
+        with patch.object(tensor, "sweep_group", side_effect=failure):
             assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(reference))
 
 

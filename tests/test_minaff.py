@@ -455,6 +455,10 @@ class TestKRPartitionOracle:
             KRSpec(args[0], args[0], *args[1:])
         assert str(excinfo.value) == str(expected.value)
 
+    def test_long_string_walks_without_recursion(self):
+        # one string step per part, past the interpreter's default recursion limit of 1,000
+        assert kr_qchar_by_partitions(1, 0, 1010) == qchar_kr(KRSpec(1, 1, 0, 1010))
+
     def test_oracle_equivalence_small(self):
         for n in (1, 2, 3):
             for k in (1, 2, 3):

@@ -712,6 +712,46 @@ class TestVariantTable:
             assert r in window
 
 
+class TestEntryPointArguments:
+    """Every classifier entry point rejects a non-spec argument, a rank
+    mismatch and a non-bool ``whole_group`` as invalid input; the values
+    are hashable, so a cached entry point reaches its own check."""
+
+    SPEC, KR = MinAffSpec(2, (1, 1), "inc"), KRSpec(2, 2, 0, 1)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s, k: classify_variant(None, k), "a spec must be a MinAffSpec, got None"),
+            (lambda s, k: classify_variant(s, "W"), "a KR module must be a KRSpec, got 'W'"),
+            (lambda s, k: classify_normal(s, (2, 2, 3, 1)), r"a KR module must be a KRSpec, got \(2, 2, 3, 1\)"),
+            (lambda s, k: classify_normal(k, s), "a spec must be a MinAffSpec, got KRSpec"),
+            (lambda s, k: classify_variant(s, KRSpec(3, 3, 0, 1)), "rank mismatch between spec and KR module"),
+            (lambda s, k: classify_normal(s, KRSpec(3, 3, 0, 1)), "rank mismatch between spec and KR module"),
+            (lambda s, k: classify_variant(s, k, "no"), "whole_group must be a bool, got 'no'"),
+            (lambda s, k: classify_normal(s, k, 1), "whole_group must be a bool, got 1"),
+            (lambda s, k: resonance_window("x", 2, 1), "a spec must be a MinAffSpec, got 'x'"),
+            (lambda s, k: tensor.sweep_group(s, None), "a KR module must be a KRSpec, got None"),
+            (lambda s, k: tensor.sweep_line(None, k), "a spec must be a MinAffSpec, got None"),
+        ],
+        ids=[
+            "variant_spec", "variant_kr", "normal_kr", "normal_swapped", "variant_rank", "normal_rank",
+            "variant_whole_group", "normal_whole_group", "window_spec", "group_kr", "line_spec",
+        ],
+    )
+    def test_rejected_as_invalid_input(self, call, message):
+        with pytest.raises(InvalidInput, match=message):
+            call(self.SPEC, self.KR)
+
+    def test_a_rejected_call_caches_no_report(self):
+        classify_normal(self.SPEC, self.KR)
+        size = classify_normal.cache_info().currsize
+        for bad in ("no", 1, None):
+            with pytest.raises(InvalidInput, match="whole_group must be a bool"):
+                classify_normal(self.SPEC, self.KR, bad)
+        assert classify_normal.cache_info().currsize == size
+
+
 class TestResonanceWindow:
     @pytest.mark.parametrize(
         "node, k",
@@ -1413,8 +1453,13 @@ QUIET_NORMAL_POINT = (NORMAL_POINT[0], replace(NORMAL_POINT[1], r=0))
 QUIET_A_POINT = (A_POINT[0], replace(A_POINT[1], r=0))
 
 
+def _line(spec, kr, report):
+    """The sweep line of a point with the given report, from the reference texts."""
+    return f'{{"kr":{kr.json_text()},"report":{report.json_text()},"spec":{spec.json_text()}}}'
+
+
 def _is_quiet(spec, kr):
-    return tensor.sweep_group(spec, kr).quiet(kr.r)
+    return kr.r not in tensor.sweep_group(spec, kr).loud
 
 
 def _grown_at_0(spectra):
@@ -1528,16 +1573,22 @@ class TestQuietAnchors:
             rows[variant.name] += 1
         assert set(rows) == {"a", "b", "c"} and anchors == 28296
 
-    def test_cached_per_group_and_emptied(self):
-        assert tensor._loud_anchors in tensor._CACHES
-        assert tensor._loud_anchors.cache_info().maxsize == minaff.CACHE_SIZE
+    def test_found_once_per_group_record(self, monkeypatch):
+        # the group record holds the loud anchors, so they are not cached
+        assert not hasattr(tensor._loud_anchors, "cache_info")
+        assert len(tensor._CACHES) == 7
+        found = []
+        loud_anchors = tensor._loud_anchors
+        monkeypatch.setattr(tensor, "_loud_anchors", lambda *key: found.append(key) or loud_anchors(*key))
         spec, node, k = A_POINT[0], A_POINT[1].node, A_POINT[1].k
-        for r in resonance_window(spec, node, k):
-            tensor.sweep_group(spec, KRSpec(spec.n, node, r, k))
-        # the row-a group and the normal-form group it transports to
-        assert tensor._loud_anchors.cache_info().currsize == 2
+        points = [(spec, KRSpec(spec.n, node, r, k)) for r in resonance_window(spec, node, k)]
+        for point in points:
+            tensor.sweep_group(*point)
+        # the row-a group, and one level down the normal-form group it transports to
+        assert len(found) == 2 and found[0] == (spec, node, k) and found[1][0].direction == "inc"
         tensor.clear_caches()
-        assert tensor._loud_anchors.cache_info().currsize == 0
+        tensor.sweep_group(*points[0])
+        assert len(found) == 4
 
 
 class TestQuietLines:
@@ -1556,10 +1607,8 @@ class TestQuietLines:
         ]
         quiet = Counter()
         for spec, kr in points:
-            texts = spec.json_text(), kr.json_text()
             full = classify_variant(spec, kr, whole_group=True)
-            got = tensor.sweep_report_text(spec, kr, *texts)
-            assert got == (full.tag.kind, full.json_text(spec_text=texts[0], kr_text=texts[1])), (spec, kr)
+            assert tensor.sweep_line(spec, kr) == (full.tag.kind, _line(spec, kr, full)), (spec, kr)
             if _is_quiet(spec, kr):
                 lam = drinfeld_of_spec(spec) * kr.drinfeld()
                 assert (full.tag.kind, full.resonance, full.D, full.lambda_prime) == (
@@ -1588,11 +1637,10 @@ class TestQuietLines:
         quiet = Counter()
         for points, name in ((golden, "golden"), (shifted, "shifted")):
             for spec, kr in points:
-                texts = spec.json_text(), kr.json_text()
                 reports.clear()
-                got = tensor.sweep_report_text(spec, kr, *texts)
+                got = tensor.sweep_line(spec, kr)
                 rep = classify(spec, kr, whole_group=True)
-                assert got == (rep.tag.kind, rep.json_text(spec_text=texts[0], kr_text=texts[1])), (spec, kr)
+                assert got == (rep.tag.kind, _line(spec, kr, rep)), (spec, kr)
                 if _is_quiet(spec, kr):
                     assert got[0] == "irreducible" and reports == [], (spec, kr)
                     quiet[name] += 1
@@ -1638,8 +1686,8 @@ class TestSweepGroup:
                 group = tensor.sweep_group(spec, kr)
                 lam = drinfeld_of_spec(spec) * kr.drinfeld()
                 assert group.lam_text(kr.r) == lam.json_text(), (spec, kr)
-                assert (group.spec_text, group.kr_text(kr.r)) == (spec.json_text(), kr.json_text())
-                quiet[name, spec.n == 1, group.quiet(kr.r)] += 1
+                assert (group.spec_text, f"{group.kr_head}{kr.r}}}") == (spec.json_text(), kr.json_text())
+                quiet[name, spec.n == 1, kr.r not in group.loud] += 1
                 exponents.update(e for (i, _), e in lam.items() if i == kr.node)
         assert quiet["golden", False, True] + quiet["golden", True, True] == 4000
         # n = 1, where node 1 is also node n, at quiet and loud anchors
