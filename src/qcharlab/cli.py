@@ -6,8 +6,9 @@ JSON config, JSON-lines output), ``factorize`` (rank-1 q-factorization) and
 ``transform`` (duality maps on monomials).
 
 Exit codes: 0 success (also when the reader closes stdout early, as
-``| head`` does), 1 usage error, 2 invalid input, 3 theorem violation, and
-143 when SIGTERM stops a sweep (its temporary file is removed).  All output
+``| head`` does), 1 usage error, 2 invalid input, 3 theorem violation, 4
+internal error (any other exception from a command, reported in one line),
+and 143 when SIGTERM stops a sweep (its temporary file is removed).  All output
 is deterministic: terms are printed descending along the loop-root order
 with lexicographic tie-breaks, and JSON is emitted with sorted keys.  Each
 JSON value is written by its type's ``json_text``, and every output is
@@ -67,6 +68,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -538,8 +540,8 @@ _DESCRIPTION = (
     "Compute q-characters of type-A minimal affinizations and extreme-node "
     "Kirillov-Reshetikhin modules, classify the tensor product of one of each, "
     "and verify the classification over a grid of such products. Exit codes: "
-    "0 success, 1 usage error, 2 invalid input, 3 theorem violation, 143 when "
-    "SIGTERM stops a sweep."
+    "0 success, 1 usage error, 2 invalid input, 3 theorem violation, 4 internal "
+    "error, 143 when SIGTERM stops a sweep."
 )
 
 
@@ -612,6 +614,11 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except Exception as exc:
+        # a bug or an exhausted resource, not a wrong command line; SystemExit
+        # (SIGTERM's 143) and KeyboardInterrupt are no Exception and pass through
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

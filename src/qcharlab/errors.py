@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit-code contract: invalid input exits with 2,
 a theorem violation (a structural prediction contradicted by brute force,
-which always signals an implementation bug) exits with 3.
+which always signals an implementation bug) exits with 3, and any other
+exception from a command exits with 4.
 """
 
 

@@ -157,6 +157,10 @@ class KRSpec:
     k: int
 
     def __post_init__(self):
+        n, node, k = self.n, self.node, self.k
+        # valid fields pass one test; only a failing one runs the checks that name it
+        if type(n) is type(node) is type(self.r) is type(k) is int and n >= 1 and node in (1, n) and k >= 1:
+            return
         require_rank(self.n)
         require_int("KR node", self.node)
         require_int("KR anchor", self.r)
@@ -540,20 +544,21 @@ def anchor_join(
 # Bound on each cache: the q-characters (each with its join index once a
 # join indexes it), the Drinfeld polynomials of affinizations and of KR
 # modules, and in ``tensor`` the normal-form reports, the per-group spectra
-# of ``spectra_by_anchor`` with the group's transported affinization and
-# resonance table, the quiet report templates, and the members of the two
-# tableau families.  A sweep builds KR characters at anchor 0 only, and
-# its quiet lines add no report; the texts its points share
+# of ``spectra_by_anchor`` with the group's transported problem at anchor 0
+# and resonance table, the quiet report templates, and the members of the
+# two tableau families (gap members at anchor 0 only).  A sweep builds KR
+# characters at anchor 0 only, and its quiet lines add no report; the
+# texts its points share
 # (``tensor.SweepGroup``: the loud anchors, the template, the spec and KR
 # texts and omega's JSON entries) live in one record at a time, the
 # current group's, outside this bound.  The ``tensor`` command
 # caches no character, holding both of its point's modules.  The golden
 # sweep holds 72 characters, 122 affinization and 266 KR polynomials, 511
-# reports, 354 groups (87 transported specs), 10 templates, 152
-# raised-column and 302 gap members; the n_max=lambda_sum_max=k_max=4
-# sweep 263, 475 and 680, asks for 3,631 distinct reports in 3,911
-# misses, 1,904 groups (355 transported specs), 14 templates, 802 and
-# 1,150 members.  Only its reports evict.
+# reports, 354 groups (261 transported problems), 10 templates, 152
+# raised-column and 54 gap members; the n_max=lambda_sum_max=k_max=4 sweep
+# 263, 475 and 680, asks for 3,631 distinct reports in 3,911 misses, 1,904
+# groups (1,420 transported problems), 14 templates, 802 and 140 members.
+# Only its reports evict.
 CACHE_SIZE = 2048
 
 

@@ -31,12 +31,15 @@ spectra; a sweep reads each point's D from that map (``whole_group``),
 which also certifies the anchors it does not visit.  The resonance
 equations are solved for r once per group too (``_resonances``, r -> the
 resonances there): each point looks its resonance up, and the sweep window
-is the hull of the table.  The transported affinization does not depend on
-r either and is recognised once per group (``_transported_spec``, which
-``_transported`` calls).  A single point (the ``tensor`` command, and the
-transports of its rows a, b and c) joins the held affinization with the
-held KR module (``held_qchar`` of each) at its one anchor, and neither
-character is searched whole: the KR search yields only the terms whose
+is the hull of the table.  The transported problem depends on r only
+through tau_r as well: it is recognised once per group, at anchor 0
+(``_transported_spec``), and ``_transported`` moves its KR module to the
+point's anchor; the closed form's gap members are built at anchor 0 and
+moved by tau_r too, and multiplied as exponent tuples.  A single point
+(the ``tensor`` command, and the transports of its rows a, b and c)
+joins the held affinization with the held KR module (``held_qchar`` of
+each) at its one anchor, and neither character is searched whole: the KR
+search yields only the terms whose
 negative exponents the affinization's ``raise_bound`` clears, the
 affinization search only the terms whose negative exponents those KR
 terms can cover, and only those are walked.
@@ -85,6 +88,7 @@ from .lweight import (
     expand_lroot_path,
     le,
     monomial_sort_key,
+    product_exps,
     transform,
     y_string,
 )
@@ -503,6 +507,15 @@ def _tag_of(spec: MinAffSpec, kr: KRSpec, res: Optional[Resonance]) -> CaseTag:
     return _IRREDUCIBLE
 
 
+def _gap_member(kr: KRSpec, m: int, p: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The exponent tuple of ``family_T(kr, m, p)``'s monomial: the member
+    at anchor 0, which a group shares, moved by tau_r (a T member at
+    anchor r is tau_r of the one at anchor 0)."""
+    r = kr.r
+    exps = family_T(KRSpec(kr.n, kr.node, 0, kr.k), m, p)[1].items()
+    return tuple([((i, s + r), e) for (i, s), e in exps]) if r else exps
+
+
 def expected_dominants(
     spec: MinAffSpec, kr: KRSpec, resonance: Optional[Resonance]
 ) -> list[LMonomial]:
@@ -511,31 +524,31 @@ def expected_dominants(
     Without a resonance this is the top term alone.  A kind-"ii" resonance
     contributes the raised-column family times the KR top term; a kind-"i"
     resonance interleaves the raised-column and gap families.  Duplicates
-    arising from the clamping conventions collapse.
+    arising from the clamping conventions collapse.  The members are
+    multiplied as exponent tuples (``product_exps``), and one ``LMonomial``
+    is built per distinct product.
     """
     omega = drinfeld_of_spec(spec)
     varpi = kr.drinfeld()
     if resonance is None:
         return [omega * varpi]
     total = spec.total
-    out: list[LMonomial] = []
+    out = []
     if resonance.kind == "ii":
+        varpi_exps = varpi.items()
         for f in range(resonance.kprime + 1):
-            out.append(family_S(spec, 1, min(f, total), spec.n + 1)[1] * varpi)
+            out.append(product_exps(family_S(spec, 1, min(f, total), spec.n + 1)[1].items(), varpi_exps))
     else:
         p, kp = resonance.p, resonance.kprime
         c = 1 + _seg(spec.lam, p, spec.n)
         m_max = min(kr.k, _seg(spec.lam, 1, p - 1) + kp)
         for m in range(m_max + 1):
-            gap_part = family_T(kr, m, p)[1]
+            gap_part = _gap_member(kr, m, p)
             for eps in (1, 0):
                 f = c + m - kp - eps
-                if f < c:
-                    s_part = omega
-                else:
-                    s_part = family_S(spec, c, min(f, total), p)[1]
-                out.append(s_part * gap_part)
-    return list(dict.fromkeys(out))
+                s_part = omega if f < c else family_S(spec, c, min(f, total), p)[1]
+                out.append(product_exps(s_part.items(), gap_part))
+    return [LMonomial._make(spec.n, exps) for exps in dict.fromkeys(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,32 +585,38 @@ def _lambda_prime_normal(spec: MinAffSpec, kr: KRSpec, tag: CaseTag) -> LMonomia
     if tag.p is None or tag.kprime is None:
         raise InvariantViolation(f"reducible tag {tag} without a node or k'")
     if tag.kind == "case_i":
-        return drinfeld_of_spec(spec) * family_T(kr, tag.kprime, tag.p)[1]
+        return drinfeld_of_spec(spec) * LMonomial._make(spec.n, _gap_member(kr, tag.kprime, tag.p))
     return family_S(spec, 1, tag.kprime, spec.n + 1)[1] * kr.drinfeld()
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _transported_spec(variant: Variant, spec: MinAffSpec) -> tuple[MinAffSpec, int]:
-    """The increasing affinization that ``variant.inverse`` carries ``spec``
-    to, at shift 0, and its shift t.  It does not depend on the KR module,
-    so a group shares it."""
+def _transported_spec(
+    variant: Variant, spec: MinAffSpec, node: int, k: int
+) -> tuple[MinAffSpec, int, KRSpec]:
+    """The normal-form problem (spec_t, kr_t) at shift 0 that the row's
+    ``inverse`` map carries the group's anchor-0 point (spec, KR(node, 0,
+    k)) to, and the shift t.  Recognised once per group: kr_t at tau_{-t}
+    of the KR module's transport, in one ``transform`` call.  Raises
+    TheoremViolation when either is not recognised."""
     spec_t = recognize_minaff(transform(drinfeld_of_spec(spec), variant.inverse), "inc")
     if spec_t is None:
         raise TheoremViolation("transported affinization is not increasing")
-    return MinAffSpec(spec_t.n, spec_t.lam), spec_t.shift
+    t = spec_t.shift
+    kr_t = recognize_kr(transform(KRSpec(spec.n, node, 0, k).drinfeld(), variant.inverse, -t))
+    if kr_t is None or kr_t.node != spec.n:
+        raise TheoremViolation("transported KR module is not at the last node")
+    return MinAffSpec(spec_t.n, spec_t.lam), t, kr_t
 
 
 def _transported(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> tuple[MinAffSpec, int, KRSpec]:
-    """The normal-form problem (spec_t, kr_t) at shift 0 that the row's
-    ``inverse`` map carries (spec, kr) to, and the shift t: spec_t is
-    cached per group, and kr_t is recognised at tau_{-t} of the KR
-    module's transport, in one ``transform`` call.  Raises
-    TheoremViolation when either is not recognised."""
-    spec_t, t = _transported_spec(variant, spec)
-    kr_t = recognize_kr(transform(kr.drinfeld(), variant.inverse, -t))
-    if kr_t is None or kr_t.node != spec.n:
-        raise TheoremViolation("transported KR module is not at the last node")
-    return spec_t, t, kr_t
+    """The point's normal-form problem (spec_t, kr_t) at shift 0 and the
+    shift t: its group's ``_transported_spec`` with kr_t moved by tau_r.
+    ``transform`` carries tau_r to tau_{sigma r}, with sigma = -1 on the
+    flipped rows (their maps negate r) and +1 on row a, so kr_t sits at
+    r_t(0) + sigma * r.  Raises what ``_transported_spec`` raises."""
+    spec_t, t, kr_t = _transported_spec(variant, spec, kr.node, kr.k)
+    r_t = kr_t.r - kr.r if variant.flipped else kr_t.r + kr.r
+    return spec_t, t, KRSpec(kr_t.n, kr_t.node, r_t, kr_t.k)
 
 
 def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> frozenset[int]:
@@ -610,15 +629,14 @@ def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> frozenset[int]:
     loud in the transported normal-form group.  So a quiet anchor has
     D = {lambda} and no resonance, on both sides of the transport, and
     every check holds there vacuously.  The problem is transported once,
-    at anchor 0: ``transform`` carries tau_r to tau_{sigma r}, with
-    sigma = -1 on the flipped rows (their maps negate r) and +1 on row a,
-    so r_t = r_t(0) + sigma * r.  Raises what ``_transported`` raises.
+    at anchor 0 (``_transported_spec``), and r_t = r_t(0) + sigma * r as
+    in ``_transported``.  Raises what ``_transported_spec`` raises.
     Found once per group record, so it is not cached.
     """
     variant = _variant_of(spec.direction, node != spec.n)
     loud = {*spectra_by_anchor(spec, node, k), *_resonances(variant, spec, k)}
     if variant.inverse is not None:
-        spec_t, _, kr_t = _transported(variant, spec, KRSpec(spec.n, node, 0, k))
+        spec_t, _, kr_t = _transported_spec(variant, spec, node, k)
         sigma = -1 if variant.flipped else 1
         loud.update(sigma * (r_t - kr_t.r) for r_t in _loud_anchors(spec_t, kr_t.node, kr_t.k))
     return frozenset(loud)

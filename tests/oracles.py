@@ -23,7 +23,11 @@ weight's root coordinates and a rescan of a work dict per row (the
 package peels a row map once, bottom-up), the highest
 tableau's columns are read off the anchor ladder (the package reads them
 off the Drinfeld polynomial, ``snake_shape``), q-characters are built by
-the strict Frenkel–Mukhin algorithm (the package fills tableaux), every
+the strict Frenkel–Mukhin algorithm (the package fills tableaux), the
+closed-form D multiplies ``LMonomial``s with each gap member built at the
+point's own anchor (the package moves the anchor-0 member by tau_r and
+merges exponent tuples), a transported KR module is recognised at each
+point (the package recognises it once per group and moves it), every
 JSON value the CLI writes is a dict or list for
 ``json.dumps`` (the package writes each type's JSON text directly, in
 ``json_text``), and monomial generators build random inputs from scratch.
@@ -52,18 +56,24 @@ from qcharlab import (
     StringList,
     Tableau,
     TensorReport,
+    TheoremViolation,
     Weight,
+    drinfeld_of_spec,
     expand_lroot_path,
     expand_simple_lroot,
+    family_S,
+    family_T,
     is_dominant,
     monomial_of_box,
+    recognize_kr,
+    recognize_minaff,
     resonance_window,
     transform,
     weight_of,
     y_string,
 )
 from qcharlab.tableaux import box_support
-from qcharlab.tensor import VARIANTS
+from qcharlab.tensor import VARIANTS, Variant
 
 
 def run_partitions_topdown(counts: dict[int, int]) -> list[tuple[tuple[int, int], ...]]:
@@ -532,6 +542,44 @@ def resonance_reference(variant: str, spec: MinAffSpec, kr: KRSpec):
     if len(cands) > 1:
         raise ValueError(f"resonance not unique: {cands}")
     return cands[0] if cands else None
+
+
+def expected_dominants_reference(spec: MinAffSpec, kr: KRSpec, resonance) -> list[LMonomial]:
+    """``tensor.expected_dominants`` as ``LMonomial`` products, each gap
+    member built by ``family_T`` at the point's own anchor."""
+    omega = drinfeld_of_spec(spec)
+    varpi = kr.drinfeld()
+    if resonance is None:
+        return [omega * varpi]
+    total = spec.total
+    out: list[LMonomial] = []
+    if resonance.kind == "ii":
+        for f in range(resonance.kprime + 1):
+            out.append(family_S(spec, 1, min(f, total), spec.n + 1)[1] * varpi)
+    else:
+        p, kp = resonance.p, resonance.kprime
+        c = 1 + _seg_reference(spec.lam, p, spec.n)
+        m_max = min(kr.k, _seg_reference(spec.lam, 1, p - 1) + kp)
+        for m in range(m_max + 1):
+            gap_part = family_T(kr, m, p)[1]
+            for eps in (1, 0):
+                f = c + m - kp - eps
+                s_part = omega if f < c else family_S(spec, c, min(f, total), p)[1]
+                out.append(s_part * gap_part)
+    return list(dict.fromkeys(out))
+
+
+def transported_reference(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> tuple[MinAffSpec, int, KRSpec]:
+    """``tensor._transported`` with the point's own KR module recognised:
+    (spec_t at shift 0, its shift t, kr_t at tau_{-t} of the KR module's
+    transport), raising TheoremViolation as the package does."""
+    spec_t = recognize_minaff(transform(drinfeld_of_spec(spec), variant.inverse), "inc")
+    if spec_t is None:
+        raise TheoremViolation("transported affinization is not increasing")
+    kr_t = recognize_kr(transform(kr.drinfeld(), variant.inverse, -spec_t.shift))
+    if kr_t is None or kr_t.node != spec.n:
+        raise TheoremViolation("transported KR module is not at the last node")
+    return MinAffSpec(spec_t.n, spec_t.lam), spec_t.shift, kr_t
 
 
 def _seg_reference(lam: tuple[int, ...], a: int, b: int) -> int:

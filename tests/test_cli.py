@@ -911,3 +911,39 @@ class TestRepeatedMain:
         assert run_cli(capsys, "sweep", "--config", str(_write_config(tmp_path)))[0] == 7
         assert calls == ["tensor", "sweep"]
         assert not (tmp_path / "out.jsonl").exists()
+
+
+class TestInternalErrors:
+    """An exception that is neither invalid input nor a theorem violation
+    exits 4 with one line on stderr and no traceback; ``SystemExit`` (so
+    SIGTERM's 143) and ``KeyboardInterrupt`` pass through ``main``."""
+
+    @pytest.mark.parametrize(
+        "argv, error, line",
+        [
+            (("qchar", "--n", "2", "--lambda", "1,1"), MemoryError("out of memory"),
+             "internal error: MemoryError: out of memory\n"),
+            (("tensor", *_TENSOR_POINTS[0]), RecursionError("maximum recursion depth exceeded"),
+             "internal error: RecursionError: maximum recursion depth exceeded\n"),
+        ],
+        ids=["qchar", "tensor"],
+    )
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch, argv, error, line):
+        def broken(args):
+            raise error
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", broken)
+        assert cli.EXIT_INTERNAL == 4
+        assert run_cli(capsys, *argv) == (cli.EXIT_INTERNAL, "", line)
+
+    @pytest.mark.parametrize("error", [SystemExit(143), KeyboardInterrupt()], ids=["SystemExit", "KeyboardInterrupt"])
+    @pytest.mark.parametrize("command", ["qchar", "tensor"])
+    def test_exit_and_interrupt_pass_through(self, monkeypatch, command, error):
+        def stopped(args):
+            raise error
+
+        monkeypatch.setattr(cli, f"cmd_{command}", stopped)
+        argv = ("qchar", "--n", "2", "--lambda", "1,1") if command == "qchar" else ("tensor", *_TENSOR_POINTS[0])
+        with pytest.raises(type(error)) as info:
+            main(list(argv))
+        assert info.value is error

@@ -118,6 +118,35 @@ class TestSpecs:
         with pytest.raises(InvalidInput, match="must be"):
             cls(*args)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((True, 3, -2, 2), "rank must be an integer, got True"),
+            ((3.0, 3, -2, 2), "rank must be an integer, got 3.0"),
+            ((3, True, -2, 2), "KR node must be an integer, got True"),
+            ((3, 2.0, -2, 2), "KR node must be an integer, got 2.0"),
+            ((2, True, 0, 1), "KR node must be an integer, got True"),
+            ((3, 3, True, 2), "KR anchor must be an integer, got True"),
+            ((3, 3, 2.0, 2), "KR anchor must be an integer, got 2.0"),
+            ((3, 3, -2, True), "string length must be an integer, got True"),
+            ((3, 3, -2, 2.0), "string length must be an integer, got 2.0"),
+            ((0, 1, 0, 1), "rank must be positive, got 0"),
+            ((3, 3, 0, 0), "string length must be positive, got 0"),
+            ((3, 2, 0, 1), "node must be extreme (1 or 3), got 2"),
+            ((1, 1, 0, 1), None),
+        ],
+        ids=repr,
+    )
+    def test_kr_spec_messages(self, args, message):
+        # valid fields pass one test in __post_init__; any other field runs
+        # the per-field checks, whose messages are pinned here
+        if message is None:
+            assert KRSpec(*args).json_text() == '{"k":1,"n":1,"node":1,"r":0}'
+            return
+        with pytest.raises(InvalidInput) as info:
+            KRSpec(*args)
+        assert str(info.value) == message
+
     def test_list_weight_stored_as_tuple(self):
         spec = MinAffSpec(2, [1, 1])
         assert spec.lam == (1, 1) and spec == MinAffSpec(2, (1, 1))

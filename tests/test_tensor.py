@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from collections import Counter
 from dataclasses import replace
@@ -13,6 +14,7 @@ from oracles import (
     anchor_join_reference,
     characters,
     dominant_join_reference,
+    expected_dominants_reference,
     kr_json_reference,
     lmonomials,
     minaff_kr_pairs,
@@ -22,6 +24,7 @@ from oracles import (
     resonance_reference,
     spec_json_reference,
     sweep_points,
+    transported_reference,
 )
 from qcharlab import (
     CaseTag,
@@ -1556,7 +1559,8 @@ class TestQuietAnchors:
     def test_transported_anchor_is_affine_in_r(self):
         """r_t = r_t(0) + sigma * r at every row-a/b/c anchor of the n <= 4
         grid, sigma = -1 exactly on the flipped rows b and c: the one
-        transport at anchor 0 that ``_loud_anchors`` runs is every anchor's."""
+        transport at anchor 0 that ``_loud_anchors`` and ``_transported``
+        run is every anchor's own, recognised point by point."""
         rows, anchors = Counter(), 0
         for spec, node, k in _sweep_groups(4, 4, 4):
             variant = tensor._variant_of(spec.direction, node != spec.n)
@@ -1567,8 +1571,10 @@ class TestQuietAnchors:
             spec_t, t, at_0 = tensor._transported(variant, spec, KRSpec(spec.n, node, 0, k))
             assert at_0.node == spec.n
             for r in resonance_window(spec, node, k):
-                transported = tensor._transported(variant, spec, KRSpec(spec.n, node, r, k))
-                assert transported == (spec_t, t, replace(at_0, r=at_0.r + sigma * r)), (spec, node, k, r)
+                kr = KRSpec(spec.n, node, r, k)
+                moved = (spec_t, t, replace(at_0, r=at_0.r + sigma * r))
+                assert transported_reference(variant, spec, kr) == moved, (spec, node, k, r)
+                assert tensor._transported(variant, spec, kr) == moved, (spec, node, k, r)
                 anchors += 1
             rows[variant.name] += 1
         assert set(rows) == {"a", "b", "c"} and anchors == 28296
@@ -1833,3 +1839,76 @@ class TestMemberCaches:
         for j in slots:
             with pytest.raises(InvalidInput, match="must be an integer"):
                 fn(*args[:j], bad, *args[j + 1 :])
+
+
+GOLDEN_CONFIG = {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
+                 "variants": ["normal", "a", "b", "c"]}
+
+
+def _loud_points(config):
+    """The loud points of a sweep grid, each with its row."""
+    for spec, kr in cli.sweep_grid(cli.SweepConfig.from_json({**config, "output": "unused"})):
+        if kr.r in tensor.sweep_group(spec, kr).loud:
+            yield tensor._variant_of(spec.direction, kr.node != spec.n), spec, kr
+
+
+class TestLoudGroups:
+    """A loud point reads its transported KR module and its gap members off
+    its group's anchor 0, moved by r, and multiplies the closed form as
+    exponent tuples; each equals the per-point reference."""
+
+    def test_golden_loud_points_match_their_references(self):
+        rows = Counter()
+        for variant, spec, kr in _loud_points(GOLDEN_CONFIG):
+            if variant.inverse is not None:
+                problem = tensor._transported(variant, spec, kr)
+                assert problem == transported_reference(variant, spec, kr), (spec, kr)
+                spec, _, kr = problem
+            res = _resonance(VARIANTS["normal"], spec, kr)
+            assert expected_dominants(spec, kr, res) == expected_dominants_reference(spec, kr, res), (spec, kr)
+            rows[variant.name] += 1
+        assert rows == {"normal": 435, "a": 363, "b": 469, "c": 553}  # 1,820 loud of 5,820
+
+    def test_random_anchors_match_their_references(self):
+        rng = random.Random(38)
+        groups = _sweep_groups(3, 3, 3)
+        for spec, node, k in rng.sample(groups, 60):
+            variant = tensor._variant_of(spec.direction, node != spec.n)
+            for r in rng.sample(range(-40, 41), 5):
+                kr = KRSpec(spec.n, node, r, k)
+                if variant.inverse is not None:
+                    problem = tensor._transported(variant, spec, kr)
+                    assert problem == transported_reference(variant, spec, kr), (spec, kr)
+                    spec_t, _, kr = problem
+                else:
+                    spec_t = spec
+                # every resonance of the group at an anchor that need not be its own
+                for found in (None, *tensor._resonances(VARIANTS["normal"], spec_t, kr.k).values()):
+                    res = found and found[0]
+                    got = expected_dominants(spec_t, kr, res)
+                    assert got == expected_dominants_reference(spec_t, kr, res), (spec_t, kr, res)
+
+    def test_gap_members_move_by_tau_r(self):
+        members = 0
+        for n in range(1, 4):
+            for k in range(1, 4):
+                for m in range(-1, k + 2):
+                    for p in range(1, n + 2):
+                        at_0 = family_T(KRSpec(n, n, 0, k), m, p)[1]
+                        for r in range(-6, 7):
+                            kr = KRSpec(n, n, r, k)
+                            moved = transform(at_0, "tau", r)
+                            assert family_T(kr, m, p)[1] == moved, (kr, m, p)
+                            assert tensor._gap_member(kr, m, p) == moved.items(), (kr, m, p)
+                            members += 1
+        assert members == 13 * sum((k + 3) * (n + 1) for n in range(1, 4) for k in range(1, 4))
+
+    def test_one_golden_sweep_builds_each_member_and_transport_once_per_group(self, tmp_path, monkeypatch):
+        recognized = []
+        real = tensor.recognize_kr
+        monkeypatch.setattr(tensor, "recognize_kr", lambda m: recognized.append(m) or real(m))
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**GOLDEN_CONFIG, "output": str(tmp_path / "out.jsonl")}))
+        assert cli.main(["sweep", "--config", str(config)]) == 0
+        assert tensor.family_T.cache_info().misses == 54
+        assert tensor._transported_spec.cache_info().misses == len(recognized) == 261
