@@ -22,7 +22,7 @@ arguments (``--n``, ``--shift``, ``--t``, and each part of ``--lambda`` and
 ``main`` may be called repeatedly in one process.  The parser is built once.
 Every call first empties the caches of ``tensor`` (``tensor.clear_caches``:
 its reports, spectra, transports, resonance tables, report templates,
-family members and sweep group record), so no command reads a
+family members and sweep group records), so no command reads a
 classification of an earlier one.  The q-characters and Drinfeld
 polynomials cached in ``minaff`` persist, but they are pure functions of
 their arguments and change no output.  Each command is looked up by name

@@ -335,13 +335,14 @@ class QChar:
 
 
 def _convolve(q1: QChar, q2: QChar) -> dict[tuple, int]:
-    """Every term of ``q1 * q2``: all pairs multiplied, multiplicities summed."""
-    terms2 = q2.terms().items()
+    """Every term of ``q1 * q2``: all pairs' exponent tuples multiplied
+    (``product_exps``), multiplicities summed; no ``LMonomial`` is built."""
+    terms2 = q2._all_terms().items()
     terms: dict[tuple, int] = {}
-    for m1, c1 in q1.terms().items():
-        for m2, c2 in terms2:
-            m = (m1 * m2).items()
-            terms[m] = terms.get(m, 0) + c1 * c2
+    for t1, c1 in q1._all_terms().items():
+        for t2, c2 in terms2:
+            t = product_exps(t1, t2)
+            terms[t] = terms.get(t, 0) + c1 * c2
     return terms
 
 
@@ -548,10 +549,9 @@ def anchor_join(
 # and resonance table, the quiet report templates, and the members of the
 # two tableau families (gap members at anchor 0 only).  A sweep builds KR
 # characters at anchor 0 only, and its quiet lines add no report; the
-# texts its points share
-# (``tensor.SweepGroup``: the loud anchors, the template, the spec and KR
-# texts and omega's JSON entries) live in one record at a time, the
-# current group's, outside this bound.  The ``tensor`` command
+# texts its points share (``tensor.SweepGroup``: the loud anchors, the
+# template, the spec and KR texts and omega's JSON entries) are held in a
+# cache of one record (``maxsize=1``), not of this bound.  The ``tensor`` command
 # caches no character, holding both of its point's modules.  The golden
 # sweep holds 72 characters, 122 affinization and 266 KR polynomials, 511
 # reports, 354 groups (261 transported problems), 10 templates, 152

@@ -50,9 +50,10 @@ shift would prune almost nothing.
 Most anchors of a group are quiet (``_loud_anchors`` names the others),
 and a sweep writes their lines from group data alone: ``sweep_line``
 writes a point's whole JSON line from its group's ``SweepGroup`` record
-(``sweep_group``), filling its row's report template at a quiet anchor,
-the only place where an anchor skips the checks.  ``classify_variant``
-and ``classify_normal`` run every check at every anchor.
+(``sweep_group``, a cache of one record), filling its row's line
+template at a quiet anchor, the only place where an anchor skips the
+checks.  ``classify_variant`` and ``classify_normal`` run every check at
+every anchor.
 
 A global spectral shift tau_t changes no classification, so the transport
 step asks ``classify_normal`` for the transported problem at shift 0 and
@@ -68,7 +69,7 @@ on their arguments too, so each distinct member runs its checks once;
 these caches and ``spectra_by_anchor`` key on the argument types as well
 (``typed=True``), so that a float or bool index still meets the
 exact-integer rule.  ``cli.main`` empties every cache of
-this module, and drops the sweep group record, before each command
+this module, the sweep group records included, before each command
 (``clear_caches``).
 """
 
@@ -792,17 +793,22 @@ def _normal(spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
     return classify_normal(spec, kr, True) if whole_group else classify_normal(spec, kr)
 
 
+def _line(kr_text: str, report_text: str, spec_text: str) -> str:
+    """A sweep point's JSON line ``{"kr", "report", "spec"}``."""
+    return f'{{"kr":{kr_text},"report":{report_text},"spec":{spec_text}}}'
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _quiet_template(variant: Variant, n: int) -> tuple[tuple[str, ...], itemgetter]:
-    """The row's quiet report text at rank n, cut at the texts of the spec,
+    """The row's quiet sweep line at rank n, cut at the texts of the spec,
     the KR module and lambda: its literal pieces, and the getter that
-    interleaves them with those three texts.  The report text is
+    interleaves them with those three texts.  The line is
     ``"".join(getter((spec_text, kr_text, lam_text) + pieces))``.
 
-    ``TensorReport.json_text`` renders one quiet report of the row, with
-    control characters, which JSON text never holds raw, in place of the
-    three texts (the identity monomial's text stands for lambda's), so the
-    schema stays written once.
+    ``_line`` wraps the ``TensorReport.json_text`` of one quiet report of
+    the row, with control characters, which JSON text never holds raw, in
+    place of the three texts (the identity monomial's text stands for
+    lambda's), so the schema stays written once.
     """
     lam = LMonomial.identity(n)
     spec = MinAffSpec(n, (1,) + (0,) * (n - 1), variant.direction)
@@ -812,7 +818,7 @@ def _quiet_template(variant: Variant, n: int) -> tuple[tuple[str, ...], itemgett
         tag=_IRREDUCIBLE, resonance=None, lambda_prime=None,
         socle_head=_socle_head(variant, _IRREDUCIBLE, lam, None),
     )
-    text = report.json_text(spec_text="\x00", kr_text="\x01")
+    text = _line("\x01", report.json_text(spec_text="\x00", kr_text="\x01"), "\x00")
     parts = re.split("([\x00-\x02])", text.replace(lam.json_text(), "\x02"))
     # a marker's code is its text's index; the pieces follow the three texts
     fields = [3]
@@ -824,20 +830,19 @@ def _quiet_template(variant: Variant, n: int) -> tuple[tuple[str, ...], itemgett
 @dataclass(frozen=True, eq=False)
 class SweepGroup:
     """What every point of a sweep group (spec, node, k) writes that does
-    not depend on its KR anchor r, built once per group (``sweep_group``).
+    not depend on its KR anchor r, built once per visit (``_sweep_group``).
 
-    ``key`` is (spec, node, k), ``loud`` its ``_loud_anchors``, and
-    ``pieces`` and ``interleave`` are the row's ``_quiet_template``.
-    ``spec_text`` is the spec's ``json_text`` and ``kr_head`` the KR
-    module's up to ``"r":``.  Lambda = omega * varpi is written from
-    omega's JSON entries: those on the rows below the KR node, each
-    followed by a comma, end ``lam_head``; those above it, each after a
-    comma, start ``lam_tail``; those on the KR node's row are ``row``,
-    its ``(r, e)`` pairs, and ``row_text``, joined.  ``y_head`` is the
-    ``"[node,"`` that opens an entry on that row.
+    ``loud`` is the group's ``_loud_anchors``, and ``pieces`` and
+    ``interleave`` are the row's ``_quiet_template``.  ``spec_text`` is
+    the spec's ``json_text`` and ``kr_head`` the KR module's up to
+    ``"r":``.  Lambda = omega * varpi is written from omega's JSON
+    entries: those on the rows below the KR node, each followed by a
+    comma, end ``lam_head``; those above it, each after a comma, start
+    ``lam_tail``; those on the KR node's row are ``row``, its ``(r, e)``
+    pairs, and ``row_text``, joined.  ``y_head`` is the ``"[node,"`` that
+    opens an entry on that row, and ``k`` is varpi's string length.
     """
 
-    key: tuple[MinAffSpec, int, int]
     loud: frozenset[int]
     pieces: tuple[str, ...]
     interleave: itemgetter
@@ -848,13 +853,14 @@ class SweepGroup:
     row: tuple[tuple[int, int], ...]
     row_text: str
     lam_tail: str
+    k: int
 
     def lam_text(self, r: int) -> str:
         """The ``json_text`` of lambda = omega * varpi at anchor r, with no
         monomial built.  varpi = Y[node, r] Y[node, r + 2] ... Y[node, last]
         and omega are both dominant, so no exponent cancels, and only
         omega's row at the KR node takes varpi's keys."""
-        last = r + 2 * self.key[2] - 2
+        last = r + 2 * self.k - 2
         row, y_head = self.row, self.y_head
         if row and row[0][0] <= last and r <= row[-1][0]:
             # the strings' spans overlap: merge them key by key
@@ -870,71 +876,65 @@ class SweepGroup:
         return f"{self.lam_head}{ys}{self.lam_tail}"
 
 
-# The record of the group last asked for, the only one held: a sweep visits
-# a group's anchors in a row, and a worker's chunk holds consecutive points.
-# Its key is compared, not hashed, since hashing the spec would cost a
-# quiet point more than the rest of its lookup.
-_current_group: Optional[SweepGroup] = None
+@lru_cache(maxsize=1)
+def _sweep_group(spec: MinAffSpec, node: int, k: int) -> SweepGroup:
+    """The ``SweepGroup`` of (spec, node, k).  Only the last group's record
+    is held, since a sweep visits a group's anchors in a row and a
+    worker's chunk holds consecutive points."""
+    pieces, interleave = _quiet_template(_variant_of(spec.direction, node != spec.n), spec.n)
+    entries = drinfeld_of_spec(spec).items()
+    row = tuple((s, e) for (i, s), e in entries if i == node)
+    below = "".join([f"[{i},{s},{e}]," for (i, s), e in entries if i < node])
+    above = "".join([f",[{i},{s},{e}]" for (i, s), e in entries if i > node])
+    return SweepGroup(
+        loud=_loud_anchors(spec, node, k),
+        pieces=pieces,
+        interleave=interleave,
+        spec_text=spec.json_text(),
+        kr_head=f'{{"k":{k},"n":{spec.n},"node":{node},"r":',
+        lam_head=f'{{"Y":[{below}',
+        y_head=f"[{node},",
+        row=row,
+        row_text=",".join([f"[{node},{s},{e}]" for s, e in row]),
+        lam_tail=f'{above}],"n":{spec.n}}}',
+        k=k,
+    )
 
 
 def sweep_group(spec: MinAffSpec, kr: KRSpec) -> SweepGroup:
     """The ``SweepGroup`` of the point (spec, kr): of (spec, kr.node, kr.k).
 
-    It is built when the group differs from the one last asked for (the
-    spec compared by identity first, then by value).  It raises what
-    ``_check_point`` raises for the point, and what ``_loud_anchors``
-    raises for the group, the ``r_window`` check of ``spectra_by_anchor``
-    and the recognition of the transported problem included.
+    It raises what ``_check_point`` raises for the point, and what
+    ``_loud_anchors`` raises for the group, the ``r_window`` check of
+    ``spectra_by_anchor`` and the recognition of the transported problem
+    included.
     """
-    global _current_group
     _check_point(spec, kr)
-    node, k = kr.node, kr.k
-    key = (spec, node, k)
-    group = _current_group
-    if group is None or group.key != key:
-        pieces, interleave = _quiet_template(_variant_of(spec.direction, node != spec.n), spec.n)
-        entries = drinfeld_of_spec(spec).items()
-        row = tuple((s, e) for (i, s), e in entries if i == node)
-        below = "".join([f"[{i},{s},{e}]," for (i, s), e in entries if i < node])
-        above = "".join([f",[{i},{s},{e}]" for (i, s), e in entries if i > node])
-        group = _current_group = SweepGroup(
-            key=key,
-            loud=_loud_anchors(*key),
-            pieces=pieces,
-            interleave=interleave,
-            spec_text=spec.json_text(),
-            kr_head=f'{{"k":{k},"n":{spec.n},"node":{node},"r":',
-            lam_head=f'{{"Y":[{below}',
-            y_head=f"[{node},",
-            row=row,
-            row_text=",".join([f"[{node},{s},{e}]" for s, e in row]),
-            lam_tail=f'{above}],"n":{spec.n}}}',
-        )
-    return group
+    return _sweep_group(spec, kr.node, kr.k)
 
 
 def sweep_line(spec: MinAffSpec, kr: KRSpec) -> tuple[str, str]:
     """A sweep point's outcome, the ``CaseTag.kind`` of its report, and its
-    JSON line ``{"kr", "report", "spec"}``, every text of which that does
-    not depend on r comes from the point's ``sweep_group`` record.
+    JSON line (``_line``), every text of which that does not depend on r
+    comes from the point's ``sweep_group`` record.
 
     At a quiet anchor, one outside the record's ``loud`` set, and only
     here, the checks are skipped: the report is the irreducible one of
     lambda that ``classify_variant(spec, kr, whole_group=True)`` returns
-    there, and its text is the row's template filled in with the texts of
+    there, and the line is the row's template filled in with the texts of
     the spec, the KR module and lambda, with no report and no monomial
-    built.  At every other anchor it is that report's ``json_text``.
+    built.  At every other anchor the report is that report's
+    ``json_text``.
     """
     group = sweep_group(spec, kr)
     r, spec_text = kr.r, group.spec_text
     kr_text = f"{group.kr_head}{r}}}"
     if r in group.loud:
         rep = classify_variant(spec, kr, whole_group=True)
-        kind, report = rep.tag.kind, rep.json_text(spec_text=spec_text, kr_text=kr_text)
-    else:
-        kind = "irreducible"
-        report = "".join(group.interleave((spec_text, kr_text, group.lam_text(r)) + group.pieces))
-    return kind, f'{{"kr":{kr_text},"report":{report},"spec":{spec_text}}}'
+        report = rep.json_text(spec_text=spec_text, kr_text=kr_text)
+        return rep.tag.kind, _line(kr_text, report, spec_text)
+    texts = (spec_text, kr_text, group.lam_text(r))
+    return "irreducible", "".join(group.interleave(texts + group.pieces))
 
 
 def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range:
@@ -960,13 +960,11 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
 # before every command.
 _CACHES = (
     classify_normal, spectra_by_anchor, _transported_spec, _resonances, family_S, family_T,
-    _quiet_template,
+    _quiet_template, _sweep_group,
 )
 
 
 def clear_caches() -> None:
-    """Empty every cache of this module and drop the current sweep group."""
-    global _current_group
+    """Empty every cache of this module."""
     for cached in _CACHES:
         cached.cache_clear()
-    _current_group = None

@@ -1,5 +1,6 @@
 """Library invariants are raised as exceptions, never asserted: ``python -O``
-strips ``assert`` statements."""
+strips ``assert`` statements.  No library module rebinds a module or
+enclosing name, so no state is held outside the caches."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,17 @@ def test_no_assert_statements_in_the_library():
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_global_or_nonlocal_statements_in_the_library():
+    # every value a module holds between calls is a cache its module can empty
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
     assert found == []
 

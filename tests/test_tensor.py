@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import replace
+from itertools import groupby
 from unittest.mock import patch
 
 import pytest
@@ -143,6 +144,17 @@ class TestPackedProduct:
         a, b = factor(), factor()
         for x, y in ((a, b), (b, a)):
             assert product_qchar(x, y).dominant_terms() == product_qchar_reference(x, y).dominant_terms()
+
+    def test_convolution_builds_no_monomial(self, monkeypatch):
+        # the full product multiplies the factors' exponent tuples
+        a, b = qchar(MinAffSpec(2, (1, 1), "dec")), qchar_kr(KRSpec(2, 2, 1, 2))
+        expected = len(product_qchar_reference(a, b))
+        made = []
+        make, init = LMonomial._make, LMonomial.__init__
+        monkeypatch.setattr(LMonomial, "_make", staticmethod(lambda n, exps: made.append(1) or make(n, exps)))
+        monkeypatch.setattr(LMonomial, "__init__", lambda m, *args: made.append(1) or init(m, *args))
+        assert len(product_qchar(a, b)) == expected
+        assert made == []
 
     def test_packed_times_plain(self):
         # a product as one factor of another product
@@ -1582,7 +1594,7 @@ class TestQuietAnchors:
     def test_found_once_per_group_record(self, monkeypatch):
         # the group record holds the loud anchors, so they are not cached
         assert not hasattr(tensor._loud_anchors, "cache_info")
-        assert len(tensor._CACHES) == 7
+        assert len(tensor._CACHES) == 8 and tensor._sweep_group in tensor._CACHES
         found = []
         loud_anchors = tensor._loud_anchors
         monkeypatch.setattr(tensor, "_loud_anchors", lambda *key: found.append(key) or loud_anchors(*key))
@@ -1703,14 +1715,34 @@ class TestSweepGroup:
     def test_one_record_held_per_process(self):
         spec, kr = QUIET_A_POINT
         group = tensor.sweep_group(spec, kr)
-        assert group.key == (spec, kr.node, kr.k) and group.loud == tensor._loud_anchors(spec, kr.node, kr.k)
+        assert group.k == kr.k and group.loud == tensor._loud_anchors(spec, kr.node, kr.k)
+        info = tensor._sweep_group.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (1, 1, 1)
         # another anchor of the group, by an equal spec too, shares the record
         assert tensor.sweep_group(replace(spec), replace(kr, r=kr.r + 1)) is group
+        info = tensor._sweep_group.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
         other = tensor.sweep_group(spec, replace(kr, k=kr.k + 1))
-        assert other is not group and tensor._current_group is other
+        assert other is not group and tensor._sweep_group.cache_info().currsize == 1
         assert tensor.sweep_group(spec, kr) is not group  # rebuilt: only the last group is held
+        assert tensor._sweep_group.cache_info().misses == 3
         tensor.clear_caches()
-        assert tensor._current_group is None
+        assert tensor._sweep_group.cache_info().currsize == 0
+
+    def test_one_build_per_visit_of_a_golden_group(self):
+        # a record is built when the sweep enters a group, not per point: the
+        # n = 1 groups that rows normal and b (a and c) share are visited apart
+        cfg = cli.SweepConfig.from_json(
+            {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
+             "variants": ["normal", "a", "b", "c"], "output": "unused"}
+        )
+        points = list(cli.sweep_grid(cfg))
+        visits = [group for group, _ in groupby((spec, kr.node, kr.k) for spec, kr in points)]
+        revisited = {group for group, count in Counter(visits).items() if count > 1}
+        for spec, kr in points:
+            tensor.sweep_line(spec, kr)
+        assert (tensor._sweep_group.cache_info().misses, len(visits), len(set(visits))) == (372, 372, 354)
+        assert len(revisited) == 18 and {spec.n for spec, _, _ in revisited} == {1}
 
     def test_rank_mismatch_is_rejected(self):
         spec = MinAffSpec(2, (1, 1), "inc")
