@@ -22,10 +22,11 @@ arguments (``--n``, ``--shift``, ``--t``, and each part of ``--lambda`` and
 ``main`` may be called repeatedly in one process.  The parser is built once.
 Every call first empties the caches of ``tensor`` (``tensor.clear_caches``:
 its reports, spectra, transports, resonance tables, report templates,
-family members and sweep group records), so no command reads a
-classification of an earlier one.  The q-characters and Drinfeld
-polynomials cached in ``minaff`` persist, but they are pure functions of
-their arguments and change no output.  Each command is looked up by name
+family members and sweep group records, and ``lweight.le``'s answers per
+shift class of quotients), so no command reads a classification of an
+earlier one.  The q-characters and Drinfeld polynomials cached in
+``minaff`` persist, but they are pure functions of their arguments and
+change no output.  Each command is looked up by name
 when it is called, so a wrapper set on ``cli.cmd_*`` applies.
 """
 
@@ -299,8 +300,9 @@ def _sweep_groups(cfg: SweepConfig):
 def sweep_grid(cfg: SweepConfig):
     """Deterministic enumeration of (spec, kr) pairs for the sweep."""
     for spec, node, k, window in _sweep_groups(cfg):
+        kr = KRSpec(spec.n, node, 0, k)
         for r in window:
-            yield spec, KRSpec(spec.n, node, r, k)
+            yield spec, kr._at(r)
 
 
 # The most points one sweep may visit, counted by ``sweep_size`` before the

@@ -97,6 +97,10 @@ def _require_weight(n: int, lam) -> tuple[int, ...]:
     return lam
 
 
+# sets a field of a frozen dataclass
+_setattr = object.__setattr__
+
+
 @dataclass(frozen=True)
 class MinAffSpec:
     """Symbolic minimal affinization: rank, weight, direction, spectral shift."""
@@ -112,6 +116,16 @@ class MinAffSpec:
         if not any(self.lam):
             raise InvalidInput("weight must not be zero")
         _check_direction(self.direction)
+        # every cache of a sweep is keyed on a spec: hash the fields once
+        _setattr(self, "_hash", hash((self.n, self.lam, self.direction, self.shift)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: the hash of ``direction``, a str,
+        # depends on the process's hash seed
+        return (MinAffSpec, (self.n, self.lam, self.direction, self.shift))
 
     @property
     def total(self) -> int:
@@ -169,6 +183,19 @@ class KRSpec:
             raise InvalidInput(f"node must be extreme (1 or {self.n}), got {self.node}")
         if self.k < 1:
             raise InvalidInput(f"string length must be positive, got {self.k}")
+
+    def _at(self, r: int) -> "KRSpec":
+        """This module moved to anchor ``r``: the other fields, checked when
+        this one was built, are copied, and only ``r`` is checked."""
+        if type(r) is not int:
+            require_int("KR anchor", r)
+        kr = object.__new__(KRSpec)
+        # field by field, as the dataclass's own __init__ sets them
+        _setattr(kr, "n", self.n)
+        _setattr(kr, "node", self.node)
+        _setattr(kr, "r", r)
+        _setattr(kr, "k", self.k)
+        return kr
 
     def drinfeld(self) -> LMonomial:
         """The string ``Y[node, r, k]``, cached by value (``_kr_drinfeld``)."""
@@ -551,7 +578,10 @@ def anchor_join(
 # characters at anchor 0 only, and its quiet lines add no report; the
 # texts its points share (``tensor.SweepGroup``: the loud anchors, the
 # template, the spec and KR texts and omega's JSON entries) are held in a
-# cache of one record (``maxsize=1``), not of this bound.  The ``tensor`` command
+# cache of one record (``maxsize=1``), not of this bound, and the chain
+# check's answers per shift class of quotients in ``lweight``'s memo of at
+# most ``PEEL_CACHE_SIZE`` (26 classes for the golden sweep, 101 at n <= 4),
+# which ``tensor.clear_caches`` empties with these.  The ``tensor`` command
 # caches no character, holding both of its point's modules.  The golden
 # sweep holds 72 characters, 122 affinization and 266 KR polynomials, 511
 # reports, 354 groups (261 transported problems), 10 templates, 152

@@ -69,8 +69,8 @@ on their arguments too, so each distinct member runs its checks once;
 these caches and ``spectra_by_anchor`` key on the argument types as well
 (``typed=True``), so that a float or bool index still meets the
 exact-integer rule.  ``cli.main`` empties every cache of
-this module, the sweep group records included, before each command
-(``clear_caches``).
+this module, the sweep group records included, and ``le``'s memo of
+peels before each command (``clear_caches``).
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ from typing import Optional
 from .errors import InvalidInput, InvariantViolation, TheoremViolation, require_int
 from .lweight import (
     LMonomial,
+    _peel_class,
     expand_lroot_path,
     le,
     monomial_sort_key,
@@ -513,7 +514,7 @@ def _gap_member(kr: KRSpec, m: int, p: int) -> tuple[tuple[tuple[int, int], int]
     at anchor 0, which a group shares, moved by tau_r (a T member at
     anchor r is tau_r of the one at anchor 0)."""
     r = kr.r
-    exps = family_T(KRSpec(kr.n, kr.node, 0, kr.k), m, p)[1].items()
+    exps = family_T(kr._at(0), m, p)[1].items()
     return tuple([((i, s + r), e) for (i, s), e in exps]) if r else exps
 
 
@@ -617,7 +618,7 @@ def _transported(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> tuple[MinAff
     r_t(0) + sigma * r.  Raises what ``_transported_spec`` raises."""
     spec_t, t, kr_t = _transported_spec(variant, spec, kr.node, kr.k)
     r_t = kr_t.r - kr.r if variant.flipped else kr_t.r + kr.r
-    return spec_t, t, KRSpec(kr_t.n, kr_t.node, r_t, kr_t.k)
+    return spec_t, t, kr_t._at(r_t)
 
 
 def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> frozenset[int]:
@@ -955,16 +956,16 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
     return range(min(table) - pad, max(table) + pad + 1)
 
 
-# The caches of this module, bound here so that a wrapper that replaces one
-# of them (a tracer, a test) leaves it reachable; ``cli.main`` empties them
-# before every command.
+# The caches of this module, and ``le``'s memo of peels (``lweight``), bound
+# here so that a wrapper that replaces one of them (a tracer, a test) leaves
+# it reachable; ``cli.main`` empties them before every command.
 _CACHES = (
     classify_normal, spectra_by_anchor, _transported_spec, _resonances, family_S, family_T,
-    _quiet_template, _sweep_group,
+    _quiet_template, _sweep_group, _peel_class,
 )
 
 
 def clear_caches() -> None:
-    """Empty every cache of this module."""
+    """Empty every cache of this module and ``le``'s memo of peels."""
     for cached in _CACHES:
         cached.cache_clear()

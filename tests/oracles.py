@@ -20,7 +20,9 @@ package rebuilds the candidate's Drinfeld polynomial), a KR module by
 its per-node rows of unit exponents (the package builds the one candidate
 at the first variable), a monomial is decomposed into loop roots by its
 weight's root coordinates and a rescan of a work dict per row (the
-package peels a row map once, bottom-up), the highest
+package peels a row map once, bottom-up), the chain check peels each
+quotient at its own rows (the package moves it to row 0 and keeps one
+answer per shift class), the highest
 tableau's columns are read off the anchor ladder (the package reads them
 off the Drinfeld polynomial, ``snake_shape``), q-characters are built by
 the strict Frenkel–Mukhin algorithm (the package fills tableaux), the
@@ -72,6 +74,7 @@ from qcharlab import (
     weight_of,
     y_string,
 )
+from qcharlab.lweight import _peel
 from qcharlab.tableaux import box_support
 from qcharlab.tensor import VARIANTS, Variant
 
@@ -727,6 +730,21 @@ def lroot_decompose_reference(m: LMonomial):
                 else:
                     work.pop(key, None)
     return LRootDecomposition(n, tuple(sorted(factors.items())))
+
+
+def le_reference(m1: LMonomial, m2: LMonomial) -> bool:
+    """``m1 <= m2`` without a memo: the quotient ``m2 / m1`` as a dict
+    built from the two exponent tuples, peeled at its own rows."""
+    if m1.n != m2.n:
+        raise InvalidInput(f"rank mismatch: {m1.n} != {m2.n}")
+    quotient = dict(m2.items())
+    for key, e in m1.items():
+        e = quotient.get(key, 0) - e
+        if e:
+            quotient[key] = e
+        else:
+            del quotient[key]
+    return _peel(m1.n, quotient.items(), None)
 
 
 def highest_shape_reference(spec: MinAffSpec) -> Shape:

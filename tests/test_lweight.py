@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from oracles import (
     all_weights,
     dominant_monomials,
     in_lroot_cone_bruteforce,
+    le_reference,
     lmonomials,
     lroot_decompose_reference,
     lroot_products,
@@ -39,8 +41,8 @@ from qcharlab import (
     weight_of,
     y_string,
 )
-from qcharlab import cli
-from qcharlab.lweight import monomial_sort_key
+from qcharlab import cli, tensor
+from qcharlab.lweight import _peel_class, monomial_sort_key
 from qcharlab.tensor import VARIANTS, spectra_by_anchor
 
 
@@ -318,6 +320,11 @@ class TestLRootDecompose:
         d = lroot_decompose(LMonomial.identity(2))
         assert d is not None and d.factors == ()
 
+    @pytest.mark.parametrize("m", ["x", None, LRootDecomposition(1, ())], ids=repr)
+    def test_argument_must_be_a_monomial(self, m):
+        with pytest.raises(InvalidInput, match="must be an LMonomial"):
+            lroot_decompose(m)
+
     @pytest.mark.parametrize(
         "n, factors",
         [
@@ -437,6 +444,70 @@ class TestPeelAgainstReference:
         assert outcomes == {True, False}
 
 
+GOLDEN_SWEEP = {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
+                "variants": ["normal", "a", "b", "c"], "parallelism": 1}
+
+
+def assert_le_agrees(a, b):
+    """``le`` equals its memo-free reference on (a, b) and on the pair moved
+    by tau_t, whose quotient lies in the same shift class."""
+    ref = le_reference(a, b)
+    for t in (-7, 0, 5):
+        ta, tb = transform(a, "tau", t), transform(b, "tau", t)
+        assert le(ta, tb) == le_reference(ta, tb) == ref, (a, b, t)
+
+
+class TestShiftClassMemo:
+    """``le`` decides a quotient moved to row 0 and keeps one answer per
+    shift class (``_peel_class``); every answer is that of the reference."""
+
+    def test_every_ordered_pair_of_golden_spectra(self):
+        pairs, outcomes = 0, set()
+        for n in range(1, 4):
+            for lam in all_weights(n, 3):
+                for direction in ("inc", "dec"):
+                    spec = MinAffSpec(n, lam, direction, 0)
+                    for node in {1, n}:
+                        for k in range(1, 4):
+                            for terms in spectra_by_anchor(spec, node, k).values():
+                                for a, _ in terms:
+                                    for b, _ in terms:
+                                        assert_le_agrees(a, b)
+                                        outcomes.add(le(a, b))
+                                        pairs += 1
+        assert outcomes == {True, False} and pairs > 10_000
+
+    def test_seeded_random_pairs(self):
+        rng = random.Random(40)
+        outcomes = set()
+        for _ in range(3_000):
+            n = rng.randint(1, 5)
+            a = LMonomial(n, [((rng.randint(1, n), rng.randint(-4, 4)), rng.randint(-2, 3)) for _ in range(rng.randint(0, 6))])
+            q = LMonomial.identity(n)
+            for _ in range(rng.randint(0, 4)):
+                q = q * expand_simple_lroot(n, rng.randint(1, n), rng.randint(-3, 5)) ** rng.choice((1, 1, -1))
+            assert_le_agrees(a, a * q)
+            assert_le_agrees(a * q, a)
+            outcomes.add(le(a, a * q))
+        assert outcomes == {True, False}
+
+    def test_one_golden_sweep_asks_few_classes(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tensor, "le", lambda a, b: calls.append(1) or le(a, b))
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**GOLDEN_SWEEP, "output": str(tmp_path / "out.jsonl")}))
+        assert cli.main(["sweep", "--config", str(config)]) == 0
+        assert len(calls) == 2502
+        assert _peel_class.cache_info().misses == 26
+
+    def test_emptied_by_clear_caches(self):
+        assert _peel_class in tensor._CACHES
+        assert le(Y(2, 1, 0) / expand_simple_lroot(2, 1, 1), Y(2, 1, 0))
+        assert _peel_class.cache_info().currsize == 1
+        tensor.clear_caches()
+        assert _peel_class.cache_info().currsize == 0
+
+
 class TestPartialOrder:
     def test_single_step(self):
         lower = Y(1, 1, 0) / expand_simple_lroot(1, 1, 1)
@@ -449,6 +520,12 @@ class TestPartialOrder:
     def test_rank_mismatch(self):
         with pytest.raises(InvalidInput):
             le(Y(1, 1, 0), Y(2, 1, 0))
+
+    @pytest.mark.parametrize("other", ["x", None, 1, ((1, 0), 1)], ids=repr)
+    def test_arguments_must_be_monomials(self, other):
+        for args in ((Y(1, 1, 0), other), (other, Y(1, 1, 0))):
+            with pytest.raises(InvalidInput, match="must be an LMonomial"):
+                le(*args)
 
     @given(lmonomials(max_n=3, max_factors=4))
     def test_reflexive(self, m):
@@ -542,6 +619,12 @@ class TestTransform:
     def test_unknown_kind(self):
         with pytest.raises(InvalidInput):
             transform(Y(1, 1, 0), "sigma")
+
+    @pytest.mark.parametrize("kind", ["tau", "star"])
+    @pytest.mark.parametrize("m", ["x", None, {"n": 1, "Y": [[1, 0, 1]]}], ids=repr)
+    def test_argument_must_be_a_monomial(self, m, kind):
+        with pytest.raises(InvalidInput, match="must be an LMonomial"):
+            transform(m, kind, 1)
 
     @pytest.mark.parametrize("value", [0.5, 2.0, True, "1"], ids=repr)
     def test_shift_must_be_an_int(self, value):

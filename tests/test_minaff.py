@@ -1,4 +1,10 @@
+import copy
+import dataclasses
+import os
+import pickle
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -156,6 +162,80 @@ class TestSpecs:
         for node, r, k in ((1, -3, 2), (2, 4, 3)):
             kr = KRSpec(2, node, r, k)
             assert drinfeld_of_spec(kr.as_minaff()) == kr.drinfeld()
+
+
+SPECS = [MinAffSpec(3, (1, 0, 2), "dec", -4), MinAffSpec(1, (2,)), KRSpec(3, 1, -5, 2), KRSpec(2, 2, 13, 1)]
+
+# pickles the specs under one hash seed; the test unpickles them under another
+PICKLE_SPECS = """
+import pickle, sys
+from qcharlab import KRSpec, MinAffSpec
+specs = [MinAffSpec(3, (1, 0, 2), "dec", -4), MinAffSpec(1, (2,)), KRSpec(3, 1, -5, 2), KRSpec(2, 2, 13, 1)]
+sys.stdout.write(pickle.dumps(specs).hex())
+"""
+UNPICKLE_SPECS = """
+import pickle, sys
+from qcharlab import KRSpec, MinAffSpec
+specs = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = [MinAffSpec(3, (1, 0, 2), "dec", -4), MinAffSpec(1, (2,)), KRSpec(3, 1, -5, 2), KRSpec(2, 2, 13, 1)]
+assert specs == fresh and [hash(s) for s in specs] == [hash(s) for s in fresh]
+assert dict.fromkeys(fresh, 1) == dict.fromkeys(specs, 1)
+"""
+
+
+class TestSpecIdentity:
+    """``MinAffSpec`` hashes its fields once, at construction; a copy or a
+    pickle is rebuilt through the constructor, so it hashes as a fresh
+    equal spec in any process.  Nothing else about the dataclasses shows."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    @pytest.mark.parametrize(
+        "roundtrip", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))], ids=["copy", "deepcopy", "pickle"]
+    )
+    def test_roundtrips_hash_as_a_fresh_spec(self, spec, roundtrip):
+        fresh = type(spec)(*(getattr(spec, f.name) for f in dataclasses.fields(spec)))
+        again = roundtrip(spec)
+        assert again == fresh and hash(again) == hash(fresh) == hash(spec)
+        assert {fresh: 1}[again] == 1
+
+    def test_unpickled_under_another_hash_seed(self):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(minaff.__file__))}
+        dumped = subprocess.run(
+            [sys.executable, "-c", PICKLE_SPECS], capture_output=True, text=True, check=True,
+            env={**env, "PYTHONHASHSEED": "1"}, timeout=60,
+        ).stdout
+        loaded = subprocess.run(
+            [sys.executable, "-c", UNPICKLE_SPECS], input=dumped, capture_output=True, text=True,
+            env={**env, "PYTHONHASHSEED": "2"}, timeout=60,
+        )
+        assert loaded.returncode == 0, loaded.stderr
+
+    def test_dataclass_surface_is_unchanged(self):
+        spec, kr = MinAffSpec(2, (1, 1), "dec", 3), KRSpec(2, 2, 0, 1)
+        assert [f.name for f in dataclasses.fields(spec)] == ["n", "lam", "direction", "shift"]
+        assert [f.name for f in dataclasses.fields(kr)] == ["n", "node", "r", "k"]
+        assert repr(spec) == "MinAffSpec(n=2, lam=(1, 1), direction='dec', shift=3)"
+        assert repr(kr) == "KRSpec(n=2, node=2, r=0, k=1)"
+        assert hash(spec) == hash((2, (1, 1), "dec", 3))
+        moved = replace(spec, shift=1)
+        assert moved == MinAffSpec(2, (1, 1), "dec", 1) and hash(moved) == hash(MinAffSpec(2, (1, 1), "dec", 1))
+        assert replace(kr, r=4) == KRSpec(2, 2, 4, 1)
+        for other in ("x", None, (2, (1, 1), "dec", 3), kr):
+            assert spec != other and not spec == other
+        assert kr != (2, 2, 0, 1) and kr != spec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.shift = 2
+
+    def test_kr_module_moved_from_a_checked_one(self):
+        kr = KRSpec(3, 1, 0, 2)
+        for r in (-5, 0, 7):
+            moved = kr._at(r)
+            assert moved == KRSpec(3, 1, r, 2) and repr(moved) == repr(KRSpec(3, 1, r, 2))
+            assert hash(moved) == hash(KRSpec(3, 1, r, 2)) and moved.drinfeld() == y_string(3, 1, r, 2)
+        assert kr.r == 0
+        for r in (True, 1.0, "1", None):
+            with pytest.raises(InvalidInput, match="KR anchor must be an integer"):
+                kr._at(r)
 
 
 class TestDrinfeld:

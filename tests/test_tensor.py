@@ -1594,7 +1594,8 @@ class TestQuietAnchors:
     def test_found_once_per_group_record(self, monkeypatch):
         # the group record holds the loud anchors, so they are not cached
         assert not hasattr(tensor._loud_anchors, "cache_info")
-        assert len(tensor._CACHES) == 8 and tensor._sweep_group in tensor._CACHES
+        # eight caches of this module and le's memo of peels
+        assert len(tensor._CACHES) == 9 and tensor._sweep_group in tensor._CACHES
         found = []
         loud_anchors = tensor._loud_anchors
         monkeypatch.setattr(tensor, "_loud_anchors", lambda *key: found.append(key) or loud_anchors(*key))
