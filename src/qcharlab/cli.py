@@ -24,10 +24,15 @@ Every call first empties the caches of ``tensor`` (``tensor.clear_caches``:
 its reports, spectra, transports, resonance tables, report templates,
 family members and sweep group records, and ``lweight.le``'s answers per
 shift class of quotients), so no command reads a classification of an
-earlier one.  The q-characters and Drinfeld polynomials cached in
-``minaff`` persist, but they are pure functions of their arguments and
-change no output.  Each command is looked up by name
+earlier one.  The q-characters, Drinfeld polynomials and shared specs
+cached in ``minaff`` persist, but they are pure functions of their
+arguments and change no output.  Each command is looked up by name
 when it is called, so a wrapper set on ``cli.cmd_*`` applies.
+
+A sweep walks its grid once (``_planned_blocks``), in (n, lambda) blocks:
+the walk sizes the grid and holds each block's groups, whose specs are one
+``minaff._shared_spec`` per direction.  One worker runs the points in grid
+order; two or more take whole blocks, the pool's unit.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import signal
 import sys
 from collections import deque
 from contextlib import ExitStack, closing, contextmanager, suppress
-from itertools import islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InvalidInput, InvariantViolation
@@ -50,6 +55,7 @@ from .lweight import _TRANSFORM_KINDS, LMonomial, transform
 from .minaff import (
     KRSpec,
     MinAffSpec,
+    _shared_spec,
     drinfeld_of_spec,
     kr_qchar_by_partitions,
     qchar,
@@ -284,25 +290,36 @@ def _lambdas(n: int, sum_max: int):
     return weights
 
 
-def _sweep_groups(cfg: SweepConfig):
-    """The groups (spec, node, k) of the sweep grid in grid order, each with
-    its window of KR anchors."""
+def _sweep_plan(cfg: SweepConfig):
+    """The sweep grid as its (n, lambda) blocks in grid order, each an
+    iterator of its groups (spec, KR module at anchor 0, window of anchors)
+    and a contiguous run of the output.  The weight is checked once per
+    direction, by the ``_shared_spec`` that the direction's rows and lengths
+    share, and each group's window is found when the walk reaches it."""
     for n in range(1, cfg.n_max + 1):
         for lam in _lambdas(n, cfg.lambda_sum_max):
-            for name in cfg.variants:
-                variant = VARIANTS[name]
-                node = 1 if variant.first else n
-                spec = MinAffSpec(n, lam, variant.direction, 0)
-                for k in range(1, cfg.k_max + 1):
-                    yield spec, node, k, resonance_window(spec, node, k, cfg.r_window_pad)
+            yield _block_groups(cfg, n, lam)
+
+
+def _block_groups(cfg: SweepConfig, n: int, lam: tuple[int, ...]):
+    for name in cfg.variants:
+        variant = VARIANTS[name]
+        node = 1 if variant.first else n
+        spec = _shared_spec(n, lam, variant.direction)
+        for k in range(1, cfg.k_max + 1):
+            yield spec, KRSpec(n, node, 0, k), resonance_window(spec, node, k, cfg.r_window_pad)
+
+
+def _plan_points(blocks):
+    """The points (spec, kr) of the blocks' groups, in grid order."""
+    for spec, kr, window in chain.from_iterable(blocks):
+        for r in window:
+            yield spec, kr._at(r)
 
 
 def sweep_grid(cfg: SweepConfig):
     """Deterministic enumeration of (spec, kr) pairs for the sweep."""
-    for spec, node, k, window in _sweep_groups(cfg):
-        kr = KRSpec(spec.n, node, 0, k)
-        for r in window:
-            yield spec, kr._at(r)
+    return _plan_points(_sweep_plan(cfg))
 
 
 # The most points one sweep may visit, counted by ``sweep_size`` before the
@@ -310,20 +327,27 @@ def sweep_grid(cfg: SweepConfig):
 SWEEP_POINT_BUDGET = 1_000_000
 
 
-def sweep_size(cfg: SweepConfig, limit: int) -> int:
+def _planned_blocks(cfg: SweepConfig, limit: int) -> tuple[int, list[list]]:
     """The number of points of ``sweep_grid(cfg)``, summed over the groups'
-    anchor windows without building a point.
+    windows without building a point, and the plan's blocks as lists of
+    their groups.  Every group has at least one anchor, so the walk stops
+    at the first group that takes the count past ``limit``: then the count
+    is a lower bound, the last block is cut short, and at most ``limit +
+    1`` groups were visited however large the grid."""
+    count, blocks = 0, []
+    for groups in _sweep_plan(cfg):
+        blocks.append(block := [])
+        for group in groups:
+            block.append(group)
+            count += len(group[2])
+            if count > limit:
+                return count, blocks
+    return count, blocks
 
-    Every group has at least one anchor, so the count stops at the first
-    group that takes it past ``limit``: then it is a lower bound, and the
-    count visits at most ``limit + 1`` groups however large the grid.
-    """
-    count = 0
-    for *_, window in _sweep_groups(cfg):
-        count += len(window)
-        if count > limit:
-            break
-    return count
+
+def sweep_size(cfg: SweepConfig, limit: int) -> int:
+    """The count of ``_planned_blocks``: exact up to ``limit``, a lower bound past it."""
+    return _planned_blocks(cfg, limit)[0]
 
 
 def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
@@ -346,48 +370,46 @@ def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
     return "violations", _object_text(fields)
 
 
-# Points per task of a sweep on two or more workers, and the tasks each
-# worker may have submitted and not yet read.
-SWEEP_CHUNK = 16
+# The blocks each worker of a sweep on two or more workers may have
+# submitted and not yet read.
 CHUNKS_PER_WORKER = 2
 
 
-def _sweep_chunk(points: list[tuple[MinAffSpec, KRSpec]]) -> list[tuple[str, str]]:
-    return [_sweep_point(point) for point in points]
+def _sweep_block(block: list) -> list[tuple[str, str]]:
+    return [_sweep_point(point) for point in _plan_points([block])]
 
 
-def _pooled_results(pool, points, workers: int):
-    """``_sweep_point`` of each of ``points``, in order, computed on ``pool``
-    in chunks of ``SWEEP_CHUNK``, with at most ``CHUNKS_PER_WORKER *
-    workers`` chunks submitted and not yet read, so a sweep holds a few
-    chunks of points and lines however large its grid.  Closing the
-    generator cancels the chunks not yet started.  It runs within
-    ``_sigterm_held``, and a held SIGTERM is handled after each chunk is
-    read, outside the pool's code."""
-    points = iter(points)
+def _pooled_results(pool, blocks, workers: int):
+    """``_sweep_point`` of each point of ``blocks``, in order, computed on
+    ``pool`` a whole block per task, with at most ``CHUNKS_PER_WORKER *
+    workers`` blocks submitted and not yet read, so a sweep holds the lines
+    of a few blocks however large its grid.  Closing the generator cancels
+    the blocks not yet started.  It runs within ``_sigterm_held``, and a
+    held SIGTERM is handled after each block is read, outside the pool's
+    code."""
     window = CHUNKS_PER_WORKER * workers
     pending: deque = deque()
 
-    def read_chunk():
+    def read_block():
         lines = pending.popleft().result()
         _handle_held_sigterm()
         return lines
 
     try:
-        for chunk in iter(lambda: list(islice(points, SWEEP_CHUNK)), []):
+        for block in blocks:
             if len(pending) == window:
-                yield from read_chunk()
-            pending.append(pool.submit(_sweep_chunk, chunk))
+                yield from read_block()
+            pending.append(pool.submit(_sweep_block, block))
         while pending:
-            yield from read_chunk()
+            yield from read_block()
     finally:
         for future in pending:
             future.cancel()
 
 
-def clamp_workers(requested: int, points: int) -> int:
-    """Worker processes for a sweep: at most one per CPU and one per point."""
-    return max(1, min(requested, os.cpu_count() or 1, points))
+def clamp_workers(requested: int, blocks: int) -> int:
+    """Worker processes for a sweep: at most one per CPU and one per block."""
+    return max(1, min(requested, os.cpu_count() or 1, blocks))
 
 
 def _exit_on_signal(signum, frame):
@@ -456,9 +478,11 @@ def cmd_sweep(args) -> int:
 
     A grid of more than ``SWEEP_POINT_BUDGET`` points (``sweep_size``) is
     refused as invalid input before any point is built or any file is
-    written.  Under the budget that count is exact, and the points go
-    straight from ``sweep_grid`` to the workers, never listed: on two or
-    more workers ``_pooled_results`` submits a few chunks at a time.
+    written.  Under the budget that count is exact, and the walk that
+    counted it holds the plan's blocks, whose points are built one at a
+    time, never listed: on one worker each goes to ``_sweep_point``, looked
+    up here, and on two or more ``_pooled_results`` submits a few blocks
+    at a time.
     """
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -468,21 +492,21 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"config is not valid JSON: {exc}") from exc
     cfg = SweepConfig.from_json(data)
-    size = sweep_size(cfg, SWEEP_POINT_BUDGET)
+    size, blocks = _planned_blocks(cfg, SWEEP_POINT_BUDGET)
     if size > SWEEP_POINT_BUDGET:
         raise InvalidInput(
             f"the sweep grid has at least {size:,} points, over the budget of "
             f"{SWEEP_POINT_BUDGET:,} points per sweep; lower n_max, lambda_sum_max, "
             "k_max or r_window_pad"
         )
-    workers = clamp_workers(cfg.parallelism, size)
+    workers = clamp_workers(cfg.parallelism, len(blocks))
     counts = {"irreducible": 0, "case_i": 0, "case_ii": 0, "violations": 0}
     try:
         with ExitStack() as stack:
             stack.enter_context(_sigterm_exits())
             fh = stack.enter_context(_replaced_on_success(cfg.output))
             if workers == 1:
-                results = map(_sweep_point, sweep_grid(cfg))
+                results = map(_sweep_point, _plan_points(blocks))
             else:
                 # imported here: loading multiprocessing costs every start of
                 # the tool, and only a sweep on two or more workers needs it
@@ -490,15 +514,15 @@ def cmd_sweep(args) -> int:
 
                 # workers ignore SIGTERM, also one sent to the whole process group:
                 # the parent's exit closes the results, which cancels the pending
-                # chunks, and the pool's exit then waits for the running ones, so
+                # blocks, and the pool's exit then waits for the running ones, so
                 # only the parent ends the pool; the parent handles a SIGTERM
-                # only between chunks, and after the pool's exit
+                # only between blocks, and after the pool's exit
                 stack.enter_context(_sigterm_held())
                 ignore_sigterm = (signal.SIGTERM, signal.SIG_IGN)
                 pool = stack.enter_context(
                     ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigterm)
                 )
-                results = stack.enter_context(closing(_pooled_results(pool, sweep_grid(cfg), workers)))
+                results = stack.enter_context(closing(_pooled_results(pool, blocks, workers)))
             for outcome, line in results:
                 fh.write(line + "\n")
                 counts[outcome] += 1

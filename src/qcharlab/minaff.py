@@ -84,6 +84,10 @@ def _seg(lam: tuple[int, ...], a: int, b: int) -> int:
 def _require_weight(n: int, lam) -> tuple[int, ...]:
     """``lam`` as a tuple, checked to be a dominant weight of rank ``n``: a
     positive integer rank, and one nonnegative plain ``int`` per node."""
+    # a valid tuple passes one test; only a failing weight runs the checks that name it
+    if type(n) is int and n >= 1 and type(lam) is tuple and len(lam) == n:
+        if all(type(v) is int and v >= 0 for v in lam):
+            return lam
     require_rank(n)
     if not isinstance(lam, (tuple, list)):
         raise InvalidInput(f"weight must be a tuple or list of integers, got {lam!r}")
@@ -571,7 +575,8 @@ def anchor_join(
 
 # Bound on each cache: the q-characters (each with its join index once a
 # join indexes it), the Drinfeld polynomials of affinizations and of KR
-# modules, and in ``tensor`` the normal-form reports, the per-group spectra
+# modules, the Weyl dimensions, the sweep's shared specs (62 golden, 242 at
+# n <= 4), and in ``tensor`` the normal-form reports, the per-group spectra
 # of ``spectra_by_anchor`` with the group's transported problem at anchor 0
 # and resonance table, the quiet report templates, and the members of the
 # two tableau families (gap members at anchor 0 only).  A sweep builds KR
@@ -590,6 +595,15 @@ def anchor_join(
 # groups (1,420 transported problems), 14 templates, 802 and 140 members.
 # Only its reports evict.
 CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _shared_spec(n: int, lam: tuple[int, ...], direction: Direction) -> MinAffSpec:
+    """The one ``MinAffSpec(n, lam, direction)`` at shift 0 that the sweep's
+    plan and its transports share, so that a cache keyed on a spec finds it
+    by identity, not by ``==``; it persists across commands, as the caches
+    of this module keyed on it do."""
+    return MinAffSpec(n, lam, direction)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -761,8 +775,14 @@ def recognize_kr(m: LMonomial) -> KRSpec | None:
 
 def weyl_dim(n: int, lam: tuple[int, ...]) -> int:
     """Dimension of the sl_{n+1} irreducible with highest weight ``lam``,
-    which is checked as ``MinAffSpec`` checks its weight (zero allowed)."""
-    lam = _require_weight(n, lam)
+    which is checked as ``MinAffSpec`` checks its weight (zero allowed).
+    Cached per checked weight (at most ``CACHE_SIZE``): the check runs
+    first, so an equal weight of another type never reads the cache."""
+    return _weyl_dim(n, _require_weight(n, lam))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _weyl_dim(n: int, lam: tuple[int, ...]) -> int:
     num = 1
     den = 1
     for i in range(1, n + 1):

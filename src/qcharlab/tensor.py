@@ -33,7 +33,8 @@ equations are solved for r once per group too (``_resonances``, r -> the
 resonances there): each point looks its resonance up, and the sweep window
 is the hull of the table.  The transported problem depends on r only
 through tau_r as well: it is recognised once per group, at anchor 0
-(``_transported_spec``), and ``_transported`` moves its KR module to the
+(``_transported_spec``, whose spec is the sweep's own instance,
+``_shared_spec``), and ``_transported`` moves its KR module to the
 point's anchor; the closed form's gap members are built at anchor 0 and
 moved by tau_r too, and multiplied as exponent tuples.  A single point
 (the ``tensor`` command, and the transports of its rows a, b and c)
@@ -100,6 +101,7 @@ from .minaff import (
     MinAffSpec,
     QChar,
     _seg,
+    _shared_spec,
     anchor_join,
     drinfeld_of_spec,
     held_qchar,
@@ -607,7 +609,7 @@ def _transported_spec(
     kr_t = recognize_kr(transform(KRSpec(spec.n, node, 0, k).drinfeld(), variant.inverse, -t))
     if kr_t is None or kr_t.node != spec.n:
         raise TheoremViolation("transported KR module is not at the last node")
-    return MinAffSpec(spec_t.n, spec_t.lam), t, kr_t
+    return _shared_spec(spec_t.n, spec_t.lam, "inc"), t, kr_t
 
 
 def _transported(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> tuple[MinAffSpec, int, KRSpec]:
@@ -881,7 +883,7 @@ class SweepGroup:
 def _sweep_group(spec: MinAffSpec, node: int, k: int) -> SweepGroup:
     """The ``SweepGroup`` of (spec, node, k).  Only the last group's record
     is held, since a sweep visits a group's anchors in a row and a
-    worker's chunk holds consecutive points."""
+    worker takes whole (n, lambda) blocks."""
     pieces, interleave = _quiet_template(_variant_of(spec.direction, node != spec.n), spec.n)
     entries = drinfeld_of_spec(spec).items()
     row = tuple((s, e) for (i, s), e in entries if i == node)

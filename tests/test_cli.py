@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import groupby
 from unittest.mock import patch
 
 import pytest
@@ -418,9 +419,10 @@ class TestSweepCommand:
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
         assert (tmp_path / "out.jsonl").read_bytes() == serial
 
-    def test_pool_holds_a_few_chunks(self, capsys, tmp_path, monkeypatch):
-        """A sweep on several workers keeps at most two chunks per worker
-        submitted and unread, and writes the serial sweep's bytes."""
+    def test_pool_takes_whole_blocks(self, capsys, tmp_path, monkeypatch):
+        """A sweep on several workers submits one task per (n, lambda) block,
+        keeps at most two blocks per worker submitted and unread, and
+        writes the serial sweep's bytes."""
 
         class Future:
             def __init__(self, pool, value):
@@ -434,10 +436,10 @@ class TestSweepCommand:
                 return False
 
         class CountingPool:
-            # runs each chunk at once in this process, counting the chunks
-            # submitted and not yet read
+            # runs each task at once in this process, keeping its lines and
+            # counting the tasks submitted and not yet read
             def __init__(self, workers, initializer=None, initargs=()):
-                self.workers, self.submitted, self.pending, self.peak = workers, 0, 0, 0
+                self.workers, self.tasks, self.pending, self.peak = workers, [], 0, 0
                 pools.append(self)
 
             def __enter__(self):
@@ -447,26 +449,46 @@ class TestSweepCommand:
                 return None
 
             def submit(self, fn, *args):
-                self.submitted += 1
+                self.tasks.append(fn(*args))
                 self.pending += 1
                 self.peak = max(self.peak, self.pending)
-                return Future(self, fn(*args))
+                return Future(self, self.tasks[-1])
+
+        def weight(line):
+            spec = json.loads(line)["spec"]
+            return spec["n"], tuple(spec["lambda"])
 
         pools = []
-        cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], lambda_sum_max=1, k_max=2)
+        config = {"variants": ["normal", "a", "b", "c"], "n_max": 3, "k_max": 1}
+        cfg = _write_config(tmp_path, **config)
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
         serial = (tmp_path / "out.jsonl").read_bytes()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], lambda_sum_max=1, k_max=2,
-                            parallelism=3)
+        cfg = _write_config(tmp_path, **config, parallelism=3)
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
         assert (tmp_path / "out.jsonl").read_bytes() == serial
         (pool,) = pools
-        lines = serial.count(b"\n")
+        blocks = [(n, lam) for n in range(1, 4) for lam in all_weights(n, 2)]
         assert pool.workers == 3 and pool.pending == 0
-        assert pool.submitted == math.ceil(lines / cli.SWEEP_CHUNK) > 2 * 3
+        # one task per block, in grid order, each with every line of its block
+        assert [{weight(line) for _, line in task} for task in pool.tasks] == [{b} for b in blocks]
+        assert sum(map(len, pool.tasks)) == serial.count(b"\n")
+        assert len(pool.tasks) == len(blocks) == 16 > 2 * 3
         assert pool.peak == cli.CHUNKS_PER_WORKER * 3 == 6
+
+    def test_one_worker_calls_the_point_function_once_per_point(self, capsys, tmp_path, monkeypatch):
+        # the benchmark times each point through ``cli._sweep_point`` as the
+        # module holds it when the sweep starts, and counts its calls
+        cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        before = (tmp_path / "out.jsonl").read_bytes()
+        point, points = cli._sweep_point, []
+        monkeypatch.setattr(cli, "_sweep_point", lambda pt: points.append(pt) or point(pt))
+        assert run_cli(capsys, "sweep", "--config", str(cfg)) == (code, out, "")
+        assert (tmp_path / "out.jsonl").read_bytes() == before
+        assert code == 0 and f"points: {len(points)}\n" in out
+        assert points == list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(cfg.read_text()))))
 
     def test_summary_counts_the_output(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)
@@ -739,6 +761,27 @@ class TestSweepBudget:
         started = time.perf_counter()
         assert 1000 < cli.sweep_size(cfg, 1000) < 2000
         assert time.perf_counter() - started < 1.0
+
+    def test_count_finds_at_most_limit_plus_one_windows(self, monkeypatch):
+        cfg = cli.SweepConfig(40, 40, 40, "unused", 2, ("normal", "a", "b", "c"))
+        windows = []
+        window = cli.resonance_window
+        monkeypatch.setattr(cli, "resonance_window", lambda *group: windows.append(group) or window(*group))
+        assert cli.sweep_size(cfg, 1000) > 1000
+        assert 0 < len(windows) <= 1001
+
+    def test_one_walk_counts_and_plans_the_sweep(self, capsys, tmp_path, monkeypatch):
+        # each group's window is found once, by the walk that sizes the grid
+        cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)
+        grid = list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(cfg.read_text()))))
+        windows = []
+        window = cli.resonance_window
+        monkeypatch.setattr(cli, "resonance_window", lambda *group: windows.append(group) or window(*group))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0 and f"points: {len(grid)}\n" in out
+        # a group visit is a run of the grid's points (at n = 1 rows normal and b visit one group)
+        visits = [group for group, _ in groupby((spec, kr.node, kr.k, 1) for spec, kr in grid)]
+        assert windows == visits and len(visits) > len(set(visits))
 
     def test_oversized_grid_is_refused(self, capsys, tmp_path):
         # the golden ranges at a huge pad: listing the points exhausted memory

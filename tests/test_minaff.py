@@ -401,6 +401,32 @@ class TestQChar:
     def test_weyl_dim_of_the_zero_weight(self):
         assert weyl_dim(3, (0, 0, 0)) == 1
 
+    @pytest.mark.parametrize(
+        "n, lam, message",
+        [
+            (2, (True, 0), "weight entry must be an integer, got True"),
+            (2, (1, -1), "weight entries must be nonnegative"),
+            (2, (1, 0, 0), "weight vector length must equal the rank"),
+            (2, [True, False], "weight entry must be an integer, got True"),
+        ],
+        ids=repr,
+    )
+    def test_weyl_dim_checks_ahead_of_its_cache(self, n, lam, message):
+        # the weight's plain-int twin is cached first; the invalid one still
+        # fails the check with its message and never reads the cache
+        twin = tuple(abs(int(v)) for v in lam)
+        assert weyl_dim(len(twin), twin) == weyl_dim_oracle(len(twin), twin)
+        before = minaff._weyl_dim.cache_info()
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            weyl_dim(n, lam)
+        assert minaff._weyl_dim.cache_info() == before
+
+    def test_weyl_dim_equals_its_oracle(self):
+        weights = [(n, lam) for n in range(1, 5) for lam in ((0,) * n, *all_weights(n, 4))]
+        assert len(weights) == 125
+        for n, lam in weights * 2:  # the second pass reads the cache
+            assert weyl_dim(n, lam) == weyl_dim(n, list(lam)) == weyl_dim_oracle(n, lam), (n, lam)
+
     def test_memoized(self):
         assert qchar(MinAffSpec(2, (1, 1), "inc")) is qchar(MinAffSpec(2, (1, 1), "inc"))
 

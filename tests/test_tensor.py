@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import groupby
@@ -1945,3 +1948,53 @@ class TestLoudGroups:
         assert cli.main(["sweep", "--config", str(config)]) == 0
         assert tensor.family_T.cache_info().misses == 54
         assert tensor._transported_spec.cache_info().misses == len(recognized) == 261
+
+
+class TestSharedSpecs:
+    """A sweep holds one ``MinAffSpec`` per (n, lambda, direction), and the
+    transports land on those same instances, so the caches keyed on a spec
+    find it by identity."""
+
+    def test_a_sweep_grid_holds_one_spec_per_weight_and_direction(self):
+        specs = {}
+        for spec, _ in cli.sweep_grid(cli.SweepConfig.from_json({**GOLDEN_CONFIG, "output": "unused"})):
+            assert specs.setdefault((spec.n, spec.lam, spec.direction), spec) is spec
+            assert spec is minaff._shared_spec(spec.n, spec.lam, spec.direction)
+        assert len(specs) == 62
+
+    def test_transported_specs_are_the_shared_ones(self):
+        rows = Counter()
+        for spec, node, k in _sweep_groups(3, 3, 3):
+            variant = tensor._variant_of(spec.direction, node != spec.n)
+            if variant.inverse is not None:
+                spec_t = tensor._transported_spec(variant, spec, node, k)[0]
+                assert spec_t is minaff._shared_spec(spec_t.n, spec_t.lam, "inc"), (spec, node, k)
+                assert spec_t == MinAffSpec(spec_t.n, spec_t.lam), (spec, node, k)
+                rows[variant.name] += 1
+        assert set(rows) == {"a", "b", "c"}
+
+    def test_a_golden_sweep_compares_few_specs(self, tmp_path):
+        # in a fresh process, as the caches of ``minaff`` persist across
+        # commands: 7,990 comparisons when each row built its own spec and
+        # each transport a fresh one; the rest come from specs built outside
+        # the plan (a KR character's spec, a recognised spec at its shift)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**GOLDEN_CONFIG, "output": str(tmp_path / "out.jsonl")}))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(minaff.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", COUNT_SPEC_COMPARISONS, str(config)], capture_output=True, text=True,
+            env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "686"
+
+
+COUNT_SPEC_COMPARISONS = """
+import sys
+from qcharlab import cli
+from qcharlab.minaff import MinAffSpec
+eq, compared = MinAffSpec.__eq__, []
+MinAffSpec.__eq__ = lambda a, b: compared.append(1) or eq(a, b)
+assert cli.main(["sweep", "--config", sys.argv[1]]) == 0
+print(len(compared))
+"""
