@@ -305,7 +305,7 @@ def _block_groups(cfg: SweepConfig, n: int, lam: tuple[int, ...]):
     for name in cfg.variants:
         variant = VARIANTS[name]
         node = 1 if variant.first else n
-        spec = _shared_spec(n, lam, variant.direction)
+        spec = _shared_spec(n, lam, variant.direction, 0)
         for k in range(1, cfg.k_max + 1):
             yield spec, KRSpec(n, node, 0, k), resonance_window(spec, node, k, cfg.r_window_pad)
 

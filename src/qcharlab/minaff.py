@@ -208,7 +208,7 @@ class KRSpec:
     def as_minaff(self) -> MinAffSpec:
         lam = tuple(self.k if i == self.node else 0 for i in range(1, self.n + 1))
         # singleton support: direction is immaterial, anchor fixes the shift
-        return MinAffSpec(self.n, lam, "inc", self.r - (1 - self.k))
+        return _shared_spec(self.n, lam, "inc", self.r - (1 - self.k))
 
     def json_text(self) -> str:
         """The module as compact sorted-key JSON, ``{"k","n","node","r"}``."""
@@ -598,12 +598,13 @@ CACHE_SIZE = 2048
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _shared_spec(n: int, lam: tuple[int, ...], direction: Direction) -> MinAffSpec:
-    """The one ``MinAffSpec(n, lam, direction)`` at shift 0 that the sweep's
-    plan and its transports share, so that a cache keyed on a spec finds it
-    by identity, not by ``==``; it persists across commands, as the caches
-    of this module keyed on it do."""
-    return MinAffSpec(n, lam, direction)
+def _shared_spec(n: int, lam: tuple[int, ...], direction: Direction, shift: int) -> MinAffSpec:
+    """The one ``MinAffSpec(n, lam, direction, shift)`` that the sweep's
+    plan, its transports, ``KRSpec.as_minaff`` and ``recognize_minaff``
+    share, so that a cache keyed on a spec finds it by identity, not by
+    ``==``; it persists across commands, as the caches of this module keyed
+    on it do.  The shift is always passed, so one spec has one key."""
+    return MinAffSpec(n, lam, direction, shift)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -754,7 +755,7 @@ def recognize_minaff(m: LMonomial, direction: Direction) -> MinAffSpec | None:
         return None
     lam = tuple(len(rows.get(i, ())) for i in range(1, m.n + 1))
     i0 = max(rows)
-    spec = MinAffSpec(m.n, lam, direction, rows[i0][0] - (1 - lam[i0 - 1]))
+    spec = _shared_spec(m.n, lam, direction, rows[i0][0] - (1 - lam[i0 - 1]))
     return spec if drinfeld_of_spec(spec) == m else None
 
 

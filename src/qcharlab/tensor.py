@@ -609,7 +609,7 @@ def _transported_spec(
     kr_t = recognize_kr(transform(KRSpec(spec.n, node, 0, k).drinfeld(), variant.inverse, -t))
     if kr_t is None or kr_t.node != spec.n:
         raise TheoremViolation("transported KR module is not at the last node")
-    return _shared_spec(spec_t.n, spec_t.lam, "inc"), t, kr_t
+    return _shared_spec(spec_t.n, spec_t.lam, "inc", 0), t, kr_t
 
 
 def _transported(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> tuple[MinAffSpec, int, KRSpec]:

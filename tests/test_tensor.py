@@ -1952,14 +1952,15 @@ class TestLoudGroups:
 
 class TestSharedSpecs:
     """A sweep holds one ``MinAffSpec`` per (n, lambda, direction), and the
-    transports land on those same instances, so the caches keyed on a spec
-    find it by identity."""
+    transports, the KR characters' specs and the recognised specs land on
+    ``_shared_spec`` instances too, so the caches keyed on a spec find it
+    by identity."""
 
     def test_a_sweep_grid_holds_one_spec_per_weight_and_direction(self):
         specs = {}
         for spec, _ in cli.sweep_grid(cli.SweepConfig.from_json({**GOLDEN_CONFIG, "output": "unused"})):
             assert specs.setdefault((spec.n, spec.lam, spec.direction), spec) is spec
-            assert spec is minaff._shared_spec(spec.n, spec.lam, spec.direction)
+            assert spec is minaff._shared_spec(spec.n, spec.lam, spec.direction, 0)
         assert len(specs) == 62
 
     def test_transported_specs_are_the_shared_ones(self):
@@ -1968,16 +1969,14 @@ class TestSharedSpecs:
             variant = tensor._variant_of(spec.direction, node != spec.n)
             if variant.inverse is not None:
                 spec_t = tensor._transported_spec(variant, spec, node, k)[0]
-                assert spec_t is minaff._shared_spec(spec_t.n, spec_t.lam, "inc"), (spec, node, k)
+                assert spec_t is minaff._shared_spec(spec_t.n, spec_t.lam, "inc", 0), (spec, node, k)
                 assert spec_t == MinAffSpec(spec_t.n, spec_t.lam), (spec, node, k)
                 rows[variant.name] += 1
         assert set(rows) == {"a", "b", "c"}
 
     def test_a_golden_sweep_compares_few_specs(self, tmp_path):
         # in a fresh process, as the caches of ``minaff`` persist across
-        # commands: 7,990 comparisons when each row built its own spec and
-        # each transport a fresh one; the rest come from specs built outside
-        # the plan (a KR character's spec, a recognised spec at its shift)
+        # commands; a spec built outside ``_shared_spec`` is found by ``==``
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({**GOLDEN_CONFIG, "output": str(tmp_path / "out.jsonl")}))
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(minaff.__file__))}
@@ -1986,7 +1985,7 @@ class TestSharedSpecs:
             env=env, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "686"
+        assert done.stdout.splitlines()[-1] == "0"
 
 
 COUNT_SPEC_COMPARISONS = """
