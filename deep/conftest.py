@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from oracles import all_weights  # noqa: E402
 
-from qcharlab import MinAffSpec, cli, drinfeld_of_spec, snake_shape, tensor  # noqa: E402
+from qcharlab import MinAffSpec, cli, drinfeld_of_spec, snake_shape, sweep  # noqa: E402
 
 ROWS = {"r_window_pad": 2, "variants": ["normal", "a", "b", "c"], "parallelism": 1}
 
@@ -41,10 +41,10 @@ def grid4():
     """The n_max = lambda_sum_max = k_max = 4 sweep grid: its ``points``
     (spec, kr) in grid order, its ``groups`` (spec, node, k) and its
     ``loud`` points, those at a loud anchor of their group record."""
-    cfg = cli.SweepConfig.from_json({"n_max": 4, "lambda_sum_max": 4, "k_max": 4, **ROWS, "output": "unused"})
-    points = list(cli.sweep_grid(cfg))
+    cfg = sweep.SweepConfig.from_json({"n_max": 4, "lambda_sum_max": 4, "k_max": 4, **ROWS, "output": "unused"})
+    points = list(sweep.sweep_grid(cfg))
     groups = list(dict.fromkeys((spec, kr.node, kr.k) for spec, kr in points))
-    loud = [(spec, kr) for spec, kr in points if kr.r in tensor.sweep_group(spec, kr).loud]
+    loud = [(spec, kr) for spec, kr in points if kr.r in sweep.sweep_group(spec, kr).loud]
     return SimpleNamespace(points=points, groups=groups, loud=loud)
 
 

@@ -10,7 +10,7 @@ from hashlib import sha256
 
 import oracles
 from qcharlab import KRSpec, LMonomial, MinAffSpec, classify_variant, cli, drinfeld_of_spec, le, lroot_decompose
-from qcharlab import minaff, qchar, qchar_kr, semistandard_fillings, snake_shape, tensor, transform
+from qcharlab import minaff, qchar, qchar_kr, semistandard_fillings, snake_shape, sweep, tensor, transform
 from qcharlab.lweight import _peel_class
 from qcharlab.tableaux import filling_pairs, longer_at_end, mirrored_terms
 
@@ -20,7 +20,7 @@ def test_every_sweep_line_is_the_one_anchor_report(golden_lines, grid4):
     can cover.  Its report must be the golden sweep line's at each golden
     point, and the whole-group report at each n <= 4 point.  Both reports
     run every check at every anchor; only the sweep answers a quiet anchor
-    from group data.  Every n <= 4 sweep line, which ``tensor.sweep_line``
+    from group data.  Every n <= 4 sweep line, which ``sweep.sweep_line``
     writes from its group's record (from its row's template at the quiet
     points), is the one-point report's line."""
     for line in golden_lines:
@@ -36,8 +36,8 @@ def test_every_sweep_line_is_the_one_anchor_report(golden_lines, grid4):
         one = classify_variant(spec, kr)
         assert one == classify_variant(spec, kr, whole_group=True), (spec, kr)
         line = f'{{"kr":{kr.json_text()},"report":{one.json_text()},"spec":{spec.json_text()}}}'
-        assert cli._sweep_point((spec, kr)) == (one.tag.kind, line), (spec, kr)
-        quiet += kr.r not in tensor.sweep_group(spec, kr).loud
+        assert sweep._sweep_point((spec, kr)) == (one.tag.kind, line), (spec, kr)
+        quiet += kr.r not in sweep.sweep_group(spec, kr).loud
     assert len(grid4.points) == 38368
     assert quiet == 25654
 
@@ -97,7 +97,7 @@ def test_loop_root_peel_at_n4(grid4):
     golden D pairs; this takes every ordered pair of D at every anchor of
     every n <= 4 group, each also moved by tau_t, as le keeps one answer
     per shift class."""
-    tensor.clear_caches()
+    sweep.clear_caches()
     pairs, outcomes = 0, set()
     for spec, node, k in grid4.groups:
         for terms in tensor.spectra_by_anchor(spec, node, k).values():

@@ -20,56 +20,33 @@ arguments (``--n``, ``--shift``, ``--t``, and each part of ``--lambda`` and
 ``--kr``) are an optional minus sign and ASCII digits.
 
 ``main`` may be called repeatedly in one process.  The parser is built once.
-Every call first empties the caches of ``tensor`` (``tensor.clear_caches``:
-its reports, spectra, transports, resonance tables, report templates,
-family members and sweep group records, and ``lweight.le``'s answers per
-shift class of quotients), so no command reads a classification of an
-earlier one.  The q-characters, Drinfeld polynomials and shared specs
-cached in ``minaff`` persist, but they are pure functions of their
-arguments and change no output.  Each command is looked up by name
-when it is called, so a wrapper set on ``cli.cmd_*`` applies.
-
-A sweep walks its grid once (``_planned_blocks``), in (n, lambda) blocks:
-the walk sizes the grid and holds each block's groups, whose specs are one
-``minaff._shared_spec`` per direction.  One worker runs the points in grid
-order; two or more take whole blocks, the pool's unit.
+Every call first empties the caches that belong to one command
+(``sweep.clear_caches``, whose module notes tell which persist), and each
+command is looked up by name when it is called, so a wrapper set on
+``cli.cmd_*`` applies.  The sweep itself is ``qcharlab.sweep``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import re
-import signal
 import sys
-from collections import deque
-from contextlib import ExitStack, closing, contextmanager, suppress
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InvalidInput, InvariantViolation
 from .lweight import _TRANSFORM_KINDS, LMonomial, transform
-from .minaff import (
-    KRSpec,
-    MinAffSpec,
-    _shared_spec,
-    drinfeld_of_spec,
-    kr_qchar_by_partitions,
-    qchar,
-    qchar_kr,
-)
+from .minaff import KRSpec, MinAffSpec, drinfeld_of_spec, kr_qchar_by_partitions, qchar, qchar_kr
 from .sl2fact import q_factorize
-from .tensor import (
-    VARIANTS,
-    TensorReport,
-    classify_variant,
-    clear_caches,
-    resonance_window,
-    sweep_line,
-)
+from .sweep import SweepConfig, _sweep_point, clear_caches, run
+from .tensor import TensorReport, classify_variant
+
+# not used here, but read, patched or wrapped in this module by the
+# benchmark (``perfbench/workloads.py``, ``perfbench/spans.py``), as are
+# ``SweepConfig``, ``_sweep_point`` and ``classify_variant`` above
+from .sweep import sweep_grid  # noqa: F401
+from .tensor import resonance_window  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,13 +66,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _object_text(fields: dict[str, str]) -> str:
-    """A JSON object of encoded values with its keys in ``_dumps`` order;
-    the keys are plain names that need no escaping."""
+    """A JSON object of encoded values with its keys in sorted order; the
+    keys are plain names that need no escaping."""
     return "{" + ",".join([f'"{key}":{text}' for key, text in sorted(fields.items())]) + "}"
 
 
@@ -219,271 +192,11 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepConfig:
-    """Grid description for a verification sweep; identical configs produce
-    byte-identical JSON-lines output.  The fields are the config's JSON keys,
-    and a field with a default may be left out."""
-
-    n_max: int
-    lambda_sum_max: int
-    k_max: int
-    output: str
-    r_window_pad: int = 2
-    variants: tuple[str, ...] = ("normal",)
-    parallelism: int = 1
-
-    def __post_init__(self):
-        for name in ("n_max", "lambda_sum_max", "k_max"):
-            if getattr(self, name) < 1:
-                raise InvalidInput(f"{name} must be at least 1")
-        if self.r_window_pad < 0:
-            raise InvalidInput("r_window_pad must be nonnegative")
-        if self.parallelism < 1:
-            raise InvalidInput("parallelism must be at least 1")
-        known = all(isinstance(v, str) and v in VARIANTS for v in self.variants)
-        if not known or not self.variants or len(set(self.variants)) != len(self.variants):
-            raise InvalidInput(
-                f"variants must be distinct names from {'/'.join(VARIANTS)}, got {self.variants!r}"
-            )
-
-    @classmethod
-    def from_json(cls, data) -> "SweepConfig":
-        if not isinstance(data, dict):
-            raise InvalidInput(f"sweep config must be a JSON object, got {_dumps(data)}")
-        fields = dataclasses.fields(cls)
-        names = {f.name for f in fields}
-        unknown = set(data) - names
-        if unknown:
-            raise InvalidInput(f"unknown sweep config keys: {sorted(unknown)}")
-        defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
-        missing = sorted(names - set(data) - set(defaults))
-        if missing:
-            raise InvalidInput(f"sweep config is missing keys {missing}")
-        values = {**defaults, **data}
-        kinds = {"output": (str, "a string"), "variants": (list, "a list of names")}
-        for key, value in values.items():
-            # exact types of the given values: true is not 1, and 2.7 or "2" is not 2
-            wanted, what = kinds.get(key, (int, "an integer"))
-            if key in data and type(value) is not wanted:
-                raise InvalidInput(f"sweep config {key} must be {what}, got {_dumps(value)}")
-        values["variants"] = tuple(values["variants"])
-        return cls(**values)
-
-
-def _weights(n: int, sum_max: int):
-    """Every weight vector of rank n with total at most sum_max, zero
-    included, in lex order: each first entry in turn, then the rest."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(sum_max + 1):
-        for rest in _weights(n - 1, sum_max - first):
-            yield (first, *rest)
-
-
-def _lambdas(n: int, sum_max: int):
-    """All nonzero weight vectors of rank n with total at most sum_max, lex
-    order; only these are generated, not all (sum_max + 1)^n vectors."""
-    weights = _weights(n, sum_max)
-    next(weights)  # the zero vector, which comes first
-    return weights
-
-
-def _sweep_plan(cfg: SweepConfig):
-    """The sweep grid as its (n, lambda) blocks in grid order, each an
-    iterator of its groups (spec, KR module at anchor 0, window of anchors)
-    and a contiguous run of the output.  The weight is checked once per
-    direction, by the ``_shared_spec`` that the direction's rows and lengths
-    share, and each group's window is found when the walk reaches it."""
-    for n in range(1, cfg.n_max + 1):
-        for lam in _lambdas(n, cfg.lambda_sum_max):
-            yield _block_groups(cfg, n, lam)
-
-
-def _block_groups(cfg: SweepConfig, n: int, lam: tuple[int, ...]):
-    for name in cfg.variants:
-        variant = VARIANTS[name]
-        node = 1 if variant.first else n
-        spec = _shared_spec(n, lam, variant.direction, 0)
-        for k in range(1, cfg.k_max + 1):
-            yield spec, KRSpec(n, node, 0, k), resonance_window(spec, node, k, cfg.r_window_pad)
-
-
-def _plan_points(blocks):
-    """The points (spec, kr) of the blocks' groups, in grid order."""
-    for spec, kr, window in chain.from_iterable(blocks):
-        for r in window:
-            yield spec, kr._at(r)
-
-
-def sweep_grid(cfg: SweepConfig):
-    """Deterministic enumeration of (spec, kr) pairs for the sweep."""
-    return _plan_points(_sweep_plan(cfg))
-
-
-# The most points one sweep may visit, counted by ``sweep_size`` before the
-# first is built.  The full n = 5 grid has 222,040.
-SWEEP_POINT_BUDGET = 1_000_000
-
-
-def _planned_blocks(cfg: SweepConfig, limit: int) -> tuple[int, list[list]]:
-    """The number of points of ``sweep_grid(cfg)``, summed over the groups'
-    windows without building a point, and the plan's blocks as lists of
-    their groups.  Every group has at least one anchor, so the walk stops
-    at the first group that takes the count past ``limit``: then the count
-    is a lower bound, the last block is cut short, and at most ``limit +
-    1`` groups were visited however large the grid."""
-    count, blocks = 0, []
-    for groups in _sweep_plan(cfg):
-        blocks.append(block := [])
-        for group in groups:
-            block.append(group)
-            count += len(group[2])
-            if count > limit:
-                return count, blocks
-    return count, blocks
-
-
-def sweep_size(cfg: SweepConfig, limit: int) -> int:
-    """The count of ``_planned_blocks``: exact up to ``limit``, a lower bound past it."""
-    return _planned_blocks(cfg, limit)[0]
-
-
-def _sweep_point(point: tuple[MinAffSpec, KRSpec]) -> tuple[str, str]:
-    """One sweep point: its summary count key and its JSON line, written by
-    ``sweep_line``.  A theorem violation is recorded as ``violation``, any
-    other exception as ``error`` (``"<Type>: <message>"``), one raised
-    while the point's group record is built too, with the spec and KR
-    texts encoded by ``json_text``; both count as violations, and the
-    sweep goes on with the next point.
-    """
-    spec, kr = point
-    try:
-        return sweep_line(spec, kr)
-    except InvariantViolation as exc:
-        key, message = "violation", str(exc)
-    except Exception as exc:
-        key, message = "error", f"{type(exc).__name__}: {exc}"
-    # a message is arbitrary text, escaped as json.dumps escapes it
-    fields = {"kr": kr.json_text(), "spec": spec.json_text(), key: _json_str(message)}
-    return "violations", _object_text(fields)
-
-
-# The blocks each worker of a sweep on two or more workers may have
-# submitted and not yet read.
-CHUNKS_PER_WORKER = 2
-
-
-def _sweep_block(block: list) -> list[tuple[str, str]]:
-    return [_sweep_point(point) for point in _plan_points([block])]
-
-
-def _pooled_results(pool, blocks, workers: int):
-    """``_sweep_point`` of each point of ``blocks``, in order, computed on
-    ``pool`` a whole block per task, with at most ``CHUNKS_PER_WORKER *
-    workers`` blocks submitted and not yet read, so a sweep holds the lines
-    of a few blocks however large its grid.  Closing the generator cancels
-    the blocks not yet started.  It runs within ``_sigterm_held``, and a
-    held SIGTERM is handled after each block is read, outside the pool's
-    code."""
-    window = CHUNKS_PER_WORKER * workers
-    pending: deque = deque()
-
-    def read_block():
-        lines = pending.popleft().result()
-        _handle_held_sigterm()
-        return lines
-
-    try:
-        for block in blocks:
-            if len(pending) == window:
-                yield from read_block()
-            pending.append(pool.submit(_sweep_block, block))
-        while pending:
-            yield from read_block()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
-def clamp_workers(requested: int, blocks: int) -> int:
-    """Worker processes for a sweep: at most one per CPU and one per block."""
-    return max(1, min(requested, os.cpu_count() or 1, blocks))
-
-
-def _exit_on_signal(signum, frame):
-    raise SystemExit(128 + signum)
-
-
-@contextmanager
-def _sigterm_exits():
-    """SIGTERM raises ``SystemExit`` within the block, so that the cleanup
-    of enclosing ``finally`` blocks and context managers runs as on ^C.
-
-    Signal handlers belong to the main thread, so the block must run there.
-    """
-    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
-@contextmanager
-def _sigterm_held():
-    """SIGTERM is blocked within the block, in this thread and in every
-    thread and process started from it, and a held SIGTERM is handled when
-    the block ends or at ``_handle_held_sigterm``.
-
-    A process pool needs this: a handler that raises inside the executor's
-    own code (a ``submit`` half done, one of its locks taken and never
-    released) can leave the pool's shutdown waiting forever.
-    """
-    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
-
-
-def _handle_held_sigterm():
-    """Within ``_sigterm_held``: run the handler of a held SIGTERM here."""
-    try:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-    finally:
-        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-
-
-@contextmanager
-def _replaced_on_success(path: str):
-    """Text file handle on a temporary file beside ``path``.
-
-    The temporary file replaces ``path`` when the block ends normally and is
-    removed when it raises, so ``path`` never holds partial output.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
 def cmd_sweep(args) -> int:
-    """Classify every point of the config's grid, one JSON line per point.
-
-    A grid of more than ``SWEEP_POINT_BUDGET`` points (``sweep_size``) is
-    refused as invalid input before any point is built or any file is
-    written.  Under the budget that count is exact, and the walk that
-    counted it holds the plan's blocks, whose points are built one at a
-    time, never listed: on one worker each goes to ``_sweep_point``, looked
-    up here, and on two or more ``_pooled_results`` submits a few blocks
-    at a time.
-    """
+    """Classify every point of the config's grid, one JSON line per point
+    (``sweep.run``).  ``_sweep_point`` is looked up here when the sweep
+    starts, so a wrapper set on ``cli._sweep_point`` sees every point of a
+    sweep on one worker."""
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -492,44 +205,7 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"config is not valid JSON: {exc}") from exc
     cfg = SweepConfig.from_json(data)
-    size, blocks = _planned_blocks(cfg, SWEEP_POINT_BUDGET)
-    if size > SWEEP_POINT_BUDGET:
-        raise InvalidInput(
-            f"the sweep grid has at least {size:,} points, over the budget of "
-            f"{SWEEP_POINT_BUDGET:,} points per sweep; lower n_max, lambda_sum_max, "
-            "k_max or r_window_pad"
-        )
-    workers = clamp_workers(cfg.parallelism, len(blocks))
-    counts = {"irreducible": 0, "case_i": 0, "case_ii": 0, "violations": 0}
-    try:
-        with ExitStack() as stack:
-            stack.enter_context(_sigterm_exits())
-            fh = stack.enter_context(_replaced_on_success(cfg.output))
-            if workers == 1:
-                results = map(_sweep_point, _plan_points(blocks))
-            else:
-                # imported here: loading multiprocessing costs every start of
-                # the tool, and only a sweep on two or more workers needs it
-                from concurrent.futures import ProcessPoolExecutor
-
-                # workers ignore SIGTERM, also one sent to the whole process group:
-                # the parent's exit closes the results, which cancels the pending
-                # blocks, and the pool's exit then waits for the running ones, so
-                # only the parent ends the pool; the parent handles a SIGTERM
-                # only between blocks, and after the pool's exit
-                stack.enter_context(_sigterm_held())
-                ignore_sigterm = (signal.SIGTERM, signal.SIG_IGN)
-                pool = stack.enter_context(
-                    ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigterm)
-                )
-                results = stack.enter_context(closing(_pooled_results(pool, blocks, workers)))
-            for outcome, line in results:
-                fh.write(line + "\n")
-                counts[outcome] += 1
-    except OSError as exc:
-        # the OS names the private temporary file; the user gave ``output``
-        print(f"error: cannot write output {cfg.output!r}: {exc.strerror}", file=sys.stderr)
-        return EXIT_INVALID
+    size, counts = run(cfg, _sweep_point)
     print(f"points: {size}")
     print(
         "irreducible: {irreducible}  case_i: {case_i}  case_ii: {case_ii}  "

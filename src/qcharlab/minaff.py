@@ -576,24 +576,20 @@ def anchor_join(
 # Bound on each cache: the q-characters (each with its join index once a
 # join indexes it), the Drinfeld polynomials of affinizations and of KR
 # modules, the Weyl dimensions, the sweep's shared specs (62 golden, 242 at
-# n <= 4), and in ``tensor`` the normal-form reports, the per-group spectra
-# of ``spectra_by_anchor`` with the group's transported problem at anchor 0
-# and resonance table, the quiet report templates, and the members of the
-# two tableau families (gap members at anchor 0 only).  A sweep builds KR
-# characters at anchor 0 only, and its quiet lines add no report; the
-# texts its points share (``tensor.SweepGroup``: the loud anchors, the
-# template, the spec and KR texts and omega's JSON entries) are held in a
-# cache of one record (``maxsize=1``), not of this bound, and the chain
-# check's answers per shift class of quotients in ``lweight``'s memo of at
-# most ``PEEL_CACHE_SIZE`` (26 classes for the golden sweep, 101 at n <= 4),
-# which ``tensor.clear_caches`` empties with these.  The ``tensor`` command
-# caches no character, holding both of its point's modules.  The golden
-# sweep holds 72 characters, 122 affinization and 266 KR polynomials, 511
-# reports, 354 groups (261 transported problems), 10 templates, 152
-# raised-column and 54 gap members; the n_max=lambda_sum_max=k_max=4 sweep
-# 263, 475 and 680, asks for 3,631 distinct reports in 3,911 misses, 1,904
-# groups (1,420 transported problems), 14 templates, 802 and 140 members.
-# Only its reports evict.
+# n <= 4), and in ``tensor`` and ``sweep`` the normal-form reports, the
+# per-group spectra of ``spectra_by_anchor`` with the group's transported
+# problem at anchor 0 and resonance table, the quiet line templates, and
+# the members of the two tableau families (gap members at anchor 0 only).
+# Which of them outlive a command is told once, in the ``sweep`` module's
+# notes.  A sweep builds KR characters at anchor 0 only, and its quiet lines
+# add no report.  The ``tensor`` command caches no character, holding both
+# of its point's modules.  The golden sweep holds 72 characters, 122
+# affinization and 266 KR polynomials, 511 reports, 354 groups (261
+# transported problems), 10 templates, 152 raised-column and 54 gap
+# members; the n_max=lambda_sum_max=k_max=4 sweep 263, 475 and 680, asks
+# for 3,631 distinct reports in 3,911 misses, 1,904 groups (1,420
+# transported problems), 14 templates, 802 and 140 members.  Only its
+# reports evict.
 CACHE_SIZE = 2048
 
 

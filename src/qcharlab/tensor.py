@@ -48,12 +48,9 @@ The sweep keeps the full characters, because its join certifies every
 anchor of the group (the ``r_window`` check), and a bound over every
 shift would prune almost nothing.
 
-Most anchors of a group are quiet (``_loud_anchors`` names the others),
-and a sweep writes their lines from group data alone: ``sweep_line``
-writes a point's whole JSON line from its group's ``SweepGroup`` record
-(``sweep_group``, a cache of one record), filling its row's line
-template at a quiet anchor, the only place where an anchor skips the
-checks.  ``classify_variant`` and ``classify_normal`` run every check at
+Most anchors of a group are quiet: ``_loud_anchors`` names the others,
+and only the sweep (``qcharlab.sweep``) answers a quiet anchor from group
+data.  ``classify_variant`` and ``classify_normal`` run every check at
 every anchor.
 
 A global spectral shift tau_t changes no classification, so the transport
@@ -61,33 +58,28 @@ step asks ``classify_normal`` for the transported problem at shift 0 and
 shifts the answer back.  ``transform`` applies the shift after its map, so
 the transport costs one ``transform`` pass per monomial: one for the KR
 module on the way there, one for each monomial carried back.
-``classify_normal`` is cached on its arguments (at most ``CACHE_SIZE``
-reports, like ``qchar``), so a normal-row point and
+``classify_normal`` is cached on its arguments, so a normal-row point and
 every transport that lands on the same problem share one brute-force
 classification; every a/b/c report still runs every transport check.  The
 members of the two tableau families (``family_S``, ``family_T``) are cached
 on their arguments too, so each distinct member runs its checks once;
 these caches and ``spectra_by_anchor`` key on the argument types as well
 (``typed=True``), so that a float or bool index still meets the
-exact-integer rule.  ``cli.main`` empties every cache of
-this module, the sweep group records included, and ``le``'s memo of
-peels before each command (``clear_caches``).
+exact-integer rule.  Every cache of this module belongs to one command
+(``sweep.clear_caches``).
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
 from typing import Optional
 
 from .errors import InvalidInput, InvariantViolation, TheoremViolation, require_int
 from .lweight import (
     LMonomial,
-    _peel_class,
     expand_lroot_path,
     le,
     monomial_sort_key,
@@ -625,8 +617,8 @@ def _transported(variant: Variant, spec: MinAffSpec, kr: KRSpec) -> tuple[MinAff
 
 def _loud_anchors(spec: MinAffSpec, node: int, k: int) -> frozenset[int]:
     """The anchors r of the group (spec, node, k) where a sweep runs the
-    checks of ``_classify``; at every other anchor ``sweep_line`` writes
-    the irreducible report of lambda from group data.
+    checks of ``_classify``; at every other anchor it writes the
+    irreducible report of lambda from group data.
 
     An anchor is loud if ``_resonances`` or ``spectra_by_anchor`` has an
     entry there, or, on rows a, b and c, if its transported anchor r_t is
@@ -796,150 +788,6 @@ def _normal(spec: MinAffSpec, kr: KRSpec, whole_group: bool) -> TensorReport:
     return classify_normal(spec, kr, True) if whole_group else classify_normal(spec, kr)
 
 
-def _line(kr_text: str, report_text: str, spec_text: str) -> str:
-    """A sweep point's JSON line ``{"kr", "report", "spec"}``."""
-    return f'{{"kr":{kr_text},"report":{report_text},"spec":{spec_text}}}'
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _quiet_template(variant: Variant, n: int) -> tuple[tuple[str, ...], itemgetter]:
-    """The row's quiet sweep line at rank n, cut at the texts of the spec,
-    the KR module and lambda: its literal pieces, and the getter that
-    interleaves them with those three texts.  The line is
-    ``"".join(getter((spec_text, kr_text, lam_text) + pieces))``.
-
-    ``_line`` wraps the ``TensorReport.json_text`` of one quiet report of
-    the row, with control characters, which JSON text never holds raw, in
-    place of the three texts (the identity monomial's text stands for
-    lambda's), so the schema stays written once.
-    """
-    lam = LMonomial.identity(n)
-    spec = MinAffSpec(n, (1,) + (0,) * (n - 1), variant.direction)
-    kr = KRSpec(n, 1 if variant.first else n, 0, 1)
-    report = TensorReport(
-        variant=variant.name, spec=spec, kr=kr, lam=lam, D=((lam, 1),), totally_ordered=True,
-        tag=_IRREDUCIBLE, resonance=None, lambda_prime=None,
-        socle_head=_socle_head(variant, _IRREDUCIBLE, lam, None),
-    )
-    text = _line("\x01", report.json_text(spec_text="\x00", kr_text="\x01"), "\x00")
-    parts = re.split("([\x00-\x02])", text.replace(lam.json_text(), "\x02"))
-    # a marker's code is its text's index; the pieces follow the three texts
-    fields = [3]
-    for j, marker in enumerate(parts[1::2], start=4):
-        fields += (ord(marker), j)
-    return tuple(parts[::2]), itemgetter(*fields)
-
-
-@dataclass(frozen=True, eq=False)
-class SweepGroup:
-    """What every point of a sweep group (spec, node, k) writes that does
-    not depend on its KR anchor r, built once per visit (``_sweep_group``).
-
-    ``loud`` is the group's ``_loud_anchors``, and ``pieces`` and
-    ``interleave`` are the row's ``_quiet_template``.  ``spec_text`` is
-    the spec's ``json_text`` and ``kr_head`` the KR module's up to
-    ``"r":``.  Lambda = omega * varpi is written from omega's JSON
-    entries: those on the rows below the KR node, each followed by a
-    comma, end ``lam_head``; those above it, each after a comma, start
-    ``lam_tail``; those on the KR node's row are ``row``, its ``(r, e)``
-    pairs, and ``row_text``, joined.  ``y_head`` is the ``"[node,"`` that
-    opens an entry on that row, and ``k`` is varpi's string length.
-    """
-
-    loud: frozenset[int]
-    pieces: tuple[str, ...]
-    interleave: itemgetter
-    spec_text: str
-    kr_head: str
-    lam_head: str
-    y_head: str
-    row: tuple[tuple[int, int], ...]
-    row_text: str
-    lam_tail: str
-    k: int
-
-    def lam_text(self, r: int) -> str:
-        """The ``json_text`` of lambda = omega * varpi at anchor r, with no
-        monomial built.  varpi = Y[node, r] Y[node, r + 2] ... Y[node, last]
-        and omega are both dominant, so no exponent cancels, and only
-        omega's row at the KR node takes varpi's keys."""
-        last = r + 2 * self.k - 2
-        row, y_head = self.row, self.y_head
-        if row and row[0][0] <= last and r <= row[-1][0]:
-            # the strings' spans overlap: merge them key by key
-            exps = dict(row)
-            for s in range(r, last + 1, 2):
-                exps[s] = exps.get(s, 0) + 1
-            ys = ",".join([f"{y_head}{s},{e}]" for s, e in sorted(exps.items())])
-        else:
-            # varpi lies on one side of omega's row, all its exponents 1
-            ys = f"{y_head}{f',1],{y_head}'.join(map(str, range(r, last + 1, 2)))},1]"
-            if row:
-                ys = f"{ys},{self.row_text}" if last < row[0][0] else f"{self.row_text},{ys}"
-        return f"{self.lam_head}{ys}{self.lam_tail}"
-
-
-@lru_cache(maxsize=1)
-def _sweep_group(spec: MinAffSpec, node: int, k: int) -> SweepGroup:
-    """The ``SweepGroup`` of (spec, node, k).  Only the last group's record
-    is held, since a sweep visits a group's anchors in a row and a
-    worker takes whole (n, lambda) blocks."""
-    pieces, interleave = _quiet_template(_variant_of(spec.direction, node != spec.n), spec.n)
-    entries = drinfeld_of_spec(spec).items()
-    row = tuple((s, e) for (i, s), e in entries if i == node)
-    below = "".join([f"[{i},{s},{e}]," for (i, s), e in entries if i < node])
-    above = "".join([f",[{i},{s},{e}]" for (i, s), e in entries if i > node])
-    return SweepGroup(
-        loud=_loud_anchors(spec, node, k),
-        pieces=pieces,
-        interleave=interleave,
-        spec_text=spec.json_text(),
-        kr_head=f'{{"k":{k},"n":{spec.n},"node":{node},"r":',
-        lam_head=f'{{"Y":[{below}',
-        y_head=f"[{node},",
-        row=row,
-        row_text=",".join([f"[{node},{s},{e}]" for s, e in row]),
-        lam_tail=f'{above}],"n":{spec.n}}}',
-        k=k,
-    )
-
-
-def sweep_group(spec: MinAffSpec, kr: KRSpec) -> SweepGroup:
-    """The ``SweepGroup`` of the point (spec, kr): of (spec, kr.node, kr.k).
-
-    It raises what ``_check_point`` raises for the point, and what
-    ``_loud_anchors`` raises for the group, the ``r_window`` check of
-    ``spectra_by_anchor`` and the recognition of the transported problem
-    included.
-    """
-    _check_point(spec, kr)
-    return _sweep_group(spec, kr.node, kr.k)
-
-
-def sweep_line(spec: MinAffSpec, kr: KRSpec) -> tuple[str, str]:
-    """A sweep point's outcome, the ``CaseTag.kind`` of its report, and its
-    JSON line (``_line``), every text of which that does not depend on r
-    comes from the point's ``sweep_group`` record.
-
-    At a quiet anchor, one outside the record's ``loud`` set, and only
-    here, the checks are skipped: the report is the irreducible one of
-    lambda that ``classify_variant(spec, kr, whole_group=True)`` returns
-    there, and the line is the row's template filled in with the texts of
-    the spec, the KR module and lambda, with no report and no monomial
-    built.  At every other anchor the report is that report's
-    ``json_text``.
-    """
-    group = sweep_group(spec, kr)
-    r, spec_text = kr.r, group.spec_text
-    kr_text = f"{group.kr_head}{r}}}"
-    if r in group.loud:
-        rep = classify_variant(spec, kr, whole_group=True)
-        report = rep.json_text(spec_text=spec_text, kr_text=kr_text)
-        return rep.tag.kind, _line(kr_text, report, spec_text)
-    texts = (spec_text, kr_text, group.lam_text(r))
-    return "irreducible", "".join(group.interleave(texts + group.pieces))
-
-
 def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range:
     """Inclusive range of KR anchors covering every resonance of (spec, k).
 
@@ -956,18 +804,3 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
         raise InvalidInput("pad must be nonnegative")
     table = _resonances(_variant_of(spec.direction, node != spec.n), spec, k)
     return range(min(table) - pad, max(table) + pad + 1)
-
-
-# The caches of this module, and ``le``'s memo of peels (``lweight``), bound
-# here so that a wrapper that replaces one of them (a tracer, a test) leaves
-# it reachable; ``cli.main`` empties them before every command.
-_CACHES = (
-    classify_normal, spectra_by_anchor, _transported_spec, _resonances, family_S, family_T,
-    _quiet_template, _sweep_group, _peel_class,
-)
-
-
-def clear_caches() -> None:
-    """Empty every cache of this module and ``le``'s memo of peels."""
-    for cached in _CACHES:
-        cached.cache_clear()

@@ -434,7 +434,7 @@ def raise_box(t: Tableau, col: int, row: int, target: int) -> tuple[Tableau, LMo
     return Tableau(t.n, t.shape, tuple(new_cols)), path
 
 
-# The JSON schemas, one function per type: ``cli._dumps`` of each result is
+# The JSON schemas, one function per type: ``sweep._dumps`` of each result is
 # the text that the type's ``json_text`` writes directly.
 
 

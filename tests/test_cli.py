@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import all_weights, kr_json_reference, qchar_json_reference, report_json_reference, spec_json_reference
-from qcharlab import InvariantViolation, KRSpec, MinAffSpec, cli, minaff, qchar, qchar_kr, tensor
+from qcharlab import InvalidInput, InvariantViolation, KRSpec, MinAffSpec, cli, minaff, qchar, qchar_kr, sweep, tensor
 from qcharlab.cli import main
 
 
@@ -144,9 +145,9 @@ class TestQcharCommand:
             reference, qc = kr_json_reference(spec), qchar_kr(spec)
         code, out, _ = run_cli(capsys, "qchar", "--n", "3", *argv, "--json")
         assert code == 0
-        assert out == cli._dumps({key: reference, "n": 3, "terms": qchar_json_reference(qc)}) + "\n"
+        assert out == sweep._dumps({key: reference, "n": 3, "terms": qchar_json_reference(qc)}) + "\n"
         code, out, _ = run_cli(capsys, "qchar", "--n", "3", *argv)
-        assert code == 0 and out.startswith(f"{key}: {cli._dumps(reference)}\n")
+        assert code == 0 and out.startswith(f"{key}: {sweep._dumps(reference)}\n")
 
 
 class TestTensorCommand:
@@ -202,7 +203,7 @@ class TestTensorCommand:
         code, out, _ = run_cli(capsys, "tensor", *argv)
         rep = tensor.classify_variant(spec, kr)
         assert code == 0 and rep.tag.reducible
-        assert out == cli._dumps(report_json_reference(rep)) + "\n"
+        assert out == sweep._dumps(report_json_reference(rep)) + "\n"
 
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "tensor", "--n", "2", "--lambda", "1,0")
@@ -233,7 +234,7 @@ class TestFactorizeCommand:
         mono = json.dumps({"n": 1, "Y": [[1, 0, 1], [1, 4, 1]]})
         code, out, _ = run_cli(capsys, "factorize", mono, "--json")
         assert code == 0
-        assert out == cli._dumps({"strings": [[0, 1], [4, 1]]}) + "\n"
+        assert out == sweep._dumps({"strings": [[0, 1], [4, 1]]}) + "\n"
 
     def test_text_output(self, capsys):
         mono = json.dumps({"n": 1, "Y": [[1, 0, 1], [1, 2, 1]]})
@@ -261,7 +262,7 @@ class TestTransformCommand:
         code, out, _ = run_cli(
             capsys, "transform", mono, "--kind", "tau", "--t", "3", "--json"
         )
-        assert code == 0 and out == cli._dumps({"n": 2, "Y": [[1, 3, 1]]}) + "\n"
+        assert code == 0 and out == sweep._dumps({"n": 2, "Y": [[1, 3, 1]]}) + "\n"
 
     def test_shift_with_another_kind_is_invalid(self, capsys):
         mono = json.dumps({"n": 1, "Y": [[1, 0, 1]]})
@@ -390,7 +391,7 @@ class TestSweepCommand:
         # which groups a sweep joins is tested in test_tensor.py; here, that a
         # second sweep in the process joins every one of them again
         cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)
-        points = list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(cfg.read_text()))))
+        points = list(sweep.sweep_grid(sweep.SweepConfig.from_json(json.loads(cfg.read_text()))))
         joins = _count_joins(monkeypatch)
         first = run_cli(capsys, "sweep", "--config", str(cfg))
         groups = len(joins)
@@ -464,7 +465,7 @@ class TestSweepCommand:
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
         serial = (tmp_path / "out.jsonl").read_bytes()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
         cfg = _write_config(tmp_path, **config, parallelism=3)
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
         assert (tmp_path / "out.jsonl").read_bytes() == serial
@@ -475,7 +476,7 @@ class TestSweepCommand:
         assert [{weight(line) for _, line in task} for task in pool.tasks] == [{b} for b in blocks]
         assert sum(map(len, pool.tasks)) == serial.count(b"\n")
         assert len(pool.tasks) == len(blocks) == 16 > 2 * 3
-        assert pool.peak == cli.CHUNKS_PER_WORKER * 3 == 6
+        assert pool.peak == sweep.CHUNKS_PER_WORKER * 3 == 6
 
     def test_one_worker_calls_the_point_function_once_per_point(self, capsys, tmp_path, monkeypatch):
         # the benchmark times each point through ``cli._sweep_point`` as the
@@ -488,7 +489,7 @@ class TestSweepCommand:
         assert run_cli(capsys, "sweep", "--config", str(cfg)) == (code, out, "")
         assert (tmp_path / "out.jsonl").read_bytes() == before
         assert code == 0 and f"points: {len(points)}\n" in out
-        assert points == list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(cfg.read_text()))))
+        assert points == list(sweep.sweep_grid(sweep.SweepConfig.from_json(json.loads(cfg.read_text()))))
 
     def test_summary_counts_the_output(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)
@@ -507,7 +508,7 @@ class TestSweepCommand:
 
     def test_violations_are_counted(self, capsys, tmp_path, monkeypatch):
         # a quiet point builds no report: the failure is injected where its group record is read
-        group_of = tensor.sweep_group
+        group_of = sweep.sweep_group
         injected = []
 
         def failing_at_quiet_rank_two(spec, kr):
@@ -517,7 +518,7 @@ class TestSweepCommand:
                 raise InvariantViolation("injected")
             return group
 
-        monkeypatch.setattr(tensor, "sweep_group", failing_at_quiet_rank_two)
+        monkeypatch.setattr(sweep, "sweep_group", failing_at_quiet_rank_two)
         cfg = _write_config(tmp_path)
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         records = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text().splitlines()]
@@ -532,18 +533,18 @@ class TestSweepCommand:
         code, healthy, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0
         healthy_lines = (tmp_path / "out.jsonl").read_text().splitlines()
-        group_of = tensor.sweep_group
+        group_of = sweep.sweep_group
         bad = json.loads(healthy_lines[3])
         s, k = bad["spec"], bad["kr"]
         spec, kr = MinAffSpec(s["n"], tuple(s["lambda"]), s["dir"], s["shift"]), KRSpec(**k)
-        assert kr.r not in tensor.sweep_group(spec, kr).loud
+        assert kr.r not in sweep.sweep_group(spec, kr).loud
 
         def failing_once(spec, kr):
             if spec_json_reference(spec) == bad["spec"] and kr_json_reference(kr) == bad["kr"]:
                 raise ValueError("injected")
             return group_of(spec, kr)
 
-        monkeypatch.setattr(tensor, "sweep_group", failing_once)
+        monkeypatch.setattr(sweep, "sweep_group", failing_once)
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == cli.EXIT_VIOLATION
         assert "violations: 1\n" in out
@@ -553,21 +554,21 @@ class TestSweepCommand:
             "spec": bad["spec"], "kr": bad["kr"], "error": "ValueError: injected"
         }
         assert lines[:3] + lines[4:] == healthy_lines[:3] + healthy_lines[4:]
-        monkeypatch.setattr(tensor, "sweep_group", group_of)
+        monkeypatch.setattr(sweep, "sweep_group", group_of)
         assert run_cli(capsys, "sweep", "--config", str(cfg)) == (0, healthy, "")
 
     def test_each_point_reads_its_group_record_once(self, monkeypatch):
-        cfg = cli.SweepConfig.from_json(
+        cfg = sweep.SweepConfig.from_json(
             {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
              "variants": ["normal", "a", "b", "c"], "output": "unused"}
         )
         lines, records = [], []
-        sweep_line, group_of = cli.sweep_line, tensor.sweep_group
-        monkeypatch.setattr(cli, "sweep_line", lambda *point: lines.append(point) or sweep_line(*point))
-        monkeypatch.setattr(tensor, "sweep_group", lambda *point: records.append(point) or group_of(*point))
-        points = list(cli.sweep_grid(cfg))
+        sweep_line, group_of = sweep.sweep_line, sweep.sweep_group
+        monkeypatch.setattr(sweep, "sweep_line", lambda *point: lines.append(point) or sweep_line(*point))
+        monkeypatch.setattr(sweep, "sweep_group", lambda *point: records.append(point) or group_of(*point))
+        points = list(sweep.sweep_grid(cfg))
         for point in points:
-            cli._sweep_point(point)
+            sweep._sweep_point(point)
         assert len(points) == 5820
         assert lines == records == points
 
@@ -598,11 +599,36 @@ class TestSweepCommand:
         def no_space(src, dst):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(cli.os, "replace", no_space)
+        monkeypatch.setattr(sweep.os, "replace", no_space)
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == cli.EXIT_INVALID
         assert err == f"error: cannot write output {str(tmp_path / 'out.jsonl')!r}: No space left on device\n"
         assert ".tmp" not in err
+        assert (tmp_path / "out.jsonl").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
+
+    def test_failed_line_write_keeps_the_earlier_output(self, capsys, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path)
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        before = (tmp_path / "out.jsonl").read_bytes()
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sweep, "open", lambda *args, **kwargs: FullDisk(open(*args, **kwargs)), raising=False)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == cli.EXIT_INVALID
+        assert err == f"error: cannot write output {str(tmp_path / 'out.jsonl')!r}: {os.strerror(errno.ENOSPC)}\n"
         assert (tmp_path / "out.jsonl").read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
 
@@ -625,15 +651,15 @@ class TestSweepCommand:
     def test_held_sigterm_is_handled_between_chunks(self):
         # on the pooled path SIGTERM waits while the pool's own code runs: a
         # SystemExit raised inside it can leave the pool's shutdown hanging
-        with cli._sigterm_exits():
-            with cli._sigterm_held():
+        with sweep._sigterm_exits():
+            with sweep._sigterm_held():
                 signal.raise_signal(signal.SIGTERM)  # held, so nothing happens here
                 assert signal.SIGTERM in signal.sigpending()
                 with pytest.raises(SystemExit) as stopped:
-                    cli._handle_held_sigterm()
+                    sweep._handle_held_sigterm()
                 assert stopped.value.code == 128 + signal.SIGTERM
                 assert signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, [])
-                cli._handle_held_sigterm()  # none held: a no-op
+                sweep._handle_held_sigterm()  # none held: a no-op
             assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
@@ -674,6 +700,26 @@ class TestSweepCommand:
         assert err == f"error: cannot write output {output!r}: No such file or directory\n"
         assert ".tmp" not in err
 
+    def test_pool_that_cannot_start_is_an_internal_error(self, capsys, tmp_path, monkeypatch):
+        # a failed fork is no fault of the output file: exit 4, not 2, and no process starts
+        cfg = _write_config(tmp_path)
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        before = (tmp_path / "out.jsonl").read_bytes()
+
+        failure = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))  # a BlockingIOError
+
+        def no_fork(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+        cfg = _write_config(tmp_path, parallelism=2)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err == f"internal error: {type(failure).__name__}: {failure}\n"
+        assert (tmp_path / "out.jsonl").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "sweep.json"]
+
     def test_empty_grid_rejected(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, n_max=0)
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
@@ -712,6 +758,21 @@ class TestSweepCommand:
         assert code == 2 and key in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("variants", "ab"),  # was read as rows a and b
+            ("variants", ["a", "b"]),
+            ("n_max", True),  # was run as 1
+            ("n_max", 2.5),  # was a TypeError once the grid was walked
+            ("parallelism", 1.5),
+            ("output", None),
+        ],
+    )
+    def test_direct_construction_checks_the_same_types(self, key, value):
+        with pytest.raises(InvalidInput, match=key):
+            sweep.SweepConfig(**{"n_max": 1, "lambda_sum_max": 1, "k_max": 1, "output": "x", key: value})
+
     @pytest.mark.parametrize("data", [[1], "n_max", 3, None])
     def test_config_that_is_not_an_object_rejected(self, capsys, tmp_path, data):
         cfg = tmp_path / "sweep.json"
@@ -734,9 +795,9 @@ class TestSweepCommand:
     def test_defaults(self):
         required = {"n_max": 2, "lambda_sum_max": 2, "k_max": 1, "output": "out.jsonl"}
         written_out = {**required, "r_window_pad": 2, "variants": ["normal"], "parallelism": 1}
-        cfg = cli.SweepConfig.from_json(required)
-        assert cfg == cli.SweepConfig.from_json(written_out)
-        assert cfg == cli.SweepConfig(**required, r_window_pad=2, variants=("normal",), parallelism=1)
+        cfg = sweep.SweepConfig.from_json(required)
+        assert cfg == sweep.SweepConfig.from_json(written_out)
+        assert cfg == sweep.SweepConfig(**required, r_window_pad=2, variants=("normal",), parallelism=1)
 
 
 class TestSweepBudget:
@@ -745,38 +806,38 @@ class TestSweepBudget:
         [{}, {"variants": ["normal", "a", "b", "c"], "k_max": 2}, {"n_max": 3, "lambda_sum_max": 3, "r_window_pad": 0}],
     )
     def test_size_counts_the_grid(self, tmp_path, overrides):
-        cfg = cli.SweepConfig.from_json(json.loads(_write_config(tmp_path, **overrides).read_text()))
-        points = len(list(cli.sweep_grid(cfg)))
-        assert cli.sweep_size(cfg, points) == points
-        assert cli.sweep_size(cfg, points - 1) == points  # the last group passes the limit
+        cfg = sweep.SweepConfig.from_json(json.loads(_write_config(tmp_path, **overrides).read_text()))
+        points = len(list(sweep.sweep_grid(cfg)))
+        assert sweep._planned_blocks(cfg, points)[0] == points
+        assert sweep._planned_blocks(cfg, points - 1)[0] == points  # the last group passes the limit
 
     def test_n5_grid_is_within_the_budget(self):
-        cfg = cli.SweepConfig(5, 5, 5, "unused", 2, ("normal", "a", "b", "c"))
-        assert cli.sweep_size(cfg, cli.SWEEP_POINT_BUDGET) == 222_040 <= cli.SWEEP_POINT_BUDGET
+        cfg = sweep.SweepConfig(5, 5, 5, "unused", 2, ("normal", "a", "b", "c"))
+        assert sweep._planned_blocks(cfg, sweep.SWEEP_POINT_BUDGET)[0] == 222_040 <= sweep.SWEEP_POINT_BUDGET
 
     def test_count_stops_past_the_limit(self):
         # every group has an anchor, so at most limit + 1 groups are counted,
         # however many the grid has
-        cfg = cli.SweepConfig(40, 40, 40, "unused", 2, ("normal", "a", "b", "c"))
+        cfg = sweep.SweepConfig(40, 40, 40, "unused", 2, ("normal", "a", "b", "c"))
         started = time.perf_counter()
-        assert 1000 < cli.sweep_size(cfg, 1000) < 2000
+        assert 1000 < sweep._planned_blocks(cfg, 1000)[0] < 2000
         assert time.perf_counter() - started < 1.0
 
     def test_count_finds_at_most_limit_plus_one_windows(self, monkeypatch):
-        cfg = cli.SweepConfig(40, 40, 40, "unused", 2, ("normal", "a", "b", "c"))
+        cfg = sweep.SweepConfig(40, 40, 40, "unused", 2, ("normal", "a", "b", "c"))
         windows = []
-        window = cli.resonance_window
-        monkeypatch.setattr(cli, "resonance_window", lambda *group: windows.append(group) or window(*group))
-        assert cli.sweep_size(cfg, 1000) > 1000
+        window = sweep.resonance_window
+        monkeypatch.setattr(sweep, "resonance_window", lambda *group: windows.append(group) or window(*group))
+        assert sweep._planned_blocks(cfg, 1000)[0] > 1000
         assert 0 < len(windows) <= 1001
 
     def test_one_walk_counts_and_plans_the_sweep(self, capsys, tmp_path, monkeypatch):
         # each group's window is found once, by the walk that sizes the grid
         cfg = _write_config(tmp_path, variants=["normal", "a", "b", "c"], k_max=2)
-        grid = list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(cfg.read_text()))))
+        grid = list(sweep.sweep_grid(sweep.SweepConfig.from_json(json.loads(cfg.read_text()))))
         windows = []
-        window = cli.resonance_window
-        monkeypatch.setattr(cli, "resonance_window", lambda *group: windows.append(group) or window(*group))
+        window = sweep.resonance_window
+        monkeypatch.setattr(sweep, "resonance_window", lambda *group: windows.append(group) or window(*group))
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0 and f"points: {len(grid)}\n" in out
         # a group visit is a run of the grid's points (at n = 1 rows normal and b visit one group)
@@ -788,18 +849,18 @@ class TestSweepBudget:
         cfg = _write_config(tmp_path, n_max=3, lambda_sum_max=3, k_max=3, r_window_pad=1_000_000)
         code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == cli.EXIT_INVALID and out == ""
-        assert "at least 2,000,005 points" in err and f"{cli.SWEEP_POINT_BUDGET:,} points" in err
+        assert "at least 2,000,005 points" in err and f"{sweep.SWEEP_POINT_BUDGET:,} points" in err
         assert sorted(os.listdir(tmp_path)) == ["sweep.json"]
 
     def test_grid_at_the_budget_runs_and_one_over_is_refused(self, capsys, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path)
-        points = len(list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(cfg.read_text())))))
-        monkeypatch.setattr(cli, "SWEEP_POINT_BUDGET", points - 1)
+        points = len(list(sweep.sweep_grid(sweep.SweepConfig.from_json(json.loads(cfg.read_text())))))
+        monkeypatch.setattr(sweep, "SWEEP_POINT_BUDGET", points - 1)
         code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == cli.EXIT_INVALID and out == ""
         assert f"at least {points} points, over the budget of {points - 1} points" in err
         assert sorted(os.listdir(tmp_path)) == ["sweep.json"]
-        monkeypatch.setattr(cli, "SWEEP_POINT_BUDGET", points)
+        monkeypatch.setattr(sweep, "SWEEP_POINT_BUDGET", points)
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0 and f"points: {points}\n" in out
 
@@ -808,11 +869,11 @@ class TestLambdas:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equal_to_the_product_filter(self, n):
         for sum_max in range(5):
-            assert list(cli._lambdas(n, sum_max)) == list(all_weights(n, sum_max))
+            assert list(sweep._lambdas(n, sum_max)) == list(all_weights(n, sum_max))
 
     def test_high_rank_is_fast(self):
         started = time.perf_counter()
-        lams = list(cli._lambdas(20, 3))
+        lams = list(sweep._lambdas(20, 3))
         assert time.perf_counter() - started < 1.0
         assert len(lams) == math.comb(23, 3) - 1 == 1770
         assert len(set(lams)) == len(lams) and lams == sorted(lams)
@@ -833,27 +894,27 @@ class TestFailureRecords:
             failure = ValueError(message)
             key, text = "error", f"ValueError: {message}"
         reference = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), key: text}
-        assert kr.r not in tensor.sweep_group(spec, kr).loud
-        with patch.object(tensor, "sweep_group", side_effect=failure):
-            assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(reference))
+        assert kr.r not in sweep.sweep_group(spec, kr).loud
+        with patch.object(sweep, "sweep_group", side_effect=failure):
+            assert sweep._sweep_point((spec, kr)) == ("violations", sweep._dumps(reference))
 
 
 class TestClampWorkers:
     def test_never_more_workers_than_cpus_or_points(self):
         cpus = os.cpu_count() or 1
-        assert cli.clamp_workers(10**6, 10**9) == cpus
-        assert cli.clamp_workers(10**6, 3) == min(cpus, 3)
-        assert cli.clamp_workers(1, 10**9) == 1
+        assert sweep.clamp_workers(10**6, 10**9) == cpus
+        assert sweep.clamp_workers(10**6, 3) == min(cpus, 3)
+        assert sweep.clamp_workers(1, 10**9) == 1
 
     def test_at_least_one_worker(self):
-        assert cli.clamp_workers(4, 0) == 1
+        assert sweep.clamp_workers(4, 0) == 1
 
     def test_uses_the_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        assert cli.clamp_workers(10**6, 100) == 8
-        assert cli.clamp_workers(5, 100) == 5
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli.clamp_workers(10**6, 100) == 1
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+        assert sweep.clamp_workers(10**6, 100) == 8
+        assert sweep.clamp_workers(5, 100) == 5
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        assert sweep.clamp_workers(10**6, 100) == 1
 
 
 class TestEntryPoints:

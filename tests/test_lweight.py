@@ -41,7 +41,7 @@ from qcharlab import (
     weight_of,
     y_string,
 )
-from qcharlab import cli, tensor
+from qcharlab import cli, sweep, tensor
 from qcharlab.lweight import _peel_class, monomial_sort_key
 from qcharlab.tensor import VARIANTS, spectra_by_anchor
 
@@ -116,7 +116,7 @@ class TestLMonomial:
 
     @given(lmonomials())
     def test_json_text_is_the_sorted_compact_dump(self, m):
-        assert m.json_text() == cli._dumps(monomial_json_reference(m))
+        assert m.json_text() == sweep._dumps(monomial_json_reference(m))
         assert LMonomial.from_json(json.loads(m.json_text())) == m
 
     @given(lmonomials(), lmonomials())
@@ -501,10 +501,10 @@ class TestShiftClassMemo:
         assert _peel_class.cache_info().misses == 26
 
     def test_emptied_by_clear_caches(self):
-        assert _peel_class in tensor._CACHES
+        assert _peel_class in sweep._CACHES
         assert le(Y(2, 1, 0) / expand_simple_lroot(2, 1, 1), Y(2, 1, 0))
         assert _peel_class.cache_info().currsize == 1
-        tensor.clear_caches()
+        sweep.clear_caches()
         assert _peel_class.cache_info().currsize == 0
 
 

@@ -25,7 +25,7 @@ from oracles import (
     spec_json_reference,
     weyl_dim_oracle,
 )
-from qcharlab import cli, minaff
+from qcharlab import minaff, sweep
 from qcharlab import (
     InvalidInput,
     InvariantViolation,
@@ -98,7 +98,7 @@ class TestSpecs:
     )
     def test_spec_json_text_is_the_sorted_compact_dump(self, spec):
         reference = kr_json_reference(spec) if isinstance(spec, KRSpec) else spec_json_reference(spec)
-        assert spec.json_text() == cli._dumps(reference)
+        assert spec.json_text() == sweep._dumps(reference)
 
     @pytest.mark.parametrize(
         "cls, args",
@@ -518,7 +518,7 @@ class TestQChar:
 
     @given(st.integers(1, 3).flatmap(characters))
     def test_json_text_is_the_sorted_compact_dump(self, qc):
-        assert qc.json_text() == cli._dumps(qchar_json_reference(qc))
+        assert qc.json_text() == sweep._dumps(qchar_json_reference(qc))
 
     def test_caches_are_bounded(self):
         # the n_max = 4 four-variant sweep requests 1,196 distinct specs

@@ -10,9 +10,9 @@ from qcharlab import (
     InvariantViolation,
     LMonomial,
     StringList,
-    cli,
     q_factorize,
     sl2fact,
+    sweep,
     y_string,
 )
 from qcharlab.sl2fact import in_general_position
@@ -58,12 +58,12 @@ class TestQFactorize:
     def test_json(self):
         strings = q_factorize(Y(1, 1, 0) * Y(1, 1, 4))
         assert strings_json_reference(strings) == {"strings": [[0, 1], [4, 1]]}
-        assert strings.json_text() == cli._dumps(strings_json_reference(strings))
+        assert strings.json_text() == sweep._dumps(strings_json_reference(strings))
 
     @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 4)), max_size=4))
     def test_json_text_is_the_sorted_compact_dump(self, strings):
         strings = StringList(tuple(strings))
-        assert strings.json_text() == cli._dumps(strings_json_reference(strings))
+        assert strings.json_text() == sweep._dumps(strings_json_reference(strings))
 
     def test_large_monomial_in_one_pass(self):
         # 24 variables: four copies of the six-row run 0, 2, ..., 10

@@ -60,7 +60,7 @@ from qcharlab import (
     transform,
     y_string,
 )
-from qcharlab import cli, minaff, tensor
+from qcharlab import cli, minaff, sweep, tensor
 from qcharlab.lweight import monomial_sort_key
 from qcharlab.minaff import _seg
 from qcharlab.tensor import VARIANTS, DominantSpectrum, Resonance, _resonance
@@ -749,8 +749,8 @@ class TestEntryPointArguments:
             (lambda s, k: classify_variant(s, k, "no"), "whole_group must be a bool, got 'no'"),
             (lambda s, k: classify_normal(s, k, 1), "whole_group must be a bool, got 1"),
             (lambda s, k: resonance_window("x", 2, 1), "a spec must be a MinAffSpec, got 'x'"),
-            (lambda s, k: tensor.sweep_group(s, None), "a KR module must be a KRSpec, got None"),
-            (lambda s, k: tensor.sweep_line(None, k), "a spec must be a MinAffSpec, got None"),
+            (lambda s, k: sweep.sweep_group(s, None), "a KR module must be a KRSpec, got None"),
+            (lambda s, k: sweep.sweep_line(None, k), "a spec must be a MinAffSpec, got None"),
         ],
         ids=[
             "variant_spec", "variant_kr", "normal_kr", "normal_swapped", "variant_rank", "normal_rank",
@@ -878,10 +878,10 @@ class TestReportJson:
         spec, kr = point
         rep = classify_variant(spec, kr)
         reference = report_json_reference(rep)
-        assert rep.json_text() == cli._dumps(reference)
+        assert rep.json_text() == sweep._dumps(reference)
         assert rep.to_json() == reference
-        line = cli._dumps({"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "report": reference})
-        assert cli._sweep_point(point) == (rep.tag.kind, line)
+        line = sweep._dumps({"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "report": reference})
+        assert sweep._sweep_point(point) == (rep.tag.kind, line)
 
     @pytest.mark.parametrize("point", REPORT_SHAPES)
     def test_each_monomial_is_encoded_once_per_report(self, point, monkeypatch):
@@ -912,22 +912,22 @@ class TestReportJson:
         spec, kr = point
         for r in (kr.r, kr.r + 1):
             rep = classify_variant(spec, replace(kr, r=r))
-            line = cli._dumps(
+            line = sweep._dumps(
                 {"spec": spec_json_reference(spec), "kr": kr_json_reference(rep.kr), "report": report_json_reference(rep)}
             )
             encoded.clear()
-            assert cli._sweep_point((spec, rep.kr)) == (rep.tag.kind, line)
+            assert sweep._sweep_point((spec, rep.kr)) == (rep.tag.kind, line)
             # the group's record encodes the spec for its first point, and
             # writes every KR text from its head
             assert encoded == ([spec] if r == kr.r else [])
 
     def test_every_small_grid_line_is_the_dict_reference(self):
-        cfg = cli.SweepConfig(2, 2, 2, "unused", 2, tuple(VARIANTS))
+        cfg = sweep.SweepConfig(2, 2, 2, "unused", 2, tuple(VARIANTS))
         kinds = set()
-        for spec, kr in cli.sweep_grid(cfg):
+        for spec, kr in sweep.sweep_grid(cfg):
             rep = classify_variant(spec, kr, whole_group=True)
             reference = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "report": report_json_reference(rep)}
-            assert cli._sweep_point((spec, kr)) == (rep.tag.kind, cli._dumps(reference))
+            assert sweep._sweep_point((spec, kr)) == (rep.tag.kind, sweep._dumps(reference))
             kinds.add(rep.tag.kind)
         assert kinds == {"irreducible", "case_i", "case_ii"}
 
@@ -946,7 +946,7 @@ class TestReportJson:
         monkeypatch.setattr(LMonomial, "json_text", lambda m: encoded.append(m) or encode(m))
         for hand in built:
             encoded.clear()
-            assert hand.json_text() == cli._dumps(report_json_reference(hand))
+            assert hand.json_text() == sweep._dumps(report_json_reference(hand))
             monomials = {hand.lam, *(m for m, _ in hand.D), *(m for pair in socle_head.values() for m in pair)}
             if hand.lambda_prime is not None:
                 monomials.add(hand.lambda_prime)
@@ -1247,9 +1247,9 @@ class TestNormalMemo:
         k = data.draw(st.integers(1, 3))
         kr = KRSpec(n, node, data.draw(st.sampled_from(resonance_window(spec, node, k))), k)
 
-        tensor.clear_caches()
+        sweep.clear_caches()
         cold = classify_variant(spec, kr)
-        tensor.clear_caches()
+        sweep.clear_caches()
         classify_normal(*_transported(spec, kr))
         counted, products = _counting_products()
         with patch.object(tensor, "product_qchar", counted):
@@ -1264,14 +1264,14 @@ class TestNormalMemo:
             info = classify_normal.cache_info()
             assert info.currsize <= info.maxsize
         assert classify_normal.cache_info().currsize == len(set(points))
-        tensor.clear_caches()
+        sweep.clear_caches()
         assert classify_normal.cache_info().currsize == 0
 
     def test_one_join_per_group_and_first_seen_transport(self, capsys, tmp_path, monkeypatch):
         config = {"n_max": 2, "lambda_sum_max": 2, "k_max": 2, "r_window_pad": 1,
                   "variants": ["normal", "a", "b", "c"], "output": str(tmp_path / "out.jsonl")}
         (tmp_path / "sweep.json").write_text(json.dumps(config), encoding="utf-8")
-        points = list(cli.sweep_grid(cli.SweepConfig.from_json(config)))
+        points = list(sweep.sweep_grid(sweep.SweepConfig.from_json(config)))
         normal_points, transported, loud_problems = set(), [], set()
         for spec, kr in points:
             if tensor._variant_of(spec.direction, kr.node != spec.n).inverse is None:
@@ -1300,11 +1300,11 @@ class TestNormalMemo:
 
 def _sweep_groups(n_max, total_max, k_max):
     """The distinct (spec, node, k) groups of a four-row sweep, in sweep order."""
-    cfg = cli.SweepConfig.from_json(
+    cfg = sweep.SweepConfig.from_json(
         {"n_max": n_max, "lambda_sum_max": total_max, "k_max": k_max,
          "variants": ["normal", "a", "b", "c"], "output": "unused"}
     )
-    return list(dict.fromkeys((spec, kr.node, kr.k) for spec, kr in cli.sweep_grid(cfg)))
+    return list(dict.fromkeys((spec, kr.node, kr.k) for spec, kr in sweep.sweep_grid(cfg)))
 
 
 def _reference_D(spec, kr):
@@ -1412,7 +1412,7 @@ class TestSpectraByAnchor:
         for r in resonance_window(spec, 2, 2):
             classify_variant(spec, KRSpec(2, 2, r, 2), whole_group=True)
         assert tensor.spectra_by_anchor(spec, 2, 2) is first
-        tensor.clear_caches()
+        sweep.clear_caches()
         assert tensor.spectra_by_anchor.cache_info().currsize == 0
 
     @settings(max_examples=300, deadline=None)
@@ -1477,7 +1477,7 @@ def _line(spec, kr, report):
 
 
 def _is_quiet(spec, kr):
-    return kr.r not in tensor.sweep_group(spec, kr).loud
+    return kr.r not in sweep.sweep_group(spec, kr).loud
 
 
 def _grown_at_0(spectra):
@@ -1516,11 +1516,11 @@ class TestQuietAnchors:
     whose transport is not recognised fails at every anchor."""
 
     def test_quiet_share_of_the_golden_grid(self):
-        cfg = cli.SweepConfig.from_json(
+        cfg = sweep.SweepConfig.from_json(
             {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
              "variants": ["normal", "a", "b", "c"], "output": "unused"}
         )
-        quiet = [_is_quiet(spec, kr) for spec, kr in cli.sweep_grid(cfg)]
+        quiet = [_is_quiet(spec, kr) for spec, kr in sweep.sweep_grid(cfg)]
         assert (sum(quiet), len(quiet)) == (4000, 5820)
 
     @pytest.mark.parametrize(
@@ -1539,12 +1539,12 @@ class TestQuietAnchors:
     )
     def test_check_fires_at_a_quiet_anchor(self, point, patches, error, message, monkeypatch):
         assert _is_quiet(*point)
-        tensor.clear_caches()
+        sweep.clear_caches()
         violation = _fires(point, patches, error, message, monkeypatch, whole_group=True)
         # the sweep meets the same failure there, as the broken group data make the anchor loud
         spec, kr = point
         line = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "violation": str(violation)}
-        assert cli._sweep_point(point) == ("violations", cli._dumps(line))
+        assert sweep._sweep_point(point) == ("violations", sweep._dumps(line))
 
     @pytest.mark.parametrize(
         "name, message",
@@ -1565,11 +1565,11 @@ class TestQuietAnchors:
         ]
         quiet = Counter(_is_quiet(*point) for point in points)
         assert set(groups) == {"a", "b", "c"} and quiet[True] and quiet[False]
-        tensor.clear_caches()
+        sweep.clear_caches()
         monkeypatch.setattr(tensor, name, lambda *args: None)
         for spec, kr in points:
             line = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "violation": message}
-            assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(line)), (spec, kr)
+            assert sweep._sweep_point((spec, kr)) == ("violations", sweep._dumps(line)), (spec, kr)
 
     def test_transported_anchor_is_affine_in_r(self):
         """r_t = r_t(0) + sigma * r at every row-a/b/c anchor of the n <= 4
@@ -1597,19 +1597,18 @@ class TestQuietAnchors:
     def test_found_once_per_group_record(self, monkeypatch):
         # the group record holds the loud anchors, so they are not cached
         assert not hasattr(tensor._loud_anchors, "cache_info")
-        # eight caches of this module and le's memo of peels
-        assert len(tensor._CACHES) == 9 and tensor._sweep_group in tensor._CACHES
         found = []
         loud_anchors = tensor._loud_anchors
-        monkeypatch.setattr(tensor, "_loud_anchors", lambda *key: found.append(key) or loud_anchors(*key))
+        for module in (sweep, tensor):  # the record's call, and the transport's within it
+            monkeypatch.setattr(module, "_loud_anchors", lambda *key: found.append(key) or loud_anchors(*key))
         spec, node, k = A_POINT[0], A_POINT[1].node, A_POINT[1].k
         points = [(spec, KRSpec(spec.n, node, r, k)) for r in resonance_window(spec, node, k)]
         for point in points:
-            tensor.sweep_group(*point)
+            sweep.sweep_group(*point)
         # the row-a group, and one level down the normal-form group it transports to
         assert len(found) == 2 and found[0] == (spec, node, k) and found[1][0].direction == "inc"
-        tensor.clear_caches()
-        tensor.sweep_group(*points[0])
+        sweep.clear_caches()
+        sweep.sweep_group(*points[0])
         assert len(found) == 4
 
 
@@ -1630,7 +1629,7 @@ class TestQuietLines:
         quiet = Counter()
         for spec, kr in points:
             full = classify_variant(spec, kr, whole_group=True)
-            assert tensor.sweep_line(spec, kr) == (full.tag.kind, _line(spec, kr, full)), (spec, kr)
+            assert sweep.sweep_line(spec, kr) == (full.tag.kind, _line(spec, kr, full)), (spec, kr)
             if _is_quiet(spec, kr):
                 lam = drinfeld_of_spec(spec) * kr.drinfeld()
                 assert (full.tag.kind, full.resonance, full.D, full.lambda_prime) == (
@@ -1641,11 +1640,11 @@ class TestQuietLines:
         assert set(quiet) == set(VARIANTS)
 
     def test_template_text_is_the_report_text(self, monkeypatch):
-        cfg = cli.SweepConfig.from_json(
+        cfg = sweep.SweepConfig.from_json(
             {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
              "variants": ["normal", "a", "b", "c"], "output": "unused"}
         )
-        golden = list(cli.sweep_grid(cfg))
+        golden = list(sweep.sweep_grid(cfg))
         shifted = [
             (replace(spec, shift=3), KRSpec(spec.n, node, r, k))
             for spec, node, k in _sweep_groups(2, 3, 3)
@@ -1654,13 +1653,13 @@ class TestQuietLines:
         classify = tensor.classify_variant
         reports = []
         monkeypatch.setattr(
-            tensor, "classify_variant", lambda *args, **kwargs: reports.append(1) or classify(*args, **kwargs)
+            sweep, "classify_variant", lambda *args, **kwargs: reports.append(1) or classify(*args, **kwargs)
         )
         quiet = Counter()
         for points, name in ((golden, "golden"), (shifted, "shifted")):
             for spec, kr in points:
                 reports.clear()
-                got = tensor.sweep_line(spec, kr)
+                got = sweep.sweep_line(spec, kr)
                 rep = classify(spec, kr, whole_group=True)
                 assert got == (rep.tag.kind, _line(spec, kr, rep)), (spec, kr)
                 if _is_quiet(spec, kr):
@@ -1669,19 +1668,19 @@ class TestQuietLines:
                 else:
                     assert reports == [1], (spec, kr)
         assert quiet == {"golden": 4000, "shifted": 1240}
-        assert tensor._quiet_template in tensor._CACHES
+        assert sweep._quiet_template in sweep._CACHES
 
     def test_failure_at_a_quiet_point_is_its_line(self, monkeypatch):
         spec, kr = QUIET_A_POINT
         assert _is_quiet(spec, kr)
-        tensor.clear_caches()
+        sweep.clear_caches()
 
         def failing(*args):
             raise TheoremViolation("injected")
 
         monkeypatch.setattr(tensor, "spectra_by_anchor", failing)
         line = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), "violation": "injected"}
-        assert cli._sweep_point((spec, kr)) == ("violations", cli._dumps(line))
+        assert sweep._sweep_point((spec, kr)) == ("violations", sweep._dumps(line))
 
 
 class TestSweepGroup:
@@ -1689,11 +1688,11 @@ class TestSweepGroup:
     depend on its anchor, and lambda's text from omega's entries."""
 
     def test_texts_equal_the_product_oracle(self):
-        cfg = cli.SweepConfig.from_json(
+        cfg = sweep.SweepConfig.from_json(
             {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
              "variants": ["normal", "a", "b", "c"], "output": "unused"}
         )
-        golden = list(cli.sweep_grid(cfg))
+        golden = list(sweep.sweep_grid(cfg))
         # the n <= 2 groups at shift 3, over anchors wide enough that varpi
         # falls below, above, between and onto omega's row at its node
         wide = [
@@ -1705,7 +1704,7 @@ class TestSweepGroup:
         exponents = set()
         for name, points in (("golden", golden), ("wide", wide)):
             for spec, kr in points:
-                group = tensor.sweep_group(spec, kr)
+                group = sweep.sweep_group(spec, kr)
                 lam = drinfeld_of_spec(spec) * kr.drinfeld()
                 assert group.lam_text(kr.r) == lam.json_text(), (spec, kr)
                 assert (group.spec_text, f"{group.kr_head}{kr.r}}}") == (spec.json_text(), kr.json_text())
@@ -1718,42 +1717,42 @@ class TestSweepGroup:
 
     def test_one_record_held_per_process(self):
         spec, kr = QUIET_A_POINT
-        group = tensor.sweep_group(spec, kr)
+        group = sweep.sweep_group(spec, kr)
         assert group.k == kr.k and group.loud == tensor._loud_anchors(spec, kr.node, kr.k)
-        info = tensor._sweep_group.cache_info()
+        info = sweep._sweep_group.cache_info()
         assert (info.maxsize, info.currsize, info.misses) == (1, 1, 1)
         # another anchor of the group, by an equal spec too, shares the record
-        assert tensor.sweep_group(replace(spec), replace(kr, r=kr.r + 1)) is group
-        info = tensor._sweep_group.cache_info()
+        assert sweep.sweep_group(replace(spec), replace(kr, r=kr.r + 1)) is group
+        info = sweep._sweep_group.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        other = tensor.sweep_group(spec, replace(kr, k=kr.k + 1))
-        assert other is not group and tensor._sweep_group.cache_info().currsize == 1
-        assert tensor.sweep_group(spec, kr) is not group  # rebuilt: only the last group is held
-        assert tensor._sweep_group.cache_info().misses == 3
-        tensor.clear_caches()
-        assert tensor._sweep_group.cache_info().currsize == 0
+        other = sweep.sweep_group(spec, replace(kr, k=kr.k + 1))
+        assert other is not group and sweep._sweep_group.cache_info().currsize == 1
+        assert sweep.sweep_group(spec, kr) is not group  # rebuilt: only the last group is held
+        assert sweep._sweep_group.cache_info().misses == 3
+        sweep.clear_caches()
+        assert sweep._sweep_group.cache_info().currsize == 0
 
     def test_one_build_per_visit_of_a_golden_group(self):
         # a record is built when the sweep enters a group, not per point: the
         # n = 1 groups that rows normal and b (a and c) share are visited apart
-        cfg = cli.SweepConfig.from_json(
+        cfg = sweep.SweepConfig.from_json(
             {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
              "variants": ["normal", "a", "b", "c"], "output": "unused"}
         )
-        points = list(cli.sweep_grid(cfg))
+        points = list(sweep.sweep_grid(cfg))
         visits = [group for group, _ in groupby((spec, kr.node, kr.k) for spec, kr in points)]
         revisited = {group for group, count in Counter(visits).items() if count > 1}
         for spec, kr in points:
-            tensor.sweep_line(spec, kr)
-        assert (tensor._sweep_group.cache_info().misses, len(visits), len(set(visits))) == (372, 372, 354)
+            sweep.sweep_line(spec, kr)
+        assert (sweep._sweep_group.cache_info().misses, len(visits), len(set(visits))) == (372, 372, 354)
         assert len(revisited) == 18 and {spec.n for spec, _, _ in revisited} == {1}
 
     def test_rank_mismatch_is_rejected(self):
         spec = MinAffSpec(2, (1, 1), "inc")
-        tensor.sweep_group(spec, KRSpec(2, 1, 0, 1))  # the held group has the same key
+        sweep.sweep_group(spec, KRSpec(2, 1, 0, 1))  # the held group has the same key
         with pytest.raises(InvalidInput, match="rank mismatch"):
-            tensor.sweep_group(spec, KRSpec(3, 1, 0, 1))
-        assert cli._sweep_point((spec, KRSpec(3, 1, 0, 1))) == ("violations", cli._dumps({
+            sweep.sweep_group(spec, KRSpec(3, 1, 0, 1))
+        assert sweep._sweep_point((spec, KRSpec(3, 1, 0, 1))) == ("violations", sweep._dumps({
             "spec": spec_json_reference(spec), "kr": kr_json_reference(KRSpec(3, 1, 0, 1)),
             "error": "InvalidInput: rank mismatch between spec and KR module",
         }))
@@ -1772,7 +1771,7 @@ class TestSweepGroup:
         ))
         assert cli.main(["sweep", "--config", str(config)]) == cli.EXIT_OK
         healthy = output.read_text().splitlines()
-        points = list(cli.sweep_grid(cli.SweepConfig.from_json(json.loads(config.read_text()))))
+        points = list(sweep.sweep_grid(sweep.SweepConfig.from_json(json.loads(config.read_text()))))
         groups = list(dict.fromkeys((spec, kr.node, kr.k) for spec, kr in points))
         # a row-a group of rank 2: no other group's classification reads its spectra
         failing = next(g for g in groups if g[0].n == 2 and g[0].direction == "dec")
@@ -1794,7 +1793,7 @@ class TestSweepGroup:
         for (spec, kr), line, before, failed in zip(points, lines, healthy, in_group):
             if failed:
                 record = {"spec": spec_json_reference(spec), "kr": kr_json_reference(kr), field: message}
-                assert line == cli._dumps(record), (spec, kr)
+                assert line == sweep._dumps(record), (spec, kr)
             else:
                 assert line == before, (spec, kr)
 
@@ -1847,12 +1846,12 @@ class TestMemberCaches:
 
     def test_registered_and_emptied(self):
         for cached in (family_S, family_T):
-            assert cached in tensor._CACHES
+            assert cached in sweep._CACHES
             assert cached.cache_info().maxsize == minaff.CACHE_SIZE
         classify_variant(*CASE_I_POINT)
         classify_variant(*NORMAL_POINT)
         assert family_S.cache_info().currsize and family_T.cache_info().currsize
-        tensor.clear_caches()
+        sweep.clear_caches()
         assert family_S.cache_info().currsize == family_T.cache_info().currsize == 0
 
     @pytest.mark.parametrize("bad", [1.0, True, 2.0], ids=repr)
@@ -1883,8 +1882,8 @@ GOLDEN_CONFIG = {"n_max": 3, "lambda_sum_max": 3, "k_max": 3, "r_window_pad": 2,
 
 def _loud_points(config):
     """The loud points of a sweep grid, each with its row."""
-    for spec, kr in cli.sweep_grid(cli.SweepConfig.from_json({**config, "output": "unused"})):
-        if kr.r in tensor.sweep_group(spec, kr).loud:
+    for spec, kr in sweep.sweep_grid(sweep.SweepConfig.from_json({**config, "output": "unused"})):
+        if kr.r in sweep.sweep_group(spec, kr).loud:
             yield tensor._variant_of(spec.direction, kr.node != spec.n), spec, kr
 
 
@@ -1958,7 +1957,7 @@ class TestSharedSpecs:
 
     def test_a_sweep_grid_holds_one_spec_per_weight_and_direction(self):
         specs = {}
-        for spec, _ in cli.sweep_grid(cli.SweepConfig.from_json({**GOLDEN_CONFIG, "output": "unused"})):
+        for spec, _ in sweep.sweep_grid(sweep.SweepConfig.from_json({**GOLDEN_CONFIG, "output": "unused"})):
             assert specs.setdefault((spec.n, spec.lam, spec.direction), spec) is spec
             assert spec is minaff._shared_spec(spec.n, spec.lam, spec.direction, 0)
         assert len(specs) == 62
