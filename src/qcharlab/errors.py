@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the exact-integer input rules.
+"""Exception types shared across the package, and the exact-integer and
+exact-type input rules.
 
 The CLI maps these onto its exit-code contract: invalid input exits with 2,
 a theorem violation (a structural prediction contradicted by brute force,
@@ -23,6 +24,12 @@ def require_int(what: str, value) -> None:
     """Reject anything but a plain ``int`` (a ``bool`` included) rather than coerce it."""
     if type(value) is not int:
         raise InvalidInput(f"{what} must be an integer, got {value!r}")
+
+
+def require_type(what: str, value, cls: type) -> None:
+    """Reject ``value`` unless it is a ``cls``; ``what`` names it in the message."""
+    if not isinstance(value, cls):
+        raise InvalidInput(f"{what} must be a {cls.__name__}, got {value!r}")
 
 
 def require_rank(n) -> None:

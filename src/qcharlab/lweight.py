@@ -106,6 +106,9 @@ class LMonomial:
     # -- group structure -----------------------------------------------------
 
     def __mul__(self, other: "LMonomial") -> "LMonomial":
+        # tested inline, so a product pays no call for the check
+        if not isinstance(other, LMonomial):
+            _require_monomial(other)
         if self.n != other.n:
             raise InvalidInput(f"rank mismatch: {self.n} != {other.n}")
         if not self._exps:
@@ -134,6 +137,7 @@ class LMonomial:
         return LMonomial(self.n, ((k, e * c) for k, e in self._exps))
 
     def __truediv__(self, other: "LMonomial") -> "LMonomial":
+        _require_monomial(other)
         return self * other.inverse()
 
     # -- comparisons / rendering ----------------------------------------------
@@ -304,6 +308,7 @@ def expand_lroot_path(n: int, from_node: int, to_node: int, r: int) -> LMonomial
 
 def weight_of(m: LMonomial) -> Weight:
     """Weight of a monomial: coordinate i is the sum of all Y[i,*] exponents."""
+    _require_monomial(m)
     coords = [0] * m.n
     for (i, _), e in m.items():
         coords[i - 1] += e
@@ -312,6 +317,7 @@ def weight_of(m: LMonomial) -> Weight:
 
 def is_dominant(m: LMonomial) -> bool:
     """True iff no inverted Y-variable appears (all stored exponents positive)."""
+    _require_monomial(m)
     return dominant_exps(m._exps)
 
 
@@ -363,6 +369,7 @@ def right_negativity(m: LMonomial) -> tuple[int, bool]:
     Right negative means every Y-variable at the maximal spectral exponent
     appears inverted.  Undefined for the identity monomial.
     """
+    _require_monomial(m)
     if m.is_identity:
         raise InvalidInput("right negativity is undefined for the identity monomial")
     r_max = max(r for (_, r), _ in m.items())
@@ -478,6 +485,7 @@ def le(m1: LMonomial, m2: LMonomial) -> bool:
 
 def restrict(m: LMonomial, nodes: Iterable[int]) -> LMonomial:
     """Project onto a subdiagram: keep nodes in ``nodes``, relabelled to 1..|J|."""
+    _require_monomial(m)
     nodes = list(nodes)
     for i in nodes:
         require_int("node", i)

@@ -15,22 +15,25 @@ anchor and accepts the one candidate spec iff its Drinfeld polynomial is
 that monomial.
 
 The q-character is the set of monomials of the semi-standard fillings of
-the Drinfeld polynomial's snake shape, read off the search without building
-the tableaux; a whole search runs from the longer end of the shape.  For a
-KR module at the last node an independent partition-indexed formula
-provides the same set of terms.  A ``QChar`` holds its terms as the
-search's canonical exponent tuples and builds ``LMonomial`` objects only
-where a caller reads monomials; a held one (``held_qchar``) runs the
-search only when read, and in a product only for the terms its partner can
-cover; of two held factors, the second is searched under the first's raise
-bound, and the first under the terms found, so neither is searched whole.
+the Drinfeld polynomial's snake shape, read off ``tableaux.filling_terms``
+without building the tableaux: the search and the end it starts from live
+in ``tableaux``, and ``_searched_terms`` only checks the terms found.  For
+a KR module at the last node an independent partition-indexed formula
+provides the same set of terms.  A ``QChar`` holds its terms as canonical
+exponent tuples and builds ``LMonomial`` objects only where a caller reads
+monomials.  In a product, a held factor (``held_qchar``) is searched only
+for the terms its partner can cover, under the top exponent per key of the
+partner's join index (``_JoinIndex.largest``); of two held factors, the
+partner is first searched under the held one's ``raise_bound``, so neither
+is searched whole.
 
 ``anchor_join`` is the one dominant-pair join: it gives the whole dominant
-part of ``walked * tau_r(indexed)``, the products of two dominant terms
+part D of ``walked * tau_r(indexed)``, the products of two dominant terms
 included, at one shift ``r`` or at every shift.  Only the indexed character
 gets a join index, built on its exponent tuples; the walked one is read
-tuple by tuple, in one pass per term, and the products are merged as
-exponent tuples, with one ``LMonomial`` per distinct product.
+tuple by tuple, and the products are merged as exponent tuples.  Each D
+comes back in its one order, ``monomial_sort_key`` (``_in_order``, which
+also orders a plain character's D), with one ``LMonomial`` per product.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .errors import InvalidInput, InvariantViolation, require_int, require_rank
+from .errors import InvalidInput, InvariantViolation, require_int, require_rank, require_type
 from .lweight import (
     Key,
     LMonomial,
@@ -52,15 +55,7 @@ from .lweight import (
     product_exps,
     y_string,
 )
-from .tableaux import (
-    Shape,
-    Tableau,
-    filling_pairs,
-    longer_at_end,
-    mirrored_terms,
-    raise_bound,
-    snake_shape,
-)
+from .tableaux import Shape, Tableau, filling_terms, raise_bound, snake_shape
 
 # not used here since ``qchar`` reads exponent tuples only, but still looked up
 # in this module by the benchmark's tracer (``perfbench/spans.py``)
@@ -219,30 +214,21 @@ class QChar:
     """A q-character: finite multiset of loop-weight monomials.
 
     The terms are a dict from each monomial's canonical exponent tuple
-    (``LMonomial.items()``) to its multiplicity; ``QChar(n, {LMonomial: c})``
-    converts its keys once.  ``len``, ``dimension`` and ``==`` read the
-    tuples; ``terms``, ``sorted_terms``, ``dominant_terms`` and
-    ``json_text`` build ``LMonomial``s on each call.
+    (``LMonomial.items()``) to its multiplicity.  ``QChar(n, {LMonomial: c})``
+    checks a positive plain ``int`` rank, ``LMonomial`` keys of that rank
+    and positive plain ``int`` multiplicities, and converts its keys once.
+    ``len``, ``dimension`` and ``==`` read the tuples; ``terms``,
+    ``sorted_terms``, ``dominant_terms`` and ``json_text`` build
+    ``LMonomial``s on each call.
 
     Two other forms hold no terms until something reads them all.  A held
     character (``held_qchar``) keeps its Drinfeld polynomial and runs the
-    tableau search with ``qchar``'s checks on the first full read (``len``,
-    ``terms``, ``dimension``, ``==``, the join index); ``qchar`` is that form
-    searched at once.  A product character (``product``) holds its two
-    factors and answers ``dominant_terms`` by ``anchor_join`` at anchor 0
-    without forming the product.  With an unsearched held factor it walks
-    that factor, searched only for the terms the other factor can cover
-    (``filling_pairs`` under the other's top exponent at each key), against
-    the other's join index, and leaves the held factor unsearched.  If the
-    other factor is held and unsearched too, it is first searched only for
-    the terms the held factor can cover (under the held factor's
-    ``raise_bound``), and the walk runs against the index of those terms
-    alone, so both factors stay unsearched.  With no held factor it
-    walks the larger factor against the smaller one's index.  Everything
-    else on a product convolves the factors once, on first use.  The rank
-    must be a positive plain ``int`` (``require_rank``), the terms a dict
-    keyed by ``LMonomial``s of that rank and every multiplicity a positive
-    plain ``int``.
+    search on the first full read (``len``, ``terms``, ``dimension``,
+    ``==``, the join index); ``qchar`` is that form searched at once.  A
+    product (``product``) holds its two factors: ``dominant_terms`` is one
+    ``anchor_join`` at anchor 0, which searches a held factor only for the
+    terms its partner can cover (the module notes), and anything else
+    convolves the factors once, on first use.
     """
 
     __slots__ = ("n", "_terms", "_factors", "_index", "_drinfeld")
@@ -284,8 +270,7 @@ class QChar:
         """The product character ``q1 * q2``, held as its two factors; each
         factor must be a ``QChar``."""
         for q in (q1, q2):
-            if not isinstance(q, QChar):
-                raise InvalidInput(f"a product factor must be a QChar, got {q!r}")
+            require_type("a product factor", q, QChar)
         if q1.n != q2.n:
             raise InvalidInput(f"rank mismatch: {q1.n} != {q2.n}")
         return cls._of(q1.n, None, (q1, q2))
@@ -321,32 +306,28 @@ class QChar:
     def dominant_terms(self) -> list[tuple[LMonomial, int]]:
         n = self.n
         if self._factors is None:
-            make = LMonomial._make
-            out = [(make(n, t), c) for t, c in self._all_terms().items() if dominant_exps(t)]
+            return _in_order(n, {t: c for t, c in self._all_terms().items() if dominant_exps(t)})
+        held, other = self._factors
+        if not held._unsearched():
+            held, other = other, held
+        if held._unsearched():
+            shape = snake_shape(held._drinfeld)
+            if other._unsearched():
+                # no exponent of ``held`` exceeds its raise bound, so only the
+                # terms of ``other`` whose negative exponents it clears can
+                # meet a dominant product: search those, and index them alone
+                bound = raise_bound(n, shape)
+                other = QChar._of(n, _searched_terms(other._drinfeld, bound))
+            # a term of ``held`` meets a dominant product only if ``other``
+            # covers each of its negative exponents: search only those
+            top = other._join_index().largest
+            walked, indexed = QChar._of(n, _searched_terms(held._drinfeld, top, shape)), other
         else:
-            held, other = self._factors
-            if not held._unsearched():
-                held, other = other, held
-            if held._unsearched():
-                shape = snake_shape(held._drinfeld)
-                if other._unsearched():
-                    # no exponent of ``held`` exceeds its raise bound, so only the
-                    # terms of ``other`` whose negative exponents it clears can
-                    # meet a dominant product: search those, and index them alone
-                    bound = raise_bound(n, shape)
-                    other = QChar._of(n, _searched_terms(other._drinfeld, bound))
-                # a term of ``held`` meets a dominant product only if ``other``
-                # covers each of its negative exponents: search only those
-                top = {key: ts[-1] for key, (ts, _) in other._join_index().cover.items()}
-                walked, indexed = QChar._of(n, _searched_terms(held._drinfeld, top, shape)), other
-            else:
-                indexed, walked = sorted(self._factors, key=len)
-            out = list(anchor_join(walked, indexed, 0)[0].items())
-        out.sort(key=lambda mc: monomial_sort_key(mc[0]))
-        return out
+            indexed, walked = sorted(self._factors, key=len)
+        return list(anchor_join(walked, indexed, 0)[0])
 
     def sorted_terms(self) -> list[tuple[LMonomial, int]]:
-        return sorted(self.terms().items(), key=lambda mc: monomial_sort_key(mc[0]))
+        return _in_order(self.n, self._all_terms())
 
     def __eq__(self, other) -> bool:
         return (
@@ -363,6 +344,14 @@ class QChar:
         ``[{"monomial":...,"mult":c},...]``."""
         terms = [f'{{"monomial":{m.json_text()},"mult":{c}}}' for m, c in self.sorted_terms()]
         return f"[{','.join(terms)}]"
+
+
+def _in_order(n: int, terms: dict[tuple, int]) -> list[tuple[LMonomial, int]]:
+    """The exponent-tuple ``terms`` as ``(LMonomial, multiplicity)`` pairs,
+    sorted by ``monomial_sort_key``: the one order of D (``dominant_terms``
+    and each anchor of ``anchor_join``) and of ``sorted_terms``."""
+    make = LMonomial._make
+    return sorted([(make(n, t), c) for t, c in terms.items()], key=lambda mc: monomial_sort_key(mc[0]))
 
 
 def _convolve(q1: QChar, q2: QChar) -> dict[tuple, int]:
@@ -404,13 +393,15 @@ class _JoinIndex:
     with ``e < 0`` (shared with the tuple, not copied): a partner must have
     ``-e`` or more at each such ``key``.  ``cover[key]`` pairs the positive
     exponents ``t`` at ``key``, ascending, with the bitsets of the terms
-    whose exponent at ``key`` is ``>= t``.  ``rows[i]`` pairs the positive
-    exponents ``t`` at node ``i`` with a mask of the rows ``s`` at which
-    some term reaches ``t``, as bit ``top - s`` (``top`` is the highest
-    such row).  No ``LMonomial`` is built.
+    whose exponent at ``key`` is ``>= t``.  ``largest[key]`` is the largest
+    exponent any term has at ``key``, for each key where one is positive.
+    ``rows[i]`` pairs the positive exponents ``t`` at node ``i`` with a mask
+    of the rows ``s`` at which some term reaches ``t``, read off
+    ``largest``, as bit ``top - s`` (``top`` is the highest such row).  No
+    ``LMonomial`` is built.
     """
 
-    __slots__ = ("exps", "mults", "needs", "cover", "rows", "top")
+    __slots__ = ("exps", "mults", "needs", "cover", "largest", "rows", "top")
 
     def __init__(self, terms: dict[tuple, int]):
         self.exps = list(terms)
@@ -426,11 +417,12 @@ class _JoinIndex:
             key: _at_least({e: _bitset(js, size) for e, js in by_e.items()})
             for key, by_e in at.items()
         }
+        self.largest = {key: ts[-1] for key, (ts, _) in self.cover.items()}
         self.top = top = max((s for _, s in at), default=0)
         reach: dict[int, dict[int, int]] = {}
-        for (i, s), (ts, _) in self.cover.items():
+        for (i, s), e in self.largest.items():
             by_t = reach.setdefault(i, {})
-            by_t[ts[-1]] = by_t.get(ts[-1], 0) | 1 << (top - s)
+            by_t[e] = by_t.get(e, 0) | 1 << (top - s)
         self.rows = {i: _at_least(by_t) for i, by_t in reach.items()}
 
     def shifts(self, need: list) -> int:
@@ -467,7 +459,7 @@ def _add_product(products: dict, t: tuple, x: tuple, r: int, c: int) -> None:
 
 def anchor_join(
     walked: QChar, indexed: QChar, anchor: Optional[int] = None
-) -> dict[int, dict[LMonomial, int]]:
+) -> dict[int, tuple[tuple[LMonomial, int], ...]]:
     """The dominant part of ``walked * tau_r(indexed)``, by shift ``r``.
 
     ``m1 * tau_r(m2)`` is dominant iff each term covers every negative
@@ -490,16 +482,16 @@ def anchor_join(
     tuples, and one ``LMonomial`` is built for each distinct product at the
     end.  Nothing of the walk is kept on either character.
 
-    Returns ``{r: {product: multiplicity}}``, each dict the whole dominant
-    part at ``r``, top products included.  Both characters must be
-    ``QChar``s.  With ``anchor``, which must be a plain ``int``, ``anchor``
-    is the one key.  Without it, the keys are the
-    shifts at which a pair other than two dominant terms is dominant; at
-    every other shift the dominant part is the top products alone.
+    Returns ``{r: D}``, each D the whole dominant part at ``r`` as
+    ``(product, multiplicity)`` pairs, top products included, already in
+    the order of ``_in_order``, so no caller sorts it.  Both characters
+    must be ``QChar``s.  With ``anchor``, a plain ``int``, ``anchor`` is the
+    one key.  Without it, the keys are the shifts at which a pair other
+    than two dominant terms is dominant; at every other shift the dominant
+    part is the top products alone.
     """
     for q in (walked, indexed):
-        if not isinstance(q, QChar):
-            raise InvalidInput(f"a joined character must be a QChar, got {q!r}")
+        require_type("a joined character", q, QChar)
     if anchor is not None:
         require_int("join anchor", anchor)
     if walked.n != indexed.n:
@@ -569,8 +561,8 @@ def anchor_join(
         for t1, c1 in tops:
             for t2, c2 in itops:
                 _add_product(products, t1, t2, r, c1 * c2)
-    n, make = walked.n, LMonomial._make
-    return {r: {make(n, p): c for p, c in products.items()} for r, products in found.items()}
+    n = walked.n
+    return {r: tuple(_in_order(n, products)) for r, products in found.items()}
 
 
 # Bound on each cache: the q-characters (each with its join index once a
@@ -605,7 +597,9 @@ def _shared_spec(n: int, lam: tuple[int, ...], direction: Direction, shift: int)
 
 @lru_cache(maxsize=CACHE_SIZE)
 def drinfeld_of_spec(spec: MinAffSpec) -> LMonomial:
-    """Drinfeld polynomial of the spec: product of its node strings."""
+    """Drinfeld polynomial of the spec, which must be a ``MinAffSpec``:
+    product of its node strings."""
+    require_type("a spec", spec, MinAffSpec)
     m = LMonomial.identity(spec.n)
     for i, r in spec.anchors().items():
         m = m * y_string(spec.n, i, r, spec.lam[i - 1])
@@ -629,12 +623,10 @@ def highest_tableau(spec: MinAffSpec) -> Tableau:
 def _searched_terms(
     omega: LMonomial, bound: Optional[dict] = None, shape: Optional[Shape] = None
 ) -> dict[tuple, int]:
-    """The terms of the snake ``omega``'s character: the exponent tuples of
-    ``filling_pairs`` over its ``snake_shape``, under ``bound`` if given.
-    A caller that holds that shape already passes it as ``shape``.  An
-    unbounded search of a shape whose last column is longer than its first
-    runs from that end (``mirrored_terms``): the same terms, in another
-    order, from fewer box placements.
+    """The terms of the snake ``omega``'s character: the exponent tuples
+    ``tableaux.filling_terms`` finds over its ``snake_shape``, under
+    ``bound`` if given.  A caller that holds that shape already passes it
+    as ``shape``.
 
     No tableau or ``LMonomial`` is built.  Two checks on the tuples follow,
     and a failure signals an implementation bug, never bad input: no term
@@ -645,10 +637,7 @@ def _searched_terms(
     n, make = omega.n, LMonomial._make
     if shape is None:
         shape = snake_shape(omega)
-    if bound is None and longer_at_end(shape):
-        found = mirrored_terms(n, shape)
-    else:
-        found = [t for _, t in filling_pairs(n, shape, bound)]
+    found = filling_terms(n, shape, bound)
     terms = dict.fromkeys(found, 1)
     if len(terms) != len(found):
         seen: set[tuple] = set()
@@ -670,22 +659,22 @@ def held_qchar(spec: MinAffSpec) -> QChar:
     polynomial: the tableau search runs on the first full read, and a
     product's ``dominant_terms`` searches only the terms the other factor
     can cover."""
-    return QChar._of(spec.n, None, drinfeld=drinfeld_of_spec(spec))
+    omega = drinfeld_of_spec(spec)
+    return QChar._of(omega.n, None, drinfeld=omega)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def qchar(spec: MinAffSpec) -> QChar:
     """q-character of a minimal affinization via tableau enumeration: the
-    ``held_qchar`` of ``spec``, searched at once (``_searched_terms``), from
-    the longer end of its shape.  The terms are those of ``filling_pairs``;
-    their order is that search's only when the first column is at least as
-    long as the last."""
+    ``held_qchar`` of ``spec``, searched at once (``_searched_terms``), its
+    terms in ``tableaux.filling_terms`` order."""
     qc = held_qchar(spec)
     qc._all_terms()
     return qc
 
 
 def qchar_kr(kr: KRSpec) -> QChar:
+    require_type("a KR module", kr, KRSpec)
     return qchar(kr.as_minaff())
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidInput, InvariantViolation
-from .lweight import LMonomial, is_dominant, y_string
+from .lweight import LMonomial, _require_monomial, is_dominant, y_string
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ def q_factorize(m: LMonomial) -> StringList:
     distinct strings are still checked pairwise.  The identity factorizes
     into the empty list.
     """
+    _require_monomial(m)
     if m.n != 1:
         raise InvalidInput(f"q-factorization is defined at rank 1, got rank {m.n}")
     if not is_dominant(m):

@@ -2,67 +2,71 @@
 
 A column of length k with support starting at s holds boxes at the spectral
 exponents s, s+2, ..., s+2(k-1); the box in row j (1-based, row 1 on top)
-sits at support s+2(k-j).  A box with content c at support s carries the
-monomial ``Y[c-1, s+c]^-1 * Y[c, s+c-1]`` (boundary factors dropped), and a
-tableau's monomial is the product over its boxes.
+sits at support s+2(k-j).  Semi-standard means: columns strictly increase
+top to bottom, support starts weakly decrease left to right, and whenever a
+box (c, s) in one column has a neighbour (c', s-2) in the next column then
+c >= c'.  ``Shape`` and ``Tableau`` are plain validated values (plain
+``int``s, else ``InvalidInput``), and a ``Tableau`` is built only through
+its constructor.
 
-Semi-standard means: columns strictly increase top to bottom, support starts
-weakly decrease left to right, and whenever a box (c, s) in one column has a
-neighbour (c', s-2) in the next column then c >= c'.
+Each rule is written once.  The box rule, ``_box_keys``: content c at
+support s raises the key (c, s + c - 1) if c <= n and lowers (c - 1, s + c)
+if c >= 2, so a box carries ``Y[c-1, s+c]^-1 * Y[c, s+c-1]`` and a tableau
+the product over its boxes; row j of a column of length k holds the
+contents j..n+1-(k-j).  The box monomials, the search's tables and
+``raise_bound`` read it with one call per box.  The column rule,
+``snake_shape``: a dominant snake has one column ``(i, r - i + 1)`` per
+variable ``Y[i, r]``, and every highest tableau's shape is the snake shape
+of its Drinfeld polynomial.  The search order, ``filling_terms``: a bounded
+search runs left to right, and an unbounded one runs mirrored exactly when
+the last column is longer than the first (``longer_at_end``).
 
-``Shape`` and ``Tableau`` are plain validated values: every column length,
-support start and content must be a plain ``int``, a malformed structure
-is ``InvalidInput`` too, and a ``Tableau`` is built only through its
-constructor.
+``filling_pairs`` is the one search.  It places boxes without recursion,
+depth-first over columns left to right, each top to bottom, contents
+ascending, and yields each filling's contents with its monomial's
+canonical exponent tuple, building no tableau and no ``LMonomial``.
+Beside the exponent vector of the boxes placed so far, indexed by the
+sorted keys the shape can reach, it holds the live pairs: slot ``j`` holds
+``(keys[j], e)``, or ``None`` at ``e = 0``, from a table built once per
+search, so the terms of a character share their pairs and a term is the
+held pairs in key order.  The last box runs in one inner loop at each
+complete prefix, so a filling costs little more than its tuple.
+``semistandard_fillings`` and ``enumerate_semistandard`` are views of the
+same search, in the same order.
 
-``snake_shape`` is the one column rule: a dominant snake monomial has one
-column ``(i, r - i + 1)`` per variable ``Y[i, r]``, and every highest
-tableau's shape is the snake shape of its Drinfeld polynomial.
+``mirrored_terms`` runs the same loop over the mirror of a shape: columns
+right to left, each bottom to top, content ``c`` placed as ``n + 2 - c``.
+The mirror is a bijection on semi-standard fillings.  A column's contents
+increase strictly top to bottom exactly when its placed contents increase
+strictly bottom to top, and a box ``(c, s)`` and its neighbour
+``(c', s - 2)`` satisfy ``c >= c'`` exactly when ``n + 2 - c <= n + 2 - c'``,
+so each box is still capped by its neighbour in the column placed just
+before it.  Each box and content still moves the keys of its own
+``(i, r)``, so a filling gives the same tuple in either order; only the
+search tree shrinks, from the longer end of a shape, as on a decreasing
+snake.
 
-``filling_pairs`` is the one search.  It places boxes without recursion
-and yields each filling's contents with its monomial's canonical exponent
-tuple, building no tableau and no ``LMonomial``; ``qchar`` keeps only the
-tuples.  Beside a running exponent vector it holds the live pairs: one
-``((i, r), e)`` per nonzero slot, taken from a table built once per search,
-so the terms of a character share their pairs and a term is the held pairs
-in key order.  The last box runs in one inner loop at each complete prefix,
-so a filling costs little more than its tuple.  Two views of the same
-search, in the same order: ``semistandard_fillings`` wraps each tuple in an
-``LMonomial``, and ``enumerate_semistandard`` builds a ``Tableau`` from each
-filling's contents.  ``monomial_of_tableau`` sums a tableau's box exponents
-in one pass and keeps no state.
+Settled keys.  Under a ``bound``, for each key ``(i, r)`` the largest
+positive exponent a partner character has there, the search yields only
+the fillings whose exponent at every key is at least its floor,
+``-bound.get(key, 0)``: a term makes a dominant product with some partner
+term only if each of its negative exponents is covered.  The exponent at
+``(i, r)`` moves only when a box lands at support ``r - i + 1`` with
+content ``i`` (+1) or at support ``r - i - 1`` with content ``i + 1``
+(-1).  If any box can lower it, the last box in left-to-right order that
+can move it is one that lowers it: a lowering box in an earlier column
+than a raising one starts at ``r - i - 1`` or below, so the raising box's
+column, starting no higher, has a box at ``r - i - 1`` right below it,
+which can take content ``i + 1``.  Once that last lowering box is placed
+the exponent is final, so the search checks it there and skips the
+subtree when it is below its floor; a key that cannot fall below its floor
+is never checked.  The proof is written for the left-to-right order, so a
+bounded search runs left to right.
 
-``mirrored_terms`` runs the same search loop over the mirror of a shape:
-columns right to left, each bottom to top, content ``c`` placed as
-``n + 2 - c``.  The mirror is a bijection on semi-standard fillings.  A
-column's contents increase strictly top to bottom exactly when its placed
-contents increase strictly bottom to top.  A box ``(c, s)`` and its
-neighbour ``(c', s - 2)`` in the next column satisfy ``c >= c'`` exactly
-when ``n + 2 - c <= n + 2 - c'``, so each box is still capped by its
-neighbour in the column placed just before it.  Each box and content still
-moves the keys of its own ``(i, r)``, so a filling gives the same canonical
-tuple in either order.  Only the size of the search tree depends on the
-order: the search places fewer boxes per term from the longer end of a
-shape.  The order rule is that an unbounded search (``qchar``) runs mirrored
-exactly when the last column is longer than the first (``longer_at_end``),
-as on a decreasing snake, and a bounded search always runs left to right.
-
-``filling_pairs`` also takes a ``bound``: for each key ``(i, r)`` the
-largest positive exponent a partner character has there.  A term can make
-a dominant product with some partner term only if each of its negative
-exponents is covered, so under the bound the search yields only the
-fillings whose exponent at every key is at least ``-bound.get(key, 0)``,
-the same ones in the same order as the full search filtered afterwards.
-A key is checked once it is settled: every box that can move it has been
-placed.  The last such box is always one that can lower it, since below a
-box that can raise ``(i, r)`` sits, in its own column, a box that can lower
-it whenever an earlier column can; so the check is made right after that
-box, and a subtree below the floor is skipped whole.
-
-``raise_bound`` is the other side of that bound: for each key ``(i, r)``
-the number of boxes of a shape that can raise it, which no filling's
-exponent there exceeds.  A product of two held characters searches one
-factor under the other's raise bound, so neither is searched whole.
+``raise_bound`` is the other side of that bound: for each key the number of
+boxes that can raise it, which no filling's exponent there exceeds.  A
+product of two held characters searches one factor under the other's raise
+bound, so neither is searched whole.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidInput, require_int, require_rank
+from .errors import InvalidInput, require_int, require_rank, require_type
 from .lweight import LMonomial, is_dominant
 
 
@@ -153,8 +157,7 @@ class Tableau:
 
     def __post_init__(self):
         require_rank(self.n)
-        if not isinstance(self.shape, Shape):
-            raise InvalidInput(f"tableau shape must be a Shape, got {self.shape!r}")
+        require_type("tableau shape", self.shape, Shape)
         try:
             cols = tuple(map(tuple, self.cols))
         except TypeError:
@@ -201,34 +204,53 @@ class Tableau:
         return "\n".join(lines)
 
 
+def _box_keys(n: int, s: int, k: int, row: int) -> tuple[range, list, list]:
+    """The box rule for the box at support ``s`` in ``row`` of a column of
+    length ``k``: the contents it can take in a semi-standard filling,
+    ``row .. n + 1 - (k - row)`` (in a full column, of length n + 1, row c
+    holds content c alone), and, indexed by content, ``ups[c]``, the key
+    ``c`` raises, ``(c, s + c - 1)`` if ``c <= n``, and ``downs[c]``, the
+    key it lowers, ``(c - 1, s + c)`` if ``c >= 2``.  Every other entry of
+    the two lists, indexed ``0 .. n + 2``, is ``None``, so a list reversed
+    is indexed by the mirrored content ``n + 2 - c``."""
+    contents = range(row, n + 2 - (k - row))
+    ups: list = [None] * (n + 3)
+    downs: list = [None] * (n + 3)
+    for c in contents:
+        if c <= n:
+            ups[c] = (c, s + c - 1)
+        if c >= 2:
+            downs[c] = (c - 1, s + c)
+    return contents, ups, downs
+
+
 def monomial_of_box(n: int, content: int, s: int) -> LMonomial:
     """Monomial of one box: Y[content-1, s+content]^-1 * Y[content, s+content-1]."""
+    require_rank(n)
+    require_int("box content", content)
+    require_int("box support", s)
     if not 1 <= content <= n + 1:
         raise InvalidInput(f"content {content} out of range 1..{n + 1}")
-    pairs = []
-    if content - 1 >= 1:
-        pairs.append(((content - 1, s + content), -1))
-    if content <= n:
-        pairs.append(((content, s + content - 1), 1))
-    return LMonomial(n, pairs)
+    _, ups, downs = _box_keys(n, s, n + 1, content)
+    return LMonomial(n, [(key, e) for key, e in ((downs[content], -1), (ups[content], 1)) if key])
 
 
 def monomial_of_tableau(t: Tableau) -> LMonomial:
     """Product of the box monomials of ``t``, its exponents summed in one
     pass over the boxes."""
+    require_type("a tableau", t, Tableau)
     n = t.n
     acc: dict[tuple[int, int], int] = {}
     for c, s in t.boxes():
-        if c <= n:
-            key = (c, s + c - 1)
-            acc[key] = acc.get(key, 0) + 1
-        if c >= 2:
-            key = (c - 1, s + c)
-            acc[key] = acc.get(key, 0) - 1
+        _, ups, downs = _box_keys(n, s, n + 1, c)
+        for key, e in ((ups[c], 1), (downs[c], -1)):
+            if key:
+                acc[key] = acc.get(key, 0) + e
     return LMonomial._make(n, tuple(sorted(kv for kv in acc.items() if kv[1])))
 
 
 def is_semistandard(t: Tableau) -> bool:
+    require_type("a tableau", t, Tableau)
     for col in t.cols:
         if any(a >= b for a, b in zip(col, col[1:])):
             return False
@@ -261,58 +283,44 @@ def filling_pairs(
     n: int, shape: Shape, bound: dict | None = None
 ) -> Iterator[tuple[list[int], tuple]]:
     """The one search: ``semistandard_fillings`` with each monomial given
-    as its canonical exponent tuple.
-
-    Deterministic order: depth-first over columns left to right, within a
-    column top to bottom, contents ascending (lexicographic in the
-    concatenated content sequence).
-
-    The search runs over the boxes in that order without recursion.  Beside
-    the exponent vector of the boxes placed so far, indexed by the sorted
-    ``(i, r)`` keys the shape can reach, it keeps the live pairs: slot ``j``
-    holds ``(keys[j], e)`` for its exponent ``e``, or ``None`` at ``e = 0``,
-    and each placed or removed box updates the two slots it moves.  A
-    filling's exponent tuple is then the held pairs with the ``None``
-    entries dropped, already in key order.  The last box is not a step of
-    the search: at each complete prefix one loop runs its contents and
-    yields a filling per content.
+    as its canonical exponent tuple, in the deterministic order of the
+    module notes (lexicographic in the concatenated content sequence).
 
     ``bound`` maps keys ``(i, r)`` to nonnegative ``int``s; with it the
     search yields only the fillings whose exponent at every key is at least
-    its floor, ``-bound.get(key, 0)``, in the same order.  The exponent at
-    ``(i, r)`` moves only when a box lands at support ``r - i + 1`` with
-    content ``i`` (+1) or at support ``r - i - 1`` with content ``i + 1``
-    (-1).  If any box can lower it, the last box in search order that can
-    move it is one that lowers it: a lowering box in an earlier column than
-    a raising one starts at ``r - i - 1`` or below, so the raising box's
-    column, starting no higher, has a box at ``r - i - 1`` right below it,
-    which can take content ``i + 1``.  Once that last lowering box is placed
-    the exponent is final, so the search checks it there and skips the
-    subtree when it is below its floor.  A key that cannot fall below its
-    floor is never checked, and without a bound none is.
+    ``-bound.get(key, 0)``, in the same order, checking each key once it is
+    settled (the module notes).
     """
     return _search(n, shape, bound, False)
+
+
+def _require_shape(shape, user: str = "search") -> None:
+    if not isinstance(shape, Shape):
+        raise InvalidInput(f"the {user} needs a Shape, got {shape!r}")
 
 
 def longer_at_end(shape: Shape) -> bool:
     """Whether the last column of ``shape`` is longer than its first: then
     the mirrored search (``mirrored_terms``) places fewer boxes per term."""
-    if not isinstance(shape, Shape):
-        raise InvalidInput(f"the search needs a Shape, got {shape!r}")
+    _require_shape(shape)
     cols = shape.columns
     return bool(cols) and cols[-1][0] > cols[0][0]
 
 
-def mirrored_terms(n: int, shape: Shape) -> list[tuple]:
-    """The exponent tuples of every semi-standard filling of ``shape``, the
-    ones ``filling_pairs`` yields, from the mirrored search: columns right
-    to left, each bottom to top, content ``c`` placed as ``n + 2 - c``.
+def filling_terms(n: int, shape: Shape, bound: dict | None = None) -> list[tuple]:
+    """The exponent tuples ``filling_pairs(n, shape, bound)`` yields, from
+    the end of ``shape`` the order rule picks: a bounded search runs left
+    to right, in ``filling_pairs`` order, and an unbounded one runs
+    mirrored (``mirrored_terms``) exactly when ``longer_at_end(shape)``."""
+    if bound is None and longer_at_end(shape):
+        return mirrored_terms(n, shape)
+    return [t for _, t in filling_pairs(n, shape, bound)]
 
-    Each box and content still moves the keys of its own ``(i, r)``, so
-    every filling gives its own canonical tuple, once; only the order of
-    the list differs.  The rank and shape are checked as ``filling_pairs``
-    checks them.
-    """
+
+def mirrored_terms(n: int, shape: Shape) -> list[tuple]:
+    """The exponent tuples ``filling_pairs`` yields, each once, in the
+    order of the mirrored search (the module notes); the rank and shape
+    are checked as ``filling_pairs`` checks them."""
     return [t for _, t in _search(n, shape, None, True)]
 
 
@@ -323,8 +331,7 @@ def _search(
     ``mirror`` and no bound, the search of ``mirrored_terms``, whose
     yielded contents are the placed ones, in its own box order."""
     require_rank(n)
-    if not isinstance(shape, Shape):
-        raise InvalidInput(f"the search needs a Shape, got {shape!r}")
+    _require_shape(shape)
     bounded = bound is not None
     if bounded:
         if not isinstance(bound, dict):
@@ -336,62 +343,53 @@ def _search(
     # mirrored, the column placed just before a box's own is the one to its
     # right, where its neighbour sits at support - 2
     cols, step = (shape.columns[::-1], -2) if mirror else (shape.columns, 2)
-    # per box, in search order: its support, its largest and smallest
-    # placed contents, and the index of its neighbour, the box at support
-    # + step in the previous column (or -1)
-    supports: list[int] = []
+    # per box, in search order: its largest placed content, the keys each
+    # placed content raises and lowers (``_box_keys``, indexed by the placed
+    # content, n + 2 - c mirrored), and the index of its neighbour, the box
+    # at support + step in the previous column (or -1); raises / lowers
+    # count the boxes that can move each key
     top_caps: list[int] = []
-    lows: list[int] = []
+    up_keys: list[list] = []
+    down_keys: list[list] = []
     lefts: list[int] = []
+    raises: dict = {}
+    lowers: dict = {}
     first_rows: set[int] = set()
     prev: dict[int, int] = {}
     for k, s in cols:
         here: dict[int, int] = {}
-        first_rows.add(len(supports))
+        first_rows.add(len(lefts))
         for pos in range(1, k + 1):
             # the pos-th box placed in the column: row pos, or row k + 1 - pos mirrored
-            supp = box_support(k, s, k + 1 - pos if mirror else pos)
-            here[supp] = len(supports)
-            supports.append(supp)
-            # leave room for the strictly increasing boxes placed after it
-            top_caps.append(n + 1 - (k - pos))
-            lows.append(pos)
+            row = k + 1 - pos if mirror else pos
+            supp = box_support(k, s, row)
+            contents, ups, downs = _box_keys(n, supp, k, row)
+            for c in contents:
+                if ups[c]:
+                    raises[ups[c]] = raises.get(ups[c], 0) + 1
+                if downs[c]:
+                    lowers[downs[c]] = lowers.get(downs[c], 0) + 1
+            if mirror:
+                ups, downs = ups[::-1], downs[::-1]
+            top_caps.append(n + 2 - contents.start if mirror else contents.stop - 1)
+            up_keys.append(ups)
+            down_keys.append(downs)
+            here[supp] = len(lefts)
             lefts.append(prev.get(supp + step, -1))
         prev = here
-    nboxes = len(supports)
+    nboxes = len(lefts)
     if nboxes == 0:
         yield [], ()
         return
-
-    # one pass over the contents each box can take: content c at support s
-    # raises (c, s + c - 1) if c <= n and lowers (c - 1, s + c) if c >= 2;
-    # the tables are indexed by the placed content, n + 2 - c mirrored;
-    # raises / lowers count the boxes that can move each key so
-    up_keys: list[list] = []
-    down_keys: list[list] = []
-    raises: dict = {}
-    lowers: dict = {}
-    for s, low, top in zip(supports, lows, top_caps):
-        ups: list = [None] * (n + 2)
-        downs: list = [None] * (n + 2)
-        for placed in range(low, top + 1):
-            c = n + 2 - placed if mirror else placed
-            if c <= n:
-                ups[placed] = key = (c, s + c - 1)
-                raises[key] = raises.get(key, 0) + 1
-            if c >= 2:
-                downs[placed] = key = (c - 1, s + c)
-                lowers[key] = lowers.get(key, 0) + 1
-        up_keys.append(ups)
-        down_keys.append(downs)
     # up[p][c] / down[p][c]: slot of the +1 / -1 factor of placed content c
     # at box p; boundary factors, and contents the box cannot take, go to a
     # spare last slot whose pairs are all None
     keys = sorted(raises.keys() | lowers.keys())
     slot: dict = {key: j for j, key in enumerate(keys)}
     spare = slot[None] = len(keys)
-    up = [[slot[key] for key in ups] for ups in up_keys]
-    down = [[slot[key] for key in downs] for downs in down_keys]
+    at = slot.__getitem__
+    up = [[*map(at, ups)] for ups in up_keys]
+    down = [[*map(at, downs)] for downs in down_keys]
     # pairs[j][e] is the one (keys[j], e) every yielded monomial shares, and
     # None at e = 0; e lies between minus the boxes that can lower the key
     # and the boxes that can raise it, and a negative e indexes from the
@@ -474,21 +472,17 @@ def raise_bound(n: int, shape: Shape) -> dict[tuple[int, int], int]:
     """For each key ``(i, r)`` some box of ``shape`` can raise, the number of
     boxes that can: an upper bound on every filling's exponent there.
 
-    A box raises ``(i, r)`` only at support ``r - i + 1`` with content
-    ``i``, and the box in ``row`` of a column of length ``k`` takes the
-    contents ``row .. n + 1 - (k - row)``, the ranges ``filling_pairs``
-    searches; content ``n + 1`` raises nothing.
+    Each box counts the keys its contents raise (``_box_keys``) over the
+    contents its row can take, the ranges ``filling_pairs`` searches.
     """
     require_rank(n)
-    if not isinstance(shape, Shape):
-        raise InvalidInput(f"the bound needs a Shape, got {shape!r}")
+    _require_shape(shape, "bound")
     bound: dict[tuple[int, int], int] = {}
     for k, s in shape:
         for row in range(1, k + 1):
-            supp = box_support(k, s, row)
-            for c in range(row, min(n + 1 - (k - row), n) + 1):
-                key = (c, supp + c - 1)
-                bound[key] = bound.get(key, 0) + 1
+            for key in _box_keys(n, box_support(k, s, row), k, row)[1]:
+                if key:
+                    bound[key] = bound.get(key, 0) + 1
     return bound
 
 
@@ -499,6 +493,7 @@ def enumerate_semistandard(n: int, shape: Shape) -> Iterator[Tableau]:
     filling's contents cut into columns and passed to the ``Tableau``
     constructor.
     """
+    _require_shape(shape)
     columns: list[slice] = []
     start = 0
     for k, _ in shape:

@@ -1,19 +1,16 @@
 """Tensor products of a minimal affinization with an extreme-node KR module.
 
-The product q-character is held as its two factors.  Its dominant
-spectrum D is still exhaustive and exact: ``minaff.anchor_join`` walks one
-factor's exponent tuples against a join index of the other factor's (the
-only one indexed), finds every pair whose product is dominant, the top
-pair included, and merges only those pairs' tuples, building one
-``LMonomial`` per distinct product, before D is sorted along the
-loop-root order.  The full product is convolved only when
-something asks for all of its terms.  On top of D, the classifier
-evaluates the closed-form reducibility conditions, reads the extra simple
-factor's highest loop weight off its tableau family (each family checks
-its box products against loop-root products), and cross-checks every
-prediction against D.  Brute force is
-always the arbiter: a disagreement raises TheoremViolation, which signals
-an implementation bug and is counted as a violation by the sweep harness.
+The product q-character is held as its two factors.  Its dominant spectrum
+D is still exhaustive and exact: one ``minaff.anchor_join`` finds every
+pair whose product is dominant, the top pair included, and returns D in
+its one order, so this module never sorts it.  The full product is
+convolved only when something asks for all of its terms.  On top of D,
+the classifier evaluates the closed-form reducibility conditions, reads
+the extra simple factor's highest loop weight off its tableau family (each
+family checks its box products against loop-root products), and
+cross-checks every prediction against D.  Brute force is always the
+arbiter: a disagreement raises TheoremViolation, which signals an
+implementation bug and is counted as a violation by the sweep harness.
 
 Normal form is an increasing minimal affinization tensored with a KR module
 at the last node.  The four direction/node combinations are the rows of
@@ -26,7 +23,7 @@ normal-form problem, and carrying the answer back.
 
 D does not depend on the KR anchor r through anything but tau_r, so
 ``spectra_by_anchor`` finds D at every anchor of a group (spec, node, k) by
-one join against the anchor-0 KR character, whose dicts are finished
+one join against the anchor-0 KR character, whose D are finished
 spectra; a sweep reads each point's D from that map (``whole_group``),
 which also certifies the anchors it does not visit.  The resonance
 equations are solved for r once per group too (``_resonances``, r -> the
@@ -37,16 +34,12 @@ through tau_r as well: it is recognised once per group, at anchor 0
 ``_shared_spec``), and ``_transported`` moves its KR module to the
 point's anchor; the closed form's gap members are built at anchor 0 and
 moved by tau_r too, and multiplied as exponent tuples.  A single point
-(the ``tensor`` command, and the transports of its rows a, b and c)
-joins the held affinization with the held KR module (``held_qchar`` of
-each) at its one anchor, and neither character is searched whole: the KR
-search yields only the terms whose
-negative exponents the affinization's ``raise_bound`` clears, the
-affinization search only the terms whose negative exponents those KR
-terms can cover, and only those are walked.
-The sweep keeps the full characters, because its join certifies every
-anchor of the group (the ``r_window`` check), and a bound over every
-shift would prune almost nothing.
+(the ``tensor`` command, and the transports of its rows a, b and c) joins
+the held affinization with the held KR module (``held_qchar`` of each) at
+its one anchor, and neither is searched whole (the ``minaff`` notes).  The
+sweep keeps the full characters, because its join certifies every anchor
+of the group (the ``r_window`` check), and a bound over every shift would
+prune almost nothing.
 
 Most anchors of a group are quiet: ``_loud_anchors`` names the others,
 and only the sweep (``qcharlab.sweep``) answers a quiet anchor from group
@@ -77,12 +70,11 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
-from .errors import InvalidInput, InvariantViolation, TheoremViolation, require_int
+from .errors import InvalidInput, InvariantViolation, TheoremViolation, require_int, require_type
 from .lweight import (
     LMonomial,
     expand_lroot_path,
     le,
-    monomial_sort_key,
     product_exps,
     transform,
     y_string,
@@ -268,12 +260,8 @@ def _json_num(v: Optional[int]) -> str:
 
 
 def product_qchar(q1: QChar, q2: QChar) -> QChar:
-    """Product of two q-characters (tensor product character).
-
-    The product is held as its two factors (``QChar.product``): its
-    dominant terms come from a join that multiplies only the dominant
-    pairs, and all of its terms are convolved only when asked for.
-    """
+    """Product of two q-characters (tensor product character), held as its
+    two factors (``QChar.product``)."""
     return QChar.product(q1, q2)
 
 
@@ -291,8 +279,9 @@ def dominant_spectrum(qc: QChar) -> DominantSpectrum:
 
     The sort key strictly refines the loop-root partial order; the flag
     records whether consecutive entries are actually comparable, i.e.
-    whether the spectrum is a chain.
+    whether the spectrum is a chain.  ``qc`` must be a ``QChar``.
     """
+    require_type("a character", qc, QChar)
     return _spectrum(qc.dominant_terms())
 
 
@@ -301,8 +290,8 @@ def spectra_by_anchor(
     spec: MinAffSpec, node: int, k: int
 ) -> dict[int, tuple[tuple[LMonomial, int], ...]]:
     """The dominant spectrum D of V (x) W(node, r, k) at every KR anchor r
-    where it is not {lambda}, sorted as ``dominant_spectrum`` sorts it; at
-    every other anchor D = {lambda}.
+    where it is not {lambda}, in ``anchor_join``'s order, the one
+    ``dominant_spectrum`` reads; at every other anchor D = {lambda}.
 
     One ``anchor_join`` of ``qchar(spec)`` against the anchor-0 KR
     character W0 gives D at every r, since ``W(node, r, k) = tau_r(W0)``:
@@ -315,14 +304,13 @@ def spectra_by_anchor(
     """
     window = resonance_window(spec, node, k, 0)
     w0 = qchar_kr(KRSpec(spec.n, node, 0, k))
-    out = {}
-    for r, terms in sorted(anchor_join(qchar(spec), w0).items()):
+    out = dict(sorted(anchor_join(qchar(spec), w0).items()))
+    for r in out:
         if r not in window:
             raise TheoremViolation(
                 f"dominant spectrum at KR anchor {r} is not {{lambda}}, outside the "
                 f"resonance window {window.start}..{window.stop - 1} of {spec} at node {node}, k = {k}"
             )
-        out[r] = tuple(sorted(terms.items(), key=lambda mc: monomial_sort_key(mc[0])))
     return out
 
 
@@ -349,6 +337,7 @@ def family_S(spec: MinAffSpec, c: int, f: int, p: int) -> tuple[Tableau, LMonomi
     their types (at most ``CACHE_SIZE`` members), so each distinct member
     is built and checked once.
     """
+    require_type("a spec", spec, MinAffSpec)
     for what, v in (("column index", c), ("last column", f), ("content bound", p)):
         require_int(what, v)
     if spec.direction != "inc":
@@ -395,6 +384,7 @@ def family_T(kr: KRSpec, m: int, p: int) -> tuple[Tableau, LMonomial]:
     returned.  Cached like ``family_S``: ``_lambda_prime_normal`` asks again
     for the member that ``expected_dominants`` has just built.
     """
+    require_type("a KR module", kr, KRSpec)
     for what, v in (("gap count", m), ("gap position", p)):
         require_int(what, v)
     n = kr.n
@@ -522,8 +512,12 @@ def expected_dominants(
     resonance interleaves the raised-column and gap families.  Duplicates
     arising from the clamping conventions collapse.  The members are
     multiplied as exponent tuples (``product_exps``), and one ``LMonomial``
-    is built per distinct product.
+    is built per distinct product.  ``spec`` must be a ``MinAffSpec``,
+    ``kr`` a ``KRSpec`` and ``resonance`` None or a ``Resonance``.
     """
+    require_type("a KR module", kr, KRSpec)
+    if not (resonance is None or isinstance(resonance, Resonance)):
+        raise InvalidInput(f"a resonance must be a Resonance or None, got {resonance!r}")
     omega = drinfeld_of_spec(spec)
     varpi = kr.drinfeld()
     if resonance is None:
@@ -729,17 +723,11 @@ def _classify(variant: Variant, spec: MinAffSpec, kr: KRSpec, whole_group: bool)
     )
 
 
-def _require_spec(spec) -> None:
-    if not isinstance(spec, MinAffSpec):
-        raise InvalidInput(f"a spec must be a MinAffSpec, got {spec!r}")
-
-
 def _check_point(spec, kr, whole_group: bool = False) -> None:
     """Reject, as InvalidInput, a point that is not a ``MinAffSpec`` and a
     ``KRSpec`` of the same rank, or a ``whole_group`` that is not a bool."""
-    _require_spec(spec)
-    if not isinstance(kr, KRSpec):
-        raise InvalidInput(f"a KR module must be a KRSpec, got {kr!r}")
+    require_type("a spec", spec, MinAffSpec)
+    require_type("a KR module", kr, KRSpec)
     if kr.n != spec.n:
         raise InvalidInput("rank mismatch between spec and KR module")
     if type(whole_group) is not bool:
@@ -797,7 +785,7 @@ def resonance_window(spec: MinAffSpec, node: int, k: int, pad: int = 2) -> range
     ``KRSpec`` checks them: an extreme node and a positive integer length;
     ``pad`` must be a plain ``int``.
     """
-    _require_spec(spec)
+    require_type("a spec", spec, MinAffSpec)
     KRSpec(spec.n, node, 0, k)
     require_int("pad", pad)
     if pad < 0:

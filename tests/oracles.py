@@ -74,7 +74,7 @@ from qcharlab import (
     weight_of,
     y_string,
 )
-from qcharlab.lweight import _peel
+from qcharlab.lweight import _peel, monomial_sort_key
 from qcharlab.tableaux import box_support
 from qcharlab.tensor import VARIANTS, Variant
 
@@ -286,6 +286,15 @@ def anchor_join_reference(
                 p = m1 * transform(m2, "tau", r)
                 found[p] = found.get(p, 0) + c1 * c2
     return out
+
+
+def sorted_join_reference(joined: dict[int, dict[LMonomial, int]]) -> dict[int, tuple]:
+    """Each anchor's products of ``anchor_join_reference`` as D: a tuple of
+    ``(product, multiplicity)`` pairs sorted by ``monomial_sort_key``, the
+    form ``minaff.anchor_join`` returns and ``tensor.spectra_by_anchor``
+    passes on."""
+    return {r: tuple(sorted(found.items(), key=lambda mc: monomial_sort_key(mc[0]))) for r, found in joined.items()}
+
 
 def monomial_of_tableau_reference(t: Tableau) -> LMonomial:
     """Tableau monomial as the product of its box monomials, one box at a time."""

@@ -25,7 +25,7 @@ from oracles import (
     spec_json_reference,
     weyl_dim_oracle,
 )
-from qcharlab import minaff, sweep
+from qcharlab import minaff, sweep, tableaux
 from qcharlab import (
     InvalidInput,
     InvariantViolation,
@@ -432,7 +432,7 @@ class TestQChar:
 
     def test_thinness_error_names_the_repeated_term(self, monkeypatch):
         spec = MinAffSpec(2, (1, 1), "inc", 3)
-        fillings = minaff.filling_pairs
+        fillings = tableaux.filling_pairs
         found = [t for _, t in fillings(spec.n, highest_tableau(spec).shape)]
         # the fourth term comes again after the sixth; the first repeat is the fourth
         order = [0, 1, 2, 3, 4, 5, 3, 6, 1, 7]
@@ -440,7 +440,7 @@ class TestQChar:
         def repeating(n, shape, bound=None):
             return (([], found[i]) for i in order)
 
-        monkeypatch.setattr(minaff, "filling_pairs", repeating)
+        monkeypatch.setattr(tableaux, "filling_pairs", repeating)
         qchar.cache_clear()
         try:
             # the duplicate is named as a monomial, Y[...], not as its tuple
@@ -456,9 +456,9 @@ class TestQChar:
         spec, kr = MinAffSpec(2, (1, 1), "inc", 3), KRSpec(2, 2, 5, 1)
         partner = qchar_kr(kr)
         if fault == "thinness violated":
-            fillings = minaff.filling_pairs
+            fillings = tableaux.filling_pairs
             monkeypatch.setattr(
-                minaff, "filling_pairs",
+                tableaux, "filling_pairs",
                 lambda n, shape, bound=None: [f for f in fillings(n, shape, bound) for _ in (0, 1)],
             )
         else:
@@ -475,7 +475,7 @@ class TestQChar:
         spec = MinAffSpec(2, (1, 1), "dec", 3)
         shape = highest_tableau(spec).shape
         assert shape.columns[-1][0] > shape.columns[0][0]
-        mirrored = minaff.mirrored_terms
+        mirrored = tableaux.mirrored_terms
         if fault == "thinness violated":
             def faulty(n, shape):
                 found = mirrored(n, shape)
@@ -483,7 +483,7 @@ class TestQChar:
         else:
             def faulty(n, shape):
                 return [*mirrored(n, shape), Y(n, 1, 99).items()]
-        monkeypatch.setattr(minaff, "mirrored_terms", faulty)
+        monkeypatch.setattr(tableaux, "mirrored_terms", faulty)
         qchar.cache_clear()
         try:
             with pytest.raises(InvariantViolation, match=fault):
@@ -558,6 +558,36 @@ class TestSharedPairs:
                 negative = [kv for kv in t if kv[1] < 0]
                 assert len(need) == len(negative)
                 assert all(a is b for a, b in zip(need, negative))
+
+
+class TestJoinIndex:
+    """``_JoinIndex.largest`` is the one top-exponent map: the largest
+    positive exponent at each key over the index's terms."""
+
+    @staticmethod
+    def _largest(terms):
+        out = {}
+        for t in terms:
+            for key, e in t:
+                if e > 0:
+                    out[key] = max(out.get(key, 0), e)
+        return out
+
+    def test_largest_of_every_small_character(self):
+        for spec in small_specs():
+            index = minaff._JoinIndex(qchar(spec)._all_terms())
+            assert index.largest == self._largest(index.exps), spec
+
+    @given(st.integers(1, 3).flatmap(characters))
+    def test_largest_of_random_characters(self, qc):
+        index = minaff._JoinIndex(qc._all_terms())
+        assert index.largest == self._largest(qc._all_terms())
+        # every row mask is read off the map: a row at node i reaches t
+        # exactly when some key (i, s) tops out at t or above
+        for i, (ts, masks) in index.rows.items():
+            for t, mask in zip(ts, masks):
+                rows = {s for (j, s), e in index.largest.items() if j == i and e >= t}
+                assert mask == sum(1 << (index.top - s) for s in rows)
 
 
 class TestKRPartitionOracle:

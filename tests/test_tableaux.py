@@ -36,7 +36,7 @@ from qcharlab import (
     snake_shape,
     y_string,
 )
-from qcharlab.tableaux import filling_pairs, longer_at_end, mirrored_terms, raise_bound
+from qcharlab.tableaux import _box_keys, filling_pairs, longer_at_end, mirrored_terms, raise_bound
 
 
 def Y(n, i, r, e=1):
@@ -215,6 +215,37 @@ class TestBoxMonomial:
     def test_out_of_range(self):
         with pytest.raises(InvalidInput):
             monomial_of_box(2, 4, 0)
+
+    def test_box_keys_agree_with_the_box_monomial(self):
+        """At n <= 4, over supports of both parities, ``_box_keys`` gives a
+        box in every row of every column the keys of ``monomial_of_box`` at
+        each content the row can take, and ``None`` at every other index."""
+        for n in range(1, 5):
+            for s in range(-9, 10, 3):
+                for k in range(1, n + 2):
+                    for row in range(1, k + 1):
+                        contents, ups, downs = _box_keys(n, s, k, row)
+                        assert len(ups) == len(downs) == n + 3
+                        for c in range(n + 3):
+                            if c not in contents:
+                                assert ups[c] is None and downs[c] is None, (n, s, k, row, c)
+                                continue
+                            expected = LMonomial(n, [((c, s + c - 1), 1)] * (c <= n) + [((c - 1, s + c), -1)] * (c >= 2))
+                            assert monomial_of_box(n, c, s) == expected
+                            pairs = [(key, e) for key, e in ((ups[c], 1), (downs[c], -1)) if key]
+                            assert LMonomial(n, pairs) == expected, (n, s, k, row, c)
+
+    def test_box_contents_are_the_contents_the_search_places(self):
+        for n in range(1, 5):
+            for k in range(1, n + 3):
+                placed = [set() for _ in range(k)]
+                for t in enumerate_semistandard(n, Shape(((k, 0),))):
+                    for row, c in enumerate(t.cols[0]):
+                        placed[row].add(c)
+                for row in range(1, k + 1):
+                    assert placed[row - 1] == set(_box_keys(n, 0, k, row)[0]), (n, k, row)
+            # a full column holds each content in its own row
+            assert all(list(_box_keys(n, 0, n + 1, c)[0]) == [c] for c in range(1, n + 2))
 
 
 class TestTableauMonomial:

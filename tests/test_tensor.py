@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_weights,
     anchor_join_reference,
+    sorted_join_reference,
     characters,
     dominant_join_reference,
     expected_dominants_reference,
@@ -60,7 +61,7 @@ from qcharlab import (
     transform,
     y_string,
 )
-from qcharlab import cli, minaff, sweep, tensor
+from qcharlab import cli, minaff, sweep, tableaux, tensor
 from qcharlab.lweight import monomial_sort_key
 from qcharlab.minaff import _seg
 from qcharlab.tensor import VARIANTS, DominantSpectrum, Resonance, _resonance
@@ -1074,7 +1075,7 @@ def _second_dominant(search):
     return patched
 
 
-THIN_CHECK = ({"minaff.filling_pairs": _monomials_identity}, InvariantViolation, "thinness violated")
+THIN_CHECK = ({"tableaux.filling_pairs": _monomials_identity}, InvariantViolation, "thinness violated")
 # a dec affinization whose last tableau column is its longer one: the group
 # path searches it whole, mirrored
 MIRRORED_POINT = (MinAffSpec(2, (1, 1), "dec"), KRSpec(2, 1, 3, 1))
@@ -1139,7 +1140,7 @@ CHECK_IDS = [
 
 
 def _fires(point, patches, error, message, monkeypatch, **kwargs):
-    modules = {"tensor": tensor, "minaff": minaff}
+    modules = {"tensor": tensor, "minaff": minaff, "tableaux": tableaux}
     for target, patch in patches.items():
         module, name = target.split(".")
         monkeypatch.setattr(modules[module], name, patch(getattr(modules[module], name)))
@@ -1184,7 +1185,7 @@ class TestClassifierChecks:
     def test_check_fires_on_a_mirrored_search(self, patch, message, monkeypatch):
         shape = highest_tableau(MIRRORED_POINT[0]).shape
         assert shape.columns[-1][0] > shape.columns[0][0]
-        patches = {"minaff.mirrored_terms": patch}
+        patches = {"tableaux.mirrored_terms": patch}
         _fires(MIRRORED_POINT, patches, InvariantViolation, message, monkeypatch, whole_group=True)
 
     @pytest.mark.parametrize(
@@ -1323,12 +1324,15 @@ LOWER_ROW_LATER = (QChar(2, {Y(2, 1, 3, -1) * Y(2, 2, 0, -1): 1}), QChar(2, {Y(2
 
 def _check_group(spec, node, k, pad):
     """The group's all-anchor join against its reference, with
-    multiplicities, and every anchor of the group's pad window against the
-    per-anchor join: the map holds D exactly where D != {lambda}.  Returns
-    the anchors checked."""
+    multiplicities and each anchor's D in ``monomial_sort_key`` order,
+    ``spectra_by_anchor`` as the join's D unchanged, and every anchor of the
+    group's pad window against the per-anchor join: the map holds D exactly
+    where D != {lambda}.  Returns the anchors checked."""
     w0 = qchar_kr(KRSpec(spec.n, node, 0, k))
-    assert minaff.anchor_join(qchar(spec), w0) == anchor_join_reference(qchar(spec), w0), (spec, node, k)
+    joined = minaff.anchor_join(qchar(spec), w0)
+    assert joined == sorted_join_reference(anchor_join_reference(qchar(spec), w0)), (spec, node, k)
     spectra = tensor.spectra_by_anchor(spec, node, k)
+    assert spectra == joined and list(spectra) == sorted(joined), (spec, node, k)
     window = resonance_window(spec, node, k, pad)
     assert set(spectra) <= set(resonance_window(spec, node, k, 0))
     for r in window:
@@ -1445,24 +1449,26 @@ class TestSpectraByAnchor:
     def test_join_of_random_characters_at_every_shift(self, factors):
         x, y = factors
         every = minaff.anchor_join(x, y)
-        assert every == anchor_join_reference(x, y)
+        assert every == sorted_join_reference(anchor_join_reference(x, y))
         # rows lie in -3..3, so a dominant pair needs a shift in -6..6
         assert set(every) <= set(range(-6, 7))
         tops = [[(m, c) for m, c in q.terms().items() if all(e > 0 for _, e in m.items())] for q in (x, y)]
         for r in range(-7, 8):
             got = minaff.anchor_join(x, y, r)
             assert list(got) == [r]
-            assert got == anchor_join_reference(x, y, r)
+            assert got == sorted_join_reference(anchor_join_reference(x, y, r))
             reference = product_qchar_reference(x, _tau(y, r)).dominant_terms()
-            assert sorted(got[r].items(), key=lambda mc: monomial_sort_key(mc[0])) == reference
+            assert list(got[r]) == reference
             top_products = {}
             for m1, c1 in tops[0]:
                 for m2, c2 in tops[1]:
                     p = m1 * transform(m2, "tau", r)
                     top_products[p] = top_products.get(p, 0) + c1 * c2
             # a key of the all-anchor map is a shift where some other pair is dominant
-            assert every.get(r, top_products) == got[r]
-            assert (r in every) == (got[r] != top_products)
+            if r in every:
+                assert every[r] == got[r] and dict(got[r]) != top_products
+            else:
+                assert dict(got[r]) == top_products
 
 
 # quiet anchors of the groups of NORMAL_POINT and A_POINT: no resonance, D = {lambda},
